@@ -15,13 +15,12 @@ from .forgetting import (
     quadratic_forgetting,
     trace_forgetting,
 )
-from .kfac import RankSpaceStats, accumulate, batch_aware_damping, precondition, refresh_inverses
-from .linalg import SpectralDecomp, damped_solve, kron_matvec, sym_eig
+from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
+from .linalg import SpectralDecomp, damped_solve, sym_eig
 from .model import AdapterPair, BaseLayer, LayerTape, Model, build_model, trainable_count
 from .reprojection import (
     Projector,
     ReprojectionPolicy,
-    curvature_energy,
     make_projector,
     reproject,
     select_rank,
@@ -60,17 +59,14 @@ __all__ = [
     "Trainer",
     "accumulate",
     "alignment_overlap",
-    "batch_aware_damping",
     "build_model",
     "config_hash",
-    "curvature_energy",
     "curvature_exposure",
     "curvature_penalty",
     "damped_solve",
     "effective_rank",
     "fit_baseline_law",
     "fit_xi_coefficients",
-    "kron_matvec",
     "load_config",
     "make_projector",
     "parse_config_text",

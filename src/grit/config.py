@@ -8,6 +8,7 @@ comments, so identical configs hash identically on purpose.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,10 +62,11 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 
 def _coerce(name: str, raw: str, target_type):
     raw = raw.strip()
-    if name == "ema_beta":
+    optional = [t for t in typing.get_args(target_type) if t is not type(None)]
+    if optional:
         if raw.lower() in ("none", ""):
             return None
-        return float(raw)
+        (target_type,) = optional
     if target_type is bool:
         if raw.lower() not in _BOOL_WORDS:
             raise ConfigError(f"key {name!r}: expected a boolean, got {raw!r}", key=name)
@@ -82,39 +84,7 @@ def _coerce(name: str, raw: str, target_type):
     return raw
 
 
-_FIELD_TYPES = {
-    "kfac_update_freq": int,
-    "kfac_min_samples": int,
-    "kfac_damping": float,
-    "ema_beta": float,
-    "ng_warmup_steps": int,
-    "reprojection_freq": int,
-    "reprojection_k": int,
-    "enable_rank_adaptation": bool,
-    "rank_adaptation_threshold": float,
-    "min_lora_rank": int,
-    "rank_adaptation_start_step": int,
-    "reprojection_warmup_steps": int,
-    "use_two_sided": bool,
-    "g_gate_min_samples": int,
-    "blend_gamma": float,
-    "hysteresis_eps": float,
-    "lambda_k": float,
-    "lambda_r": float,
-    "learning_rate": float,
-    "grad_clip": float,
-    "seed": int,
-    "mode": str,
-    "task": str,
-    "steps": int,
-    "batch_size": int,
-    "lora_rank": int,
-    "lora_alpha": float,
-    "eval_size": int,
-    "telemetry_every": int,
-    "telemetry_eta": float,
-    "tail_threshold": float,
-}
+_FIELD_TYPES = typing.get_type_hints(GritConfig)
 
 REQUIRED_KEYS = ("task",)
 

@@ -123,23 +123,3 @@ def precondition(
         nat_a = np.where(bad_a, 0.0, nat_a)
         nat_b = np.where(bad_b, 0.0, nat_b)
     return nat_a, nat_b
-
-
-def precondition_matrix(mat: np.ndarray, stats: RankSpaceStats) -> np.ndarray:
-    """Two-sided application inv_g @ mat @ inv_a on a rank-space matrix.
-
-    Equivalent to applying the inverse Kronecker factorization to vec(mat);
-    the oracle suite checks this against the materialized Kronecker product.
-    """
-    if not stats.inv_ready:
-        raise PreconditionUnavailableError("inverses not ready")
-    if mat.shape != (stats.rank, stats.rank):
-        raise ShapeError(f"expected {(stats.rank, stats.rank)} matrix, got {mat.shape}")
-    return stats.inv_g @ mat @ stats.inv_a
-
-
-def batch_aware_damping(lambda0: float, b_eff: float, b_ref: float, gamma: float) -> float:
-    """Small-batch damping schedule: lambda0 * (b_ref / b_eff) ** gamma."""
-    if lambda0 <= 0.0 or b_eff <= 0.0 or b_ref <= 0.0 or gamma < 0.0:
-        raise ValueError("damping inputs must be positive (gamma non-negative)")
-    return lambda0 * (b_ref / b_eff) ** gamma

@@ -163,23 +163,3 @@ def damped_solve(
         f"damped solve failed at every ladder rung (final multiplier {DAMPING_LADDER[-1]})",
         multiplier=DAMPING_LADDER[-1],
     )
-
-
-def kron_matvec(left: np.ndarray, right: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply (right kron left) to vec(mat) without materializing the product.
-
-    Computed as left @ mat @ right via the identity
-    vec(A X B) = (B^T kron A) vec(X) with column-major vec and symmetric B.
-    """
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    mat = np.asarray(mat, dtype=np.float64)
-    if left.ndim != 2 or left.shape[0] != left.shape[1]:
-        raise ShapeError(f"left factor must be square, got {left.shape}")
-    if right.ndim != 2 or right.shape[0] != right.shape[1]:
-        raise ShapeError(f"right factor must be square, got {right.shape}")
-    if mat.shape != (left.shape[0], right.shape[0]):
-        raise ShapeError(
-            f"mat shape {mat.shape} incompatible with factors {left.shape} and {right.shape}"
-        )
-    return left @ mat @ right

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .kfac import RankSpaceStats
-from .linalg import SpectralDecomp, sym_eig, symmetrize
+from .linalg import SpectralDecomp, sym_eig
 from .model import AdapterPair
 
 
@@ -40,6 +40,16 @@ class ReprojectionPolicy:
             raise ValidationError("min_rank must be positive")
         if not 0.0 <= self.blend_gamma <= 1.0:
             raise ValidationError("blend_gamma must lie in [0, 1]")
+
+    def uses_g_side(self, n_cov: int) -> bool:
+        """Whether the gradient-side basis stands in for the b factor's side.
+
+        True when two_sided is on and the statistics hold at least
+        g_gate_min_samples samples; otherwise the activation-side basis is
+        used on both factors. Reprojection, the reprojection penalty and the
+        alignment and drift diagnostics all pick their side here.
+        """
+        return self.two_sided and n_cov >= self.g_gate_min_samples
 
 
 @dataclass(frozen=True)
@@ -99,15 +109,6 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
     return Projector(basis=decomp.eigenvectors[:, :k].copy(), k=k)
 
 
-def curvature_energy(h: np.ndarray, sigma: np.ndarray) -> float:
-    """tr(h @ sigma), the curvature-weighted update energy."""
-    h = symmetrize(h)
-    sigma = symmetrize(sigma)
-    if h.shape != sigma.shape:
-        raise ShapeError(f"dimension mismatch: {h.shape} vs {sigma.shape}")
-    return float(np.trace(h @ sigma))
-
-
 @dataclass
 class ReprojectionEvent:
     """Outcome of one reprojection attempt (applied or gated)."""
@@ -131,14 +132,17 @@ def reproject(
     step: int,
     fixed_k: int | None = None,
     prev_k: int | None = None,
+    decomps: tuple[SpectralDecomp, SpectralDecomp] | None = None,
 ) -> ReprojectionEvent:
     """Project adapter factors onto the leading eigenspaces of the covariances.
 
     a <- (1 - gamma) a + gamma * P_a a and b <- (1 - gamma) b + gamma * b P_side,
-    where P_side uses the gradient-side basis when two_sided is on and that
-    side has accumulated at least g_gate_min_samples, else the activation-side
-    basis. k comes from the activation-side spectrum (or fixed_k when rank
-    adaptation is off) and truncates both bases.
+    where P_side uses the gradient-side basis when policy.uses_g_side, else
+    the activation-side basis. k comes from the activation-side spectrum (or
+    fixed_k when rank adaptation is off) and truncates both bases.
+
+    decomps holds the (a_cov, g_cov) eigendecompositions when the caller
+    already has them; without it both covariances are decomposed here.
     """
     if step < policy.warmup_steps:
         return ReprojectionEvent(step=step, applied=False, gate="warmup")
@@ -149,7 +153,9 @@ def reproject(
     if policy.min_rank > adapter.rank:
         raise ValidationError("policy min_rank exceeds adapter rank")
 
-    decomp_a = sym_eig(stats.a_cov, name="a_cov")
+    if decomps is None:
+        decomps = (sym_eig(stats.a_cov, name="a_cov"), sym_eig(stats.g_cov, name="g_cov"))
+    decomp_a, decomp_g = decomps
     degenerate = False
     if fixed_k is not None:
         k = max(1, min(fixed_k, adapter.rank))
@@ -164,8 +170,7 @@ def reproject(
     proj_a = make_projector(decomp_a, k)
     side_used = "a"
     proj_side = proj_a
-    if policy.two_sided and stats.n_cov >= policy.g_gate_min_samples:
-        decomp_g = sym_eig(stats.g_cov, name="g_cov")
+    if policy.uses_g_side(stats.n_cov):
         proj_side = make_projector(decomp_g, k)
         side_used = "g"
 

@@ -105,25 +105,16 @@ def regularizer_ramp(step: int, warmup_steps: int) -> float:
     return min(1.0, step / warmup_steps)
 
 
-def curvature_penalty(tapes, adapters) -> float:
-    """Batch mean of (g_r . a_r)^2 per adapted layer, summed over layers.
+def curvature_penalty(tape, adapter) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch mean of (g_r . a_r)^2 for one adapted layer, with its gradients.
 
     Per sample this equals the curvature-weighted quadratic form of the
     adapter update under the rank-space Kronecker factorization; the tests
-    check it against a materialized Kronecker product.
+    check it against a materialized Kronecker product. Returns
+    (value, d value / d a, d value / d b).
     """
-    total = 0.0
-    for tape, adapter in zip(tapes, adapters):
-        if tape.x is None or tape.dy is None:
-            raise ValidationError("tapes must be populated")
-        a_r = tape.x @ adapter.a.T
-        g_r = tape.dy @ adapter.b
-        inner = np.sum(a_r * g_r, axis=1) * adapter.scaling
-        total += float(np.mean(inner * inner))
-    return total
-
-
-def _curvature_penalty_grads(tape, adapter):
+    if tape.x is None or tape.dy is None:
+        raise ValidationError("tape must be populated")
     a_r = tape.x @ adapter.a.T
     g_r = tape.dy @ adapter.b
     inner = np.sum(a_r * g_r, axis=1) * adapter.scaling
@@ -131,35 +122,21 @@ def _curvature_penalty_grads(tape, adapter):
     coeff = 2.0 * adapter.scaling * inner / batch
     grad_a = (coeff[:, None] * g_r).T @ tape.x
     grad_b = tape.dy.T @ (coeff[:, None] * a_r)
-    return grad_a, grad_b
+    return float(np.mean(inner * inner)), grad_a, grad_b
 
 
 def reprojection_penalty(
-    adapter, stats: RankSpaceStats, k: int, two_sided: bool = False, g_gate_min_samples: int = 0
-) -> tuple[float, bool]:
-    """||a - P_a a||_F^2 + ||b - b P_side||_F^2 in rank space.
+    adapter, proj_a: Projector, proj_side: Projector
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """||a - P_a a||_F^2 + ||b - b P_side||_F^2 in rank space, with its gradients.
 
-    Returns (value, gate_pending); pending is True (value 0) while the
-    statistics have no samples yet.
+    Returns (value, d value / d a, d value / d b).
     """
-    if stats.n_cov == 0:
-        return 0.0, True
-    decomp_a = sym_eig(stats.a_cov, name="a_cov")
-    proj_a = make_projector(decomp_a, k)
-    res_a = adapter.a - proj_a.apply_left(adapter.a)
-    if two_sided and stats.n_cov >= g_gate_min_samples:
-        proj_side = make_projector(sym_eig(stats.g_cov, name="g_cov"), k)
-    else:
-        proj_side = proj_a
-    res_b = adapter.b - proj_side.apply_right(adapter.b)
-    return float(np.sum(res_a * res_a) + np.sum(res_b * res_b)), False
-
-
-def _reprojection_penalty_grads(adapter, proj_a: Projector, proj_side: Projector):
     res_a = adapter.a - proj_a.apply_left(adapter.a)
     res_b = adapter.b - proj_side.apply_right(adapter.b)
+    value = float(np.sum(res_a * res_a) + np.sum(res_b * res_b))
     # d/da ||(I-P) a||^2 = 2 (I-P) a since P is an orthogonal projector
-    return 2.0 * res_a, 2.0 * res_b
+    return value, 2.0 * res_a, 2.0 * res_b
 
 
 @dataclass
@@ -220,7 +197,8 @@ class Trainer:
         ]
         self.events: list[dict] = []
         self.records: list[GeometryRecord] = []
-        self._decomp_cache: list[tuple[int, SpectralDecomp, SpectralDecomp] | None] = [None] * n_layers
+        # per layer: the (a_cov, g_cov) last decomposed, then their decompositions
+        self._decomp_cache: list[tuple | None] = [None] * n_layers
         self._hessian: np.ndarray | None = None
         self._frozen_hash = self.frozen_weight_hash()
 
@@ -252,22 +230,38 @@ class Trainer:
             self.event_writer.append(obj)
 
     def _layer_decomps(self, idx: int) -> tuple[SpectralDecomp, SpectralDecomp]:
+        """Eigendecompositions of layer idx's (a_cov, g_cov).
+
+        The only place a run decomposes these covariances: the penalty, the
+        rank rule, reprojection and telemetry all read them from here. The
+        cache holds until either matrix changes.
+        """
         cached = self._decomp_cache[idx]
         stats = self.stats[idx]
-        if cached is not None and cached[0] == stats.n_cov:
-            return cached[1], cached[2]
+        if (
+            cached is not None
+            and np.array_equal(cached[0], stats.a_cov)
+            and np.array_equal(cached[1], stats.g_cov)
+        ):
+            return cached[2], cached[3]
         da = sym_eig(stats.a_cov, name="a_cov")
         dg = sym_eig(stats.g_cov, name="g_cov")
-        self._decomp_cache[idx] = (stats.n_cov, da, dg)
+        self._decomp_cache[idx] = (stats.a_cov.copy(), stats.g_cov.copy(), da, dg)
         return da, dg
 
-    def _current_k(self, idx: int, step: int) -> int:
+    def _fixed_k(self, idx: int, step: int) -> int | None:
+        """reprojection_k clamped to the adapter rank while rank adaptation is off, else None."""
         config = self.config
-        adapter = self.model.layers[idx][1]
-        if not config.enable_rank_adaptation or step < config.rank_adaptation_start_step:
-            return max(1, min(config.reprojection_k, adapter.rank))
+        if config.enable_rank_adaptation and step >= config.rank_adaptation_start_step:
+            return None
+        return max(1, min(config.reprojection_k, self.model.layers[idx][1].rank))
+
+    def _current_k(self, idx: int, step: int) -> int:
+        fixed_k = self._fixed_k(idx, step)
+        if fixed_k is not None:
+            return fixed_k
         if self.stats[idx].n_cov == 0:
-            return adapter.rank
+            return self.model.layers[idx][1].rank
         decomp_a, _ = self._layer_decomps(idx)
         k, _ = select_rank(decomp_a.eigenvalues, self.policy.tau, self.policy.min_rank)
         return k
@@ -294,31 +288,20 @@ class Trainer:
                 ga = np.zeros_like(adapter.a)
                 gb = np.zeros_like(adapter.b)
                 if config.lambda_k > 0.0:
-                    pen = curvature_penalty([tape], [adapter])
+                    pen, pga, pgb = curvature_penalty(tape, adapter)
                     loss += ramp * config.lambda_k * pen
-                    pga, pgb = _curvature_penalty_grads(tape, adapter)
                     ga += ramp * config.lambda_k * pga
                     gb += ramp * config.lambda_k * pgb
                 if config.lambda_r > 0.0 and self.stats[idx].n_cov > 0:
                     k = self._current_k(idx, step)
                     decomp_a, decomp_g = self._layer_decomps(idx)
                     proj_a = make_projector(decomp_a, k)
-                    if (
-                        self.policy.two_sided
-                        and self.stats[idx].n_cov >= self.policy.g_gate_min_samples
-                    ):
+                    if self.policy.uses_g_side(self.stats[idx].n_cov):
                         proj_side = make_projector(decomp_g, k)
                     else:
                         proj_side = proj_a
-                    val, _ = reprojection_penalty(
-                        adapter,
-                        self.stats[idx],
-                        k,
-                        two_sided=self.policy.two_sided,
-                        g_gate_min_samples=self.policy.g_gate_min_samples,
-                    )
+                    val, rga, rgb = reprojection_penalty(adapter, proj_a, proj_side)
                     loss += ramp * config.lambda_r * val
-                    rga, rgb = _reprojection_penalty_grads(adapter, proj_a, proj_side)
                     ga += ramp * config.lambda_r * rga
                     gb += ramp * config.lambda_r * rgb
                 penalty_grads[idx] = (ga, gb)
@@ -391,16 +374,14 @@ class Trainer:
         reprojected = False
         if self.is_grit and step % config.reprojection_freq == 0:
             for idx, (_, adapter) in enumerate(self.model.layers):
-                fixed_k = None
-                if not config.enable_rank_adaptation or step < config.rank_adaptation_start_step:
-                    fixed_k = max(1, min(config.reprojection_k, adapter.rank))
                 event = reproject(
                     adapter,
                     self.stats[idx],
                     self.policy,
                     step,
-                    fixed_k=fixed_k,
+                    fixed_k=self._fixed_k(idx, step),
                     prev_k=self.monitors[idx].last_k,
+                    decomps=self._layer_decomps(idx) if self.stats[idx].n_cov > 0 else None,
                 )
                 if event.applied:
                     reprojected = True
@@ -452,8 +433,9 @@ class Trainer:
             if stats.n_cov > 0:
                 decomp_a, decomp_g = self._layer_decomps(idx)
                 spectrum = decomp_a.eigenvalues
+                side_decomp = decomp_g if self.policy.uses_g_side(stats.n_cov) else decomp_a
             else:
-                decomp_a = decomp_g = None
+                side_decomp = None
                 spectrum = np.zeros(r)
 
             update_decomp = sym_eig(monitor.update_cov, name="update covariance")
@@ -462,17 +444,10 @@ class Trainer:
             )
 
             rho = 0.0
-            if decomp_a is not None and np.any(update_decomp.eigenvalues > 0.0):
-                if (
-                    self.policy.two_sided
-                    and stats.n_cov >= self.policy.g_gate_min_samples
-                ):
-                    fisher_decomp = decomp_g
-                else:
-                    fisher_decomp = decomp_a
+            if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
                 k_common = max(1, min(monitor.last_k, r_eff))
                 rho = alignment_overlap(
-                    fisher_decomp.eigenvectors[:, :k_common],
+                    side_decomp.eigenvectors[:, :k_common],
                     update_decomp.eigenvectors[:, :k_common],
                 )
 
@@ -498,16 +473,9 @@ class Trainer:
                 jitter, _ = update_jitter(monitor.direction, monitor.prev_direction)
 
             drift = 0.0
-            if decomp_a is not None:
+            if side_decomp is not None:
                 k_now = max(1, min(monitor.last_k, r))
-                basis_now = (
-                    decomp_g.eigenvectors[:, :k_now]
-                    if (
-                        self.policy.two_sided
-                        and stats.n_cov >= self.policy.g_gate_min_samples
-                    )
-                    else decomp_a.eigenvectors[:, :k_now]
-                )
+                basis_now = side_decomp.eigenvectors[:, :k_now]
                 if monitor.prev_basis is not None:
                     k_common = min(monitor.prev_basis.shape[1], basis_now.shape[1])
                     drift = subspace_drift(

@@ -53,6 +53,9 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             parse_config_text("task = synthetic_lowrank()\nsteps = many\n")
         assert err.value.key == "steps"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("task = synthetic_lowrank()\nema_beta = many\n")
+        assert err.value.key == "ema_beta"
 
     def test_ema_beta_none(self):
         cfg = parse_config_text("task = synthetic_lowrank()\nema_beta = none\n")

@@ -7,9 +7,7 @@ from grit.errors import PreconditionUnavailableError, ShapeError
 from grit.kfac import (
     RankSpaceStats,
     accumulate,
-    batch_aware_damping,
     precondition,
-    precondition_matrix,
     refresh_inverses,
 )
 from grit.linalg import sym_eig
@@ -191,13 +189,17 @@ class TestPrecondition:
         stats.g_cov = m2 @ m2.T
         stats.n_cov = 10**6
         refresh_inverses(stats, min_samples=1)
-        grad = rng.normal(size=(r, r))
-        fast = precondition_matrix(grad, stats)
-        explicit = np.kron(stats.inv_g, stats.inv_a) @ grad.ravel()
-        # near-singular covariances with tiny damping blow up the result scale,
-        # so the agreement bound is relative to it
-        scale = max(1.0, float(np.max(np.abs(explicit))))
-        assert np.max(np.abs(fast.ravel() - explicit)) < 1e-10 * scale
+        grad_a = rng.normal(size=(r, 3))
+        grad_b = rng.normal(size=(5, r))
+        nat_a, nat_b = precondition(grad_a, grad_b, stats)
+        # column-major vec: vec(M G) = (I kron M) vec(G), vec(G M) = (M^T kron I) vec(G)
+        explicit_a = np.kron(np.eye(3), stats.inv_a) @ grad_a.flatten(order="F")
+        explicit_b = np.kron(stats.inv_g.T, np.eye(5)) @ grad_b.flatten(order="F")
+        for fast, explicit in ((nat_a, explicit_a), (nat_b, explicit_b)):
+            # near-singular covariances with tiny damping blow up the result scale,
+            # so the agreement bound is relative to it
+            scale = max(1.0, float(np.max(np.abs(explicit))))
+            assert np.max(np.abs(fast.flatten(order="F") - explicit)) < 1e-10 * scale
 
 
 class TestEmaVarianceReduction:
@@ -228,18 +230,3 @@ class TestEmaVarianceReduction:
             if ema_var < raw_var:
                 reduced += 1
         assert reduced >= 18
-
-
-class TestBatchAwareDamping:
-    def test_reference_batch(self):
-        assert batch_aware_damping(1e-3, 32, 32, 1.0) == 1e-3
-
-    def test_zero_exponent(self):
-        assert batch_aware_damping(1e-3, 1, 32, 0.0) == 1e-3
-
-    def test_worked_example(self):
-        assert np.isclose(batch_aware_damping(1e-3, 1, 32, 1.0), 3.2e-2)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            batch_aware_damping(0.0, 1, 32, 1.0)

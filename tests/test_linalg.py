@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grit.errors import DecompositionError, ShapeError, SingularMatrixError
-from grit.linalg import damped_solve, kron_matvec, sym_eig, symmetrize
+from grit.linalg import damped_solve, sym_eig, symmetrize
 
 
 def finite_matrices(max_dim=16):
@@ -125,38 +125,3 @@ class TestDampedSolve:
         shifted = sym + mult * damping * np.eye(sym.shape[0])
         rel = np.linalg.norm(shifted @ x - rhs) / np.linalg.norm(rhs)
         assert rel < 1e-8
-
-
-class TestKronMatvec:
-    def test_identity_factors(self):
-        mat = np.arange(6.0).reshape(2, 3)
-        out = kron_matvec(np.eye(2), np.eye(3), mat)
-        assert np.array_equal(out, mat)
-
-    def test_explicit_kronecker_2x2(self):
-        rng = np.random.default_rng(5)
-        left = symmetrize(rng.normal(size=(2, 2)))
-        right = symmetrize(rng.normal(size=(2, 2)))
-        mat = rng.normal(size=(2, 2))
-        out = kron_matvec(left, right, mat)
-        explicit = np.kron(right, left) @ mat.flatten(order="F")
-        assert np.max(np.abs(out.flatten(order="F") - explicit)) < 1e-12
-
-    def test_diagonal_row_scaling(self):
-        out = kron_matvec(np.diag([2.0, 1.0]), np.eye(2), np.ones((2, 2)))
-        assert np.allclose(out, [[2.0, 2.0], [1.0, 1.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            kron_matvec(np.eye(2), np.eye(2), np.ones((3, 2)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-    def test_agrees_with_materialized_kron(self, m, n, seed):
-        rng = np.random.default_rng(seed)
-        left = symmetrize(rng.normal(size=(m, m)))
-        right = symmetrize(rng.normal(size=(n, n)))
-        mat = rng.normal(size=(m, n))
-        out = kron_matvec(left, right, mat)
-        explicit = np.kron(right, left) @ mat.flatten(order="F")
-        assert np.max(np.abs(out.flatten(order="F") - explicit)) < 1e-12

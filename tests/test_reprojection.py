@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grit.errors import ShapeError, ValidationError
+from grit.errors import ValidationError
 from grit.kfac import RankSpaceStats
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
@@ -11,7 +11,6 @@ from grit.reprojection import (
     Projector,
     ReprojectionPolicy,
     cumulative_energy,
-    curvature_energy,
     make_projector,
     reproject,
     select_rank,
@@ -121,22 +120,6 @@ class TestMakeProjector:
         before = np.trace(h @ sigma)
         after = np.trace(h @ p @ sigma @ p)
         assert after <= before + 1e-10 * max(1.0, abs(before))
-
-
-class TestCurvatureEnergy:
-    def test_zero_covariance(self):
-        assert curvature_energy(np.eye(3), np.zeros((3, 3))) == 0.0
-
-    def test_identity_curvature(self):
-        sigma = np.diag([1.0, 2.0, 3.0])
-        assert np.isclose(curvature_energy(np.eye(3), sigma), 6.0)
-
-    def test_direct_trace(self):
-        assert np.isclose(curvature_energy(np.diag([2.0, 1.0]), np.diag([1.0, 3.0])), 5.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            curvature_energy(np.eye(2), np.eye(3))
 
 
 def stats_with_spectrum(eigenvalues, rng):

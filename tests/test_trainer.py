@@ -5,8 +5,12 @@ import pytest
 
 from grit.config import GritConfig
 from grit.errors import ValidationError
-from grit.kfac import RankSpaceStats
+from grit import reprojection as reprojection_module
+from grit import trainer as trainer_module
+from grit.kfac import RankSpaceStats, accumulate
+from grit.linalg import sym_eig
 from grit.model import AdapterPair, LayerTape
+from grit.reprojection import make_projector
 from grit.runio import read_record
 from grit.trainer import (
     Trainer,
@@ -129,6 +133,24 @@ class TestGateOrdering:
         assert np.all(tr.monitors[0].update_cov == 0.0)
 
 
+def a_side_penalty(adapter, stats, k):
+    proj = make_projector(sym_eig(stats.a_cov), k)
+    return reprojection_penalty(adapter, proj, proj)[0]
+
+
+def central_difference(fn, mat, h=1e-6):
+    grad = np.zeros_like(mat)
+    for idx in np.ndindex(mat.shape):
+        orig = mat[idx]
+        mat[idx] = orig + h
+        up = fn()
+        mat[idx] = orig - h
+        down = fn()
+        mat[idx] = orig
+        grad[idx] = (up - down) / (2.0 * h)
+    return grad
+
+
 class TestPenalties:
     def test_curvature_penalty_kronecker_oracle(self):
         rng = np.random.default_rng(0)
@@ -141,7 +163,7 @@ class TestPenalties:
         tape = LayerTape()
         tape.x = x
         tape.dy = g
-        value = curvature_penalty([tape], [adapter])
+        value, _, _ = curvature_penalty(tape, adapter)
         delta_w = adapter.delta_w()
         kron = np.kron(x.T @ x, g.T @ g)  # vec (column-major) quadratic form
         vec = delta_w.flatten(order="F")
@@ -153,14 +175,39 @@ class TestPenalties:
         tape = LayerTape()
         tape.x = rng.normal(size=(5, 4))
         tape.dy = rng.normal(size=(5, 3))
-        assert curvature_penalty([tape], [adapter]) == 0.0
+        assert curvature_penalty(tape, adapter)[0] == 0.0
 
     def test_curvature_penalty_orthogonal_case(self):
         adapter = AdapterPair(a=np.eye(2), b=np.eye(2), rank=2, scaling=1.0)
         tape = LayerTape()
         tape.x = np.array([[1.0, 0.0]])
         tape.dy = np.array([[0.0, 1.0]])  # g orthogonal to delta_w x
-        assert curvature_penalty([tape], [adapter]) == 0.0
+        assert curvature_penalty(tape, adapter)[0] == 0.0
+
+    def test_curvature_penalty_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        adapter = AdapterPair(a=rng.normal(size=(3, 5)), b=rng.normal(size=(4, 3)), rank=3, scaling=0.7)
+        tape = LayerTape()
+        tape.x = rng.normal(size=(6, 5))
+        tape.dy = rng.normal(size=(6, 4))
+        _, grad_a, grad_b = curvature_penalty(tape, adapter)
+        value = lambda: curvature_penalty(tape, adapter)[0]  # noqa: E731
+        for grad, mat in ((grad_a, adapter.a), (grad_b, adapter.b)):
+            fd = central_difference(value, mat)
+            assert np.max(np.abs(grad - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+    def test_reprojection_penalty_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        r = 4
+        adapter = AdapterPair(a=rng.normal(size=(r, 6)), b=rng.normal(size=(5, r)), rank=r, scaling=1.0)
+        m_a, m_g = rng.normal(size=(r, r)), rng.normal(size=(r, r))
+        proj_a = make_projector(sym_eig(m_a @ m_a.T), 2)
+        proj_g = make_projector(sym_eig(m_g @ m_g.T), 3)
+        _, grad_a, grad_b = reprojection_penalty(adapter, proj_a, proj_g)
+        value = lambda: reprojection_penalty(adapter, proj_a, proj_g)[0]  # noqa: E731
+        for grad, mat in ((grad_a, adapter.a), (grad_b, adapter.b)):
+            fd = central_difference(value, mat)
+            assert np.max(np.abs(grad - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(fd))))
 
     def test_reprojection_penalty_full_rank_zero(self):
         rng = np.random.default_rng(2)
@@ -169,9 +216,7 @@ class TestPenalties:
         stats.a_cov = np.eye(3)
         stats.g_cov = np.eye(3)
         stats.n_cov = 100
-        value, pending = reprojection_penalty(adapter, stats, k=3)
-        assert not pending
-        assert value < 1e-18
+        assert a_side_penalty(adapter, stats, k=3) < 1e-18
 
     def test_reprojection_penalty_contained_case(self):
         rng = np.random.default_rng(3)
@@ -184,8 +229,7 @@ class TestPenalties:
         b = np.zeros((4, 3))
         b[:, :2] = rng.normal(size=(4, 2))
         adapter = AdapterPair(a=a, b=b, rank=3, scaling=1.0)
-        value, _ = reprojection_penalty(adapter, stats, k=2)
-        assert value < 1e-18
+        assert a_side_penalty(adapter, stats, k=2) < 1e-18
 
     def test_reprojection_penalty_residual_oracle(self):
         rng = np.random.default_rng(4)
@@ -197,7 +241,7 @@ class TestPenalties:
         stats.g_cov = np.eye(r)
         stats.n_cov = 100
         adapter = AdapterPair(a=rng.normal(size=(r, 6)), b=rng.normal(size=(5, r)), rank=r, scaling=1.0)
-        value, _ = reprojection_penalty(adapter, stats, k=2)
+        value = a_side_penalty(adapter, stats, k=2)
         p = q[:, :2] @ q[:, :2].T
         expected = float(
             np.sum((adapter.a - p @ adapter.a) ** 2) + np.sum((adapter.b - adapter.b @ p) ** 2)
@@ -205,16 +249,76 @@ class TestPenalties:
         assert np.isclose(value, expected, atol=1e-10)
 
     def test_reprojection_penalty_pending_without_samples(self):
-        adapter = AdapterPair(a=np.zeros((2, 3)), b=np.zeros((3, 2)), rank=2, scaling=1.0)
-        stats = RankSpaceStats(rank=2, damping=1e-3)
-        value, pending = reprojection_penalty(adapter, stats, k=1)
-        assert pending
-        assert value == 0.0
+        # lambda_r applies no penalty while the statistics hold no samples
+        tr, task, cfg = make_trainer(lambda_r=1.0, reprojection_warmup_steps=0)
+        assert tr.stats[0].n_cov == 0
+        result = tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
+        assert result.loss == result.task_loss
+
+    def test_curvature_penalty_enters_training_loss(self):
+        lambda_k, warmup = 0.5, 4
+        tr, task, cfg = make_trainer(lambda_k=lambda_k, reprojection_warmup_steps=warmup, steps=8)
+        ref, ref_task, _ = make_trainer(reprojection_warmup_steps=warmup, steps=8)
+        for step in range(cfg.steps):
+            before = [
+                AdapterPair(a=ad.a.copy(), b=ad.b.copy(), rank=ad.rank, scaling=ad.scaling)
+                for _, ad in tr.model.layers
+            ]
+            result = tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            ref.train_step(ref_task.sample_batch(ref.data_rng, cfg.batch_size), step)
+            penalty = sum(
+                curvature_penalty(tape, ad)[0] for tape, ad in zip(tr.model.tapes, before)
+            )
+            expected = result.task_loss + regularizer_ramp(step, warmup) * lambda_k * penalty
+            assert np.isfinite(result.loss)
+            assert np.isclose(result.loss, expected, rtol=1e-12, atol=0.0)
+        assert penalty > 0.0
+        # the penalty gradients reach the update
+        assert not np.array_equal(tr.model.layers[0][1].a, ref.model.layers[0][1].a)
 
     def test_ramp(self):
         assert regularizer_ramp(0, 0) == 1.0
         assert regularizer_ramp(5, 10) == 0.5
         assert regularizer_ramp(50, 10) == 1.0
+
+
+class TestDecompositionCache:
+    def test_fresh_after_stats_reset(self):
+        tr, task, cfg = make_trainer()
+        tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
+        stats = tr.stats[0]
+        n_first = stats.n_cov
+        tr._layer_decomps(0)
+        stats.reset()
+        # one new batch brings n_cov back to its old value with new covariances
+        tr.model.forward(task.sample_batch(tr.data_rng, cfg.batch_size)[0] * 2.0)
+        tr.model.backward(np.ones_like(tr.model.tapes[-1].z) / cfg.batch_size)
+        accumulate(stats, tr.model.tapes[0], tr.model.layers[0][1])
+        assert stats.n_cov == n_first
+        decomp_a, decomp_g = tr._layer_decomps(0)
+        assert np.array_equal(decomp_a.eigenvalues, sym_eig(stats.a_cov).eigenvalues)
+        assert np.array_equal(decomp_g.eigenvalues, sym_eig(stats.g_cov).eigenvalues)
+
+    def test_no_covariance_decomposed_twice(self, monkeypatch):
+        seen = []
+
+        def recording(m, name="matrix"):
+            seen.append(np.asarray(m, dtype=np.float64).tobytes())
+            return sym_eig(m, name=name)
+
+        monkeypatch.setattr(trainer_module, "sym_eig", recording)
+        monkeypatch.setattr(reprojection_module, "sym_eig", recording)
+        # telemetry steps never coincide with reprojection steps, so every
+        # update covariance decomposed is non-zero and distinct
+        tr, task, cfg = make_trainer(
+            lambda_r=0.5, use_two_sided=True, g_gate_min_samples=16,
+            reprojection_freq=10, reprojection_warmup_steps=10, telemetry_every=7,
+        )
+        for step in range(cfg.steps):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        assert any(e["action"] == "reproject" and e["side_used"] == "g" for e in tr.events)
+        assert len(seen) > 0
+        assert len(seen) == len(set(seen))
 
 
 class TestRunExperiment:
