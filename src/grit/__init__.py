@@ -21,6 +21,7 @@ from .model import AdapterPair, BaseLayer, LayerTape, Model, build_model, traina
 from .reprojection import (
     Projector,
     ReprojectionPolicy,
+    effective_rank,
     make_projector,
     reproject,
     select_rank,
@@ -30,7 +31,6 @@ from .telemetry import (
     GeometryRecord,
     alignment_overlap,
     curvature_exposure,
-    effective_rank,
     pca_export,
     retained_mass,
     stability_stats,

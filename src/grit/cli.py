@@ -50,12 +50,12 @@ def cmd_train(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        out_dir = Path(args.out)
-    else:
-        task_name, _ = parse_task_spec(config.task)
-        out_dir = _default_out_root() / f"{task_name}-s{config.seed}-{config_hash(config)[:8]}"
     try:
+        if args.out:
+            out_dir = Path(args.out)
+        else:
+            task_name, _ = parse_task_spec(config.task)
+            out_dir = _default_out_root() / f"{task_name}-s{config.seed}-{config_hash(config)[:8]}"
         record = run_experiment(config, out_dir=out_dir, config_path=args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

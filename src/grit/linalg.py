@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra at adapter-rank scale.
 
 Everything here operates on small square matrices (rank-space covariances,
-desk-model Hessians). The eigensolver is a cyclic Jacobi sweep rather than a
-LAPACK call so that results are bit-reproducible across BLAS builds; at these
-sizes the cost difference is irrelevant. All computation is float64.
+desk-model Hessians, the audit's PCA Gram matrix). Eigendecompositions go
+through LAPACK's symmetric solver, like the Cholesky factorizations and solves
+here; sym_eig adds only a fixed eigenvalue order and sign convention. All
+computation is float64.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .errors import DecompositionError, ShapeError, SingularMatrixError
 # Damping multipliers tried in order until the shifted matrix is positive
 # definite (checked by attempting a Cholesky factorization).
 DAMPING_LADDER = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
-
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -58,72 +56,23 @@ def _fix_signs(vecs: np.ndarray) -> None:
 
 
 def sym_eig(m: np.ndarray, name: str = "matrix") -> SpectralDecomp:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecompose a symmetric matrix with LAPACK's symmetric solver.
 
-    The input is symmetrized first. Convergence is declared when the
-    off-diagonal Frobenius norm falls below 1e-12 times the diagonal norm.
-    Eigenvalues are returned in non-increasing order with ties kept in
-    original index order (stable sort).
+    The input is symmetrized first. Eigenvalues are returned in non-increasing
+    order with ties kept in original index order (stable sort), and each
+    eigenvector carries the sign convention of _fix_signs. Non-finite input or
+    a LAPACK failure raises DecompositionError naming the matrix.
     """
     a = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise DecompositionError(f"non-finite entries in {name}")
-    a = symmetrize(a)
-    n = a.shape[0]
-    v = np.eye(n)
-
-    if n == 1:
-        return SpectralDecomp(a.diagonal().copy(), v)
-
-    for _ in range(_MAX_SWEEPS):
-        off_diag = a - np.diag(np.diagonal(a))
-        off = np.linalg.norm(off_diag)
-        diag_norm = np.linalg.norm(np.diagonal(a))
-        if off <= _JACOBI_TOL * diag_norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Entries negligible against the diagonal are annihilated directly.
-                guard = 100.0 * abs(apq)
-                if abs(a[p, p]) + guard == abs(a[p, p]) and abs(a[q, q]) + guard == abs(a[q, q]):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                # Stable rotation angle (Golub & Van Loan 8.4), guarded against
-                # overflow of theta^2 for near-diagonal pairs.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J applied as column then row rotations.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise DecompositionError(f"Jacobi sweep did not converge for {name}")
-
-    eigs = np.diagonal(a).copy()
+    try:
+        eigs, vecs = np.linalg.eigh(symmetrize(a))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigendecomposition failed for {name}: {exc}") from exc
     order = np.argsort(-eigs, kind="stable")
     eigs = eigs[order]
-    vecs = v[:, order]
+    vecs = vecs[:, order]
     _fix_signs(vecs)
     return SpectralDecomp(eigs, vecs)
 

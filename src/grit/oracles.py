@@ -16,9 +16,9 @@ from .forgetting import fit_baseline_law, fit_xi_coefficients, predict
 from .kfac import RankSpaceStats, refresh_inverses
 from .linalg import sym_eig, symmetrize
 from .model import build_model
-from .reprojection import make_projector, select_rank
+from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
-from .telemetry import effective_rank, xi_multiplier
+from .telemetry import xi_multiplier
 
 
 @dataclass
@@ -53,7 +53,7 @@ def suite_kron(cases: int = 500, seed: int = 20240) -> list[CheckResult]:
 
 
 def suite_eig(cases: int = 200, seed: int = 20241) -> list[CheckResult]:
-    """Jacobi eigensolver vs reconstruction and a LAPACK cross-check."""
+    """sym_eig vs reconstruction and a LAPACK cross-check."""
     rng = np.random.default_rng(seed)
     worst_recon = 0.0
     worst_orth = 0.0

@@ -1,11 +1,12 @@
 """Spectral subspace maintenance for adapter factors.
 
 Rank selection keeps the smallest eigenvalue prefix whose cumulative energy
-reaches the threshold tau; the corresponding top-k eigenvectors define
-idempotent projectors that are applied to the adapter factors (a from the
-left, b from the right), optionally blended. Directions outside the retained
-subspace are zeroed, not deleted: tensors keep their shape, so suppressed
-directions can re-enter later.
+reaches the threshold tau (effective_rank, the package's one energy-threshold
+rule, which the telemetry r_eff also uses); the corresponding top-k
+eigenvectors define idempotent projectors that are applied to the adapter
+factors (a from the left, b from the right), optionally blended. Directions
+outside the retained subspace are zeroed, not deleted: tensors keep their
+shape, so suppressed directions can re-enter later.
 """
 
 from __future__ import annotations
@@ -69,28 +70,43 @@ class Projector:
         return (mat @ self.basis) @ self.basis.T
 
 
+# A prefix within this many ulps of the energy threshold counts as reaching
+# it, so ulp-level eigensolver noise cannot move a rank across the boundary.
+_THRESHOLD_ULPS = 16
+
+
+def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
+    """Smallest prefix whose energy reaches fraction eta, clamped to [1, r].
+
+    The energy-threshold rule behind both the selected rank k and the
+    telemetry r_eff. Negative eigenvalues count as zero. Returns
+    (rank, degenerate); an all-zero spectrum yields (1, True).
+    """
+    eigs = np.asarray(eigenvalues, dtype=np.float64)
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise ShapeError("eigenvalues must be a non-empty vector")
+    eigs = np.maximum(eigs, 0.0)  # tolerate tiny negative tails from covariance noise
+    total = float(np.sum(eigs))
+    if total <= 0.0:
+        return 1, True
+    boundary = eta * total * (1.0 - _THRESHOLD_ULPS * np.finfo(np.float64).eps)
+    k = int(np.searchsorted(np.cumsum(eigs), boundary, side="left")) + 1
+    return min(k, eigs.size), False
+
+
 def select_rank(
     eigenvalues: np.ndarray, tau: float, min_rank: int
 ) -> tuple[int, bool]:
-    """Smallest k with cumulative energy >= tau, clamped to [min_rank, r].
+    """effective_rank at tau on a sorted spectrum, floored at min(min_rank, r).
 
     Returns (k, degenerate) where degenerate marks an all-zero spectrum
     (which falls back to min_rank).
     """
     eigs = np.asarray(eigenvalues, dtype=np.float64)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ShapeError("eigenvalues must be a non-empty vector")
-    if np.any(np.diff(eigs) > 0.0):
+    if eigs.ndim == 1 and np.any(np.diff(eigs) > 0.0):
         raise ValidationError("eigenvalues must be sorted non-increasing")
-    eigs = np.maximum(eigs, 0.0)  # tolerate tiny negative tails from covariance noise
-    r = eigs.size
-    total = float(np.sum(eigs))
-    if total <= 0.0:
-        return min(min_rank, r), True
-    cum = np.cumsum(eigs)
-    k = int(np.searchsorted(cum, tau * total, side="left")) + 1
-    k = max(min(k, r), min(min_rank, r))
-    return k, False
+    k, degenerate = effective_rank(eigs, tau)
+    return max(k, min(min_rank, eigs.size)), degenerate
 
 
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:

@@ -265,7 +265,13 @@ def parse_task_spec(spec: str) -> tuple[str, dict]:
             if "=" not in piece:
                 raise ConfigError(f"task argument {piece.strip()!r} must be key=value", key="task")
             key, value = piece.split("=", 1)
-            params[key.strip()] = float(value.strip())
+            try:
+                params[key.strip()] = float(value.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"task argument {key.strip()!r} must be a number, got {value.strip()!r}",
+                    key="task",
+                ) from None
     return name, params
 
 

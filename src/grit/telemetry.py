@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .linalg import sym_eig, symmetrize
 from .model import AdapterPair
-from .reprojection import Projector
+from .reprojection import Projector, effective_rank  # noqa: F401  (re-exported)
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -58,22 +58,6 @@ class GeometryRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
-    """Smallest prefix capturing energy fraction eta; no policy clamp.
-
-    Returns (r_eff, degenerate); an all-zero spectrum yields (1, True).
-    """
-    eigs = np.asarray(eigenvalues, dtype=np.float64)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ShapeError("eigenvalues must be a non-empty vector")
-    eigs = np.maximum(eigs, 0.0)
-    total = float(np.sum(eigs))
-    if total <= 0.0:
-        return 1, True
-    cum = np.cumsum(eigs)
-    return int(np.searchsorted(cum, eta * total, side="left")) + 1, False
 
 
 def tail_mass(delta_w: np.ndarray, threshold: float) -> int:

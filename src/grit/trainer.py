@@ -27,6 +27,7 @@ from .model import save_checkpoint
 from .reprojection import (
     Projector,
     ReprojectionPolicy,
+    effective_rank,
     make_projector,
     reproject,
     select_rank,
@@ -51,7 +52,6 @@ from .telemetry import (
     TelemetryWriter,
     adapter_subspace_basis,
     alignment_overlap,
-    effective_rank,
     exposure_from_basis,
     stability_stats,
     subspace_drift,
@@ -439,9 +439,7 @@ class Trainer:
                 spectrum = np.zeros(r)
 
             update_decomp = sym_eig(monitor.update_cov, name="update covariance")
-            r_eff, _ = effective_rank(
-                np.maximum(update_decomp.eigenvalues, 0.0), self.config.telemetry_eta
-            )
+            r_eff, _ = effective_rank(update_decomp.eigenvalues, self.config.telemetry_eta)
 
             rho = 0.0
             if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
@@ -575,6 +573,8 @@ def run_experiment(
             batch = task.sample_batch(trainer.data_rng, config.batch_size)
             result = trainer.train_step(batch, step)
             final_task_loss = result.task_loss
+        if trainer.frozen_weight_hash() != trainer._frozen_hash:
+            raise GritError("frozen base weights changed during training")
     except GritError:
         if out_dir is not None:
             manifest.status = "failed"

@@ -42,6 +42,17 @@ class TestTrain:
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_unknown_task_without_out_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GRIT_OUT_ROOT", str(tmp_path / "root"))
+        path = write_config(tmp_path, "task = nosuchtask\n")
+        assert main(["train", str(path)]) == 2
+        assert "nosuchtask" in capsys.readouterr().err
+
+    def test_non_numeric_task_argument_is_validation_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "task = synthetic_lowrank(d=abc)\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "abc" in capsys.readouterr().err
+
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"

@@ -62,6 +62,17 @@ class TestSymEig:
         assert np.allclose(dec.eigenvalues, 0.0)
         assert np.allclose(dec.eigenvectors.T @ dec.eigenvectors, np.eye(4))
 
+    def test_tied_eigenvalues_keep_index_order(self):
+        assert np.array_equal(sym_eig(np.eye(3)).eigenvectors, np.eye(3))
+
+    def test_lapack_failure_names_matrix(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(DecompositionError, match="x"):
+            sym_eig(np.eye(2), name="x")
+
     @settings(max_examples=60, deadline=None)
     @given(finite_matrices())
     def test_reconstruction_property(self, m):

@@ -43,6 +43,11 @@ class TestSelectRank:
         with pytest.raises(ValidationError):
             select_rank(np.array([1.0, 2.0]), tau=0.9, min_rank=1)
 
+    def test_prefix_within_ulps_of_tau_reaches_it(self):
+        # the first two eigenvalues hold 0.7 of the energy up to a few ulps
+        eigs = np.array([4.0, 3.0 - 4e-15, 2.0, 1.0])
+        assert select_rank(eigs, 0.7, 1)[0] == 2
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16))
     def test_brute_force_prefix_scan(self, seed, r):

@@ -45,6 +45,17 @@ class TestEffectiveRank:
         # distinct from rank selection: no min-rank clamp is applied
         assert effective_rank(np.array([1.0, 0.0, 0.0, 0.0]), 0.5) == (1, False)
 
+    def test_full_energy_stays_within_spectrum(self):
+        # np.sum can exceed the last cumsum entry by an ulp
+        assert effective_rank(np.full(8, 0.1), 1.0) == (8, False)
+
+    def test_full_energy_never_exceeds_length_on_random_spectra(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            r = int(rng.integers(1, 17))
+            eigs = np.sort(rng.uniform(0.0, 1.0, size=r))[::-1]
+            assert effective_rank(eigs, 1.0)[0] <= r
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_monotone_in_eta(self, seed):

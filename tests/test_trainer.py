@@ -414,3 +414,28 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_changed_base_weight_fails_run(self, tmp_path, monkeypatch):
+        from grit.errors import GritError
+
+        train_step = trainer_module.Trainer.train_step
+
+        def tampering(self, batch, step):
+            if step == 2:
+                w0 = self.model.layers[0][0].w0
+                w0.setflags(write=True)
+                w0[0, 0] += 1.0
+            return train_step(self, batch, step)
+
+        monkeypatch.setattr(trainer_module.Trainer, "train_step", tampering)
+        cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4, telemetry_every=0)
+        with pytest.raises(GritError, match="frozen"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+
+    def test_full_energy_r_eff_within_rank(self):
+        tr, task, cfg = make_trainer(lora_rank=8, telemetry_eta=1.0, telemetry_every=5)
+        run_loop(tr, task, cfg)
+        assert tr.records
+        assert all(rec.r_eff <= cfg.lora_rank for rec in tr.records)
