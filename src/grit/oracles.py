@@ -2,7 +2,8 @@
 
 Each suite compares a fast-path implementation against an independent
 reference (materialized Kronecker products, LAPACK eigensolves, explicit
-prefix scans, finite differences, self-generated law data) and reports the
+prefix scans, finite differences, self-generated law data, the SVD of the
+materialized tangent span) and reports the
 worst observed error against the suite tolerance.
 """
 
@@ -15,10 +16,10 @@ import numpy as np
 from .forgetting import fit_baseline_law, fit_xi_coefficients, predict
 from .kfac import RankSpaceStats, refresh_inverses
 from .linalg import sym_eig, symmetrize
-from .model import build_model
+from .model import AdapterPair, build_model
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
-from .telemetry import xi_multiplier
+from .telemetry import adapter_subspace_basis, exposure_from_basis, xi_multiplier
 
 
 @dataclass
@@ -180,6 +181,72 @@ def suite_rankselect(spectra: int = 1000, seed: int = 20244) -> list[CheckResult
     return [CheckResult("prefix-scan agreement (exact)", mismatches == 0, float(mismatches), 0.0)]
 
 
+def span_tangent_basis(adapter: AdapterPair) -> np.ndarray:
+    """Dense orthonormal basis (row-major vec coordinates) of the update tangent space.
+
+    The reachable directions at (a, b) are {x a + b y}; their vec span is the
+    column space of [I kron a^T, b kron I]. Basis extracted by SVD with a
+    relative singular-value cutoff.
+    """
+    d_out, r = adapter.b.shape
+    _, d_in = adapter.a.shape
+    span = np.hstack(
+        [
+            np.kron(np.eye(d_out), adapter.a.T),
+            np.kron(adapter.b, np.eye(d_in)),
+        ]
+    )
+    u, s, _ = np.linalg.svd(span, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((d_out * d_in, 0))
+    keep = s > 1e-10 * s[0]
+    return u[:, keep]
+
+
+def dense_exposure(h: np.ndarray, basis: np.ndarray) -> float:
+    """tr(Q^T H Q) for a dense orthonormal basis Q."""
+    h = symmetrize(h)
+    return float(np.trace(basis.T @ h @ basis))
+
+
+def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
+    """Factored tangent basis and exposure vs the SVD of the materialized span."""
+    rng = np.random.default_rng(seed)
+    worst_exposure = 0.0
+    dim_mismatches = 0
+    worst_orth = 0.0
+    for case in range(cases):
+        d_in = int(rng.integers(1, 9))
+        d_out = int(rng.integers(1, 9))
+        r = int(rng.integers(1, min(d_in, d_out) + 1))
+        a = rng.normal(size=(r, d_in))
+        b = rng.normal(size=(d_out, r))
+        if case % 4 == 1:
+            b[:] = 0.0  # the adapter at initialization
+        elif case % 4 == 2 and r > 1:
+            a[-1] = rng.normal() * a[0]  # rank-deficient a
+        adapter = AdapterPair(a=a, b=b, rank=r, scaling=1.0)
+        n = d_out * d_in
+        m = rng.normal(size=(n, n))
+        h = symmetrize(m @ m.T / n)
+
+        dense = span_tangent_basis(adapter)
+        factored = adapter_subspace_basis(adapter)
+        reference = dense_exposure(h, dense)
+        fast = exposure_from_basis(h, factored)
+        worst_exposure = max(worst_exposure, abs(fast - reference) / max(abs(reference), 1e-300))
+        if factored.dim != dense.shape[1]:
+            dim_mismatches += 1
+        for q in (factored.q_in, factored.q_out):
+            gram_err = np.abs(q.T @ q - np.eye(q.shape[1]))
+            worst_orth = max(worst_orth, float(np.max(gram_err, initial=0.0)))
+    return [
+        CheckResult("factored vs span exposure (relative)", worst_exposure < 1e-10, worst_exposure, 1e-10),
+        CheckResult("tangent dimension mismatches", dim_mismatches == 0, float(dim_mismatches), 0.0),
+        CheckResult("factor orthonormality", worst_orth < 1e-12, worst_orth, 1e-12),
+    ]
+
+
 def _synthetic_law_records(
     rng: np.random.Generator,
     c0: float,
@@ -263,6 +330,7 @@ SUITES = {
     "gradcheck": suite_gradcheck,
     "rankselect": suite_rankselect,
     "fitlaw": suite_fitlaw,
+    "tangent": suite_tangent,
 }
 
 

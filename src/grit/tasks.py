@@ -115,6 +115,15 @@ def _layer_slices(model: Model) -> list[slice]:
     return slices
 
 
+def _check_rank(rank: int, widths: list[int]) -> None:
+    """Reject an adapter rank above the narrowest layer width before any work."""
+    if rank > min(widths):
+        raise ConfigError(
+            f"lora_rank {rank} exceeds the narrowest layer width {min(widths)} of the task",
+            key="lora_rank",
+        )
+
+
 def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(d, k)))
     return q
@@ -128,12 +137,11 @@ def build_synthetic_lowrank(
     model_rng: np.random.Generator,
     data_rng: np.random.Generator,
 ) -> TaskInstance:
-    d = int(params.get("d", 24))
-    r_true = int(params.get("r_true", 2))
-    noise = float(params.get("noise", 0.02))
-    delta_scale = float(params.get("delta_scale", 1.0))
+    d, r_true = params["d"], params["r_true"]
+    noise, delta_scale = params["noise"], params["delta_scale"]
+    _check_rank(rank, [d, d])
     if r_true < 1 or r_true > d:
-        raise ConfigError("r_true must lie in [1, d]")
+        raise ConfigError("r_true must lie in [1, d]", key="task")
 
     w0 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
     subspace = _orthonormal_columns(model_rng, d, r_true)
@@ -175,12 +183,10 @@ def build_two_task_forgetting(
     model_rng: np.random.Generator,
     data_rng: np.random.Generator,
 ) -> TaskInstance:
-    d = int(params.get("d", 12))
-    hidden = int(params.get("hidden", 12))
-    pretrain_steps = int(params.get("pretrain_steps", 200))
-    delta_scale = float(params.get("delta_scale", 0.35))
-    ft_noise = float(params.get("ft_noise", 0.1))
-    init_jitter = float(params.get("init_jitter", 0.0))
+    d, hidden, pretrain_steps = params["d"], params["hidden"], params["pretrain_steps"]
+    delta_scale, ft_noise = params["delta_scale"], params["ft_noise"]
+    init_jitter = params["init_jitter"]
+    _check_rank(rank, [d, hidden, d])
 
     teacher_w1 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
     teacher_w2 = model_rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(d, hidden))
@@ -246,11 +252,25 @@ _BUILDERS = {
     "two_task_forgetting": build_two_task_forgetting,
 }
 
+# Declared arguments of each task with their defaults; a default's type
+# (int or float) is the argument's type.
+TASK_ARGS = {
+    "synthetic_lowrank": {"d": 24, "r_true": 2, "noise": 0.02, "delta_scale": 1.0},
+    "two_task_forgetting": {
+        "d": 12, "hidden": 12, "pretrain_steps": 200,
+        "delta_scale": 0.35, "ft_noise": 0.1, "init_jitter": 0.0,
+    },
+}
+
 _SPEC_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
 def parse_task_spec(spec: str) -> tuple[str, dict]:
-    """Parse 'name(k1=v1, k2=v2)' into (name, params)."""
+    """Parse 'name(k1=v1, k2=v2)' into (name, the given arguments).
+
+    Each argument must be declared for the task in TASK_ARGS; an integer
+    argument takes an integral value. Anything else raises ConfigError.
+    """
     match = _SPEC_RE.match(spec.strip().lower())
     if not match:
         raise ConfigError(f"malformed task spec {spec!r}", key="task")
@@ -259,19 +279,35 @@ def parse_task_spec(spec: str) -> tuple[str, dict]:
         raise ConfigError(
             f"unknown task {name!r}; available: {sorted(_BUILDERS)}", key="task"
         )
+    declared = TASK_ARGS[name]
     params: dict = {}
     if arg_text and arg_text.strip():
         for piece in arg_text.split(","):
             if "=" not in piece:
                 raise ConfigError(f"task argument {piece.strip()!r} must be key=value", key="task")
-            key, value = piece.split("=", 1)
-            try:
-                params[key.strip()] = float(value.strip())
-            except ValueError:
+            key, value = (part.strip() for part in piece.split("=", 1))
+            if key not in declared:
                 raise ConfigError(
-                    f"task argument {key.strip()!r} must be a number, got {value.strip()!r}",
+                    f"unknown argument {key!r} for task {name!r}; declared: {sorted(declared)}",
                     key="task",
-                ) from None
+                )
+            if key in params:
+                raise ConfigError(f"duplicate task argument {key!r}", key="task")
+            try:
+                number = float(value)
+            except ValueError:
+                number = float("nan")
+            if not np.isfinite(number):
+                raise ConfigError(
+                    f"task argument {key!r} must be a finite number, got {value!r}", key="task"
+                )
+            if isinstance(declared[key], int):
+                if not number.is_integer():
+                    raise ConfigError(
+                        f"task argument {key!r} must be an integer, got {value!r}", key="task"
+                    )
+                number = int(number)
+            params[key] = number
     return name, params
 
 
@@ -284,4 +320,5 @@ def build_task(
     data_rng: np.random.Generator,
 ) -> TaskInstance:
     name, params = parse_task_spec(spec)
+    params = {**TASK_ARGS[name], **params}
     return _BUILDERS[name](params, rank, alpha, eval_size, model_rng, data_rng)

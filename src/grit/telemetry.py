@@ -109,14 +109,6 @@ def curvature_exposure(h_pt: np.ndarray, projector_full: np.ndarray) -> float:
     return float(np.trace(p @ h @ p))
 
 
-def exposure_from_basis(h_pt: np.ndarray, basis: np.ndarray) -> float:
-    """tr(Q^T H Q), equal to curvature_exposure with P = Q Q^T but cheaper."""
-    h = symmetrize(h_pt)
-    if basis.shape[0] != h.shape[0]:
-        raise ShapeError(f"basis rows {basis.shape[0]} do not match {h.shape}")
-    return float(np.trace(basis.T @ h @ basis))
-
-
 def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> tuple[float, bool]:
     """1 - cos(p_t, p_prev); (0.0, True) flags a zero vector."""
     p_t = np.asarray(p_t, dtype=np.float64).ravel()
@@ -218,26 +210,62 @@ def pca_export(
     return coords
 
 
-def adapter_subspace_basis(adapter: AdapterPair) -> np.ndarray:
-    """Orthonormal basis (row-major vec coordinates) of the update tangent space.
+@dataclass
+class TangentBasis:
+    """Factors of the tangent space {x a + b y} of the adapter update at (a, b).
 
-    The reachable directions at (a, b) are {x a + b y}; their vec span is the
-    column space of [I kron a^T, b kron I]. Basis extracted by SVD with a
-    relative singular-value cutoff.
+    q_in is an orthonormal basis of row(a) (d_in x r_a) and q_out one of
+    col(b) (d_out x r_b). On row-major vec coordinates the tangent projector
+    is I kron P_in + P_out kron I - P_out kron P_in, with P = q q^T.
     """
-    d_out, r = adapter.b.shape
-    _, d_in = adapter.a.shape
-    span = np.hstack(
-        [
-            np.kron(np.eye(d_out), adapter.a.T),
-            np.kron(adapter.b, np.eye(d_in)),
-        ]
-    )
-    u, s, _ = np.linalg.svd(span, full_matrices=False)
+
+    q_in: np.ndarray
+    q_out: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        """Tangent dimension d_out * r_a + r_b * (d_in - r_a)."""
+        d_in, r_a = self.q_in.shape
+        d_out, r_b = self.q_out.shape
+        return d_out * r_a + r_b * (d_in - r_a)
+
+
+def _column_basis(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of col(m), cut at singular values below 1e-10 * s_max."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((d_out * d_in, 0))
-    keep = s > 1e-10 * s[0]
-    return u[:, keep]
+        return u[:, :0]
+    return u[:, s > 1e-10 * s[0]]
+
+
+def adapter_subspace_basis(adapter: AdapterPair) -> TangentBasis:
+    """Factored basis of the update tangent space; see TangentBasis."""
+    return TangentBasis(q_in=_column_basis(adapter.a.T), q_out=_column_basis(adapter.b))
+
+
+def exposure_from_basis(h_block: np.ndarray, basis: TangentBasis) -> float:
+    """Curvature exposure tr(H P) over the tangent space, from its factors.
+
+    With H4 the block reshaped to (d_out, d_in, d_out, d_in), tr(H P) is
+    tr(q_in^T M_in q_in) + tr(q_out^T M_out q_out) - tr(K^T H K), where
+    M_in = sum_i H4[i, :, i, :], M_out[i, k] = sum_j H4[i, j, k, j] and
+    K = q_out kron q_in. H must be symmetric.
+    """
+    q_in, q_out = basis.q_in, basis.q_out
+    d_in, r_a = q_in.shape
+    d_out, r_b = q_out.shape
+    n = d_out * d_in
+    if h_block.shape != (n, n):
+        raise ShapeError(f"hessian block {h_block.shape} does not match a {d_out}x{d_in} layer")
+    h4 = h_block.reshape(d_out, d_in, d_out, d_in)
+    m_in = np.trace(h4, axis1=0, axis2=2)
+    m_out = np.trace(h4, axis1=1, axis2=3)
+    exposure = np.sum(q_in * (m_in @ q_in)) + np.sum(q_out * (m_out @ q_out))
+    if r_a and r_b:
+        # H K one factor at a time, on the (possibly strided) block without a copy
+        hk = np.swapaxes(h4 @ q_in, 2, 3) @ q_out  # (d_out, d_in, r_a, r_b)
+        exposure -= np.einsum("ip,jq,ijqp->", q_out, q_in, hk)
+    return float(exposure)
 
 
 def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:

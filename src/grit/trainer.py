@@ -327,11 +327,12 @@ class Trainer:
                         }
                     )
             self._log_event({"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov})
-            refreshed = all(
+            # every layer refreshes, even after one that is not ready yet
+            refreshed = [
                 refresh_inverses(self.stats[idx], config.kfac_min_samples)
                 for idx in range(len(adapters))
-            )
-            if refreshed:
+            ]
+            if all(refreshed):
                 self._log_event({"step": step, "action": "invert"})
 
         for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
@@ -463,8 +464,7 @@ class Trainer:
             )
 
             block = hess[self.task.layer_slices[idx], self.task.layer_slices[idx]]
-            basis = adapter_subspace_basis(adapter)
-            exposure = exposure_from_basis(block, basis) if basis.shape[1] else 0.0
+            exposure = exposure_from_basis(block, adapter_subspace_basis(adapter))
 
             jitter = 0.0
             if monitor.direction is not None and monitor.prev_direction is not None:

@@ -53,6 +53,24 @@ class TestTrain:
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "abc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, word",
+        [("synthetic_lowrank(dd=6)", "dd"), ("synthetic_lowrank(d=6.5)", "integer")],
+    )
+    def test_undeclared_or_non_integer_task_argument_is_validation_error(
+        self, tmp_path, capsys, spec, word
+    ):
+        path = write_config(tmp_path, f"task = {spec}\nsteps = 3\nlora_rank = 4\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_rank_above_layer_width_is_validation_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "task = synthetic_lowrank(d=4)\nsteps = 3\nlora_rank = 8\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "lora_rank" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -231,3 +249,7 @@ class TestOracleCommand:
 
     def test_rankselect_suite_passes(self):
         assert main(["oracle", "rankselect"]) == 0
+
+    def test_tangent_suite_passes(self, capsys):
+        assert main(["oracle", "tangent"]) == 0
+        assert "FAIL" not in capsys.readouterr().out

@@ -30,6 +30,34 @@ class TestParseSpec:
         with pytest.raises(ConfigError):
             parse_task_spec("synthetic_lowrank(d)")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "synthetic_lowrank(dd=6)",
+            "two_task_forgetting(r_true=2)",
+            "synthetic_lowrank(d=6.5)",
+            "two_task_forgetting(pretrain_steps=1e-3)",
+            "synthetic_lowrank(d=4, d=5)",
+            "synthetic_lowrank(noise=nan)",
+            "synthetic_lowrank(d=inf)",
+        ],
+    )
+    def test_undeclared_duplicate_or_mistyped_argument(self, spec):
+        with pytest.raises(ConfigError) as info:
+            parse_task_spec(spec)
+        assert info.value.key == "task"
+
+    def test_integer_arguments_parse_as_int(self):
+        _, params = parse_task_spec("two_task_forgetting(d=8, hidden=1e1, ft_noise=0)")
+        assert params == {"d": 8, "hidden": 10, "ft_noise": 0.0}
+        assert all(isinstance(params[k], int) for k in ("d", "hidden"))
+
+    @pytest.mark.parametrize("spec", ["synthetic_lowrank(d=3)", "two_task_forgetting(d=8, hidden=3)"])
+    def test_rank_above_layer_width(self, spec):
+        with pytest.raises(ConfigError) as info:
+            build(spec, rank=4)
+        assert info.value.key == "lora_rank"
+
 
 class TestSyntheticLowrank:
     def test_inputs_concentrate_on_planted_subspace(self):

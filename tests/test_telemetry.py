@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
+from grit.oracles import dense_exposure, span_tangent_basis
 from grit.reprojection import Projector, make_projector
 from grit.telemetry import (
     GeometryRecord,
@@ -162,7 +163,7 @@ class TestCurvatureExposure:
         rng = np.random.default_rng(2)
         h = symmetrize(rng.normal(size=(6, 6)))
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-        assert np.isclose(exposure_from_basis(h, q), curvature_exposure(h, q @ q.T))
+        assert np.isclose(dense_exposure(h, q), curvature_exposure(h, q @ q.T))
 
     def test_topk_projector_never_exceeds_trace(self):
         rng = np.random.default_rng(3)
@@ -324,7 +325,7 @@ class TestAdapterSubspaceBasis:
     def test_dimension_and_orthonormality(self):
         rng = np.random.default_rng(7)
         adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=rng.normal(size=(3, 2)), rank=2, scaling=1.0)
-        q = adapter_subspace_basis(adapter)
+        q = span_tangent_basis(adapter)
         gram = q.T @ q
         assert np.max(np.abs(gram - np.eye(q.shape[1]))) < 1e-10
         # tangent dimension r*(d_in + d_out) - r^2 for full-rank factors
@@ -333,10 +334,73 @@ class TestAdapterSubspaceBasis:
     def test_contains_update_directions(self):
         rng = np.random.default_rng(8)
         adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=rng.normal(size=(3, 2)), rank=2, scaling=1.0)
-        q = adapter_subspace_basis(adapter)
+        q = span_tangent_basis(adapter)
         direction = (rng.normal(size=(3, 2)) @ adapter.a).ravel()  # x a form
         residual = direction - q @ (q.T @ direction)
         assert np.linalg.norm(residual) < 1e-9
+
+    @staticmethod
+    def factored_projector(basis):
+        p_in = basis.q_in @ basis.q_in.T
+        p_out = basis.q_out @ basis.q_out.T
+        eye_in, eye_out = np.eye(p_in.shape[0]), np.eye(p_out.shape[0])
+        return np.kron(eye_out, p_in) + np.kron(p_out, eye_in) - np.kron(p_out, p_in)
+
+    @pytest.mark.parametrize(
+        "d_out, d_in, r, b_zero, a_deficient",
+        [(3, 4, 2, False, False), (5, 3, 3, True, False), (4, 6, 3, False, True), (2, 2, 2, True, True)],
+    )
+    def test_factored_projector_matches_span(self, d_out, d_in, r, b_zero, a_deficient):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(r, d_in))
+        b = np.zeros((d_out, r)) if b_zero else rng.normal(size=(d_out, r))
+        if a_deficient:
+            a[-1] = 2.0 * a[0]
+        adapter = AdapterPair(a=a, b=b, rank=r, scaling=1.0)
+        basis = adapter_subspace_basis(adapter)
+        q = span_tangent_basis(adapter)
+        assert basis.dim == q.shape[1]
+        assert basis.q_in.shape == (d_in, r - 1 if a_deficient else r)
+        assert basis.q_out.shape == (d_out, 0 if b_zero else r)
+        for factor in (basis.q_in, basis.q_out):
+            assert np.max(np.abs(factor.T @ factor - np.eye(factor.shape[1])), initial=0.0) < 1e-12
+        assert np.max(np.abs(self.factored_projector(basis) - q @ q.T)) < 1e-10
+
+    def test_zero_adapter_has_empty_tangent_space(self):
+        adapter = AdapterPair(a=np.zeros((2, 3)), b=np.zeros((4, 2)), rank=2, scaling=1.0)
+        basis = adapter_subspace_basis(adapter)
+        assert basis.dim == 0
+        assert exposure_from_basis(np.eye(12), basis) == 0.0
+
+
+class TestFactoredExposure:
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(10)
+        for d_out, d_in, r in ((3, 5, 2), (6, 4, 3), (4, 4, 4)):
+            adapter = AdapterPair(
+                a=rng.normal(size=(r, d_in)), b=rng.normal(size=(d_out, r)), rank=r, scaling=1.0
+            )
+            n = d_out * d_in
+            h = symmetrize(rng.normal(size=(n, n)))
+            fast = exposure_from_basis(h, adapter_subspace_basis(adapter))
+            reference = dense_exposure(h, span_tangent_basis(adapter))
+            assert abs(fast - reference) <= 1e-10 * max(1.0, abs(reference))
+
+    def test_b_zero_is_row_space_exposure(self):
+        # with b = 0 the tangent space is {x a}: tr(H (I kron P_in))
+        rng = np.random.default_rng(11)
+        adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=np.zeros((3, 2)), rank=2, scaling=1.0)
+        h = symmetrize(rng.normal(size=(12, 12)))
+        basis = adapter_subspace_basis(adapter)
+        p_in = basis.q_in @ basis.q_in.T
+        expected = np.sum(h * np.kron(np.eye(3), p_in))
+        assert np.isclose(exposure_from_basis(h, basis), expected, rtol=1e-12, atol=1e-12)
+
+    def test_block_shape_mismatch(self):
+        rng = np.random.default_rng(12)
+        adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=rng.normal(size=(3, 2)), rank=2, scaling=1.0)
+        with pytest.raises(ShapeError):
+            exposure_from_basis(np.eye(11), adapter_subspace_basis(adapter))
 
 
 class TestTelemetryStream:

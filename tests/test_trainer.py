@@ -132,6 +132,18 @@ class TestGateOrdering:
         assert result.reprojected
         assert np.all(tr.monitors[0].update_cov == 0.0)
 
+    def test_every_layer_refreshes_when_an_earlier_one_is_not_ready(self):
+        two_layer = "two_task_forgetting(d=8, hidden=8, pretrain_steps=0)"
+        tr, task, cfg = make_trainer(
+            mode="grit", task=two_layer, kfac_min_samples=16, batch_size=8, telemetry_every=0
+        )
+        # layer 1 has already seen kfac_min_samples samples, layer 0 none
+        tr.stats[1].n_cov = cfg.kfac_min_samples
+        tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
+        assert tr.stats[0].n_cov < cfg.kfac_min_samples and not tr.stats[0].inv_ready
+        assert tr.stats[1].inv_ready
+        assert "invert" not in [e["action"] for e in tr.events]
+
 
 def a_side_penalty(adapter, stats, k):
     proj = make_projector(sym_eig(stats.a_cov), k)
