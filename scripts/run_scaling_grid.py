@@ -18,7 +18,7 @@ from grit.config import GritConfig
 from grit.trainer import run_experiment
 
 STEP_GRID = (100, 200, 400, 800)
-WIDTH_GRID = (12, 24)
+WIDTH_GRID = (12, 24, 48, 96)
 
 
 def make_config(mode: str, seed: int, steps: int, d: int) -> GritConfig:

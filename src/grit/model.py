@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError, TapeError, ValidationError
+from .runio import write_atomic
 
 ACTIVATIONS = ("identity", "tanh", "relu")
 
@@ -38,6 +39,15 @@ def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
         return 1.0 - t * t
     if name == "relu":
         return (z > 0.0).astype(np.float64)
+    raise ValidationError(f"unknown activation {name!r}")
+
+
+def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
+    if name in ("identity", "relu"):
+        return np.zeros_like(z)
+    if name == "tanh":
+        t = np.tanh(z)
+        return -2.0 * t * (1.0 - t * t)
     raise ValidationError(f"unknown activation {name!r}")
 
 
@@ -291,7 +301,7 @@ def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
             for base, adapter in model.layers
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    write_atomic(path, json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, int]:

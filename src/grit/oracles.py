@@ -3,8 +3,8 @@
 Each suite compares a fast-path implementation against an independent
 reference (materialized Kronecker products, LAPACK eigensolves, explicit
 prefix scans, finite differences, self-generated law data, the SVD of the
-materialized tangent span) and reports the
-worst observed error against the suite tolerance.
+materialized tangent span, the finite-difference pretraining Hessian) and
+reports the worst observed error against the suite tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .linalg import sym_eig, symmetrize
 from .model import AdapterPair, build_model
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
-from .telemetry import adapter_subspace_basis, exposure_from_basis, xi_multiplier
+from .tasks import build_task
+from .telemetry import LayerCurvature, adapter_subspace_basis, exposure_from_basis, xi_multiplier
 
 
 @dataclass
@@ -209,8 +210,14 @@ def dense_exposure(h: np.ndarray, basis: np.ndarray) -> float:
     return float(np.trace(basis.T @ h @ basis))
 
 
+def dense_curvature(curvature: LayerCurvature) -> np.ndarray:
+    """The materialized Hessian block sum_s C_s kron x_s x_s^T."""
+    return sum(np.kron(c, np.outer(x, x)) for x, c in zip(curvature.x, curvature.c))
+
+
 def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
-    """Factored tangent basis and exposure vs the SVD of the materialized span."""
+    """Factored tangent basis and exposure vs the SVD of the materialized span
+    and the materialized Hessian block of a random factor set."""
     rng = np.random.default_rng(seed)
     worst_exposure = 0.0
     dim_mismatches = 0
@@ -226,14 +233,16 @@ def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
         elif case % 4 == 2 and r > 1:
             a[-1] = rng.normal() * a[0]  # rank-deficient a
         adapter = AdapterPair(a=a, b=b, rank=r, scaling=1.0)
-        n = d_out * d_in
-        m = rng.normal(size=(n, n))
-        h = symmetrize(m @ m.T / n)
+        samples = int(rng.integers(1, 6))
+        g = rng.normal(size=(samples, d_out, d_out))
+        curvature = LayerCurvature(
+            x=rng.normal(size=(samples, d_in)), c=g @ np.swapaxes(g, 1, 2) / d_out
+        )
 
         dense = span_tangent_basis(adapter)
         factored = adapter_subspace_basis(adapter)
-        reference = dense_exposure(h, dense)
-        fast = exposure_from_basis(h, factored)
+        reference = dense_exposure(dense_curvature(curvature), dense)
+        fast = exposure_from_basis(curvature, factored)
         worst_exposure = max(worst_exposure, abs(fast - reference) / max(abs(reference), 1e-300))
         if factored.dim != dense.shape[1]:
             dim_mismatches += 1
@@ -244,6 +253,48 @@ def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
         CheckResult("factored vs span exposure (relative)", worst_exposure < 1e-10, worst_exposure, 1e-10),
         CheckResult("tangent dimension mismatches", dim_mismatches == 0, float(dim_mismatches), 0.0),
         CheckResult("factor orthonormality", worst_orth < 1e-12, worst_orth, 1e-12),
+    ]
+
+
+# Off the pretraining optimum (init_jitter > 0, no refinement) the
+# activation's second-derivative terms are live; at the optimum they vanish.
+CURVATURE_TASKS = (
+    "synthetic_lowrank(d=5)",
+    "two_task_forgetting(d=6, hidden=4, pretrain_steps=0, init_jitter=0.3)",
+    "two_task_forgetting(d=8, hidden=8, pretrain_steps=20)",
+)
+
+
+def suite_curvature(adapters: int = 8, seed: int = 20247) -> list[CheckResult]:
+    """Factored exposure and second-order-forward 1/2 delta^T H delta vs the
+    finite-difference pretraining Hessian, for random adapters (every fourth
+    with b = 0)."""
+    rng = np.random.default_rng(seed)
+    worst_exposure = 0.0
+    worst_quad = 0.0
+    for spec in CURVATURE_TASKS:
+        task = build_task(spec, rank=2, alpha=1.5, eval_size=32, model_rng=rng, data_rng=rng)
+        hess = task.pt_hessian()
+        curvature = task.pt_curvature()
+        for case in range(adapters):
+            for _, adapter in task.model.layers:
+                adapter.a = rng.normal(size=adapter.a.shape)
+                adapter.b = rng.normal(size=adapter.b.shape)
+                if case % 4 == 0:
+                    adapter.b[:] = 0.0  # the adapter at initialization
+            for idx, (_, adapter) in enumerate(task.model.layers):
+                block = hess[task.layer_slices[idx], task.layer_slices[idx]]
+                reference = dense_exposure(block, span_tangent_basis(adapter))
+                fast = exposure_from_basis(curvature[idx], adapter_subspace_basis(adapter))
+                worst_exposure = max(worst_exposure, abs(fast - reference) / abs(reference))
+            if case % 4 != 0:  # b = 0 leaves delta = 0
+                delta = task.delta_w_vector(task.model)
+                reference = 0.5 * delta @ (hess @ delta)
+                fast = task.pt_quadratic(task.model)
+                worst_quad = max(worst_quad, abs(fast - reference) / abs(reference))
+    return [
+        CheckResult("factored vs finite-difference exposure (relative)", worst_exposure < 1e-6, worst_exposure, 1e-6),
+        CheckResult("second-order forward vs finite-difference quadratic (relative)", worst_quad < 1e-6, worst_quad, 1e-6),
     ]
 
 
@@ -331,6 +382,7 @@ SUITES = {
     "rankselect": suite_rankselect,
     "fitlaw": suite_fitlaw,
     "tangent": suite_tangent,
+    "curvature": suite_curvature,
 }
 
 

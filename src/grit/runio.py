@@ -12,12 +12,15 @@ Layout of a completed run directory:
     record.json      RunRecord summary
 
 Timestamps appear only in the manifest so that record and streams replay
-byte-identically for a fixed config and seed.
+byte-identically for a fixed config and seed. The manifest, record and
+checkpoint are replaced whole (write_atomic), so a run that dies mid-write
+leaves the previous version, never a truncated file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -70,10 +73,21 @@ class RunRecord:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
-def write_record(record: RunRecord, run_dir: str | Path) -> Path:
-    path = Path(run_dir) / RECORD_NAME
-    path.write_text(record.to_json())
+def write_atomic(path: str | Path, text: str) -> Path:
+    """Replace the file at path with text: write a temp file beside it, then os.replace."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def write_record(record: RunRecord, run_dir: str | Path) -> Path:
+    return write_atomic(Path(run_dir) / RECORD_NAME, record.to_json())
 
 
 def read_record(run_dir: str | Path) -> RunRecord:
@@ -106,9 +120,9 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, run_dir: str | Path) -> Path:
-    path = Path(run_dir) / MANIFEST_NAME
-    path.write_text(json.dumps(asdict(manifest), sort_keys=True, indent=1))
-    return path
+    return write_atomic(
+        Path(run_dir) / MANIFEST_NAME, json.dumps(asdict(manifest), sort_keys=True, indent=1)
+    )
 
 
 def read_manifest(run_dir: str | Path) -> RunManifest:

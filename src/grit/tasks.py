@@ -21,9 +21,14 @@ Task specs are strings:
         weakly constrained directions. pt loss is measured against the
         original teacher on a fixed held-out set.
 
-Both tasks expose a dense pretraining Hessian over the adapted layers' base
-weight coordinates, computed by central finite differences of the exact
-gradient (step 1e-4, symmetrized).
+Both tasks expose the pretraining curvature at the base point without forming
+the dense Hessian H: per adapted layer, the layer inputs x_s and the
+per-sample Hessians C_s of the pt loss in the layer's pre-activations, whose
+sum_s C_s kron x_s x_s^T is the layer's exact block of H; and the quadratic
+forgetting estimate 1/2 delta^T H delta from a second-order forward pass.
+The dense H by central finite differences of the exact gradient (step 1e-4,
+symmetrized) is kept as the reference that tests and oracles check both
+against.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .model import Model, build_model
-from .telemetry import hessian_fd
+from .model import Model, _act, _act_deriv, _act_deriv2, build_model
+from .telemetry import LayerCurvature, hessian_fd
 
 
 @dataclass
@@ -51,6 +56,7 @@ class TaskInstance:
     n_params: int
     layer_slices: list[slice]
     _hessian_cache: np.ndarray | None = field(default=None, repr=False)
+    _curvature_cache: list[LayerCurvature] | None = field(default=None, repr=False)
 
     def pt_loss(self, model: Model) -> float:
         pred = model.predict(self.pt_inputs)  # read-only: leaves training tapes alone
@@ -79,6 +85,66 @@ class TaskInstance:
                 self._pt_grad_at, self.base_weight_vector(), step=1e-4
             )
         return self._hessian_cache
+
+    def _base_point(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """Layer inputs and pre-activations on the pt set at the base point, and the output residual."""
+        h = self.pt_inputs
+        inputs, pre = [], []
+        for base, _ in self.model.layers:
+            inputs.append(h)
+            z = h @ base.w0.T
+            if base.bias is not None:
+                z = z + base.bias
+            pre.append(z)
+            h = _act(base.activation, z)
+        return inputs, pre, h - self.pt_targets
+
+    def pt_curvature(self) -> list[LayerCurvature]:
+        """Exact factors of each adapted layer's pretraining Hessian block, cached.
+
+        One backward pass carries the per-sample Hessian of the pt loss from
+        the output to each layer's pre-activations (Botev et al. 2017, with
+        the activation's second-derivative term kept):
+        C_l = D_l W_{l+1}^T C_{l+1} W_{l+1} D_l + diag(act''(z_l) * dloss/dh_l).
+        """
+        if self._curvature_cache is None:
+            inputs, pre, err = self._base_point()
+            m, d_out = err.shape
+            grad_h = err / m  # d loss / d h_l, per sample
+            hess_h = np.broadcast_to(np.eye(d_out) / m, (m, d_out, d_out))
+            layers = self.model.layers
+            factors = [None] * len(layers)
+            for idx in reversed(range(len(layers))):
+                base, z = layers[idx][0], pre[idx]
+                d1 = _act_deriv(base.activation, z)
+                c = np.einsum("si,sij,sj->sij", d1, hess_h, d1)
+                diag = np.arange(base.d_out)
+                c[:, diag, diag] += _act_deriv2(base.activation, z) * grad_h
+                factors[idx] = LayerCurvature(x=inputs[idx], c=c)
+                if idx > 0:
+                    grad_h = (d1 * grad_h) @ base.w0
+                    hess_h = base.w0.T @ c @ base.w0
+            self._curvature_cache = factors
+        return self._curvature_cache
+
+    def pt_quadratic(self, model: Model) -> float:
+        """1/2 delta^T H delta for the adapters' update delta, without forming H.
+
+        A second-order forward pass (Pearlmutter 1994) along V_l = scaling b a:
+        Rz = V h + W Rh, R2z = 2 V Rh + W R2h, Rh = act' Rz,
+        R2h = act'' Rz^2 + act' R2z; the estimate is
+        (||Rh_L||^2 + err . R2h_L) / (2 m).
+        """
+        inputs, pre, err = self._base_point()
+        r_h = np.zeros_like(self.pt_inputs)
+        r2_h = np.zeros_like(self.pt_inputs)
+        for (base, _), adapter, x, z in zip(self.model.layers, model.adapters(), inputs, pre):
+            v = adapter.scaling * adapter.delta_w()
+            r_z = x @ v.T + r_h @ base.w0.T
+            r2_z = 2.0 * (r_h @ v.T) + r2_h @ base.w0.T
+            d1 = _act_deriv(base.activation, z)
+            r_h, r2_h = d1 * r_z, _act_deriv2(base.activation, z) * r_z * r_z + d1 * r2_z
+        return float((np.sum(r_h * r_h) + np.sum(err * r2_h)) / (2.0 * err.shape[0]))
 
 
 def _probe_model(reference: Model, w_vec: np.ndarray) -> Model:

@@ -230,6 +230,20 @@ class TangentBasis:
         return d_out * r_a + r_b * (d_in - r_a)
 
 
+@dataclass
+class LayerCurvature:
+    """Exact factors of one layer's pretraining Hessian block.
+
+    On row-major vec coordinates of the layer weight the block is
+    sum_s C_s kron x_s x_s^T, with x the layer inputs (m x d_in) and c the
+    per-sample Hessians of the loss in the layer's pre-activations
+    (m x d_out x d_out).
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+
 def _column_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of col(m), cut at singular values below 1e-10 * s_max."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -243,28 +257,25 @@ def adapter_subspace_basis(adapter: AdapterPair) -> TangentBasis:
     return TangentBasis(q_in=_column_basis(adapter.a.T), q_out=_column_basis(adapter.b))
 
 
-def exposure_from_basis(h_block: np.ndarray, basis: TangentBasis) -> float:
-    """Curvature exposure tr(H P) over the tangent space, from its factors.
+def exposure_from_basis(curvature: LayerCurvature, basis: TangentBasis) -> float:
+    """Curvature exposure tr(H P) over the tangent space, from both sets of factors.
 
-    With H4 the block reshaped to (d_out, d_in, d_out, d_in), tr(H P) is
-    tr(q_in^T M_in q_in) + tr(q_out^T M_out q_out) - tr(K^T H K), where
-    M_in = sum_i H4[i, :, i, :], M_out[i, k] = sum_j H4[i, j, k, j] and
-    K = q_out kron q_in. H must be symmetric.
+    For H = sum_s C_s kron x_s x_s^T every sample contributes
+    tr(C_s) ||q_in^T x_s||^2 + tr(q_out^T C_s q_out) (||x_s||^2 - ||q_in^T x_s||^2),
+    so the cost is O(m d^2) and no (d_out d_in)-square matrix is formed.
     """
+    x, c = curvature.x, curvature.c
     q_in, q_out = basis.q_in, basis.q_out
-    d_in, r_a = q_in.shape
-    d_out, r_b = q_out.shape
-    n = d_out * d_in
-    if h_block.shape != (n, n):
-        raise ShapeError(f"hessian block {h_block.shape} does not match a {d_out}x{d_in} layer")
-    h4 = h_block.reshape(d_out, d_in, d_out, d_in)
-    m_in = np.trace(h4, axis1=0, axis2=2)
-    m_out = np.trace(h4, axis1=1, axis2=3)
-    exposure = np.sum(q_in * (m_in @ q_in)) + np.sum(q_out * (m_out @ q_out))
-    if r_a and r_b:
-        # H K one factor at a time, on the (possibly strided) block without a copy
-        hk = np.swapaxes(h4 @ q_in, 2, 3) @ q_out  # (d_out, d_in, r_a, r_b)
-        exposure -= np.einsum("ip,jq,ijqp->", q_out, q_in, hk)
+    if x.shape[1] != q_in.shape[0] or c.shape[1] != q_out.shape[0]:
+        raise ShapeError(
+            f"curvature factors for a {c.shape[1]}x{x.shape[1]} layer do not match "
+            f"a {q_out.shape[0]}x{q_in.shape[0]} tangent basis"
+        )
+    x_in = x @ q_in
+    in_sq = np.sum(x_in * x_in, axis=1)
+    out_weight = np.sum(x * x, axis=1) - in_sq
+    exposure = np.dot(np.trace(c, axis1=1, axis2=2), in_sq)
+    exposure += np.sum(q_out * (np.tensordot(out_weight, c, axes=1) @ q_out))
     return float(exposure)
 
 

@@ -199,7 +199,6 @@ class Trainer:
         self.records: list[GeometryRecord] = []
         # per layer: the (a_cov, g_cov) last decomposed, then their decompositions
         self._decomp_cache: list[tuple | None] = [None] * n_layers
-        self._hessian: np.ndarray | None = None
         self._frozen_hash = self.frozen_weight_hash()
 
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -419,13 +418,8 @@ class Trainer:
 
     # -- telemetry ---------------------------------------------------------
 
-    def _task_hessian(self) -> np.ndarray:
-        if self._hessian is None:
-            self._hessian = self.task.pt_hessian()
-        return self._hessian
-
     def _emit_telemetry(self, step: int) -> None:
-        hess = self._task_hessian()
+        curvature = self.task.pt_curvature()
         for idx, (_, adapter) in enumerate(self.model.layers):
             monitor = self.monitors[idx]
             stats = self.stats[idx]
@@ -463,8 +457,7 @@ class Trainer:
                 else 0
             )
 
-            block = hess[self.task.layer_slices[idx], self.task.layer_slices[idx]]
-            exposure = exposure_from_basis(block, adapter_subspace_basis(adapter))
+            exposure = exposure_from_basis(curvature[idx], adapter_subspace_basis(adapter))
 
             jitter = 0.0
             if monitor.direction is not None and monitor.prev_direction is not None:
@@ -535,7 +528,9 @@ def run_experiment(
 
     Builds the named synthetic task, measures the pretraining-proxy loss on
     the held-out set before and after adaptation, writes the run artifacts
-    (when out_dir is given), and returns the RunRecord.
+    (when out_dir is given), and returns the RunRecord. Any exception after
+    the manifest is written marks it failed (interrupted for Ctrl-C) before
+    propagating.
     """
     spec = task_spec if task_spec is not None else config.task
     if not spec:
@@ -552,6 +547,7 @@ def run_experiment(
     )
     trainer = Trainer(config, task, run_dir=out_dir)
 
+    manifest = None
     if out_dir is not None:
         out = Path(out_dir)
         if config_path is not None:
@@ -566,42 +562,37 @@ def run_experiment(
         )
         write_manifest(manifest, out)
 
-    pt_before = task.pt_loss(task.model)
-    final_task_loss = float("nan")
     try:
+        pt_before = task.pt_loss(task.model)
+        final_task_loss = float("nan")
         for step in range(config.steps):
             batch = task.sample_batch(trainer.data_rng, config.batch_size)
             result = trainer.train_step(batch, step)
             final_task_loss = result.task_loss
         if trainer.frozen_weight_hash() != trainer._frozen_hash:
             raise GritError("frozen base weights changed during training")
-    except GritError:
-        if out_dir is not None:
-            manifest.status = "failed"
-            write_manifest(manifest, Path(out_dir))
+        pt_after = task.pt_loss(task.model)
+
+        record = RunRecord(
+            d_ft=config.steps * config.batch_size,
+            n_params=task.n_params,
+            final_task_loss=final_task_loss,
+            pt_loss_before=pt_before,
+            pt_loss_after=pt_after,
+            mode=config.mode,
+            seed=config.seed,
+            task=spec,
+            geometry_summary=trainer.geometry_summary(),
+            quadratic_forgetting_estimate=task.pt_quadratic(task.model),
+        )
+        if manifest is not None:
+            save_checkpoint(task.model, out / CHECKPOINT_NAME, seed=config.seed)
+            write_record(record, out)
+            manifest.status = "complete"
+            write_manifest(manifest, out)
+    except (Exception, KeyboardInterrupt) as exc:
+        if manifest is not None:
+            manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
+            write_manifest(manifest, out)
         raise
-    pt_after = task.pt_loss(task.model)
-
-    delta_vec = task.delta_w_vector(task.model)
-    hess = task.pt_hessian()
-    quad = float(0.5 * delta_vec @ (hess @ delta_vec))
-
-    record = RunRecord(
-        d_ft=config.steps * config.batch_size,
-        n_params=task.n_params,
-        final_task_loss=final_task_loss,
-        pt_loss_before=pt_before,
-        pt_loss_after=pt_after,
-        mode=config.mode,
-        seed=config.seed,
-        task=spec,
-        geometry_summary=trainer.geometry_summary(),
-        quadratic_forgetting_estimate=quad,
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        save_checkpoint(task.model, out / CHECKPOINT_NAME, seed=config.seed)
-        write_record(record, out)
-        manifest.status = "complete"
-        write_manifest(manifest, out)
     return record

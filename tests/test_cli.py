@@ -253,3 +253,7 @@ class TestOracleCommand:
     def test_tangent_suite_passes(self, capsys):
         assert main(["oracle", "tangent"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_curvature_suite_passes(self, capsys):
+        assert main(["oracle", "curvature"]) == 0
+        assert "FAIL" not in capsys.readouterr().out

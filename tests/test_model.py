@@ -3,6 +3,7 @@ import pytest
 
 from grit.errors import ShapeError, TapeError, ValidationError
 from grit.model import (
+    ACTIVATIONS,
     AdapterPair,
     BaseLayer,
     Model,
@@ -199,3 +200,20 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99, "seed": 0, "layers": []}')
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+
+class TestActivationDerivatives:
+    @pytest.mark.parametrize("name", ACTIVATIONS)
+    def test_second_derivative_matches_central_difference(self, name):
+        from grit.model import _act_deriv, _act_deriv2
+
+        z = np.array([-1.7, -0.4, 0.3, 1.1, 2.5])  # away from the relu kink
+        step = 1e-5
+        fd = (_act_deriv(name, z + step) - _act_deriv(name, z - step)) / (2.0 * step)
+        assert np.allclose(_act_deriv2(name, z), fd, atol=1e-8)
+
+    def test_unknown_activation(self):
+        from grit.model import _act_deriv2
+
+        with pytest.raises(ValidationError):
+            _act_deriv2("softplus", np.zeros(2))

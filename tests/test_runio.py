@@ -1,0 +1,62 @@
+import os
+
+import numpy as np
+import pytest
+
+from grit import runio
+from grit.model import build_model, load_checkpoint, save_checkpoint
+from grit.runio import RunManifest, RunRecord, read_record, write_manifest, write_record
+
+
+def record(**kw):
+    fields = dict(d_ft=10, n_params=4, final_task_loss=0.1, pt_loss_before=0.0,
+                  pt_loss_after=0.2, mode="grit", seed=0, task="t")
+    fields.update(kw)
+    return RunRecord(**fields)
+
+
+class TestAtomicWrites:
+    def test_failed_serialization_keeps_previous_record(self, tmp_path):
+        write_record(record(), tmp_path)
+        before = (tmp_path / "record.json").read_bytes()
+        with pytest.raises(TypeError):
+            write_record(record(mode=object()), tmp_path)
+        assert (tmp_path / "record.json").read_bytes() == before
+        assert os.listdir(tmp_path) == ["record.json"]
+
+    def test_failed_replace_keeps_previous_manifest_and_no_temp_file(self, tmp_path, monkeypatch):
+        manifest = RunManifest.create(run_id="r", config_hash="h", seed=0, task="t")
+        write_manifest(manifest, tmp_path)
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def crash(src, dst):
+            raise OSError("crash during rename")
+
+        monkeypatch.setattr(runio.os, "replace", crash)
+        manifest.status = "complete"
+        with pytest.raises(OSError):
+            write_manifest(manifest, tmp_path)
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert os.listdir(tmp_path) == ["manifest.json"]
+
+    def test_checkpoint_goes_through_the_helper(self, tmp_path, monkeypatch):
+        model = build_model([3, 2], rank=1, scaling=1.0, rng=np.random.default_rng(0))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(model, path, seed=5)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("crash during rename")
+
+        monkeypatch.setattr(runio.os, "replace", crash)
+        with pytest.raises(OSError):
+            save_checkpoint(model, path, seed=6)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["checkpoint.json"]
+        assert load_checkpoint(path)[1] == 5
+
+    def test_round_trip(self, tmp_path):
+        write_record(record(), tmp_path)
+        write_record(record(seed=3), tmp_path)
+        assert read_record(tmp_path).seed == 3
+        assert os.listdir(tmp_path) == ["record.json"]

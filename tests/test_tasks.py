@@ -125,3 +125,68 @@ class TestTwoTaskForgetting:
         task = build("two_task_forgetting(d=6, hidden=7, pretrain_steps=0)")
         total = sum(s.stop - s.start for s in task.layer_slices)
         assert total == task.base_weight_vector().size == 6 * 7 + 7 * 6
+
+
+def relative_gap(fast, reference):
+    return float(np.max(np.abs(fast - reference)) / np.max(np.abs(reference)))
+
+
+def net_with_biases(seed=3):
+    """Three tanh/tanh/identity layers with biases, off the pretraining optimum."""
+    from grit.model import BaseLayer, Model, build_model
+    from grit.tasks import TaskInstance, _layer_slices
+
+    rng = np.random.default_rng(seed)
+    plain = build_model([4, 5, 3, 2], rank=2, scaling=1.2, rng=rng)
+    layers = [
+        (BaseLayer(w0=base.w0, bias=rng.normal(size=base.d_out), activation=base.activation), adapter)
+        for base, adapter in plain.layers
+    ]
+    model = Model(layers=layers)
+    inputs = rng.normal(size=(16, 4))
+    return TaskInstance(
+        name="biased", model=model, sample_batch=None, pt_inputs=inputs,
+        pt_targets=rng.normal(size=(16, 2)), n_params=4 * 5 + 5 * 3 + 3 * 2,
+        layer_slices=_layer_slices(model),
+    )
+
+
+CURVATURE_TASKS = [
+    "synthetic_lowrank(d=5)",
+    "two_task_forgetting(d=5, hidden=4, pretrain_steps=30)",
+    "two_task_forgetting(d=5, hidden=4, pretrain_steps=0, init_jitter=0.3)",
+]
+
+
+class TestPretrainingCurvature:
+    @pytest.mark.parametrize("spec", CURVATURE_TASKS + [None])
+    def test_factors_materialize_to_finite_difference_blocks(self, spec):
+        from grit.oracles import dense_curvature
+
+        task = net_with_biases() if spec is None else build(spec, rank=2, eval_size=32)
+        hess = task.pt_hessian()
+        for sl, factors in zip(task.layer_slices, task.pt_curvature()):
+            assert relative_gap(dense_curvature(factors), hess[sl, sl]) < 1e-6
+
+    @pytest.mark.parametrize("spec", CURVATURE_TASKS + [None])
+    def test_second_order_forward_matches_finite_difference_quadratic(self, spec):
+        task = net_with_biases() if spec is None else build(spec, rank=2, eval_size=32)
+        rng = np.random.default_rng(4)
+        for _, adapter in task.model.layers:
+            adapter.b = rng.normal(size=adapter.b.shape)
+        delta = task.delta_w_vector(task.model)
+        reference = 0.5 * delta @ (task.pt_hessian() @ delta)
+        assert abs(task.pt_quadratic(task.model) - reference) < 1e-6 * abs(reference)
+
+    def test_zero_update_has_zero_quadratic(self):
+        task = build("two_task_forgetting(d=5, hidden=4, pretrain_steps=0, init_jitter=0.3)")
+        assert task.pt_quadratic(task.model) == 0.0  # b = 0 at initialization
+
+    def test_built_lazily_and_cached(self):
+        task = build("two_task_forgetting(d=6, hidden=6, pretrain_steps=0)")
+        assert task._curvature_cache is None
+        assert task._hessian_cache is None
+        first = task.pt_curvature()
+        assert task.pt_curvature() is first
+        assert [f.c.shape for f in first] == [(64, 6, 6), (64, 6, 6)]
+        assert [f.x.shape for f in first] == [(64, 6), (64, 6)]

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
-from grit.oracles import dense_exposure, span_tangent_basis
+from grit.oracles import dense_curvature, dense_exposure, span_tangent_basis
 from grit.reprojection import Projector, make_projector
 from grit.telemetry import (
     GeometryRecord,
+    LayerCurvature,
     TelemetryWriter,
     adapter_subspace_basis,
     alignment_overlap,
@@ -370,7 +371,13 @@ class TestAdapterSubspaceBasis:
         adapter = AdapterPair(a=np.zeros((2, 3)), b=np.zeros((4, 2)), rank=2, scaling=1.0)
         basis = adapter_subspace_basis(adapter)
         assert basis.dim == 0
-        assert exposure_from_basis(np.eye(12), basis) == 0.0
+        assert exposure_from_basis(random_curvature(np.random.default_rng(0), 4, 3), basis) == 0.0
+
+
+def random_curvature(rng, d_out, d_in, samples=5):
+    """Factors of a Hessian block: inputs and symmetric, indefinite per-sample C_s."""
+    c = rng.normal(size=(samples, d_out, d_out))
+    return LayerCurvature(x=rng.normal(size=(samples, d_in)), c=c + np.swapaxes(c, 1, 2))
 
 
 class TestFactoredExposure:
@@ -380,27 +387,29 @@ class TestFactoredExposure:
             adapter = AdapterPair(
                 a=rng.normal(size=(r, d_in)), b=rng.normal(size=(d_out, r)), rank=r, scaling=1.0
             )
-            n = d_out * d_in
-            h = symmetrize(rng.normal(size=(n, n)))
-            fast = exposure_from_basis(h, adapter_subspace_basis(adapter))
-            reference = dense_exposure(h, span_tangent_basis(adapter))
+            curvature = random_curvature(rng, d_out, d_in)
+            fast = exposure_from_basis(curvature, adapter_subspace_basis(adapter))
+            reference = dense_exposure(dense_curvature(curvature), span_tangent_basis(adapter))
             assert abs(fast - reference) <= 1e-10 * max(1.0, abs(reference))
 
     def test_b_zero_is_row_space_exposure(self):
         # with b = 0 the tangent space is {x a}: tr(H (I kron P_in))
         rng = np.random.default_rng(11)
         adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=np.zeros((3, 2)), rank=2, scaling=1.0)
-        h = symmetrize(rng.normal(size=(12, 12)))
+        curvature = random_curvature(rng, 3, 4)
+        h = dense_curvature(curvature)
         basis = adapter_subspace_basis(adapter)
         p_in = basis.q_in @ basis.q_in.T
         expected = np.sum(h * np.kron(np.eye(3), p_in))
-        assert np.isclose(exposure_from_basis(h, basis), expected, rtol=1e-12, atol=1e-12)
+        assert np.isclose(exposure_from_basis(curvature, basis), expected, rtol=1e-12, atol=1e-12)
 
     def test_block_shape_mismatch(self):
         rng = np.random.default_rng(12)
         adapter = AdapterPair(a=rng.normal(size=(2, 4)), b=rng.normal(size=(3, 2)), rank=2, scaling=1.0)
         with pytest.raises(ShapeError):
-            exposure_from_basis(np.eye(11), adapter_subspace_basis(adapter))
+            exposure_from_basis(random_curvature(rng, 3, 5), adapter_subspace_basis(adapter))
+        with pytest.raises(ShapeError):
+            exposure_from_basis(random_curvature(rng, 2, 4), adapter_subspace_basis(adapter))
 
 
 class TestTelemetryStream:

@@ -451,3 +451,74 @@ class TestRunExperiment:
         run_loop(tr, task, cfg)
         assert tr.records
         assert all(rec.r_eff <= cfg.lora_rank for rec in tr.records)
+
+
+SMALL_NET = "two_task_forgetting(d=5, hidden=4, pretrain_steps=0, init_jitter=0.2)"
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("mode", ["grit", "lora_control"])
+    @pytest.mark.parametrize("telemetry_every", [0, 5])
+    def test_no_dense_hessian_on_the_run_path(self, tmp_path, monkeypatch, mode, telemetry_every):
+        from grit.tasks import TaskInstance
+
+        def forbidden(self, *args):
+            raise AssertionError("dense Hessian built on the run path")
+
+        monkeypatch.setattr(TaskInstance, "pt_hessian", forbidden)
+        monkeypatch.setattr(TaskInstance, "_pt_grad_at", forbidden)
+        cfg = GritConfig(task=SMALL_NET, steps=20, seed=2, mode=mode, lora_rank=2, min_lora_rank=1,
+                         eval_size=32, kfac_min_samples=8, telemetry_every=telemetry_every)
+        record = run_experiment(cfg, out_dir=tmp_path / "run")
+        assert np.isfinite(record.quadratic_forgetting_estimate)
+        assert record.quadratic_forgetting_estimate > 0.0
+        assert (telemetry_every > 0) == (record.geometry_summary.curvature_exposure != 0.0)
+
+    def test_training_without_telemetry_leaves_curvature_unbuilt(self):
+        tr, task, cfg = make_trainer(telemetry_every=0)
+        run_loop(tr, task, cfg)
+        assert task._curvature_cache is None and task._hessian_cache is None
+
+
+class TestRunLifecycle:
+    def run_with_step(self, tmp_path, monkeypatch, raising_step):
+        train_step = trainer_module.Trainer.train_step
+
+        def step(self, batch, step):
+            if step == 2:
+                raising_step()
+            return train_step(self, batch, step)
+
+        monkeypatch.setattr(trainer_module.Trainer, "train_step", step)
+        cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4, telemetry_every=0)
+        return run_experiment(cfg, out_dir=tmp_path / "run")
+
+    def manifest_status(self, tmp_path):
+        return json.loads((tmp_path / "run" / "manifest.json").read_text())["status"]
+
+    def test_any_exception_in_the_step_loop_marks_failed(self, tmp_path, monkeypatch):
+        def boom():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            self.run_with_step(tmp_path, monkeypatch, boom)
+        assert self.manifest_status(tmp_path) == "failed"
+
+    def test_interrupt_marks_interrupted(self, tmp_path, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_with_step(tmp_path, monkeypatch, interrupt)
+        assert self.manifest_status(tmp_path) == "interrupted"
+
+    def test_failure_after_training_marks_failed(self, tmp_path, monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer_module, "save_checkpoint", disk_full)
+        cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4, telemetry_every=0)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        assert self.manifest_status(tmp_path) == "failed"
+        assert not (tmp_path / "run" / "record.json").exists()
