@@ -133,22 +133,50 @@ def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
 
 
 def stability_stats(
-    cov_sequence: list[np.ndarray], k: int
+    cov_sequence: list[np.ndarray],
+    k: int,
+    spectra: list[np.ndarray | None] | None = None,
 ) -> tuple[float, float, list[int]]:
     """Within-sequence covariance variance and top-k eigenvalue dispersion.
 
-    cov_var is the mean squared Frobenius deviation from the time mean.
-    eig_cv averages Std/Mean over the top-k eigenvalue trajectories
-    (population std); indices with zero mean are skipped and reported.
+    cov_var is the mean squared Frobenius deviation from the time mean of
+    the symmetrized snapshots. eig_cv averages Std/Mean over the top-k
+    eigenvalue trajectories (population std); indices with zero mean are
+    skipped and reported.
+
+    spectra, when given, holds one entry per snapshot: that snapshot's
+    eigenvalues in sym_eig's descending order, or None. Each None entry is
+    computed here with sym_eig and written back into the list, so a caller
+    that keeps the list never decomposes a snapshot twice. Since sym_eig
+    symmetrizes its input, an entry taken from sym_eig of the raw snapshot
+    is bitwise the one computed here.
     """
     if len(cov_sequence) < 2:
         raise ValidationError("need at least two covariance snapshots")
-    mats = np.stack([symmetrize(c) for c in cov_sequence])
+    shapes = {np.shape(c) for c in cov_sequence}
+    if len(shapes) != 1:
+        raise ShapeError(f"covariance snapshots differ in shape: {sorted(shapes)}")
+    (shape,) = shapes
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"expected square covariance snapshots, got shape {shape}")
+    if not 1 <= k <= shape[0]:
+        raise ValidationError(f"k must be between 1 and {shape[0]}, got {k}")
+    if spectra is None:
+        spectra = [None] * len(cov_sequence)
+    elif len(spectra) != len(cov_sequence):
+        raise ValidationError(
+            f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
+        )
+    raw = np.asarray(cov_sequence, dtype=np.float64)
+    mats = 0.5 * (raw + raw.transpose(0, 2, 1))
     mean_mat = mats.mean(axis=0)
     cov_var = float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
-    spectra = np.stack([sym_eig(m).eigenvalues[:k] for m in mats])
-    means = spectra.mean(axis=0)
-    stds = spectra.std(axis=0)
+    for i, eigenvalues in enumerate(spectra):
+        if eigenvalues is None:
+            spectra[i] = sym_eig(mats[i]).eigenvalues
+    top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
+    means = top.mean(axis=0)
+    stds = top.std(axis=0)
     skipped = [i for i in range(k) if means[i] == 0.0]
     kept = [i for i in range(k) if means[i] != 0.0]
     eig_cv = float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0

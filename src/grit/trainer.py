@@ -140,6 +140,14 @@ def reprojection_penalty(
 
 
 @dataclass
+class CovSnapshot:
+    """One a_cov copy in the stability window, with its eigenvalues once known."""
+
+    cov: np.ndarray
+    eigenvalues: np.ndarray | None = None
+
+
+@dataclass
 class LayerMonitor:
     """Per-layer accumulators backing the telemetry stream."""
 
@@ -147,6 +155,8 @@ class LayerMonitor:
     prev_direction: np.ndarray | None = None
     direction: np.ndarray | None = None
     prev_basis: np.ndarray | None = None
+    # one CovSnapshot per accumulation, newest last; its eigenvalues come from
+    # the layer's shared decomposition, or from stability_stats if never decomposed
     cov_snapshots: deque = field(default_factory=lambda: deque(maxlen=COV_WINDOW))
     last_k: int = 0
     last_pi: float = 1.0
@@ -233,7 +243,10 @@ class Trainer:
 
         The only place a run decomposes these covariances: the penalty, the
         rank rule, reprojection and telemetry all read them from here. The
-        cache holds until either matrix changes.
+        cache holds until either matrix changes. The newest covariance
+        snapshot takes its eigenvalues from here only if it equals a_cov:
+        a reset and an accumulation outside train_step change a_cov without
+        taking a snapshot.
         """
         cached = self._decomp_cache[idx]
         stats = self.stats[idx]
@@ -246,6 +259,13 @@ class Trainer:
         da = sym_eig(stats.a_cov, name="a_cov")
         dg = sym_eig(stats.g_cov, name="g_cov")
         self._decomp_cache[idx] = (stats.a_cov.copy(), stats.g_cov.copy(), da, dg)
+        snapshots = self.monitors[idx].cov_snapshots
+        if (
+            snapshots
+            and snapshots[-1].eigenvalues is None
+            and np.array_equal(snapshots[-1].cov, stats.a_cov)
+        ):
+            snapshots[-1].eigenvalues = da.eigenvalues
         return da, dg
 
     def _fixed_k(self, idx: int, step: int) -> int | None:
@@ -314,7 +334,7 @@ class Trainer:
         if geometry_on and step % config.kfac_update_freq == 0:
             for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
                 accumulate(self.stats[idx], tape, adapter)
-                self.monitors[idx].cov_snapshots.append(self.stats[idx].a_cov.copy())
+                self.monitors[idx].cov_snapshots.append(CovSnapshot(self.stats[idx].a_cov.copy()))
                 if self.stats_writer is not None:
                     self.stats_writer.append(
                         {
@@ -476,10 +496,14 @@ class Trainer:
 
             cov_var = 0.0
             eig_cv = 0.0
-            if len(monitor.cov_snapshots) >= 2:
+            snapshots = monitor.cov_snapshots
+            if len(snapshots) >= 2:
+                spectra = [snap.eigenvalues for snap in snapshots]
                 cov_var, eig_cv, _ = stability_stats(
-                    list(monitor.cov_snapshots), max(1, monitor.last_k)
+                    [snap.cov for snap in snapshots], max(1, monitor.last_k), spectra
                 )
+                for snap, eigenvalues in zip(snapshots, spectra):
+                    snap.eigenvalues = eigenvalues
 
             record = GeometryRecord(
                 step=step,

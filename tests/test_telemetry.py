@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grit import telemetry as telemetry_module
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
@@ -243,6 +244,50 @@ class TestStabilityStats:
     def test_needs_two_snapshots(self):
         with pytest.raises(ValidationError):
             stability_stats([np.eye(2)], k=1)
+
+    def test_k_above_dim(self):
+        with pytest.raises(ValidationError):
+            stability_stats([np.eye(2)] * 3, k=3)
+
+    def test_k_zero(self):
+        with pytest.raises(ValidationError):
+            stability_stats([np.eye(2), 2.0 * np.eye(2)], k=0)
+
+    def test_snapshots_of_different_shapes(self):
+        with pytest.raises(ShapeError):
+            stability_stats([np.eye(2), np.eye(3)], k=1)
+
+    def test_non_square_snapshots(self):
+        with pytest.raises(ShapeError):
+            stability_stats([np.ones((2, 3))] * 2, k=1)
+
+    def test_missing_spectra_are_filled_in_place(self):
+        rng = np.random.default_rng(11)
+        seq = [m @ m.T for m in rng.normal(size=(5, 4, 4))]
+        seq[2] = seq[2] + np.triu(np.ones((4, 4)), 1)  # not symmetric
+        spectra = [None] * len(seq)
+        assert stability_stats(seq, 3, spectra) == stability_stats(seq, 3)
+        for cov, eigenvalues in zip(seq, spectra):
+            assert np.array_equal(eigenvalues, sym_eig(cov).eigenvalues)
+
+    def test_given_spectra_are_not_recomputed(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        seq = [m @ m.T for m in rng.normal(size=(4, 3, 3))]
+        spectra = [sym_eig(cov).eigenvalues for cov in seq[:3]] + [None]
+        expected = stability_stats(seq, 2)
+        calls = []
+
+        def recording(m, name="matrix"):
+            calls.append(m)
+            return sym_eig(m, name=name)
+
+        monkeypatch.setattr(telemetry_module, "sym_eig", recording)
+        assert stability_stats(seq, 2, spectra) == expected
+        assert len(calls) == 1
+
+    def test_spectra_count_must_match(self):
+        with pytest.raises(ValidationError):
+            stability_stats([np.eye(2)] * 3, k=1, spectra=[None, None])
 
 
 class TestXiMultiplier:

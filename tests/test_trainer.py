@@ -6,12 +6,14 @@ import pytest
 from grit.config import GritConfig
 from grit.errors import ValidationError
 from grit import reprojection as reprojection_module
+from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
 from grit.kfac import RankSpaceStats, accumulate
-from grit.linalg import sym_eig
+from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import make_projector
 from grit.runio import read_record
+from grit.telemetry import stability_stats
 from grit.trainer import (
     Trainer,
     curvature_penalty,
@@ -331,6 +333,77 @@ class TestDecompositionCache:
         assert any(e["action"] == "reproject" and e["side_used"] == "g" for e in tr.events)
         assert len(seen) > 0
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize(
+        "overrides, telemetry_decomposes",
+        [
+            (dict(lambda_r=0.5, reprojection_freq=10, reprojection_warmup_steps=10), False),
+            # snapshots between telemetry steps are decomposed by no other consumer
+            (dict(lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**9,
+                  reprojection_warmup_steps=10**9), True),
+        ],
+        ids=["lambda_r", "telemetry_fill"],
+    )
+    def test_no_matrix_decomposed_twice_with_telemetry(
+        self, monkeypatch, overrides, telemetry_decomposes
+    ):
+        seen = []
+        sites = []
+
+        def recorder(site):
+            def recording(m, name="matrix"):
+                # sym_eig symmetrizes, so this is the matrix LAPACK receives
+                seen.append(symmetrize(m).tobytes())
+                sites.append(site)
+                return sym_eig(m, name=name)
+
+            return recording
+
+        for module in (trainer_module, reprojection_module, telemetry_module):
+            monkeypatch.setattr(module, "sym_eig", recorder(module.__name__))
+        tr, task, cfg = make_trainer(telemetry_every=7, **overrides)
+        run_loop(tr, task, cfg)
+        assert any(r.eig_cv > 0.0 for r in tr.records)
+        assert ("grit.telemetry" in sites) == telemetry_decomposes
+        assert len(seen) == len(set(seen))
+
+
+class TestSharedSpectra:
+    @pytest.mark.parametrize(
+        "overrides, reset_after",
+        [
+            (dict(lambda_r=0.5), None),
+            (dict(lambda_r=0.0), None),
+            (dict(ema_beta=0.9), None),
+            # step 25 accumulates but neither reprojects nor emits telemetry,
+            # so the newest snapshot has no spectrum when the reset comes
+            (dict(lambda_r=0.5), 25),
+        ],
+        ids=["lambda_r", "no_penalty", "ema", "reset"],
+    )
+    def test_stability_matches_from_scratch(self, overrides, reset_after):
+        tr, task, cfg = make_trainer(**overrides)
+        n_layers = len(tr.monitors)
+        checked = 0
+        for step in range(cfg.steps):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if step == reset_after:
+                # a_cov moves with no snapshot taken, and the next step's
+                # penalty decomposes it
+                for idx, stats in enumerate(tr.stats):
+                    stats.reset()
+                    accumulate(stats, tr.model.tapes[idx], tr.model.layers[idx][1])
+            if step % cfg.telemetry_every:
+                continue
+            for record in tr.records[-n_layers:]:
+                covs = [snap.cov for snap in tr.monitors[record.layer].cov_snapshots]
+                if len(covs) < 2:
+                    continue
+                cov_var, eig_cv, _ = stability_stats(covs, max(1, record.k_selected))
+                assert record.cov_var == cov_var
+                assert record.eig_cv == eig_cv
+                checked += 1
+        assert checked > 0
 
 
 class TestRunExperiment:
