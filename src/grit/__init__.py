@@ -20,7 +20,6 @@ from .linalg import SpectralDecomp, damped_solve, sym_eig
 from .model import AdapterPair, BaseLayer, LayerTape, Model, build_model, trainable_count
 from .reprojection import (
     Projector,
-    ReprojectionPolicy,
     effective_rank,
     make_projector,
     reproject,
@@ -30,9 +29,7 @@ from .runio import GeometrySummary, RunManifest, RunRecord
 from .telemetry import (
     GeometryRecord,
     alignment_overlap,
-    curvature_exposure,
     pca_export,
-    retained_mass,
     stability_stats,
     subspace_drift,
     tail_mass,
@@ -51,7 +48,6 @@ __all__ = [
     "Model",
     "Projector",
     "RankSpaceStats",
-    "ReprojectionPolicy",
     "RunManifest",
     "RunRecord",
     "ScalingFit",
@@ -61,7 +57,6 @@ __all__ = [
     "alignment_overlap",
     "build_model",
     "config_hash",
-    "curvature_exposure",
     "curvature_penalty",
     "damped_solve",
     "effective_rank",
@@ -77,7 +72,6 @@ __all__ = [
     "refresh_inverses",
     "reproject",
     "reprojection_penalty",
-    "retained_mass",
     "run_experiment",
     "seed_stream",
     "select_rank",

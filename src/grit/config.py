@@ -128,11 +128,13 @@ def validate_config(config: GritConfig) -> None:
         raise ConfigError("blend_gamma must lie in [0, 1]", key="blend_gamma")
     if config.min_lora_rank < 1 or config.min_lora_rank > config.lora_rank:
         raise ConfigError("min_lora_rank must lie in [1, lora_rank]", key="min_lora_rank")
-    for key in ("kfac_update_freq", "reprojection_freq", "batch_size", "lora_rank"):
+    for key in ("kfac_update_freq", "reprojection_freq", "batch_size", "lora_rank", "eval_size"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key} must be positive", key=key)
     if config.steps < 0:
         raise ConfigError("steps must be non-negative", key="steps")
+    if config.seed < 0:
+        raise ConfigError("seed must be non-negative", key="seed")
     for key in ("kfac_damping", "learning_rate", "grad_clip", "lora_alpha"):
         if getattr(config, key) <= 0.0:
             raise ConfigError(f"{key} must be positive", key=key)

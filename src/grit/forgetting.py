@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SpectralDecomp, symmetrize
-from .runio import RunRecord
+from .runio import RunRecord, write_atomic
 from .telemetry import xi_multiplier
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -80,7 +80,7 @@ class ScalingFit:
 
 
 def save_fit(fit: ScalingFit, path: str | Path) -> None:
-    Path(path).write_text(fit.to_json())
+    write_atomic(path, fit.to_json())
 
 
 def load_fit(path: str | Path) -> ScalingFit:

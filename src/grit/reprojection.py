@@ -7,6 +7,10 @@ eigenvectors define idempotent projectors that are applied to the adapter
 factors (a from the left, b from the right), optionally blended. Directions
 outside the retained subspace are zeroed, not deleted: tensors keep their
 shape, so suppressed directions can re-enter later.
+
+Every setting is read from GritConfig, and each rank-space rule lives here
+once: uses_g_side picks the basis side and fixed_rank decides when k is the
+configured reprojection_k. The trainer owns the reprojection cadence.
 """
 
 from __future__ import annotations
@@ -15,42 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GritConfig
 from .errors import ShapeError, ValidationError
 from .kfac import RankSpaceStats
 from .linalg import SpectralDecomp, sym_eig
 from .model import AdapterPair
 
 
-@dataclass
-class ReprojectionPolicy:
-    """Gates and knobs for the periodic reprojection step."""
+def uses_g_side(config: GritConfig, n_cov: int) -> bool:
+    """Whether the gradient-side basis stands in for the b factor's side.
 
-    tau: float = 0.99
-    min_rank: int = 4
-    reproj_freq: int = 50
-    warmup_steps: int = 0
-    two_sided: bool = False
-    blend_gamma: float = 1.0
-    g_gate_min_samples: int = 64
-    hysteresis_eps: float = 0.0  # 0 disables the band (the default run mode)
+    True when use_two_sided is on and the statistics hold at least
+    g_gate_min_samples samples; otherwise the activation-side basis is used
+    on both factors. Reprojection, the reprojection penalty and the alignment
+    and drift diagnostics all pick their side here.
+    """
+    return config.use_two_sided and n_cov >= config.g_gate_min_samples
 
-    def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValidationError("tau must lie in (0, 1]")
-        if self.min_rank < 1:
-            raise ValidationError("min_rank must be positive")
-        if not 0.0 <= self.blend_gamma <= 1.0:
-            raise ValidationError("blend_gamma must lie in [0, 1]")
 
-    def uses_g_side(self, n_cov: int) -> bool:
-        """Whether the gradient-side basis stands in for the b factor's side.
+def fixed_rank(config: GritConfig, rank: int, step: int) -> int | None:
+    """reprojection_k clamped to [1, rank] while rank adaptation is off, else None.
 
-        True when two_sided is on and the statistics hold at least
-        g_gate_min_samples samples; otherwise the activation-side basis is
-        used on both factors. Reprojection, the reprojection penalty and the
-        alignment and drift diagnostics all pick their side here.
-        """
-        return self.two_sided and n_cov >= self.g_gate_min_samples
+    Rank adaptation is off when enable_rank_adaptation is false, and before
+    rank_adaptation_start_step; from that step on k comes from the spectrum.
+    """
+    if config.enable_rank_adaptation and step >= config.rank_adaptation_start_step:
+        return None
+    return max(1, min(config.reprojection_k, rank))
 
 
 @dataclass(frozen=True)
@@ -144,53 +139,53 @@ class ReprojectionEvent:
 def reproject(
     adapter: AdapterPair,
     stats: RankSpaceStats,
-    policy: ReprojectionPolicy,
+    config: GritConfig,
     step: int,
-    fixed_k: int | None = None,
     prev_k: int | None = None,
     decomps: tuple[SpectralDecomp, SpectralDecomp] | None = None,
 ) -> ReprojectionEvent:
     """Project adapter factors onto the leading eigenspaces of the covariances.
 
     a <- (1 - gamma) a + gamma * P_a a and b <- (1 - gamma) b + gamma * b P_side,
-    where P_side uses the gradient-side basis when policy.uses_g_side, else
-    the activation-side basis. k comes from the activation-side spectrum (or
-    fixed_k when rank adaptation is off) and truncates both bases.
+    with gamma = config.blend_gamma and P_side from the gradient-side basis
+    when uses_g_side, else the activation-side basis. k is fixed_rank when
+    that gives one, else select_rank on the activation-side spectrum at
+    rank_adaptation_threshold (held at prev_k inside the hysteresis band);
+    it truncates both bases. Gated before reprojection_warmup_steps and
+    while the statistics hold no samples; the caller decides the cadence.
 
     decomps holds the (a_cov, g_cov) eigendecompositions when the caller
     already has them; without it both covariances are decomposed here.
     """
-    if step < policy.warmup_steps:
+    if step < config.reprojection_warmup_steps:
         return ReprojectionEvent(step=step, applied=False, gate="warmup")
-    if step % policy.reproj_freq != 0:
-        return ReprojectionEvent(step=step, applied=False, gate="frequency")
     if stats.n_cov == 0:
         return ReprojectionEvent(step=step, applied=False, gate="no-samples")
-    if policy.min_rank > adapter.rank:
-        raise ValidationError("policy min_rank exceeds adapter rank")
+    if config.min_lora_rank > adapter.rank:
+        raise ValidationError("min_lora_rank exceeds adapter rank")
 
     if decomps is None:
         decomps = (sym_eig(stats.a_cov, name="a_cov"), sym_eig(stats.g_cov, name="g_cov"))
     decomp_a, decomp_g = decomps
+    tau = config.rank_adaptation_threshold
     degenerate = False
-    if fixed_k is not None:
-        k = max(1, min(fixed_k, adapter.rank))
-    else:
-        k, degenerate = select_rank(decomp_a.eigenvalues, policy.tau, policy.min_rank)
-        if policy.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
+    k = fixed_rank(config, adapter.rank, step)
+    if k is None:
+        k, degenerate = select_rank(decomp_a.eigenvalues, tau, config.min_lora_rank)
+        if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
             energy = cumulative_energy(decomp_a.eigenvalues)
             prev_energy = energy[min(prev_k, adapter.rank) - 1]
-            if abs(prev_energy - policy.tau) <= policy.hysteresis_eps:
+            if abs(prev_energy - tau) <= config.hysteresis_eps:
                 k = min(prev_k, adapter.rank)
 
     proj_a = make_projector(decomp_a, k)
     side_used = "a"
     proj_side = proj_a
-    if policy.uses_g_side(stats.n_cov):
+    if uses_g_side(config, stats.n_cov):
         proj_side = make_projector(decomp_g, k)
         side_used = "g"
 
-    gamma = policy.blend_gamma
+    gamma = config.blend_gamma
     norm_before = float(np.linalg.norm(adapter.scaling * adapter.delta_w()))
     a_proj = proj_a.apply_left(adapter.a)
     b_proj = proj_side.apply_right(adapter.b)
@@ -205,7 +200,7 @@ def reproject(
         applied=True,
         k=k,
         side_used=side_used,
-        tau=policy.tau,
+        tau=tau,
         retained_mass=retained,
         degenerate=degenerate,
         delta_w_norm_before=norm_before,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .linalg import sym_eig, symmetrize
 from .model import AdapterPair
-from .reprojection import Projector, effective_rank  # noqa: F401  (re-exported)
+from .reprojection import effective_rank  # noqa: F401  (re-exported)
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -88,25 +88,6 @@ def alignment_overlap(fisher_basis: np.ndarray, update_basis: np.ndarray) -> flo
         raise ShapeError(f"basis shapes differ: {u.shape} vs {v.shape}")
     k = u.shape[1]
     return float(np.sum((u.T @ v) ** 2) / k)
-
-
-def retained_mass(projector: Projector, delta_w: np.ndarray) -> tuple[float, bool]:
-    """||P delta_w||^2 / ||delta_w||^2; (0.0, True) flags a zero update."""
-    delta_w = np.asarray(delta_w, dtype=np.float64)
-    denom = float(np.dot(delta_w, delta_w))
-    if denom == 0.0:
-        return 0.0, True
-    coeff = projector.basis.T @ delta_w
-    return float(np.dot(coeff, coeff) / denom), False
-
-
-def curvature_exposure(h_pt: np.ndarray, projector_full: np.ndarray) -> float:
-    """tr(P H P): pretraining curvature visible inside the projected subspace."""
-    h = symmetrize(h_pt)
-    p = np.asarray(projector_full, dtype=np.float64)
-    if p.shape != h.shape:
-        raise ShapeError(f"projector shape {p.shape} does not match {h.shape}")
-    return float(np.trace(p @ h @ p))
 
 
 def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> tuple[float, bool]:

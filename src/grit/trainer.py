@@ -19,18 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GritConfig, config_hash, config_to_text
+from .config import GritConfig, config_hash, config_to_text, validate_config
 from .errors import GritError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import SpectralDecomp, sym_eig
 from .model import save_checkpoint
 from .reprojection import (
     Projector,
-    ReprojectionPolicy,
     effective_rank,
+    fixed_rank,
     make_projector,
     reproject,
     select_rank,
+    uses_g_side,
 )
 from .runio import (
     CONFIG_NAME,
@@ -176,6 +177,7 @@ class Trainer:
     """Owns one model, its per-layer statistics, and the run streams."""
 
     def __init__(self, config: GritConfig, task: TaskInstance, run_dir: str | Path | None = None):
+        validate_config(config)
         self.config = config
         self.task = task
         self.model = task.model
@@ -186,16 +188,6 @@ class Trainer:
             RankSpaceStats(rank=config.lora_rank, damping=config.kfac_damping, ema_beta=config.ema_beta)
             for _ in range(n_layers)
         ]
-        self.policy = ReprojectionPolicy(
-            tau=config.rank_adaptation_threshold,
-            min_rank=config.min_lora_rank,
-            reproj_freq=config.reprojection_freq,
-            warmup_steps=config.reprojection_warmup_steps,
-            two_sided=config.use_two_sided,
-            blend_gamma=config.blend_gamma,
-            g_gate_min_samples=config.g_gate_min_samples,
-            hysteresis_eps=config.hysteresis_eps,
-        )
         shapes = []
         for _, adapter in self.model.layers:
             shapes.append(adapter.a.shape)
@@ -268,21 +260,15 @@ class Trainer:
             snapshots[-1].eigenvalues = da.eigenvalues
         return da, dg
 
-    def _fixed_k(self, idx: int, step: int) -> int | None:
-        """reprojection_k clamped to the adapter rank while rank adaptation is off, else None."""
-        config = self.config
-        if config.enable_rank_adaptation and step >= config.rank_adaptation_start_step:
-            return None
-        return max(1, min(config.reprojection_k, self.model.layers[idx][1].rank))
-
     def _current_k(self, idx: int, step: int) -> int:
-        fixed_k = self._fixed_k(idx, step)
-        if fixed_k is not None:
-            return fixed_k
-        if self.stats[idx].n_cov == 0:
-            return self.model.layers[idx][1].rank
-        decomp_a, _ = self._layer_decomps(idx)
-        k, _ = select_rank(decomp_a.eigenvalues, self.policy.tau, self.policy.min_rank)
+        """The rank the penalty projects onto; the layer must hold statistics."""
+        config = self.config
+        k = fixed_rank(config, self.model.layers[idx][1].rank, step)
+        if k is None:
+            decomp_a, _ = self._layer_decomps(idx)
+            k, _ = select_rank(
+                decomp_a.eigenvalues, config.rank_adaptation_threshold, config.min_lora_rank
+            )
         return k
 
     # -- main loop ---------------------------------------------------------
@@ -315,7 +301,7 @@ class Trainer:
                     k = self._current_k(idx, step)
                     decomp_a, decomp_g = self._layer_decomps(idx)
                     proj_a = make_projector(decomp_a, k)
-                    if self.policy.uses_g_side(self.stats[idx].n_cov):
+                    if uses_g_side(config, self.stats[idx].n_cov):
                         proj_side = make_projector(decomp_g, k)
                     else:
                         proj_side = proj_a
@@ -397,9 +383,8 @@ class Trainer:
                 event = reproject(
                     adapter,
                     self.stats[idx],
-                    self.policy,
+                    config,
                     step,
-                    fixed_k=self._fixed_k(idx, step),
                     prev_k=self.monitors[idx].last_k,
                     decomps=self._layer_decomps(idx) if self.stats[idx].n_cov > 0 else None,
                 )
@@ -421,7 +406,7 @@ class Trainer:
                             "delta_w_norm_after": event.delta_w_norm_after,
                         }
                     )
-                elif event.gate not in (None, "frequency"):
+                else:
                     self._log_event(
                         {"step": step, "action": "reproject_gated", "layer": idx, "gate": event.gate}
                     )
@@ -448,7 +433,7 @@ class Trainer:
             if stats.n_cov > 0:
                 decomp_a, decomp_g = self._layer_decomps(idx)
                 spectrum = decomp_a.eigenvalues
-                side_decomp = decomp_g if self.policy.uses_g_side(stats.n_cov) else decomp_a
+                side_decomp = decomp_g if uses_g_side(self.config, stats.n_cov) else decomp_a
             else:
                 side_decomp = None
                 spectrum = np.zeros(r)
@@ -556,6 +541,7 @@ def run_experiment(
     the manifest is written marks it failed (interrupted for Ctrl-C) before
     propagating.
     """
+    validate_config(config)
     spec = task_spec if task_spec is not None else config.task
     if not spec:
         raise ValidationError("no task specified")

@@ -71,6 +71,21 @@ class TestTrain:
         assert "lora_rank" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "text, flags, key",
+        [
+            (MINIMAL_CONFIG.replace("eval_size = 64", "eval_size = 0"), [], "eval_size"),
+            (MINIMAL_CONFIG.replace("seed = 11", "seed = -1"), [], "seed"),
+            (MINIMAL_CONFIG, ["--seed", "-1"], "seed"),
+        ],
+        ids=["eval_size", "seed", "seed_flag"],
+    )
+    def test_bad_eval_size_or_seed_is_validation_error(self, tmp_path, capsys, text, flags, key):
+        path = write_config(tmp_path, text)
+        assert main(["train", str(path), "--out", str(tmp_path / "r"), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grit import runio
+from grit.forgetting import ScalingFit, load_fit, save_fit
 from grit.model import build_model, load_checkpoint, save_checkpoint
 from grit.runio import RunManifest, RunRecord, read_record, write_manifest, write_record
 
@@ -54,6 +55,21 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["checkpoint.json"]
         assert load_checkpoint(path)[1] == 5
+
+    def test_fit_document_goes_through_the_helper(self, tmp_path, monkeypatch):
+        path = tmp_path / "fit.json"
+        save_fit(ScalingFit(c0=2.0, a_coef=1.0, alpha=0.3, beta=0.5), path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("crash during rename")
+
+        monkeypatch.setattr(runio.os, "replace", crash)
+        with pytest.raises(OSError):
+            save_fit(ScalingFit(c0=3.0, a_coef=1.0, alpha=0.3, beta=0.5), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["fit.json"]
+        assert load_fit(path).c0 == 2.0
 
     def test_round_trip(self, tmp_path):
         write_record(record(), tmp_path)

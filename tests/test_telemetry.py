@@ -8,21 +8,19 @@ from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
 from grit.oracles import dense_curvature, dense_exposure, span_tangent_basis
-from grit.reprojection import Projector, make_projector
+from grit.reprojection import make_projector
 from grit.telemetry import (
     GeometryRecord,
     LayerCurvature,
     TelemetryWriter,
     adapter_subspace_basis,
     alignment_overlap,
-    curvature_exposure,
     effective_rank,
     exposure_from_basis,
     hessian_fd,
     pca_embed,
     pca_export,
     read_telemetry,
-    retained_mass,
     stability_stats,
     subspace_drift,
     tail_mass,
@@ -113,59 +111,25 @@ class TestAlignmentOverlap:
         assert -1e-9 <= rho <= 1.0 + 1e-9
 
 
-class TestRetainedMass:
-    def test_full_retention(self):
-        proj = Projector(basis=np.eye(3), k=3)
-        val, deg = retained_mass(proj, np.array([1.0, -2.0, 0.5]))
-        assert np.isclose(val, 1.0)
-        assert not deg
-
-    def test_annihilated(self):
-        proj = Projector(basis=np.eye(3)[:, :1], k=1)
-        val, _ = retained_mass(proj, np.array([0.0, 1.0, 1.0]))
-        assert val == 0.0
-
-    def test_direct_norms(self):
-        proj = Projector(basis=np.eye(2)[:, :1], k=1)
-        val, _ = retained_mass(proj, np.array([3.0, 4.0]))
-        assert np.isclose(val, 9.0 / 25.0)
-
-    def test_zero_update_flagged(self):
-        proj = Projector(basis=np.eye(2)[:, :1], k=1)
-        val, deg = retained_mass(proj, np.zeros(2))
-        assert deg
-
-    def test_in_span_gives_one(self):
-        rng = np.random.default_rng(1)
-        q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
-        proj = Projector(basis=q, k=2)
-        v = q @ rng.normal(size=2)
-        val, _ = retained_mass(proj, v)
-        assert np.isclose(val, 1.0)
-
-
 class TestCurvatureExposure:
     def test_empty_subspace(self):
-        assert curvature_exposure(np.eye(3), np.zeros((3, 3))) == 0.0
+        assert dense_exposure(np.eye(3), np.zeros((3, 0))) == 0.0
 
     def test_full_exposure(self):
         h = np.diag([1.0, 2.0, 3.0])
-        assert np.isclose(curvature_exposure(h, np.eye(3)), 6.0)
+        assert np.isclose(dense_exposure(h, np.eye(3)), 6.0)
 
     def test_axis_projector(self):
         h = np.diag([5.0, 1.0])
-        p = np.diag([0.0, 1.0])
-        assert np.isclose(curvature_exposure(h, p), 1.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            curvature_exposure(np.eye(2), np.eye(3))
+        q = np.eye(2)[:, 1:]
+        assert np.isclose(dense_exposure(h, q), 1.0)
 
     def test_basis_form_matches_projector_form(self):
         rng = np.random.default_rng(2)
         h = symmetrize(rng.normal(size=(6, 6)))
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-        assert np.isclose(dense_exposure(h, q), curvature_exposure(h, q @ q.T))
+        p = q @ q.T
+        assert np.isclose(dense_exposure(h, q), np.trace(p @ h @ p))
 
     def test_topk_projector_never_exceeds_trace(self):
         rng = np.random.default_rng(3)
@@ -175,8 +139,8 @@ class TestCurvatureExposure:
             m2 = rng.normal(size=(5, 5))
             h = m2 @ m2.T
             k = int(rng.integers(1, 6))
-            p = make_projector(sym_eig(sigma), k).matrix()
-            assert np.trace(p @ h @ p) <= np.trace(h) + 1e-10
+            q = make_projector(sym_eig(sigma), k).basis
+            assert dense_exposure(h, q) <= np.trace(h) + 1e-10
 
 
 class TestJitterAndDrift:

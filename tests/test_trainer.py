@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grit.config import GritConfig
-from grit.errors import ValidationError
+from grit.errors import ConfigError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
@@ -118,6 +118,21 @@ class TestGateOrdering:
         steps = [e["step"] for e in tr.events if e["action"] == "reproject"]
         assert steps
         assert all(s % cfg.reprojection_freq == 0 and s >= 20 for s in steps)
+
+    def test_reprojection_events_fall_on_cadence(self):
+        # 0, 7, 14 fall in the reprojection warmup, 21 before the first
+        # accumulation at 25, and every later multiple of 7 reprojects
+        tr, task, cfg = make_trainer(mode="grit", steps=61, reprojection_freq=7,
+                                     ng_warmup_steps=25, reprojection_warmup_steps=15)
+        run_loop(tr, task, cfg)
+        events = [e for e in tr.events if e["action"] in ("reproject", "reproject_gated")]
+        assert {e.get("gate") for e in events} == {"warmup", "no-samples", None}
+        assert all(e["step"] % cfg.reprojection_freq == 0 for e in events)
+        assert sorted({e["step"] for e in events}) == list(range(0, 61, 7))
+
+    def test_python_built_config_is_validated(self):
+        with pytest.raises(ConfigError, match="rank_adaptation_threshold"):
+            make_trainer(rank_adaptation_threshold=1.5)
 
     def test_update_covariance_resets_at_reprojection(self):
         # the update-basis window restarts at each event (including step 0,
