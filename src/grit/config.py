@@ -131,10 +131,14 @@ def validate_config(config: GritConfig) -> None:
     for key in ("kfac_update_freq", "reprojection_freq", "batch_size", "lora_rank", "eval_size"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key} must be positive", key=key)
-    if config.steps < 0:
-        raise ConfigError("steps must be non-negative", key="steps")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative", key="seed")
+    if config.reprojection_k < config.min_lora_rank:
+        raise ConfigError("reprojection_k must be at least min_lora_rank", key="reprojection_k")
+    for key in (
+        "steps", "seed", "telemetry_every", "kfac_min_samples", "g_gate_min_samples",
+        "ng_warmup_steps", "reprojection_warmup_steps", "rank_adaptation_start_step",
+    ):
+        if getattr(config, key) < 0:
+            raise ConfigError(f"{key} must be non-negative", key=key)
     for key in ("kfac_damping", "learning_rate", "grad_clip", "lora_alpha"):
         if getattr(config, key) <= 0.0:
             raise ConfigError(f"{key} must be positive", key=key)

@@ -21,7 +21,13 @@ from .model import AdapterPair, LayerTape
 
 @dataclass
 class RankSpaceStats:
-    """Running rank-space covariances plus cached damped inverses for one layer."""
+    """Running rank-space covariances plus cached damped inverses for one layer.
+
+    accumulate and reset rebind a_cov and g_cov to new arrays and never
+    write into the old ones, so a consumer may hold a reference to either
+    and tell by identity whether it is still current; the trainer's geometry
+    cache and covariance snapshots rely on this.
+    """
 
     rank: int
     damping: float

@@ -48,11 +48,13 @@ class SpectralDecomp:
 def _fix_signs(vecs: np.ndarray) -> None:
     # Deterministic convention: first component of each eigenvector with
     # magnitude above 1e-12 is made non-negative.
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
+    if vecs.size == 0:
+        return
+    above = np.abs(vecs) > 1e-12
+    first = np.argmax(above, axis=0)
+    cols = np.arange(vecs.shape[1])
+    flip = above[first, cols] & (vecs[first, cols] < 0.0)
+    vecs[:, flip] = -vecs[:, flip]
 
 
 def sym_eig(m: np.ndarray, name: str = "matrix") -> SpectralDecomp:

@@ -132,6 +132,10 @@ def read_manifest(run_dir: str | Path) -> RunManifest:
     return RunManifest(**json.loads(path.read_text()))
 
 
+# json.dumps(obj, sort_keys=True) without building an encoder per call
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class JsonlWriter:
     """Line-per-object stream used for events, stats snapshots, and update clouds."""
 
@@ -141,7 +145,7 @@ class JsonlWriter:
 
     def append(self, obj: dict) -> None:
         with open(self.path, "a") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(_JSONL_ENCODER.encode(obj) + "\n")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

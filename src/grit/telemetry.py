@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ class GeometryRecord:
     spectrum: list[float]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps({name: getattr(self, name) for name in GEOMETRY_FIELDS}, sort_keys=True)
 
 
 def tail_mass(delta_w: np.ndarray, threshold: float) -> int:
@@ -251,6 +251,13 @@ class LayerCurvature:
 
     x: np.ndarray
     c: np.ndarray
+    # per sample ||x_s||^2 and tr(C_s), read by every exposure_from_basis call
+    x_sq: np.ndarray = field(init=False, repr=False)
+    c_trace: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x_sq = np.sum(self.x * self.x, axis=1)
+        self.c_trace = np.trace(self.c, axis1=1, axis2=2)
 
 
 def _column_basis(m: np.ndarray) -> np.ndarray:
@@ -282,8 +289,8 @@ def exposure_from_basis(curvature: LayerCurvature, basis: TangentBasis) -> float
         )
     x_in = x @ q_in
     in_sq = np.sum(x_in * x_in, axis=1)
-    out_weight = np.sum(x * x, axis=1) - in_sq
-    exposure = np.dot(np.trace(c, axis1=1, axis2=2), in_sq)
+    out_weight = curvature.x_sq - in_sq
+    exposure = np.dot(curvature.c_trace, in_sq)
     exposure += np.sum(q_out * (np.tensordot(out_weight, c, axes=1) @ q_out))
     return float(exposure)
 

@@ -142,10 +142,33 @@ def reprojection_penalty(
 
 @dataclass
 class CovSnapshot:
-    """One a_cov copy in the stability window, with its eigenvalues once known."""
+    """One a_cov in the stability window, with its eigenvalues once known.
+
+    cov is the statistics' own array, not a copy: accumulate and reset rebind
+    a_cov instead of writing into it (see RankSpaceStats).
+    """
 
     cov: np.ndarray
     eigenvalues: np.ndarray | None = None
+
+
+@dataclass
+class LayerGeometry:
+    """One layer's rank-space geometry, built once per fresh decomposition.
+
+    Valid while the layer's statistics hold the very a_cov and g_cov arrays
+    it was built from; accumulate and reset rebind both, so an identity check
+    tells whether they changed. The spectral k and the penalty projectors
+    are filled in on first use and kept until the next decomposition.
+    """
+
+    a_cov: np.ndarray
+    g_cov: np.ndarray
+    decomp_a: SpectralDecomp
+    decomp_g: SpectralDecomp
+    spectral_k: int | None = None
+    # (k, g side used) -> (P_a, P_side) of the lambda_r penalty
+    projectors: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -153,8 +176,9 @@ class LayerMonitor:
     """Per-layer accumulators backing the telemetry stream."""
 
     update_cov: np.ndarray
-    prev_direction: np.ndarray | None = None
-    direction: np.ndarray | None = None
+    # the clipped (grad_a, grad_b) of the last two steps, for the jitter
+    prev_grads: tuple[np.ndarray, np.ndarray] | None = None
+    grads: tuple[np.ndarray, np.ndarray] | None = None
     prev_basis: np.ndarray | None = None
     # one CovSnapshot per accumulation, newest last; its eigenvalues come from
     # the layer's shared decomposition, or from stability_stats if never decomposed
@@ -199,8 +223,8 @@ class Trainer:
         ]
         self.events: list[dict] = []
         self.records: list[GeometryRecord] = []
-        # per layer: the (a_cov, g_cov) last decomposed, then their decompositions
-        self._decomp_cache: list[tuple | None] = [None] * n_layers
+        # per layer: the geometry of the (a_cov, g_cov) last decomposed
+        self._geometry: list[LayerGeometry | None] = [None] * n_layers
         self._frozen_hash = self.frozen_weight_hash()
 
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -230,46 +254,58 @@ class Trainer:
         if self.event_writer is not None:
             self.event_writer.append(obj)
 
-    def _layer_decomps(self, idx: int) -> tuple[SpectralDecomp, SpectralDecomp]:
-        """Eigendecompositions of layer idx's (a_cov, g_cov).
+    def _layer_decomps(self, idx: int) -> LayerGeometry:
+        """Layer idx's geometry: the eigendecompositions of its (a_cov, g_cov).
 
         The only place a run decomposes these covariances: the penalty, the
         rank rule, reprojection and telemetry all read them from here. The
-        cache holds until either matrix changes. The newest covariance
-        snapshot takes its eigenvalues from here only if it equals a_cov:
-        a reset and an accumulation outside train_step change a_cov without
-        taking a snapshot.
+        geometry holds while the statistics hold the same two arrays, checked
+        by identity, so a hit costs two comparisons. A fresh decomposition
+        gives the newest covariance snapshot its eigenvalues only if that
+        snapshot is this a_cov: a reset and an accumulation outside
+        train_step change a_cov without taking a snapshot.
         """
-        cached = self._decomp_cache[idx]
+        geometry = self._geometry[idx]
         stats = self.stats[idx]
-        if (
-            cached is not None
-            and np.array_equal(cached[0], stats.a_cov)
-            and np.array_equal(cached[1], stats.g_cov)
-        ):
-            return cached[2], cached[3]
-        da = sym_eig(stats.a_cov, name="a_cov")
-        dg = sym_eig(stats.g_cov, name="g_cov")
-        self._decomp_cache[idx] = (stats.a_cov.copy(), stats.g_cov.copy(), da, dg)
+        if geometry is not None and geometry.a_cov is stats.a_cov and geometry.g_cov is stats.g_cov:
+            return geometry
+        geometry = LayerGeometry(
+            stats.a_cov,
+            stats.g_cov,
+            sym_eig(stats.a_cov, name="a_cov"),
+            sym_eig(stats.g_cov, name="g_cov"),
+        )
+        self._geometry[idx] = geometry
         snapshots = self.monitors[idx].cov_snapshots
-        if (
-            snapshots
-            and snapshots[-1].eigenvalues is None
-            and np.array_equal(snapshots[-1].cov, stats.a_cov)
-        ):
-            snapshots[-1].eigenvalues = da.eigenvalues
-        return da, dg
+        if snapshots and snapshots[-1].eigenvalues is None and snapshots[-1].cov is stats.a_cov:
+            snapshots[-1].eigenvalues = geometry.decomp_a.eigenvalues
+        return geometry
 
-    def _current_k(self, idx: int, step: int) -> int:
-        """The rank the penalty projects onto; the layer must hold statistics."""
+    def _penalty_projectors(self, idx: int, step: int) -> tuple[Projector, Projector]:
+        """(P_a, P_side) of the lambda_r penalty; the layer must hold statistics.
+
+        k is fixed_rank, else select_rank on the a-side spectrum. The spectral
+        k and each (k, side) projector pair are kept on the layer's geometry,
+        so they are built again only when the covariances or k change.
+        """
         config = self.config
+        geometry = self._layer_decomps(idx)
         k = fixed_rank(config, self.model.layers[idx][1].rank, step)
         if k is None:
-            decomp_a, _ = self._layer_decomps(idx)
-            k, _ = select_rank(
-                decomp_a.eigenvalues, config.rank_adaptation_threshold, config.min_lora_rank
-            )
-        return k
+            if geometry.spectral_k is None:
+                geometry.spectral_k, _ = select_rank(
+                    geometry.decomp_a.eigenvalues,
+                    config.rank_adaptation_threshold,
+                    config.min_lora_rank,
+                )
+            k = geometry.spectral_k
+        g_side = uses_g_side(config, self.stats[idx].n_cov)
+        projectors = geometry.projectors.get((k, g_side))
+        if projectors is None:
+            proj_a = make_projector(geometry.decomp_a, k)
+            proj_side = make_projector(geometry.decomp_g, k) if g_side else proj_a
+            projectors = geometry.projectors[(k, g_side)] = (proj_a, proj_side)
+        return projectors
 
     # -- main loop ---------------------------------------------------------
 
@@ -298,13 +334,7 @@ class Trainer:
                     ga += ramp * config.lambda_k * pga
                     gb += ramp * config.lambda_k * pgb
                 if config.lambda_r > 0.0 and self.stats[idx].n_cov > 0:
-                    k = self._current_k(idx, step)
-                    decomp_a, decomp_g = self._layer_decomps(idx)
-                    proj_a = make_projector(decomp_a, k)
-                    if uses_g_side(config, self.stats[idx].n_cov):
-                        proj_side = make_projector(decomp_g, k)
-                    else:
-                        proj_side = proj_a
+                    proj_a, proj_side = self._penalty_projectors(idx, step)
                     val, rga, rgb = reprojection_penalty(adapter, proj_a, proj_side)
                     loss += ramp * config.lambda_r * val
                     ga += ramp * config.lambda_r * rga
@@ -320,7 +350,7 @@ class Trainer:
         if geometry_on and step % config.kfac_update_freq == 0:
             for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
                 accumulate(self.stats[idx], tape, adapter)
-                self.monitors[idx].cov_snapshots.append(CovSnapshot(self.stats[idx].a_cov.copy()))
+                self.monitors[idx].cov_snapshots.append(CovSnapshot(self.stats[idx].a_cov))
                 if self.stats_writer is not None:
                     self.stats_writer.append(
                         {
@@ -360,10 +390,8 @@ class Trainer:
             flat = [g * scale for g in flat]
 
         for idx, monitor in enumerate(self.monitors):
-            monitor.prev_direction = monitor.direction
-            monitor.direction = np.concatenate(
-                [flat[2 * idx].ravel(), flat[2 * idx + 1].ravel()]
-            )
+            monitor.prev_grads = monitor.grads
+            monitor.grads = (flat[2 * idx], flat[2 * idx + 1])
 
         params = []
         for _, adapter in self.model.layers:
@@ -380,13 +408,17 @@ class Trainer:
         reprojected = False
         if self.is_grit and step % config.reprojection_freq == 0:
             for idx, (_, adapter) in enumerate(self.model.layers):
+                decomps = None
+                if self.stats[idx].n_cov > 0:
+                    geometry = self._layer_decomps(idx)
+                    decomps = (geometry.decomp_a, geometry.decomp_g)
                 event = reproject(
                     adapter,
                     self.stats[idx],
                     config,
                     step,
                     prev_k=self.monitors[idx].last_k,
-                    decomps=self._layer_decomps(idx) if self.stats[idx].n_cov > 0 else None,
+                    decomps=decomps,
                 )
                 if event.applied:
                     reprojected = True
@@ -431,9 +463,11 @@ class Trainer:
             r = adapter.rank
 
             if stats.n_cov > 0:
-                decomp_a, decomp_g = self._layer_decomps(idx)
-                spectrum = decomp_a.eigenvalues
-                side_decomp = decomp_g if uses_g_side(self.config, stats.n_cov) else decomp_a
+                geometry = self._layer_decomps(idx)
+                spectrum = geometry.decomp_a.eigenvalues
+                side_decomp = (
+                    geometry.decomp_g if uses_g_side(self.config, stats.n_cov) else geometry.decomp_a
+                )
             else:
                 side_decomp = None
                 spectrum = np.zeros(r)
@@ -465,8 +499,11 @@ class Trainer:
             exposure = exposure_from_basis(curvature[idx], adapter_subspace_basis(adapter))
 
             jitter = 0.0
-            if monitor.direction is not None and monitor.prev_direction is not None:
-                jitter, _ = update_jitter(monitor.direction, monitor.prev_direction)
+            if monitor.grads is not None and monitor.prev_grads is not None:
+                jitter, _ = update_jitter(
+                    np.concatenate([g.ravel() for g in monitor.grads]),
+                    np.concatenate([g.ravel() for g in monitor.prev_grads]),
+                )
 
             drift = 0.0
             if side_decomp is not None:
@@ -510,7 +547,7 @@ class Trainer:
                 self.telemetry_writer.append(record)
             if self.update_writer is not None:
                 self.update_writer.append(
-                    {"step": step, "layer": idx, "delta_w": [float(v) for v in delta_vec]}
+                    {"step": step, "layer": idx, "delta_w": delta_vec.tolist()}
                 )
 
     def geometry_summary(self) -> GeometrySummary:

@@ -86,6 +86,13 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_negative_telemetry_every_is_validation_error(self, tmp_path, capsys):
+        text = MINIMAL_CONFIG.replace("telemetry_every = 10", "telemetry_every = -3")
+        path = write_config(tmp_path, text)
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "telemetry_every" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"

@@ -84,6 +84,35 @@ class TestValidate:
             validate_config(GritConfig(task="t()", steps=-1))
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "telemetry_every", "kfac_min_samples", "g_gate_min_samples", "ng_warmup_steps",
+            "reprojection_warmup_steps", "rank_adaptation_start_step",
+        ],
+    )
+    def test_negative_count_names_key(self, key):
+        with pytest.raises(ConfigError) as err:
+            validate_config(GritConfig(task="t()", **{key: -1}))
+        assert err.value.key == key
+        assert key in str(err.value)
+        validate_config(GritConfig(task="t()", **{key: 0}))  # 0 is in range (telemetry off)
+
+    def test_reprojection_k_below_min_rank(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config(GritConfig(task="t()", reprojection_k=1, min_lora_rank=2))
+        assert err.value.key == "reprojection_k"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("task = t()\nreprojection_k = 0\nenable_rank_adaptation = false\n")
+        assert err.value.key == "reprojection_k"
+
+    def test_reprojection_k_at_min_rank_or_above_rank_accepted(self):
+        validate_config(GritConfig(task="t()", reprojection_k=2, min_lora_rank=2))
+        # above lora_rank is clamped at run time, not rejected
+        validate_config(GritConfig(task="t()", reprojection_k=64, lora_rank=8))
+
+
 class TestHash:
     def test_identical_configs_collide(self):
         a = GritConfig(task="synthetic_lowrank()", seed=1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grit.errors import DecompositionError, ShapeError, SingularMatrixError
-from grit.linalg import damped_solve, sym_eig, symmetrize
+from grit.linalg import _fix_signs, damped_solve, sym_eig, symmetrize
 
 
 def finite_matrices(max_dim=16):
@@ -82,6 +82,65 @@ class TestSymEig:
         assert np.linalg.norm(dec.reconstruct() - sym) / denom < 1e-8
         gram = dec.eigenvectors.T @ dec.eigenvectors
         assert np.max(np.abs(gram - np.eye(sym.shape[0]))) < 1e-8
+
+
+def fix_signs_by_column(vecs):
+    # the column-by-column form of the sign convention, as the reference
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0.0:
+            vecs[:, j] = -col
+
+
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q
+
+
+class TestFixSigns:
+    @pytest.mark.parametrize(
+        "vecs",
+        [
+            np.diag([-1.0, 1.0, -1.0]),
+            # zero and sub-threshold leading entries, of either sign
+            np.array([[0.0, -1e-13, 1e-13, 0.0], [-0.6, 0.8, -1e-14, 0.0],
+                      [0.8, 0.6, 0.0, -0.0], [0.0, 0.0, -1.0, 1e-20]]),
+            # no entry above 1e-12: left as it is
+            np.array([[-1e-13, 0.0], [1e-14, -0.0], [-1e-15, 0.0]]),
+            _orthogonal(np.random.default_rng(0), 6),
+            np.vstack([np.zeros((2, 5)), _orthogonal(np.random.default_rng(1), 5)[:3]]),
+        ],
+        ids=["diagonal", "small_leading", "sub_threshold", "dense", "zero_rows"],
+    )
+    def test_matches_column_loop(self, vecs):
+        expected = vecs.copy()
+        fix_signs_by_column(expected)
+        got = vecs.copy()
+        _fix_signs(got)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.eye(4),
+            np.diag([2.0, 2.0, 1.0, 0.0]),
+            np.kron(np.eye(2), np.array([[2.0, 1.0], [1.0, 2.0]])),
+            np.zeros((3, 3)),
+            np.ones((5, 5)),
+        ],
+        ids=["identity", "repeated", "block", "zero", "rank_one"],
+    )
+    def test_sym_eig_vectors_match_column_loop(self, m):
+        eigs, vecs = np.linalg.eigh(symmetrize(m))
+        vecs = vecs[:, np.argsort(-eigs, kind="stable")]
+        fix_signs_by_column(vecs)
+        assert sym_eig(m).eigenvectors.tobytes() == vecs.tobytes()
+
+    def test_empty(self):
+        vecs = np.zeros((0, 0))
+        _fix_signs(vecs)
+        assert vecs.shape == (0, 0)
 
 
 class TestDampedSolve:

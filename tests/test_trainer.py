@@ -11,7 +11,7 @@ from grit import trainer as trainer_module
 from grit.kfac import RankSpaceStats, accumulate
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair, LayerTape
-from grit.reprojection import make_projector
+from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
 from grit.runio import read_record
 from grit.telemetry import stability_stats
 from grit.trainer import (
@@ -324,9 +324,9 @@ class TestDecompositionCache:
         tr.model.backward(np.ones_like(tr.model.tapes[-1].z) / cfg.batch_size)
         accumulate(stats, tr.model.tapes[0], tr.model.layers[0][1])
         assert stats.n_cov == n_first
-        decomp_a, decomp_g = tr._layer_decomps(0)
-        assert np.array_equal(decomp_a.eigenvalues, sym_eig(stats.a_cov).eigenvalues)
-        assert np.array_equal(decomp_g.eigenvalues, sym_eig(stats.g_cov).eigenvalues)
+        geometry = tr._layer_decomps(0)
+        assert np.array_equal(geometry.decomp_a.eigenvalues, sym_eig(stats.a_cov).eigenvalues)
+        assert np.array_equal(geometry.decomp_g.eigenvalues, sym_eig(stats.g_cov).eigenvalues)
 
     def test_no_covariance_decomposed_twice(self, monkeypatch):
         seen = []
@@ -381,6 +381,96 @@ class TestDecompositionCache:
         assert any(r.eig_cv > 0.0 for r in tr.records)
         assert ("grit.telemetry" in sites) == telemetry_decomposes
         assert len(seen) == len(set(seen))
+
+
+class TestPenaltyGeometry:
+    """k and the lambda_r projectors are built once per decomposition and k."""
+
+    START = 33  # rank_adaptation_start_step, between accumulations
+
+    def run_checked(self, monkeypatch, reset_after=None, **overrides):
+        built = []
+        for name in ("select_rank", "make_projector"):
+            original = getattr(trainer_module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trainer_module, name, counting)
+
+        tr, task, cfg = make_trainer(
+            lambda_r=0.5, use_two_sided=True, g_gate_min_samples=24, reprojection_k=3,
+            rank_adaptation_start_step=self.START, **overrides,
+        )
+        assert cfg.kfac_update_freq == 5
+        current = {}
+        last_state = {}
+        build_steps = set()
+        penalties = []
+
+        def checked(adapter, proj_a, proj_side):
+            step = current["step"]
+            idx = next(i for i, (_, ad) in enumerate(tr.model.layers) if ad is adapter)
+            stats = tr.stats[idx]
+            fixed = fixed_rank(cfg, adapter.rank, step)
+            k = fixed if fixed is not None else select_rank(
+                sym_eig(stats.a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
+            )[0]
+            # bit for bit the projectors built from scratch
+            ref_a = make_projector(sym_eig(stats.a_cov), k)
+            ref_side = make_projector(sym_eig(stats.g_cov), k) if uses_g_side(cfg, stats.n_cov) else ref_a
+            assert (proj_a.k, proj_side.k) == (k, k)
+            assert proj_a.basis.tobytes() == ref_a.basis.tobytes()
+            assert proj_side.basis.tobytes() == ref_side.basis.tobytes()
+            # anything built since the previous penalty call was built for this layer
+            prev = last_state.get(idx)
+            changed = (
+                prev is None
+                or prev[0] is not stats.a_cov
+                or prev[1] is not stats.g_cov
+                or prev[2:] != (fixed is None, k)
+            )
+            if changed:
+                assert built.count("select_rank") <= 1 and built.count("make_projector") <= 2
+            else:
+                assert built == [], f"step {step}: rebuilt {built} for unchanged geometry"
+            if built:
+                build_steps.add(step)
+            built.clear()
+            last_state[idx] = (stats.a_cov, stats.g_cov, fixed is None, k)
+            penalties.append(step)
+            return reprojection_penalty(adapter, proj_a, proj_side)
+
+        monkeypatch.setattr(trainer_module, "reprojection_penalty", checked)
+        for step in range(cfg.steps):
+            current["step"] = step
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if step == reset_after:
+                for idx, stats in enumerate(tr.stats):
+                    stats.reset()
+                    accumulate(stats, tr.model.tapes[idx], tr.model.layers[idx][1])
+        return cfg, build_steps, penalties
+
+    def test_built_only_when_statistics_or_k_change(self, monkeypatch):
+        cfg, build_steps, penalties = self.run_checked(monkeypatch)
+        assert len(penalties) > 3 * len(build_steps)
+        # the penalty reads statistics one step after they are accumulated
+        fresh = {s + 1 for s in range(cfg.steps) if s % cfg.kfac_update_freq == 0}
+        assert build_steps <= fresh | {self.START}
+        assert self.START in build_steps
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(ema_beta=0.9), dict(lambda_k=0.5, rank_adaptation_threshold=0.5)],
+        ids=["running_mean", "ema", "curvature_penalty"],
+    )
+    def test_projectors_match_from_scratch_across_reset(self, monkeypatch, overrides):
+        # step 42 neither accumulates nor reprojects; the reset and the
+        # accumulation after it give new statistics read at step 43
+        cfg, build_steps, penalties = self.run_checked(monkeypatch, reset_after=42, **overrides)
+        assert 43 in build_steps
+        assert penalties
 
 
 class TestSharedSpectra:
