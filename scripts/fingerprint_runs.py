@@ -9,10 +9,14 @@ for a fixed config and seed. Run this on two checkouts and diff the output:
     diff before.json after.json
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
-control), the d = 48 scaling-grid control, and two dense-telemetry runs
-(telemetry every 5 steps, control and grit). The manifest carries a
-timestamp, so it is left out. Prints one JSON object: run name -> artifact
-name -> sha256. Takes a few seconds.
+control), the d = 48 scaling-grid control, two dense-telemetry runs
+(telemetry every 5 steps, control and grit), and six grit variants that
+take the other rank-space paths: hysteresis with a soft blend (twice, once
+with a band wide enough to hold k), a fixed k,
+one-sided reprojection with a late rank-adaptation start, EMA statistics,
+and statistics every step with neither the lambda_r penalty nor
+reprojection. The manifest carries a timestamp, so it is left out. Prints
+one JSON object: run name -> artifact name -> sha256. Takes a few seconds.
 """
 
 import argparse
@@ -21,27 +25,13 @@ import json
 import tempfile
 from pathlib import Path
 
-from grit.config import GritConfig
 from grit.trainer import run_experiment
-
-TASK = "two_task_forgetting(d={d}, hidden={d}, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)"
+from study import study_config
 
 ARTIFACTS = (
     "config.cfg", "telemetry.jsonl", "events.jsonl", "stats.jsonl",
     "updates.jsonl", "checkpoint.json", "record.json",
 )
-
-
-def study_config(mode: str, seed: int, d: int = 12, steps: int = 500, telemetry_every: int = 100) -> GritConfig:
-    return GritConfig(
-        task=TASK.format(d=d), steps=steps, seed=seed, mode=mode,
-        reprojection_freq=40, reprojection_warmup_steps=80, ng_warmup_steps=0,
-        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
-        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8,
-        use_two_sided=True, kfac_damping=0.1, lambda_r=0.02,
-        learning_rate=0.02, telemetry_every=telemetry_every,
-    )
-
 
 RUNS = {
     "grit-s0": study_config("grit", 0),
@@ -50,6 +40,17 @@ RUNS = {
     "control-d48-s0": study_config("lora_control", 0, d=48, steps=400),
     "control-dense-s0": study_config("lora_control", 0, steps=400, telemetry_every=5),
     "grit-dense-s0": study_config("grit", 0, steps=400, telemetry_every=5),
+    "grit-hysteresis-blend-s0": study_config("grit", 0, hysteresis_eps=0.05, blend_gamma=0.5),
+    # the band never holds k in the run above; here it holds it at 10 of 22 reprojections
+    "grit-hysteresis-held-s2": study_config("grit", 2, hysteresis_eps=0.1, blend_gamma=0.5),
+    "grit-fixed-k-s0": study_config("grit", 0, enable_rank_adaptation=False, reprojection_k=3),
+    "grit-one-sided-late-rank-s0": study_config(
+        "grit", 0, use_two_sided=False, rank_adaptation_start_step=200
+    ),
+    "grit-ema-s0": study_config("grit", 0, ema_beta=0.9),
+    "grit-every-step-stats-s0": study_config(
+        "grit", 0, lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**6
+    ),
 }
 
 

@@ -14,21 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from grit.config import GritConfig
 from grit.trainer import run_experiment
-
-TASK = "two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)"
-
-
-def make_config(mode: str, seed: int, steps: int) -> GritConfig:
-    return GritConfig(
-        task=TASK, steps=steps, seed=seed, mode=mode,
-        reprojection_freq=40, reprojection_warmup_steps=80,
-        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
-        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8,
-        use_two_sided=True, kfac_damping=0.1, lambda_r=0.02,
-        learning_rate=0.02, telemetry_every=100,
-    )
+from study import TASK, study_config
 
 
 def main() -> None:
@@ -44,7 +31,7 @@ def main() -> None:
         results = {}
         for mode in ("grit", "lora_control"):
             run_dir = out_root / f"{mode}-s{seed}"
-            record = run_experiment(make_config(mode, seed, args.steps), out_dir=run_dir)
+            record = run_experiment(study_config(mode, seed, steps=args.steps), out_dir=run_dir)
             results[mode] = record
         g, c = results["grit"], results["lora_control"]
         rows.append(
@@ -67,7 +54,7 @@ def main() -> None:
         )
 
     summary = {
-        "task": TASK,
+        "task": TASK.format(d=12),
         "seeds": args.seeds,
         "steps": args.steps,
         "median_grit_drift": float(np.median([r["grit_drift"] for r in rows])),

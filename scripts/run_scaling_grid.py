@@ -14,23 +14,11 @@ import argparse
 from pathlib import Path
 
 from grit.cli import main as cli_main
-from grit.config import GritConfig
 from grit.trainer import run_experiment
+from study import study_config
 
 STEP_GRID = (100, 200, 400, 800)
 WIDTH_GRID = (12, 24, 48, 96)
-
-
-def make_config(mode: str, seed: int, steps: int, d: int) -> GritConfig:
-    return GritConfig(
-        task=f"two_task_forgetting(d={d}, hidden={d}, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)",
-        steps=steps, seed=seed, mode=mode,
-        reprojection_freq=40, reprojection_warmup_steps=80,
-        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
-        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8,
-        use_two_sided=True, kfac_damping=0.1, lambda_r=0.02,
-        learning_rate=0.02, telemetry_every=200,
-    )
 
 
 def main() -> None:
@@ -46,7 +34,8 @@ def main() -> None:
             for mode in ("lora_control", "grit"):
                 run_dir = out_root / f"{mode}-d{d}-steps{steps}"
                 record = run_experiment(
-                    make_config(mode, args.seed, steps, d), out_dir=run_dir
+                    study_config(mode, args.seed, d=d, steps=steps, telemetry_every=200),
+                    out_dir=run_dir,
                 )
                 run_dirs.append(str(run_dir))
                 print(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config
+from .config import config_hash, load_config
 from .errors import (
     ConfigError,
     GritError,
@@ -25,9 +25,10 @@ from .errors import (
 )
 from .forgetting import fit_baseline_law, fit_xi_coefficients, save_fit
 from .oracles import SUITES, run_suite
-from .config import config_hash
 from .runio import (
+    EVENTS_NAME,
     RECORD_NAME,
+    TELEMETRY_NAME,
     UPDATES_NAME,
     read_jsonl,
     read_manifest,
@@ -99,9 +100,11 @@ def cmd_audit(args) -> int:
             return 1
         from .telemetry import read_telemetry
 
-        records = read_telemetry(run_dir / "telemetry.jsonl")
+        records = read_telemetry(run_dir / TELEMETRY_NAME)
+        updates = read_jsonl(run_dir / UPDATES_NAME)
+        events = read_jsonl(run_dir / EVENTS_NAME)
         if not (run_dir / RECORD_NAME).exists():
-            raise ValidationError("missing record.json")
+            raise ValidationError(f"missing {RECORD_NAME}")
     except (ValidationError, FileNotFoundError) as exc:
         print(f"incomplete run: {exc}", file=sys.stderr)
         return 1
@@ -132,7 +135,6 @@ def cmd_audit(args) -> int:
     _write_csv(out / "alignment.csv", ["step", "layer", "rho_align", "pi_proj"], overlap_rows)
     _write_csv(out / "tail_mass.csv", ["step", "layer", "tail_mass"], tail_rows)
 
-    updates = read_jsonl(run_dir / UPDATES_NAME)
     vectors = [np.array(u["delta_w"]) for u in updates]
     if len(vectors) >= 3:
         from .telemetry import pca_export
@@ -141,7 +143,6 @@ def cmd_audit(args) -> int:
     else:
         _write_csv(out / "pca_updates.csv", ["pc1", "pc2"], [])
 
-    events = read_jsonl(run_dir / "events.jsonl")
     n_reproj = sum(1 for e in events if e.get("action") == "reproject")
     _say(args.quiet, f"audit written to {out} ({len(records)} records, {n_reproj} reprojection events)")
     return 0
@@ -218,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     p_oracle.set_defaults(fn=cmd_oracle)
 
     args = parser.parse_args(argv)
-    for attr in ("quiet",):
-        if not hasattr(args, attr):
-            setattr(args, attr, False)
     return args.fn(args)
 
 

@@ -25,8 +25,9 @@ class RankSpaceStats:
 
     accumulate and reset rebind a_cov and g_cov to new arrays and never
     write into the old ones, so a consumer may hold a reference to either
-    and tell by identity whether it is still current; the trainer's geometry
-    cache and covariance snapshots rely on this.
+    and tell by identity whether it is still current. reprojection's
+    LayerGeometry relies on this: it keeps one accumulation's arrays, and
+    the trainer's stability window keeps the last few geometries.
     """
 
     rank: int

@@ -258,26 +258,6 @@ def build_model(
     return Model(layers=layers)
 
 
-def fold_adapters(model: Model) -> Model:
-    """Reference model with each delta folded into the base weight (adapters zeroed)."""
-    layers = []
-    for base, adapter in model.layers:
-        w0 = adapter.effective_weight(base.w0)
-        folded_base = BaseLayer(
-            w0=w0,
-            bias=None if base.bias is None else base.bias.copy(),
-            activation=base.activation,
-        )
-        zero = AdapterPair(
-            a=np.zeros_like(adapter.a),
-            b=np.zeros_like(adapter.b),
-            rank=adapter.rank,
-            scaling=adapter.scaling,
-        )
-        layers.append((folded_base, zero))
-    return Model(layers=layers)
-
-
 CHECKPOINT_VERSION = 1
 
 

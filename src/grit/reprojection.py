@@ -8,14 +8,20 @@ factors (a from the left, b from the right), optionally blended. Directions
 outside the retained subspace are zeroed, not deleted: tensors keep their
 shape, so suppressed directions can re-enter later.
 
-Every setting is read from GritConfig, and each rank-space rule lives here
-once: uses_g_side picks the basis side and fixed_rank decides when k is the
-configured reprojection_k. The trainer owns the reprojection cadence.
+LayerGeometry is a layer's rank-space geometry for one accumulation's
+statistics: its eigendecompositions, its rank k and its projectors, each
+built once on first use. The lambda_r penalty, reprojection and the
+telemetry all read it. Every setting is read from GritConfig, and each
+rank-space rule lives here once: uses_g_side picks the basis side,
+fixed_rank decides when k is the configured reprojection_k, and
+LayerGeometry.rank states the rank rule. The trainer owns the reprojection
+cadence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +126,73 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
     return Projector(basis=decomp.eigenvectors[:, :k].copy(), k=k)
 
 
+@dataclass(eq=False)
+class LayerGeometry:
+    """One layer's rank-space geometry for one accumulation's statistics.
+
+    Holds the a_cov, g_cov and n_cov the statistics had when it was made.
+    accumulate and reset rebind both covariance arrays and never write into
+    them (see RankSpaceStats), so holds() tells by identity whether the
+    statistics are still these. Each eigendecomposition, the spectral k and
+    each (k, side) projector pair is built on first use and kept.
+    """
+
+    a_cov: np.ndarray
+    g_cov: np.ndarray
+    n_cov: int
+    # (tau, min_rank) -> (spectral k, degenerate)
+    _spectral: dict = field(default_factory=dict, init=False, repr=False)
+    # (k, g side used) -> (P_a, P_side)
+    _projectors: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, stats: RankSpaceStats) -> LayerGeometry:
+        return cls(stats.a_cov, stats.g_cov, stats.n_cov)
+
+    def holds(self, stats: RankSpaceStats) -> bool:
+        return self.a_cov is stats.a_cov and self.g_cov is stats.g_cov
+
+    @cached_property
+    def decomp_a(self) -> SpectralDecomp:
+        return sym_eig(self.a_cov, name="a_cov")
+
+    @cached_property
+    def decomp_g(self) -> SpectralDecomp:
+        return sym_eig(self.g_cov, name="g_cov")
+
+    def rank(self, config: GritConfig, rank: int, step: int, prev_k: int | None = None) -> int:
+        """k for an adapter of the given rank at this step.
+
+        fixed_rank when that gives one, else select_rank on the a-side
+        spectrum at rank_adaptation_threshold. With prev_k, k stays at
+        prev_k (clamped to rank) while prev_k's energy lies within
+        hysteresis_eps of the threshold.
+        """
+        k = fixed_rank(config, rank, step)
+        if k is not None:
+            return k
+        tau = config.rank_adaptation_threshold
+        key = (tau, config.min_lora_rank)
+        if key not in self._spectral:
+            self._spectral[key] = select_rank(self.decomp_a.eigenvalues, tau, config.min_lora_rank)
+        k, degenerate = self._spectral[key]
+        if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
+            held = min(prev_k, rank)
+            energy = cumulative_energy(self.decomp_a.eigenvalues)
+            if abs(energy[held - 1] - tau) <= config.hysteresis_eps:
+                k = held
+        return k
+
+    def projectors(self, k: int, g_side: bool) -> tuple[Projector, Projector]:
+        """(P_a, P_side): top-k projectors, P_side from the g side when g_side."""
+        pair = self._projectors.get((k, g_side))
+        if pair is None:
+            proj_a = make_projector(self.decomp_a, k)
+            pair = (proj_a, make_projector(self.decomp_g, k) if g_side else proj_a)
+            self._projectors[(k, g_side)] = pair
+        return pair
+
+
 @dataclass
 class ReprojectionEvent:
     """Outcome of one reprojection attempt (applied or gated)."""
@@ -131,59 +204,36 @@ class ReprojectionEvent:
     side_used: str = ""
     tau: float = 0.0
     retained_mass: float = 1.0
-    degenerate: bool = False
     delta_w_norm_before: float = 0.0
     delta_w_norm_after: float = 0.0
 
 
 def reproject(
     adapter: AdapterPair,
-    stats: RankSpaceStats,
+    geometry: LayerGeometry,
     config: GritConfig,
     step: int,
     prev_k: int | None = None,
-    decomps: tuple[SpectralDecomp, SpectralDecomp] | None = None,
 ) -> ReprojectionEvent:
     """Project adapter factors onto the leading eigenspaces of the covariances.
 
     a <- (1 - gamma) a + gamma * P_a a and b <- (1 - gamma) b + gamma * b P_side,
-    with gamma = config.blend_gamma and P_side from the gradient-side basis
-    when uses_g_side, else the activation-side basis. k is fixed_rank when
-    that gives one, else select_rank on the activation-side spectrum at
-    rank_adaptation_threshold (held at prev_k inside the hysteresis band);
-    it truncates both bases. Gated before reprojection_warmup_steps and
-    while the statistics hold no samples; the caller decides the cadence.
-
-    decomps holds the (a_cov, g_cov) eigendecompositions when the caller
-    already has them; without it both covariances are decomposed here.
+    with gamma = config.blend_gamma, k = geometry.rank(..., prev_k) and the
+    projectors from geometry.projectors; P_side comes from the gradient-side
+    basis when uses_g_side, else from the activation-side basis. Gated
+    before reprojection_warmup_steps and while the statistics hold no
+    samples; the caller decides the cadence.
     """
     if step < config.reprojection_warmup_steps:
         return ReprojectionEvent(step=step, applied=False, gate="warmup")
-    if stats.n_cov == 0:
+    if geometry.n_cov == 0:
         return ReprojectionEvent(step=step, applied=False, gate="no-samples")
     if config.min_lora_rank > adapter.rank:
         raise ValidationError("min_lora_rank exceeds adapter rank")
 
-    if decomps is None:
-        decomps = (sym_eig(stats.a_cov, name="a_cov"), sym_eig(stats.g_cov, name="g_cov"))
-    decomp_a, decomp_g = decomps
-    tau = config.rank_adaptation_threshold
-    degenerate = False
-    k = fixed_rank(config, adapter.rank, step)
-    if k is None:
-        k, degenerate = select_rank(decomp_a.eigenvalues, tau, config.min_lora_rank)
-        if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
-            energy = cumulative_energy(decomp_a.eigenvalues)
-            prev_energy = energy[min(prev_k, adapter.rank) - 1]
-            if abs(prev_energy - tau) <= config.hysteresis_eps:
-                k = min(prev_k, adapter.rank)
-
-    proj_a = make_projector(decomp_a, k)
-    side_used = "a"
-    proj_side = proj_a
-    if uses_g_side(config, stats.n_cov):
-        proj_side = make_projector(decomp_g, k)
-        side_used = "g"
+    k = geometry.rank(config, adapter.rank, step, prev_k)
+    g_side = uses_g_side(config, geometry.n_cov)
+    proj_a, proj_side = geometry.projectors(k, g_side)
 
     gamma = config.blend_gamma
     norm_before = float(np.linalg.norm(adapter.scaling * adapter.delta_w()))
@@ -199,10 +249,9 @@ def reproject(
         step=step,
         applied=True,
         k=k,
-        side_used=side_used,
-        tau=tau,
+        side_used="g" if g_side else "a",
+        tau=config.rank_adaptation_threshold,
         retained_mass=retained,
-        degenerate=degenerate,
         delta_w_norm_before=norm_before,
         delta_w_norm_after=norm_after,
     )

@@ -54,7 +54,6 @@ class TaskInstance:
     pt_inputs: np.ndarray
     pt_targets: np.ndarray
     n_params: int
-    layer_slices: list[slice]
     _hessian_cache: np.ndarray | None = field(default=None, repr=False)
     _curvature_cache: list[LayerCurvature] | None = field(default=None, repr=False)
 
@@ -65,11 +64,6 @@ class TaskInstance:
 
     def base_weight_vector(self) -> np.ndarray:
         return np.concatenate([base.w0.ravel() for base, _ in self.model.layers])
-
-    def delta_w_vector(self, model: Model) -> np.ndarray:
-        return np.concatenate(
-            [adapter.scaling * adapter.delta_w().ravel() for _, adapter in model.layers]
-        )
 
     def _pt_grad_at(self, w_vec: np.ndarray) -> np.ndarray:
         probe = _probe_model(self.model, w_vec)
@@ -171,16 +165,6 @@ def _probe_model(reference: Model, w_vec: np.ndarray) -> Model:
     return Model(layers=layers)
 
 
-def _layer_slices(model: Model) -> list[slice]:
-    slices = []
-    offset = 0
-    for base, _ in model.layers:
-        size = base.d_out * base.d_in
-        slices.append(slice(offset, offset + size))
-        offset += size
-    return slices
-
-
 def _check_rank(rank: int, widths: list[int]) -> None:
     """Reject an adapter rank above the narrowest layer width before any work."""
     if rank > min(widths):
@@ -237,7 +221,6 @@ def build_synthetic_lowrank(
         pt_inputs=pt_inputs,
         pt_targets=pt_targets,
         n_params=d * d,
-        layer_slices=_layer_slices(model),
     )
 
 
@@ -309,7 +292,6 @@ def build_two_task_forgetting(
         pt_inputs=pt_inputs,
         pt_targets=pt_targets,
         n_params=hidden * d + d * hidden,
-        layer_slices=_layer_slices(model),
     )
 
 

@@ -116,7 +116,7 @@ def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
 def stability_stats(
     cov_sequence: list[np.ndarray],
     k: int,
-    spectra: list[np.ndarray | None] | None = None,
+    spectra: list[np.ndarray] | None = None,
 ) -> tuple[float, float, list[int]]:
     """Within-sequence covariance variance and top-k eigenvalue dispersion.
 
@@ -125,12 +125,10 @@ def stability_stats(
     eigenvalue trajectories (population std); indices with zero mean are
     skipped and reported.
 
-    spectra, when given, holds one entry per snapshot: that snapshot's
-    eigenvalues in sym_eig's descending order, or None. Each None entry is
-    computed here with sym_eig and written back into the list, so a caller
-    that keeps the list never decomposes a snapshot twice. Since sym_eig
-    symmetrizes its input, an entry taken from sym_eig of the raw snapshot
-    is bitwise the one computed here.
+    spectra, when given, holds every snapshot's eigenvalues in sym_eig's
+    descending order, and no snapshot is decomposed here; without it each
+    is decomposed with sym_eig. Since sym_eig symmetrizes its input, the
+    eigenvalues of a raw snapshot are bitwise the ones computed here.
     """
     if len(cov_sequence) < 2:
         raise ValidationError("need at least two covariance snapshots")
@@ -142,9 +140,7 @@ def stability_stats(
         raise ShapeError(f"expected square covariance snapshots, got shape {shape}")
     if not 1 <= k <= shape[0]:
         raise ValidationError(f"k must be between 1 and {shape[0]}, got {k}")
-    if spectra is None:
-        spectra = [None] * len(cov_sequence)
-    elif len(spectra) != len(cov_sequence):
+    if spectra is not None and len(spectra) != len(cov_sequence):
         raise ValidationError(
             f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
         )
@@ -152,9 +148,8 @@ def stability_stats(
     mats = 0.5 * (raw + raw.transpose(0, 2, 1))
     mean_mat = mats.mean(axis=0)
     cov_var = float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
-    for i, eigenvalues in enumerate(spectra):
-        if eigenvalues is None:
-            spectra[i] = sym_eig(mats[i]).eigenvalues
+    if spectra is None:
+        spectra = [sym_eig(mat).eigenvalues for mat in mats]
     top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
     means = top.mean(axis=0)
     stds = top.std(axis=0)

@@ -7,6 +7,11 @@ gradient clipping; a decoupled-weight-decay adaptive-moment step on the
 adapter factors only; and finally gated reprojection. In lora_control mode
 every geometry-specific stage is skipped, which makes the loop a plain
 low-rank adaptation trainer with the identical optimizer arithmetic.
+
+Each accumulation gives every layer one reprojection.LayerGeometry. The
+lambda_r penalty, reprojection and the telemetry read its decompositions,
+rank and projectors, and the stability window keeps the last COV_WINDOW of
+them.
 """
 
 from __future__ import annotations
@@ -22,17 +27,10 @@ import numpy as np
 from .config import GritConfig, config_hash, config_to_text, validate_config
 from .errors import GritError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
-from .linalg import SpectralDecomp, sym_eig
+from .linalg import sym_eig
 from .model import save_checkpoint
-from .reprojection import (
-    Projector,
-    effective_rank,
-    fixed_rank,
-    make_projector,
-    reproject,
-    select_rank,
-    uses_g_side,
-)
+from .reprojection import LayerGeometry, Projector, effective_rank, reproject, uses_g_side
+from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     CONFIG_NAME,
     CHECKPOINT_NAME,
@@ -60,7 +58,7 @@ from .telemetry import (
     update_jitter,
 )
 
-COV_WINDOW = 24  # covariance snapshots kept for the stability diagnostics
+COV_WINDOW = 24  # accumulations kept for the stability diagnostics
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:
@@ -141,37 +139,6 @@ def reprojection_penalty(
 
 
 @dataclass
-class CovSnapshot:
-    """One a_cov in the stability window, with its eigenvalues once known.
-
-    cov is the statistics' own array, not a copy: accumulate and reset rebind
-    a_cov instead of writing into it (see RankSpaceStats).
-    """
-
-    cov: np.ndarray
-    eigenvalues: np.ndarray | None = None
-
-
-@dataclass
-class LayerGeometry:
-    """One layer's rank-space geometry, built once per fresh decomposition.
-
-    Valid while the layer's statistics hold the very a_cov and g_cov arrays
-    it was built from; accumulate and reset rebind both, so an identity check
-    tells whether they changed. The spectral k and the penalty projectors
-    are filled in on first use and kept until the next decomposition.
-    """
-
-    a_cov: np.ndarray
-    g_cov: np.ndarray
-    decomp_a: SpectralDecomp
-    decomp_g: SpectralDecomp
-    spectral_k: int | None = None
-    # (k, g side used) -> (P_a, P_side) of the lambda_r penalty
-    projectors: dict = field(default_factory=dict)
-
-
-@dataclass
 class LayerMonitor:
     """Per-layer accumulators backing the telemetry stream."""
 
@@ -180,8 +147,7 @@ class LayerMonitor:
     prev_grads: tuple[np.ndarray, np.ndarray] | None = None
     grads: tuple[np.ndarray, np.ndarray] | None = None
     prev_basis: np.ndarray | None = None
-    # one CovSnapshot per accumulation, newest last; its eigenvalues come from
-    # the layer's shared decomposition, or from stability_stats if never decomposed
+    # the LayerGeometry of each accumulation, newest last
     cov_snapshots: deque = field(default_factory=lambda: deque(maxlen=COV_WINDOW))
     last_k: int = 0
     last_pi: float = 1.0
@@ -223,7 +189,7 @@ class Trainer:
         ]
         self.events: list[dict] = []
         self.records: list[GeometryRecord] = []
-        # per layer: the geometry of the (a_cov, g_cov) last decomposed
+        # per layer: the geometry of its current statistics, once asked for
         self._geometry: list[LayerGeometry | None] = [None] * n_layers
         self._frozen_hash = self.frozen_weight_hash()
 
@@ -255,57 +221,16 @@ class Trainer:
             self.event_writer.append(obj)
 
     def _layer_decomps(self, idx: int) -> LayerGeometry:
-        """Layer idx's geometry: the eigendecompositions of its (a_cov, g_cov).
+        """Layer idx's geometry for its current statistics.
 
-        The only place a run decomposes these covariances: the penalty, the
-        rank rule, reprojection and telemetry all read them from here. The
-        geometry holds while the statistics hold the same two arrays, checked
-        by identity, so a hit costs two comparisons. A fresh decomposition
-        gives the newest covariance snapshot its eigenvalues only if that
-        snapshot is this a_cov: a reset and an accumulation outside
-        train_step change a_cov without taking a snapshot.
+        Made anew when the statistics no longer hold the geometry's
+        covariance arrays: after an accumulation, or a reset or accumulation
+        outside train_step, which take no window entry.
         """
         geometry = self._geometry[idx]
-        stats = self.stats[idx]
-        if geometry is not None and geometry.a_cov is stats.a_cov and geometry.g_cov is stats.g_cov:
-            return geometry
-        geometry = LayerGeometry(
-            stats.a_cov,
-            stats.g_cov,
-            sym_eig(stats.a_cov, name="a_cov"),
-            sym_eig(stats.g_cov, name="g_cov"),
-        )
-        self._geometry[idx] = geometry
-        snapshots = self.monitors[idx].cov_snapshots
-        if snapshots and snapshots[-1].eigenvalues is None and snapshots[-1].cov is stats.a_cov:
-            snapshots[-1].eigenvalues = geometry.decomp_a.eigenvalues
+        if geometry is None or not geometry.holds(self.stats[idx]):
+            geometry = self._geometry[idx] = LayerGeometry.of(self.stats[idx])
         return geometry
-
-    def _penalty_projectors(self, idx: int, step: int) -> tuple[Projector, Projector]:
-        """(P_a, P_side) of the lambda_r penalty; the layer must hold statistics.
-
-        k is fixed_rank, else select_rank on the a-side spectrum. The spectral
-        k and each (k, side) projector pair are kept on the layer's geometry,
-        so they are built again only when the covariances or k change.
-        """
-        config = self.config
-        geometry = self._layer_decomps(idx)
-        k = fixed_rank(config, self.model.layers[idx][1].rank, step)
-        if k is None:
-            if geometry.spectral_k is None:
-                geometry.spectral_k, _ = select_rank(
-                    geometry.decomp_a.eigenvalues,
-                    config.rank_adaptation_threshold,
-                    config.min_lora_rank,
-                )
-            k = geometry.spectral_k
-        g_side = uses_g_side(config, self.stats[idx].n_cov)
-        projectors = geometry.projectors.get((k, g_side))
-        if projectors is None:
-            proj_a = make_projector(geometry.decomp_a, k)
-            proj_side = make_projector(geometry.decomp_g, k) if g_side else proj_a
-            projectors = geometry.projectors[(k, g_side)] = (proj_a, proj_side)
-        return projectors
 
     # -- main loop ---------------------------------------------------------
 
@@ -334,7 +259,9 @@ class Trainer:
                     ga += ramp * config.lambda_k * pga
                     gb += ramp * config.lambda_k * pgb
                 if config.lambda_r > 0.0 and self.stats[idx].n_cov > 0:
-                    proj_a, proj_side = self._penalty_projectors(idx, step)
+                    geometry = self._layer_decomps(idx)
+                    k = geometry.rank(config, adapter.rank, step)
+                    proj_a, proj_side = geometry.projectors(k, uses_g_side(config, geometry.n_cov))
                     val, rga, rgb = reprojection_penalty(adapter, proj_a, proj_side)
                     loss += ramp * config.lambda_r * val
                     ga += ramp * config.lambda_r * rga
@@ -350,7 +277,7 @@ class Trainer:
         if geometry_on and step % config.kfac_update_freq == 0:
             for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
                 accumulate(self.stats[idx], tape, adapter)
-                self.monitors[idx].cov_snapshots.append(CovSnapshot(self.stats[idx].a_cov))
+                self.monitors[idx].cov_snapshots.append(self._layer_decomps(idx))
                 if self.stats_writer is not None:
                     self.stats_writer.append(
                         {
@@ -408,17 +335,8 @@ class Trainer:
         reprojected = False
         if self.is_grit and step % config.reprojection_freq == 0:
             for idx, (_, adapter) in enumerate(self.model.layers):
-                decomps = None
-                if self.stats[idx].n_cov > 0:
-                    geometry = self._layer_decomps(idx)
-                    decomps = (geometry.decomp_a, geometry.decomp_g)
                 event = reproject(
-                    adapter,
-                    self.stats[idx],
-                    config,
-                    step,
-                    prev_k=self.monitors[idx].last_k,
-                    decomps=decomps,
+                    adapter, self._layer_decomps(idx), config, step, prev_k=self.monitors[idx].last_k
                 )
                 if event.applied:
                     reprojected = True
@@ -466,7 +384,7 @@ class Trainer:
                 geometry = self._layer_decomps(idx)
                 spectrum = geometry.decomp_a.eigenvalues
                 side_decomp = (
-                    geometry.decomp_g if uses_g_side(self.config, stats.n_cov) else geometry.decomp_a
+                    geometry.decomp_g if uses_g_side(self.config, geometry.n_cov) else geometry.decomp_a
                 )
             else:
                 side_decomp = None
@@ -520,12 +438,11 @@ class Trainer:
             eig_cv = 0.0
             snapshots = monitor.cov_snapshots
             if len(snapshots) >= 2:
-                spectra = [snap.eigenvalues for snap in snapshots]
                 cov_var, eig_cv, _ = stability_stats(
-                    [snap.cov for snap in snapshots], max(1, monitor.last_k), spectra
+                    [snap.a_cov for snap in snapshots],
+                    max(1, monitor.last_k),
+                    [snap.decomp_a.eigenvalues for snap in snapshots],
                 )
-                for snap, eigenvalues in zip(snapshots, spectra):
-                    snap.eigenvalues = eigenvalues
 
             record = GeometryRecord(
                 step=step,

@@ -17,7 +17,7 @@ from grit.forgetting import fit_baseline_law, fit_xi_coefficients, quadratic_for
 from grit.kfac import RankSpaceStats, refresh_inverses
 from grit.linalg import sym_eig
 from grit.model import trainable_count
-from grit.oracles import _synthetic_law_records
+from grit.oracles import _synthetic_law_records, delta_w_vector
 from grit.reprojection import make_projector, select_rank
 from grit.runio import read_record
 from grit.telemetry import effective_rank, stability_stats, xi_multiplier
@@ -269,7 +269,7 @@ def test_criterion_08b_quadratic_estimator_route():
     trainer = Trainer(cfg, task)
     for step in range(cfg.steps):
         trainer.train_step(task.sample_batch(trainer.data_rng, cfg.batch_size), step)
-    delta = task.delta_w_vector(task.model)
+    delta = delta_w_vector(task.model)
     hess = task.pt_hessian()
     direct = float(0.5 * delta @ (hess @ delta))
     spectral = quadratic_forgetting(sym_eig(hess), delta)

@@ -201,6 +201,14 @@ class TestAudit:
         (tmp_path / "empty").mkdir()
         assert main(["audit", str(tmp_path / "empty")]) == 1
 
+    @pytest.mark.parametrize("missing", ["updates.jsonl", "events.jsonl"])
+    def test_missing_stream_is_incomplete_run(self, tmp_path, capsys, missing):
+        out = self.run_once(tmp_path)
+        (out / missing).unlink()
+        assert main(["--quiet", "audit", str(out)]) == 1
+        assert "incomplete run" in capsys.readouterr().err
+        assert not (out / "audit").exists()
+
 
 class TestFitLaw:
     def fabricate_runs(self, tmp_path, gammas=(0.1, 0.5, 0.3), with_geometry=True):

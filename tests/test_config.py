@@ -1,7 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from grit.config import (
+    _FIELD_TYPES,
     GritConfig,
+    _coerce,
     config_hash,
     config_to_text,
     parse_config_text,
@@ -111,6 +116,33 @@ class TestRangeChecks:
         validate_config(GritConfig(task="t()", reprojection_k=2, min_lora_rank=2))
         # above lora_rank is clamped at run time, not rejected
         validate_config(GritConfig(task="t()", reprojection_k=64, lora_rank=8))
+
+
+def readme_config_table() -> list[tuple[str, str]]:
+    """(key, default cell) of each row of the README's config table, in order."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:2])
+        rows.append((key, default))
+    return rows
+
+
+class TestReadmeTable:
+    def test_every_field_listed_once(self):
+        keys = [key for key, _ in readme_config_table()]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(GritConfig))
+
+    def test_defaults_match_the_dataclass(self):
+        for key, default in readme_config_table():
+            field = next(f for f in dataclasses.fields(GritConfig) if f.name == key)
+            if key == "task":
+                assert default == "(required)" and field.default == ""
+                continue
+            assert _coerce(key, default, _FIELD_TYPES[key]) == field.default, key
 
 
 class TestHash:

@@ -8,12 +8,12 @@ from grit.model import (
     BaseLayer,
     Model,
     build_model,
-    fold_adapters,
     init_adapter,
     load_checkpoint,
     save_checkpoint,
     trainable_count,
 )
+from grit.oracles import fold_adapters
 
 
 def seeded_model(seed=0, dims=(6, 5, 4), rank=3, nonzero_b=True):

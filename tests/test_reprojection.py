@@ -9,6 +9,7 @@ from grit.kfac import RankSpaceStats
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
 from grit.reprojection import (
+    LayerGeometry,
     Projector,
     cumulative_energy,
     fixed_rank,
@@ -155,7 +156,7 @@ class TestReproject:
         rng = np.random.default_rng(2)
         adapter = seeded_adapter(rng)
         a0, b0 = adapter.a.copy(), adapter.b.copy()
-        event = reproject(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(blend_gamma=0.0), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(blend_gamma=0.0), step=0)
         assert event.applied
         assert np.array_equal(adapter.a, a0)
         assert np.array_equal(adapter.b, b0)
@@ -164,7 +165,7 @@ class TestReproject:
         rng = np.random.default_rng(3)
         adapter = seeded_adapter(rng)
         a0, b0 = adapter.a.copy(), adapter.b.copy()
-        event = reproject(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(rank_adaptation_threshold=1.0), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(rank_adaptation_threshold=1.0), step=0)
         assert event.k == 4
         assert np.max(np.abs(adapter.a - a0)) < 1e-9
         assert np.max(np.abs(adapter.b - b0)) < 1e-9
@@ -174,7 +175,7 @@ class TestReproject:
         adapter = seeded_adapter(rng)
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
         a0 = adapter.a.copy()
-        event = reproject(adapter, stats, config(rank_adaptation_threshold=0.7), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats), config(rank_adaptation_threshold=0.7), step=0)
         assert event.k == 2  # cumulative energy 0.4, 0.7
         # independent projector from LAPACK eigenvectors
         w, v = np.linalg.eigh(stats.a_cov)
@@ -185,7 +186,7 @@ class TestReproject:
     def test_warmup_gate(self):
         rng = np.random.default_rng(5)
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, stats_with_spectrum([1.0] * 4, rng), config(reprojection_warmup_steps=10), step=5)
+        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([1.0] * 4, rng)), config(reprojection_warmup_steps=10), step=5)
         assert not event.applied
         assert event.gate == "warmup"
 
@@ -193,7 +194,7 @@ class TestReproject:
         rng = np.random.default_rng(7)
         adapter = seeded_adapter(rng)
         stats = RankSpaceStats(rank=4, damping=1e-3)
-        event = reproject(adapter, stats, config(), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats), config(), step=0)
         assert not event.applied
         assert event.gate == "no-samples"
 
@@ -202,10 +203,10 @@ class TestReproject:
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
         stats.n_cov = 10
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, stats, config(use_two_sided=True, g_gate_min_samples=64), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats), config(use_two_sided=True, g_gate_min_samples=64), step=0)
         assert event.side_used == "a"
         stats.n_cov = 64
-        event = reproject(adapter, stats, config(use_two_sided=True, g_gate_min_samples=64), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats), config(use_two_sided=True, g_gate_min_samples=64), step=0)
         assert event.side_used == "g"
 
     def test_two_sided_k_comes_from_a_side_spectrum(self):
@@ -217,7 +218,7 @@ class TestReproject:
         adapter = seeded_adapter(rng)
         b0 = adapter.b.copy()
         cfg = config(rank_adaptation_threshold=0.7, use_two_sided=True, g_gate_min_samples=1)
-        event = reproject(adapter, stats, cfg, step=0)
+        event = reproject(adapter, LayerGeometry.of(stats), cfg, step=0)
         assert event.k == 2
         assert event.side_used == "g"
         top2 = np.eye(4)[:, :2]  # g_cov is diagonal, so its top-2 basis is axis-aligned
@@ -228,13 +229,13 @@ class TestReproject:
         rng = np.random.default_rng(9)
         adapter = seeded_adapter(rng)
         cfg = config(enable_rank_adaptation=False, reprojection_k=3)
-        event = reproject(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), cfg, step=0)
+        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), cfg, step=0)
         assert event.k == 3
 
     def test_retained_mass_in_unit_interval(self):
         rng = np.random.default_rng(10)
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(rank_adaptation_threshold=0.5), step=0)
+        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(rank_adaptation_threshold=0.5), step=0)
         assert 0.0 <= event.retained_mass <= 1.0 + 1e-12
 
     def test_suppressed_direction_can_reenter(self):
@@ -242,7 +243,7 @@ class TestReproject:
         rng = np.random.default_rng(11)
         adapter = seeded_adapter(rng, r=3, d_in=4, d_out=4)
         stats = stats_with_spectrum([5.0, 1.0, 0.01], rng)
-        reproject(adapter, stats, config(rank_adaptation_threshold=0.9, min_lora_rank=1), step=0)
+        reproject(adapter, LayerGeometry.of(stats), config(rank_adaptation_threshold=0.9, min_lora_rank=1), step=0)
         dec = sym_eig(stats.a_cov)
         dropped = dec.eigenvectors[:, -1]
         assert abs(dropped @ adapter.a @ adapter.a.T @ dropped) < 1e-18
@@ -257,9 +258,9 @@ class TestReproject:
         # fresh selection at tau=0.72 gives k=3, but E(prev_k=2)=0.7 sits inside
         # the band [0.67, 0.77], so the previous rank is kept
         cfg = config(rank_adaptation_threshold=0.72, hysteresis_eps=0.05)
-        event = reproject(adapter, stats, cfg, step=0, prev_k=2)
+        event = reproject(adapter, LayerGeometry.of(stats), cfg, step=0, prev_k=2)
         assert event.k == 2
-        fresh = reproject(seeded_adapter(rng), stats, config(rank_adaptation_threshold=0.72), step=0)
+        fresh = reproject(seeded_adapter(rng), LayerGeometry.of(stats), config(rank_adaptation_threshold=0.72), step=0)
         assert fresh.k == 3
 
     def test_cumulative_energy_ends_at_one(self):
@@ -275,8 +276,8 @@ class TestFixedRank:
         assert fixed_rank(cfg, 4, 10) is None
         rng = np.random.default_rng(13)
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
-        assert reproject(seeded_adapter(rng), stats, cfg, step=9).k == 3
-        assert reproject(seeded_adapter(rng), stats, cfg, step=10).k == 2  # energy 0.4, 0.7
+        assert reproject(seeded_adapter(rng), LayerGeometry.of(stats), cfg, step=9).k == 3
+        assert reproject(seeded_adapter(rng), LayerGeometry.of(stats), cfg, step=10).k == 2  # energy 0.4, 0.7
 
     def test_clamped_to_adapter_rank(self):
         assert fixed_rank(config(enable_rank_adaptation=False, reprojection_k=9), 4, 0) == 4

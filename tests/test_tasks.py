@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grit.errors import ConfigError
+from grit.oracles import delta_w_vector, layer_slices
 from grit.tasks import build_task, parse_task_spec
 from grit.trainer import seed_stream
 
@@ -123,7 +124,7 @@ class TestTwoTaskForgetting:
 
     def test_layer_slices_cover_weights(self):
         task = build("two_task_forgetting(d=6, hidden=7, pretrain_steps=0)")
-        total = sum(s.stop - s.start for s in task.layer_slices)
+        total = sum(s.stop - s.start for s in layer_slices(task.model))
         assert total == task.base_weight_vector().size == 6 * 7 + 7 * 6
 
 
@@ -134,7 +135,7 @@ def relative_gap(fast, reference):
 def net_with_biases(seed=3):
     """Three tanh/tanh/identity layers with biases, off the pretraining optimum."""
     from grit.model import BaseLayer, Model, build_model
-    from grit.tasks import TaskInstance, _layer_slices
+    from grit.tasks import TaskInstance
 
     rng = np.random.default_rng(seed)
     plain = build_model([4, 5, 3, 2], rank=2, scaling=1.2, rng=rng)
@@ -147,7 +148,6 @@ def net_with_biases(seed=3):
     return TaskInstance(
         name="biased", model=model, sample_batch=None, pt_inputs=inputs,
         pt_targets=rng.normal(size=(16, 2)), n_params=4 * 5 + 5 * 3 + 3 * 2,
-        layer_slices=_layer_slices(model),
     )
 
 
@@ -165,7 +165,7 @@ class TestPretrainingCurvature:
 
         task = net_with_biases() if spec is None else build(spec, rank=2, eval_size=32)
         hess = task.pt_hessian()
-        for sl, factors in zip(task.layer_slices, task.pt_curvature()):
+        for sl, factors in zip(layer_slices(task.model), task.pt_curvature()):
             assert relative_gap(dense_curvature(factors), hess[sl, sl]) < 1e-6
 
     @pytest.mark.parametrize("spec", CURVATURE_TASKS + [None])
@@ -174,7 +174,7 @@ class TestPretrainingCurvature:
         rng = np.random.default_rng(4)
         for _, adapter in task.model.layers:
             adapter.b = rng.normal(size=adapter.b.shape)
-        delta = task.delta_w_vector(task.model)
+        delta = delta_w_vector(task.model)
         reference = 0.5 * delta @ (task.pt_hessian() @ delta)
         assert abs(task.pt_quadratic(task.model) - reference) < 1e-6 * abs(reference)
 

@@ -225,19 +225,11 @@ class TestStabilityStats:
         with pytest.raises(ShapeError):
             stability_stats([np.ones((2, 3))] * 2, k=1)
 
-    def test_missing_spectra_are_filled_in_place(self):
-        rng = np.random.default_rng(11)
-        seq = [m @ m.T for m in rng.normal(size=(5, 4, 4))]
-        seq[2] = seq[2] + np.triu(np.ones((4, 4)), 1)  # not symmetric
-        spectra = [None] * len(seq)
-        assert stability_stats(seq, 3, spectra) == stability_stats(seq, 3)
-        for cov, eigenvalues in zip(seq, spectra):
-            assert np.array_equal(eigenvalues, sym_eig(cov).eigenvalues)
-
     def test_given_spectra_are_not_recomputed(self, monkeypatch):
         rng = np.random.default_rng(12)
         seq = [m @ m.T for m in rng.normal(size=(4, 3, 3))]
-        spectra = [sym_eig(cov).eigenvalues for cov in seq[:3]] + [None]
+        seq[2] = seq[2] + np.triu(np.ones((3, 3)), 1)  # not symmetric
+        spectra = [sym_eig(cov).eigenvalues for cov in seq]
         expected = stability_stats(seq, 2)
         calls = []
 
@@ -247,7 +239,7 @@ class TestStabilityStats:
 
         monkeypatch.setattr(telemetry_module, "sym_eig", recording)
         assert stability_stats(seq, 2, spectra) == expected
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_spectra_count_must_match(self):
         with pytest.raises(ValidationError):

@@ -350,7 +350,7 @@ class TestDecompositionCache:
         assert len(seen) == len(set(seen))
 
     @pytest.mark.parametrize(
-        "overrides, telemetry_decomposes",
+        "overrides, window_only",
         [
             (dict(lambda_r=0.5, reprojection_freq=10, reprojection_warmup_steps=10), False),
             # snapshots between telemetry steps are decomposed by no other consumer
@@ -359,17 +359,17 @@ class TestDecompositionCache:
         ],
         ids=["lambda_r", "telemetry_fill"],
     )
-    def test_no_matrix_decomposed_twice_with_telemetry(
-        self, monkeypatch, overrides, telemetry_decomposes
-    ):
+    def test_no_matrix_decomposed_twice_with_telemetry(self, monkeypatch, overrides, window_only):
         seen = []
         sites = []
+        names = []
 
         def recorder(site):
             def recording(m, name="matrix"):
                 # sym_eig symmetrizes, so this is the matrix LAPACK receives
                 seen.append(symmetrize(m).tobytes())
                 sites.append(site)
+                names.append(name)
                 return sym_eig(m, name=name)
 
             return recording
@@ -379,7 +379,13 @@ class TestDecompositionCache:
         tr, task, cfg = make_trainer(telemetry_every=7, **overrides)
         run_loop(tr, task, cfg)
         assert any(r.eig_cv > 0.0 for r in tr.records)
-        assert ("grit.telemetry" in sites) == telemetry_decomposes
+        # the covariances are decomposed by their geometry, never by the telemetry
+        assert {s for s, n in zip(sites, names) if n in ("a_cov", "g_cov")} == {"grit.reprojection"}
+        assert "grit.telemetry" not in sites
+        if window_only:
+            # each record decomposes at most its current a_cov; the rest
+            # are window snapshots decomposed for the stability statistics
+            assert names.count("a_cov") > len(tr.records)
         assert len(seen) == len(set(seen))
 
 
@@ -391,13 +397,13 @@ class TestPenaltyGeometry:
     def run_checked(self, monkeypatch, reset_after=None, **overrides):
         built = []
         for name in ("select_rank", "make_projector"):
-            original = getattr(trainer_module, name)
+            original = getattr(reprojection_module, name)
 
             def counting(*args, _original=original, _name=name, **kwargs):
                 built.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(trainer_module, name, counting)
+            monkeypatch.setattr(reprojection_module, name, counting)
 
         tr, task, cfg = make_trainer(
             lambda_r=0.5, use_two_sided=True, g_gate_min_samples=24, reprojection_k=3,
@@ -501,7 +507,7 @@ class TestSharedSpectra:
             if step % cfg.telemetry_every:
                 continue
             for record in tr.records[-n_layers:]:
-                covs = [snap.cov for snap in tr.monitors[record.layer].cov_snapshots]
+                covs = [snap.a_cov for snap in tr.monitors[record.layer].cov_snapshots]
                 if len(covs) < 2:
                     continue
                 cov_var, eig_cv, _ = stability_stats(covs, max(1, record.k_selected))
