@@ -10,12 +10,12 @@ for a fixed config and seed. Run this on two checkouts and diff the output:
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
-(telemetry every 5 steps, control and grit), and six grit variants that
+(telemetry every 5 steps, control and grit), and seven grit variants that
 take the other rank-space paths: hysteresis with a soft blend (twice, once
-with a band wide enough to hold k), a fixed k,
-one-sided reprojection with a late rank-adaptation start, EMA statistics,
-and statistics every step with neither the lambda_r penalty nor
-reprojection. The manifest carries a timestamp, so it is left out. Prints
+with a band wide enough to hold k), a fixed k, one-sided reprojection with
+a late rank-adaptation start, EMA statistics, statistics every step with
+neither the lambda_r penalty nor reprojection, and the lambda_k curvature
+penalty. The manifest carries a timestamp, so it is left out. Prints
 one JSON object: run name -> artifact name -> sha256. Takes a few seconds.
 """
 
@@ -51,6 +51,7 @@ RUNS = {
     "grit-every-step-stats-s0": study_config(
         "grit", 0, lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**6
     ),
+    "grit-curvature-penalty-s0": study_config("grit", 0, lambda_k=1.0),
 }
 
 

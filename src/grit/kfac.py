@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionUnavailableError, ShapeError
-from .linalg import damped_solve, symmetrize
+from .linalg import damped_solve
 from .model import AdapterPair, LayerTape
 
 
@@ -102,8 +102,9 @@ def refresh_inverses(stats: RankSpaceStats, min_samples: int) -> bool:
     if stats.n_cov < min_samples:
         return False
     eye = np.eye(stats.rank)
-    inv_a, _ = damped_solve(symmetrize(stats.a_cov), stats.damping, eye)
-    inv_g, _ = damped_solve(symmetrize(stats.g_cov), stats.damping, eye)
+    # damped_solve symmetrizes its input
+    inv_a, _ = damped_solve(stats.a_cov, stats.damping, eye)
+    inv_g, _ = damped_solve(stats.g_cov, stats.damping, eye)
     stats.inv_a = inv_a
     stats.inv_g = inv_g
     stats.inv_ready = True

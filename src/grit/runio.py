@@ -14,7 +14,9 @@ Layout of a completed run directory:
 Timestamps appear only in the manifest so that record and streams replay
 byte-identically for a fixed config and seed. The manifest, record and
 checkpoint are replaced whole (write_atomic), so a run that dies mid-write
-leaves the previous version, never a truncated file.
+leaves the previous version, never a truncated file. Each .jsonl stream is
+opened once per run, flushed after every line and closed on every exit
+path, so a run that dies leaves each stream ending in a whole line.
 """
 
 from __future__ import annotations
@@ -137,15 +139,22 @@ _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class JsonlWriter:
-    """Line-per-object stream used for events, stats snapshots, and update clouds."""
+    """Line-per-object stream used for events, stats snapshots, update clouds and telemetry.
+
+    The file is opened (and truncated) once. Each line is flushed before
+    append returns, so the file on disk always ends in a whole line.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.write_text("")
+        self._file = open(self.path, "w")
 
     def append(self, obj: dict) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(_JSONL_ENCODER.encode(obj) + "\n")
+        self._file.write(_JSONL_ENCODER.encode(obj) + "\n")
+        self._file.flush()
+
+    def close(self) -> None:
+        self._file.close()
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

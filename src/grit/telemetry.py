@@ -18,6 +18,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import sym_eig, symmetrize
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
+from .runio import JsonlWriter
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -55,9 +56,6 @@ class GeometryRecord:
     eig_cv: float
     cov_var: float
     spectrum: list[float]
-
-    def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in GEOMETRY_FIELDS}, sort_keys=True)
 
 
 def tail_mass(delta_w: np.ndarray, threshold: float) -> int:
@@ -113,23 +111,8 @@ def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, k - overlap)))
 
 
-def stability_stats(
-    cov_sequence: list[np.ndarray],
-    k: int,
-    spectra: list[np.ndarray] | None = None,
-) -> tuple[float, float, list[int]]:
-    """Within-sequence covariance variance and top-k eigenvalue dispersion.
-
-    cov_var is the mean squared Frobenius deviation from the time mean of
-    the symmetrized snapshots. eig_cv averages Std/Mean over the top-k
-    eigenvalue trajectories (population std); indices with zero mean are
-    skipped and reported.
-
-    spectra, when given, holds every snapshot's eigenvalues in sym_eig's
-    descending order, and no snapshot is decomposed here; without it each
-    is decomposed with sym_eig. Since sym_eig symmetrizes its input, the
-    eigenvalues of a raw snapshot are bitwise the ones computed here.
-    """
+def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
+    """Mean squared Frobenius deviation of the symmetrized snapshots from their time mean."""
     if len(cov_sequence) < 2:
         raise ValidationError("need at least two covariance snapshots")
     shapes = {np.shape(c) for c in cov_sequence}
@@ -138,18 +121,37 @@ def stability_stats(
     (shape,) = shapes
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError(f"expected square covariance snapshots, got shape {shape}")
-    if not 1 <= k <= shape[0]:
-        raise ValidationError(f"k must be between 1 and {shape[0]}, got {k}")
+    raw = np.asarray(cov_sequence, dtype=np.float64)
+    mats = 0.5 * (raw + raw.transpose(0, 2, 1))
+    mean_mat = mats.mean(axis=0)
+    return float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
+
+
+def stability_stats(
+    cov_sequence: list[np.ndarray],
+    k: int,
+    spectra: list[np.ndarray] | None = None,
+) -> tuple[float, float, list[int]]:
+    """Within-sequence covariance variance and top-k eigenvalue dispersion.
+
+    cov_var is covariance_variance(cov_sequence). eig_cv averages Std/Mean
+    over the top-k eigenvalue trajectories (population std); indices with
+    zero mean are skipped and reported.
+
+    spectra, when given, holds every snapshot's eigenvalues in sym_eig's
+    descending order, and no snapshot is decomposed here; without it each
+    is decomposed with sym_eig, which symmetrizes it first.
+    """
+    cov_var = covariance_variance(cov_sequence)
+    dim = np.shape(cov_sequence[0])[0]
+    if not 1 <= k <= dim:
+        raise ValidationError(f"k must be between 1 and {dim}, got {k}")
     if spectra is not None and len(spectra) != len(cov_sequence):
         raise ValidationError(
             f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
         )
-    raw = np.asarray(cov_sequence, dtype=np.float64)
-    mats = 0.5 * (raw + raw.transpose(0, 2, 1))
-    mean_mat = mats.mean(axis=0)
-    cov_var = float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
     if spectra is None:
-        spectra = [sym_eig(mat).eigenvalues for mat in mats]
+        spectra = [sym_eig(c).eigenvalues for c in cov_sequence]
     top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
     means = top.mean(axis=0)
     stds = top.std(axis=0)
@@ -305,19 +307,17 @@ def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
 
 
 class TelemetryWriter:
-    """Append-only newline-delimited geometry stream with a schema header."""
+    """Append-only geometry stream: a schema header line, then one record per line."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        header = json.dumps(
-            {"schema": "geometry", "version": TELEMETRY_SCHEMA_VERSION},
-            sort_keys=True,
-        )
-        self.path.write_text(header + "\n")
+        self.lines = JsonlWriter(path)
+        self.lines.append({"schema": "geometry", "version": TELEMETRY_SCHEMA_VERSION})
 
     def append(self, record: GeometryRecord) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(record.to_json() + "\n")
+        self.lines.append({name: getattr(record, name) for name in GEOMETRY_FIELDS})
+
+    def close(self) -> None:
+        self.lines.close()
 
 
 def read_telemetry(path: str | Path) -> list[GeometryRecord]:

@@ -3,10 +3,11 @@
 Per step, in order: forward; loss (plus ramped regularizers when enabled);
 backward; statistics accumulation and damped inversion on their cadence and
 gates; natural-gradient preconditioning once inverses are ready; global-norm
-gradient clipping; a decoupled-weight-decay adaptive-moment step on the
-adapter factors only; and finally gated reprojection. In lora_control mode
-every geometry-specific stage is skipped, which makes the loop a plain
-low-rank adaptation trainer with the identical optimizer arithmetic.
+gradient clipping; an adaptive-moment step without weight decay on the
+adapter factors only, one pass over all of them as one flat vector; and
+finally gated reprojection. In lora_control mode every geometry-specific
+stage is skipped, which makes the loop a plain low-rank adaptation trainer
+with the identical optimizer arithmetic.
 
 Each accumulation gives every layer one reprojection.LayerGeometry. The
 lambda_r penalty, reprojection and the telemetry read its decompositions,
@@ -69,32 +70,44 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments on a fixed list of arrays."""
+    """Adaptive moments, without weight decay, on one flat parameter vector.
 
-    def __init__(self, shapes, lr: float, betas=(0.9, 0.95), eps: float = 1e-8, weight_decay: float = 0.0):
+    m and v are flat float64 vectors of the parameter vector's size.
+    Elementwise arithmetic makes one pass over the concatenated factors
+    bitwise equal to one pass per factor.
+    """
+
+    def __init__(self, size: int, lr: float, betas=(0.9, 0.95), eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """The new flat parameters; params is left untouched."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay > 0.0:
-                p = p - self.lr * self.weight_decay * p
-            out.append(p)
-        return out
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
+        m_hat = self.m / bc1
+        v_hat = self.v / bc2
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
+    """The gradients concatenated flat, scaled down to global norm max_norm when above it.
+
+    The squared norm adds one sum per factor in list order, so it rounds as
+    it did when each factor was clipped on its own.
+    """
+    global_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    flat = np.concatenate([g.ravel() for g in grads])
+    if global_norm > max_norm and global_norm > 0.0:
+        flat *= max_norm / global_norm
+    return flat
 
 
 def regularizer_ramp(step: int, warmup_steps: int) -> float:
@@ -143,9 +156,9 @@ class LayerMonitor:
     """Per-layer accumulators backing the telemetry stream."""
 
     update_cov: np.ndarray
-    # the clipped (grad_a, grad_b) of the last two steps, for the jitter
-    prev_grads: tuple[np.ndarray, np.ndarray] | None = None
-    grads: tuple[np.ndarray, np.ndarray] | None = None
+    # the clipped gradient of the last two steps, a then b flattened, for the jitter
+    prev_grads: np.ndarray | None = None
+    grads: np.ndarray | None = None
     prev_basis: np.ndarray | None = None
     # the LayerGeometry of each accumulation, newest last
     cov_snapshots: deque = field(default_factory=lambda: deque(maxlen=COV_WINDOW))
@@ -178,11 +191,15 @@ class Trainer:
             RankSpaceStats(rank=config.lora_rank, damping=config.kfac_damping, ema_beta=config.ema_beta)
             for _ in range(n_layers)
         ]
-        shapes = []
+        # each layer's a and b as slices of the flat optimizer vectors
+        self._slices: list[tuple[slice, slice]] = []
+        offset = 0
         for _, adapter in self.model.layers:
-            shapes.append(adapter.a.shape)
-            shapes.append(adapter.b.shape)
-        self.optimizer = AdamW(shapes, lr=config.learning_rate)
+            mid = offset + adapter.a.size
+            end = mid + adapter.b.size
+            self._slices.append((slice(offset, mid), slice(mid, end)))
+            offset = end
+        self.optimizer = AdamW(offset, lr=config.learning_rate)
         r = config.lora_rank
         self.monitors = [
             LayerMonitor(update_cov=np.zeros((r, r)), last_k=r) for _ in range(n_layers)
@@ -214,6 +231,18 @@ class Trainer:
             if base.bias is not None:
                 h.update(base.bias.tobytes())
         return h.hexdigest()
+
+    def close(self) -> None:
+        """Close the run streams; every appended line is already on disk."""
+        for writer in (self.telemetry_writer, self.event_writer, self.stats_writer, self.update_writer):
+            if writer is not None:
+                writer.close()
+
+    def __enter__(self) -> "Trainer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _log_event(self, obj: dict) -> None:
         self.events.append(obj)
@@ -271,7 +300,6 @@ class Trainer:
         if not np.isfinite(loss):
             raise GritError(f"non-finite loss at step {step}")
 
-        grads = []
         preconditioned = False
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
         if geometry_on and step % config.kfac_update_freq == 0:
@@ -297,40 +325,31 @@ class Trainer:
             if all(refreshed):
                 self._log_event({"step": step, "action": "invert"})
 
+        grads = []
         for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
-            ga = tape.grad_a.copy()
-            gb = tape.grad_b.copy()
+            ga, gb = tape.grad_a, tape.grad_b
             if penalty_grads[idx] is not None:
-                ga += penalty_grads[idx][0]
-                gb += penalty_grads[idx][1]
+                ga = ga + penalty_grads[idx][0]
+                gb = gb + penalty_grads[idx][1]
             if geometry_on and self.stats[idx].inv_ready:
                 ga, gb = precondition(ga, gb, self.stats[idx])
                 preconditioned = True
-            grads.append((ga, gb))
+            grads += (ga, gb)
         if preconditioned:
             self._log_event({"step": step, "action": "precondition"})
 
-        flat = [g for pair in grads for g in pair]
-        global_norm = float(np.sqrt(sum(np.sum(g * g) for g in flat)))
-        if global_norm > config.grad_clip and global_norm > 0.0:
-            scale = config.grad_clip / global_norm
-            flat = [g * scale for g in flat]
-
-        for idx, monitor in enumerate(self.monitors):
+        flat_grad = clipped_flat(grads, config.grad_clip)
+        params = np.concatenate([p.ravel() for adapter in adapters for p in (adapter.a, adapter.b)])
+        new_params = self.optimizer.step(params, flat_grad)
+        delta = new_params - params
+        for adapter, monitor, (sl_a, sl_b) in zip(adapters, self.monitors, self._slices):
             monitor.prev_grads = monitor.grads
-            monitor.grads = (flat[2 * idx], flat[2 * idx + 1])
-
-        params = []
-        for _, adapter in self.model.layers:
-            params.append(adapter.a)
-            params.append(adapter.b)
-        new_params = self.optimizer.step(params, flat)
-        for idx, (_, adapter) in enumerate(self.model.layers):
-            delta_a = new_params[2 * idx] - adapter.a
-            delta_b = new_params[2 * idx + 1] - adapter.b
-            self.monitors[idx].update_cov += delta_a @ delta_a.T + delta_b.T @ delta_b
-            adapter.a = new_params[2 * idx]
-            adapter.b = new_params[2 * idx + 1]
+            monitor.grads = flat_grad[sl_a.start : sl_b.stop]
+            delta_a = delta[sl_a].reshape(adapter.a.shape)
+            delta_b = delta[sl_b].reshape(adapter.b.shape)
+            monitor.update_cov += delta_a @ delta_a.T + delta_b.T @ delta_b
+            adapter.a = new_params[sl_a].reshape(adapter.a.shape)
+            adapter.b = new_params[sl_b].reshape(adapter.b.shape)
 
         reprojected = False
         if self.is_grit and step % config.reprojection_freq == 0:
@@ -418,10 +437,7 @@ class Trainer:
 
             jitter = 0.0
             if monitor.grads is not None and monitor.prev_grads is not None:
-                jitter, _ = update_jitter(
-                    np.concatenate([g.ravel() for g in monitor.grads]),
-                    np.concatenate([g.ravel() for g in monitor.prev_grads]),
-                )
+                jitter, _ = update_jitter(monitor.grads, monitor.prev_grads)
 
             drift = 0.0
             if side_decomp is not None:
@@ -493,7 +509,7 @@ def run_experiment(
     the held-out set before and after adaptation, writes the run artifacts
     (when out_dir is given), and returns the RunRecord. Any exception after
     the manifest is written marks it failed (interrupted for Ctrl-C) before
-    propagating.
+    propagating. The run streams are closed on every exit path.
     """
     validate_config(config)
     spec = task_spec if task_spec is not None else config.task
@@ -509,54 +525,53 @@ def run_experiment(
         model_rng=model_rng,
         data_rng=task_rng,
     )
-    trainer = Trainer(config, task, run_dir=out_dir)
-
-    manifest = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        if config_path is not None:
-            shutil.copy(config_path, out / CONFIG_NAME)
-        else:
-            (out / CONFIG_NAME).write_text(config_to_text(config))
-        manifest = RunManifest.create(
-            run_id=out.name,
-            config_hash=config_hash(config),
-            seed=config.seed,
-            task=spec,
-        )
-        write_manifest(manifest, out)
-
-    try:
-        pt_before = task.pt_loss(task.model)
-        final_task_loss = float("nan")
-        for step in range(config.steps):
-            batch = task.sample_batch(trainer.data_rng, config.batch_size)
-            result = trainer.train_step(batch, step)
-            final_task_loss = result.task_loss
-        if trainer.frozen_weight_hash() != trainer._frozen_hash:
-            raise GritError("frozen base weights changed during training")
-        pt_after = task.pt_loss(task.model)
-
-        record = RunRecord(
-            d_ft=config.steps * config.batch_size,
-            n_params=task.n_params,
-            final_task_loss=final_task_loss,
-            pt_loss_before=pt_before,
-            pt_loss_after=pt_after,
-            mode=config.mode,
-            seed=config.seed,
-            task=spec,
-            geometry_summary=trainer.geometry_summary(),
-            quadratic_forgetting_estimate=task.pt_quadratic(task.model),
-        )
-        if manifest is not None:
-            save_checkpoint(task.model, out / CHECKPOINT_NAME, seed=config.seed)
-            write_record(record, out)
-            manifest.status = "complete"
+    with Trainer(config, task, run_dir=out_dir) as trainer:
+        manifest = None
+        if out_dir is not None:
+            out = Path(out_dir)
+            if config_path is not None:
+                shutil.copy(config_path, out / CONFIG_NAME)
+            else:
+                (out / CONFIG_NAME).write_text(config_to_text(config))
+            manifest = RunManifest.create(
+                run_id=out.name,
+                config_hash=config_hash(config),
+                seed=config.seed,
+                task=spec,
+            )
             write_manifest(manifest, out)
-    except (Exception, KeyboardInterrupt) as exc:
-        if manifest is not None:
-            manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
-            write_manifest(manifest, out)
-        raise
+
+        try:
+            pt_before = task.pt_loss(task.model)
+            final_task_loss = float("nan")
+            for step in range(config.steps):
+                batch = task.sample_batch(trainer.data_rng, config.batch_size)
+                result = trainer.train_step(batch, step)
+                final_task_loss = result.task_loss
+            if trainer.frozen_weight_hash() != trainer._frozen_hash:
+                raise GritError("frozen base weights changed during training")
+            pt_after = task.pt_loss(task.model)
+
+            record = RunRecord(
+                d_ft=config.steps * config.batch_size,
+                n_params=task.n_params,
+                final_task_loss=final_task_loss,
+                pt_loss_before=pt_before,
+                pt_loss_after=pt_after,
+                mode=config.mode,
+                seed=config.seed,
+                task=spec,
+                geometry_summary=trainer.geometry_summary(),
+                quadratic_forgetting_estimate=task.pt_quadratic(task.model),
+            )
+            if manifest is not None:
+                save_checkpoint(task.model, out / CHECKPOINT_NAME, seed=config.seed)
+                write_record(record, out)
+                manifest.status = "complete"
+                write_manifest(manifest, out)
+        except (Exception, KeyboardInterrupt) as exc:
+            if manifest is not None:
+                manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
+                write_manifest(manifest, out)
+            raise
     return record

@@ -20,7 +20,7 @@ from grit.model import trainable_count
 from grit.oracles import _synthetic_law_records, delta_w_vector
 from grit.reprojection import make_projector, select_rank
 from grit.runio import read_record
-from grit.telemetry import effective_rank, stability_stats, xi_multiplier
+from grit.telemetry import covariance_variance, effective_rank, xi_multiplier
 from grit.tasks import build_task
 from grit.trainer import Trainer, run_experiment, seed_stream
 
@@ -365,8 +365,8 @@ def test_criterion_11_ema_stability_direction():
                 if t >= 200:
                     raws.append(c_mb)
                     emas.append(ema.copy())
-            raw_var, _, _ = stability_stats(raws, k=1)
-            ema_var, _, _ = stability_stats(emas, k=1)
+            raw_var = covariance_variance(raws)
+            ema_var = covariance_variance(emas)
             ema_vars[b_eff].append(ema_var)
             if b_eff == 4 and ema_var < raw_var:
                 reduced += 1

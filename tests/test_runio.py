@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from grit import runio
 from grit.forgetting import ScalingFit, load_fit, save_fit
 from grit.model import build_model, load_checkpoint, save_checkpoint
-from grit.runio import RunManifest, RunRecord, read_record, write_manifest, write_record
+from grit.runio import JsonlWriter, RunManifest, RunRecord, read_record, write_manifest, write_record
+from grit.telemetry import GeometryRecord, TelemetryWriter
 
 
 def record(**kw):
@@ -76,3 +78,42 @@ class TestAtomicWrites:
         write_record(record(seed=3), tmp_path)
         assert read_record(tmp_path).seed == 3
         assert os.listdir(tmp_path) == ["record.json"]
+
+
+class TestStreams:
+    def test_each_line_is_on_disk_before_append_returns(self, tmp_path):
+        writer = JsonlWriter(tmp_path / "events.jsonl")
+        assert os.path.getsize(writer.path) == 0
+        expected = ""
+        for obj in ({"step": 0, "action": "accumulate"}, {"z": [1.5, 2.0], "a": None}, {}):
+            before = os.path.getsize(writer.path)
+            writer.append(obj)
+            line = json.dumps(obj, sort_keys=True) + "\n"
+            assert os.path.getsize(writer.path) - before == len(line)
+            expected += line
+            assert writer.path.read_text() == expected
+        writer.close()
+        assert writer.path.read_text() == expected
+
+    def test_telemetry_lines_are_on_disk_before_append_returns(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        writer = TelemetryWriter(path)
+        header = json.dumps({"schema": "geometry", "version": 1}, sort_keys=True) + "\n"
+        assert path.read_text() == header
+        rec = GeometryRecord(
+            step=0, layer=1, k_selected=2, r_eff=1, rho_align=0.25, pi_proj=1.0, tail_mass=0,
+            curvature_exposure=0.5, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
+            spectrum=[2.0, 0.1],
+        )
+        writer.append(rec)
+        line = json.dumps(vars(rec), sort_keys=True) + "\n"
+        assert os.path.getsize(path) == len(header) + len(line)
+        writer.close()
+        assert path.read_text() == header + line
+
+    def test_reopening_truncates(self, tmp_path):
+        writer = JsonlWriter(tmp_path / "stats.jsonl")
+        writer.append({"step": 0})
+        writer.close()
+        JsonlWriter(tmp_path / "stats.jsonl").close()
+        assert (tmp_path / "stats.jsonl").read_text() == ""

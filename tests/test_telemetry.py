@@ -15,6 +15,7 @@ from grit.telemetry import (
     TelemetryWriter,
     adapter_subspace_basis,
     alignment_overlap,
+    covariance_variance,
     effective_rank,
     exposure_from_basis,
     hessian_fd,
@@ -208,6 +209,15 @@ class TestStabilityStats:
     def test_needs_two_snapshots(self):
         with pytest.raises(ValidationError):
             stability_stats([np.eye(2)], k=1)
+        with pytest.raises(ValidationError):
+            covariance_variance([np.eye(2)])
+
+    def test_covariance_variance_is_stability_cov_var_bitwise(self):
+        rng = np.random.default_rng(17)
+        for dim, length in ((3, 200), (8, 24), (1, 2)):
+            seq = [rng.normal(size=(dim, dim)) for _ in range(length)]  # not symmetric
+            cov_var, _, _ = stability_stats(seq, k=1)
+            assert np.float64(covariance_variance(seq)).tobytes() == np.float64(cov_var).tobytes()
 
     def test_k_above_dim(self):
         with pytest.raises(ValidationError):

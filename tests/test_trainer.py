@@ -12,10 +12,12 @@ from grit.kfac import RankSpaceStats, accumulate
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
-from grit.runio import read_record
+from grit.runio import JsonlWriter, read_record
 from grit.telemetry import stability_stats
 from grit.trainer import (
+    AdamW,
     Trainer,
+    clipped_flat,
     curvature_penalty,
     regularizer_ramp,
     reprojection_penalty,
@@ -52,6 +54,75 @@ def run_loop(trainer, task, config):
         batch = task.sample_batch(trainer.data_rng, config.batch_size)
         losses.append(trainer.train_step(batch, step).loss)
     return losses
+
+
+class PerArrayAdamW:
+    """The optimizer as one pass per factor array: the reference for the flat one."""
+
+    def __init__(self, shapes, lr, betas=(0.9, 0.95), eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        return out
+
+
+def per_array_clip(grads, max_norm):
+    global_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    if global_norm > max_norm and global_norm > 0.0:
+        scale = max_norm / global_norm
+        return [g * scale for g in grads]
+    return grads
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatOptimizer:
+    SHAPES = [(3, 7), (5, 3), (2, 11), (13, 2), (1, 1)]
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+    def test_flat_clip_and_step_match_per_array_bitwise(self, max_norm):
+        rng = np.random.default_rng(31)
+        params = [rng.normal(size=s) for s in self.SHAPES]
+        reference = PerArrayAdamW(self.SHAPES, lr=0.02)
+        optimizer = AdamW(sum(int(np.prod(s)) for s in self.SHAPES), lr=0.02)
+        flat_params = flat(params)
+        # about a third of these draws round differently if the norm is
+        # summed in one pass over the concatenation
+        for _ in range(40):
+            grads = [rng.normal(scale=rng.uniform(0.1, 10.0), size=s) for s in self.SHAPES]
+            clipped = per_array_clip(grads, max_norm)
+            flat_grad = clipped_flat(grads, max_norm)
+            assert (clipped is grads) == (max_norm == 1e6)
+            assert flat_grad.tobytes() == flat(clipped).tobytes()
+            params = reference.step(params, clipped)
+            flat_params = optimizer.step(flat_params, flat_grad)
+            assert flat_params.tobytes() == flat(params).tobytes()
+            assert optimizer.m.tobytes() == flat(reference.m).tobytes()
+            assert optimizer.v.tobytes() == flat(reference.v).tobytes()
+
+    def test_step_leaves_its_inputs_untouched(self):
+        params = np.arange(4.0)
+        grads = np.ones(4)
+        AdamW(4, lr=0.1).step(params, grads)
+        assert params.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert grads.tolist() == [1.0] * 4
 
 
 class TestControlEquivalence:
@@ -664,6 +735,57 @@ class TestRunPath:
         assert task._curvature_cache is None and task._hessian_cache is None
 
 
+@pytest.fixture
+def opened_streams(monkeypatch):
+    """Every JsonlWriter a run opens, telemetry's included."""
+    opened = []
+    init = JsonlWriter.__init__
+
+    def recording_init(self, path):
+        init(self, path)
+        opened.append(self)
+
+    monkeypatch.setattr(JsonlWriter, "__init__", recording_init)
+    return opened
+
+
+def assert_closed_whole_lines(streams):
+    assert sorted(w.path.name for w in streams) == [
+        "events.jsonl", "stats.jsonl", "telemetry.jsonl", "updates.jsonl"
+    ]
+    for writer in streams:
+        with pytest.raises(ValueError, match="closed file"):
+            writer.append({})
+        text = writer.path.read_text()
+        assert text == "" or text.endswith("\n")
+        for line in text.splitlines():
+            json.loads(line)
+
+
+class TestRunStreams:
+    def test_closed_after_a_complete_run(self, tmp_path, opened_streams):
+        cfg = GritConfig(task=TASK, steps=20, seed=9, lora_rank=4, telemetry_every=10, eval_size=64,
+                         kfac_update_freq=5, kfac_min_samples=16)
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        assert_closed_whole_lines(opened_streams)
+        assert all(w.path.read_text() for w in opened_streams)
+
+    def test_closed_after_a_failed_run(self, tmp_path, opened_streams):
+        from grit.errors import GritError
+
+        cfg = GritConfig(task=TASK, steps=5, seed=1, learning_rate=1e200, eval_size=64,
+                         lora_rank=4, telemetry_every=0)
+        with pytest.raises(GritError):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        assert_closed_whole_lines(opened_streams)
+
+    def test_closed_after_a_raise_before_the_step_loop(self, tmp_path, opened_streams):
+        cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4)
+        with pytest.raises(FileNotFoundError):
+            run_experiment(cfg, out_dir=tmp_path / "run", config_path=tmp_path / "missing.cfg")
+        assert_closed_whole_lines(opened_streams)
+
+
 class TestRunLifecycle:
     def run_with_step(self, tmp_path, monkeypatch, raising_step):
         train_step = trainer_module.Trainer.train_step
@@ -695,6 +817,14 @@ class TestRunLifecycle:
         with pytest.raises(KeyboardInterrupt):
             self.run_with_step(tmp_path, monkeypatch, interrupt)
         assert self.manifest_status(tmp_path) == "interrupted"
+
+    def test_interrupt_closes_the_streams(self, tmp_path, monkeypatch, opened_streams):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_with_step(tmp_path, monkeypatch, interrupt)
+        assert_closed_whole_lines(opened_streams)
 
     def test_failure_after_training_marks_failed(self, tmp_path, monkeypatch):
         def disk_full(*args, **kwargs):
