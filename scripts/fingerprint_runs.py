@@ -15,8 +15,13 @@ take the other rank-space paths: hysteresis with a soft blend (twice, once
 with a band wide enough to hold k), a fixed k, one-sided reprojection with
 a late rank-adaptation start, EMA statistics, statistics every step with
 neither the lambda_r penalty nor reprojection, and the lambda_k curvature
-penalty. The manifest carries a timestamp, so it is left out. Prints
-one JSON object: run name -> artifact name -> sha256. Takes a few seconds.
+penalty. The manifest carries a timestamp, so it is left out.
+
+Each run is also audited with `grit audit`, and its six CSVs are hashed
+under "audit/<name>". A change to how a stream is written that keeps its
+values then shows the audit outputs unmoved while the stream's own hash
+changes. Prints one JSON object: run name -> artifact name -> sha256.
+Takes a few seconds.
 """
 
 import argparse
@@ -25,12 +30,17 @@ import json
 import tempfile
 from pathlib import Path
 
+from grit.cli import main as grit_cli
 from grit.trainer import run_experiment
 from study import study_config
 
 ARTIFACTS = (
     "config.cfg", "telemetry.jsonl", "events.jsonl", "stats.jsonl",
     "updates.jsonl", "checkpoint.json", "record.json",
+)
+AUDIT_CSVS = (
+    "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
+    "alignment.csv", "tail_mass.csv", "pca_updates.csv",
 )
 
 RUNS = {
@@ -56,9 +66,10 @@ RUNS = {
 
 
 def fingerprint(run_dir: Path) -> dict[str, str]:
-    return {
-        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in ARTIFACTS
-    }
+    if grit_cli(["--quiet", "audit", str(run_dir), "--out", str(run_dir / "audit")]) != 0:
+        raise SystemExit(f"grit audit failed on {run_dir.name}")
+    names = list(ARTIFACTS) + [f"audit/{name}" for name in AUDIT_CSVS]
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 
 
 def main() -> None:

@@ -30,6 +30,7 @@ from .runio import (
     RECORD_NAME,
     TELEMETRY_NAME,
     UPDATES_NAME,
+    decode_array,
     read_jsonl,
     read_manifest,
     read_record,
@@ -91,6 +92,22 @@ def _fmt(value):
     return value
 
 
+def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
+    """Every line's decoded delta_w; ValidationError unless all are 1-D of one length."""
+    vectors = []
+    for line, update in enumerate(updates, start=1):
+        try:
+            vectors.append(decode_array(update["delta_w"]))
+        except (KeyError, TypeError, ValidationError) as exc:
+            raise ValidationError(f"{UPDATES_NAME} line {line}: no valid delta_w ({exc})") from exc
+        shape = vectors[-1].shape
+        if len(shape) != 1 or shape != vectors[0].shape:
+            raise ValidationError(
+                f"{UPDATES_NAME} line {line}: delta_w of shape {shape}, not 1-D of line 1's length"
+            )
+    return vectors
+
+
 def cmd_audit(args) -> int:
     run_dir = Path(args.run_dir)
     try:
@@ -101,7 +118,7 @@ def cmd_audit(args) -> int:
         from .telemetry import read_telemetry
 
         records = read_telemetry(run_dir / TELEMETRY_NAME)
-        updates = read_jsonl(run_dir / UPDATES_NAME)
+        vectors = _update_vectors(read_jsonl(run_dir / UPDATES_NAME))
         events = read_jsonl(run_dir / EVENTS_NAME)
         if not (run_dir / RECORD_NAME).exists():
             raise ValidationError(f"missing {RECORD_NAME}")
@@ -135,7 +152,6 @@ def cmd_audit(args) -> int:
     _write_csv(out / "alignment.csv", ["step", "layer", "rho_align", "pi_proj"], overlap_rows)
     _write_csv(out / "tail_mass.csv", ["step", "layer", "tail_mass"], tail_rows)
 
-    vectors = [np.array(u["delta_w"]) for u in updates]
     if len(vectors) >= 3:
         from .telemetry import pca_export
 

@@ -5,11 +5,22 @@ Layout of a completed run directory:
     config.cfg       copy of the resolved configuration
     manifest.json    run id, config hash, seed, task, timestamp, status
     telemetry.jsonl  geometry stream (schema header + one object per step/layer)
-    events.jsonl     reprojection / gate events, one object per line
+    events.jsonl     accumulate / invert / reprojection / gate events, one object per line
     stats.jsonl      rank-space covariance snapshots at the accumulation cadence
     updates.jsonl    flattened per-layer update vectors for the PCA export
     checkpoint.json  final model
     record.json      RunRecord summary
+
+events.jsonl logs preconditioning by its transitions only: "precondition"
+on the step it starts and "precondition_stop" on the step it stops, which
+happens only after a statistics reset.
+
+The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
+1-D of length d_out * d_in) are written by encode_array as
+{"shape": [...], "f64": base64 of the little-endian float64 bytes}, which
+round-trips bit for bit. Read one with decode_array, or with
+np.frombuffer(base64.b64decode(f64), "<f8").reshape(shape). decode_array
+also reads the plain JSON lists of older run directories.
 
 Timestamps appear only in the manifest so that record and streams replay
 byte-identically for a fixed config and seed. The manifest, record and
@@ -21,11 +32,14 @@ path, so a run that dies leaves each stream ending in a whole line.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -136,6 +150,30 @@ def read_manifest(run_dir: str | Path) -> RunManifest:
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """{"shape": [...], "f64": base64 of the array's little-endian float64 bytes}."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "f64": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def decode_array(value) -> np.ndarray:
+    """The float64 array of an encode_array dict, bit for bit, or of a plain JSON list.
+
+    A decoded dict gives a read-only view of the decoded bytes. Raises
+    ValidationError when value is neither, or its bytes do not fill its shape.
+    """
+    try:
+        if isinstance(value, list):
+            return np.array(value, dtype=np.float64)
+        array = np.frombuffer(base64.b64decode(value["f64"], validate=True), dtype="<f8")
+        array = array.reshape(value["shape"])
+    except (KeyError, TypeError, ValueError) as exc:  # bad base64 raises a ValueError
+        raise ValidationError(f"not a float64 array: {exc}") from exc
+    if array.shape != tuple(value["shape"]):  # reshape fills in a -1
+        raise ValidationError(f"not a float64 array: shape {value['shape']}")
+    return array
 
 
 class JsonlWriter:

@@ -43,6 +43,7 @@ from .runio import (
     JsonlWriter,
     RunManifest,
     RunRecord,
+    encode_array,
     write_manifest,
     write_record,
 )
@@ -205,6 +206,8 @@ class Trainer:
             LayerMonitor(update_cov=np.zeros((r, r)), last_k=r) for _ in range(n_layers)
         ]
         self.events: list[dict] = []
+        # whether the last step preconditioned; events log its transitions only
+        self._preconditioning = False
         self.records: list[GeometryRecord] = []
         # per layer: the geometry of its current statistics, once asked for
         self._geometry: list[LayerGeometry | None] = [None] * n_layers
@@ -312,8 +315,8 @@ class Trainer:
                             "step": step,
                             "layer": idx,
                             "n_cov": self.stats[idx].n_cov,
-                            "a_cov": self.stats[idx].a_cov.tolist(),
-                            "g_cov": self.stats[idx].g_cov.tolist(),
+                            "a_cov": encode_array(self.stats[idx].a_cov),
+                            "g_cov": encode_array(self.stats[idx].g_cov),
                         }
                     )
             self._log_event({"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov})
@@ -335,8 +338,11 @@ class Trainer:
                 ga, gb = precondition(ga, gb, self.stats[idx])
                 preconditioned = True
             grads += (ga, gb)
-        if preconditioned:
-            self._log_event({"step": step, "action": "precondition"})
+        if preconditioned != self._preconditioning:
+            self._preconditioning = preconditioned
+            self._log_event(
+                {"step": step, "action": "precondition" if preconditioned else "precondition_stop"}
+            )
 
         flat_grad = clipped_flat(grads, config.grad_clip)
         params = np.concatenate([p.ravel() for adapter in adapters for p in (adapter.a, adapter.b)])
@@ -480,7 +486,7 @@ class Trainer:
                 self.telemetry_writer.append(record)
             if self.update_writer is not None:
                 self.update_writer.append(
-                    {"step": step, "layer": idx, "delta_w": delta_vec.tolist()}
+                    {"step": step, "layer": idx, "delta_w": encode_array(delta_vec)}
                 )
 
     def geometry_summary(self) -> GeometrySummary:

@@ -6,7 +6,7 @@ import pytest
 
 from grit.cli import main
 from grit.forgetting import load_fit
-from grit.runio import GeometrySummary, RunRecord, write_record
+from grit.runio import GeometrySummary, RunRecord, decode_array, encode_array, write_record
 from grit.telemetry import xi_multiplier
 
 MINIMAL_CONFIG = """
@@ -208,6 +208,43 @@ class TestAudit:
         assert main(["--quiet", "audit", str(out)]) == 1
         assert "incomplete run" in capsys.readouterr().err
         assert not (out / "audit").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda u: u.pop("delta_w"),
+            lambda u: u["delta_w"].update(f64="not*base64"),
+            lambda u: u["delta_w"].update(shape=[u["delta_w"]["shape"][0] + 1]),
+            lambda u: u.update(delta_w=encode_array(np.zeros(8))),
+        ],
+        ids=["missing_field", "invalid_base64", "bytes_not_shape", "shorter_vector"],
+    )
+    def test_bad_update_vector_is_incomplete_run(self, tmp_path, capsys, corrupt):
+        out = self.run_once(tmp_path)
+        path = out / "updates.jsonl"
+        updates = [json.loads(line) for line in path.read_text().splitlines()]
+        corrupt(updates[1])
+        path.write_text("".join(json.dumps(u) + "\n" for u in updates))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete run" in err and "updates.jsonl line 2" in err
+        assert not (out / "audit").exists()
+
+    def test_plain_list_run_dir_audits_identically(self, tmp_path):
+        out = self.run_once(tmp_path)
+        main(["--quiet", "audit", str(out), "--out", str(tmp_path / "encoded")])
+        for name, fields in (("stats.jsonl", ("a_cov", "g_cov")), ("updates.jsonl", ("delta_w",))):
+            lines = [json.loads(line) for line in (out / name).read_text().splitlines()]
+            for line in lines:
+                line.update({f: decode_array(line[f]).tolist() for f in fields})
+            (out / name).write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert isinstance(json.loads((out / "updates.jsonl").read_text().splitlines()[0])["delta_w"], list)
+        assert main(["--quiet", "audit", str(out), "--out", str(tmp_path / "lists")]) == 0
+        names = sorted(p.name for p in (tmp_path / "encoded").iterdir())
+        assert len(names) == 6
+        assert sorted(p.name for p in (tmp_path / "lists").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "lists" / name).read_bytes() == (tmp_path / "encoded" / name).read_bytes()
 
 
 class TestFitLaw:

@@ -7,7 +7,17 @@ import pytest
 from grit import runio
 from grit.forgetting import ScalingFit, load_fit, save_fit
 from grit.model import build_model, load_checkpoint, save_checkpoint
-from grit.runio import JsonlWriter, RunManifest, RunRecord, read_record, write_manifest, write_record
+from grit.errors import ValidationError
+from grit.runio import (
+    JsonlWriter,
+    RunManifest,
+    RunRecord,
+    decode_array,
+    encode_array,
+    read_record,
+    write_manifest,
+    write_record,
+)
 from grit.telemetry import GeometryRecord, TelemetryWriter
 
 
@@ -117,3 +127,63 @@ class TestStreams:
         writer.close()
         JsonlWriter(tmp_path / "stats.jsonl").close()
         assert (tmp_path / "stats.jsonl").read_text() == ""
+
+
+SPECIALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -1e300]
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(SPECIALS),
+            np.array(SPECIALS[:8]).reshape(2, 4),
+            np.arange(12.0).reshape(3, 4).T,  # not C-contiguous
+            np.zeros(0),
+        ],
+        ids=["1d", "2d", "transposed", "empty"],
+    )
+    def test_round_trip_is_bit_identical_through_json(self, array):
+        doc = json.loads(json.dumps(encode_array(array)))
+        assert set(doc) == {"shape", "f64"}
+        out = decode_array(doc)
+        assert out.dtype == np.float64 and out.shape == array.shape
+        assert out.tobytes() == np.ascontiguousarray(array).tobytes()
+
+    def test_bytes_are_little_endian_float64(self):
+        import base64
+
+        array = np.array([[1.5, -0.0], [np.nan, 5e-324]])
+        doc = encode_array(array)
+        assert doc["shape"] == [2, 2]
+        raw = np.frombuffer(base64.b64decode(doc["f64"]), "<f8").reshape(doc["shape"])
+        assert raw.tobytes() == array.tobytes()
+
+    def test_plain_list_of_older_run_dirs(self):
+        values = [1.5, -0.0, 5e-324, float("nan"), float("inf")]
+        text = json.dumps({"delta_w": values})
+        out = decode_array(json.loads(text)["delta_w"])
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.array(values).tobytes()
+        assert decode_array([[1.0, 2.0], [3.0, 4.0]]).shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None,
+            "AAAAAAAA8D8=",
+            {"shape": [1]},
+            {"f64": "AAAAAAAA8D8="},
+            {"shape": [1], "f64": "not base64!"},
+            {"shape": [1], "f64": "AAAAAAAA8D8"},  # padding cut
+            {"shape": [2], "f64": "AAAAAAAA8D8="},  # 8 bytes for 2 floats
+            {"shape": [1], "f64": "AAAAAAAA8D8A"},  # 9 bytes
+            {"shape": [-1], "f64": "AAAAAAAA8D8="},
+            {"shape": "1", "f64": "AAAAAAAA8D8="},
+            [1.0, [2.0]],
+            ["x"],
+        ],
+    )
+    def test_malformed_value_is_validation_error(self, value):
+        with pytest.raises(ValidationError):
+            decode_array(value)

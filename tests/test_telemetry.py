@@ -433,5 +433,6 @@ class TestTelemetryStream:
             eig_cv=0.2, cov_var=0.05, spectrum=[1.0, 0.5],
         )
         writer.append(rec)
+        writer.close()
         out = read_telemetry(path)
         assert out == [rec]

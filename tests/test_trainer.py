@@ -12,7 +12,7 @@ from grit.kfac import RankSpaceStats, accumulate
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
-from grit.runio import JsonlWriter, read_record
+from grit.runio import JsonlWriter, decode_array, read_jsonl, read_record
 from grit.telemetry import stability_stats
 from grit.trainer import (
     AdamW,
@@ -30,7 +30,7 @@ from grit.tasks import build_task
 TASK = "synthetic_lowrank(d=10, r_true=2, noise=0.05)"
 
 
-def make_trainer(**kw):
+def make_trainer(run_dir=None, **kw):
     defaults = dict(
         task=TASK, steps=60, seed=0, lora_rank=4, min_lora_rank=2,
         kfac_update_freq=5, kfac_min_samples=16, reprojection_freq=20,
@@ -45,7 +45,7 @@ def make_trainer(**kw):
         model_rng=seed_stream(config.seed, "model"),
         data_rng=seed_stream(config.seed, "task-data"),
     )
-    return Trainer(config, task), task, config
+    return Trainer(config, task, run_dir), task, config
 
 
 def run_loop(trainer, task, config):
@@ -650,7 +650,8 @@ class TestRunExperiment:
         assert lines
         snap = json.loads(lines[0])
         assert set(snap) == {"step", "layer", "n_cov", "a_cov", "g_cov"}
-        assert len(snap["a_cov"]) == 4 and len(snap["a_cov"][0]) == 4
+        assert set(snap["a_cov"]) == set(snap["g_cov"]) == {"shape", "f64"}
+        assert snap["a_cov"]["shape"] == snap["g_cov"]["shape"] == [4, 4]
         steps = [json.loads(l)["step"] for l in lines]
         assert all(s % cfg.kfac_update_freq == 0 for s in steps)
 
@@ -784,6 +785,71 @@ class TestRunStreams:
         with pytest.raises(FileNotFoundError):
             run_experiment(cfg, out_dir=tmp_path / "run", config_path=tmp_path / "missing.cfg")
         assert_closed_whole_lines(opened_streams)
+
+
+class TestArrayStreams:
+    TWO_LAYER = "two_task_forgetting(d=8, hidden=8, pretrain_steps=0, ft_noise=0)"
+
+    def test_stats_lines_decode_to_the_trainer_covariances(self, tmp_path):
+        tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", task=self.TWO_LAYER, steps=30)
+        expected = []
+        with tr:
+            for step in range(cfg.steps):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+                if step % cfg.kfac_update_freq == 0:
+                    expected += [(step, idx, s.n_cov, s.a_cov.copy(), s.g_cov.copy())
+                                 for idx, s in enumerate(tr.stats)]
+        lines = read_jsonl(tmp_path / "stats.jsonl")
+        assert len(lines) == len(expected) == 2 * 6
+        for line, (step, idx, n_cov, a_cov, g_cov) in zip(lines, expected):
+            assert (line["step"], line["layer"], line["n_cov"]) == (step, idx, n_cov)
+            for field, cov in (("a_cov", a_cov), ("g_cov", g_cov)):
+                decoded = decode_array(line[field])
+                assert decoded.shape == cov.shape == (4, 4)
+                assert decoded.tobytes() == cov.tobytes()
+
+    def test_update_lines_decode_to_the_scaled_adapter_update(self, tmp_path):
+        tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", task=self.TWO_LAYER,
+                                     steps=30, telemetry_every=10)
+        expected = []
+        with tr:
+            for step in range(cfg.steps):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+                if step % cfg.telemetry_every == 0:
+                    expected += [(step, idx, adapter.scaling * (adapter.b @ adapter.a).ravel())
+                                 for idx, (_, adapter) in enumerate(tr.model.layers)]
+        lines = read_jsonl(tmp_path / "updates.jsonl")
+        assert len(lines) == len(expected) == 2 * 3
+        for line, (step, idx, delta) in zip(lines, expected):
+            assert (line["step"], line["layer"]) == (step, idx)
+            assert line["delta_w"]["shape"] == [64]
+            decoded = decode_array(line["delta_w"])
+            assert decoded.shape == delta.shape == (64,)
+            assert decoded.tobytes() == delta.tobytes()
+
+
+class TestPreconditionEvents:
+    def test_only_transitions_are_logged_across_a_stats_reset(self, tmp_path):
+        # step 43 neither accumulates nor has inverses after the reset at 42;
+        # preconditioning resumes once kfac_min_samples are seen again
+        tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=80, telemetry_every=0)
+        flags = []
+        with tr:
+            for step in range(cfg.steps):
+                flags.append(tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step).preconditioned)
+                if step == 42:
+                    for stats in tr.stats:
+                        stats.reset()
+        logged = [(e["step"], e["action"]) for e in tr.events if e["action"].startswith("precondition")]
+        assert [action for _, action in logged] == ["precondition", "precondition_stop", "precondition"]
+        assert logged[1][0] == 43
+        transitions = [
+            (step, "precondition" if now else "precondition_stop")
+            for step, (before, now) in enumerate(zip([False] + flags, flags))
+            if now != before
+        ]
+        assert logged == transitions
+        assert read_jsonl(tmp_path / "events.jsonl") == tr.events
 
 
 class TestRunLifecycle:
