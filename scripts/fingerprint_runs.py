@@ -15,7 +15,9 @@ take the other rank-space paths: hysteresis with a soft blend (twice, once
 with a band wide enough to hold k), a fixed k, one-sided reprojection with
 a late rank-adaptation start, EMA statistics, statistics every step with
 neither the lambda_r penalty nor reprojection, and the lambda_k curvature
-penalty. The manifest carries a timestamp, so it is left out.
+penalty. One more control run starts its base off the teacher
+(init_jitter = 0.05), so its 20 pretraining steps move the weights. The
+manifest carries a timestamp, so it is left out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". A change to how a stream is written that keeps its
@@ -25,6 +27,7 @@ Takes a few seconds.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -62,6 +65,11 @@ RUNS = {
         "grit", 0, lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**6
     ),
     "grit-curvature-penalty-s0": study_config("grit", 0, lambda_k=1.0),
+    "control-jitter-s0": dataclasses.replace(
+        study_config("lora_control", 0),
+        task="two_task_forgetting(d=12, hidden=12, pretrain_steps=20, init_jitter=0.05, "
+        "ft_noise=0.25, delta_scale=0.2)",
+    ),
 }
 
 

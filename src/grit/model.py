@@ -116,11 +116,14 @@ class LayerTape:
     x: inputs to the layer (batch x d_in); dy: gradients of the loss with
     respect to the pre-activation outputs (batch x d_out); grad_a/grad_b: exact
     adapter gradients; grad_w0: gradient with respect to the (frozen) base
-    weight, kept for curvature probes.
+    weight, kept for curvature probes. w_eff: the effective weight
+    w0 + scaling * b @ a (d_out x d_in) that forward applied, which backward
+    reuses to carry the gradient to the layer below.
     """
 
     x: np.ndarray | None = None
     z: np.ndarray | None = None
+    w_eff: np.ndarray | None = None
     dy: np.ndarray | None = None
     grad_a: np.ndarray | None = None
     grad_b: np.ndarray | None = None
@@ -129,6 +132,7 @@ class LayerTape:
     def clear(self):
         self.x = None
         self.z = None
+        self.w_eff = None
         self.dy = None
         self.grad_a = None
         self.grad_b = None
@@ -163,7 +167,7 @@ class Model:
         return [adapter for _, adapter in self.layers]
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run the stack, capturing per-layer inputs and pre-activations."""
+        """Run the stack, capturing per-layer inputs, effective weights and pre-activations."""
         h = np.asarray(batch, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.d_in:
             raise ShapeError(
@@ -172,7 +176,7 @@ class Model:
         for (base, adapter), tape in zip(self.layers, self.tapes):
             tape.clear()
             tape.x = h
-            w_eff = adapter.effective_weight(base.w0)
+            tape.w_eff = w_eff = adapter.effective_weight(base.w0)
             z = h @ w_eff.T
             if base.bias is not None:
                 z = z + base.bias
@@ -212,7 +216,7 @@ class Model:
             tape.grad_w0 = grad_w_eff
             tape.grad_a = adapter.scaling * (adapter.b.T @ grad_w_eff)
             tape.grad_b = adapter.scaling * (grad_w_eff @ adapter.a.T)
-            dh = dz @ adapter.effective_weight(base.w0)
+            dh = dz @ tape.w_eff
         return self.tapes
 
 

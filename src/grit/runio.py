@@ -106,13 +106,30 @@ def write_record(record: RunRecord, run_dir: str | Path) -> Path:
     return write_atomic(Path(run_dir) / RECORD_NAME, record.to_json())
 
 
+def json_object(text: str, path: Path, line: int | None = None) -> dict:
+    """The JSON object in text, read from path (at line); ValidationError naming them otherwise."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        problem = f"not valid JSON ({exc})"
+    else:
+        if isinstance(obj, dict):
+            return obj
+        problem = "not a JSON object"
+    where = path if line is None else f"{path} line {line}"
+    raise ValidationError(f"{where}: {problem}")
+
+
 def read_record(run_dir: str | Path) -> RunRecord:
     path = Path(run_dir) / RECORD_NAME
     if not path.exists():
         raise ValidationError(f"no {RECORD_NAME} in {run_dir}")
-    doc = json.loads(path.read_text())
-    doc["geometry_summary"] = GeometrySummary(**doc["geometry_summary"])
-    return RunRecord(**doc)
+    doc = json_object(path.read_text(), path)
+    try:
+        doc["geometry_summary"] = GeometrySummary(**doc["geometry_summary"])
+        return RunRecord(**doc)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: not a run record ({exc})") from exc
 
 
 @dataclass
@@ -145,7 +162,11 @@ def read_manifest(run_dir: str | Path) -> RunManifest:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise ValidationError(f"no {MANIFEST_NAME} in {run_dir}")
-    return RunManifest(**json.loads(path.read_text()))
+    doc = json_object(path.read_text(), path)
+    try:
+        return RunManifest(**doc)
+    except TypeError as exc:
+        raise ValidationError(f"{path}: not a run manifest ({exc})") from exc
 
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call
@@ -196,5 +217,20 @@ class JsonlWriter:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    text = Path(path).read_text()
-    return [json.loads(line) for line in text.splitlines() if line]
+    """The objects of a JSONL file, one per non-blank line.
+
+    A line that is not a JSON object raises ValidationError naming the file
+    and the line.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    try:
+        objects = [json.loads(line) for line in lines if line]
+    except json.JSONDecodeError:
+        objects = None
+    if objects is None or not all(isinstance(obj, dict) for obj in objects):
+        # rescan only to name the first bad line; json_object raises on it
+        for number, line in enumerate(lines, start=1):
+            if line:
+                json_object(line, path, number)
+    return objects

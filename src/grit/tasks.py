@@ -12,14 +12,18 @@ Task specs are strings:
 
     two_task_forgetting(d=12, hidden=12, pretrain_steps=200, delta_scale=0.35,
                         ft_noise=0.1, init_jitter=0.0)
-        Two-layer tanh network. The base is pretrained on a teacher (with
-        init_jitter = 0 the base starts at the teacher, i.e. at an exact
-        optimum of the pretraining objective, and the gradient-descent
-        refinement is a no-op). Fine-tuning targets come from the teacher with
-        a rank-2 perturbation per layer, plus observation noise of scale
-        ft_noise; the noise is what makes geometry-agnostic updates wander in
-        weakly constrained directions. pt loss is measured against the
-        original teacher on a fixed held-out set.
+        Two-layer tanh network. The base starts at a teacher, perturbed by
+        init_jitter, and is refined by full-batch gradient descent on
+        noiseless teacher data. pretrain_steps is an upper bound: the loop
+        stops at the first step whose gradient is exactly zero, since that
+        step and every later one would leave the weights unchanged. With
+        init_jitter = 0 the base is the teacher, an exact optimum of the
+        pretraining objective, so the loop stops at its first step.
+        Fine-tuning targets come from the teacher with a rank-2 perturbation
+        per layer, plus observation noise of scale ft_noise; the noise is
+        what makes geometry-agnostic updates wander in weakly constrained
+        directions. pt loss is measured against the original teacher on a
+        fixed held-out set.
 
 Both tasks expose the pretraining curvature at the base point without forming
 the dense Hessian H: per adapted layer, the layer inputs x_s and the
@@ -244,8 +248,9 @@ def build_two_task_forgetting(
         return np.tanh(x @ teacher_w1.T) @ teacher_w2.T
 
     # Pretraining: start at (or near) the teacher and refine with full-batch
-    # gradient descent on noiseless teacher data. With init_jitter = 0 this is
-    # already an exact optimum and the loop leaves the weights unchanged.
+    # gradient descent on noiseless teacher data. A step with exactly zero
+    # gradients, and every step after it, would leave the weights unchanged,
+    # so the loop stops there; with init_jitter = 0 that is the first step.
     w1 = teacher_w1 + init_jitter * model_rng.normal(size=teacher_w1.shape)
     w2 = teacher_w2 + init_jitter * model_rng.normal(size=teacher_w2.shape)
     x_tr = data_rng.normal(size=(max(eval_size, 128), d))
@@ -259,6 +264,8 @@ def build_two_task_forgetting(
         g2 = err.T @ h
         dh = (err @ w2) * (1.0 - h * h)
         g1 = dh.T @ x_tr
+        if not (g1.any() or g2.any()):
+            break
         w1 = w1 - lr * g1
         w2 = w2 - lr * g2
 

@@ -8,7 +8,6 @@ tail mass is tau_tail (config key tail_threshold); they are unrelated knobs.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import sym_eig, symmetrize
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
-from .runio import JsonlWriter
+from .runio import JsonlWriter, json_object
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -321,10 +320,22 @@ class TelemetryWriter:
 
 
 def read_telemetry(path: str | Path) -> list[GeometryRecord]:
-    lines = Path(path).read_text().splitlines()
+    """The records of a geometry stream after its header.
+
+    A line that is not a JSON object, or whose keys are not the record's
+    fields, raises ValidationError naming the file and the line.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines()
     if not lines:
         raise ValidationError("empty telemetry stream")
-    header = json.loads(lines[0])
+    header = json_object(lines[0], path, 1)
     if header.get("version") != TELEMETRY_SCHEMA_VERSION:
         raise ValidationError(f"unsupported telemetry version {header.get('version')!r}")
-    return [GeometryRecord(**json.loads(line)) for line in lines[1:]]
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            records.append(GeometryRecord(**json_object(line, path, number)))
+        except TypeError as exc:
+            raise ValidationError(f"{path} line {number}: not a geometry record ({exc})") from exc
+    return records

@@ -230,6 +230,39 @@ class TestAudit:
         assert "incomplete run" in err and "updates.jsonl line 2" in err
         assert not (out / "audit").exists()
 
+    @pytest.mark.parametrize("name", ["updates.jsonl", "events.jsonl", "telemetry.jsonl"])
+    def test_cut_stream_line_is_incomplete_run(self, tmp_path, capsys, name):
+        out = self.run_once(tmp_path)
+        lines = (out / name).read_text().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        (out / name).write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete run" in err and f"{name} line 2" in err
+        assert not (out / "audit").exists()
+
+    def test_telemetry_line_with_wrong_fields_is_incomplete_run(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["rho"] = record.pop("rho_align")
+        lines[1] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete run" in err and "telemetry.jsonl line 2" in err
+        assert not (out / "audit").exists()
+
+    def test_truncated_manifest_is_incomplete_run(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        path = out / "manifest.json"
+        path.write_text(path.read_text()[:40])
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete run" in err and "manifest.json" in err
+        assert not (out / "audit").exists()
+
     def test_plain_list_run_dir_audits_identically(self, tmp_path):
         out = self.run_once(tmp_path)
         main(["--quiet", "audit", str(out), "--out", str(tmp_path / "encoded")])
@@ -291,6 +324,16 @@ class TestFitLaw:
         fit = load_fit(out)
         assert fit.residual_rms < 1e-6
         assert abs(fit.gamma_a - 0.5) < 1e-3
+
+    def test_truncated_record_is_bad_run_dir(self, tmp_path, capsys):
+        dirs = self.fabricate_runs(tmp_path, with_geometry=False)
+        path = dirs[3] / "record.json"
+        path.write_text(path.read_text()[:40])
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad run dir {dirs[3]}" in err and "record.json" in err
+        assert not out.exists()
 
     def test_single_run_underdetermined(self, tmp_path):
         dirs = self.fabricate_runs(tmp_path, with_geometry=False)[:1]

@@ -156,6 +156,60 @@ class TestBackward:
                     it.iternext()
 
 
+def reference_backward(model, loss_grad):
+    """(dy, grad_w0, grad_a, grad_b) per layer, recomputing each effective weight."""
+    from grit.model import _act_deriv
+
+    dh, out = loss_grad, []
+    for (base, adapter), tape in zip(reversed(model.layers), reversed(model.tapes)):
+        dz = dh * _act_deriv(base.activation, tape.z)
+        grad_w = dz.T @ tape.x
+        out.append((dz, grad_w, adapter.scaling * (adapter.b.T @ grad_w), adapter.scaling * (grad_w @ adapter.a.T)))
+        dh = dz @ adapter.effective_weight(base.w0)
+    return out[::-1]
+
+
+class TestEffectiveWeightOnTape:
+    def test_forward_keeps_effective_weight(self):
+        model, rng = seeded_model(seed=11)
+        model.forward(rng.normal(size=(3, 6)))
+        for (base, adapter), tape in zip(model.layers, model.tapes):
+            assert np.array_equal(tape.w_eff, adapter.effective_weight(base.w0))
+
+    def test_backward_does_not_recompute_effective_weight(self, monkeypatch):
+        model, rng = seeded_model(seed=12)
+        out = model.forward(rng.normal(size=(3, 6)))
+        calls = []
+        original = AdapterPair.effective_weight
+
+        def counted(self, w0):
+            calls.append(self)
+            return original(self, w0)
+
+        monkeypatch.setattr(AdapterPair, "effective_weight", counted)
+        model.backward(out)
+        assert calls == []
+
+    def test_tapes_bit_equal_to_recomputing_backward(self):
+        model, rng = seeded_model(seed=13, dims=(6, 5, 7, 4))
+        x, target = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
+        loss_grad = model.forward(x) - target
+        expected = reference_backward(model, loss_grad)
+        tapes = model.backward(loss_grad)
+        for tape, (dy, grad_w0, grad_a, grad_b) in zip(tapes, expected):
+            assert np.array_equal(tape.dy, dy)
+            assert np.array_equal(tape.grad_w0, grad_w0)
+            assert np.array_equal(tape.grad_a, grad_a)
+            assert np.array_equal(tape.grad_b, grad_b)
+
+    def test_clear_drops_effective_weight(self):
+        model, rng = seeded_model(seed=14)
+        model.forward(rng.normal(size=(2, 6)))
+        tape = model.tapes[0]
+        tape.clear()
+        assert tape.w_eff is None
+
+
 class TestFreezeAndCounts:
     def test_base_weights_write_protected(self):
         model, _ = seeded_model()

@@ -128,6 +128,18 @@ class TestStreams:
         JsonlWriter(tmp_path / "stats.jsonl").close()
         assert (tmp_path / "stats.jsonl").read_text() == ""
 
+    @pytest.mark.parametrize("bad", ['{"step": 1', "[1, 2]", "3"], ids=["cut", "list", "number"])
+    def test_line_that_is_not_an_object_is_named(self, tmp_path, bad):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"step": 0}\n\n' + bad + '\n{"step": 2}\n')
+        with pytest.raises(ValidationError, match=r"events\.jsonl line 3: not"):
+            runio.read_jsonl(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"step": 0}\n\n{"step": 1}\n')
+        assert runio.read_jsonl(path) == [{"step": 0}, {"step": 1}]
+
 
 SPECIALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -1e300]
 

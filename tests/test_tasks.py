@@ -88,6 +88,25 @@ class TestTwoTaskForgetting:
         grad = task._pt_grad_at(task.base_weight_vector())
         assert np.max(np.abs(grad)) < 1e-12
 
+    @pytest.mark.parametrize("d", [8, 48])
+    def test_pretraining_at_fixed_point_leaves_teacher_weights(self, d):
+        # init_jitter = 0: the loop stops at its first step, whatever the bound
+        bases = [
+            [base.w0 for base, _ in build(
+                f"two_task_forgetting(d={d}, hidden={d}, pretrain_steps={steps})"
+            ).model.layers]
+            for steps in (0, 1, 100)
+        ]
+        for weights in bases[1:]:
+            assert all(np.array_equal(w, ref) for w, ref in zip(weights, bases[0]))
+
+    def test_pretraining_trains_off_the_fixed_point(self):
+        spec = "two_task_forgetting(d=8, hidden=8, pretrain_steps={}, init_jitter=0.3)"
+        start, trained = build(spec.format(0)), build(spec.format(5))
+        for (base, _), (start_base, _) in zip(trained.model.layers, start.model.layers):
+            assert not np.array_equal(base.w0, start_base.w0)
+        assert trained.pt_loss(trained.model) < start.pt_loss(start.model)
+
     def test_finetune_targets_differ_from_teacher(self):
         task = build("two_task_forgetting(d=8, hidden=8, pretrain_steps=0)")
         rng = seed_stream(0, "probe")
