@@ -1,12 +1,15 @@
 """sha256 of every deterministic run artifact over a fixed set of configs.
 
 Changes that keep the arithmetic must leave run directories byte-identical
-for a fixed config and seed. Run this on two checkouts and diff the output:
+for a fixed config and seed. Run this on two checkouts and compare:
 
     PYTHONPATH=src python3 scripts/fingerprint_runs.py > before.json
     (other checkout)
-    PYTHONPATH=src python3 scripts/fingerprint_runs.py > after.json
-    diff before.json after.json
+    PYTHONPATH=src python3 scripts/fingerprint_runs.py --compare before.json
+
+With --compare, it prints one "<run> <artifact>" line for each artifact
+whose hash differs from the file's (or that only one side has) and exits 1
+if there is any; otherwise it prints "all N artifacts identical" and exits 0.
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
@@ -22,8 +25,8 @@ manifest carries a timestamp, so it is left out.
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". A change to how a stream is written that keeps its
 values then shows the audit outputs unmoved while the stream's own hash
-changes. Prints one JSON object: run name -> artifact name -> sha256.
-Takes a few seconds.
+changes. Without --compare it prints one JSON object: run name ->
+artifact name -> sha256. Takes a few seconds.
 """
 
 import argparse
@@ -80,17 +83,36 @@ def fingerprint(run_dir: Path) -> dict[str, str]:
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 
 
-def main() -> None:
+def differences(before: dict, after: dict) -> list[tuple[str, str]]:
+    """(run, artifact) pairs whose hash differs, or that only one side has, sorted."""
+    keys = {(run, name) for prints in (before, after) for run in prints for name in prints[run]}
+    return sorted(
+        (run, name) for run, name in keys
+        if before.get(run, {}).get(name) != after.get(run, {}).get(name)
+    )
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.parse_args()
+    parser.add_argument("--compare", metavar="BEFORE_JSON", help="fingerprint file to compare against")
+    args = parser.parse_args()
     prints = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in RUNS.items():
             run_dir = Path(tmp) / name
             run_experiment(config, out_dir=run_dir)
             prints[name] = fingerprint(run_dir)
-    print(json.dumps(prints, indent=1, sort_keys=True))
+    if args.compare is None:
+        print(json.dumps(prints, indent=1, sort_keys=True))
+        return 0
+    changed = differences(json.loads(Path(args.compare).read_text()), prints)
+    for run, name in changed:
+        print(f"{run} {name}")
+    if changed:
+        return 1
+    print(f"all {sum(len(p) for p in prints.values())} artifacts identical")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

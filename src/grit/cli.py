@@ -79,17 +79,11 @@ def _default_out_root() -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """The header, then the rows; csv writes a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        writer.writerows(rows)
 
 
 def _update_vectors(updates: list[dict]) -> list[np.ndarray]:

@@ -1,11 +1,12 @@
 """Per-layer rank-space curvature statistics and natural-gradient preconditioning.
 
-The Fisher block of an adapted layer factorizes (approximately) as
-g_cov kron a_cov where a_cov = E[(a x)(a x)^T] and g_cov = E[(b^T g)(b^T g)^T]
-are r x r second moments of the rank-projected activations and output
-gradients. Preconditioning then decouples: the b-factor gradient is multiplied
-by inv(g_cov + lambda I) on the right, the a-factor gradient by
-inv(a_cov + lambda I) on the left.
+a_cov = E[(a x)(a x)^T] and g_cov = E[(b^T g)(b^T g)^T] are r x r second
+moments of the rank-projected activations and output gradients. The
+preconditioner applies them per factor, as damped inverses inv_a =
+inv(a_cov + lambda I) and inv_g = inv(g_cov + lambda I): inv_a @ grad_a for
+the a factor (r x d_in) and grad_b @ inv_g for the b factor (d_out x r).
+Which Kronecker factorization of the Fisher block this pairing
+approximates is not checked here; ROADMAP item 5 holds that question.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def precondition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Natural-gradient map: (inv_a @ grad_a, grad_b @ inv_g).
 
-    Non-finite outputs are zeroed and counted on stats.sanitized_count.
+    Non-finite outputs are zeroed and counted on stats.sanitized_count;
+    the entry masks are built only when a factor is not all finite.
     """
     if not stats.inv_ready:
         raise PreconditionUnavailableError(
@@ -124,9 +126,9 @@ def precondition(
         )
     nat_a = stats.inv_a @ grad_a
     nat_b = grad_b @ stats.inv_g
-    bad_a = ~np.isfinite(nat_a)
-    bad_b = ~np.isfinite(nat_b)
-    if bad_a.any() or bad_b.any():
+    if not (np.isfinite(nat_a).all() and np.isfinite(nat_b).all()):
+        bad_a = ~np.isfinite(nat_a)
+        bad_b = ~np.isfinite(nat_b)
         stats.sanitized_count += int(bad_a.sum() + bad_b.sum())
         nat_a = np.where(bad_a, 0.0, nat_a)
         nat_b = np.where(bad_b, 0.0, nat_b)

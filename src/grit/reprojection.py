@@ -9,9 +9,10 @@ outside the retained subspace are zeroed, not deleted: tensors keep their
 shape, so suppressed directions can re-enter later.
 
 LayerGeometry is a layer's rank-space geometry for one accumulation's
-statistics: its eigendecompositions, its rank k and its projectors, each
-built once on first use. The lambda_r penalty, reprojection and the
-telemetry all read it. Every setting is read from GritConfig, and each
+statistics: its eigendecompositions, its rank k, its projectors and their
+complement operators Q = I - P, each built once on first use. The lambda_r
+penalty reads the complements, reprojection the projectors and the
+telemetry the decompositions. Every setting is read from GritConfig, and each
 rank-space rule lives here once: uses_g_side picks the basis side,
 fixed_rank decides when k is the configured reprojection_k, and
 LayerGeometry.rank states the rank rule. The trainer owns the reprojection
@@ -69,6 +70,10 @@ class Projector:
 
     def apply_right(self, mat: np.ndarray) -> np.ndarray:
         return (mat @ self.basis) @ self.basis.T
+
+    def complement(self) -> np.ndarray:
+        """Q = I - P, the orthogonal projector onto the discarded directions."""
+        return np.eye(self.basis.shape[0]) - self.matrix()
 
 
 # A prefix within this many ulps of the energy threshold counts as reaching
@@ -134,7 +139,8 @@ class LayerGeometry:
     accumulate and reset rebind both covariance arrays and never write into
     them (see RankSpaceStats), so holds() tells by identity whether the
     statistics are still these. Each eigendecomposition, the spectral k and
-    each (k, side) projector pair is built on first use and kept.
+    each (k, side) operator set (the projector pair and its complements) is
+    built on first use and kept.
     """
 
     a_cov: np.ndarray
@@ -142,8 +148,8 @@ class LayerGeometry:
     n_cov: int
     # (tau, min_rank) -> (spectral k, degenerate)
     _spectral: dict = field(default_factory=dict, init=False, repr=False)
-    # (k, g side used) -> (P_a, P_side)
-    _projectors: dict = field(default_factory=dict, init=False, repr=False)
+    # (k, g side used) -> (P_a, P_side, Q_a, Q_side)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, stats: RankSpaceStats) -> LayerGeometry:
@@ -183,14 +189,23 @@ class LayerGeometry:
                 k = held
         return k
 
+    def _operator_set(self, k: int, g_side: bool) -> tuple:
+        ops = self._operators.get((k, g_side))
+        if ops is None:
+            proj_a = make_projector(self.decomp_a, k)
+            proj_side = make_projector(self.decomp_g, k) if g_side else proj_a
+            q_a = proj_a.complement()
+            q_side = proj_side.complement() if g_side else q_a
+            ops = self._operators[(k, g_side)] = (proj_a, proj_side, q_a, q_side)
+        return ops
+
     def projectors(self, k: int, g_side: bool) -> tuple[Projector, Projector]:
         """(P_a, P_side): top-k projectors, P_side from the g side when g_side."""
-        pair = self._projectors.get((k, g_side))
-        if pair is None:
-            proj_a = make_projector(self.decomp_a, k)
-            pair = (proj_a, make_projector(self.decomp_g, k) if g_side else proj_a)
-            self._projectors[(k, g_side)] = pair
-        return pair
+        return self._operator_set(k, g_side)[:2]
+
+    def complements(self, k: int, g_side: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(Q_a, Q_side) = (I - P_a, I - P_side), r x r, for the same (k, g_side)."""
+        return self._operator_set(k, g_side)[2:]
 
 
 @dataclass

@@ -13,7 +13,13 @@ Layout of a completed run directory:
 
 events.jsonl logs preconditioning by its transitions only: "precondition"
 on the step it starts and "precondition_stop" on the step it stops, which
-happens only after a statistics reset.
+happens only after a statistics reset. A "sanitize" event {step, layer,
+count} marks a layer whose preconditioned gradient had count non-finite
+entries, which were zeroed.
+
+read_record and telemetry.read_telemetry check each value's JSON kind as
+well as the keys (check_value_types), so a hand-edited or damaged file is a
+ValidationError, not a failure deep in a consumer.
 
 The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
 1-D of length d_out * d_in) are written by encode_array as
@@ -33,9 +39,10 @@ path, so a run that dies leaves each stream ending in a whole line.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -120,6 +127,40 @@ def json_object(text: str, path: Path, line: int | None = None) -> dict:
     raise ValidationError(f"{where}: {problem}")
 
 
+def _is_number(value) -> bool:
+    return type(value) is float or type(value) is int  # not bool
+
+
+# declared field type -> (what a JSON value of it must be, the check)
+_VALUE_KINDS = {
+    "int": ("a number", _is_number),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "str": ("a string", lambda v: type(v) is str),
+    "list[float]": ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+}
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    return tuple(
+        (f.name, *_VALUE_KINDS[f.type]) for f in fields(cls) if f.type in _VALUE_KINDS
+    )
+
+
+def check_value_types(obj, where: str) -> None:
+    """ValidationError naming where unless each field of the dataclass obj holds its kind of JSON value.
+
+    Numeric fields must hold numbers (int or float, not bool), str fields
+    strings and list[float] fields lists of numbers; fields of other types
+    (a nested dataclass) are checked on their own.
+    """
+    for name, kind, check in _field_kinds(type(obj)):
+        value = getattr(obj, name)
+        if not check(value):
+            raise ValidationError(f"{where}: {name} is {value!r}, not {kind}")
+
+
 def read_record(run_dir: str | Path) -> RunRecord:
     path = Path(run_dir) / RECORD_NAME
     if not path.exists():
@@ -127,9 +168,12 @@ def read_record(run_dir: str | Path) -> RunRecord:
     doc = json_object(path.read_text(), path)
     try:
         doc["geometry_summary"] = GeometrySummary(**doc["geometry_summary"])
-        return RunRecord(**doc)
+        record = RunRecord(**doc)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a run record ({exc})") from exc
+    check_value_types(record, str(path))
+    check_value_types(record.geometry_summary, f"{path} geometry_summary")
+    return record
 
 
 @dataclass

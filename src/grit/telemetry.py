@@ -17,7 +17,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import sym_eig, symmetrize
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
-from .runio import JsonlWriter, json_object
+from .runio import JsonlWriter, check_value_types, json_object
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -210,8 +210,7 @@ def pca_export(
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pc1", "pc2"])
-            for row in coords:
-                writer.writerow([repr(float(row[0])), repr(float(row[1]))])
+            writer.writerows(coords.tolist())  # csv writes a float as its repr
     return coords
 
 
@@ -322,8 +321,10 @@ class TelemetryWriter:
 def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     """The records of a geometry stream after its header.
 
-    A line that is not a JSON object, or whose keys are not the record's
-    fields, raises ValidationError naming the file and the line.
+    A line that is not a JSON object, whose keys are not the record's
+    fields, or whose values are not of their fields' kinds (numbers, and a
+    list of numbers for spectrum) raises ValidationError naming the file and
+    the line.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -335,7 +336,9 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     records = []
     for number, line in enumerate(lines[1:], start=2):
         try:
-            records.append(GeometryRecord(**json_object(line, path, number)))
+            record = GeometryRecord(**json_object(line, path, number))
         except TypeError as exc:
             raise ValidationError(f"{path} line {number}: not a geometry record ({exc})") from exc
+        check_value_types(record, f"{path} line {number}")
+        records.append(record)
     return records

@@ -1,23 +1,29 @@
 """The geometry-aware training loop and its plain low-rank control mode.
 
-Per step, in order: forward; loss (plus ramped regularizers when enabled);
-backward; statistics accumulation and damped inversion on their cadence and
-gates; natural-gradient preconditioning once inverses are ready; global-norm
-gradient clipping; an adaptive-moment step without weight decay on the
-adapter factors only, one pass over all of them as one flat vector; and
-finally gated reprojection. In lora_control mode every geometry-specific
-stage is skipped, which makes the loop a plain low-rank adaptation trainer
-with the identical optimizer arithmetic.
+Per step, in order: forward and loss; backward; one pass over the adapted
+layers; global-norm gradient clipping; an adaptive-moment step without
+weight decay on the adapter factors only, one pass over all of them as one
+flat vector; and finally gated reprojection. The pass over the layers adds
+each layer's ramped lambda_k and lambda_r penalty gradients to its tape
+gradient, folds the batch into its statistics and refreshes their damped
+inverses on the accumulation cadence and gates, and preconditions the
+gradient once inverses are ready. In lora_control mode every
+geometry-specific stage is skipped, which makes the loop a plain low-rank
+adaptation trainer with the identical optimizer arithmetic.
 
 Each accumulation gives every layer one reprojection.LayerGeometry. The
-lambda_r penalty, reprojection and the telemetry read its decompositions,
-rank and projectors, and the stability window keeps the last COV_WINDOW of
-them.
+lambda_r penalty reads its complement operators Q = I - P, built once per
+accumulation and k, so a step's penalty is one matmul per factor; it reads
+the geometry of the statistics the step started with. Reprojection reads
+the projectors, the telemetry the decompositions, and the stability window
+keeps the last COV_WINDOW geometries. A layer whose preconditioned gradient
+had non-finite entries, which precondition zeroes, gets a "sanitize" event.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import shutil
 from collections import deque
 from dataclasses import dataclass, field
@@ -30,7 +36,7 @@ from .errors import GritError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig
 from .model import save_checkpoint
-from .reprojection import LayerGeometry, Projector, effective_rank, reproject, uses_g_side
+from .reprojection import LayerGeometry, effective_rank, reproject, uses_g_side
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     CONFIG_NAME,
@@ -139,16 +145,19 @@ def curvature_penalty(tape, adapter) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def reprojection_penalty(
-    adapter, proj_a: Projector, proj_side: Projector
+    adapter, q_a: np.ndarray, q_side: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """||a - P_a a||_F^2 + ||b - b P_side||_F^2 in rank space, with its gradients.
+    """||Q_a a||_F^2 + ||b Q_side||_F^2 in rank space, with its gradients.
 
-    Returns (value, d value / d a, d value / d b).
+    q_a = I - P_a and q_side = I - P_side are the r x r complements of the
+    top-k projectors (LayerGeometry.complements), so the value is
+    ||a - P_a a||^2 + ||b - b P_side||^2. Returns
+    (value, d value / d a, d value / d b).
     """
-    res_a = adapter.a - proj_a.apply_left(adapter.a)
-    res_b = adapter.b - proj_side.apply_right(adapter.b)
-    value = float(np.sum(res_a * res_a) + np.sum(res_b * res_b))
-    # d/da ||(I-P) a||^2 = 2 (I-P) a since P is an orthogonal projector
+    res_a = q_a @ adapter.a
+    res_b = adapter.b @ q_side
+    value = float(np.vdot(res_a, res_a) + np.vdot(res_b, res_b))
+    # d/da ||Q a||^2 = 2 Q a since Q is an orthogonal projector
     return value, 2.0 * res_a, 2.0 * res_b
 
 
@@ -264,6 +273,28 @@ class Trainer:
             geometry = self._geometry[idx] = LayerGeometry.of(self.stats[idx])
         return geometry
 
+    def _accumulate(self, idx: int, step: int) -> bool:
+        """Fold this step's batch into layer idx's statistics and refresh its inverses.
+
+        The new statistics' geometry joins the stability window and their
+        covariances go to stats.jsonl. Returns whether the inverses were
+        refreshed (false while the sample gate is unmet).
+        """
+        stats = self.stats[idx]
+        accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
+        self.monitors[idx].cov_snapshots.append(self._layer_decomps(idx))
+        if self.stats_writer is not None:
+            self.stats_writer.append(
+                {
+                    "step": step,
+                    "layer": idx,
+                    "n_cov": stats.n_cov,
+                    "a_cov": encode_array(stats.a_cov),
+                    "g_cov": encode_array(stats.g_cov),
+                }
+            )
+        return refresh_inverses(stats, self.config.kfac_min_samples)
+
     # -- main loop ---------------------------------------------------------
 
     def train_step(self, batch: tuple[np.ndarray, np.ndarray], step: int) -> StepResult:
@@ -274,70 +305,56 @@ class Trainer:
         pred = self.model.forward(x)
         err = pred - y
         task_loss = float(0.5 * np.mean(np.sum(err * err, axis=1)))
+        # checked before the statistics take this batch; the penalties join the check below
+        if not math.isfinite(task_loss):
+            raise GritError(f"non-finite loss at step {step}")
         loss = task_loss
         self.model.backward(err / x.shape[0])
-        tapes = self.model.tapes
         adapters = [adapter for _, adapter in self.model.layers]
 
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
-        penalty_grads = [None] * len(adapters)
-        if self.is_grit and (config.lambda_k > 0.0 or config.lambda_r > 0.0):
-            for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
-                ga = np.zeros_like(adapter.a)
-                gb = np.zeros_like(adapter.b)
-                if config.lambda_k > 0.0:
-                    pen, pga, pgb = curvature_penalty(tape, adapter)
-                    loss += ramp * config.lambda_k * pen
-                    ga += ramp * config.lambda_k * pga
-                    gb += ramp * config.lambda_k * pgb
-                if config.lambda_r > 0.0 and self.stats[idx].n_cov > 0:
-                    geometry = self._layer_decomps(idx)
-                    k = geometry.rank(config, adapter.rank, step)
-                    proj_a, proj_side = geometry.projectors(k, uses_g_side(config, geometry.n_cov))
-                    val, rga, rgb = reprojection_penalty(adapter, proj_a, proj_side)
-                    loss += ramp * config.lambda_r * val
-                    ga += ramp * config.lambda_r * rga
-                    gb += ramp * config.lambda_r * rgb
-                penalty_grads[idx] = (ga, gb)
-
-        if not np.isfinite(loss):
-            raise GritError(f"non-finite loss at step {step}")
-
-        preconditioned = False
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
-        if geometry_on and step % config.kfac_update_freq == 0:
-            for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
-                accumulate(self.stats[idx], tape, adapter)
-                self.monitors[idx].cov_snapshots.append(self._layer_decomps(idx))
-                if self.stats_writer is not None:
-                    self.stats_writer.append(
-                        {
-                            "step": step,
-                            "layer": idx,
-                            "n_cov": self.stats[idx].n_cov,
-                            "a_cov": encode_array(self.stats[idx].a_cov),
-                            "g_cov": encode_array(self.stats[idx].g_cov),
-                        }
+        accumulating = geometry_on and step % config.kfac_update_freq == 0
+        refreshed = []
+        preconditioned = False
+        grads = []
+        for idx, (tape, adapter) in enumerate(zip(self.model.tapes, adapters)):
+            stats = self.stats[idx]
+            ga, gb = tape.grad_a, tape.grad_b
+            if self.is_grit and config.lambda_k > 0.0:
+                pen, pga, pgb = curvature_penalty(tape, adapter)
+                loss += ramp * config.lambda_k * pen
+                ga = ga + ramp * config.lambda_k * pga
+                gb = gb + ramp * config.lambda_k * pgb
+            # the penalty reads the statistics before this step's accumulation
+            if self.is_grit and config.lambda_r > 0.0 and stats.n_cov > 0:
+                geometry = self._layer_decomps(idx)
+                k = geometry.rank(config, adapter.rank, step)
+                q_a, q_side = geometry.complements(k, uses_g_side(config, geometry.n_cov))
+                val, rga, rgb = reprojection_penalty(adapter, q_a, q_side)
+                loss += ramp * config.lambda_r * val
+                ga = ga + ramp * config.lambda_r * rga
+                gb = gb + ramp * config.lambda_r * rgb
+            if accumulating:
+                # every layer refreshes, even after one that is not ready yet
+                refreshed.append(self._accumulate(idx, step))
+            if geometry_on and stats.inv_ready:
+                zeroed = stats.sanitized_count
+                ga, gb = precondition(ga, gb, stats)
+                preconditioned = True
+                if stats.sanitized_count > zeroed:
+                    self._log_event(
+                        {"step": step, "action": "sanitize", "layer": idx,
+                         "count": stats.sanitized_count - zeroed}
                     )
+            grads += (ga, gb)
+
+        if not math.isfinite(loss):
+            raise GritError(f"non-finite loss at step {step}")
+        if accumulating:
             self._log_event({"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov})
-            # every layer refreshes, even after one that is not ready yet
-            refreshed = [
-                refresh_inverses(self.stats[idx], config.kfac_min_samples)
-                for idx in range(len(adapters))
-            ]
             if all(refreshed):
                 self._log_event({"step": step, "action": "invert"})
-
-        grads = []
-        for idx, (tape, adapter) in enumerate(zip(tapes, adapters)):
-            ga, gb = tape.grad_a, tape.grad_b
-            if penalty_grads[idx] is not None:
-                ga = ga + penalty_grads[idx][0]
-                gb = gb + penalty_grads[idx][1]
-            if geometry_on and self.stats[idx].inv_ready:
-                ga, gb = precondition(ga, gb, self.stats[idx])
-                preconditioned = True
-            grads += (ga, gb)
         if preconditioned != self._preconditioning:
             self._preconditioning = preconditioned
             self._log_event(

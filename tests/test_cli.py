@@ -254,6 +254,25 @@ class TestAudit:
         assert "incomplete run" in err and "telemetry.jsonl line 2" in err
         assert not (out / "audit").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rho_align", "0.5"), ("step", True), ("spectrum", [1.0, "x"]), ("spectrum", 2.0),
+         ("tail_mass", None)],
+        ids=["string", "bool", "spectrum_entry", "spectrum_not_list", "null"],
+    )
+    def test_telemetry_value_of_wrong_type_is_incomplete_run(self, tmp_path, capsys, field, value):
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete run" in err and f"telemetry.jsonl line 3: {field} is" in err
+        assert not (out / "audit").exists()
+
     def test_truncated_manifest_is_incomplete_run(self, tmp_path, capsys):
         out = self.run_once(tmp_path)
         path = out / "manifest.json"
@@ -333,6 +352,28 @@ class TestFitLaw:
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"bad run dir {dirs[3]}" in err and "record.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d_ft", "abc"), ("pt_loss_after", None), ("mode", 3), ("task", ["synthetic"]),
+         ("seed", False), ("geometry_summary.rho_align", "0.1")],
+        ids=["d_ft_string", "loss_null", "mode_number", "task_list", "seed_bool", "summary_string"],
+    )
+    def test_record_value_of_wrong_type_is_bad_run_dir(self, tmp_path, capsys, field, value):
+        dirs = self.fabricate_runs(tmp_path)
+        path = dirs[3] / "record.json"
+        doc = json.loads(path.read_text())
+        *parents, name = field.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad run dir {dirs[3]}" in err and f"{name} is {value!r}" in err
         assert not out.exists()
 
     def test_single_run_underdetermined(self, tmp_path):

@@ -178,6 +178,19 @@ class TestPrecondition:
         assert na[0, 0] == 0.0
         assert stats.sanitized_count >= 1
 
+    def test_sanitizes_b_factor_when_a_is_finite(self):
+        stats = RankSpaceStats(rank=2, damping=0.0)
+        stats.inv_a = np.eye(2)
+        stats.inv_g = np.eye(2)
+        stats.inv_ready = True
+        ga = np.arange(6.0).reshape(2, 3)
+        gb = np.array([[np.inf, 0.0], [0.0, 1.0], [2.0, 3.0]])
+        na, nb = precondition(ga, gb, stats)
+        assert np.array_equal(na, ga)
+        # row 0 of gb @ I is (inf, inf * 0 = nan): both entries are zeroed
+        assert np.array_equal(nb, [[0.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
+        assert stats.sanitized_count == 2
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4))
     def test_kronecker_equivalence(self, seed, r):

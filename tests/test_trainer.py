@@ -8,7 +8,7 @@ from grit.errors import ConfigError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
-from grit.kfac import RankSpaceStats, accumulate
+from grit.kfac import RankSpaceStats, accumulate, precondition
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
@@ -234,8 +234,8 @@ class TestGateOrdering:
 
 
 def a_side_penalty(adapter, stats, k):
-    proj = make_projector(sym_eig(stats.a_cov), k)
-    return reprojection_penalty(adapter, proj, proj)[0]
+    q = make_projector(sym_eig(stats.a_cov), k).complement()
+    return reprojection_penalty(adapter, q, q)[0]
 
 
 def central_difference(fn, mat, h=1e-6):
@@ -301,13 +301,28 @@ class TestPenalties:
         r = 4
         adapter = AdapterPair(a=rng.normal(size=(r, 6)), b=rng.normal(size=(5, r)), rank=r, scaling=1.0)
         m_a, m_g = rng.normal(size=(r, r)), rng.normal(size=(r, r))
-        proj_a = make_projector(sym_eig(m_a @ m_a.T), 2)
-        proj_g = make_projector(sym_eig(m_g @ m_g.T), 3)
-        _, grad_a, grad_b = reprojection_penalty(adapter, proj_a, proj_g)
-        value = lambda: reprojection_penalty(adapter, proj_a, proj_g)[0]  # noqa: E731
+        q_a = make_projector(sym_eig(m_a @ m_a.T), 2).complement()
+        q_g = make_projector(sym_eig(m_g @ m_g.T), 3).complement()
+        _, grad_a, grad_b = reprojection_penalty(adapter, q_a, q_g)
+        value = lambda: reprojection_penalty(adapter, q_a, q_g)[0]  # noqa: E731
         for grad, mat in ((grad_a, adapter.a), (grad_b, adapter.b)):
             fd = central_difference(value, mat)
             assert np.max(np.abs(grad - fd)) < 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+    @pytest.mark.parametrize("k_a, k_g", [(1, 4), (2, 3), (4, 2)])
+    def test_reprojection_penalty_matches_projector_form(self, k_a, k_g):
+        rng = np.random.default_rng(13)
+        r = 4
+        adapter = AdapterPair(a=rng.normal(size=(r, 6)), b=rng.normal(size=(5, r)), rank=r, scaling=1.0)
+        m_a, m_g = rng.normal(size=(r, r)), rng.normal(size=(r, r))
+        proj_a = make_projector(sym_eig(m_a @ m_a.T), k_a)
+        proj_g = make_projector(sym_eig(m_g @ m_g.T), k_g)
+        value, grad_a, grad_b = reprojection_penalty(adapter, proj_a.complement(), proj_g.complement())
+        res_a = adapter.a - proj_a.apply_left(adapter.a)
+        res_b = adapter.b - proj_g.apply_right(adapter.b)
+        assert abs(value - float(np.sum(res_a * res_a) + np.sum(res_b * res_b))) <= 1e-12
+        assert np.max(np.abs(grad_a - 2.0 * res_a)) <= 1e-12
+        assert np.max(np.abs(grad_b - 2.0 * res_b)) <= 1e-12
 
     def test_reprojection_penalty_full_rank_zero(self):
         rng = np.random.default_rng(2)
@@ -461,20 +476,25 @@ class TestDecompositionCache:
 
 
 class TestPenaltyGeometry:
-    """k and the lambda_r projectors are built once per decomposition and k."""
+    """k and the lambda_r complement operators are built once per decomposition and k."""
 
     START = 33  # rank_adaptation_start_step, between accumulations
 
     def run_checked(self, monkeypatch, reset_after=None, **overrides):
         built = []
-        for name in ("select_rank", "make_projector"):
-            original = getattr(reprojection_module, name)
+        complement = reprojection_module.Projector.complement  # unpatched, for the references
+        for owner, name in (
+            (reprojection_module, "select_rank"),
+            (reprojection_module, "make_projector"),
+            (reprojection_module.Projector, "complement"),
+        ):
+            original = getattr(owner, name)
 
             def counting(*args, _original=original, _name=name, **kwargs):
                 built.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(reprojection_module, name, counting)
+            monkeypatch.setattr(owner, name, counting)
 
         tr, task, cfg = make_trainer(
             lambda_r=0.5, use_two_sided=True, g_gate_min_samples=24, reprojection_k=3,
@@ -486,7 +506,7 @@ class TestPenaltyGeometry:
         build_steps = set()
         penalties = []
 
-        def checked(adapter, proj_a, proj_side):
+        def checked(adapter, q_a, q_side):
             step = current["step"]
             idx = next(i for i, (_, ad) in enumerate(tr.model.layers) if ad is adapter)
             stats = tr.stats[idx]
@@ -494,12 +514,12 @@ class TestPenaltyGeometry:
             k = fixed if fixed is not None else select_rank(
                 sym_eig(stats.a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
             )[0]
-            # bit for bit the projectors built from scratch
+            # the complement operators of the k-projectors, bit for bit as built from scratch
             ref_a = make_projector(sym_eig(stats.a_cov), k)
             ref_side = make_projector(sym_eig(stats.g_cov), k) if uses_g_side(cfg, stats.n_cov) else ref_a
-            assert (proj_a.k, proj_side.k) == (k, k)
-            assert proj_a.basis.tobytes() == ref_a.basis.tobytes()
-            assert proj_side.basis.tobytes() == ref_side.basis.tobytes()
+            assert q_a.shape == q_side.shape == (adapter.rank, adapter.rank)
+            assert q_a.tobytes() == complement(ref_a).tobytes()
+            assert q_side.tobytes() == complement(ref_side).tobytes()
             # anything built since the previous penalty call was built for this layer
             prev = last_state.get(idx)
             changed = (
@@ -509,7 +529,8 @@ class TestPenaltyGeometry:
                 or prev[2:] != (fixed is None, k)
             )
             if changed:
-                assert built.count("select_rank") <= 1 and built.count("make_projector") <= 2
+                assert built.count("select_rank") <= 1
+                assert built.count("make_projector") <= 2 and built.count("complement") <= 2
             else:
                 assert built == [], f"step {step}: rebuilt {built} for unchanged geometry"
             if built:
@@ -517,7 +538,7 @@ class TestPenaltyGeometry:
             built.clear()
             last_state[idx] = (stats.a_cov, stats.g_cov, fixed is None, k)
             penalties.append(step)
-            return reprojection_penalty(adapter, proj_a, proj_side)
+            return reprojection_penalty(adapter, q_a, q_side)
 
         monkeypatch.setattr(trainer_module, "reprojection_penalty", checked)
         for step in range(cfg.steps):
@@ -548,6 +569,69 @@ class TestPenaltyGeometry:
         cfg, build_steps, penalties = self.run_checked(monkeypatch, reset_after=42, **overrides)
         assert 43 in build_steps
         assert penalties
+
+
+def two_pass_gradients(trainer, before, step):
+    """One step's preconditioned gradients as the trainer once made them.
+
+    Penalty gradients go into zero-filled buffers, from the projectors of
+    the statistics the step started with (before holds each layer's a, b,
+    a_cov, g_cov and n_cov then); a second pass adds them to the tape
+    gradients and preconditions with the inverses the step ended with.
+    """
+    cfg = trainer.config
+    ramp = regularizer_ramp(step, cfg.reprojection_warmup_steps)
+    penalty_grads = []
+    for (a, b, a_cov, g_cov, n_cov), (_, adapter) in zip(before, trainer.model.layers):
+        ga, gb = np.zeros_like(a), np.zeros_like(b)
+        fixed = fixed_rank(cfg, adapter.rank, step)
+        k = fixed if fixed is not None else select_rank(
+            sym_eig(a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
+        )[0]
+        proj_a = make_projector(sym_eig(a_cov), k)
+        proj_side = make_projector(sym_eig(g_cov), k) if uses_g_side(cfg, n_cov) else proj_a
+        ga += ramp * cfg.lambda_r * 2.0 * (a - proj_a.apply_left(a))
+        gb += ramp * cfg.lambda_r * 2.0 * (b - proj_side.apply_right(b))
+        penalty_grads.append((ga, gb))
+    grads = []
+    for tape, stats, (pa, pb) in zip(trainer.model.tapes, trainer.stats, penalty_grads):
+        grads += precondition(tape.grad_a + pa, tape.grad_b + pb, stats)
+    return grads
+
+
+class TestOnePassStep:
+    TWO_LAYER = "two_task_forgetting(d=8, hidden=8, pretrain_steps=0)"
+
+    @pytest.mark.parametrize("step", [30, 33], ids=["accumulating", "plain"])
+    @pytest.mark.parametrize("two_sided", [True, False], ids=["g_side", "a_side"])
+    def test_preconditioned_gradient_matches_two_pass(self, monkeypatch, step, two_sided):
+        # tau = 0.5 keeps k below the rank, so the penalty is not zero
+        tr, task, cfg = make_trainer(
+            task=self.TWO_LAYER, lambda_r=0.5, use_two_sided=two_sided, g_gate_min_samples=16,
+            rank_adaptation_threshold=0.5, telemetry_every=0,
+        )
+        for s in range(step):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), s)
+        before = [
+            (ad.a.copy(), ad.b.copy(), st.a_cov, st.g_cov, st.n_cov)
+            for (_, ad), st in zip(tr.model.layers, tr.stats)
+        ]
+        seen = []
+        clip = trainer_module.clipped_flat
+
+        def recording(grads, max_norm):
+            seen.append([g.copy() for g in grads])
+            return clip(grads, max_norm)
+
+        monkeypatch.setattr(trainer_module, "clipped_flat", recording)
+        result = tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        assert result.preconditioned and result.loss > result.task_loss
+        assert (tr.stats[0].a_cov is not before[0][2]) == (step % cfg.kfac_update_freq == 0)
+        expected = two_pass_gradients(tr, before, step)
+        assert len(seen[0]) == len(expected) == 4
+        for got, want in zip(seen[0], expected):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestSharedSpectra:
@@ -850,6 +934,27 @@ class TestPreconditionEvents:
         ]
         assert logged == transitions
         assert read_jsonl(tmp_path / "events.jsonl") == tr.events
+
+
+    def test_zeroed_entries_are_logged_per_layer(self, tmp_path):
+        tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=12, telemetry_every=0)
+        with tr:
+            for step in range(cfg.steps - 1):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            assert tr.stats[0].inv_ready and tr.stats[0].sanitized_count == 0
+            assert "sanitize" not in [e["action"] for e in tr.events]
+            # step 11 does not accumulate, so no refresh replaces the planted inverse
+            inv_a = tr.stats[0].inv_a.copy()
+            inv_a[1, 2] = np.inf
+            tr.stats[0].inv_a = inv_a
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 11)
+        d_in = tr.model.layers[0][1].a.shape[1]
+        # row 1 of inv_a @ grad_a is non-finite in every column
+        assert tr.stats[0].sanitized_count == d_in
+        sanitized = [e for e in tr.events if e["action"] == "sanitize"]
+        assert sanitized == [{"step": 11, "action": "sanitize", "layer": 0, "count": d_in}]
+        assert read_jsonl(tmp_path / "events.jsonl") == tr.events
+        assert np.all(np.isfinite(tr.model.layers[0][1].a))
 
 
 class TestRunLifecycle:
