@@ -5,6 +5,11 @@ moments of the rank-projected activations and output gradients. The
 preconditioner applies them per factor, as damped inverses inv_a =
 inv(a_cov + lambda I) and inv_g = inv(g_cov + lambda I): inv_a @ grad_a for
 the a factor (r x d_in) and grad_b @ inv_g for the b factor (d_out x r).
+refresh_inverses builds both from the covariances' eigendecompositions
+(linalg.damped_inverse), the ones the trainer's layer geometry already
+holds, so no covariance is factored a second time; lambda climbs the
+damping ladder until the shifted spectrum is positive, and the rung and
+condition number of each inverse are kept for the invert event.
 Which Kronecker factorization of the Fisher block this pairing
 approximates is not checked here; ROADMAP item 5 holds that question.
 """
@@ -16,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionUnavailableError, ShapeError
-from .linalg import damped_solve
+from .linalg import SpectralDecomp, damped_inverse, sym_eig_stack
+from .linalg import damped_solve  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .model import AdapterPair, LayerTape
 
 
@@ -40,6 +46,9 @@ class RankSpaceStats:
     inv_a: np.ndarray | None = None
     inv_g: np.ndarray | None = None
     inv_ready: bool = False
+    # (a, g) ladder multiplier and condition number of the last inverses
+    rung: tuple[float, float] | None = None
+    cond: tuple[float, float] | None = None
     sanitized_count: int = 0
 
     def __post_init__(self):
@@ -56,6 +65,8 @@ class RankSpaceStats:
         self.inv_a = None
         self.inv_g = None
         self.inv_ready = False
+        self.rung = None
+        self.cond = None
 
 
 def _batch_second_moment(rows: np.ndarray) -> np.ndarray:
@@ -98,16 +109,24 @@ def accumulate(stats: RankSpaceStats, tape: LayerTape, adapter: AdapterPair) -> 
     return stats
 
 
-def refresh_inverses(stats: RankSpaceStats, min_samples: int) -> bool:
-    """Recompute cached damped inverses; no-op (returns False) while the sample gate is unmet."""
+def refresh_inverses(
+    stats: RankSpaceStats,
+    min_samples: int,
+    decomps: tuple[SpectralDecomp, SpectralDecomp] | None = None,
+) -> bool:
+    """Recompute cached damped inverses; no-op (returns False) while the sample gate is unmet.
+
+    decomps holds the eigendecompositions of (a_cov, g_cov); when absent
+    both covariances are decomposed here.
+    """
     if stats.n_cov < min_samples:
         return False
-    eye = np.eye(stats.rank)
-    # damped_solve symmetrizes its input
-    inv_a, _ = damped_solve(stats.a_cov, stats.damping, eye)
-    inv_g, _ = damped_solve(stats.g_cov, stats.damping, eye)
-    stats.inv_a = inv_a
-    stats.inv_g = inv_g
+    if decomps is None:
+        decomps = sym_eig_stack([stats.a_cov, stats.g_cov], ("a_cov", "g_cov"))
+    stats.inv_a, rung_a, cond_a = damped_inverse(decomps[0], stats.damping)
+    stats.inv_g, rung_g, cond_g = damped_inverse(decomps[1], stats.damping)
+    stats.rung = (rung_a, rung_g)
+    stats.cond = (cond_a, cond_g)
     stats.inv_ready = True
     return True
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SingularMatrixError
 from .forgetting import fit_baseline_law, fit_xi_coefficients, predict
 from .kfac import RankSpaceStats, refresh_inverses
-from .linalg import sym_eig, symmetrize
+from .linalg import damped_inverse, damped_solve, sym_eig, sym_eig_stack, symmetrize
 from .model import AdapterPair, BaseLayer, Model, build_model
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
@@ -93,25 +94,65 @@ def suite_kron(cases: int = 500, seed: int = 20240) -> list[CheckResult]:
 
 
 def suite_eig(cases: int = 200, seed: int = 20241) -> list[CheckResult]:
-    """sym_eig vs reconstruction and a LAPACK cross-check."""
+    """sym_eig vs reconstruction and a LAPACK cross-check.
+
+    The same matrices, grouped by size, also check sym_eig_stack against
+    sym_eig bit for bit, and damped_inverse (at damping 1, so indefinite
+    matrices climb the ladder) against damped_solve's Cholesky-probed rung
+    and the residual of the inverse it gives.
+    """
     rng = np.random.default_rng(seed)
     worst_recon = 0.0
     worst_orth = 0.0
     worst_lapack = 0.0
+    by_dim: dict[int, list] = {}
     for _ in range(cases):
         dim = int(rng.integers(1, 17))
         m = symmetrize(rng.normal(size=(dim, dim)))
         dec = sym_eig(m)
+        by_dim.setdefault(dim, []).append((m, dec))
         denom = max(np.linalg.norm(m), 1e-30)
         worst_recon = max(worst_recon, float(np.linalg.norm(dec.reconstruct() - m) / denom))
         gram = dec.eigenvectors.T @ dec.eigenvectors
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(dim)))))
         reference = np.sort(np.linalg.eigvalsh(m))[::-1]
         worst_lapack = max(worst_lapack, float(np.max(np.abs(dec.eigenvalues - reference))))
+    stack_mismatches = 0
+    worst_inverse = 0.0
+    damping = 1.0
+    for dim, pairs in by_dim.items():
+        stacked = sym_eig_stack([m for m, _ in pairs], [f"case {i}" for i in range(len(pairs))])
+        for (m, dec), got in zip(pairs, stacked):
+            stack_mismatches += (
+                got.eigenvalues.tobytes() != dec.eigenvalues.tobytes()
+                or got.eigenvectors.tobytes() != dec.eigenvectors.tobytes()
+            )
+            eye = np.eye(dim)
+            try:
+                _, mult = damped_solve(m, damping, eye)
+            except SingularMatrixError:
+                mult = None
+            try:
+                inv, spectral_mult, _ = damped_inverse(dec, damping)
+            except SingularMatrixError:
+                inv, spectral_mult = None, None
+            if spectral_mult != mult:
+                worst_inverse = float("inf")
+            elif inv is not None:
+                residual = (m + mult * damping * eye) @ inv - eye
+                worst_inverse = max(worst_inverse, float(np.linalg.norm(residual)))
     return [
         CheckResult("reconstruction error (relative frobenius)", worst_recon < 1e-8, worst_recon, 1e-8),
         CheckResult("eigenvector orthonormality", worst_orth < 1e-8, worst_orth, 1e-8),
         CheckResult("eigenvalues vs lapack", worst_lapack < 1e-8, worst_lapack, 1e-8),
+        CheckResult(
+            "stacked vs single sym_eig (bitwise mismatches)",
+            stack_mismatches == 0, float(stack_mismatches), 0.0,
+        ),
+        CheckResult(
+            "spectral damped inverse residual at the lapack solve's rung",
+            worst_inverse < 1e-8, worst_inverse, 1e-8,
+        ),
     ]
 
 

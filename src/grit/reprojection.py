@@ -9,27 +9,29 @@ outside the retained subspace are zeroed, not deleted: tensors keep their
 shape, so suppressed directions can re-enter later.
 
 LayerGeometry is a layer's rank-space geometry for one accumulation's
-statistics: its eigendecompositions, its rank k, its projectors and their
-complement operators Q = I - P, each built once on first use. The lambda_r
-penalty reads the complements, reprojection the projectors and the
-telemetry the decompositions. Every setting is read from GritConfig, and each
-rank-space rule lives here once: uses_g_side picks the basis side,
-fixed_rank decides when k is the configured reprojection_k, and
-LayerGeometry.rank states the rank rule. The trainer owns the reprojection
-cadence.
+statistics: its eigendecompositions, made with it, and its rank k, its
+projectors and their complement operators Q = I - P, each built once on
+first use. LayerGeometry.of_each decomposes the covariances of every layer
+in one stacked call (all rank-space covariances are r x r). The damped
+inverses, the lambda_r penalty's complements, reprojection's projectors
+and the telemetry all read the same decompositions. Every setting is read
+from GritConfig, and each rank-space rule lives here once: uses_g_side
+picks the basis side, fixed_rank decides when k is the configured
+reprojection_k, and LayerGeometry.rank states the rank rule. The trainer
+owns the reprojection cadence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .config import GritConfig
 from .errors import ShapeError, ValidationError
 from .kfac import RankSpaceStats
-from .linalg import SpectralDecomp, sym_eig
+from .linalg import SpectralDecomp, sym_eig_stack
+from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .model import AdapterPair
 
 
@@ -135,36 +137,49 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
 class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
-    Holds the a_cov, g_cov and n_cov the statistics had when it was made.
-    accumulate and reset rebind both covariance arrays and never write into
-    them (see RankSpaceStats), so holds() tells by identity whether the
-    statistics are still these. Each eigendecomposition, the spectral k and
-    each (k, side) operator set (the projector pair and its complements) is
-    built on first use and kept.
+    Holds the a_cov, g_cov and n_cov the statistics had when it was made,
+    with the eigendecomposition of each covariance. accumulate and reset
+    rebind both covariance arrays and never write into them (see
+    RankSpaceStats), so holds() tells by identity whether the statistics are
+    still these. The spectral k and each (k, side) operator set (the
+    projector pair and its complements) are built on first use and kept.
     """
 
     a_cov: np.ndarray
     g_cov: np.ndarray
     n_cov: int
+    decomp_a: SpectralDecomp
+    decomp_g: SpectralDecomp
     # (tau, min_rank) -> (spectral k, degenerate)
     _spectral: dict = field(default_factory=dict, init=False, repr=False)
     # (k, g side used) -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def of(cls, stats: RankSpaceStats) -> LayerGeometry:
-        return cls(stats.a_cov, stats.g_cov, stats.n_cov)
+    def of_each(
+        cls, stats: list[RankSpaceStats], names: list[str] | None = None
+    ) -> list[LayerGeometry]:
+        """The geometry of each statistics, from one stacked eigendecomposition of all their covariances.
+
+        names[i] (default "layer i") names stats[i] in a DecompositionError.
+        """
+        if names is None:
+            names = [f"layer {i}" for i in range(len(stats))]
+        decomps = sym_eig_stack(
+            [cov for st in stats for cov in (st.a_cov, st.g_cov)],
+            [f"{side} of {name}" for name in names for side in ("a_cov", "g_cov")],
+        )
+        return [
+            cls(st.a_cov, st.g_cov, st.n_cov, decomps[2 * i], decomps[2 * i + 1])
+            for i, st in enumerate(stats)
+        ]
+
+    @classmethod
+    def of(cls, stats: RankSpaceStats, name: str = "layer") -> LayerGeometry:
+        return cls.of_each([stats], [name])[0]
 
     def holds(self, stats: RankSpaceStats) -> bool:
         return self.a_cov is stats.a_cov and self.g_cov is stats.g_cov
-
-    @cached_property
-    def decomp_a(self) -> SpectralDecomp:
-        return sym_eig(self.a_cov, name="a_cov")
-
-    @cached_property
-    def decomp_g(self) -> SpectralDecomp:
-        return sym_eig(self.g_cov, name="g_cov")
 
     def rank(self, config: GritConfig, rank: int, step: int, prev_k: int | None = None) -> int:
         """k for an adapter of the given rank at this step.

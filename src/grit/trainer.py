@@ -1,22 +1,25 @@
 """The geometry-aware training loop and its plain low-rank control mode.
 
-Per step, in order: forward and loss; backward; one pass over the adapted
-layers; global-norm gradient clipping; an adaptive-moment step without
-weight decay on the adapter factors only, one pass over all of them as one
-flat vector; and finally gated reprojection. The pass over the layers adds
-each layer's ramped lambda_k and lambda_r penalty gradients to its tape
-gradient, folds the batch into its statistics and refreshes their damped
-inverses on the accumulation cadence and gates, and preconditions the
-gradient once inverses are ready. In lora_control mode every
-geometry-specific stage is skipped, which makes the loop a plain low-rank
-adaptation trainer with the identical optimizer arithmetic.
+Per step, in order: forward and loss; backward; on the accumulation
+cadence, the batch folded into every layer's statistics and their damped
+inverses refreshed; one pass over the adapted layers; global-norm gradient
+clipping; an adaptive-moment step without weight decay on the adapter
+factors only, one pass over all of them as one flat vector; and finally
+gated reprojection. The pass over the layers adds each layer's ramped
+lambda_k and lambda_r penalty gradients to its tape gradient and
+preconditions the gradient once inverses are ready. In lora_control mode
+every geometry-specific stage is skipped, which makes the loop a plain
+low-rank adaptation trainer with the identical optimizer arithmetic.
 
-Each accumulation gives every layer one reprojection.LayerGeometry. The
-lambda_r penalty reads its complement operators Q = I - P, built once per
-accumulation and k, so a step's penalty is one matmul per factor; it reads
-the geometry of the statistics the step started with. Reprojection reads
-the projectors, the telemetry the decompositions, and the stability window
-keeps the last COV_WINDOW geometries. A layer whose preconditioned gradient
+Each accumulation gives every layer one reprojection.LayerGeometry, and all
+layers' covariances are eigendecomposed in one stacked call. The damped
+inverses come from those spectra. The lambda_r penalty reads the
+complement operators Q = I - P, built once per accumulation and k, so a
+step's penalty is one matmul per factor; it reads the geometry of the
+statistics the step started with. Reprojection reads the projectors, the
+telemetry the decompositions, and the stability window keeps the last
+COV_WINDOW geometries. Each invert event carries every layer's damping
+ladder rungs and condition numbers. A layer whose preconditioned gradient
 had non-finite entries, which precondition zeroes, gets a "sanitize" event.
 """
 
@@ -110,7 +113,7 @@ def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
     The squared norm adds one sum per factor in list order, so it rounds as
     it did when each factor was clipped on its own.
     """
-    global_norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    global_norm = float(np.sqrt(sum((g * g).sum() for g in grads)))
     flat = np.concatenate([g.ravel() for g in grads])
     if global_norm > max_norm and global_norm > 0.0:
         flat *= max_norm / global_norm
@@ -218,7 +221,7 @@ class Trainer:
         # whether the last step preconditioned; events log its transitions only
         self._preconditioning = False
         self.records: list[GeometryRecord] = []
-        # per layer: the geometry of its current statistics, once asked for
+        # per layer: the geometry of its statistics, set by each accumulation
         self._geometry: list[LayerGeometry | None] = [None] * n_layers
         self._frozen_hash = self.frozen_weight_hash()
 
@@ -265,35 +268,47 @@ class Trainer:
         """Layer idx's geometry for its current statistics.
 
         Made anew when the statistics no longer hold the geometry's
-        covariance arrays: after an accumulation, or a reset or accumulation
-        outside train_step, which take no window entry.
+        covariance arrays: after a reset or accumulation outside train_step,
+        which take no window entry. train_step's accumulation sets every
+        layer's geometry itself.
         """
         geometry = self._geometry[idx]
         if geometry is None or not geometry.holds(self.stats[idx]):
-            geometry = self._geometry[idx] = LayerGeometry.of(self.stats[idx])
+            geometry = self._geometry[idx] = LayerGeometry.of(self.stats[idx], f"layer {idx}")
         return geometry
 
-    def _accumulate(self, idx: int, step: int) -> bool:
-        """Fold this step's batch into layer idx's statistics and refresh its inverses.
+    def _accumulate(self, step: int) -> list[bool]:
+        """Fold this step's batch into every layer's statistics and refresh their inverses.
 
-        The new statistics' geometry joins the stability window and their
-        covariances go to stats.jsonl. Returns whether the inverses were
-        refreshed (false while the sample gate is unmet).
+        The new covariances go to stats.jsonl and are eigendecomposed in one
+        stacked call; each layer's geometry is built from its two
+        decompositions, joins the stability window and gives the damped
+        inverses their spectra. Returns, per layer, whether the inverses
+        were refreshed (false while the sample gate is unmet); every layer
+        refreshes, even after one that is not ready yet.
         """
-        stats = self.stats[idx]
-        accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
-        self.monitors[idx].cov_snapshots.append(self._layer_decomps(idx))
-        if self.stats_writer is not None:
-            self.stats_writer.append(
-                {
-                    "step": step,
-                    "layer": idx,
-                    "n_cov": stats.n_cov,
-                    "a_cov": encode_array(stats.a_cov),
-                    "g_cov": encode_array(stats.g_cov),
-                }
+        for idx, stats in enumerate(self.stats):
+            accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
+            if self.stats_writer is not None:
+                self.stats_writer.append(
+                    {
+                        "step": step,
+                        "layer": idx,
+                        "n_cov": stats.n_cov,
+                        "a_cov": encode_array(stats.a_cov),
+                        "g_cov": encode_array(stats.g_cov),
+                    }
+                )
+        self._geometry = LayerGeometry.of_each(self.stats)
+        refreshed = []
+        for stats, geometry, monitor in zip(self.stats, self._geometry, self.monitors):
+            monitor.cov_snapshots.append(geometry)
+            refreshed.append(
+                refresh_inverses(
+                    stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g)
+                )
             )
-        return refresh_inverses(stats, self.config.kfac_min_samples)
+        return refreshed
 
     # -- main loop ---------------------------------------------------------
 
@@ -315,7 +330,15 @@ class Trainer:
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
         accumulating = geometry_on and step % config.kfac_update_freq == 0
-        refreshed = []
+        # the lambda_r penalty reads the geometry of the statistics the step started with
+        penalty_geometry = [None] * len(adapters)
+        if self.is_grit and config.lambda_r > 0.0:
+            penalty_geometry = [
+                self._layer_decomps(idx) if stats.n_cov > 0 else None
+                for idx, stats in enumerate(self.stats)
+            ]
+        if accumulating:
+            refreshed = self._accumulate(step)
         preconditioned = False
         grads = []
         for idx, (tape, adapter) in enumerate(zip(self.model.tapes, adapters)):
@@ -326,18 +349,14 @@ class Trainer:
                 loss += ramp * config.lambda_k * pen
                 ga = ga + ramp * config.lambda_k * pga
                 gb = gb + ramp * config.lambda_k * pgb
-            # the penalty reads the statistics before this step's accumulation
-            if self.is_grit and config.lambda_r > 0.0 and stats.n_cov > 0:
-                geometry = self._layer_decomps(idx)
+            geometry = penalty_geometry[idx]
+            if geometry is not None:
                 k = geometry.rank(config, adapter.rank, step)
                 q_a, q_side = geometry.complements(k, uses_g_side(config, geometry.n_cov))
                 val, rga, rgb = reprojection_penalty(adapter, q_a, q_side)
                 loss += ramp * config.lambda_r * val
                 ga = ga + ramp * config.lambda_r * rga
                 gb = gb + ramp * config.lambda_r * rgb
-            if accumulating:
-                # every layer refreshes, even after one that is not ready yet
-                refreshed.append(self._accumulate(idx, step))
             if geometry_on and stats.inv_ready:
                 zeroed = stats.sanitized_count
                 ga, gb = precondition(ga, gb, stats)
@@ -354,7 +373,15 @@ class Trainer:
         if accumulating:
             self._log_event({"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov})
             if all(refreshed):
-                self._log_event({"step": step, "action": "invert"})
+                self._log_event(
+                    {
+                        "step": step,
+                        "action": "invert",
+                        "rung": [list(st.rung) for st in self.stats],
+                        "cond_a": [st.cond[0] for st in self.stats],
+                        "cond_g": [st.cond[1] for st in self.stats],
+                    }
+                )
         if preconditioned != self._preconditioning:
             self._preconditioning = preconditioned
             self._log_event(
@@ -364,6 +391,10 @@ class Trainer:
         flat_grad = clipped_flat(grads, config.grad_clip)
         params = np.concatenate([p.ravel() for adapter in adapters for p in (adapter.a, adapter.b)])
         new_params = self.optimizer.step(params, flat_grad)
+        # parameters whose squares overflow make every loss, norm and mass
+        # after them non-finite; stop before reprojection or telemetry logs one
+        if not np.isfinite(new_params @ new_params):
+            raise GritError(f"non-finite parameters at step {step}")
         delta = new_params - params
         for adapter, monitor, (sl_a, sl_b) in zip(adapters, self.monitors, self._slices):
             monitor.prev_grads = monitor.grads

@@ -141,6 +141,33 @@ class TestRefreshInverses:
         assert not stats.inv_ready
 
 
+    def test_given_decompositions_match_own(self):
+        rng = np.random.default_rng(8)
+        m1, m2 = rng.normal(size=(2, 4, 4))
+        own = RankSpaceStats(rank=4, damping=1e-2)
+        own.a_cov, own.g_cov, own.n_cov = m1 @ m1.T, m2 @ m2.T, 100
+        given = RankSpaceStats(rank=4, damping=1e-2)
+        given.a_cov, given.g_cov, given.n_cov = own.a_cov, own.g_cov, 100
+        assert refresh_inverses(own, min_samples=1)
+        assert refresh_inverses(given, 1, (sym_eig(own.a_cov), sym_eig(own.g_cov)))
+        assert given.inv_a.tobytes() == own.inv_a.tobytes()
+        assert given.inv_g.tobytes() == own.inv_g.tobytes()
+        assert given.rung == own.rung == (1.0, 1.0)
+        assert given.cond == own.cond
+
+    def test_rung_and_condition_kept_until_reset(self):
+        stats = RankSpaceStats(rank=2, damping=0.5)
+        stats.a_cov = np.diag([-1.0, 1.0])  # needs the second rung
+        stats.g_cov = np.diag([3.0, 1.0])
+        stats.n_cov = 100
+        refresh_inverses(stats, min_samples=1)
+        assert stats.rung == (3.0, 1.0)
+        # (lambda_max + m delta) / (lambda_min + m delta)
+        assert np.allclose(stats.cond, (2.5 / 0.5, 3.5 / 1.5), rtol=1e-14, atol=0.0)
+        stats.reset()
+        assert stats.rung is None and stats.cond is None
+
+
 class TestPrecondition:
     def test_identity_preconditioner(self):
         stats = RankSpaceStats(rank=2, damping=0.0)

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grit.errors import DecompositionError, ShapeError, SingularMatrixError
-from grit.linalg import _fix_signs, damped_solve, sym_eig, symmetrize
+from grit.linalg import (
+    DAMPING_LADDER,
+    _fix_signs,
+    damped_inverse,
+    damped_solve,
+    sym_eig,
+    sym_eig_stack,
+    symmetrize,
+)
 
 
 def finite_matrices(max_dim=16):
@@ -195,3 +203,122 @@ class TestDampedSolve:
         shifted = sym + mult * damping * np.eye(sym.shape[0])
         rel = np.linalg.norm(shifted @ x - rhs) / np.linalg.norm(rhs)
         assert rel < 1e-8
+
+
+def _stack_cases():
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(6, 5, 5))
+    psd = random @ random.transpose(0, 2, 1)
+    return {
+        "random": random,
+        "psd": psd,
+        "all_zero": np.zeros((4, 3, 3)),
+        "repeated": np.stack([np.eye(4), np.diag([2.0, 2.0, 1.0, 0.0]), np.diag([1.0, 3.0, 3.0, 3.0])]),
+        # eigenvectors whose leading entries vanish or are negative
+        "sign_ambiguous": np.stack([
+            np.kron(np.eye(2), np.array([[2.0, 1.0], [1.0, 2.0]])),
+            np.ones((4, 4)),
+            np.diag([-1.0, 1.0, -2.0, 2.0]),
+            np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0],
+                      [0.0, -1.0, 1.0, 0.0], [0.0, 0.0, 0.0, -3.0]]),
+        ]),
+        "mixed": np.stack([psd[0], np.zeros((5, 5)), random[1], np.eye(5), psd[0]]),
+    }
+
+
+class TestSymEigStack:
+    @pytest.mark.parametrize("case", list(_stack_cases()))
+    def test_bitwise_equal_to_sym_eig(self, case):
+        mats = _stack_cases()[case]
+        decomps = sym_eig_stack(mats, [f"m{i}" for i in range(len(mats))])
+        assert len(decomps) == len(mats)
+        for m, dec in zip(mats, decomps):
+            ref = sym_eig(m)
+            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.integers(1, 8).flatmap(
+                lambda r: arrays(
+                    np.float64, (n, r, r),
+                    elements=st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+                )
+            )
+        )
+    )
+    def test_bitwise_property(self, mats):
+        decomps = sym_eig_stack(mats, [str(i) for i in range(len(mats))])
+        for m, dec in zip(mats, decomps):
+            ref = sym_eig(m)
+            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+    def test_accepts_a_list_of_matrices(self):
+        rng = np.random.default_rng(2)
+        mats = [rng.normal(size=(3, 3)) for _ in range(3)]
+        for m, dec in zip(mats, sym_eig_stack(mats, ["a", "b", "c"])):
+            assert dec.eigenvectors.tobytes() == sym_eig(m).eigenvectors.tobytes()
+
+    def test_non_finite_matrix_named(self):
+        mats = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        mats[1, 0, 2] = np.inf
+        mats[2, 1, 1] = np.nan
+        with pytest.raises(DecompositionError, match="non-finite entries in g_cov of layer 0"):
+            sym_eig_stack(mats, ["a_cov of layer 0", "g_cov of layer 0", "a_cov of layer 1"])
+
+    def test_lapack_failure_names_matrix(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(DecompositionError, match="first"):
+            sym_eig_stack(np.stack([np.eye(2), np.eye(2)]), ["first", "second"])
+
+    def test_shape_checked(self):
+        with pytest.raises(ShapeError):
+            sym_eig_stack(np.zeros((2, 3, 4)), ["a", "b"])
+        with pytest.raises(ShapeError):
+            sym_eig_stack(np.zeros((2, 3, 3)), ["a"])
+
+
+# every ladder case of TestDampedSolve, with its matrix and damping
+LADDER_CASES = {
+    "identity_no_damping": (np.eye(2), 0.0),
+    "zero_matrix_pure_damping": (np.zeros((2, 2)), 1.0),
+    "direct_inverse": (np.array([[2.0, 1.0], [1.0, 2.0]]), 0.1),
+    "escalation": (np.diag([-1.0, 1.0]), 0.5),
+    "psd_8x8": (
+        (lambda m: m @ m.T)(np.random.default_rng(4).normal(size=(8, 8))), 1e-3,
+    ),
+    "indefinite_5x5": (symmetrize(np.random.default_rng(6).normal(size=(5, 5))), 0.2),
+}
+
+
+class TestDampedInverse:
+    @pytest.mark.parametrize("case", list(LADDER_CASES))
+    def test_matches_damped_solve(self, case):
+        m, damping = LADDER_CASES[case]
+        inv, mult, cond = damped_inverse(sym_eig(m), damping)
+        ref, ref_mult = damped_solve(m, damping, np.eye(m.shape[0]))
+        assert mult == ref_mult
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+        shifted = symmetrize(m) + mult * damping * np.eye(m.shape[0])
+        assert np.isclose(cond, np.linalg.cond(shifted), rtol=1e-10, atol=0.0)
+
+    def test_climbs_above_the_first_rung(self):
+        assert damped_inverse(sym_eig(LADDER_CASES["escalation"][0]), 0.5)[1] == 3.0
+        m, damping = LADDER_CASES["indefinite_5x5"]
+        assert damped_inverse(sym_eig(m), damping)[1] > 1.0
+
+    def test_exhaustion(self):
+        with pytest.raises(SingularMatrixError) as err:
+            damped_inverse(sym_eig(np.diag([-1.0, 1.0])), 0.0)
+        assert err.value.multiplier == DAMPING_LADDER[-1]
+        with pytest.raises(SingularMatrixError):
+            damped_inverse(sym_eig(np.diag([-1e3, 1.0])), 1.0)
+
+    def test_negative_damping_rejected(self):
+        with pytest.raises(ValueError):
+            damped_inverse(sym_eig(np.eye(2)), -1.0)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from grit.config import GritConfig
-from grit.errors import ConfigError, ValidationError
+from grit.errors import ConfigError, GritError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
 from grit.kfac import RankSpaceStats, accumulate, precondition
-from grit.linalg import sym_eig, symmetrize
+from grit.linalg import damped_solve, sym_eig, sym_eig_stack, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
 from grit.runio import JsonlWriter, decode_array, read_jsonl, read_record
@@ -421,8 +421,13 @@ class TestDecompositionCache:
             seen.append(np.asarray(m, dtype=np.float64).tobytes())
             return sym_eig(m, name=name)
 
+        def recording_stack(mats, names):
+            seen.extend(np.asarray(m, dtype=np.float64).tobytes() for m in mats)
+            return sym_eig_stack(mats, names)
+
         monkeypatch.setattr(trainer_module, "sym_eig", recording)
         monkeypatch.setattr(reprojection_module, "sym_eig", recording)
+        monkeypatch.setattr(reprojection_module, "sym_eig_stack", recording_stack)
         # telemetry steps never coincide with reprojection steps, so every
         # update covariance decomposed is non-zero and distinct
         tr, task, cfg = make_trainer(
@@ -439,7 +444,7 @@ class TestDecompositionCache:
         "overrides, window_only",
         [
             (dict(lambda_r=0.5, reprojection_freq=10, reprojection_warmup_steps=10), False),
-            # snapshots between telemetry steps are decomposed by no other consumer
+            # snapshots between telemetry steps are read by no other consumer
             (dict(lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**9,
                   reprojection_warmup_steps=10**9), True),
         ],
@@ -450,29 +455,64 @@ class TestDecompositionCache:
         sites = []
         names = []
 
+        def record(site, m, name):
+            # sym_eig symmetrizes, so this is the matrix LAPACK receives
+            seen.append(symmetrize(m).tobytes())
+            sites.append(site)
+            names.append(name)
+
         def recorder(site):
             def recording(m, name="matrix"):
-                # sym_eig symmetrizes, so this is the matrix LAPACK receives
-                seen.append(symmetrize(m).tobytes())
-                sites.append(site)
-                names.append(name)
+                record(site, m, name)
                 return sym_eig(m, name=name)
 
             return recording
 
+        def recording_stack(mats, stack_names):
+            for m, name in zip(mats, stack_names):
+                record("stack", m, name)
+            return sym_eig_stack(mats, stack_names)
+
         for module in (trainer_module, reprojection_module, telemetry_module):
             monkeypatch.setattr(module, "sym_eig", recorder(module.__name__))
+        monkeypatch.setattr(reprojection_module, "sym_eig_stack", recording_stack)
         tr, task, cfg = make_trainer(telemetry_every=7, **overrides)
         run_loop(tr, task, cfg)
         assert any(r.eig_cv > 0.0 for r in tr.records)
-        # the covariances are decomposed by their geometry, never by the telemetry
-        assert {s for s, n in zip(sites, names) if n in ("a_cov", "g_cov")} == {"grit.reprojection"}
-        assert "grit.telemetry" not in sites
+        # the covariances are decomposed in the geometry's stacked call, never one by one
+        covariances = [s for s, n in zip(sites, names) if n.startswith(("a_cov", "g_cov"))]
+        assert covariances and set(covariances) == {"stack"}
+        assert set(sites) == {"stack", "grit.trainer"}
         if window_only:
-            # each record decomposes at most its current a_cov; the rest
-            # are window snapshots decomposed for the stability statistics
-            assert names.count("a_cov") > len(tr.records)
+            # every accumulation is decomposed once, also those that only
+            # the stability window reads
+            accumulations = sum(e["action"] == "accumulate" for e in tr.events)
+            assert sum(n.startswith("a_cov") for n in names) == accumulations > len(tr.records)
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("lambda_r", [0.0, 0.5])
+    def test_one_stacked_eigh_per_accumulation(self, monkeypatch, lambda_r):
+        calls = []
+        current = {}
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append((current["step"], np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        tr, task, cfg = make_trainer(
+            task=TestOnePassStep.TWO_LAYER, lambda_r=lambda_r, use_two_sided=True,
+            g_gate_min_samples=16, telemetry_every=0,
+        )
+        n_layers, r = len(tr.model.layers), cfg.lora_rank
+        for step in range(cfg.steps):
+            current["step"] = step
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        accumulations = [e["step"] for e in tr.events if e["action"] == "accumulate"]
+        assert n_layers == 2 and len(accumulations) == cfg.steps // cfg.kfac_update_freq
+        # one (2L, r, r) stack per accumulation, and no other decomposition
+        assert calls == [(step, (2 * n_layers, r, r)) for step in accumulations]
 
 
 class TestPenaltyGeometry:
@@ -509,14 +549,15 @@ class TestPenaltyGeometry:
         def checked(adapter, q_a, q_side):
             step = current["step"]
             idx = next(i for i, (_, ad) in enumerate(tr.model.layers) if ad is adapter)
-            stats = tr.stats[idx]
+            # the statistics the step started with, before its accumulation
+            a_cov, g_cov, n_cov = current["stats"][idx]
             fixed = fixed_rank(cfg, adapter.rank, step)
             k = fixed if fixed is not None else select_rank(
-                sym_eig(stats.a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
+                sym_eig(a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
             )[0]
             # the complement operators of the k-projectors, bit for bit as built from scratch
-            ref_a = make_projector(sym_eig(stats.a_cov), k)
-            ref_side = make_projector(sym_eig(stats.g_cov), k) if uses_g_side(cfg, stats.n_cov) else ref_a
+            ref_a = make_projector(sym_eig(a_cov), k)
+            ref_side = make_projector(sym_eig(g_cov), k) if uses_g_side(cfg, n_cov) else ref_a
             assert q_a.shape == q_side.shape == (adapter.rank, adapter.rank)
             assert q_a.tobytes() == complement(ref_a).tobytes()
             assert q_side.tobytes() == complement(ref_side).tobytes()
@@ -524,8 +565,8 @@ class TestPenaltyGeometry:
             prev = last_state.get(idx)
             changed = (
                 prev is None
-                or prev[0] is not stats.a_cov
-                or prev[1] is not stats.g_cov
+                or prev[0] is not a_cov
+                or prev[1] is not g_cov
                 or prev[2:] != (fixed is None, k)
             )
             if changed:
@@ -536,13 +577,14 @@ class TestPenaltyGeometry:
             if built:
                 build_steps.add(step)
             built.clear()
-            last_state[idx] = (stats.a_cov, stats.g_cov, fixed is None, k)
+            last_state[idx] = (a_cov, g_cov, fixed is None, k)
             penalties.append(step)
             return reprojection_penalty(adapter, q_a, q_side)
 
         monkeypatch.setattr(trainer_module, "reprojection_penalty", checked)
         for step in range(cfg.steps):
             current["step"] = step
+            current["stats"] = [(st.a_cov, st.g_cov, st.n_cov) for st in tr.stats]
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
             if step == reset_after:
                 for idx, stats in enumerate(tr.stats):
@@ -955,6 +997,64 @@ class TestPreconditionEvents:
         assert sanitized == [{"step": 11, "action": "sanitize", "layer": 0, "count": d_in}]
         assert read_jsonl(tmp_path / "events.jsonl") == tr.events
         assert np.all(np.isfinite(tr.model.layers[0][1].a))
+
+
+class TestInvertEvents:
+    def test_rungs_and_condition_numbers_match_references(self, tmp_path):
+        tr, task, cfg = make_trainer(
+            run_dir=tmp_path, task=TestOnePassStep.TWO_LAYER, telemetry_every=0,
+        )
+        with tr:
+            run_loop(tr, task, cfg)
+        inverts = [e for e in read_jsonl(tmp_path / "events.jsonl") if e["action"] == "invert"]
+        covs = {(line["step"], line["layer"]): line for line in read_jsonl(tmp_path / "stats.jsonl")}
+        assert len(inverts) >= 8
+        eye = np.eye(cfg.lora_rank)
+        for event in inverts:
+            assert len(event["rung"]) == len(event["cond_a"]) == len(event["cond_g"]) == 2
+            for layer, rungs in enumerate(event["rung"]):
+                line = covs[(event["step"], layer)]
+                for cov, rung, cond in (
+                    (decode_array(line["a_cov"]), rungs[0], event["cond_a"][layer]),
+                    (decode_array(line["g_cov"]), rungs[1], event["cond_g"][layer]),
+                ):
+                    _, ref_rung = damped_solve(cov, cfg.kfac_damping, eye)
+                    assert rung == ref_rung
+                    shifted = symmetrize(cov) + rung * cfg.kfac_damping * eye
+                    assert np.isclose(cond, np.linalg.cond(shifted), rtol=1e-8, atol=0.0)
+        # the last event describes the inverses the statistics hold
+        assert [list(st.rung) for st in tr.stats] == inverts[-1]["rung"]
+        assert [st.cond[0] for st in tr.stats] == inverts[-1]["cond_a"]
+
+    def test_inverses_match_damped_solve(self):
+        tr, task, cfg = make_trainer(task=TestOnePassStep.TWO_LAYER, telemetry_every=0)
+        run_loop(tr, task, cfg)
+        eye = np.eye(cfg.lora_rank)
+        for stats in tr.stats:
+            for inv, cov in ((stats.inv_a, stats.a_cov), (stats.inv_g, stats.g_cov)):
+                ref, _ = damped_solve(cov, cfg.kfac_damping, eye)
+                assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestNonFiniteParameters:
+    def test_overflowed_update_fails_the_step_with_clean_streams(self, tmp_path):
+        cfg = GritConfig(
+            task="synthetic_lowrank(d=10)", steps=5, seed=0, eval_size=64,
+            learning_rate=1e200, reprojection_warmup_steps=0,
+        )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        # the step-0 update is about 1e200 per entry: finite, but its squares overflow
+        with pytest.raises(GritError, match="non-finite parameters at step 0"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
+        run = tmp_path / "run"
+        assert json.loads((run / "manifest.json").read_text())["status"] == "failed"
+        lines = (run / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line, parse_constant=reject) for line in lines]
+        assert all(e["step"] == 0 for e in events)
+        assert "reproject" not in [e["action"] for e in events]
 
 
 class TestRunLifecycle:
