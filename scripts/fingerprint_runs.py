@@ -13,14 +13,17 @@ if there is any; otherwise it prints "all N artifacts identical" and exits 0.
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
-(telemetry every 5 steps, control and grit), and seven grit variants that
+(telemetry every 5 steps, control and grit), and eight grit variants that
 take the other rank-space paths: hysteresis with a soft blend (twice, once
 with a band wide enough to hold k), a fixed k, one-sided reprojection with
 a late rank-adaptation start, EMA statistics, statistics every step with
-neither the lambda_r penalty nor reprojection, and the lambda_k curvature
-penalty. One more control run starts its base off the teacher
-(init_jitter = 0.05), so its 20 pretraining steps move the weights. The
-manifest carries a timestamp, so it is left out.
+neither the lambda_r penalty nor reprojection, the lambda_k curvature
+penalty, and a natural-gradient warmup of 100 steps with no reprojection
+warmup, the one run that reprojects before its statistics hold a sample
+(its steps 0, 40 and 80 log the no-samples gate). One more control run
+starts its base off the teacher (init_jitter = 0.05), so its 20
+pretraining steps move the weights. The manifest carries a timestamp, so it
+is left out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". A change to how a stream is written that keeps its
@@ -68,6 +71,8 @@ RUNS = {
         "grit", 0, lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**6
     ),
     "grit-curvature-penalty-s0": study_config("grit", 0, lambda_k=1.0),
+    # reprojects at steps 0, 40 and 80, before the first accumulation at step 100
+    "grit-ng-warmup-s0": study_config("grit", 0, ng_warmup_steps=100, reprojection_warmup_steps=0),
     "control-jitter-s0": dataclasses.replace(
         study_config("lora_control", 0),
         task="two_task_forgetting(d=12, hidden=12, pretrain_steps=20, init_jitter=0.05, "

@@ -7,11 +7,13 @@ inv(a_cov + lambda I) and inv_g = inv(g_cov + lambda I): inv_a @ grad_a for
 the a factor (r x d_in) and grad_b @ inv_g for the b factor (d_out x r).
 refresh_inverses builds both from the covariances' eigendecompositions
 (linalg.damped_inverse), the ones the trainer's layer geometry already
-holds, so no covariance is factored a second time; lambda climbs the
+keeps, so no covariance is factored a second time; lambda climbs the
 damping ladder until the shifted spectrum is positive, and the rung and
-condition number of each inverse are kept for the invert event.
+condition number of each inverse are kept for the invert event. Nothing
+clears the statistics, so once a layer's inverses are ready they stay
+ready for the rest of the run.
 Which Kronecker factorization of the Fisher block this pairing
-approximates is not checked here; ROADMAP item 5 holds that question.
+approximates is not checked here; ROADMAP item 5 asks that question.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .model import AdapterPair, LayerTape
 class RankSpaceStats:
     """Running rank-space covariances plus cached damped inverses for one layer.
 
-    accumulate and reset rebind a_cov and g_cov to new arrays and never
-    write into the old ones, so a consumer may hold a reference to either
-    and tell by identity whether it is still current. reprojection's
-    LayerGeometry relies on this: it keeps one accumulation's arrays, and
-    the trainer's stability window keeps the last few geometries.
+    accumulate binds a_cov and g_cov to new arrays and never writes into
+    the old ones, so each LayerGeometry in the trainer's stability window
+    keeps its own accumulation's a_cov.
     """
 
     rank: int
@@ -56,17 +56,6 @@ class RankSpaceStats:
             self.a_cov = np.zeros((self.rank, self.rank))
         if self.g_cov is None:
             self.g_cov = np.zeros((self.rank, self.rank))
-
-    def reset(self):
-        """Explicit reset; the only path on which inv_ready may go true -> false."""
-        self.a_cov = np.zeros((self.rank, self.rank))
-        self.g_cov = np.zeros((self.rank, self.rank))
-        self.n_cov = 0
-        self.inv_a = None
-        self.inv_g = None
-        self.inv_ready = False
-        self.rung = None
-        self.cond = None
 
 
 def _batch_second_moment(rows: np.ndarray) -> np.ndarray:
@@ -116,7 +105,7 @@ def refresh_inverses(
 ) -> bool:
     """Recompute cached damped inverses; no-op (returns False) while the sample gate is unmet.
 
-    decomps holds the eigendecompositions of (a_cov, g_cov); when absent
+    decomps gives the eigendecompositions of (a_cov, g_cov); when absent
     both covariances are decomposed here.
     """
     if stats.n_cov < min_samples:

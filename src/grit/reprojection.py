@@ -9,16 +9,19 @@ outside the retained subspace are zeroed, not deleted: tensors keep their
 shape, so suppressed directions can re-enter later.
 
 LayerGeometry is a layer's rank-space geometry for one accumulation's
-statistics: its eigendecompositions, made with it, and its rank k, its
-projectors and their complement operators Q = I - P, each built once on
-first use. LayerGeometry.of_each decomposes the covariances of every layer
-in one stacked call (all rank-space covariances are r x r). The damped
-inverses, the lambda_r penalty's complements, reprojection's projectors
-and the telemetry all read the same decompositions. Every setting is read
-from GritConfig, and each rank-space rule lives here once: uses_g_side
-picks the basis side, fixed_rank decides when k is the configured
-reprojection_k, and LayerGeometry.rank states the rank rule. The trainer
-owns the reprojection cadence.
+statistics. Only the trainer's accumulation makes one, through
+LayerGeometry.of_each, which decomposes the covariances of every layer in
+one stacked call (all rank-space covariances are r x r), and it stays fixed
+from then on. It decides the b factor's side once (g_side, side_decomp),
+and builds its rank k, its projectors and their complement operators
+Q = I - P once each on first use. The damped inverses, the lambda_r
+penalty's complements, reprojection's projectors and the telemetry all
+read the same decompositions. Every setting is read from GritConfig, and
+each rank-space rule lives here once: uses_g_side picks the basis side,
+fixed_rank decides when k is the configured reprojection_k, and
+LayerGeometry.rank states the rank rule. The trainer owns the reprojection
+cadence; before the first accumulation there is no geometry, and
+reprojection reports the no-samples gate.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ def uses_g_side(config: GritConfig, n_cov: int) -> bool:
 
     True when use_two_sided is on and the statistics hold at least
     g_gate_min_samples samples; otherwise the activation-side basis is used
-    on both factors. Reprojection, the reprojection penalty and the alignment
-    and drift diagnostics all pick their side here.
+    on both factors. LayerGeometry.of_each asks once per geometry;
+    reprojection, the reprojection penalty and the alignment and drift
+    diagnostics read that geometry's g_side.
     """
     return config.use_two_sided and n_cov >= config.g_gate_min_samples
 
@@ -137,27 +141,27 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
 class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
-    Holds the a_cov, g_cov and n_cov the statistics had when it was made,
-    with the eigendecomposition of each covariance. accumulate and reset
-    rebind both covariance arrays and never write into them (see
-    RankSpaceStats), so holds() tells by identity whether the statistics are
-    still these. The spectral k and each (k, side) operator set (the
-    projector pair and its complements) are built on first use and kept.
+    Keeps the a_cov the statistics had when it was made (the stability
+    window reads it), the eigendecomposition of each covariance, the config
+    and g_side, whether the b factor's side is the gradient side
+    (uses_g_side at the accumulation's n_cov). The spectral k and each k's
+    operator set (the projector pair and its complements) are built on
+    first use and kept.
     """
 
     a_cov: np.ndarray
-    g_cov: np.ndarray
-    n_cov: int
     decomp_a: SpectralDecomp
     decomp_g: SpectralDecomp
-    # (tau, min_rank) -> (spectral k, degenerate)
-    _spectral: dict = field(default_factory=dict, init=False, repr=False)
-    # (k, g side used) -> (P_a, P_side, Q_a, Q_side)
+    config: GritConfig
+    g_side: bool
+    # (spectral k, degenerate) at the config's threshold, once computed
+    _spectral: tuple[int, bool] | None = field(default=None, init=False, repr=False)
+    # k -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of_each(
-        cls, stats: list[RankSpaceStats], names: list[str] | None = None
+        cls, stats: list[RankSpaceStats], config: GritConfig, names: list[str] | None = None
     ) -> list[LayerGeometry]:
         """The geometry of each statistics, from one stacked eigendecomposition of all their covariances.
 
@@ -170,33 +174,32 @@ class LayerGeometry:
             [f"{side} of {name}" for name in names for side in ("a_cov", "g_cov")],
         )
         return [
-            cls(st.a_cov, st.g_cov, st.n_cov, decomps[2 * i], decomps[2 * i + 1])
+            cls(st.a_cov, decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov))
             for i, st in enumerate(stats)
         ]
 
-    @classmethod
-    def of(cls, stats: RankSpaceStats, name: str = "layer") -> LayerGeometry:
-        return cls.of_each([stats], [name])[0]
+    @property
+    def side_decomp(self) -> SpectralDecomp:
+        """The decomposition whose eigenvectors stand in for the b factor's side."""
+        return self.decomp_g if self.g_side else self.decomp_a
 
-    def holds(self, stats: RankSpaceStats) -> bool:
-        return self.a_cov is stats.a_cov and self.g_cov is stats.g_cov
-
-    def rank(self, config: GritConfig, rank: int, step: int, prev_k: int | None = None) -> int:
-        """k for an adapter of the given rank at this step.
+    def rank(self, step: int, prev_k: int | None = None) -> int:
+        """k at this step, for an adapter of the geometry's rank.
 
         fixed_rank when that gives one, else select_rank on the a-side
         spectrum at rank_adaptation_threshold. With prev_k, k stays at
-        prev_k (clamped to rank) while prev_k's energy lies within
+        prev_k (clamped to the rank) while prev_k's energy lies within
         hysteresis_eps of the threshold.
         """
+        config = self.config
+        rank = self.decomp_a.dim
         k = fixed_rank(config, rank, step)
         if k is not None:
             return k
         tau = config.rank_adaptation_threshold
-        key = (tau, config.min_lora_rank)
-        if key not in self._spectral:
-            self._spectral[key] = select_rank(self.decomp_a.eigenvalues, tau, config.min_lora_rank)
-        k, degenerate = self._spectral[key]
+        if self._spectral is None:
+            self._spectral = select_rank(self.decomp_a.eigenvalues, tau, config.min_lora_rank)
+        k, degenerate = self._spectral
         if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
             held = min(prev_k, rank)
             energy = cumulative_energy(self.decomp_a.eigenvalues)
@@ -204,23 +207,23 @@ class LayerGeometry:
                 k = held
         return k
 
-    def _operator_set(self, k: int, g_side: bool) -> tuple:
-        ops = self._operators.get((k, g_side))
+    def _operator_set(self, k: int) -> tuple:
+        ops = self._operators.get(k)
         if ops is None:
             proj_a = make_projector(self.decomp_a, k)
-            proj_side = make_projector(self.decomp_g, k) if g_side else proj_a
+            proj_side = make_projector(self.decomp_g, k) if self.g_side else proj_a
             q_a = proj_a.complement()
-            q_side = proj_side.complement() if g_side else q_a
-            ops = self._operators[(k, g_side)] = (proj_a, proj_side, q_a, q_side)
+            q_side = proj_side.complement() if self.g_side else q_a
+            ops = self._operators[k] = (proj_a, proj_side, q_a, q_side)
         return ops
 
-    def projectors(self, k: int, g_side: bool) -> tuple[Projector, Projector]:
-        """(P_a, P_side): top-k projectors, P_side from the g side when g_side."""
-        return self._operator_set(k, g_side)[:2]
+    def projectors(self, k: int) -> tuple[Projector, Projector]:
+        """(P_a, P_side): top-k projectors, P_side from side_decomp."""
+        return self._operator_set(k)[:2]
 
-    def complements(self, k: int, g_side: bool) -> tuple[np.ndarray, np.ndarray]:
-        """(Q_a, Q_side) = (I - P_a, I - P_side), r x r, for the same (k, g_side)."""
-        return self._operator_set(k, g_side)[2:]
+    def complements(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Q_a, Q_side) = (I - P_a, I - P_side), r x r, for the same k."""
+        return self._operator_set(k)[2:]
 
 
 @dataclass
@@ -240,7 +243,7 @@ class ReprojectionEvent:
 
 def reproject(
     adapter: AdapterPair,
-    geometry: LayerGeometry,
+    geometry: LayerGeometry | None,
     config: GritConfig,
     step: int,
     prev_k: int | None = None,
@@ -248,22 +251,22 @@ def reproject(
     """Project adapter factors onto the leading eigenspaces of the covariances.
 
     a <- (1 - gamma) a + gamma * P_a a and b <- (1 - gamma) b + gamma * b P_side,
-    with gamma = config.blend_gamma, k = geometry.rank(..., prev_k) and the
+    with gamma = config.blend_gamma, k = geometry.rank(step, prev_k) and the
     projectors from geometry.projectors; P_side comes from the gradient-side
-    basis when uses_g_side, else from the activation-side basis. Gated
-    before reprojection_warmup_steps and while the statistics hold no
-    samples; the caller decides the cadence.
+    basis when geometry.g_side, else from the activation-side basis. The
+    geometry is made with the same config. Gated before
+    reprojection_warmup_steps and while there is no geometry (no
+    accumulation yet); the caller decides the cadence.
     """
     if step < config.reprojection_warmup_steps:
         return ReprojectionEvent(step=step, applied=False, gate="warmup")
-    if geometry.n_cov == 0:
+    if geometry is None:
         return ReprojectionEvent(step=step, applied=False, gate="no-samples")
     if config.min_lora_rank > adapter.rank:
         raise ValidationError("min_lora_rank exceeds adapter rank")
 
-    k = geometry.rank(config, adapter.rank, step, prev_k)
-    g_side = uses_g_side(config, geometry.n_cov)
-    proj_a, proj_side = geometry.projectors(k, g_side)
+    k = geometry.rank(step, prev_k)
+    proj_a, proj_side = geometry.projectors(k)
 
     gamma = config.blend_gamma
     norm_before = float(np.linalg.norm(adapter.scaling * adapter.delta_w()))
@@ -279,7 +282,7 @@ def reproject(
         step=step,
         applied=True,
         k=k,
-        side_used="g" if g_side else "a",
+        side_used="g" if geometry.g_side else "a",
         tau=config.rank_adaptation_threshold,
         retained_mass=retained,
         delta_w_norm_before=norm_before,

@@ -11,9 +11,9 @@ Layout of a completed run directory:
     checkpoint.json  final model
     record.json      RunRecord summary
 
-events.jsonl logs preconditioning by its transitions only: "precondition"
-on the step it starts and "precondition_stop" on the step it stops, which
-happens only after a statistics reset. A "sanitize" event {step, layer,
+events.jsonl logs preconditioning once, with a "precondition" event on the
+first step that preconditions; nothing clears the statistics, so it never
+stops. A "sanitize" event {step, layer,
 count} marks a layer whose preconditioned gradient had count non-finite
 entries, which were zeroed.
 
@@ -149,7 +149,7 @@ def _field_kinds(cls) -> tuple:
 
 
 def check_value_types(obj, where: str) -> None:
-    """ValidationError naming where unless each field of the dataclass obj holds its kind of JSON value.
+    """ValidationError naming where unless each field of the dataclass obj has its kind of JSON value.
 
     Numeric fields must hold numbers (int or float, not bool), str fields
     strings and list[float] fields lists of numbers; fields of other types

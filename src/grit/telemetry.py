@@ -137,7 +137,7 @@ def stability_stats(
     over the top-k eigenvalue trajectories (population std); indices with
     zero mean are skipped and reported.
 
-    spectra, when given, holds every snapshot's eigenvalues in sym_eig's
+    spectra, when given, has every snapshot's eigenvalues in sym_eig's
     descending order, and no snapshot is decomposed here; without it each
     is decomposed with sym_eig, which symmetrizes it first.
     """

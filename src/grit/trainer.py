@@ -11,16 +11,20 @@ preconditions the gradient once inverses are ready. In lora_control mode
 every geometry-specific stage is skipped, which makes the loop a plain
 low-rank adaptation trainer with the identical optimizer arithmetic.
 
-Each accumulation gives every layer one reprojection.LayerGeometry, and all
-layers' covariances are eigendecomposed in one stacked call. The damped
-inverses come from those spectra. The lambda_r penalty reads the
-complement operators Q = I - P, built once per accumulation and k, so a
-step's penalty is one matmul per factor; it reads the geometry of the
-statistics the step started with. Reprojection reads the projectors, the
-telemetry the decompositions, and the stability window keeps the last
-COV_WINDOW geometries. Each invert event carries every layer's damping
-ladder rungs and condition numbers. A layer whose preconditioned gradient
-had non-finite entries, which precondition zeroes, gets a "sanitize" event.
+Each accumulation gives every layer one reprojection.LayerGeometry, and no
+other code makes one: all layers' covariances are eigendecomposed in one
+stacked call, and the geometry joins the layer's stability window, whose
+newest entry is the layer's current geometry (none before the first
+accumulation). The damped inverses come from those spectra. The lambda_r
+penalty reads the complement operators Q = I - P, built once per
+accumulation and k, so a step's penalty is one matmul per factor; it reads
+the geometry of the statistics the step started with. Reprojection reads
+the projectors, the telemetry the decompositions and the geometry's side,
+and the stability window keeps the last COV_WINDOW geometries. Each invert
+event carries every layer's damping ladder rungs and condition numbers.
+Preconditioning, once started, never stops, so a "precondition" event marks
+its first step. A layer whose preconditioned gradient had non-finite
+entries, which precondition zeroes, gets a "sanitize" event.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import GritConfig, config_hash, config_to_text, validate_config
-from .errors import GritError, ValidationError
+from .errors import ConfigError, GritError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig
 from .model import save_checkpoint
-from .reprojection import LayerGeometry, effective_rank, reproject, uses_g_side
+from .reprojection import LayerGeometry, effective_rank, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     CONFIG_NAME,
@@ -194,6 +198,12 @@ class Trainer:
 
     def __init__(self, config: GritConfig, task: TaskInstance, run_dir: str | Path | None = None):
         validate_config(config)
+        for idx, (_, adapter) in enumerate(task.model.layers):
+            if adapter.rank != config.lora_rank:
+                raise ConfigError(
+                    f"layer {idx} has an adapter of rank {adapter.rank}, but lora_rank is {config.lora_rank}",
+                    key="lora_rank",
+                )
         self.config = config
         self.task = task
         self.model = task.model
@@ -218,11 +228,9 @@ class Trainer:
             LayerMonitor(update_cov=np.zeros((r, r)), last_k=r) for _ in range(n_layers)
         ]
         self.events: list[dict] = []
-        # whether the last step preconditioned; events log its transitions only
-        self._preconditioning = False
+        # whether a step has preconditioned; events log the first one
+        self._preconditioned = False
         self.records: list[GeometryRecord] = []
-        # per layer: the geometry of its statistics, set by each accumulation
-        self._geometry: list[LayerGeometry | None] = [None] * n_layers
         self._frozen_hash = self.frozen_weight_hash()
 
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -264,18 +272,10 @@ class Trainer:
         if self.event_writer is not None:
             self.event_writer.append(obj)
 
-    def _layer_decomps(self, idx: int) -> LayerGeometry:
-        """Layer idx's geometry for its current statistics.
-
-        Made anew when the statistics no longer hold the geometry's
-        covariance arrays: after a reset or accumulation outside train_step,
-        which take no window entry. train_step's accumulation sets every
-        layer's geometry itself.
-        """
-        geometry = self._geometry[idx]
-        if geometry is None or not geometry.holds(self.stats[idx]):
-            geometry = self._geometry[idx] = LayerGeometry.of(self.stats[idx], f"layer {idx}")
-        return geometry
+    def _layer_decomps(self, idx: int) -> LayerGeometry | None:
+        """Layer idx's current geometry, the newest in its window; None before the first accumulation."""
+        snapshots = self.monitors[idx].cov_snapshots
+        return snapshots[-1] if snapshots else None
 
     def _accumulate(self, step: int) -> list[bool]:
         """Fold this step's batch into every layer's statistics and refresh their inverses.
@@ -299,9 +299,9 @@ class Trainer:
                         "g_cov": encode_array(stats.g_cov),
                     }
                 )
-        self._geometry = LayerGeometry.of_each(self.stats)
+        geometries = LayerGeometry.of_each(self.stats, self.config)
         refreshed = []
-        for stats, geometry, monitor in zip(self.stats, self._geometry, self.monitors):
+        for stats, geometry, monitor in zip(self.stats, geometries, self.monitors):
             monitor.cov_snapshots.append(geometry)
             refreshed.append(
                 refresh_inverses(
@@ -333,10 +333,7 @@ class Trainer:
         # the lambda_r penalty reads the geometry of the statistics the step started with
         penalty_geometry = [None] * len(adapters)
         if self.is_grit and config.lambda_r > 0.0:
-            penalty_geometry = [
-                self._layer_decomps(idx) if stats.n_cov > 0 else None
-                for idx, stats in enumerate(self.stats)
-            ]
+            penalty_geometry = [self._layer_decomps(idx) for idx in range(len(adapters))]
         if accumulating:
             refreshed = self._accumulate(step)
         preconditioned = False
@@ -351,8 +348,7 @@ class Trainer:
                 gb = gb + ramp * config.lambda_k * pgb
             geometry = penalty_geometry[idx]
             if geometry is not None:
-                k = geometry.rank(config, adapter.rank, step)
-                q_a, q_side = geometry.complements(k, uses_g_side(config, geometry.n_cov))
+                q_a, q_side = geometry.complements(geometry.rank(step))
                 val, rga, rgb = reprojection_penalty(adapter, q_a, q_side)
                 loss += ramp * config.lambda_r * val
                 ga = ga + ramp * config.lambda_r * rga
@@ -382,11 +378,9 @@ class Trainer:
                         "cond_g": [st.cond[1] for st in self.stats],
                     }
                 )
-        if preconditioned != self._preconditioning:
-            self._preconditioning = preconditioned
-            self._log_event(
-                {"step": step, "action": "precondition" if preconditioned else "precondition_stop"}
-            )
+        if preconditioned and not self._preconditioned:
+            self._preconditioned = True
+            self._log_event({"step": step, "action": "precondition"})
 
         flat_grad = clipped_flat(grads, config.grad_clip)
         params = np.concatenate([p.ravel() for adapter in adapters for p in (adapter.a, adapter.b)])
@@ -450,18 +444,11 @@ class Trainer:
         curvature = self.task.pt_curvature()
         for idx, (_, adapter) in enumerate(self.model.layers):
             monitor = self.monitors[idx]
-            stats = self.stats[idx]
             r = adapter.rank
 
-            if stats.n_cov > 0:
-                geometry = self._layer_decomps(idx)
-                spectrum = geometry.decomp_a.eigenvalues
-                side_decomp = (
-                    geometry.decomp_g if uses_g_side(self.config, geometry.n_cov) else geometry.decomp_a
-                )
-            else:
-                side_decomp = None
-                spectrum = np.zeros(r)
+            geometry = self._layer_decomps(idx)
+            side_decomp = geometry.side_decomp if geometry is not None else None
+            spectrum = geometry.decomp_a.eigenvalues if geometry is not None else np.zeros(r)
 
             update_decomp = sym_eig(monitor.update_cov, name="update covariance")
             r_eff, _ = effective_rank(update_decomp.eigenvalues, self.config.telemetry_eta)

@@ -8,6 +8,7 @@ from grit.errors import ValidationError
 from grit.kfac import RankSpaceStats
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
+from grit import reprojection as reprojection_module
 from grit.reprojection import (
     LayerGeometry,
     Projector,
@@ -151,12 +152,17 @@ def seeded_adapter(rng, r=4, d_in=6, d_out=5):
     )
 
 
+def reproject_on(adapter, stats, cfg, step, prev_k=None):
+    """reproject with the geometry an accumulation of stats makes under cfg."""
+    return reproject(adapter, LayerGeometry.of_each([stats], cfg)[0], cfg, step=step, prev_k=prev_k)
+
+
 class TestReproject:
     def test_zero_blend_is_noop(self):
         rng = np.random.default_rng(2)
         adapter = seeded_adapter(rng)
         a0, b0 = adapter.a.copy(), adapter.b.copy()
-        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(blend_gamma=0.0), step=0)
+        event = reproject_on(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(blend_gamma=0.0), step=0)
         assert event.applied
         assert np.array_equal(adapter.a, a0)
         assert np.array_equal(adapter.b, b0)
@@ -165,7 +171,7 @@ class TestReproject:
         rng = np.random.default_rng(3)
         adapter = seeded_adapter(rng)
         a0, b0 = adapter.a.copy(), adapter.b.copy()
-        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(rank_adaptation_threshold=1.0), step=0)
+        event = reproject_on(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(rank_adaptation_threshold=1.0), step=0)
         assert event.k == 4
         assert np.max(np.abs(adapter.a - a0)) < 1e-9
         assert np.max(np.abs(adapter.b - b0)) < 1e-9
@@ -175,7 +181,7 @@ class TestReproject:
         adapter = seeded_adapter(rng)
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
         a0 = adapter.a.copy()
-        event = reproject(adapter, LayerGeometry.of(stats), config(rank_adaptation_threshold=0.7), step=0)
+        event = reproject_on(adapter, stats, config(rank_adaptation_threshold=0.7), step=0)
         assert event.k == 2  # cumulative energy 0.4, 0.7
         # independent projector from LAPACK eigenvectors
         w, v = np.linalg.eigh(stats.a_cov)
@@ -186,15 +192,15 @@ class TestReproject:
     def test_warmup_gate(self):
         rng = np.random.default_rng(5)
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([1.0] * 4, rng)), config(reprojection_warmup_steps=10), step=5)
+        event = reproject_on(adapter, stats_with_spectrum([1.0] * 4, rng), config(reprojection_warmup_steps=10), step=5)
         assert not event.applied
         assert event.gate == "warmup"
 
     def test_no_samples_gate(self):
         rng = np.random.default_rng(7)
         adapter = seeded_adapter(rng)
-        stats = RankSpaceStats(rank=4, damping=1e-3)
-        event = reproject(adapter, LayerGeometry.of(stats), config(), step=0)
+        # before the first accumulation there is no geometry
+        event = reproject(adapter, None, config(), step=0)
         assert not event.applied
         assert event.gate == "no-samples"
 
@@ -203,10 +209,10 @@ class TestReproject:
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
         stats.n_cov = 10
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, LayerGeometry.of(stats), config(use_two_sided=True, g_gate_min_samples=64), step=0)
+        event = reproject_on(adapter, stats, config(use_two_sided=True, g_gate_min_samples=64), step=0)
         assert event.side_used == "a"
         stats.n_cov = 64
-        event = reproject(adapter, LayerGeometry.of(stats), config(use_two_sided=True, g_gate_min_samples=64), step=0)
+        event = reproject_on(adapter, stats, config(use_two_sided=True, g_gate_min_samples=64), step=0)
         assert event.side_used == "g"
 
     def test_two_sided_k_comes_from_a_side_spectrum(self):
@@ -218,7 +224,7 @@ class TestReproject:
         adapter = seeded_adapter(rng)
         b0 = adapter.b.copy()
         cfg = config(rank_adaptation_threshold=0.7, use_two_sided=True, g_gate_min_samples=1)
-        event = reproject(adapter, LayerGeometry.of(stats), cfg, step=0)
+        event = reproject_on(adapter, stats, cfg, step=0)
         assert event.k == 2
         assert event.side_used == "g"
         top2 = np.eye(4)[:, :2]  # g_cov is diagonal, so its top-2 basis is axis-aligned
@@ -229,13 +235,13 @@ class TestReproject:
         rng = np.random.default_rng(9)
         adapter = seeded_adapter(rng)
         cfg = config(enable_rank_adaptation=False, reprojection_k=3)
-        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), cfg, step=0)
+        event = reproject_on(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), cfg, step=0)
         assert event.k == 3
 
     def test_retained_mass_in_unit_interval(self):
         rng = np.random.default_rng(10)
         adapter = seeded_adapter(rng)
-        event = reproject(adapter, LayerGeometry.of(stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)), config(rank_adaptation_threshold=0.5), step=0)
+        event = reproject_on(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), config(rank_adaptation_threshold=0.5), step=0)
         assert 0.0 <= event.retained_mass <= 1.0 + 1e-12
 
     def test_suppressed_direction_can_reenter(self):
@@ -243,7 +249,7 @@ class TestReproject:
         rng = np.random.default_rng(11)
         adapter = seeded_adapter(rng, r=3, d_in=4, d_out=4)
         stats = stats_with_spectrum([5.0, 1.0, 0.01], rng)
-        reproject(adapter, LayerGeometry.of(stats), config(rank_adaptation_threshold=0.9, min_lora_rank=1), step=0)
+        reproject_on(adapter, stats, config(rank_adaptation_threshold=0.9, min_lora_rank=1), step=0)
         dec = sym_eig(stats.a_cov)
         dropped = dec.eigenvectors[:, -1]
         assert abs(dropped @ adapter.a @ adapter.a.T @ dropped) < 1e-18
@@ -258,15 +264,50 @@ class TestReproject:
         # fresh selection at tau=0.72 gives k=3, but E(prev_k=2)=0.7 sits inside
         # the band [0.67, 0.77], so the previous rank is kept
         cfg = config(rank_adaptation_threshold=0.72, hysteresis_eps=0.05)
-        event = reproject(adapter, LayerGeometry.of(stats), cfg, step=0, prev_k=2)
+        event = reproject_on(adapter, stats, cfg, step=0, prev_k=2)
         assert event.k == 2
-        fresh = reproject(seeded_adapter(rng), LayerGeometry.of(stats), config(rank_adaptation_threshold=0.72), step=0)
+        fresh = reproject_on(seeded_adapter(rng), stats, config(rank_adaptation_threshold=0.72), step=0)
         assert fresh.k == 3
 
     def test_cumulative_energy_ends_at_one(self):
         e = cumulative_energy(np.array([4.0, 3.0, 2.0, 1.0]))
         assert np.isclose(e[-1], 1.0)
         assert np.all(np.diff(e) >= 0.0)
+
+
+class TestLayerGeometry:
+    def test_side_decided_when_made(self):
+        rng = np.random.default_rng(14)
+        stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
+        cfg = config(use_two_sided=True, g_gate_min_samples=64)
+        stats.n_cov = 63
+        below = LayerGeometry.of_each([stats], cfg)[0]
+        stats.n_cov = 64
+        at = LayerGeometry.of_each([stats], cfg)[0]
+        one_sided = LayerGeometry.of_each([stats], config(use_two_sided=False))[0]
+        assert not below.g_side and below.side_decomp is below.decomp_a
+        assert at.g_side and at.side_decomp is at.decomp_g
+        assert not one_sided.g_side and one_sided.side_decomp is one_sided.decomp_a
+
+    def test_spectral_k_and_operators_built_once(self, monkeypatch):
+        calls = []
+        original = reprojection_module.select_rank
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(reprojection_module, "select_rank", counting)
+        rng = np.random.default_rng(15)
+        cfg = config(use_two_sided=True, g_gate_min_samples=1)
+        geometry = LayerGeometry.of_each([stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)], cfg)[0]
+        assert [geometry.rank(step) for step in range(3)] == [2, 2, 2]  # energy 0.4, 0.7
+        assert len(calls) == 1
+        proj_a, proj_side = geometry.projectors(2)
+        q_a, q_side = geometry.complements(2)
+        again = geometry.projectors(2) + geometry.complements(2)
+        assert all(new is old for new, old in zip(again, (proj_a, proj_side, q_a, q_side)))
+        assert proj_side.basis.tobytes() == make_projector(geometry.decomp_g, 2).basis.tobytes()
 
 
 class TestFixedRank:
@@ -276,8 +317,8 @@ class TestFixedRank:
         assert fixed_rank(cfg, 4, 10) is None
         rng = np.random.default_rng(13)
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
-        assert reproject(seeded_adapter(rng), LayerGeometry.of(stats), cfg, step=9).k == 3
-        assert reproject(seeded_adapter(rng), LayerGeometry.of(stats), cfg, step=10).k == 2  # energy 0.4, 0.7
+        assert reproject_on(seeded_adapter(rng), stats, cfg, step=9).k == 3
+        assert reproject_on(seeded_adapter(rng), stats, cfg, step=10).k == 2  # energy 0.4, 0.7
 
     def test_clamped_to_adapter_rank(self):
         assert fixed_rank(config(enable_rank_adaptation=False, reprojection_k=9), 4, 0) == 4

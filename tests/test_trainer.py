@@ -8,7 +8,7 @@ from grit.errors import ConfigError, GritError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
-from grit.kfac import RankSpaceStats, accumulate, precondition
+from grit.kfac import RankSpaceStats, precondition
 from grit.linalg import damped_solve, sym_eig, sym_eig_stack, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
@@ -205,6 +205,37 @@ class TestGateOrdering:
         with pytest.raises(ConfigError, match="rank_adaptation_threshold"):
             make_trainer(rank_adaptation_threshold=1.5)
 
+    @pytest.mark.parametrize("mode", ["grit", "lora_control"])
+    def test_adapter_rank_other_than_lora_rank_is_rejected(self, mode):
+        config = GritConfig(task=TASK, lora_rank=4, mode=mode, eval_size=64)
+        task = build_task(
+            TASK, rank=2, alpha=config.lora_alpha, eval_size=config.eval_size,
+            model_rng=seed_stream(0, "model"), data_rng=seed_stream(0, "task-data"),
+        )
+        with pytest.raises(ConfigError, match="rank 2, but lora_rank is 4") as info:
+            Trainer(config, task)
+        assert info.value.key == "lora_rank"
+
+    def test_reprojection_before_the_first_accumulation_decomposes_nothing(self, monkeypatch):
+        # reprojection runs at 0, 10 and 20; the first accumulation is at 25
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        tr, task, cfg = make_trainer(
+            task=TestOnePassStep.TWO_LAYER, steps=21, ng_warmup_steps=25, reprojection_freq=10,
+            reprojection_warmup_steps=0, lambda_r=0.5, telemetry_every=0,
+        )
+        run_loop(tr, task, cfg)
+        gated = [(e["step"], e["layer"], e["gate"]) for e in tr.events if e["action"] == "reproject_gated"]
+        assert gated == [(step, layer, "no-samples") for step in (0, 10, 20) for layer in (0, 1)]
+        assert [e["action"] for e in tr.events] == ["reproject_gated"] * 6
+        assert calls == []
+
     def test_update_covariance_resets_at_reprojection(self):
         # the update-basis window restarts at each event (including step 0,
         # where the cadence gate is already satisfied)
@@ -398,22 +429,6 @@ class TestPenalties:
 
 
 class TestDecompositionCache:
-    def test_fresh_after_stats_reset(self):
-        tr, task, cfg = make_trainer()
-        tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
-        stats = tr.stats[0]
-        n_first = stats.n_cov
-        tr._layer_decomps(0)
-        stats.reset()
-        # one new batch brings n_cov back to its old value with new covariances
-        tr.model.forward(task.sample_batch(tr.data_rng, cfg.batch_size)[0] * 2.0)
-        tr.model.backward(np.ones_like(tr.model.tapes[-1].z) / cfg.batch_size)
-        accumulate(stats, tr.model.tapes[0], tr.model.layers[0][1])
-        assert stats.n_cov == n_first
-        geometry = tr._layer_decomps(0)
-        assert np.array_equal(geometry.decomp_a.eigenvalues, sym_eig(stats.a_cov).eigenvalues)
-        assert np.array_equal(geometry.decomp_g.eigenvalues, sym_eig(stats.g_cov).eigenvalues)
-
     def test_no_covariance_decomposed_twice(self, monkeypatch):
         seen = []
 
@@ -520,7 +535,7 @@ class TestPenaltyGeometry:
 
     START = 33  # rank_adaptation_start_step, between accumulations
 
-    def run_checked(self, monkeypatch, reset_after=None, **overrides):
+    def run_checked(self, monkeypatch, **overrides):
         built = []
         complement = reprojection_module.Projector.complement  # unpatched, for the references
         for owner, name in (
@@ -586,10 +601,6 @@ class TestPenaltyGeometry:
             current["step"] = step
             current["stats"] = [(st.a_cov, st.g_cov, st.n_cov) for st in tr.stats]
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
-            if step == reset_after:
-                for idx, stats in enumerate(tr.stats):
-                    stats.reset()
-                    accumulate(stats, tr.model.tapes[idx], tr.model.layers[idx][1])
         return cfg, build_steps, penalties
 
     def test_built_only_when_statistics_or_k_change(self, monkeypatch):
@@ -605,12 +616,9 @@ class TestPenaltyGeometry:
         [dict(), dict(ema_beta=0.9), dict(lambda_k=0.5, rank_adaptation_threshold=0.5)],
         ids=["running_mean", "ema", "curvature_penalty"],
     )
-    def test_projectors_match_from_scratch_across_reset(self, monkeypatch, overrides):
-        # step 42 neither accumulates nor reprojects; the reset and the
-        # accumulation after it give new statistics read at step 43
-        cfg, build_steps, penalties = self.run_checked(monkeypatch, reset_after=42, **overrides)
-        assert 43 in build_steps
-        assert penalties
+    def test_projectors_match_from_scratch(self, monkeypatch, overrides):
+        cfg, build_steps, penalties = self.run_checked(monkeypatch, **overrides)
+        assert build_steps and penalties
 
 
 def two_pass_gradients(trainer, before, step):
@@ -678,29 +686,16 @@ class TestOnePassStep:
 
 class TestSharedSpectra:
     @pytest.mark.parametrize(
-        "overrides, reset_after",
-        [
-            (dict(lambda_r=0.5), None),
-            (dict(lambda_r=0.0), None),
-            (dict(ema_beta=0.9), None),
-            # step 25 accumulates but neither reprojects nor emits telemetry,
-            # so the newest snapshot has no spectrum when the reset comes
-            (dict(lambda_r=0.5), 25),
-        ],
-        ids=["lambda_r", "no_penalty", "ema", "reset"],
+        "overrides",
+        [dict(lambda_r=0.5), dict(lambda_r=0.0), dict(ema_beta=0.9)],
+        ids=["lambda_r", "no_penalty", "ema"],
     )
-    def test_stability_matches_from_scratch(self, overrides, reset_after):
+    def test_stability_matches_from_scratch(self, overrides):
         tr, task, cfg = make_trainer(**overrides)
         n_layers = len(tr.monitors)
         checked = 0
         for step in range(cfg.steps):
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
-            if step == reset_after:
-                # a_cov moves with no snapshot taken, and the next step's
-                # penalty decomposes it
-                for idx, stats in enumerate(tr.stats):
-                    stats.reset()
-                    accumulate(stats, tr.model.tapes[idx], tr.model.layers[idx][1])
             if step % cfg.telemetry_every:
                 continue
             for record in tr.records[-n_layers:]:
@@ -796,7 +791,7 @@ class TestRunExperiment:
 
         tr, task, cfg = make_trainer(steps=1)
         x, y = task.sample_batch(tr.data_rng, 4)
-        with pytest.raises(GritError, match="step 0"):
+        with pytest.raises(GritError, match="step 0"), pytest.warns(RuntimeWarning, match="overflow"):
             tr.train_step((x * 1e200, y), 0)
 
     def test_failed_run_marks_manifest(self, tmp_path):
@@ -804,7 +799,7 @@ class TestRunExperiment:
 
         cfg = GritConfig(task=TASK, steps=5, seed=1, learning_rate=1e200, eval_size=64,
                          lora_rank=4, telemetry_every=0)
-        with pytest.raises(GritError):
+        with pytest.raises(GritError), pytest.warns(RuntimeWarning, match="overflow"):
             run_experiment(cfg, out_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
@@ -902,7 +897,7 @@ class TestRunStreams:
 
         cfg = GritConfig(task=TASK, steps=5, seed=1, learning_rate=1e200, eval_size=64,
                          lora_rank=4, telemetry_every=0)
-        with pytest.raises(GritError):
+        with pytest.raises(GritError), pytest.warns(RuntimeWarning, match="overflow"):
             run_experiment(cfg, out_dir=tmp_path / "run")
         assert_closed_whole_lines(opened_streams)
 
@@ -955,28 +950,17 @@ class TestArrayStreams:
 
 
 class TestPreconditionEvents:
-    def test_only_transitions_are_logged_across_a_stats_reset(self, tmp_path):
-        # step 43 neither accumulates nor has inverses after the reset at 42;
-        # preconditioning resumes once kfac_min_samples are seen again
+    def test_logged_once_at_the_first_preconditioned_step(self, tmp_path):
         tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=80, telemetry_every=0)
         flags = []
         with tr:
             for step in range(cfg.steps):
                 flags.append(tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step).preconditioned)
-                if step == 42:
-                    for stats in tr.stats:
-                        stats.reset()
-        logged = [(e["step"], e["action"]) for e in tr.events if e["action"].startswith("precondition")]
-        assert [action for _, action in logged] == ["precondition", "precondition_stop", "precondition"]
-        assert logged[1][0] == 43
-        transitions = [
-            (step, "precondition" if now else "precondition_stop")
-            for step, (before, now) in enumerate(zip([False] + flags, flags))
-            if now != before
-        ]
-        assert logged == transitions
+        first = flags.index(True)
+        assert first > 0 and all(flags[first:])
+        logged = [e for e in tr.events if e["action"].startswith("precondition")]
+        assert logged == [{"step": first, "action": "precondition"}]
         assert read_jsonl(tmp_path / "events.jsonl") == tr.events
-
 
     def test_zeroed_entries_are_logged_per_layer(self, tmp_path):
         tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=12, telemetry_every=0)
@@ -989,7 +973,8 @@ class TestPreconditionEvents:
             inv_a = tr.stats[0].inv_a.copy()
             inv_a[1, 2] = np.inf
             tr.stats[0].inv_a = inv_a
-            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 11)
+            with pytest.warns(RuntimeWarning):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 11)
         d_in = tr.model.layers[0][1].a.shape[1]
         # row 1 of inv_a @ grad_a is non-finite in every column
         assert tr.stats[0].sanitized_count == d_in
@@ -1047,7 +1032,8 @@ class TestNonFiniteParameters:
             raise ValueError(f"non-standard JSON token {token}")
 
         # the step-0 update is about 1e200 per entry: finite, but its squares overflow
-        with pytest.raises(GritError, match="non-finite parameters at step 0"):
+        with pytest.raises(GritError, match="non-finite parameters at step 0"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             run_experiment(cfg, out_dir=tmp_path / "run")
         run = tmp_path / "run"
         assert json.loads((run / "manifest.json").read_text())["status"] == "failed"
