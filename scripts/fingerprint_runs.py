@@ -22,8 +22,10 @@ penalty, and a natural-gradient warmup of 100 steps with no reprojection
 warmup, the one run that reprojects before its statistics hold a sample
 (its steps 0, 40 and 80 log the no-samples gate). One more control run
 starts its base off the teacher (init_jitter = 0.05), so its 20
-pretraining steps move the weights. The manifest carries a timestamp, so it
-is left out.
+pretraining steps move the weights. The last run is the config of the CLI
+determinism check (criterion 12): the one-layer, identity-activation
+synthetic_lowrank model, which no other run builds. The manifest carries a
+timestamp, so it is left out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". A change to how a stream is written that keeps its
@@ -40,6 +42,7 @@ import tempfile
 from pathlib import Path
 
 from grit.cli import main as grit_cli
+from grit.config import GritConfig
 from grit.trainer import run_experiment
 from study import study_config
 
@@ -77,6 +80,12 @@ RUNS = {
         study_config("lora_control", 0),
         task="two_task_forgetting(d=12, hidden=12, pretrain_steps=20, init_jitter=0.05, "
         "ft_noise=0.25, delta_scale=0.2)",
+    ),
+    # the config of the CLI determinism run (tests/test_acceptance.py's CLI_CONFIG)
+    "grit-synthetic-s21": GritConfig(
+        task="synthetic_lowrank(d=10, r_true=2, noise=0.05)", steps=40, seed=21,
+        lora_rank=4, min_lora_rank=2, kfac_update_freq=5, kfac_min_samples=16,
+        reprojection_freq=10, reprojection_warmup_steps=10, telemetry_every=10, eval_size=64,
     ),
 }
 

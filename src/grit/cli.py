@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
         else:
             task_name, _ = parse_task_spec(config.task)
             out_dir = _default_out_root() / f"{task_name}-s{config.seed}-{config_hash(config)[:8]}"
-        record = run_experiment(config, out_dir=out_dir, config_path=args.config)
+        record = run_experiment(config, out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -146,12 +146,12 @@ def cmd_audit(args) -> int:
     _write_csv(out / "alignment.csv", ["step", "layer", "rho_align", "pi_proj"], overlap_rows)
     _write_csv(out / "tail_mass.csv", ["step", "layer", "tail_mass"], tail_rows)
 
+    coords = []  # below three vectors there is no embedding, only the header
     if len(vectors) >= 3:
         from .telemetry import pca_export
 
-        pca_export(vectors, csv_path=out / "pca_updates.csv")
-    else:
-        _write_csv(out / "pca_updates.csv", ["pc1", "pc2"], [])
+        coords = pca_export(vectors).tolist()
+    _write_csv(out / "pca_updates.csv", ["pc1", "pc2"], coords)
 
     n_reproj = sum(1 for e in events if e.get("action") == "reproject")
     _say(args.quiet, f"audit written to {out} ({len(records)} records, {n_reproj} reprojection events)")
@@ -170,17 +170,20 @@ def cmd_fit_law(args) -> int:
     geometry_records = [r for r in records if r.mode == "grit"]
     try:
         fit = fit_baseline_law(baseline_records)
+        if geometry_records:
+            try:
+                fit = fit_xi_coefficients(geometry_records, fit)
+            except UnidentifiableGammaError as exc:
+                fit.unidentifiable = ["gamma_r", "gamma_a", "gamma_p"]
+                _say(args.quiet, f"gamma section unidentifiable: {exc}")
+        else:
+            fit.unidentifiable = ["gamma_r", "gamma_a", "gamma_p"]
     except UnderdeterminedFitError as exc:
         print(f"underdetermined fit along {exc.axis}: {exc}", file=sys.stderr)
         return 3
-    if geometry_records:
-        try:
-            fit = fit_xi_coefficients(geometry_records, fit)
-        except UnidentifiableGammaError as exc:
-            fit.unidentifiable = ["gamma_r", "gamma_a", "gamma_p"]
-            _say(args.quiet, f"gamma section unidentifiable: {exc}")
-    else:
-        fit.unidentifiable = ["gamma_r", "gamma_a", "gamma_p"]
+    except ValidationError as exc:  # records the law cannot take, such as d_ft = 0
+        print(f"bad records: {exc}", file=sys.stderr)
+        return 1
     save_fit(fit, args.out)
     _say(args.quiet, f"fit written to {args.out} (residual rms {fit.residual_rms:.3g})")
     return 0

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SpectralDecomp, symmetrize
-from .runio import RunRecord, write_atomic
+from .runio import RunRecord, write_json
 from .telemetry import xi_multiplier
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -71,20 +71,13 @@ class ScalingFit:
     def gammas(self) -> tuple[float, float, float]:
         return (self.gamma_r, self.gamma_a, self.gamma_p)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalingFit":
-        return cls(**json.loads(text))
-
 
 def save_fit(fit: ScalingFit, path: str | Path) -> None:
-    write_atomic(path, fit.to_json())
+    write_json(path, asdict(fit))
 
 
 def load_fit(path: str | Path) -> ScalingFit:
-    return ScalingFit.from_json(Path(path).read_text())
+    return ScalingFit(**json.loads(Path(path).read_text()))
 
 
 def _extract_dnl(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

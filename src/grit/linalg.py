@@ -2,9 +2,10 @@
 
 Everything here operates on small square matrices (rank-space covariances,
 desk-model Hessians, the audit's PCA Gram matrix). Eigendecompositions go
-through LAPACK's symmetric solver; sym_eig adds only a fixed eigenvalue
-order and sign convention, and sym_eig_stack gives a stack of equal-sized
-matrices the same result, matrix for matrix and bit for bit, from one call.
+through LAPACK's symmetric solver in sym_eig_stack, which decomposes a
+stack of equal-sized matrices in one call and is the one place that fixes
+the eigenvalue order and the eigenvector signs; sym_eig is that stack on
+one matrix.
 damped_inverse inverts a damped matrix from its spectrum, climbing the
 damping ladder on the eigenvalues; damped_solve is the Cholesky-probed
 LAPACK solve that reference checks compare it with. All computation is
@@ -50,46 +51,18 @@ class SpectralDecomp:
         return (u * self.eigenvalues) @ u.T
 
 
-def _fix_signs(vecs: np.ndarray) -> None:
-    # Deterministic convention: first component of each eigenvector with
-    # magnitude above 1e-12 is made non-negative.
-    if vecs.size == 0:
-        return
-    above = np.abs(vecs) > 1e-12
-    first = np.argmax(above, axis=0)
-    cols = np.arange(vecs.shape[1])
-    flip = above[first, cols] & (vecs[first, cols] < 0.0)
-    vecs[:, flip] = -vecs[:, flip]
-
-
 def sym_eig(m: np.ndarray, name: str = "matrix") -> SpectralDecomp:
-    """Eigendecompose a symmetric matrix with LAPACK's symmetric solver.
-
-    The input is symmetrized first. Eigenvalues are returned in non-increasing
-    order with ties kept in original index order (stable sort), and each
-    eigenvector carries the sign convention of _fix_signs. Non-finite input or
-    a LAPACK failure raises DecompositionError naming the matrix.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise DecompositionError(f"non-finite entries in {name}")
-    try:
-        eigs, vecs = np.linalg.eigh(symmetrize(a))
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigendecomposition failed for {name}: {exc}") from exc
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order]
-    vecs = vecs[:, order]
-    _fix_signs(vecs)
-    return SpectralDecomp(eigs, vecs)
+    """Eigendecompose one symmetric matrix: sym_eig_stack on a one-matrix stack."""
+    return sym_eig_stack([m], [name])[0]
 
 
 def sym_eig_stack(mats, names) -> list[SpectralDecomp]:
-    """sym_eig of each matrix of a stack of equal-sized square matrices, from one LAPACK call.
+    """Eigendecompose each matrix of a stack of equal-sized square matrices, from one LAPACK call.
 
-    Each result equals sym_eig(mats[i], names[i]) bit for bit: the same
-    symmetrization, stable descending order and sign convention, applied
-    along the stack. Non-finite input or a LAPACK failure raises
+    Each matrix is symmetrized first. Eigenvalues are returned in
+    non-increasing order with ties kept in original index order (stable
+    sort), and the first entry of each eigenvector with magnitude above
+    1e-12 is made non-negative. Non-finite input or a LAPACK failure raises
     DecompositionError naming the first matrix at fault.
     """
     a = np.asarray(mats, dtype=np.float64)
@@ -100,11 +73,14 @@ def sym_eig_stack(mats, names) -> list[SpectralDecomp]:
         raise DecompositionError(f"non-finite entries in {names[int(np.argmin(finite))]}")
     try:
         eigs, vecs = np.linalg.eigh(0.5 * (a + a.transpose(0, 2, 1)))
-    except np.linalg.LinAlgError:
+    except np.linalg.LinAlgError as exc:
         # decompose one at a time, so the error names the matrix LAPACK failed on
         for m, name in zip(a, names):
-            sym_eig(m, name)
-        raise
+            try:
+                np.linalg.eigh(symmetrize(m))
+            except np.linalg.LinAlgError as single:
+                raise DecompositionError(f"eigendecomposition failed for {name}: {single}") from single
+        raise DecompositionError(f"eigendecomposition failed for the stack: {exc}") from exc
     stack = np.arange(eigs.shape[0])[:, None]
     cols = np.arange(eigs.shape[1])[None, :]
     # eigh returns ascending eigenvalues; without ties the stable descending
@@ -116,15 +92,15 @@ def sym_eig_stack(mats, names) -> list[SpectralDecomp]:
         order = np.argsort(-eigs, axis=1, kind="stable")
         eigs = eigs[stack, order]
         vecs = vecs[stack[:, :, None], cols[:, :, None], order[:, None, :]]
-    # _fix_signs along the stack, looking past the first row only where it is below 1e-12
-    lead = vecs[:, 0, :]
-    if np.abs(lead).min() > 1e-12:
+    # the sign convention, looking past the first row only where it is below 1e-12
+    lead = vecs[:, :1, :]
+    if (np.abs(lead) > 1e-12).all():
         flip = lead < 0.0
     else:
         above = np.abs(vecs) > 1e-12
         first = np.argmax(above, axis=1)
-        flip = above[stack, first, cols] & (vecs[stack, first, cols] < 0.0)
-    vecs = np.where(flip[:, None, :], -vecs, vecs)
+        flip = (above[stack, first, cols] & (vecs[stack, first, cols] < 0.0))[:, None, :]
+    vecs = np.where(flip, -vecs, vecs)
     return [SpectralDecomp(e, v) for e, v in zip(eigs, vecs)]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ShapeError, TapeError, ValidationError
 from .runio import write_atomic
 
-ACTIVATIONS = ("identity", "tanh", "relu")
+ACTIVATIONS = ("identity", "tanh")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -26,8 +26,6 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
         return z
     if name == "tanh":
         return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
     raise ValidationError(f"unknown activation {name!r}")
 
 
@@ -37,13 +35,11 @@ def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         t = np.tanh(z)
         return 1.0 - t * t
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
     raise ValidationError(f"unknown activation {name!r}")
 
 
 def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
-    if name in ("identity", "relu"):
+    if name == "identity":
         return np.zeros_like(z)
     if name == "tanh":
         t = np.tanh(z)
@@ -159,10 +155,6 @@ class Model:
     def d_in(self) -> int:
         return self.layers[0][0].d_in
 
-    @property
-    def d_out(self) -> int:
-        return self.layers[-1][0].d_out
-
     def adapters(self) -> list[AdapterPair]:
         return [adapter for _, adapter in self.layers]
 
@@ -243,7 +235,6 @@ def build_model(
     rng: np.random.Generator,
     activations: list[str] | None = None,
     base_weights: list[np.ndarray] | None = None,
-    base_scale: float = 1.0,
 ) -> Model:
     """Assemble a model from layer widths; hidden layers default to tanh, last to identity."""
     n_layers = len(dims) - 1
@@ -255,7 +246,7 @@ def build_model(
         if base_weights is not None:
             w0 = np.array(base_weights[i], dtype=np.float64)
         else:
-            w0 = rng.normal(0.0, base_scale / np.sqrt(d_in), size=(d_out, d_in))
+            w0 = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_out, d_in))
         base = BaseLayer(w0=w0, activation=activations[i])
         adapter = init_adapter(d_in, d_out, rank, scaling, rng)
         layers.append((base, adapter))

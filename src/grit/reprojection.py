@@ -66,7 +66,6 @@ class Projector:
     """Column-orthonormal basis of the retained subspace; P = basis @ basis.T."""
 
     basis: np.ndarray
-    k: int
 
     def matrix(self) -> np.ndarray:
         return self.basis @ self.basis.T
@@ -134,7 +133,7 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
     """Top-k eigenprojector from a spectral decomposition."""
     if not 1 <= k <= decomp.dim:
         raise ValidationError(f"k = {k} out of range [1, {decomp.dim}]")
-    return Projector(basis=decomp.eigenvectors[:, :k].copy(), k=k)
+    return Projector(basis=decomp.eigenvectors[:, :k].copy())
 
 
 @dataclass(eq=False)
@@ -160,18 +159,14 @@ class LayerGeometry:
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def of_each(
-        cls, stats: list[RankSpaceStats], config: GritConfig, names: list[str] | None = None
-    ) -> list[LayerGeometry]:
+    def of_each(cls, stats: list[RankSpaceStats], config: GritConfig) -> list[LayerGeometry]:
         """The geometry of each statistics, from one stacked eigendecomposition of all their covariances.
 
-        names[i] (default "layer i") names stats[i] in a DecompositionError.
+        A DecompositionError names the covariance: "a_cov of layer i" or "g_cov of layer i".
         """
-        if names is None:
-            names = [f"layer {i}" for i in range(len(stats))]
         decomps = sym_eig_stack(
             [cov for st in stats for cov in (st.a_cov, st.g_cov)],
-            [f"{side} of {name}" for name in names for side in ("a_cov", "g_cov")],
+            [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
         return [
             cls(st.a_cov, decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov))
@@ -228,7 +223,7 @@ class LayerGeometry:
 
 @dataclass
 class ReprojectionEvent:
-    """Outcome of one reprojection attempt (applied or gated)."""
+    """Outcome of one reprojection attempt; the reproject event logs all but applied and gate."""
 
     step: int
     applied: bool

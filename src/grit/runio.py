@@ -2,7 +2,7 @@
 
 Layout of a completed run directory:
 
-    config.cfg       copy of the resolved configuration
+    config.cfg       resolved configuration (config_to_text), hashed into the manifest
     manifest.json    run id, config hash, seed, task, timestamp, status
     telemetry.jsonl  geometry stream (schema header + one object per step/layer)
     events.jsonl     accumulate / invert / reprojection / gate events, one object per line
@@ -29,7 +29,8 @@ np.frombuffer(base64.b64decode(f64), "<f8").reshape(shape). decode_array
 also reads the plain JSON lists of older run directories.
 
 Timestamps appear only in the manifest so that record and streams replay
-byte-identically for a fixed config and seed. The manifest, record and
+byte-identically for a fixed config and seed. The manifest and record (and
+the law fit) are written by write_json. The manifest, record and
 checkpoint are replaced whole (write_atomic), so a run that dies mid-write
 leaves the previous version, never a truncated file. Each .jsonl stream is
 opened once per run, flushed after every line and closed on every exit
@@ -92,9 +93,6 @@ class RunRecord:
     def delta_pt_loss(self) -> float:
         return self.pt_loss_after - self.pt_loss_before
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
-
 
 def write_atomic(path: str | Path, text: str) -> Path:
     """Replace the file at path with text: write a temp file beside it, then os.replace."""
@@ -109,8 +107,13 @@ def write_atomic(path: str | Path, text: str) -> Path:
     return path
 
 
+def write_json(path: str | Path, obj) -> Path:
+    """Replace the file at path with obj as JSON, keys sorted and indented by one space."""
+    return write_atomic(path, json.dumps(obj, sort_keys=True, indent=1))
+
+
 def write_record(record: RunRecord, run_dir: str | Path) -> Path:
-    return write_atomic(Path(run_dir) / RECORD_NAME, record.to_json())
+    return write_json(Path(run_dir) / RECORD_NAME, asdict(record))
 
 
 def json_object(text: str, path: Path, line: int | None = None) -> dict:
@@ -197,9 +200,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, run_dir: str | Path) -> Path:
-    return write_atomic(
-        Path(run_dir) / MANIFEST_NAME, json.dumps(asdict(manifest), sort_keys=True, indent=1)
-    )
+    return write_json(Path(run_dir) / MANIFEST_NAME, asdict(manifest))
 
 
 def read_manifest(run_dir: str | Path) -> RunManifest:

@@ -317,14 +317,17 @@ TASK_ARGS = {
     },
 }
 
+_AT_LEAST_ONE = ("d", "hidden", "r_true")  # every other task argument is at least 0
+
 _SPEC_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
 def parse_task_spec(spec: str) -> tuple[str, dict]:
     """Parse 'name(k1=v1, k2=v2)' into (name, the given arguments).
 
-    Each argument must be declared for the task in TASK_ARGS; an integer
-    argument takes an integral value. Anything else raises ConfigError.
+    Each argument must be declared for the task in TASK_ARGS and lie in its
+    range; an integer argument takes an integral value. Anything else raises
+    ConfigError.
     """
     match = _SPEC_RE.match(spec.strip().lower())
     if not match:
@@ -362,6 +365,11 @@ def parse_task_spec(spec: str) -> tuple[str, dict]:
                         f"task argument {key!r} must be an integer, got {value!r}", key="task"
                     )
                 number = int(number)
+            least = 1 if key in _AT_LEAST_ONE else 0
+            if number < least:
+                raise ConfigError(
+                    f"task argument {key!r} must be at least {least}, got {value!r}", key="task"
+                )
             params[key] = number
     return name, params
 

@@ -1,5 +1,9 @@
 """Geometry summaries and stability diagnostics, plus their append-only stream.
 
+The stream's schema is GeometryRecord: after a header line, each line is
+one record's fields (vars(record), keys sorted by JsonlWriter).
+stability_stats reads its caller's spectra and decomposes nothing.
+
 Naming note: the energy threshold used by rank selection is tau_energy
 (config key rank_adaptation_threshold) while the update-magnitude cutoff for
 tail mass is tau_tail (config key tail_threshold); they are unrelated knobs.
@@ -7,7 +11,6 @@ tail mass is tau_tail (config key tail_threshold); they are unrelated knobs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,26 +24,10 @@ from .runio import JsonlWriter, check_value_types, json_object
 
 TELEMETRY_SCHEMA_VERSION = 1
 
-GEOMETRY_FIELDS = (
-    "step",
-    "layer",
-    "k_selected",
-    "r_eff",
-    "rho_align",
-    "pi_proj",
-    "tail_mass",
-    "curvature_exposure",
-    "jitter",
-    "subspace_drift",
-    "eig_cv",
-    "cov_var",
-    "spectrum",
-)
-
 
 @dataclass
 class GeometryRecord:
-    """One telemetry row per (step, layer)."""
+    """One telemetry row per (step, layer); its fields are the stream line's keys."""
 
     step: int
     layer: int
@@ -127,30 +114,24 @@ def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
 
 
 def stability_stats(
-    cov_sequence: list[np.ndarray],
-    k: int,
-    spectra: list[np.ndarray] | None = None,
+    cov_sequence: list[np.ndarray], k: int, spectra: list[np.ndarray]
 ) -> tuple[float, float, list[int]]:
     """Within-sequence covariance variance and top-k eigenvalue dispersion.
 
     cov_var is covariance_variance(cov_sequence). eig_cv averages Std/Mean
     over the top-k eigenvalue trajectories (population std); indices with
-    zero mean are skipped and reported.
-
-    spectra, when given, has every snapshot's eigenvalues in sym_eig's
-    descending order, and no snapshot is decomposed here; without it each
-    is decomposed with sym_eig, which symmetrizes it first.
+    zero mean are skipped and reported. spectra has every snapshot's
+    eigenvalues in sym_eig's descending order; no snapshot is decomposed
+    here.
     """
     cov_var = covariance_variance(cov_sequence)
     dim = np.shape(cov_sequence[0])[0]
     if not 1 <= k <= dim:
         raise ValidationError(f"k must be between 1 and {dim}, got {k}")
-    if spectra is not None and len(spectra) != len(cov_sequence):
+    if len(spectra) != len(cov_sequence):
         raise ValidationError(
             f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
         )
-    if spectra is None:
-        spectra = [sym_eig(c).eigenvalues for c in cov_sequence]
     top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
     means = top.mean(axis=0)
     stds = top.std(axis=0)
@@ -201,17 +182,9 @@ def pca_embed(
     return coords, explained, degenerate
 
 
-def pca_export(
-    update_vectors: list[np.ndarray], csv_path: str | Path | None = None
-) -> np.ndarray:
-    """PCA embedding of an update cloud, optionally written as a CSV (pc1, pc2)."""
-    coords, _, _ = pca_embed(update_vectors)
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pc1", "pc2"])
-            writer.writerows(coords.tolist())  # csv writes a float as its repr
-    return coords
+def pca_export(update_vectors: list[np.ndarray]) -> np.ndarray:
+    """The (pc1, pc2) coordinates of an update cloud's PCA embedding, one row per vector."""
+    return pca_embed(update_vectors)[0]
 
 
 @dataclass
@@ -312,7 +285,7 @@ class TelemetryWriter:
         self.lines.append({"schema": "geometry", "version": TELEMETRY_SCHEMA_VERSION})
 
     def append(self, record: GeometryRecord) -> None:
-        self.lines.append({name: getattr(record, name) for name in GEOMETRY_FIELDS})
+        self.lines.append(vars(record))
 
     def close(self) -> None:
         self.lines.close()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import shutil
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -410,19 +409,8 @@ class Trainer:
                     self.monitors[idx].last_k = event.k
                     self.monitors[idx].last_pi = event.retained_mass
                     self.monitors[idx].update_cov[:] = 0.0
-                    self._log_event(
-                        {
-                            "step": step,
-                            "action": "reproject",
-                            "layer": idx,
-                            "side_used": event.side_used,
-                            "k": event.k,
-                            "tau": event.tau,
-                            "retained_mass": event.retained_mass,
-                            "delta_w_norm_before": event.delta_w_norm_before,
-                            "delta_w_norm_after": event.delta_w_norm_after,
-                        }
-                    )
+                    outcome = {key: value for key, value in vars(event).items() if key not in ("applied", "gate")}
+                    self._log_event({**outcome, "action": "reproject", "layer": idx})
                 else:
                     self._log_event(
                         {"step": step, "action": "reproject_gated", "layer": idx, "gate": event.gate}
@@ -538,28 +526,23 @@ class Trainer:
         )
 
 
-def run_experiment(
-    config: GritConfig,
-    out_dir: str | Path | None = None,
-    task_spec: str | None = None,
-    config_path: str | Path | None = None,
-) -> RunRecord:
+def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> RunRecord:
     """Train to the configured step budget and summarize retention drift.
 
-    Builds the named synthetic task, measures the pretraining-proxy loss on
-    the held-out set before and after adaptation, writes the run artifacts
-    (when out_dir is given), and returns the RunRecord. Any exception after
-    the manifest is written marks it failed (interrupted for Ctrl-C) before
-    propagating. The run streams are closed on every exit path.
+    Builds the config's synthetic task, measures the pretraining-proxy loss
+    on the held-out set before and after adaptation, writes the run
+    artifacts (when out_dir is given; config.cfg is config_to_text(config)),
+    and returns the RunRecord. Any exception after the manifest is written
+    marks it failed (interrupted for Ctrl-C) before propagating. The run
+    streams are closed on every exit path.
     """
     validate_config(config)
-    spec = task_spec if task_spec is not None else config.task
-    if not spec:
+    if not config.task:
         raise ValidationError("no task specified")
     model_rng = seed_stream(config.seed, "model")
     task_rng = seed_stream(config.seed, "task-data")
     task = build_task(
-        spec,
+        config.task,
         rank=config.lora_rank,
         alpha=config.lora_alpha,
         eval_size=config.eval_size,
@@ -570,15 +553,12 @@ def run_experiment(
         manifest = None
         if out_dir is not None:
             out = Path(out_dir)
-            if config_path is not None:
-                shutil.copy(config_path, out / CONFIG_NAME)
-            else:
-                (out / CONFIG_NAME).write_text(config_to_text(config))
+            (out / CONFIG_NAME).write_text(config_to_text(config))
             manifest = RunManifest.create(
                 run_id=out.name,
                 config_hash=config_hash(config),
                 seed=config.seed,
-                task=spec,
+                task=config.task,
             )
             write_manifest(manifest, out)
 
@@ -601,7 +581,7 @@ def run_experiment(
                 pt_loss_after=pt_after,
                 mode=config.mode,
                 seed=config.seed,
-                task=spec,
+                task=config.task,
                 geometry_summary=trainer.geometry_summary(),
                 quadratic_forgetting_estimate=task.pt_quadratic(task.model),
             )

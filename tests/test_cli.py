@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grit.cli import main
+from grit.config import config_hash, load_config
 from grit.forgetting import load_fit
 from grit.runio import GeometrySummary, RunRecord, decode_array, encode_array, write_record
 from grit.telemetry import xi_multiplier
@@ -65,6 +66,24 @@ class TestTrain:
         assert word in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ("synthetic_lowrank(noise=-1)", "noise"),
+            ("synthetic_lowrank(delta_scale=-1)", "delta_scale"),
+            ("synthetic_lowrank(r_true=0)", "r_true"),
+            ("two_task_forgetting(pretrain_steps=-5)", "pretrain_steps"),
+            ("two_task_forgetting(ft_noise=-0.5)", "ft_noise"),
+            ("two_task_forgetting(d=0)", "d"),
+            ("two_task_forgetting(hidden=0)", "hidden"),
+        ],
+    )
+    def test_task_argument_out_of_range_is_validation_error(self, tmp_path, capsys, spec, name):
+        path = write_config(tmp_path, f"task = {spec}\nsteps = 3\nlora_rank = 4\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"task argument {name!r} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_rank_above_layer_width_is_validation_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "task = synthetic_lowrank(d=4)\nsteps = 3\nlora_rank = 8\n")
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
@@ -120,6 +139,16 @@ class TestTrain:
         assert main(["--quiet", "train", str(path), "--out", str(out), "--seed", "99"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_seed_override_reaches_the_config_copy(self, tmp_path):
+        # the run's config.cfg replays the run: it carries the override and the manifest's hash
+        path = write_config(tmp_path)
+        out = tmp_path / "r"
+        assert main(["--quiet", "train", str(path), "--out", str(out), "--seed", "7"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        saved = load_config(out / "config.cfg")
+        assert saved.seed == 7
+        assert config_hash(saved) == manifest["config_hash"]
 
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIT_OUT_ROOT", str(tmp_path / "root"))
@@ -374,6 +403,22 @@ class TestFitLaw:
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"bad run dir {dirs[3]}" in err and f"{name} is {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [(3, "d_ft", 0), (3, "pt_loss_after", -1.0), (1, "pt_loss_after", 0.5)],
+        ids=["zero_steps", "non_positive_loss", "geometry_below_offset"],
+    )
+    def test_records_the_law_cannot_take_are_bad_records(self, tmp_path, capsys, index, field, value):
+        dirs = self.fabricate_runs(tmp_path)  # a control record, then a grit one, per cell
+        path = dirs[index] / "record.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("bad records: ")
         assert not out.exists()
 
     def test_single_run_underdetermined(self, tmp_path):

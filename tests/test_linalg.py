@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from grit.errors import DecompositionError, ShapeError, SingularMatrixError
 from grit.linalg import (
     DAMPING_LADDER,
-    _fix_signs,
     damped_inverse,
     damped_solve,
     sym_eig,
@@ -101,6 +100,16 @@ def fix_signs_by_column(vecs):
             vecs[:, j] = -col
 
 
+def reference_eig(m):
+    # each matrix on its own: eigh of the symmetrized matrix, a stable
+    # descending sort and the column-by-column sign convention
+    eigs, vecs = np.linalg.eigh(symmetrize(m))
+    order = np.argsort(-eigs, kind="stable")
+    eigs, vecs = eigs[order], vecs[:, order]
+    fix_signs_by_column(vecs)
+    return eigs, vecs
+
+
 def _orthogonal(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q
@@ -122,11 +131,9 @@ class TestFixSigns:
         ids=["diagonal", "small_leading", "sub_threshold", "dense", "zero_rows"],
     )
     def test_matches_column_loop(self, vecs):
-        expected = vecs.copy()
-        fix_signs_by_column(expected)
-        got = vecs.copy()
-        _fix_signs(got)
-        assert got.tobytes() == expected.tobytes()
+        # sym_eig signs the eigenvectors of each case's Gram matrix as the column loop does
+        m = vecs @ vecs.T
+        assert sym_eig(m).eigenvectors.tobytes() == reference_eig(m)[1].tobytes()
 
     @pytest.mark.parametrize(
         "m",
@@ -140,15 +147,12 @@ class TestFixSigns:
         ids=["identity", "repeated", "block", "zero", "rank_one"],
     )
     def test_sym_eig_vectors_match_column_loop(self, m):
-        eigs, vecs = np.linalg.eigh(symmetrize(m))
-        vecs = vecs[:, np.argsort(-eigs, kind="stable")]
-        fix_signs_by_column(vecs)
-        assert sym_eig(m).eigenvectors.tobytes() == vecs.tobytes()
+        assert sym_eig(m).eigenvectors.tobytes() == reference_eig(m)[1].tobytes()
 
     def test_empty(self):
-        vecs = np.zeros((0, 0))
-        _fix_signs(vecs)
-        assert vecs.shape == (0, 0)
+        dec = sym_eig(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
 
 
 class TestDampedSolve:
@@ -233,9 +237,9 @@ class TestSymEigStack:
         decomps = sym_eig_stack(mats, [f"m{i}" for i in range(len(mats))])
         assert len(decomps) == len(mats)
         for m, dec in zip(mats, decomps):
-            ref = sym_eig(m)
-            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+            eigs, vecs = reference_eig(m)
+            assert dec.eigenvalues.tobytes() == eigs.tobytes()
+            assert dec.eigenvectors.tobytes() == vecs.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -251,15 +255,15 @@ class TestSymEigStack:
     def test_bitwise_property(self, mats):
         decomps = sym_eig_stack(mats, [str(i) for i in range(len(mats))])
         for m, dec in zip(mats, decomps):
-            ref = sym_eig(m)
-            assert dec.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-            assert dec.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+            eigs, vecs = reference_eig(m)
+            assert dec.eigenvalues.tobytes() == eigs.tobytes()
+            assert dec.eigenvectors.tobytes() == vecs.tobytes()
 
     def test_accepts_a_list_of_matrices(self):
         rng = np.random.default_rng(2)
         mats = [rng.normal(size=(3, 3)) for _ in range(3)]
         for m, dec in zip(mats, sym_eig_stack(mats, ["a", "b", "c"])):
-            assert dec.eigenvectors.tobytes() == sym_eig(m).eigenvectors.tobytes()
+            assert dec.eigenvectors.tobytes() == reference_eig(m)[1].tobytes()
 
     def test_non_finite_matrix_named(self):
         mats = np.stack([np.eye(3), np.eye(3), np.eye(3)])

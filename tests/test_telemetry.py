@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grit import telemetry as telemetry_module
+from grit.cli import main
+from grit.config import GritConfig
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
 from grit.oracles import dense_curvature, dense_exposure, span_tangent_basis
 from grit.reprojection import make_projector
+from grit.runio import decode_array, read_jsonl
 from grit.telemetry import (
     GeometryRecord,
     LayerCurvature,
@@ -28,6 +31,7 @@ from grit.telemetry import (
     update_jitter,
     xi_multiplier,
 )
+from grit.trainer import run_experiment
 
 
 class TestEffectiveRank:
@@ -183,15 +187,20 @@ class TestJitterAndDrift:
         assert -1e-9 <= d <= np.sqrt(k) + 1e-9
 
 
+def spectra_of(seq):
+    return [sym_eig(c).eigenvalues for c in seq]
+
+
 class TestStabilityStats:
     def test_constant_sequence(self):
-        cov_var, eig_cv, _ = stability_stats([np.eye(2)] * 4, k=2)
+        seq = [np.eye(2)] * 4
+        cov_var, eig_cv, _ = stability_stats(seq, k=2, spectra=spectra_of(seq))
         assert cov_var == 0.0
         assert eig_cv == 0.0
 
     def test_alternating_diagonal(self):
         seq = [np.diag([1.0]), np.diag([3.0]), np.diag([1.0]), np.diag([3.0])]
-        cov_var, eig_cv, _ = stability_stats(seq, k=1)
+        cov_var, eig_cv, _ = stability_stats(seq, k=1, spectra=spectra_of(seq))
         assert np.isclose(cov_var, 1.0)
         assert np.isclose(eig_cv, 0.5)
 
@@ -200,7 +209,7 @@ class TestStabilityStats:
         base = rng.normal(size=(3, 3))
         base = base @ base.T
         seq = [base.copy(), base.copy(), base + 0.1 * np.eye(3)]
-        cov_var, _, _ = stability_stats(seq, k=2)
+        cov_var, _, _ = stability_stats(seq, k=2, spectra=spectra_of(seq))
         mats = np.stack([0.5 * (m + m.T) for m in seq])
         mean = mats.mean(axis=0)
         expected = np.mean([np.sum((m - mean) ** 2) for m in mats])
@@ -208,7 +217,7 @@ class TestStabilityStats:
 
     def test_needs_two_snapshots(self):
         with pytest.raises(ValidationError):
-            stability_stats([np.eye(2)], k=1)
+            stability_stats([np.eye(2)], k=1, spectra=spectra_of([np.eye(2)]))
         with pytest.raises(ValidationError):
             covariance_variance([np.eye(2)])
 
@@ -216,31 +225,32 @@ class TestStabilityStats:
         rng = np.random.default_rng(17)
         for dim, length in ((3, 200), (8, 24), (1, 2)):
             seq = [rng.normal(size=(dim, dim)) for _ in range(length)]  # not symmetric
-            cov_var, _, _ = stability_stats(seq, k=1)
+            cov_var, _, _ = stability_stats(seq, k=1, spectra=spectra_of(seq))
             assert np.float64(covariance_variance(seq)).tobytes() == np.float64(cov_var).tobytes()
 
     def test_k_above_dim(self):
         with pytest.raises(ValidationError):
-            stability_stats([np.eye(2)] * 3, k=3)
+            stability_stats([np.eye(2)] * 3, k=3, spectra=spectra_of([np.eye(2)] * 3))
 
     def test_k_zero(self):
         with pytest.raises(ValidationError):
-            stability_stats([np.eye(2), 2.0 * np.eye(2)], k=0)
+            stability_stats([np.eye(2), 2.0 * np.eye(2)], k=0, spectra=[np.ones(2), 2.0 * np.ones(2)])
 
     def test_snapshots_of_different_shapes(self):
         with pytest.raises(ShapeError):
-            stability_stats([np.eye(2), np.eye(3)], k=1)
+            stability_stats([np.eye(2), np.eye(3)], k=1, spectra=[np.ones(2), np.ones(3)])
 
     def test_non_square_snapshots(self):
         with pytest.raises(ShapeError):
-            stability_stats([np.ones((2, 3))] * 2, k=1)
+            stability_stats([np.ones((2, 3))] * 2, k=1, spectra=[np.ones(2)] * 2)
 
     def test_given_spectra_are_not_recomputed(self, monkeypatch):
         rng = np.random.default_rng(12)
         seq = [m @ m.T for m in rng.normal(size=(4, 3, 3))]
         seq[2] = seq[2] + np.triu(np.ones((3, 3)), 1)  # not symmetric
         spectra = [sym_eig(cov).eigenvalues for cov in seq]
-        expected = stability_stats(seq, 2)
+        top = np.stack([eigenvalues[:2] for eigenvalues in spectra])
+        expected = (covariance_variance(seq), float(np.mean(top.std(axis=0) / top.mean(axis=0))), [])
         calls = []
 
         def recording(m, name="matrix"):
@@ -312,14 +322,20 @@ class TestPca:
             pca_embed([np.ones(3), np.ones(3)])
 
     def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(6)
-        cloud = [rng.normal(size=3) for _ in range(5)]
-        path = tmp_path / "cloud.csv"
-        coords = pca_export(cloud, csv_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "pc1,pc2"
-        assert len(lines) == 6
-        assert float(lines[1].split(",")[0]) == coords[0, 0]
+        # the audit writes pca_export's coordinates, each float as its repr;
+        # below three update vectors (telemetry every 10 of 20 steps) it writes the header only
+        for telemetry_every, n_vectors in ((5, 4), (10, 2)):
+            run = tmp_path / f"run{telemetry_every}"
+            cfg = GritConfig(task="synthetic_lowrank(d=6)", steps=20, seed=6, lora_rank=2,
+                             min_lora_rank=1, telemetry_every=telemetry_every, eval_size=16)
+            run_experiment(cfg, out_dir=run)
+            assert main(["--quiet", "audit", str(run)]) == 0
+            vectors = [decode_array(u["delta_w"]) for u in read_jsonl(run / "updates.jsonl")]
+            assert len(vectors) == n_vectors
+            rows = (run / "audit" / "pca_updates.csv").read_text().splitlines()
+            assert rows[0] == "pc1,pc2"
+            coords = pca_export(vectors).tolist() if n_vectors >= 3 else []
+            assert [[float(v) for v in row.split(",")] for row in rows[1:]] == coords
 
 
 class TestHessianFd:

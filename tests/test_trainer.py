@@ -702,7 +702,8 @@ class TestSharedSpectra:
                 covs = [snap.a_cov for snap in tr.monitors[record.layer].cov_snapshots]
                 if len(covs) < 2:
                     continue
-                cov_var, eig_cv, _ = stability_stats(covs, max(1, record.k_selected))
+                spectra = [sym_eig(c).eigenvalues for c in covs]
+                cov_var, eig_cv, _ = stability_stats(covs, max(1, record.k_selected), spectra)
                 assert record.cov_var == cov_var
                 assert record.eig_cv == eig_cv
                 checked += 1
@@ -901,10 +902,14 @@ class TestRunStreams:
             run_experiment(cfg, out_dir=tmp_path / "run")
         assert_closed_whole_lines(opened_streams)
 
-    def test_closed_after_a_raise_before_the_step_loop(self, tmp_path, opened_streams):
+    def test_closed_after_a_raise_before_the_step_loop(self, tmp_path, opened_streams, monkeypatch):
+        def failing_write(manifest, run_dir):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer_module, "write_manifest", failing_write)
         cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4)
-        with pytest.raises(FileNotFoundError):
-            run_experiment(cfg, out_dir=tmp_path / "run", config_path=tmp_path / "missing.cfg")
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg, out_dir=tmp_path / "run")
         assert_closed_whole_lines(opened_streams)
 
 
