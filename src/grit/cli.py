@@ -1,8 +1,9 @@
 """Command-line surface: train, audit, fit-law, oracle.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation failure,
-3 underdetermined fit. The default output root is ./runs, overridable with
-the GRIT_OUT_ROOT environment variable or --out.
+3 underdetermined fit. Without --out, train writes its run directory
+<task>-s<seed>-<first 8 hex digits of the config hash> under ./runs, or
+under $GRIT_OUT_ROOT when that is set.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def cmd_train(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     _say(args.quiet, f"run complete: {out_dir}")
+    task_loss = "none (no step ran)" if record.final_task_loss is None else f"{record.final_task_loss:.6g}"
     _say(
         args.quiet,
-        f"pt loss {record.pt_loss_before:.6g} -> {record.pt_loss_after:.6g}; "
-        f"task loss {record.final_task_loss:.6g}",
+        f"pt loss {record.pt_loss_before:.6g} -> {record.pt_loss_after:.6g}; task loss {task_loss}",
     )
     return 0
 
@@ -160,17 +161,21 @@ def cmd_audit(args) -> int:
 
 def cmd_fit_law(args) -> int:
     records = []
+    run_dir_of = {}  # id(record) -> its run dir
     for run_dir in args.run_dirs:
         try:
             records.append(read_record(run_dir))
         except ValidationError as exc:
             print(f"bad run dir {run_dir}: {exc}", file=sys.stderr)
             return 1
+        run_dir_of[id(records[-1])] = run_dir
     baseline_records = [r for r in records if r.mode == "lora_control"] or records
     geometry_records = [r for r in records if r.mode == "grit"]
+    fitting = baseline_records
     try:
-        fit = fit_baseline_law(baseline_records)
+        fit = fit_baseline_law(fitting)
         if geometry_records:
+            fitting = geometry_records
             try:
                 fit = fit_xi_coefficients(geometry_records, fit)
             except UnidentifiableGammaError as exc:
@@ -182,7 +187,8 @@ def cmd_fit_law(args) -> int:
         print(f"underdetermined fit along {exc.axis}: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:  # records the law cannot take, such as d_ft = 0
-        print(f"bad records: {exc}", file=sys.stderr)
+        where = "" if exc.index is None else f" (first in {run_dir_of[id(fitting[exc.index])]})"
+        print(f"bad records: {exc}{where}", file=sys.stderr)
         return 1
     save_fit(fit, args.out)
     _say(args.quiet, f"fit written to {args.out} (residual rms {fit.residual_rms:.3g})")
@@ -213,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_train = sub.add_parser("train", help="run one experiment from a config file")
     p_train.add_argument("config", help="path to the flat key/value config")
-    p_train.add_argument("--out", help="run directory (default: $GRIT_OUT_ROOT/run or ./runs/run)")
+    p_train.add_argument("--out", help="run directory (default: <task>-s<seed>-<config hash[:8]> under $GRIT_OUT_ROOT or ./runs)")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_train.set_defaults(fn=cmd_train)
 

@@ -30,7 +30,11 @@ class PreconditionUnavailableError(GritError):
 
 
 class ValidationError(GritError):
-    """An input failed a documented precondition (non-orthonormal basis, bad config value, ...)."""
+    """An input failed a documented precondition; index, if given, is the first bad item's position."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigError(GritError):

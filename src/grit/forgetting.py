@@ -84,8 +84,9 @@ def _extract_dnl(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray, 
     d = np.array([float(r.d_ft) for r in records])
     n = np.array([float(r.n_params) for r in records])
     loss = np.array([float(r.pt_loss_after) for r in records])
-    if np.any(d <= 0.0) or np.any(n <= 0.0):
-        raise ValidationError("d_ft and n_params must be positive")
+    bad = (d <= 0.0) | (n <= 0.0)
+    if bad.any():
+        raise ValidationError("d_ft and n_params must be positive", index=int(np.argmax(bad)))
     return d, n, loss
 
 
@@ -139,7 +140,7 @@ def fit_baseline_law(records: Sequence[RunRecord]) -> ScalingFit:
 
     hi = float(np.min(loss))
     if hi <= 0.0:
-        raise ValidationError("pt losses must be positive for the offset search")
+        raise ValidationError("pt losses must be positive for the offset search", index=int(np.argmax(loss <= 0.0)))
 
     def objective(c0: float) -> float:
         return _lls_at_offset(c0, d, n, loss)[0]
@@ -192,7 +193,7 @@ def fit_xi_coefficients(
     s = _geometry_matrix(records)
     resid = loss - baseline.c0
     if np.any(resid <= 0.0):
-        raise ValidationError("a record lies at or below the fitted offset")
+        raise ValidationError("a record lies at or below the fitted offset", index=int(np.argmax(resid <= 0.0)))
     # log Xi implied by each record under the baseline constants
     y = (
         np.log(baseline.a_coef)

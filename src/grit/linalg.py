@@ -8,8 +8,9 @@ the eigenvalue order and the eigenvector signs; sym_eig is that stack on
 one matrix.
 damped_inverse inverts a damped matrix from its spectrum, climbing the
 damping ladder on the eigenvalues; damped_solve is the Cholesky-probed
-LAPACK solve that reference checks compare it with. All computation is
-float64.
+LAPACK solve that the eig oracle compares it with; no run calls it, but kfac
+re-exports it for perfbench/spans.py and cannot import oracles. All
+computation is float64.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ class SpectralDecomp:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """U diag(lambda) U^T; used by tests as the correctness oracle."""
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.T
 
 
 def sym_eig(m: np.ndarray, name: str = "matrix") -> SpectralDecomp:

@@ -111,8 +111,8 @@ class LayerTape:
 
     x: inputs to the layer (batch x d_in); dy: gradients of the loss with
     respect to the pre-activation outputs (batch x d_out); grad_a/grad_b: exact
-    adapter gradients; grad_w0: gradient with respect to the (frozen) base
-    weight, kept for curvature probes. w_eff: the effective weight
+    adapter gradients, both from the effective-weight gradient dy^T x,
+    which backward does not keep. w_eff: the effective weight
     w0 + scaling * b @ a (d_out x d_in) that forward applied, which backward
     reuses to carry the gradient to the layer below.
     """
@@ -123,7 +123,6 @@ class LayerTape:
     dy: np.ndarray | None = None
     grad_a: np.ndarray | None = None
     grad_b: np.ndarray | None = None
-    grad_w0: np.ndarray | None = None
 
     def clear(self):
         self.x = None
@@ -132,7 +131,6 @@ class LayerTape:
         self.dy = None
         self.grad_a = None
         self.grad_b = None
-        self.grad_w0 = None
 
 
 @dataclass
@@ -191,7 +189,7 @@ class Model:
         return h
 
     def backward(self, loss_grad: np.ndarray) -> list[LayerTape]:
-        """Backpropagate d(loss)/d(output); fills dy, grad_a, grad_b, grad_w0 per layer."""
+        """Backpropagate d(loss)/d(output); fills dy, grad_a, grad_b per layer."""
         if self.tapes[-1].z is None:
             raise TapeError("backward called before forward")
         dh = np.asarray(loss_grad, dtype=np.float64)
@@ -205,7 +203,6 @@ class Model:
             dz = dh * _act_deriv(base.activation, tape.z)
             tape.dy = dz
             grad_w_eff = dz.T @ tape.x
-            tape.grad_w0 = grad_w_eff
             tape.grad_a = adapter.scaling * (adapter.b.T @ grad_w_eff)
             tape.grad_b = adapter.scaling * (grad_w_eff @ adapter.a.T)
             dh = dz @ tape.w_eff

@@ -1,10 +1,17 @@
-"""Brute-force oracle suites runnable from the command line.
+"""Brute-force oracle suites runnable from the command line, and the
+reference helpers only they and the tests use.
 
 Each suite compares a fast-path implementation against an independent
 reference (materialized Kronecker products, LAPACK eigensolves, explicit
 prefix scans, finite differences, self-generated law data, the SVD of the
 materialized tangent span, the finite-difference pretraining Hessian) and
 reports the worst observed error against the suite tolerance.
+
+Flat weight vectors concatenate every layer's d_out x d_in matrix, flattened
+row-major, in layer order: base_weight_vector for the base weights,
+delta_w_vector for the scaled adapter updates, with layer_slices giving
+each layer's block. The finite-difference pretraining Hessian fd_pt_hessian
+is indexed the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .linalg import SpectralDecomp, damped_inverse, damped_solve, sym_eig, sym_e
 from .model import AdapterPair, BaseLayer, Model, build_model
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
-from .tasks import build_task
+from .tasks import TaskInstance, build_task
 from .telemetry import LayerCurvature, adapter_subspace_basis, exposure_from_basis, xi_multiplier
 
 
@@ -32,35 +39,8 @@ class CheckResult:
     tolerance: float
 
 
-def fold_adapters(model: Model) -> Model:
-    """Reference model with each delta folded into the base weight (adapters zeroed)."""
-    layers = []
-    for base, adapter in model.layers:
-        w0 = adapter.effective_weight(base.w0)
-        folded_base = BaseLayer(
-            w0=w0,
-            bias=None if base.bias is None else base.bias.copy(),
-            activation=base.activation,
-        )
-        zero = AdapterPair(
-            a=np.zeros_like(adapter.a),
-            b=np.zeros_like(adapter.b),
-            rank=adapter.rank,
-            scaling=adapter.scaling,
-        )
-        layers.append((folded_base, zero))
-    return Model(layers=layers)
-
-
-def delta_w_vector(model: Model) -> np.ndarray:
-    """Every layer's scaled adapter update, flattened row-major and concatenated."""
-    return np.concatenate(
-        [adapter.scaling * adapter.delta_w().ravel() for _, adapter in model.layers]
-    )
-
-
 def layer_slices(model: Model) -> list[slice]:
-    """Each layer's block of the concatenated row-major base-weight vector."""
+    """Each layer's block of a flat weight vector."""
     slices = []
     offset = 0
     for base, _ in model.layers:
@@ -68,6 +48,72 @@ def layer_slices(model: Model) -> list[slice]:
         slices.append(slice(offset, offset + size))
         offset += size
     return slices
+
+
+def base_weight_vector(model: Model) -> np.ndarray:
+    """Every layer's base weight as one flat weight vector."""
+    return np.concatenate([base.w0.ravel() for base, _ in model.layers])
+
+
+def delta_w_vector(model: Model) -> np.ndarray:
+    """Every layer's scaled adapter update as one flat weight vector."""
+    return np.concatenate(
+        [adapter.scaling * adapter.delta_w().ravel() for _, adapter in model.layers]
+    )
+
+
+def zero_adapter_model(model: Model, weights: list[np.ndarray]) -> Model:
+    """The model's architecture with the given base weights, one per layer, and zero adapters."""
+    return Model(layers=[
+        (
+            BaseLayer(w0=w0, bias=base.bias, activation=base.activation),
+            AdapterPair(a=np.zeros_like(adapter.a), b=np.zeros_like(adapter.b),
+                        rank=adapter.rank, scaling=adapter.scaling),
+        )
+        for (base, adapter), w0 in zip(model.layers, weights)
+    ])
+
+
+def fold_adapters(model: Model) -> Model:
+    """Reference model with each delta folded into the base weight (adapters zeroed)."""
+    return zero_adapter_model(
+        model, [adapter.effective_weight(base.w0) for base, adapter in model.layers]
+    )
+
+
+def pt_grad_at(task: TaskInstance, w_vec: np.ndarray) -> np.ndarray:
+    """Exact gradient of the task's pt loss in the flat base weights, at w_vec."""
+    shapes = [base.w0.shape for base, _ in task.model.layers]
+    weights = [w_vec[sl].reshape(shape) for sl, shape in zip(layer_slices(task.model), shapes)]
+    probe = zero_adapter_model(task.model, weights)
+    pred = probe.forward(task.pt_inputs)
+    probe.backward((pred - task.pt_targets) / task.pt_inputs.shape[0])
+    return np.concatenate([(tape.dy.T @ tape.x).ravel() for tape in probe.tapes])
+
+
+def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Dense Hessian by central finite differences of an exact gradient, symmetrized."""
+    w = np.asarray(w, dtype=np.float64)
+    n = w.size
+    h = np.zeros((n, n))
+    for i in range(n):
+        wp = w.copy()
+        wp[i] += step
+        wm = w.copy()
+        wm[i] -= step
+        h[:, i] = (grad_fn(wp) - grad_fn(wm)) / (2.0 * step)
+    return symmetrize(h)
+
+
+def fd_pt_hessian(task: TaskInstance) -> np.ndarray:
+    """Dense pretraining Hessian at the base point, by central differences (step 1e-4) of pt_grad_at."""
+    return hessian_fd(lambda w: pt_grad_at(task, w), base_weight_vector(task.model), step=1e-4)
+
+
+def reconstruct(decomp: SpectralDecomp) -> np.ndarray:
+    """U diag(lambda) U^T from a decomposition."""
+    u = decomp.eigenvectors
+    return (u * decomp.eigenvalues) @ u.T
 
 
 def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -129,7 +175,7 @@ def suite_eig(cases: int = 200, seed: int = 20241) -> list[CheckResult]:
         dec = sym_eig(m)
         by_dim.setdefault(dim, []).append((m, dec))
         denom = max(np.linalg.norm(m), 1e-30)
-        worst_recon = max(worst_recon, float(np.linalg.norm(dec.reconstruct() - m) / denom))
+        worst_recon = max(worst_recon, float(np.linalg.norm(reconstruct(dec) - m) / denom))
         gram = dec.eigenvectors.T @ dec.eigenvectors
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(dim)))))
         reference = np.sort(np.linalg.eigvalsh(m))[::-1]
@@ -341,7 +387,8 @@ def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
         reference = dense_exposure(dense_curvature(curvature), dense)
         fast = exposure_from_basis(curvature, factored)
         worst_exposure = max(worst_exposure, abs(fast - reference) / max(abs(reference), 1e-300))
-        if factored.dim != dense.shape[1]:
+        r_a, r_b = factored.q_in.shape[1], factored.q_out.shape[1]
+        if d_out * r_a + r_b * (d_in - r_a) != dense.shape[1]:  # the tangent dimension
             dim_mismatches += 1
         for q in (factored.q_in, factored.q_out):
             gram_err = np.abs(q.T @ q - np.eye(q.shape[1]))
@@ -371,7 +418,7 @@ def suite_curvature(adapters: int = 8, seed: int = 20247) -> list[CheckResult]:
     worst_quad = 0.0
     for spec in CURVATURE_TASKS:
         task = build_task(spec, rank=2, alpha=1.5, eval_size=32, model_rng=rng, data_rng=rng)
-        hess = task.pt_hessian()
+        hess = fd_pt_hessian(task)
         curvature = task.pt_curvature()
         slices = layer_slices(task.model)
         for case in range(adapters):

@@ -76,11 +76,11 @@ class GeometrySummary:
 
 @dataclass
 class RunRecord:
-    """Summary of one experiment; the unit consumed by the scaling-law fitter."""
+    """Summary of one experiment, the unit the law fitter consumes; final_task_loss is None when no step ran."""
 
     d_ft: int
     n_params: int
-    final_task_loss: float
+    final_task_loss: float | None
     pt_loss_before: float
     pt_loss_after: float
     mode: str

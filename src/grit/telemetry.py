@@ -2,7 +2,10 @@
 
 The stream's schema is GeometryRecord: after a header line, each line is
 one record's fields (vars(record), keys sorted by JsonlWriter).
-stability_stats reads its caller's spectra and decomposes nothing.
+stability_stats reads its caller's spectra and decomposes nothing. The
+curvature exposure reads the factored Hessian blocks of
+tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
+checked against is in oracles.
 
 Naming note: the energy threshold used by rank selection is tau_energy
 (config key rank_adaptation_threshold) while the update-magnitude cutoff for
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import sym_eig, symmetrize
+from .linalg import sym_eig
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
 from .runio import JsonlWriter, check_value_types, json_object
@@ -74,16 +77,16 @@ def alignment_overlap(fisher_basis: np.ndarray, update_basis: np.ndarray) -> flo
     return float(np.sum((u.T @ v) ** 2) / k)
 
 
-def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> tuple[float, bool]:
-    """1 - cos(p_t, p_prev); (0.0, True) flags a zero vector."""
+def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> float:
+    """1 - cos(p_t, p_prev); 0.0 when either vector is zero."""
     p_t = np.asarray(p_t, dtype=np.float64).ravel()
     p_prev = np.asarray(p_prev, dtype=np.float64).ravel()
     nt = np.linalg.norm(p_t)
     np_ = np.linalg.norm(p_prev)
     if nt == 0.0 or np_ == 0.0:
-        return 0.0, True
+        return 0.0
     cos = float(np.dot(p_t, p_prev) / (nt * np_))
-    return 1.0 - min(1.0, max(-1.0, cos)), False
+    return 1.0 - min(1.0, max(-1.0, cos))
 
 
 def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
@@ -115,12 +118,12 @@ def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
 
 def stability_stats(
     cov_sequence: list[np.ndarray], k: int, spectra: list[np.ndarray]
-) -> tuple[float, float, list[int]]:
-    """Within-sequence covariance variance and top-k eigenvalue dispersion.
+) -> tuple[float, float]:
+    """(cov_var, eig_cv): within-sequence covariance variance and top-k eigenvalue dispersion.
 
     cov_var is covariance_variance(cov_sequence). eig_cv averages Std/Mean
-    over the top-k eigenvalue trajectories (population std); indices with
-    zero mean are skipped and reported. spectra has every snapshot's
+    over the top-k eigenvalue trajectories (population std), skipping
+    indices with zero mean. spectra has every snapshot's
     eigenvalues in sym_eig's descending order; no snapshot is decomposed
     here.
     """
@@ -135,10 +138,9 @@ def stability_stats(
     top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
     means = top.mean(axis=0)
     stds = top.std(axis=0)
-    skipped = [i for i in range(k) if means[i] == 0.0]
     kept = [i for i in range(k) if means[i] != 0.0]
     eig_cv = float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0
-    return cov_var, eig_cv, skipped
+    return cov_var, eig_cv
 
 
 def xi_multiplier(
@@ -151,40 +153,31 @@ def xi_multiplier(
     return (1.0 + g_r * r_eff) * (1.0 + g_a * rho_align) * (1.0 + g_p * pi_proj)
 
 
-def pca_embed(
-    update_vectors: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Mean-center the cloud and embed into the top-2 principal components.
+def pca_export(update_vectors: list[np.ndarray]) -> np.ndarray:
+    """The (pc1, pc2) coordinates of an update cloud's PCA embedding, one row per vector.
 
-    Works on the Gram matrix (n x n) so the eigenproblem stays small whatever
-    the ambient dimension. Returns (coords n x 2, explained variances,
-    degenerate) where degenerate flags an ambient dimension below 2.
+    The cloud is mean-centered and embedded into its top-2 principal
+    components through the Gram matrix (n x n), so the eigenproblem stays
+    small whatever the ambient dimension. A numerically rank-deficient
+    component gives a zero column.
     """
     if len(update_vectors) < 3:
         raise ValidationError("need at least three vectors for a PCA export")
     x = np.stack([np.asarray(v, dtype=np.float64).ravel() for v in update_vectors])
-    n, dim = x.shape
-    degenerate = dim < 2
+    n = x.shape[0]
     xc = x - x.mean(axis=0)
     gram = xc @ xc.T / max(n - 1, 1)
     decomp = sym_eig(gram, name="pca gram")
     top = max(decomp.eigenvalues[0], 0.0)
     coords = np.zeros((n, 2))
-    explained = np.zeros(2)
     for j in range(2):
         lam = max(decomp.eigenvalues[j], 0.0)
         if lam <= 1e-12 * top:  # numerically rank-deficient direction
             continue
-        explained[j] = lam
         # Gram eigenvector u maps to component w = X_c^T u / sqrt(lam (n-1));
         # scores are X_c w = sqrt(lam (n-1)) * u.
         coords[:, j] = decomp.eigenvectors[:, j] * np.sqrt(lam * max(n - 1, 1))
-    return coords, explained, degenerate
-
-
-def pca_export(update_vectors: list[np.ndarray]) -> np.ndarray:
-    """The (pc1, pc2) coordinates of an update cloud's PCA embedding, one row per vector."""
-    return pca_embed(update_vectors)[0]
+    return coords
 
 
 @dataclass
@@ -193,18 +186,12 @@ class TangentBasis:
 
     q_in is an orthonormal basis of row(a) (d_in x r_a) and q_out one of
     col(b) (d_out x r_b). On row-major vec coordinates the tangent projector
-    is I kron P_in + P_out kron I - P_out kron P_in, with P = q q^T.
+    is I kron P_in + P_out kron I - P_out kron P_in, with P = q q^T, and
+    the space has dimension d_out * r_a + r_b * (d_in - r_a).
     """
 
     q_in: np.ndarray
     q_out: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        """Tangent dimension d_out * r_a + r_b * (d_in - r_a)."""
-        d_in, r_a = self.q_in.shape
-        d_out, r_b = self.q_out.shape
-        return d_out * r_a + r_b * (d_in - r_a)
 
 
 @dataclass
@@ -261,20 +248,6 @@ def exposure_from_basis(curvature: LayerCurvature, basis: TangentBasis) -> float
     exposure = np.dot(curvature.c_trace, in_sq)
     exposure += np.sum(q_out * (np.tensordot(out_weight, c, axes=1) @ q_out))
     return float(exposure)
-
-
-def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Dense Hessian by central finite differences of an exact gradient, symmetrized."""
-    w = np.asarray(w, dtype=np.float64)
-    n = w.size
-    h = np.zeros((n, n))
-    for i in range(n):
-        wp = w.copy()
-        wp[i] += step
-        wm = w.copy()
-        wm[i] -= step
-        h[:, i] = (grad_fn(wp) - grad_fn(wm)) / (2.0 * step)
-    return symmetrize(h)
 
 
 class TelemetryWriter:

@@ -466,7 +466,7 @@ class Trainer:
 
             jitter = 0.0
             if monitor.grads is not None and monitor.prev_grads is not None:
-                jitter, _ = update_jitter(monitor.grads, monitor.prev_grads)
+                jitter = update_jitter(monitor.grads, monitor.prev_grads)
 
             drift = 0.0
             if side_decomp is not None:
@@ -483,7 +483,7 @@ class Trainer:
             eig_cv = 0.0
             snapshots = monitor.cov_snapshots
             if len(snapshots) >= 2:
-                cov_var, eig_cv, _ = stability_stats(
+                cov_var, eig_cv = stability_stats(
                     [snap.a_cov for snap in snapshots],
                     max(1, monitor.last_k),
                     [snap.decomp_a.eigenvalues for snap in snapshots],
@@ -564,7 +564,7 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
 
         try:
             pt_before = task.pt_loss(task.model)
-            final_task_loss = float("nan")
+            final_task_loss = None
             for step in range(config.steps):
                 batch = task.sample_batch(trainer.data_rng, config.batch_size)
                 result = trainer.train_step(batch, step)

@@ -156,6 +156,8 @@ class TestTrain:
         assert main(["--quiet", "train", str(path)]) == 0
         runs = list((tmp_path / "root").iterdir())
         assert len(runs) == 1
+        # <task>-s<seed>-<first 8 hex digits of the config hash>
+        assert runs[0].name == f"synthetic_lowrank-s11-{config_hash(load_config(path))[:8]}"
         assert (runs[0] / "record.json").exists()
 
 
@@ -418,7 +420,9 @@ class TestFitLaw:
         path.write_text(json.dumps(doc))
         out = tmp_path / "fit.json"
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("bad records: ")
+        err = capsys.readouterr().err
+        assert err.startswith("bad records: ")
+        assert f"(first in {dirs[index]})" in err
         assert not out.exists()
 
     def test_single_run_underdetermined(self, tmp_path):

@@ -144,7 +144,7 @@ class TestBackward:
 
 
 def reference_backward(model, loss_grad):
-    """(dy, grad_w0, grad_a, grad_b) per layer, recomputing each effective weight."""
+    """(dy, dy^T x, grad_a, grad_b) per layer, recomputing each effective weight."""
     from grit.model import _act_deriv
 
     dh, out = loss_grad, []
@@ -183,9 +183,9 @@ class TestEffectiveWeightOnTape:
         loss_grad = model.forward(x) - target
         expected = reference_backward(model, loss_grad)
         tapes = model.backward(loss_grad)
-        for tape, (dy, grad_w0, grad_a, grad_b) in zip(tapes, expected):
+        for tape, (dy, grad_w, grad_a, grad_b) in zip(tapes, expected):
             assert np.array_equal(tape.dy, dy)
-            assert np.array_equal(tape.grad_w0, grad_w0)
+            assert np.array_equal(tape.dy.T @ tape.x, grad_w)
             assert np.array_equal(tape.grad_a, grad_a)
             assert np.array_equal(tape.grad_b, grad_b)
 

@@ -89,6 +89,15 @@ class TestAtomicWrites:
         assert read_record(tmp_path).seed == 3
         assert os.listdir(tmp_path) == ["record.json"]
 
+    def test_older_record_with_nan_task_loss_still_reads(self, tmp_path):
+        # zero-step runs used to write NaN, which JSON does not allow; they now write null
+        (tmp_path / "record.json").write_text(
+            json.dumps(vars(record(final_task_loss=float("nan"))) | {"geometry_summary": {}})
+        )
+        assert np.isnan(read_record(tmp_path).final_task_loss)
+        write_record(record(final_task_loss=None), tmp_path)
+        assert read_record(tmp_path).final_task_loss is None
+
 
 class TestStreams:
     def test_each_line_is_on_disk_before_append_returns(self, tmp_path):

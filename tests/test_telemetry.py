@@ -9,7 +9,7 @@ from grit.config import GritConfig
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
-from grit.oracles import dense_curvature, dense_exposure, span_tangent_basis
+from grit.oracles import dense_curvature, dense_exposure, hessian_fd, span_tangent_basis
 from grit.reprojection import make_projector
 from grit.runio import decode_array, read_jsonl
 from grit.telemetry import (
@@ -21,8 +21,6 @@ from grit.telemetry import (
     covariance_variance,
     effective_rank,
     exposure_from_basis,
-    hessian_fd,
-    pca_embed,
     pca_export,
     read_telemetry,
     stability_stats,
@@ -150,20 +148,19 @@ class TestCurvatureExposure:
 
 class TestJitterAndDrift:
     def test_no_rotation(self):
-        val, _ = update_jitter(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        val = update_jitter(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
         assert np.isclose(val, 0.0)
 
     def test_reversal(self):
-        val, _ = update_jitter(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        val = update_jitter(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         assert np.isclose(val, 2.0)
 
     def test_45_degrees(self):
-        val, _ = update_jitter(np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2))
+        val = update_jitter(np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2))
         assert np.isclose(val, 1.0 - np.sqrt(2.0) / 2.0)
 
     def test_zero_vector_flagged(self):
-        _, deg = update_jitter(np.zeros(2), np.ones(2))
-        assert deg
+        assert update_jitter(np.zeros(2), np.ones(2)) == 0.0
 
     def test_drift_identical(self):
         q = np.eye(4)[:, :2]
@@ -194,13 +191,13 @@ def spectra_of(seq):
 class TestStabilityStats:
     def test_constant_sequence(self):
         seq = [np.eye(2)] * 4
-        cov_var, eig_cv, _ = stability_stats(seq, k=2, spectra=spectra_of(seq))
+        cov_var, eig_cv = stability_stats(seq, k=2, spectra=spectra_of(seq))
         assert cov_var == 0.0
         assert eig_cv == 0.0
 
     def test_alternating_diagonal(self):
         seq = [np.diag([1.0]), np.diag([3.0]), np.diag([1.0]), np.diag([3.0])]
-        cov_var, eig_cv, _ = stability_stats(seq, k=1, spectra=spectra_of(seq))
+        cov_var, eig_cv = stability_stats(seq, k=1, spectra=spectra_of(seq))
         assert np.isclose(cov_var, 1.0)
         assert np.isclose(eig_cv, 0.5)
 
@@ -209,7 +206,7 @@ class TestStabilityStats:
         base = rng.normal(size=(3, 3))
         base = base @ base.T
         seq = [base.copy(), base.copy(), base + 0.1 * np.eye(3)]
-        cov_var, _, _ = stability_stats(seq, k=2, spectra=spectra_of(seq))
+        cov_var, _ = stability_stats(seq, k=2, spectra=spectra_of(seq))
         mats = np.stack([0.5 * (m + m.T) for m in seq])
         mean = mats.mean(axis=0)
         expected = np.mean([np.sum((m - mean) ** 2) for m in mats])
@@ -225,7 +222,7 @@ class TestStabilityStats:
         rng = np.random.default_rng(17)
         for dim, length in ((3, 200), (8, 24), (1, 2)):
             seq = [rng.normal(size=(dim, dim)) for _ in range(length)]  # not symmetric
-            cov_var, _, _ = stability_stats(seq, k=1, spectra=spectra_of(seq))
+            cov_var, _ = stability_stats(seq, k=1, spectra=spectra_of(seq))
             assert np.float64(covariance_variance(seq)).tobytes() == np.float64(cov_var).tobytes()
 
     def test_k_above_dim(self):
@@ -250,7 +247,7 @@ class TestStabilityStats:
         seq[2] = seq[2] + np.triu(np.ones((3, 3)), 1)  # not symmetric
         spectra = [sym_eig(cov).eigenvalues for cov in seq]
         top = np.stack([eigenvalues[:2] for eigenvalues in spectra])
-        expected = (covariance_variance(seq), float(np.mean(top.std(axis=0) / top.mean(axis=0))), [])
+        expected = (covariance_variance(seq), float(np.mean(top.std(axis=0) / top.mean(axis=0))))
         calls = []
 
         def recording(m, name="matrix"):
@@ -295,31 +292,28 @@ class TestXiMultiplier:
 
 class TestPca:
     def test_identical_points_at_origin(self):
-        coords, _, _ = pca_embed([np.ones(4)] * 5)
+        coords = pca_export([np.ones(4)] * 5)
         assert np.max(np.abs(coords)) < 1e-12
 
     def test_collinear_second_coordinate_zero(self):
         line = [t * np.array([1.0, 2.0, -1.0]) for t in (0.0, 1.0, 2.0, 3.5)]
-        coords, _, _ = pca_embed(line)
+        coords = pca_export(line)
         assert np.max(np.abs(coords[:, 1])) < 1e-9
 
     def test_matches_direct_covariance_eig(self):
         rng = np.random.default_rng(5)
         cloud = [rng.normal(size=6) * np.array([3.0, 2.0, 1.0, 0.5, 0.1, 0.05]) for _ in range(40)]
-        coords, explained, deg = pca_embed(cloud)
-        assert not deg
-        assert explained[0] >= explained[1] >= 0.0
+        coords = pca_export(cloud)
         x = np.stack(cloud)
         xc = x - x.mean(axis=0)
         cov = xc.T @ xc / (len(cloud) - 1)
         ref = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        assert np.allclose(explained, ref[:2], atol=1e-9)
-        # score variances equal the explained variances
-        assert np.allclose(coords.var(axis=0, ddof=1), explained, atol=1e-9)
+        # score variances are the top two covariance eigenvalues
+        assert np.allclose(coords.var(axis=0, ddof=1), ref[:2], atol=1e-9)
 
     def test_too_few_vectors(self):
         with pytest.raises(ValidationError):
-            pca_embed([np.ones(3), np.ones(3)])
+            pca_export([np.ones(3), np.ones(3)])
 
     def test_csv_export(self, tmp_path):
         # the audit writes pca_export's coordinates, each float as its repr;
@@ -387,7 +381,8 @@ class TestAdapterSubspaceBasis:
         adapter = AdapterPair(a=a, b=b, rank=r, scaling=1.0)
         basis = adapter_subspace_basis(adapter)
         q = span_tangent_basis(adapter)
-        assert basis.dim == q.shape[1]
+        r_a, r_b = basis.q_in.shape[1], basis.q_out.shape[1]
+        assert d_out * r_a + r_b * (d_in - r_a) == q.shape[1]  # the tangent dimension
         assert basis.q_in.shape == (d_in, r - 1 if a_deficient else r)
         assert basis.q_out.shape == (d_out, 0 if b_zero else r)
         for factor in (basis.q_in, basis.q_out):
@@ -397,7 +392,9 @@ class TestAdapterSubspaceBasis:
     def test_zero_adapter_has_empty_tangent_space(self):
         adapter = AdapterPair(a=np.zeros((2, 3)), b=np.zeros((4, 2)), rank=2, scaling=1.0)
         basis = adapter_subspace_basis(adapter)
-        assert basis.dim == 0
+        d_in, r_a = basis.q_in.shape
+        d_out, r_b = basis.q_out.shape
+        assert d_out * r_a + r_b * (d_in - r_a) == 0
         assert exposure_from_basis(random_curvature(np.random.default_rng(0), 4, 3), basis) == 0.0
 
 
