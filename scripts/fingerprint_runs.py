@@ -28,7 +28,9 @@ synthetic_lowrank model, which no other run builds. The manifest carries a
 timestamp, so it is left out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
-under "audit/<name>". A change to how a stream is written that keeps its
+under "audit/<name>". The run is then audited again into the same
+directory; if any CSV differs from the first audit's, the script exits 1
+naming the run. A change to how a stream is written that keeps its
 values then shows the audit outputs unmoved while the stream's own hash
 changes. Without --compare it prints one JSON object: run name ->
 artifact name -> sha256. Takes a few seconds.
@@ -90,9 +92,18 @@ RUNS = {
 }
 
 
-def fingerprint(run_dir: Path) -> dict[str, str]:
+def audit(run_dir: Path) -> dict[str, bytes]:
+    """`grit audit` of run_dir into run_dir/audit; its six CSVs by name."""
     if grit_cli(["--quiet", "audit", str(run_dir), "--out", str(run_dir / "audit")]) != 0:
         raise SystemExit(f"grit audit failed on {run_dir.name}")
+    return {name: (run_dir / "audit" / name).read_bytes() for name in AUDIT_CSVS}
+
+
+def fingerprint(run_dir: Path) -> dict[str, str]:
+    first = audit(run_dir)
+    changed = [name for name, data in audit(run_dir).items() if data != first[name]]
+    if changed:
+        raise SystemExit(f"a second grit audit of {run_dir.name} changed {', '.join(changed)}")
     names = list(ARTIFACTS) + [f"audit/{name}" for name in AUDIT_CSVS]
     return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
 

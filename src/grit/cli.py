@@ -3,13 +3,21 @@
 Exit codes: 0 success, 1 runtime failure, 2 validation failure,
 3 underdetermined fit. Without --out, train writes its run directory
 <task>-s<seed>-<first 8 hex digits of the config hash> under ./runs, or
-under $GRIT_OUT_ROOT when that is set.
+under $GRIT_OUT_ROOT when that is set. An --out that cannot be written is
+a validation failure, reported before any other work.
+
+main is called many times in one process by scripts and benchmarks, so
+the argument parser is built once per process; each command function is
+looked up by name when it is called (cmd_<command>), so a module
+attribute replaced after the first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import os
 import sys
 from pathlib import Path
@@ -50,15 +58,17 @@ def cmd_train(args) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.out:
             out_dir = Path(args.out)
         else:
             task_name, _ = parse_task_spec(config.task)
             out_dir = _default_out_root() / f"{task_name}-s{config.seed}-{config_hash(config)[:8]}"
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if _unwritable(out_dir, is_dir=True):
+        return 2
+    try:
         record = run_experiment(config, out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -79,12 +89,44 @@ def _default_out_root() -> Path:
     return Path(os.environ.get("GRIT_OUT_ROOT", "runs"))
 
 
+def _unwritable(path: Path, is_dir: bool) -> bool:
+    """Whether path cannot become an output directory (is_dir) or file; if so, say why.
+
+    Missing directories on the way are made when the output is written, so
+    only an existing path of the other kind, or an existing non-directory
+    on the way, stops it.
+    """
+    if path.exists():
+        problem = None if path.is_dir() == is_dir else f"{path} is {'not ' if is_dir else ''}a directory"
+    else:
+        ancestor = next((p for p in path.parents if p.exists()), path.parent)
+        problem = None if ancestor.is_dir() else f"{ancestor} is not a directory"
+    if problem is not None:
+        print(f"cannot write {path}: {problem}", file=sys.stderr)
+    return problem is not None
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """The header, then the rows; csv writes a float as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """The header, then the rows, as the file at path; csv writes a float as its repr.
+
+    A file that already holds exactly these bytes is left alone, so a
+    re-audit of an unchanged run writes nothing. Any other file is
+    unlinked and created anew rather than truncated: ext4 (auto_da_alloc)
+    starts writeback of a non-empty file truncated and rewritten as soon as
+    it is closed.
+    """
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = buffer.getvalue().encode()
+    try:
+        if path.read_bytes() == data:
+            return
+        path.unlink()
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
 
 
 def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
@@ -105,6 +147,9 @@ def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
 
 def cmd_audit(args) -> int:
     run_dir = Path(args.run_dir)
+    out = Path(args.out) if args.out else run_dir / "audit"
+    if _unwritable(out, is_dir=True):
+        return 2
     try:
         manifest = read_manifest(run_dir)
         if manifest.status != "complete":
@@ -121,7 +166,6 @@ def cmd_audit(args) -> int:
         print(f"incomplete run: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(args.out) if args.out else run_dir / "audit"
     out.mkdir(parents=True, exist_ok=True)
 
     spectra_rows = []
@@ -160,6 +204,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fit_law(args) -> int:
+    out = Path(args.out)
+    if _unwritable(out, is_dir=False):
+        return 2
     records = []
     run_dir_of = {}  # id(record) -> its run dir
     for run_dir in args.run_dirs:
@@ -190,7 +237,8 @@ def cmd_fit_law(args) -> int:
         where = "" if exc.index is None else f" (first in {run_dir_of[id(fitting[exc.index])]})"
         print(f"bad records: {exc}{where}", file=sys.stderr)
         return 1
-    save_fit(fit, args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_fit(fit, out)
     _say(args.quiet, f"fit written to {args.out} (residual rms {fit.residual_rms:.3g})")
     return 0
 
@@ -209,7 +257,8 @@ def cmd_oracle(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grit",
         description="Geometry-aware low-rank adaptation experiments and audits.",
@@ -221,24 +270,23 @@ def main(argv: list[str] | None = None) -> int:
     p_train.add_argument("config", help="path to the flat key/value config")
     p_train.add_argument("--out", help="run directory (default: <task>-s<seed>-<config hash[:8]> under $GRIT_OUT_ROOT or ./runs)")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_train.set_defaults(fn=cmd_train)
 
     p_audit = sub.add_parser("audit", help="export geometry CSVs from a completed run")
     p_audit.add_argument("run_dir")
     p_audit.add_argument("--out", help="audit output directory (default: <run_dir>/audit)")
-    p_audit.set_defaults(fn=cmd_audit)
 
     p_fit = sub.add_parser("fit-law", help="fit the forgetting law over completed runs")
     p_fit.add_argument("run_dirs", nargs="+")
     p_fit.add_argument("--out", required=True, help="output path for the fit document")
-    p_fit.set_defaults(fn=cmd_fit_law)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force oracle suite")
     p_oracle.add_argument("suite", help=f"one of {sorted(SUITES)}")
-    p_oracle.set_defaults(fn=cmd_oracle)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.fn(args)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

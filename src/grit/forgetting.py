@@ -80,10 +80,18 @@ def load_fit(path: str | Path) -> ScalingFit:
     return ScalingFit(**json.loads(Path(path).read_text()))
 
 
+def _check_finite(values: np.ndarray, names: str) -> None:
+    """ValidationError indexing the first row of values (one per record) with a NaN or infinity."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"{names} must be finite", index=int(np.argmin(finite)))
+
+
 def _extract_dnl(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.array([float(r.d_ft) for r in records])
     n = np.array([float(r.n_params) for r in records])
     loss = np.array([float(r.pt_loss_after) for r in records])
+    _check_finite(np.column_stack([d, n, loss]), "d_ft, n_params and pt_loss_after")
     bad = (d <= 0.0) | (n <= 0.0)
     if bad.any():
         raise ValidationError("d_ft and n_params must be positive", index=int(np.argmax(bad)))
@@ -162,7 +170,7 @@ def fit_baseline_law(records: Sequence[RunRecord]) -> ScalingFit:
 
 
 def _geometry_matrix(records: Sequence[RunRecord]) -> np.ndarray:
-    return np.array(
+    s = np.array(
         [
             [
                 float(r.geometry_summary.r_eff),
@@ -172,6 +180,8 @@ def _geometry_matrix(records: Sequence[RunRecord]) -> np.ndarray:
             for r in records
         ]
     )
+    _check_finite(s, "r_eff, rho_align and pi_proj")
+    return s
 
 
 GAMMA_NAMES = ("gamma_r", "gamma_a", "gamma_p")

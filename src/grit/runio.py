@@ -19,7 +19,9 @@ entries, which were zeroed.
 
 read_record and telemetry.read_telemetry check each value's JSON kind as
 well as the keys (check_value_types), so a hand-edited or damaged file is a
-ValidationError, not a failure deep in a consumer.
+ValidationError, not a failure deep in a consumer. read_jsonl and
+read_telemetry parse a whole stream in one json.loads (json_lines); only a
+stream that fails it is read again line by line, to name the bad line.
 
 The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
 1-D of length d_out * d_in) are written by encode_array as
@@ -46,6 +48,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -261,6 +264,29 @@ class JsonlWriter:
         self._file.close()
 
 
+def json_lines(lines: list[str], path: Path, skip_blank: bool = False) -> Iterator[dict]:
+    """The JSON object on each of lines (line 1 of path first), parsed in one json.loads.
+
+    Blank lines are skipped when skip_blank is set and are bad lines
+    otherwise. When the joined parse fails, gives other than one value per
+    line, or a value that is not an object, the lines are parsed one at a
+    time instead, so that json_object raises ValidationError naming path and
+    the first bad line after everything before it has been yielded.
+    """
+    kept = list(filter(None, lines)) if skip_blank else lines
+    try:
+        objects = json.loads("[" + ",".join(kept) + "]")
+    except json.JSONDecodeError:
+        objects = None
+    if objects is not None and len(objects) == len(kept) and all(type(obj) is dict for obj in objects):
+        return iter(objects)
+    return (
+        json_object(line, path, number)
+        for number, line in enumerate(lines, start=1)
+        if line or not skip_blank
+    )
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """The objects of a JSONL file, one per non-blank line.
 
@@ -268,14 +294,4 @@ def read_jsonl(path: str | Path) -> list[dict]:
     and the line.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    try:
-        objects = [json.loads(line) for line in lines if line]
-    except json.JSONDecodeError:
-        objects = None
-    if objects is None or not all(isinstance(obj, dict) for obj in objects):
-        # rescan only to name the first bad line; json_object raises on it
-        for number, line in enumerate(lines, start=1):
-            if line:
-                json_object(line, path, number)
-    return objects
+    return list(json_lines(path.read_text().splitlines(), path, skip_blank=True))

@@ -23,7 +23,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import sym_eig
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
-from .runio import JsonlWriter, check_value_types, json_object
+from .runio import JsonlWriter, check_value_types, json_lines
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -270,19 +270,21 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     A line that is not a JSON object, whose keys are not the record's
     fields, or whose values are not of their fields' kinds (numbers, and a
     list of numbers for spectrum) raises ValidationError naming the file and
-    the line.
+    the line; the stream is parsed in one call (runio.json_lines), and a
+    damaged one is reported as the line-by-line read would.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValidationError("empty telemetry stream")
-    header = json_object(lines[0], path, 1)
+    objects = json_lines(lines, path)
+    header = next(objects)
     if header.get("version") != TELEMETRY_SCHEMA_VERSION:
         raise ValidationError(f"unsupported telemetry version {header.get('version')!r}")
     records = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, obj in enumerate(objects, start=2):
         try:
-            record = GeometryRecord(**json_object(line, path, number))
+            record = GeometryRecord(**obj)
         except TypeError as exc:
             raise ValidationError(f"{path} line {number}: not a geometry record ({exc})") from exc
         check_value_types(record, f"{path} line {number}")

@@ -188,8 +188,6 @@ class StepResult:
     step: int
     loss: float
     task_loss: float
-    preconditioned: bool
-    reprojected: bool
 
 
 class Trainer:
@@ -398,14 +396,12 @@ class Trainer:
             adapter.a = new_params[sl_a].reshape(adapter.a.shape)
             adapter.b = new_params[sl_b].reshape(adapter.b.shape)
 
-        reprojected = False
         if self.is_grit and step % config.reprojection_freq == 0:
             for idx, (_, adapter) in enumerate(self.model.layers):
                 event = reproject(
                     adapter, self._layer_decomps(idx), config, step, prev_k=self.monitors[idx].last_k
                 )
                 if event.applied:
-                    reprojected = True
                     self.monitors[idx].last_k = event.k
                     self.monitors[idx].last_pi = event.retained_mass
                     self.monitors[idx].update_cov[:] = 0.0
@@ -418,13 +414,7 @@ class Trainer:
 
         if config.telemetry_every > 0 and step % config.telemetry_every == 0:
             self._emit_telemetry(step)
-        return StepResult(
-            step=step,
-            loss=loss,
-            task_loss=task_loss,
-            preconditioned=preconditioned,
-            reprojected=reprojected,
-        )
+        return StepResult(step=step, loss=loss, task_loss=task_loss)
 
     # -- telemetry ---------------------------------------------------------
 

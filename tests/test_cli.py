@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grit import cli
 from grit.cli import main
 from grit.config import config_hash, load_config
 from grit.forgetting import load_fit
@@ -24,6 +26,12 @@ reprojection_warmup_steps = 10
 telemetry_every = 10
 eval_size = 64
 """
+
+
+AUDIT_CSVS = (
+    "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
+    "alignment.csv", "tail_mass.csv", "pca_updates.csv",
+)
 
 
 def write_config(tmp_path, text=MINIMAL_CONFIG, name="run.cfg"):
@@ -112,6 +120,15 @@ class TestTrain:
         assert "telemetry_every" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_out_that_is_a_file_is_validation_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert main(["--quiet", "train", str(path), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"cannot write {taken}: {taken} is not a directory\n"
+        assert taken.read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -171,10 +188,7 @@ class TestAudit:
     def test_audit_outputs(self, tmp_path):
         out = self.run_once(tmp_path)
         assert main(["--quiet", "audit", str(out)]) == 0
-        audit = out / "audit"
-        for name in ("spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
-                     "alignment.csv", "tail_mass.csv", "pca_updates.csv"):
-            assert (audit / name).exists()
+        assert sorted(p.name for p in (out / "audit").iterdir()) == sorted(AUDIT_CSVS)
 
     def test_cumulative_energy_monotone_to_one(self, tmp_path):
         out = self.run_once(tmp_path)
@@ -227,6 +241,47 @@ class TestAudit:
         rows = (out / "audit" / "effective_rank.csv").read_text().splitlines()[1:]
         ks = {row.split(",")[3] for row in rows}
         assert ks == {"4"}  # constant at the adapter rank
+
+    def test_reaudit_writes_only_what_changed(self, tmp_path):
+        out = self.run_once(tmp_path)
+        audit = out / "audit"
+        assert main(["--quiet", "audit", str(out)]) == 0
+        first = {name: (audit / name).read_bytes() for name in AUDIT_CSVS}
+        (audit / "notes.txt").write_text("kept")
+        for name in AUDIT_CSVS:
+            os.utime(audit / name, ns=(0, 0))  # a rewrite would move the mtime
+        damaged = audit / "spectra.csv"
+        damaged.write_bytes(b"edited")
+        os.utime(damaged, ns=(0, 0))
+        with open(damaged, "rb") as old:  # held open, the old file keeps its inode
+            assert main(["--quiet", "audit", str(out)]) == 0
+            assert damaged.stat().st_ino != os.fstat(old.fileno()).st_ino
+            assert old.read() == b"edited"  # replaced by a new file, not rewritten
+        for name in AUDIT_CSVS:
+            assert (audit / name).read_bytes() == first[name]
+            assert ((audit / name).stat().st_mtime_ns == 0) == (name != "spectra.csv")
+        assert (audit / "notes.txt").read_text() == "kept"
+        assert sorted(p.name for p in audit.iterdir()) == sorted([*AUDIT_CSVS, "notes.txt"])
+
+    def test_commands_are_looked_up_when_called(self, tmp_path, monkeypatch):
+        out = self.run_once(tmp_path)
+        assert main(["--quiet", "audit", str(out)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_audit", lambda args: seen.append(args.run_dir) or 0)
+        assert main(["--quiet", "audit", str(out)]) == 0
+        assert seen == [str(out)]
+
+    @pytest.mark.parametrize("where", ["file", "below_file"])
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys, where):
+        out = self.run_once(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("x")
+        target = blocker if where == "file" else blocker / "audit"
+        assert main(["--quiet", "audit", str(out), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {target}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "x"
+        assert not (out / "audit").exists()
 
     def test_incomplete_run(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -409,14 +464,24 @@ class TestFitLaw:
 
     @pytest.mark.parametrize(
         "index, field, value",
-        [(3, "d_ft", 0), (3, "pt_loss_after", -1.0), (1, "pt_loss_after", 0.5)],
-        ids=["zero_steps", "non_positive_loss", "geometry_below_offset"],
+        [(3, "d_ft", 0), (3, "pt_loss_after", -1.0), (1, "pt_loss_after", 0.5),
+         (3, "pt_loss_after", float("nan")), (1, "pt_loss_after", float("nan")),
+         (1, "pt_loss_after", float("inf")), (3, "d_ft", float("nan")),
+         (3, "n_params", float("inf")), (1, "geometry_summary.rho_align", float("nan")),
+         (1, "geometry_summary.r_eff", float("inf"))],
+        ids=["zero_steps", "non_positive_loss", "geometry_below_offset", "control_loss_nan",
+             "grit_loss_nan", "grit_loss_inf", "d_ft_nan", "n_params_inf", "rho_align_nan",
+             "r_eff_inf"],
     )
     def test_records_the_law_cannot_take_are_bad_records(self, tmp_path, capsys, index, field, value):
         dirs = self.fabricate_runs(tmp_path)  # a control record, then a grit one, per cell
         path = dirs[index] / "record.json"
         doc = json.loads(path.read_text())
-        doc[field] = value
+        *parents, name = field.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
         path.write_text(json.dumps(doc))
         out = tmp_path / "fit.json"
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
@@ -424,6 +489,17 @@ class TestFitLaw:
         assert err.startswith("bad records: ")
         assert f"(first in {dirs[index]})" in err
         assert not out.exists()
+
+    def test_out_that_is_a_directory_is_validation_error(self, tmp_path, capsys):
+        dirs = self.fabricate_runs(tmp_path)
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot write {tmp_path}: {tmp_path} is a directory\n"
+
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        dirs = self.fabricate_runs(tmp_path)
+        out = tmp_path / "missing" / "deeper" / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 0
+        assert load_fit(out).residual_rms < 1e-6
 
     def test_single_run_underdetermined(self, tmp_path):
         dirs = self.fabricate_runs(tmp_path, with_geometry=False)[:1]
@@ -435,6 +511,24 @@ class TestFitLaw:
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 0
         fit = load_fit(out)
         assert set(fit.unidentifiable) == {"gamma_r", "gamma_a", "gamma_p"}
+
+
+class TestOneProcess:
+    def test_every_command_in_sequence_gets_its_own_arguments(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["--quiet", "train", str(write_config(tmp_path)), "--out", str(run), "--seed", "3"]) == 0
+        assert load_config(run / "config.cfg").seed == 3
+        assert main(["audit", str(run), "--out", str(tmp_path / "audit")]) == 0
+        assert sorted(p.name for p in (tmp_path / "audit").iterdir()) == sorted(AUDIT_CSVS)
+        dirs = TestFitLaw().fabricate_runs(tmp_path)
+        assert main(["fit-law", *map(str, dirs), "--out", str(tmp_path / "fit.json")]) == 0
+        assert main(["oracle", "projector"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"audit written to {tmp_path / 'audit'} (")
+        assert out[1].startswith(f"fit written to {tmp_path / 'fit.json'} (")
+        assert out[2].startswith("PASS")
+        assert main(["--quiet", "train", str(write_config(tmp_path)), "--out", str(tmp_path / "r2")]) == 0
+        assert load_config(tmp_path / "r2" / "config.cfg").seed == 11  # no --seed this time
 
 
 class TestOracleCommand:

@@ -18,7 +18,7 @@ from grit.runio import (
     write_manifest,
     write_record,
 )
-from grit.telemetry import GeometryRecord, TelemetryWriter
+from grit.telemetry import GeometryRecord, TelemetryWriter, read_telemetry
 
 
 def record(**kw):
@@ -148,6 +148,75 @@ class TestStreams:
         path = tmp_path / "events.jsonl"
         path.write_text('{"step": 0}\n\n{"step": 1}\n')
         assert runio.read_jsonl(path) == [{"step": 0}, {"step": 1}]
+
+
+def write_telemetry(path, n_records, damage=None):
+    """A geometry stream of n_records records; damage maps a line number to the text it gets."""
+    writer = TelemetryWriter(path)
+    for step in range(n_records):
+        writer.append(GeometryRecord(
+            step=step, layer=0, k_selected=2, r_eff=1, rho_align=0.25, pi_proj=1.0, tail_mass=0,
+            curvature_exposure=0.5, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
+            spectrum=[2.0, 0.1],
+        ))
+    writer.close()
+    lines = path.read_text().splitlines()
+    for number, text in (damage or {}).items():
+        lines[number - 1] = text
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+# one damaged line each; the whole stream is parsed at once and must fail as line by line
+DAMAGED_LINES = {
+    "two_objects": '{"step": 1}{"step": 2}',
+    "two_objects_comma": '{"step": 1}, {"step": 2}',
+    "list": "[1, 2]",
+    "number": "3",
+    "cut": '{"step": 1',
+}
+
+
+class TestOneParsePerStream:
+    @pytest.mark.parametrize("reader", [runio.read_jsonl, read_telemetry], ids=["jsonl", "telemetry"])
+    @pytest.mark.parametrize("bad", DAMAGED_LINES.values(), ids=DAMAGED_LINES.keys())
+    def test_damaged_line_is_named_as_line_by_line(self, tmp_path, reader, bad):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 4, damage={3: bad})
+        with pytest.raises(ValidationError) as line_by_line:
+            runio.json_object(bad, path, 3)
+        with pytest.raises(ValidationError) as read:
+            reader(path)
+        assert str(read.value) == str(line_by_line.value)
+        assert str(read.value).startswith(f"{path} line 3: not ")
+
+    def test_blank_line_inside_telemetry_is_named(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 4, damage={3: ""})
+        with pytest.raises(ValidationError) as read:
+            read_telemetry(path)
+        assert str(read.value) == (
+            f"{path} line 3: not valid JSON (Expecting value: line 1 column 1 (char 0))"
+        )
+        assert len(runio.read_jsonl(path)) == 4  # read_jsonl skips it
+
+    def test_first_fault_in_line_order_is_named(self, tmp_path):
+        # line 2 parses but is not a record; line 4 does not parse
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 4, damage={2: '{"step": 0}', 4: '{"step": 1'})
+        with pytest.raises(ValidationError, match=r"telemetry\.jsonl line 2: not a geometry record"):
+            read_telemetry(path)
+        write_telemetry(path, 4, damage={1: '{"version": 2}', 3: "[]"})
+        with pytest.raises(ValidationError, match="unsupported telemetry version 2"):
+            read_telemetry(path)
+
+    def test_intact_streams_read_as_line_by_line(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 5)
+        lines = path.read_text().splitlines()
+        assert runio.read_jsonl(path) == [json.loads(line) for line in lines]
+        assert [vars(r) for r in read_telemetry(path)] == [json.loads(line) for line in lines[1:]]
+        (tmp_path / "empty.jsonl").write_text("")
+        assert runio.read_jsonl(tmp_path / "empty.jsonl") == []
 
 
 SPECIALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -1e300]
