@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import os
 import sys
 from pathlib import Path
@@ -107,26 +106,11 @@ def _unwritable(path: Path, is_dir: bool) -> bool:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """The header, then the rows, as the file at path; csv writes a float as its repr.
-
-    A file that already holds exactly these bytes is left alone, so a
-    re-audit of an unchanged run writes nothing. Any other file is
-    unlinked and created anew rather than truncated: ext4 (auto_da_alloc)
-    starts writeback of a non-empty file truncated and rewritten as soon as
-    it is closed.
-    """
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    data = buffer.getvalue().encode()
-    try:
-        if path.read_bytes() == data:
-            return
-        path.unlink()
-    except FileNotFoundError:
-        pass
-    path.write_bytes(data)
+    """The header, then the rows; csv writes a float as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
@@ -148,7 +132,8 @@ def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
 def cmd_audit(args) -> int:
     run_dir = Path(args.run_dir)
     out = Path(args.out) if args.out else run_dir / "audit"
-    if _unwritable(out, is_dir=True):
+    # a run_dir that is not a directory is reported below as an incomplete run
+    if run_dir.is_dir() and _unwritable(out, is_dir=True):
         return 2
     try:
         manifest = read_manifest(run_dir)

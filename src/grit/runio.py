@@ -264,21 +264,34 @@ class JsonlWriter:
         self._file.close()
 
 
+# Put between lines in the one parse of a stream: a value of its own, so each
+# line boundary stays visible and an object split across lines is caught.
+_LINE_BREAK = '"\\u0000"'
+
+
 def json_lines(lines: list[str], path: Path, skip_blank: bool = False) -> Iterator[dict]:
     """The JSON object on each of lines (line 1 of path first), parsed in one json.loads.
 
     Blank lines are skipped when skip_blank is set and are bad lines
-    otherwise. When the joined parse fails, gives other than one value per
-    line, or a value that is not an object, the lines are parsed one at a
-    time instead, so that json_object raises ValidationError naming path and
-    the first bad line after everything before it has been yielded.
+    otherwise. The lines are joined with _LINE_BREAK between them. Unless
+    that parse gives objects and line breaks alternately, and no line holds
+    _LINE_BREAK itself, the lines are parsed one at a time instead, so that
+    json_object raises ValidationError naming path and the first bad line
+    after everything before it has been yielded.
     """
     kept = list(filter(None, lines)) if skip_blank else lines
+    text = "[" + f",{_LINE_BREAK},".join(kept) + "]"
     try:
-        objects = json.loads("[" + ",".join(kept) + "]")
+        values = json.loads(text)
     except json.JSONDecodeError:
-        objects = None
-    if objects is not None and len(objects) == len(kept) and all(type(obj) is dict for obj in objects):
+        values = []
+    objects = values[::2]
+    if (
+        len(values) == 2 * len(kept) - 1
+        and text.count(_LINE_BREAK) == len(kept) - 1
+        and all(value == "\x00" for value in values[1::2])
+        and all(type(obj) is dict for obj in objects)
+    ):
         return iter(objects)
     return (
         json_object(line, path, number)

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -242,24 +241,16 @@ class TestAudit:
         ks = {row.split(",")[3] for row in rows}
         assert ks == {"4"}  # constant at the adapter rank
 
-    def test_reaudit_writes_only_what_changed(self, tmp_path):
+    def test_reaudit_rewrites_the_csvs_and_keeps_other_files(self, tmp_path):
         out = self.run_once(tmp_path)
         audit = out / "audit"
         assert main(["--quiet", "audit", str(out)]) == 0
         first = {name: (audit / name).read_bytes() for name in AUDIT_CSVS}
         (audit / "notes.txt").write_text("kept")
-        for name in AUDIT_CSVS:
-            os.utime(audit / name, ns=(0, 0))  # a rewrite would move the mtime
-        damaged = audit / "spectra.csv"
-        damaged.write_bytes(b"edited")
-        os.utime(damaged, ns=(0, 0))
-        with open(damaged, "rb") as old:  # held open, the old file keeps its inode
-            assert main(["--quiet", "audit", str(out)]) == 0
-            assert damaged.stat().st_ino != os.fstat(old.fileno()).st_ino
-            assert old.read() == b"edited"  # replaced by a new file, not rewritten
+        (audit / "spectra.csv").write_bytes(b"edited")
+        assert main(["--quiet", "audit", str(out)]) == 0
         for name in AUDIT_CSVS:
             assert (audit / name).read_bytes() == first[name]
-            assert ((audit / name).stat().st_mtime_ns == 0) == (name != "spectra.csv")
         assert (audit / "notes.txt").read_text() == "kept"
         assert sorted(p.name for p in audit.iterdir()) == sorted([*AUDIT_CSVS, "notes.txt"])
 
@@ -286,6 +277,12 @@ class TestAudit:
     def test_incomplete_run(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["audit", str(tmp_path / "empty")]) == 1
+
+    def test_run_dir_that_is_a_file_is_incomplete_run(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.write_text("x")
+        assert main(["--quiet", "audit", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith("incomplete run: ")
 
     @pytest.mark.parametrize("missing", ["updates.jsonl", "events.jsonl"])
     def test_missing_stream_is_incomplete_run(self, tmp_path, capsys, missing):

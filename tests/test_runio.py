@@ -175,6 +175,14 @@ DAMAGED_LINES = {
     "cut": '{"step": 1',
 }
 
+# damage over several lines, from line 2, that joins into as many whole values as lines
+SPLIT_LINES = {
+    # one object over lines 2 and 3, two on line 4
+    "object_split": {2: '{"step": 0, "a": 1', 3: '"b": 2}', 4: '{"t": 1}, {"u": 2}'},
+    # a list that swallows the break between lines 2 and 3, and a break written on line 3
+    "break_on_a_line": {2: '{"a": [1', 3: '2]}, "\\u0000", {"b": 1}'},
+}
+
 
 class TestOneParsePerStream:
     @pytest.mark.parametrize("reader", [runio.read_jsonl, read_telemetry], ids=["jsonl", "telemetry"])
@@ -188,6 +196,17 @@ class TestOneParsePerStream:
             reader(path)
         assert str(read.value) == str(line_by_line.value)
         assert str(read.value).startswith(f"{path} line 3: not ")
+
+    @pytest.mark.parametrize("reader", [runio.read_jsonl, read_telemetry], ids=["jsonl", "telemetry"])
+    @pytest.mark.parametrize("damage", SPLIT_LINES.values(), ids=SPLIT_LINES.keys())
+    def test_object_split_across_lines_is_named(self, tmp_path, reader, damage):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 4, damage=damage)
+        with pytest.raises(ValidationError) as line_by_line:
+            runio.json_object(damage[2], path, 2)
+        with pytest.raises(ValidationError) as read:
+            reader(path)
+        assert str(read.value) == str(line_by_line.value)
 
     def test_blank_line_inside_telemetry_is_named(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
