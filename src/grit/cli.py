@@ -35,6 +35,7 @@ from .forgetting import fit_baseline_law, fit_xi_coefficients, save_fit
 from .oracles import SUITES, run_suite
 from .runio import (
     EVENTS_NAME,
+    MANIFEST_NAME,
     RECORD_NAME,
     TELEMETRY_NAME,
     UPDATES_NAME,
@@ -196,6 +197,11 @@ def cmd_fit_law(args) -> int:
     run_dir_of = {}  # id(record) -> its run dir
     for run_dir in args.run_dirs:
         try:
+            # a run dir with a manifest holds a run's record only once it is complete
+            if (Path(run_dir) / MANIFEST_NAME).exists():
+                status = read_manifest(run_dir).status
+                if status != "complete":
+                    raise ValidationError(f"run is not complete (status {status})")
             records.append(read_record(run_dir))
         except ValidationError as exc:
             print(f"bad run dir {run_dir}: {exc}", file=sys.stderr)

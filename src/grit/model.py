@@ -38,6 +38,19 @@ def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown activation {name!r}")
 
 
+def _act_backward(name: str, dh: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """dh times the activation's derivative, read from its output h = act(z).
+
+    For tanh, 1 - h*h is the 1 - tanh(z)^2 of _act_deriv without a second
+    tanh; for identity the derivative is 1, so dh comes back as is.
+    """
+    if name == "identity":
+        return dh
+    if name == "tanh":
+        return dh * (1.0 - h * h)
+    raise ValidationError(f"unknown activation {name!r}")
+
+
 def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
     if name == "identity":
         return np.zeros_like(z)
@@ -102,6 +115,9 @@ class AdapterPair:
         return self.b @ self.a
 
     def effective_weight(self, w0: np.ndarray) -> np.ndarray:
+        # x * 1.0 has the bits of x for every double, so the default scaling skips the multiply
+        if self.scaling == 1.0:
+            return w0 + self.b @ self.a
         return w0 + self.scaling * (self.b @ self.a)
 
 
@@ -109,16 +125,19 @@ class AdapterPair:
 class LayerTape:
     """Per-layer capture of a forward/backward pair.
 
-    x: inputs to the layer (batch x d_in); dy: gradients of the loss with
-    respect to the pre-activation outputs (batch x d_out); grad_a/grad_b: exact
-    adapter gradients, both from the effective-weight gradient dy^T x,
-    which backward does not keep. w_eff: the effective weight
-    w0 + scaling * b @ a (d_out x d_in) that forward applied, which backward
-    reuses to carry the gradient to the layer below.
+    x: inputs to the layer (batch x d_in); z: its pre-activation outputs and
+    h = act(z) its outputs (batch x d_out; the same array as z for an
+    identity layer), from which backward takes the activation's derivative;
+    dy: gradients of the loss with respect to the pre-activation outputs
+    (batch x d_out); grad_a/grad_b: exact adapter gradients, both from the
+    effective-weight gradient dy^T x, which backward does not keep. w_eff:
+    the effective weight w0 + scaling * b @ a (d_out x d_in) that forward
+    applied, which backward reuses to carry the gradient to the layer below.
     """
 
     x: np.ndarray | None = None
     z: np.ndarray | None = None
+    h: np.ndarray | None = None
     w_eff: np.ndarray | None = None
     dy: np.ndarray | None = None
     grad_a: np.ndarray | None = None
@@ -127,6 +146,7 @@ class LayerTape:
     def clear(self):
         self.x = None
         self.z = None
+        self.h = None
         self.w_eff = None
         self.dy = None
         self.grad_a = None
@@ -157,7 +177,7 @@ class Model:
         return [adapter for _, adapter in self.layers]
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run the stack, capturing per-layer inputs, effective weights and pre-activations."""
+        """Run the stack, capturing per-layer inputs, effective weights, pre-activations and outputs."""
         h = np.asarray(batch, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.d_in:
             raise ShapeError(
@@ -171,7 +191,7 @@ class Model:
             if base.bias is not None:
                 z = z + base.bias
             tape.z = z
-            h = _act(base.activation, z)
+            tape.h = h = _act(base.activation, z)
         return h
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
@@ -189,7 +209,13 @@ class Model:
         return h
 
     def backward(self, loss_grad: np.ndarray) -> list[LayerTape]:
-        """Backpropagate d(loss)/d(output); fills dy, grad_a, grad_b per layer."""
+        """Backpropagate d(loss)/d(output); fills dy, grad_a, grad_b per layer.
+
+        The gradient with respect to the first layer's input is not formed:
+        nothing reads it. An identity layer's dy is the gradient that reached
+        its output, and for the last layer that is loss_grad itself when it
+        is already a float64 array.
+        """
         if self.tapes[-1].z is None:
             raise TapeError("backward called before forward")
         dh = np.asarray(loss_grad, dtype=np.float64)
@@ -197,15 +223,19 @@ class Model:
             raise ShapeError(
                 f"loss_grad shape {dh.shape} does not match output shape {self.tapes[-1].z.shape}"
             )
+        first = self.tapes[0]
         for (base, adapter), tape in zip(reversed(self.layers), reversed(self.tapes)):
             if tape.dy is not None:
                 raise TapeError("tape already populated; run forward again before backward")
-            dz = dh * _act_deriv(base.activation, tape.z)
-            tape.dy = dz
+            tape.dy = dz = _act_backward(base.activation, dh, tape.h)
             grad_w_eff = dz.T @ tape.x
-            tape.grad_a = adapter.scaling * (adapter.b.T @ grad_w_eff)
-            tape.grad_b = adapter.scaling * (grad_w_eff @ adapter.a.T)
-            dh = dz @ tape.w_eff
+            tape.grad_a = adapter.b.T @ grad_w_eff
+            tape.grad_b = grad_w_eff @ adapter.a.T
+            if adapter.scaling != 1.0:
+                tape.grad_a = adapter.scaling * tape.grad_a
+                tape.grad_b = adapter.scaling * tape.grad_b
+            if tape is not first:
+                dh = dz @ tape.w_eff
         return self.tapes
 
 

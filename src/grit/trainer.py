@@ -25,6 +25,15 @@ event carries every layer's damping ladder rungs and condition numbers.
 Preconditioning, once started, never stops, so a "precondition" event marks
 its first step. A layer whose preconditioned gradient had non-finite
 entries, which precondition zeroes, gets a "sanitize" event.
+
+The Trainer keeps every adapter factor in one flat float64 vector, the
+optimizer's parameters, and binds each adapter's a and b to a view of it
+when it is built. A step writes the new parameters into that vector and the
+update into a second one whose per-layer views the update covariance reads,
+so nothing is concatenated, sliced or bound per step. A factor that
+reprojection or a caller replaced with a new array is copied into the
+vector and its view bound again at the start of the next step, so that
+step trains from the replacing values.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GritConfig, config_hash, config_to_text, validate_config
-from .errors import ConfigError, GritError, ValidationError
+from .errors import ConfigError, GritError, ShapeError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig
 from .model import save_checkpoint
@@ -48,6 +57,7 @@ from .runio import (
     CONFIG_NAME,
     CHECKPOINT_NAME,
     EVENTS_NAME,
+    RECORD_NAME,
     STATS_NAME,
     TELEMETRY_NAME,
     UPDATES_NAME,
@@ -85,9 +95,9 @@ def seed_stream(seed: int, name: str) -> np.random.Generator:
 class AdamW:
     """Adaptive moments, without weight decay, on one flat parameter vector.
 
-    m and v are flat float64 vectors of the parameter vector's size.
-    Elementwise arithmetic makes one pass over the concatenated factors
-    bitwise equal to one pass per factor.
+    m and v are flat float64 vectors of the parameter vector's size, updated
+    in place. Elementwise arithmetic makes one pass over the concatenated
+    factors bitwise equal to one pass per factor.
     """
 
     def __init__(self, size: int, lr: float, betas=(0.9, 0.95), eps: float = 1e-8):
@@ -99,25 +109,46 @@ class AdamW:
         self.v = np.zeros(size)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """The new flat parameters; params is left untouched."""
+        """The new flat parameters; params and grads are left untouched.
+
+        The operations are those of m = beta1 m + (1 - beta1) g,
+        v = beta2 v + (1 - beta2) g g and params - lr m_hat / (sqrt(v_hat) + eps),
+        in that order, so every result rounds as it does written that way.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / bc1
-        v_hat = self.v / bc2
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        g2 = (1.0 - self.beta2) * grads
+        g2 *= grads
+        v *= self.beta2
+        v += g2
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = m / bc1
+        update *= self.lr
+        update /= denom
+        return params - update
 
 
 def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
     """The gradients concatenated flat, scaled down to global norm max_norm when above it.
 
     The squared norm adds one sum per factor in list order, so it rounds as
-    it did when each factor was clipped on its own.
+    it did when each factor was clipped on its own: each sum reduces that
+    factor's run of the squared concatenation, the elements and order that
+    (g * g).sum() reduces for a C-contiguous g.
     """
-    global_norm = float(np.sqrt(sum((g * g).sum() for g in grads)))
     flat = np.concatenate([g.ravel() for g in grads])
+    squares = flat * flat
+    squared_norm, start = 0.0, 0
+    for g in grads:
+        squared_norm += np.add.reduce(squares[start : start + g.size])
+        start += g.size
+    global_norm = math.sqrt(squared_norm)
     if global_norm > max_norm and global_norm > 0.0:
         flat *= max_norm / global_norm
     return flat
@@ -211,13 +242,27 @@ class Trainer:
             RankSpaceStats(rank=config.lora_rank, damping=config.kfac_damping, ema_beta=config.ema_beta)
             for _ in range(n_layers)
         ]
-        # each layer's a and b as slices of the flat optimizer vectors
-        self._slices: list[tuple[slice, slice]] = []
+        # every factor as a view of one flat parameter vector, and each
+        # layer's update as views of one flat delta vector
+        self._params = np.empty(sum(a.a.size + a.b.size for _, a in self.model.layers))
+        self._delta = np.empty_like(self._params)
+        self._factors: list[tuple[np.ndarray, np.ndarray]] = []
+        self._layer_deltas: list[tuple[np.ndarray, np.ndarray]] = []
+        self._layer_slices: list[slice] = []
         offset = 0
         for _, adapter in self.model.layers:
             mid = offset + adapter.a.size
             end = mid + adapter.b.size
-            self._slices.append((slice(offset, mid), slice(mid, end)))
+            a = self._params[offset:mid].reshape(adapter.a.shape)
+            b = self._params[mid:end].reshape(adapter.b.shape)
+            a[...] = adapter.a
+            b[...] = adapter.b
+            adapter.a, adapter.b = a, b
+            self._factors.append((a, b))
+            self._layer_deltas.append(
+                (self._delta[offset:mid].reshape(a.shape), self._delta[mid:end].reshape(b.shape))
+            )
+            self._layer_slices.append(slice(offset, end))
             offset = end
         self.optimizer = AdamW(offset, lr=config.learning_rate)
         r = config.lora_rank
@@ -307,6 +352,20 @@ class Trainer:
             )
         return refreshed
 
+    def _bind_factors(self, adapters) -> None:
+        """Copy each factor replaced since the last step into the flat vector and bind its view again."""
+        for idx, (adapter, views) in enumerate(zip(adapters, self._factors)):
+            if adapter.a is views[0] and adapter.b is views[1]:
+                continue
+            for name, view in zip(("a", "b"), views):
+                factor = getattr(adapter, name)
+                if np.shape(factor) != view.shape:
+                    raise ShapeError(
+                        f"layer {idx} factor {name} was replaced by shape {np.shape(factor)}, not {view.shape}"
+                    )
+                view[...] = factor
+                setattr(adapter, name, view)
+
     # -- main loop ---------------------------------------------------------
 
     def train_step(self, batch: tuple[np.ndarray, np.ndarray], step: int) -> StepResult:
@@ -314,15 +373,17 @@ class Trainer:
         x, y = batch
         if x.shape[0] == 0:
             raise ValidationError("empty batch")
+        adapters = [adapter for _, adapter in self.model.layers]
+        self._bind_factors(adapters)
         pred = self.model.forward(x)
         err = pred - y
-        task_loss = float(0.5 * np.mean(np.sum(err * err, axis=1)))
+        # the sum and count np.mean(np.sum(err * err, axis=1)) divides
+        task_loss = float(0.5 * ((err * err).sum(axis=1).sum() / err.shape[0]))
         # checked before the statistics take this batch; the penalties join the check below
         if not math.isfinite(task_loss):
             raise GritError(f"non-finite loss at step {step}")
         loss = task_loss
         self.model.backward(err / x.shape[0])
-        adapters = [adapter for _, adapter in self.model.layers]
 
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
@@ -380,21 +441,18 @@ class Trainer:
             self._log_event({"step": step, "action": "precondition"})
 
         flat_grad = clipped_flat(grads, config.grad_clip)
-        params = np.concatenate([p.ravel() for adapter in adapters for p in (adapter.a, adapter.b)])
+        params = self._params
         new_params = self.optimizer.step(params, flat_grad)
         # parameters whose squares overflow make every loss, norm and mass
         # after them non-finite; stop before reprojection or telemetry logs one
-        if not np.isfinite(new_params @ new_params):
+        if not math.isfinite(new_params @ new_params):
             raise GritError(f"non-finite parameters at step {step}")
-        delta = new_params - params
-        for adapter, monitor, (sl_a, sl_b) in zip(adapters, self.monitors, self._slices):
+        np.subtract(new_params, params, out=self._delta)
+        np.copyto(params, new_params)
+        for monitor, (delta_a, delta_b), layer in zip(self.monitors, self._layer_deltas, self._layer_slices):
             monitor.prev_grads = monitor.grads
-            monitor.grads = flat_grad[sl_a.start : sl_b.stop]
-            delta_a = delta[sl_a].reshape(adapter.a.shape)
-            delta_b = delta[sl_b].reshape(adapter.b.shape)
+            monitor.grads = flat_grad[layer]
             monitor.update_cov += delta_a @ delta_a.T + delta_b.T @ delta_b
-            adapter.a = new_params[sl_a].reshape(adapter.a.shape)
-            adapter.b = new_params[sl_b].reshape(adapter.b.shape)
 
         if self.is_grit and step % config.reprojection_freq == 0:
             for idx, (_, adapter) in enumerate(self.model.layers):
@@ -522,9 +580,12 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
     Builds the config's synthetic task, measures the pretraining-proxy loss
     on the held-out set before and after adaptation, writes the run
     artifacts (when out_dir is given; config.cfg is config_to_text(config)),
-    and returns the RunRecord. Any exception after the manifest is written
-    marks it failed (interrupted for Ctrl-C) before propagating. The run
-    streams are closed on every exit path.
+    and returns the RunRecord. An earlier run's record.json and
+    checkpoint.json in out_dir are deleted before the manifest is written,
+    so a run that fails leaves no record beside its failed manifest. Any
+    exception after the manifest is written marks it failed (interrupted for
+    Ctrl-C) before propagating. The run streams are closed on every exit
+    path.
     """
     validate_config(config)
     if not config.task:
@@ -543,6 +604,9 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
         manifest = None
         if out_dir is not None:
             out = Path(out_dir)
+            # an earlier run's results must not outlive this run's manifest
+            for name in (RECORD_NAME, CHECKPOINT_NAME):
+                (out / name).unlink(missing_ok=True)
             (out / CONFIG_NAME).write_text(config_to_text(config))
             manifest = RunManifest.create(
                 run_id=out.name,

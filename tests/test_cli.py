@@ -8,7 +8,15 @@ from grit import cli
 from grit.cli import main
 from grit.config import config_hash, load_config
 from grit.forgetting import load_fit
-from grit.runio import GeometrySummary, RunRecord, decode_array, encode_array, write_record
+from grit.runio import (
+    GeometrySummary,
+    RunManifest,
+    RunRecord,
+    decode_array,
+    encode_array,
+    write_manifest,
+    write_record,
+)
 from grit.telemetry import xi_multiplier
 
 MINIMAL_CONFIG = """
@@ -486,6 +494,44 @@ class TestFitLaw:
         assert err.startswith("bad records: ")
         assert f"(first in {dirs[index]})" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("status", ["failed", "interrupted", "running"])
+    def test_run_that_is_not_complete_is_bad_run_dir(self, tmp_path, capsys, status):
+        dirs = self.fabricate_runs(tmp_path)
+        for i, run_dir in enumerate(dirs):
+            manifest = RunManifest.create(run_id=run_dir.name, config_hash="0" * 64, seed=i, task="synthetic")
+            manifest.status = status if i == 3 else "complete"
+            write_manifest(manifest, run_dir)
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"bad run dir {dirs[3]}: run is not complete (status {status})\n"
+        assert not out.exists()
+
+    def test_complete_manifests_and_dirs_without_one_fit_alike(self, tmp_path):
+        dirs = self.fabricate_runs(tmp_path)
+        plain = tmp_path / "plain.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(plain)]) == 0
+        for i, run_dir in enumerate(dirs[::2]):
+            manifest = RunManifest.create(run_id=run_dir.name, config_hash="0" * 64, seed=i, task="synthetic")
+            manifest.status = "complete"
+            write_manifest(manifest, run_dir)
+        mixed = tmp_path / "mixed.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(mixed)]) == 0
+        assert mixed.read_bytes() == plain.read_bytes()
+
+    def test_failed_rerun_is_bad_run_dir(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL_CONFIG.replace("seed = 11", "seed = 0\nmode = lora_control"))
+        out = tmp_path / "run"
+        assert main(["--quiet", "train", str(path), "--out", str(out)]) == 0
+        failing = write_config(tmp_path, path.read_text() + "learning_rate = 1e200\n", name="failing.cfg")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["--quiet", "train", str(failing), "--out", str(out), "--seed", "1"]) == 1
+        capsys.readouterr()
+        fit = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", str(out), "--out", str(fit)]) == 1
+        assert capsys.readouterr().err == f"bad run dir {out}: run is not complete (status failed)\n"
+        assert not fit.exists()
 
     def test_out_that_is_a_directory_is_validation_error(self, tmp_path, capsys):
         dirs = self.fabricate_runs(tmp_path)

@@ -152,7 +152,7 @@ def reference_backward(model, loss_grad):
         dz = dh * _act_deriv(base.activation, tape.z)
         grad_w = dz.T @ tape.x
         out.append((dz, grad_w, adapter.scaling * (adapter.b.T @ grad_w), adapter.scaling * (grad_w @ adapter.a.T)))
-        dh = dz @ adapter.effective_weight(base.w0)
+        dh = dz @ (base.w0 + adapter.scaling * (adapter.b @ adapter.a))
     return out[::-1]
 
 
@@ -195,6 +195,63 @@ class TestEffectiveWeightOnTape:
         tape = model.tapes[0]
         tape.clear()
         assert tape.w_eff is None
+
+
+class TestBackwardByteContract:
+    """backward reads tanh's derivative from the stored output, passes dh through an
+    identity layer and skips a scaling of 1.0; each gives the bytes of reference_backward's
+    dh * _act_deriv(z) with the scaling multiplied in."""
+
+    @staticmethod
+    def two_layer(scaling):
+        model, rng = seeded_model(seed=21, dims=(6, 5, 4))
+        assert [base.activation for base, _ in model.layers] == ["tanh", "identity"]
+        for _, adapter in model.layers:
+            adapter.scaling = scaling
+        return model, rng.normal(size=(7, 6)), rng.normal(size=(7, 4))
+
+    @staticmethod
+    def synthetic_lowrank(scaling):
+        from grit.tasks import build_task
+
+        rng = np.random.default_rng(22)
+        task = build_task(
+            "synthetic_lowrank(d=10, r_true=2, noise=0.05)", rank=4, alpha=scaling, eval_size=16,
+            model_rng=rng, data_rng=rng,
+        )
+        model = task.model
+        assert [base.activation for base, _ in model.layers] == ["identity"]
+        model.layers[0][1].b = rng.normal(0.0, 0.4, size=model.layers[0][1].b.shape)
+        x, y = task.sample_batch(rng, 8)
+        return model, x, y
+
+    @pytest.mark.parametrize("scaling", [1.0, 0.5])
+    @pytest.mark.parametrize("build", ["two_layer", "synthetic_lowrank"])
+    def test_tapes_equal_the_old_formula_bytewise(self, build, scaling):
+        model, x, y = getattr(self, build)(scaling)
+        assert all(adapter.scaling == scaling for _, adapter in model.layers)
+        loss_grad = (model.forward(x) - y) / x.shape[0]
+        expected = reference_backward(model, loss_grad)
+        tapes = model.backward(loss_grad)
+        for tape, (dy, _, grad_a, grad_b) in zip(tapes, expected):
+            assert tape.dy.tobytes() == dy.tobytes()
+            assert tape.grad_a.tobytes() == grad_a.tobytes()
+            assert tape.grad_b.tobytes() == grad_b.tobytes()
+
+    def test_output_on_the_tape_is_the_activation_of_z(self):
+        model, x, _ = self.two_layer(1.0)
+        out = model.forward(x)
+        tanh_tape, identity_tape = model.tapes
+        assert tanh_tape.h.tobytes() == np.tanh(tanh_tape.z).tobytes()
+        assert identity_tape.h is identity_tape.z and out is identity_tape.h
+
+    @pytest.mark.parametrize("build", ["two_layer", "synthetic_lowrank"])
+    def test_first_layer_input_gradient_is_not_formed(self, build):
+        model, x, y = getattr(self, build)(1.0)
+        loss_grad = model.forward(x) - y
+        model.tapes[0].w_eff = None  # the input gradient is the only reader of the first w_eff
+        model.backward(loss_grad)
+        assert all(tape.grad_a is not None for tape in model.tapes)
 
 
 class TestFreezeAndCounts:

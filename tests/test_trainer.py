@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grit.config import GritConfig
-from grit.errors import ConfigError, GritError, ValidationError
+from grit.errors import ConfigError, GritError, ShapeError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
@@ -123,6 +123,92 @@ class TestFlatOptimizer:
         AdamW(4, lr=0.1).step(params, grads)
         assert params.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert grads.tolist() == [1.0] * 4
+
+
+class TestFlatParameters:
+    @staticmethod
+    def assert_bound(trainer):
+        flat = trainer._params
+        for _, adapter in trainer.model.layers:
+            for factor in (adapter.a, adapter.b):
+                assert factor.base is flat
+
+    @pytest.mark.parametrize("mode", ["grit", "lora_control"])
+    def test_factors_are_views_of_one_vector_at_every_step(self, mode):
+        tr, task, cfg = make_trainer(mode=mode, steps=45)
+        self.assert_bound(tr)
+        for step in range(cfg.steps):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if step % cfg.reprojection_freq != 0 or mode == "lora_control":
+                self.assert_bound(tr)
+
+    def test_binding_keeps_the_initial_values(self):
+        tr, _, cfg = make_trainer()
+        unbound = build_task(
+            cfg.task, rank=cfg.lora_rank, alpha=cfg.lora_alpha, eval_size=cfg.eval_size,
+            model_rng=seed_stream(cfg.seed, "model"), data_rng=seed_stream(cfg.seed, "task-data"),
+        )
+        for (_, bound), (_, fresh) in zip(tr.model.layers, unbound.model.layers):
+            assert bound.a.tobytes() == fresh.a.tobytes()
+            assert bound.b.tobytes() == fresh.b.tobytes()
+
+    def test_reprojected_factors_are_bound_again_and_trained(self):
+        tr, task, cfg = make_trainer(mode="grit", steps=22)
+        for step in range(21):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        assert any(e["action"] == "reproject" and e["step"] == 20 for e in tr.events)
+        replaced = [f for _, adapter in tr.model.layers for f in (adapter.a, adapter.b)]
+        assert not any(np.shares_memory(f, tr._params) for f in replaced)
+        expected = np.concatenate([f.ravel() for f in replaced])
+        seen = []
+        optimizer_step = tr.optimizer.step
+
+        def recording(params, grads):
+            seen.append(params.copy())
+            return optimizer_step(params, grads)
+
+        tr.optimizer.step = recording
+        tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 21)
+        assert seen[0].tobytes() == expected.tobytes()
+        self.assert_bound(tr)
+
+    def test_replaced_factor_is_the_one_the_next_step_trains_from(self):
+        tr_ref, task_ref, cfg = make_trainer(mode="lora_control")
+        tr, task, _ = make_trainer(mode="lora_control")
+        for step in range(3):
+            tr_ref.train_step(task_ref.sample_batch(tr_ref.data_rng, cfg.batch_size), step)
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        adapter_ref = tr_ref.model.layers[0][1]
+        adapter = tr.model.layers[0][1]
+        new_a = np.random.default_rng(5).normal(size=adapter.a.shape)
+        adapter.a = new_a.copy()  # a new array, as reprojection binds
+        adapter_ref.a[...] = new_a  # written in place: the vector sees it at once
+        for step in range(3, 6):
+            batch = task.sample_batch(tr.data_rng, cfg.batch_size)
+            batch_ref = task_ref.sample_batch(tr_ref.data_rng, cfg.batch_size)
+            assert tr.train_step(batch, step).loss == tr_ref.train_step(batch_ref, step).loss
+        self.assert_bound(tr)
+        assert tr._params.tobytes() == tr_ref._params.tobytes()
+        assert tr.optimizer.m.tobytes() == tr_ref.optimizer.m.tobytes()
+
+    def test_replaced_factor_of_another_shape_is_rejected(self):
+        tr, task, cfg = make_trainer()
+        adapter = tr.model.layers[0][1]
+        adapter.b = np.zeros((adapter.b.shape[0], adapter.b.shape[1] + 1))
+        with pytest.raises(ShapeError, match="layer 0 factor b"):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
+
+    def test_pt_loss_reads_the_trained_values(self):
+        tr, task, cfg = make_trainer(mode="lora_control", steps=10)
+        before = task.pt_loss(task.model)
+        run_loop(tr, task, cfg)
+        after = task.pt_loss(task.model)
+        assert after != before
+        # the same model rebuilt from copies of the trained factors
+        copies = [(a.a.copy(), a.b.copy()) for _, a in task.model.layers]
+        for (_, adapter), (a, b) in zip(task.model.layers, copies):
+            adapter.a, adapter.b = a, b
+        assert task.pt_loss(task.model) == after
 
 
 class TestControlEquivalence:
@@ -815,6 +901,22 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
+
+    def test_failed_rerun_leaves_no_earlier_record(self, tmp_path):
+        out = tmp_path / "run"
+        done = GritConfig(task=TASK, steps=5, seed=0, mode="lora_control", eval_size=64,
+                          lora_rank=4, telemetry_every=0)
+        run_experiment(done, out_dir=out)
+        assert read_record(out).seed == 0
+        failing = GritConfig(task=TASK, steps=5, seed=1, mode="lora_control", learning_rate=1e200,
+                             eval_size=64, lora_rank=4, telemetry_every=0)
+        with pytest.raises(GritError, match="step 0"), pytest.warns(RuntimeWarning, match="overflow"):
+            run_experiment(failing, out_dir=out)
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert not (out / "record.json").exists()
+        assert not (out / "checkpoint.json").exists()
+        with pytest.raises(ValidationError, match="no record.json"):
+            read_record(out)
 
     def test_changed_base_weight_fails_run(self, tmp_path, monkeypatch):
         from grit.errors import GritError
