@@ -11,6 +11,22 @@ With --compare, it prints one "<run> <artifact>" line for each artifact
 whose hash differs from the file's (or that only one side has) and exits 1
 if there is any; otherwise it prints "all N artifacts identical" and exits 0.
 
+To see by how much the values moved, keep the run directories of one
+checkout and compare the other's against them:
+
+    PYTHONPATH=src python3 scripts/fingerprint_runs.py --keep before-runs > before.json
+    (other checkout)
+    PYTHONPATH=src python3 scripts/fingerprint_runs.py --values before-runs
+
+--keep DIR writes each run directory to DIR/<run> instead of a temporary
+directory. --values DIR prints, for each artifact whose bytes differ from
+DIR/<run>/<artifact>, the number of numeric values that differ and the
+worst relative difference |new - old| / |old| among them, reading every
+number of the JSON, JSONL and CSV files (encode_array payloads decoded with
+runio.decode_array, so each float64 is compared bit for bit); a difference
+in anything else (a key, a string, the number of values) is printed as a
+structural difference. It exits 1 if any artifact differs.
+
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
 (telemetry every 5 steps, control and grit), and eight grit variants that
@@ -37,14 +53,19 @@ artifact name -> sha256. Takes a few seconds.
 """
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from grit.cli import main as grit_cli
 from grit.config import GritConfig
+from grit.runio import decode_array
 from grit.trainer import run_experiment
 from study import study_config
 
@@ -117,23 +138,99 @@ def differences(before: dict, after: dict) -> list[tuple[str, str]]:
     )
 
 
+def leaves(value):
+    """Every leaf of a parsed JSON value, in order; an encode_array payload gives its floats."""
+    if isinstance(value, dict):
+        if set(value) == {"shape", "f64"}:
+            yield from decode_array(value).ravel().tolist()
+            return
+        for key in sorted(value):
+            yield key
+            yield from leaves(value[key])
+    elif isinstance(value, list):
+        yield ("items", len(value))
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def artifact_leaves(path: Path) -> list:
+    """The leaves of a run artifact: JSON, one JSON value per JSONL line, or CSV cells."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return list(leaves(json.loads(text)))
+    if path.suffix == ".jsonl":
+        return list(leaves([json.loads(line) for line in text.splitlines()]))
+    cells = list(csv.reader(text.splitlines())) if path.suffix == ".csv" else [text.split()]
+    out = []
+    for row in cells:
+        out.append(("items", len(row)))
+        for cell in row:
+            with contextlib.suppress(ValueError):
+                cell = float(cell)
+            out.append(cell)
+    return out
+
+
+def numeric(value) -> bool:
+    return type(value) in (int, float)  # not bool
+
+
+def value_differences(old: Path, new: Path) -> str:
+    """How new's values differ from old's: the count and worst relative difference of numbers."""
+    before, after = artifact_leaves(old), artifact_leaves(new)
+    if len(before) != len(after) or any(
+        numeric(b) != numeric(a) or (not numeric(b) and a != b) for b, a in zip(before, after)
+    ):
+        return "structural difference"
+    pairs = np.array([(b, a) for b, a in zip(before, after) if numeric(b)], dtype=np.float64).reshape(-1, 2)
+    bits = pairs.view(np.int64)
+    moved = pairs[bits[:, 0] != bits[:, 1]]  # bit for bit, so a NaN that stays NaN has not moved
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = float(np.max(np.abs(moved[:, 1] - moved[:, 0]) / np.abs(moved[:, 0]), initial=0.0))
+    return f"{len(moved)} of {len(pairs)} numeric values differ, worst relative difference {worst:.3g}"
+
+
+def compare_values(old_root: Path, new_root: Path) -> int:
+    """Print each differing (run, artifact) of new_root against old_root; the number printed."""
+    differing = 0
+    for run in RUNS:
+        for name in list(ARTIFACTS) + [f"audit/{csv_name}" for csv_name in AUDIT_CSVS]:
+            old, new = old_root / run / name, new_root / run / name
+            if not old.exists():
+                print(f"{run} {name}: only in this checkout")
+            elif old.read_bytes() == new.read_bytes():
+                continue
+            else:
+                print(f"{run} {name}: {value_differences(old, new)}")
+            differing += 1
+    return differing
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--compare", metavar="BEFORE_JSON", help="fingerprint file to compare against")
+    parser.add_argument("--keep", metavar="DIR", type=Path, help="write the run directories to DIR")
+    parser.add_argument(
+        "--values", metavar="DIR", type=Path, help="compare values against another checkout's --keep DIR"
+    )
     args = parser.parse_args()
     prints = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.ExitStack() as stack:
+        root = args.keep if args.keep is not None else Path(stack.enter_context(tempfile.TemporaryDirectory()))
         for name, config in RUNS.items():
-            run_dir = Path(tmp) / name
+            run_dir = root / name
             run_experiment(config, out_dir=run_dir)
             prints[name] = fingerprint(run_dir)
-    if args.compare is None:
+        differing = compare_values(args.values, root) if args.values is not None else 0
+    if args.compare is None and args.values is None:
         print(json.dumps(prints, indent=1, sort_keys=True))
         return 0
-    changed = differences(json.loads(Path(args.compare).read_text()), prints)
+    changed = differences(json.loads(Path(args.compare).read_text()), prints) if args.compare else []
     for run, name in changed:
         print(f"{run} {name}")
-    if changed:
+    if changed or differing:
         return 1
     print(f"all {sum(len(p) for p in prints.values())} artifacts identical")
     return 0

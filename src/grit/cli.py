@@ -34,6 +34,7 @@ from .errors import (
 from .forgetting import fit_baseline_law, fit_xi_coefficients, save_fit
 from .oracles import SUITES, run_suite
 from .runio import (
+    AUDIT_DIR,
     EVENTS_NAME,
     MANIFEST_NAME,
     RECORD_NAME,
@@ -132,7 +133,7 @@ def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
 
 def cmd_audit(args) -> int:
     run_dir = Path(args.run_dir)
-    out = Path(args.out) if args.out else run_dir / "audit"
+    out = Path(args.out) if args.out else run_dir / AUDIT_DIR
     # a run_dir that is not a directory is reported below as an incomplete run
     if run_dir.is_dir() and _unwritable(out, is_dir=True):
         return 2

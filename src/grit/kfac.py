@@ -13,7 +13,10 @@ condition number of each inverse are kept for the invert event. Nothing
 clears the statistics, so once a layer's inverses are ready they stay
 ready for the rest of the run.
 Which Kronecker factorization of the Fisher block this pairing
-approximates is not checked here; ROADMAP item 5 asks that question.
+approximates is ROADMAP item 6's question. It finds this pairing swapped:
+for y = W0 x + s b a x the a factor's rank-space factor is g_cov (its
+gradient is s sum_i (b^T dy_i) x_i^T) and the b factor's is a_cov (its input
+is a x; Martens & Grosse 2015).
 """
 
 from __future__ import annotations

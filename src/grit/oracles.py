@@ -358,14 +358,21 @@ def dense_curvature(curvature: LayerCurvature) -> np.ndarray:
     return sum(np.kron(c, np.outer(x, x)) for x, c in zip(curvature.x, curvature.c))
 
 
-def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
+def per_sample_curvature(x: np.ndarray, c: np.ndarray) -> LayerCurvature:
+    """Factors whose blocks are the given per-sample C_s (m x d_out x d_out): d = 1, e = 0."""
+    ones = np.ones(c.shape[:2])
+    return LayerCurvature(x=x, d=ones, h=c, e=np.zeros_like(ones))
+
+
+def suite_tangent(cases: int = 200, shared_cases: int = 100, seed: int = 20246) -> list[CheckResult]:
     """Factored tangent basis and exposure vs the SVD of the materialized span
-    and the materialized Hessian block of a random factor set."""
+    and the materialized Hessian block of a random factor set: first with
+    random per-sample C_s, then with a shared H and random d and e."""
     rng = np.random.default_rng(seed)
-    worst_exposure = 0.0
+    worst = {"": 0.0, ", shared H": 0.0}  # check-name suffix -> worst relative error
     dim_mismatches = 0
     worst_orth = 0.0
-    for case in range(cases):
+    for case in range(cases + shared_cases):
         d_in = int(rng.integers(1, 9))
         d_out = int(rng.integers(1, 9))
         r = int(rng.integers(1, min(d_in, d_out) + 1))
@@ -377,16 +384,27 @@ def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
             a[-1] = rng.normal() * a[0]  # rank-deficient a
         adapter = AdapterPair(a=a, b=b, rank=r, scaling=1.0)
         samples = int(rng.integers(1, 6))
-        g = rng.normal(size=(samples, d_out, d_out))
-        curvature = LayerCurvature(
-            x=rng.normal(size=(samples, d_in)), c=g @ np.swapaxes(g, 1, 2) / d_out
-        )
+        if case < cases:
+            kind = ""
+            g = rng.normal(size=(samples, d_out, d_out))
+            curvature = per_sample_curvature(
+                x=rng.normal(size=(samples, d_in)), c=g @ np.swapaxes(g, 1, 2) / d_out
+            )
+        else:
+            kind = ", shared H"
+            g = rng.normal(size=(d_out, d_out))
+            curvature = LayerCurvature(
+                x=rng.normal(size=(samples, d_in)),
+                d=rng.normal(size=(samples, d_out)),
+                h=g @ g.T / d_out,
+                e=rng.normal(size=(samples, d_out)),  # of both signs
+            )
 
         dense = span_tangent_basis(adapter)
         factored = adapter_subspace_basis(adapter)
         reference = dense_exposure(dense_curvature(curvature), dense)
         fast = exposure_from_basis(curvature, factored)
-        worst_exposure = max(worst_exposure, abs(fast - reference) / max(abs(reference), 1e-300))
+        worst[kind] = max(worst[kind], abs(fast - reference) / max(abs(reference), 1e-300))
         r_a, r_b = factored.q_in.shape[1], factored.q_out.shape[1]
         if d_out * r_a + r_b * (d_in - r_a) != dense.shape[1]:  # the tangent dimension
             dim_mismatches += 1
@@ -394,7 +412,10 @@ def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
             gram_err = np.abs(q.T @ q - np.eye(q.shape[1]))
             worst_orth = max(worst_orth, float(np.max(gram_err, initial=0.0)))
     return [
-        CheckResult("factored vs span exposure (relative)", worst_exposure < 1e-10, worst_exposure, 1e-10),
+        *(
+            CheckResult(f"factored vs span exposure{kind} (relative)", err < 1e-10, err, 1e-10)
+            for kind, err in worst.items()
+        ),
         CheckResult("tangent dimension mismatches", dim_mismatches == 0, float(dim_mismatches), 0.0),
         CheckResult("factor orthonormality", worst_orth < 1e-12, worst_orth, 1e-12),
     ]

@@ -10,6 +10,7 @@ Layout of a completed run directory:
     updates.jsonl    flattened per-layer update vectors for the PCA export
     checkpoint.json  final model
     record.json      RunRecord summary
+    audit/           the CSVs of `grit audit` (AUDIT_CSVS), once it has run
 
 events.jsonl logs preconditioning once, with a "precondition" event on the
 first step that preconditions; nothing clears the statistics, so it never
@@ -35,8 +36,9 @@ byte-identically for a fixed config and seed. The manifest and record (and
 the law fit) are written by write_json. The manifest, record and
 checkpoint are replaced whole (write_atomic), so a run that dies mid-write
 leaves the previous version, never a truncated file. Each .jsonl stream is
-opened once per run, flushed after every line and closed on every exit
-path, so a run that dies leaves each stream ending in a whole line.
+opened once per run, flushed after every append (an append may hold
+several lines) and closed on every exit path, so a run that dies leaves
+each stream ending in a whole line.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ STATS_NAME = "stats.jsonl"
 UPDATES_NAME = "updates.jsonl"
 CONFIG_NAME = "config.cfg"
 CHECKPOINT_NAME = "checkpoint.json"
+# grit audit's default output directory inside a run directory, and its CSVs
+AUDIT_DIR = "audit"
+AUDIT_CSVS = (
+    "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
+    "alignment.csv", "tail_mass.csv", "pca_updates.csv",
+)
 
 
 @dataclass
@@ -248,16 +256,17 @@ def decode_array(value) -> np.ndarray:
 class JsonlWriter:
     """Line-per-object stream used for events, stats snapshots, update clouds and telemetry.
 
-    The file is opened (and truncated) once. Each line is flushed before
-    append returns, so the file on disk always ends in a whole line.
+    The file is opened (and truncated) once. An append writes one line per
+    object, with one write and one flush before it returns, so the file on
+    disk always ends in a whole line.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = open(self.path, "w")
 
-    def append(self, obj: dict) -> None:
-        self._file.write(_JSONL_ENCODER.encode(obj) + "\n")
+    def append(self, *objs: dict) -> None:
+        self._file.write("".join(_JSONL_ENCODER.encode(obj) + "\n" for obj in objs))
         self._file.flush()
 
     def close(self) -> None:

@@ -26,10 +26,11 @@ Task specs are strings:
         fixed held-out set.
 
 Both tasks expose the pretraining curvature at the base point without forming
-the dense Hessian H: per adapted layer, the layer inputs x_s and the
-per-sample Hessians C_s of the pt loss in the layer's pre-activations, whose
-sum_s C_s kron x_s x_s^T is the layer's exact block of H; and the quadratic
-forgetting estimate 1/2 delta^T H delta from a second-order forward pass.
+the dense Hessian H: per adapted layer, the layer inputs x_s and the factors
+of the per-sample Hessians C_s of the pt loss in the layer's pre-activations
+(telemetry.LayerCurvature), whose sum_s C_s kron x_s x_s^T is the layer's
+exact block of H; and the quadratic forgetting estimate 1/2 delta^T H delta
+from a second-order forward pass.
 The dense H they are checked against, by central finite differences of the
 exact gradient, is oracles.fd_pt_hessian.
 """
@@ -93,27 +94,30 @@ class TaskInstance:
     def pt_curvature(self) -> list[LayerCurvature]:
         """Exact factors of each adapted layer's pretraining Hessian block, cached.
 
-        One backward pass carries the per-sample Hessian of the pt loss from
-        the output to each layer's pre-activations (Botev et al. 2017, with
-        the activation's second-derivative term kept):
-        C_l = D_l W_{l+1}^T C_{l+1} W_{l+1} D_l + diag(act''(z_l) * dloss/dh_l).
+        One backward pass carries the Hessian of the pt loss from the output
+        to each layer's pre-activations (Botev et al. 2017, with the
+        activation's second-derivative term kept): H_L = I/m in the outputs,
+        H_{l-1} = W_l^T C_l W_l with C_l = diag(d_l) H_l diag(d_l) + diag(e_l)
+        (see LayerCurvature). Through an identity layer C_l = H_l, so a shared
+        H stays one d x d matrix and the layer's factors take O(m d) memory
+        besides it, as in every layer of the built-in tasks; below a tanh
+        layer H is per sample (m x d x d).
         """
         if self._curvature_cache is None:
             inputs, pre, err = self._base_point()
             m, d_out = err.shape
             grad_h = err / m  # d loss / d h_l, per sample
-            hess_h = np.broadcast_to(np.eye(d_out) / m, (m, d_out, d_out))
+            hess_h = np.eye(d_out) / m
             layers = self.model.layers
             factors = [None] * len(layers)
             for idx in reversed(range(len(layers))):
                 base, z = layers[idx][0], pre[idx]
                 d1 = _act_deriv(base.activation, z)
-                c = np.einsum("si,sij,sj->sij", d1, hess_h, d1)
-                diag = np.arange(base.d_out)
-                c[:, diag, diag] += _act_deriv2(base.activation, z) * grad_h
-                factors[idx] = LayerCurvature(x=inputs[idx], c=c)
+                e = _act_deriv2(base.activation, z) * grad_h
+                factors[idx] = LayerCurvature(x=inputs[idx], d=d1, h=hess_h, e=e)
                 if idx > 0:
                     grad_h = (d1 * grad_h) @ base.w0
+                    c = hess_h if base.activation == "identity" else factors[idx].c
                     hess_h = base.w0.T @ c @ base.w0
             self._curvature_cache = factors
         return self._curvature_cache

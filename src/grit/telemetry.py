@@ -199,20 +199,39 @@ class LayerCurvature:
     """Exact factors of one layer's pretraining Hessian block.
 
     On row-major vec coordinates of the layer weight the block is
-    sum_s C_s kron x_s x_s^T, with x the layer inputs (m x d_in) and c the
-    per-sample Hessians of the loss in the layer's pre-activations
-    (m x d_out x d_out).
+    sum_s C_s kron x_s x_s^T, with x the layer inputs (m x d_in) and C_s the
+    Hessian of the loss in sample s's pre-activations,
+    C_s = diag(d_s) H diag(d_s) + diag(e_s). Here d = act'(z) and
+    e = act''(z) * dloss/dh are m x d_out, and h is H, the Hessian in the
+    layer's outputs. H is one d_out x d_out matrix, shared by every sample,
+    when every layer above is an identity layer, as in every layer of the
+    built-in tasks; the factors then take O(m (d_in + d_out)) memory besides
+    H. Below a tanh layer H differs per sample, and h is m x d_out x d_out.
     """
 
     x: np.ndarray
-    c: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
+    e: np.ndarray
     # per sample ||x_s||^2 and tr(C_s), read by every exposure_from_basis call
     x_sq: np.ndarray = field(init=False, repr=False)
     c_trace: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x_sq = np.sum(self.x * self.x, axis=1)
-        self.c_trace = np.trace(self.c, axis1=1, axis2=2)
+        h_diag = np.diagonal(self.h, axis1=-2, axis2=-1)
+        self.c_trace = np.sum(self.d * self.d * h_diag, axis=1) + np.sum(self.e, axis=1)
+
+    @property
+    def c(self) -> np.ndarray:
+        """The per-sample blocks C_s (m x d_out x d_out), materialized on each call.
+
+        For the oracles and tests; no run calls it.
+        """
+        c = self.d[:, :, None] * self.h * self.d[:, None, :]
+        diag = np.arange(c.shape[1])
+        c[:, diag, diag] += self.e
+        return c
 
 
 def _column_basis(m: np.ndarray) -> np.ndarray:
@@ -231,22 +250,31 @@ def adapter_subspace_basis(adapter: AdapterPair) -> TangentBasis:
 def exposure_from_basis(curvature: LayerCurvature, basis: TangentBasis) -> float:
     """Curvature exposure tr(H P) over the tangent space, from both sets of factors.
 
-    For H = sum_s C_s kron x_s x_s^T every sample contributes
-    tr(C_s) ||q_in^T x_s||^2 + tr(q_out^T C_s q_out) (||x_s||^2 - ||q_in^T x_s||^2),
-    so the cost is O(m d^2) and no (d_out d_in)-square matrix is formed.
+    For H = sum_s C_s kron x_s x_s^T the exposure is
+    sum_s tr(C_s) ||q_in^T x_s||^2 + tr(q_out^T M q_out), with
+    M = sum_s w_s C_s and w_s = ||x_s||^2 - ||q_in^T x_s||^2. With a shared H
+    (every layer above is identity), M = H * (d^T diag(w) d) + diag(e^T w)
+    (elementwise product) reads only H and the O(m d) factors, and no
+    m x d_out x d_out array is formed; a per-sample H contracts the
+    materialized blocks. The cost is O(m d^2).
     """
-    x, c = curvature.x, curvature.c
+    x, d = curvature.x, curvature.d
     q_in, q_out = basis.q_in, basis.q_out
-    if x.shape[1] != q_in.shape[0] or c.shape[1] != q_out.shape[0]:
+    if x.shape[1] != q_in.shape[0] or d.shape[1] != q_out.shape[0]:
         raise ShapeError(
-            f"curvature factors for a {c.shape[1]}x{x.shape[1]} layer do not match "
+            f"curvature factors for a {d.shape[1]}x{x.shape[1]} layer do not match "
             f"a {q_out.shape[0]}x{q_in.shape[0]} tangent basis"
         )
     x_in = x @ q_in
     in_sq = np.sum(x_in * x_in, axis=1)
     out_weight = curvature.x_sq - in_sq
     exposure = np.dot(curvature.c_trace, in_sq)
-    exposure += np.sum(q_out * (np.tensordot(out_weight, c, axes=1) @ q_out))
+    if curvature.h.ndim == 2:
+        weighted = curvature.h * (d.T @ (out_weight[:, None] * d))
+        weighted.flat[:: d.shape[1] + 1] += out_weight @ curvature.e  # the diagonal
+    else:
+        weighted = np.tensordot(out_weight, curvature.c, axes=1)
+    exposure += np.vdot(q_out, weighted @ q_out)
     return float(exposure)
 
 
@@ -257,8 +285,8 @@ class TelemetryWriter:
         self.lines = JsonlWriter(path)
         self.lines.append({"schema": "geometry", "version": TELEMETRY_SCHEMA_VERSION})
 
-    def append(self, record: GeometryRecord) -> None:
-        self.lines.append(vars(record))
+    def append(self, *records: GeometryRecord) -> None:
+        self.lines.append(*map(vars, records))
 
     def close(self) -> None:
         self.lines.close()

@@ -54,6 +54,8 @@ from .model import save_checkpoint
 from .reprojection import LayerGeometry, effective_rank, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
+    AUDIT_CSVS,
+    AUDIT_DIR,
     CONFIG_NAME,
     CHECKPOINT_NAME,
     EVENTS_NAME,
@@ -478,6 +480,7 @@ class Trainer:
 
     def _emit_telemetry(self, step: int) -> None:
         curvature = self.task.pt_curvature()
+        records, deltas = [], []  # one line per layer, one append per stream
         for idx, (_, adapter) in enumerate(self.model.layers):
             monitor = self.monitors[idx]
             r = adapter.rank
@@ -552,13 +555,16 @@ class Trainer:
                 cov_var=float(cov_var),
                 spectrum=[float(v) for v in spectrum],
             )
-            self.records.append(record)
-            if self.telemetry_writer is not None:
-                self.telemetry_writer.append(record)
-            if self.update_writer is not None:
-                self.update_writer.append(
-                    {"step": step, "layer": idx, "delta_w": encode_array(delta_vec)}
-                )
+            records.append(record)
+            deltas.append(delta_vec)
+        self.records.extend(records)
+        if self.telemetry_writer is not None:
+            self.telemetry_writer.append(*records)
+        if self.update_writer is not None:
+            self.update_writer.append(
+                *({"step": step, "layer": idx, "delta_w": encode_array(delta)}
+                  for idx, delta in enumerate(deltas))
+            )
 
     def geometry_summary(self) -> GeometrySummary:
         if not self.records:
@@ -580,9 +586,10 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
     Builds the config's synthetic task, measures the pretraining-proxy loss
     on the held-out set before and after adaptation, writes the run
     artifacts (when out_dir is given; config.cfg is config_to_text(config)),
-    and returns the RunRecord. An earlier run's record.json and
-    checkpoint.json in out_dir are deleted before the manifest is written,
-    so a run that fails leaves no record beside its failed manifest. Any
+    and returns the RunRecord. An earlier run's record.json,
+    checkpoint.json and default `grit audit` CSVs (nothing else in audit/)
+    are deleted before the manifest is written, so a run that fails leaves
+    none of them beside its failed manifest. Any
     exception after the manifest is written marks it failed (interrupted for
     Ctrl-C) before propagating. The run streams are closed on every exit
     path.
@@ -605,8 +612,11 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
         if out_dir is not None:
             out = Path(out_dir)
             # an earlier run's results must not outlive this run's manifest
-            for name in (RECORD_NAME, CHECKPOINT_NAME):
-                (out / name).unlink(missing_ok=True)
+            stale = [out / RECORD_NAME, out / CHECKPOINT_NAME]
+            if (out / AUDIT_DIR).is_dir():
+                stale += [out / AUDIT_DIR / name for name in AUDIT_CSVS]
+            for path in stale:
+                path.unlink(missing_ok=True)
             (out / CONFIG_NAME).write_text(config_to_text(config))
             manifest = RunManifest.create(
                 run_id=out.name,

@@ -201,6 +201,18 @@ class TestPretrainingCurvature:
         task = build("two_task_forgetting(d=5, hidden=4, pretrain_steps=0, init_jitter=0.3)")
         assert task.pt_quadratic(task.model) == 0.0  # b = 0 at initialization
 
+    @pytest.mark.parametrize("spec", CURVATURE_TASKS + ["two_task_forgetting(d=12, hidden=9)"])
+    def test_built_in_tasks_share_h_in_every_layer(self, spec):
+        task = build(spec, rank=2, eval_size=32)
+        for (base, _), factors in zip(task.model.layers, task.pt_curvature()):
+            assert factors.h.shape == (base.d_out, base.d_out)
+            assert factors.d.shape == factors.e.shape == (32, base.d_out)
+
+    def test_h_is_per_sample_below_a_tanh_layer(self):
+        task = net_with_biases()
+        shapes = [factors.h.shape for factors in task.pt_curvature()]
+        assert shapes == [(16, 5, 5), (3, 3), (2, 2)]
+
     def test_built_lazily_and_cached(self):
         task = build("two_task_forgetting(d=6, hidden=6, pretrain_steps=0)")
         assert task._curvature_cache is None

@@ -9,7 +9,13 @@ from grit.config import GritConfig
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
 from grit.model import AdapterPair
-from grit.oracles import dense_curvature, dense_exposure, hessian_fd, span_tangent_basis
+from grit.oracles import (
+    dense_curvature,
+    dense_exposure,
+    hessian_fd,
+    per_sample_curvature,
+    span_tangent_basis,
+)
 from grit.reprojection import make_projector
 from grit.runio import decode_array, read_jsonl
 from grit.telemetry import (
@@ -401,7 +407,18 @@ class TestAdapterSubspaceBasis:
 def random_curvature(rng, d_out, d_in, samples=5):
     """Factors of a Hessian block: inputs and symmetric, indefinite per-sample C_s."""
     c = rng.normal(size=(samples, d_out, d_out))
-    return LayerCurvature(x=rng.normal(size=(samples, d_in)), c=c + np.swapaxes(c, 1, 2))
+    return per_sample_curvature(x=rng.normal(size=(samples, d_in)), c=c + np.swapaxes(c, 1, 2))
+
+
+def random_shared_curvature(rng, d_out, d_in, samples=5):
+    """Factors with one shared symmetric H, random d and e of both signs."""
+    g = rng.normal(size=(d_out, d_out))
+    return LayerCurvature(
+        x=rng.normal(size=(samples, d_in)),
+        d=rng.normal(size=(samples, d_out)),
+        h=g + g.T,
+        e=rng.normal(size=(samples, d_out)),
+    )
 
 
 class TestFactoredExposure:
@@ -415,6 +432,43 @@ class TestFactoredExposure:
             fast = exposure_from_basis(curvature, adapter_subspace_basis(adapter))
             reference = dense_exposure(dense_curvature(curvature), span_tangent_basis(adapter))
             assert abs(fast - reference) <= 1e-10 * max(1.0, abs(reference))
+
+    SHAPES = ((3, 5, 2), (6, 4, 3), (4, 4, 4), (1, 3, 1), (5, 2, 1))
+
+    def test_shared_h_matches_its_per_sample_blocks(self):
+        rng = np.random.default_rng(13)
+        for d_out, d_in, r in self.SHAPES:
+            for b_zero in (False, True):
+                adapter = AdapterPair(
+                    a=rng.normal(size=(r, d_in)),
+                    b=np.zeros((d_out, r)) if b_zero else rng.normal(size=(d_out, r)),
+                    rank=r, scaling=1.0,
+                )
+                shared = random_shared_curvature(rng, d_out, d_in, samples=7)
+                assert shared.h.ndim == 2
+                blocks = per_sample_curvature(shared.x, shared.c)
+                basis = adapter_subspace_basis(adapter)
+                fast, reference = exposure_from_basis(shared, basis), exposure_from_basis(blocks, basis)
+                assert abs(fast - reference) <= 1e-12 * abs(reference)
+
+    def test_shared_h_matches_dense_oracle(self):
+        rng = np.random.default_rng(14)
+        for d_out, d_in, r in self.SHAPES:
+            adapter = AdapterPair(
+                a=rng.normal(size=(r, d_in)), b=rng.normal(size=(d_out, r)), rank=r, scaling=1.0
+            )
+            curvature = random_shared_curvature(rng, d_out, d_in)
+            fast = exposure_from_basis(curvature, adapter_subspace_basis(adapter))
+            reference = dense_exposure(dense_curvature(curvature), span_tangent_basis(adapter))
+            assert abs(fast - reference) <= 1e-10 * abs(reference)
+
+    def test_blocks_are_the_factored_form(self):
+        rng = np.random.default_rng(15)
+        curvature = random_shared_curvature(rng, 3, 2)
+        for s, block in enumerate(curvature.c):
+            expected = np.diag(curvature.d[s]) @ curvature.h @ np.diag(curvature.d[s]) + np.diag(curvature.e[s])
+            assert np.allclose(block, expected, rtol=1e-14, atol=1e-14)
+        assert np.allclose(curvature.c_trace, np.trace(curvature.c, axis1=1, axis2=2), rtol=1e-14, atol=1e-14)
 
     def test_b_zero_is_row_space_exposure(self):
         # with b = 0 the tangent space is {x a}: tr(H (I kron P_in))

@@ -918,6 +918,34 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="no record.json"):
             read_record(out)
 
+    def test_failed_rerun_leaves_no_earlier_audit(self, tmp_path):
+        from grit.cli import main as grit_cli
+
+        csvs = ["alignment.csv", "cumulative_energy.csv", "effective_rank.csv",
+                "pca_updates.csv", "spectra.csv", "tail_mass.csv"]
+        out = tmp_path / "run"
+        done = GritConfig(task=TASK, steps=5, seed=0, mode="lora_control", eval_size=64,
+                          lora_rank=4, telemetry_every=1)
+        run_experiment(done, out_dir=out)
+        assert grit_cli(["--quiet", "audit", str(out)]) == 0
+        assert sorted(p.name for p in (out / "audit").iterdir()) == csvs
+        (out / "audit" / "notes.txt").write_text("kept")
+        failing = GritConfig(task=TASK, steps=5, seed=1, mode="lora_control", learning_rate=1e200,
+                             eval_size=64, lora_rank=4, telemetry_every=1)
+        with pytest.raises(GritError, match="step 0"), pytest.warns(RuntimeWarning, match="overflow"):
+            run_experiment(failing, out_dir=out)
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert [p.name for p in (out / "audit").iterdir()] == ["notes.txt"]
+
+    def test_run_beside_a_file_named_audit(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "audit").write_text("not an audit directory")
+        cfg = GritConfig(task=TASK, steps=3, seed=0, mode="lora_control", eval_size=64,
+                         lora_rank=4, telemetry_every=0)
+        run_experiment(cfg, out_dir=out)
+        assert (out / "audit").read_text() == "not an audit directory"
+
     def test_changed_base_weight_fails_run(self, tmp_path, monkeypatch):
         from grit.errors import GritError
 
@@ -979,6 +1007,27 @@ class TestRunPath:
         assert record.quadratic_forgetting_estimate > 0.0
         assert (telemetry_every > 0) == (record.geometry_summary.curvature_exposure != 0.0)
         assert main(["--quiet", "audit", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("task", [TASK, SMALL_NET])
+    def test_no_per_sample_curvature_on_the_run_path(self, tmp_path, monkeypatch, task):
+        # every layer's H is one d_out x d_out matrix, and no run materializes the C_s
+        from grit.telemetry import LayerCurvature
+
+        post_init = LayerCurvature.__post_init__
+
+        def shared_only(self):
+            assert self.h.ndim == 2, "per-sample H on the run path"
+            post_init(self)
+
+        def forbidden(self):
+            raise AssertionError("per-sample blocks materialized on the run path")
+
+        monkeypatch.setattr(LayerCurvature, "__post_init__", shared_only)
+        monkeypatch.setattr(LayerCurvature, "c", property(forbidden))
+        cfg = GritConfig(task=task, steps=20, seed=2, lora_rank=2, min_lora_rank=1,
+                         eval_size=32, kfac_min_samples=8, telemetry_every=5)
+        record = run_experiment(cfg, out_dir=tmp_path / "run")
+        assert record.geometry_summary.curvature_exposure != 0.0
 
     def test_fit_law_reaches_no_oracle_code(self, tmp_path, monkeypatch):
         from grit.cli import main
