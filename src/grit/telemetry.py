@@ -226,7 +226,8 @@ class LayerCurvature:
     def c(self) -> np.ndarray:
         """The per-sample blocks C_s (m x d_out x d_out), materialized on each call.
 
-        For the oracles and tests; no run calls it.
+        For the oracles, the tests and a per-sample H; no run of the built-in
+        tasks calls it.
         """
         c = self.d[:, :, None] * self.h * self.d[:, None, :]
         diag = np.arange(c.shape[1])
