@@ -25,7 +25,8 @@ worst relative difference |new - old| / |old| among them, reading every
 number of the JSON, JSONL and CSV files (encode_array payloads decoded with
 runio.decode_array, so each float64 is compared bit for bit); a difference
 in anything else (a key, a string, the number of values) is printed as a
-structural difference. It exits 1 if any artifact differs.
+structural difference, and an artifact that only one side has as "only in
+DIR" or "only in this checkout". It exits 1 if any artifact differs.
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
@@ -65,17 +66,13 @@ import numpy as np
 
 from grit.cli import main as grit_cli
 from grit.config import GritConfig
-from grit.runio import decode_array
+from grit.runio import AUDIT_CSVS, decode_array
 from grit.trainer import run_experiment
 from study import study_config
 
 ARTIFACTS = (
     "config.cfg", "telemetry.jsonl", "events.jsonl", "stats.jsonl",
     "updates.jsonl", "checkpoint.json", "record.json",
-)
-AUDIT_CSVS = (
-    "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
-    "alignment.csv", "tail_mass.csv", "pca_updates.csv",
 )
 
 RUNS = {
@@ -198,9 +195,9 @@ def compare_values(old_root: Path, new_root: Path) -> int:
     for run in RUNS:
         for name in list(ARTIFACTS) + [f"audit/{csv_name}" for csv_name in AUDIT_CSVS]:
             old, new = old_root / run / name, new_root / run / name
-            if not old.exists():
-                print(f"{run} {name}: only in this checkout")
-            elif old.read_bytes() == new.read_bytes():
+            if old.exists() != new.exists():
+                print(f"{run} {name}: only in {old_root if old.exists() else 'this checkout'}")
+            elif not old.exists() or old.read_bytes() == new.read_bytes():
                 continue
             else:
                 print(f"{run} {name}: {value_differences(old, new)}")

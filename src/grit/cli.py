@@ -34,6 +34,7 @@ from .errors import (
 from .forgetting import fit_baseline_law, fit_xi_coefficients, save_fit
 from .oracles import SUITES, run_suite
 from .runio import (
+    AUDIT_CSVS,
     AUDIT_DIR,
     EVENTS_NAME,
     MANIFEST_NAME,
@@ -172,18 +173,22 @@ def cmd_audit(args) -> int:
         overlap_rows.append([rec.step, rec.layer, rec.rho_align, rec.pi_proj])
         tail_rows.append([rec.step, rec.layer, rec.tail_mass])
 
-    _write_csv(out / "spectra.csv", ["step", "layer", "index", "eigenvalue"], spectra_rows)
-    _write_csv(out / "cumulative_energy.csv", ["step", "layer", "index", "energy"], energy_rows)
-    _write_csv(out / "effective_rank.csv", ["step", "layer", "r_eff", "k_selected"], reff_rows)
-    _write_csv(out / "alignment.csv", ["step", "layer", "rho_align", "pi_proj"], overlap_rows)
-    _write_csv(out / "tail_mass.csv", ["step", "layer", "tail_mass"], tail_rows)
-
     coords = []  # below three vectors there is no embedding, only the header
     if len(vectors) >= 3:
         from .telemetry import pca_export
 
         coords = pca_export(vectors).tolist()
-    _write_csv(out / "pca_updates.csv", ["pc1", "pc2"], coords)
+
+    tables = (  # header and rows of each CSV, in AUDIT_CSVS order
+        (["step", "layer", "index", "eigenvalue"], spectra_rows),
+        (["step", "layer", "index", "energy"], energy_rows),
+        (["step", "layer", "r_eff", "k_selected"], reff_rows),
+        (["step", "layer", "rho_align", "pi_proj"], overlap_rows),
+        (["step", "layer", "tail_mass"], tail_rows),
+        (["pc1", "pc2"], coords),
+    )
+    for name, (header, rows) in zip(AUDIT_CSVS, tables, strict=True):
+        _write_csv(out / name, header, rows)
 
     n_reproj = sum(1 for e in events if e.get("action") == "reproject")
     _say(args.quiet, f"audit written to {out} ({len(records)} records, {n_reproj} reprojection events)")

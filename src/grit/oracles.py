@@ -364,7 +364,11 @@ def per_sample_curvature(x: np.ndarray, c: np.ndarray) -> LayerCurvature:
     return LayerCurvature(x=x, d=ones, h=c, e=np.zeros_like(ones))
 
 
-def suite_tangent(cases: int = 200, shared_cases: int = 100, seed: int = 20246) -> list[CheckResult]:
+# suite_tangent's cases with a shared H, drawn after its per-sample ones
+_SHARED_H_CASES = 100
+
+
+def suite_tangent(cases: int = 200, seed: int = 20246) -> list[CheckResult]:
     """Factored tangent basis and exposure vs the SVD of the materialized span
     and the materialized Hessian block of a random factor set: first with
     random per-sample C_s, then with a shared H and random d and e."""
@@ -372,7 +376,7 @@ def suite_tangent(cases: int = 200, shared_cases: int = 100, seed: int = 20246) 
     worst = {"": 0.0, ", shared H": 0.0}  # check-name suffix -> worst relative error
     dim_mismatches = 0
     worst_orth = 0.0
-    for case in range(cases + shared_cases):
+    for case in range(cases + _SHARED_H_CASES):
         d_in = int(rng.integers(1, 9))
         d_out = int(rng.integers(1, 9))
         r = int(rng.integers(1, min(d_in, d_out) + 1))

@@ -64,7 +64,8 @@ STATS_NAME = "stats.jsonl"
 UPDATES_NAME = "updates.jsonl"
 CONFIG_NAME = "config.cfg"
 CHECKPOINT_NAME = "checkpoint.json"
-# grit audit's default output directory inside a run directory, and its CSVs
+# grit audit's default output directory inside a run directory, and the CSVs
+# it writes (cli.cmd_audit takes their names from here)
 AUDIT_DIR = "audit"
 AUDIT_CSVS = (
     "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",

@@ -9,6 +9,7 @@ from grit.cli import main
 from grit.config import config_hash, load_config
 from grit.forgetting import load_fit
 from grit.runio import (
+    AUDIT_CSVS,
     GeometrySummary,
     RunManifest,
     RunRecord,
@@ -33,12 +34,6 @@ reprojection_warmup_steps = 10
 telemetry_every = 10
 eval_size = 64
 """
-
-
-AUDIT_CSVS = (
-    "spectra.csv", "cumulative_energy.csv", "effective_rank.csv",
-    "alignment.csv", "tail_mass.csv", "pca_updates.csv",
-)
 
 
 def write_config(tmp_path, text=MINIMAL_CONFIG, name="run.cfg"):

@@ -12,7 +12,7 @@ from grit.kfac import RankSpaceStats, precondition
 from grit.linalg import damped_solve, sym_eig, sym_eig_stack, symmetrize
 from grit.model import AdapterPair, LayerTape
 from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
-from grit.runio import JsonlWriter, decode_array, read_jsonl, read_record
+from grit.runio import AUDIT_CSVS, JsonlWriter, decode_array, read_jsonl, read_record
 from grit.telemetry import stability_stats
 from grit.trainer import (
     AdamW,
@@ -921,14 +921,12 @@ class TestRunExperiment:
     def test_failed_rerun_leaves_no_earlier_audit(self, tmp_path):
         from grit.cli import main as grit_cli
 
-        csvs = ["alignment.csv", "cumulative_energy.csv", "effective_rank.csv",
-                "pca_updates.csv", "spectra.csv", "tail_mass.csv"]
         out = tmp_path / "run"
         done = GritConfig(task=TASK, steps=5, seed=0, mode="lora_control", eval_size=64,
                           lora_rank=4, telemetry_every=1)
         run_experiment(done, out_dir=out)
         assert grit_cli(["--quiet", "audit", str(out)]) == 0
-        assert sorted(p.name for p in (out / "audit").iterdir()) == csvs
+        assert sorted(p.name for p in (out / "audit").iterdir()) == sorted(AUDIT_CSVS)
         (out / "audit" / "notes.txt").write_text("kept")
         failing = GritConfig(task=TASK, steps=5, seed=1, mode="lora_control", learning_rate=1e200,
                              eval_size=64, lora_rank=4, telemetry_every=1)
