@@ -21,9 +21,10 @@ checkout and compare the other's against them:
 --keep DIR writes each run directory to DIR/<run> instead of a temporary
 directory. --values DIR prints, for each artifact whose bytes differ from
 DIR/<run>/<artifact>, the number of numeric values that differ and the
-worst relative difference |new - old| / |old| among them, reading every
-number of the JSON, JSONL and CSV files (encode_array payloads decoded with
-runio.decode_array, so each float64 is compared bit for bit); a difference
+worst relative difference |new - old| / |old| among them (0 for a zero
+that changes sign, inf for a value that turns into or out of NaN), reading
+every number of the JSON, JSONL and CSV files (encode_array payloads decoded
+with runio.decode_array, so each float64 is compared bit for bit); a difference
 in anything else (a key, a string, the number of values) is printed as a
 structural difference, and an artifact that only one side has as "only in
 DIR" or "only in this checkout". It exits 1 if any artifact differs.
@@ -184,8 +185,11 @@ def value_differences(old: Path, new: Path) -> str:
     pairs = np.array([(b, a) for b, a in zip(before, after) if numeric(b)], dtype=np.float64).reshape(-1, 2)
     bits = pairs.view(np.int64)
     moved = pairs[bits[:, 0] != bits[:, 1]]  # bit for bit, so a NaN that stays NaN has not moved
+    change = np.abs(moved[:, 1] - moved[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        worst = float(np.max(np.abs(moved[:, 1] - moved[:, 0]) / np.abs(moved[:, 0]), initial=0.0))
+        relative = np.where(change == 0.0, 0.0, change / np.abs(moved[:, 0]))  # 0 / 0 for a signed zero
+    # a value that turns into or out of NaN moved by inf, and a NaN must not hide the others' worst
+    worst = float(np.max(np.where(np.isnan(relative), np.inf, relative), initial=0.0))
     return f"{len(moved)} of {len(pairs)} numeric values differ, worst relative difference {worst:.3g}"
 
 

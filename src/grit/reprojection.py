@@ -81,8 +81,9 @@ class Projector:
         return np.eye(self.basis.shape[0]) - self.matrix()
 
 
-# A prefix within this many ulps of the energy threshold counts as reaching
-# it, so ulp-level eigensolver noise cannot move a rank across the boundary.
+# A prefix within this many ulps of the energy threshold (or of the edge of
+# the hysteresis band) counts as reaching it, so ulp-level eigensolver noise
+# cannot move a rank across the boundary.
 _THRESHOLD_ULPS = 16
 
 
@@ -184,7 +185,8 @@ class LayerGeometry:
         fixed_rank when that gives one, else select_rank on the a-side
         spectrum at rank_adaptation_threshold. With prev_k, k stays at
         prev_k (clamped to the rank) while prev_k's energy lies within
-        hysteresis_eps of the threshold.
+        hysteresis_eps of the threshold, or within 16 ulps of that band edge,
+        as in effective_rank.
         """
         config = self.config
         rank = self.decomp_a.dim
@@ -198,7 +200,8 @@ class LayerGeometry:
         if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
             held = min(prev_k, rank)
             energy = cumulative_energy(self.decomp_a.eigenvalues)
-            if abs(energy[held - 1] - tau) <= config.hysteresis_eps:
+            edge = config.hysteresis_eps + _THRESHOLD_ULPS * np.finfo(np.float64).eps  # energies lie in [0, 1]
+            if abs(energy[held - 1] - tau) <= edge:
                 k = held
         return k
 

@@ -1,6 +1,6 @@
 """Built-in synthetic tasks with a planted structure and a retention probe.
 
-Task specs are strings:
+Task specs are strings, each naming a task dataclass below and its arguments:
 
     synthetic_lowrank(d=24, r_true=2, noise=0.02, delta_scale=1.0)
         Single linear layer. Inputs live on an r_true-dimensional subspace
@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import declarations, parse_settings, setting
 from .errors import ConfigError
 from .model import Model, _act, _act_deriv, _act_deriv2, build_model
 from .telemetry import LayerCurvature
@@ -156,141 +157,140 @@ def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray
     return q
 
 
-def build_synthetic_lowrank(
-    params: dict,
-    rank: int,
-    alpha: float,
-    eval_size: int,
-    model_rng: np.random.Generator,
-    data_rng: np.random.Generator,
-) -> TaskInstance:
-    d, r_true = params["d"], params["r_true"]
-    noise, delta_scale = params["noise"], params["delta_scale"]
-    _check_rank(rank, [d, d])
-    if r_true < 1 or r_true > d:
-        raise ConfigError("r_true must lie in [1, d]", key="task")
+@dataclass(frozen=True)
+class SyntheticLowrank:
+    d: int = setting(24, ge=1)
+    r_true: int = setting(2, ge=1)  # at most d (build)
+    noise: float = setting(0.02, ge=0)
+    delta_scale: float = setting(1.0, ge=0)
 
-    w0 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
-    subspace = _orthonormal_columns(model_rng, d, r_true)
-    delta = model_rng.normal(0.0, delta_scale / np.sqrt(d), size=(d, d))
-    target_w = w0 + delta
+    def build(
+        self,
+        rank: int,
+        alpha: float,
+        eval_size: int,
+        model_rng: np.random.Generator,
+        data_rng: np.random.Generator,
+    ) -> TaskInstance:
+        d, r_true, noise = self.d, self.r_true, self.noise
+        _check_rank(rank, [d, d])
+        if r_true > d:
+            raise ConfigError(f"task argument 'r_true' must be at most d = {d}, got {r_true}", key="task")
 
-    model = build_model(
-        [d, d], rank=rank, scaling=alpha, rng=model_rng,
-        activations=["identity"], base_weights=[w0],
-    )
+        w0 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+        subspace = _orthonormal_columns(model_rng, d, r_true)
+        delta = model_rng.normal(0.0, self.delta_scale / np.sqrt(d), size=(d, d))
+        target_w = w0 + delta
 
-    def sample_batch(rng: np.random.Generator, batch: int):
-        z = rng.normal(size=(batch, r_true))
-        x = z @ subspace.T
-        if noise > 0.0:
-            x = x + noise * rng.normal(size=(batch, d))
-        y = x @ target_w.T
-        return x, y
+        model = build_model(
+            [d, d], rank=rank, scaling=alpha, rng=model_rng,
+            activations=["identity"], base_weights=[w0],
+        )
 
-    # Retention probe: keep the base map on isotropic inputs.
-    pt_inputs = data_rng.normal(size=(eval_size, d))
-    pt_targets = pt_inputs @ w0.T
-    return TaskInstance(
-        name="synthetic_lowrank",
-        model=model,
-        sample_batch=sample_batch,
-        pt_inputs=pt_inputs,
-        pt_targets=pt_targets,
-        n_params=d * d,
-    )
+        def sample_batch(rng: np.random.Generator, batch: int):
+            z = rng.normal(size=(batch, r_true))
+            x = z @ subspace.T
+            if noise > 0.0:
+                x = x + noise * rng.normal(size=(batch, d))
+            y = x @ target_w.T
+            return x, y
 
-
-def build_two_task_forgetting(
-    params: dict,
-    rank: int,
-    alpha: float,
-    eval_size: int,
-    model_rng: np.random.Generator,
-    data_rng: np.random.Generator,
-) -> TaskInstance:
-    d, hidden, pretrain_steps = params["d"], params["hidden"], params["pretrain_steps"]
-    delta_scale, ft_noise = params["delta_scale"], params["ft_noise"]
-    init_jitter = params["init_jitter"]
-    _check_rank(rank, [d, hidden, d])
-
-    teacher_w1 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
-    teacher_w2 = model_rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(d, hidden))
-
-    def teacher(x: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ teacher_w1.T) @ teacher_w2.T
-
-    # Pretraining: start at (or near) the teacher and refine with full-batch
-    # gradient descent on noiseless teacher data. A step with exactly zero
-    # gradients, and every step after it, would leave the weights unchanged,
-    # so the loop stops there; with init_jitter = 0 that is the first step.
-    w1 = teacher_w1 + init_jitter * model_rng.normal(size=teacher_w1.shape)
-    w2 = teacher_w2 + init_jitter * model_rng.normal(size=teacher_w2.shape)
-    x_tr = data_rng.normal(size=(max(eval_size, 128), d))
-    y_tr = teacher(x_tr)
-    lr = 0.5
-    for _ in range(pretrain_steps):
-        h_pre = x_tr @ w1.T
-        h = np.tanh(h_pre)
-        pred = h @ w2.T
-        err = (pred - y_tr) / x_tr.shape[0]
-        g2 = err.T @ h
-        dh = (err @ w2) * (1.0 - h * h)
-        g1 = dh.T @ x_tr
-        if not (g1.any() or g2.any()):
-            break
-        w1 = w1 - lr * g1
-        w2 = w2 - lr * g2
-
-    model = build_model(
-        [d, hidden, d], rank=rank, scaling=alpha, rng=model_rng,
-        activations=["tanh", "identity"], base_weights=[w1, w2],
-    )
-
-    # Fine-tuning teacher: the pretraining teacher plus a rank-2 delta per layer.
-    deltas = []
-    for w in (teacher_w1, teacher_w2):
-        u = _orthonormal_columns(model_rng, w.shape[0], 2)
-        v = _orthonormal_columns(model_rng, w.shape[1], 2)
-        deltas.append(delta_scale * (u @ v.T))
-    ft_w1 = teacher_w1 + deltas[0]
-    ft_w2 = teacher_w2 + deltas[1]
-
-    def sample_batch(rng: np.random.Generator, batch: int):
-        x = rng.normal(size=(batch, d))
-        y = np.tanh(x @ ft_w1.T) @ ft_w2.T
-        if ft_noise > 0.0:
-            y = y + ft_noise * rng.normal(size=y.shape)
-        return x, y
-
-    pt_inputs = data_rng.normal(size=(eval_size, d))
-    pt_targets = teacher(pt_inputs)
-    return TaskInstance(
-        name="two_task_forgetting",
-        model=model,
-        sample_batch=sample_batch,
-        pt_inputs=pt_inputs,
-        pt_targets=pt_targets,
-        n_params=hidden * d + d * hidden,
-    )
+        # Retention probe: keep the base map on isotropic inputs.
+        pt_inputs = data_rng.normal(size=(eval_size, d))
+        pt_targets = pt_inputs @ w0.T
+        return TaskInstance(
+            name="synthetic_lowrank",
+            model=model,
+            sample_batch=sample_batch,
+            pt_inputs=pt_inputs,
+            pt_targets=pt_targets,
+            n_params=d * d,
+        )
 
 
-_BUILDERS = {
-    "synthetic_lowrank": build_synthetic_lowrank,
-    "two_task_forgetting": build_two_task_forgetting,
-}
+@dataclass(frozen=True)
+class TwoTaskForgetting:
+    d: int = setting(12, ge=1)
+    hidden: int = setting(12, ge=1)
+    pretrain_steps: int = setting(200, ge=0)
+    delta_scale: float = setting(0.35, ge=0)
+    ft_noise: float = setting(0.1, ge=0)
+    init_jitter: float = setting(0.0, ge=0)
 
-# Declared arguments of each task with their defaults; a default's type
-# (int or float) is the argument's type.
-TASK_ARGS = {
-    "synthetic_lowrank": {"d": 24, "r_true": 2, "noise": 0.02, "delta_scale": 1.0},
-    "two_task_forgetting": {
-        "d": 12, "hidden": 12, "pretrain_steps": 200,
-        "delta_scale": 0.35, "ft_noise": 0.1, "init_jitter": 0.0,
-    },
-}
+    def build(
+        self,
+        rank: int,
+        alpha: float,
+        eval_size: int,
+        model_rng: np.random.Generator,
+        data_rng: np.random.Generator,
+    ) -> TaskInstance:
+        d, hidden, ft_noise = self.d, self.hidden, self.ft_noise
+        _check_rank(rank, [d, hidden, d])
 
-_AT_LEAST_ONE = ("d", "hidden", "r_true")  # every other task argument is at least 0
+        teacher_w1 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
+        teacher_w2 = model_rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(d, hidden))
+
+        def teacher(x: np.ndarray) -> np.ndarray:
+            return np.tanh(x @ teacher_w1.T) @ teacher_w2.T
+
+        # Pretraining: start at (or near) the teacher and refine with full-batch
+        # gradient descent on noiseless teacher data. A step with exactly zero
+        # gradients, and every step after it, would leave the weights unchanged,
+        # so the loop stops there; with init_jitter = 0 that is the first step.
+        w1 = teacher_w1 + self.init_jitter * model_rng.normal(size=teacher_w1.shape)
+        w2 = teacher_w2 + self.init_jitter * model_rng.normal(size=teacher_w2.shape)
+        x_tr = data_rng.normal(size=(max(eval_size, 128), d))
+        y_tr = teacher(x_tr)
+        lr = 0.5
+        for _ in range(self.pretrain_steps):
+            h_pre = x_tr @ w1.T
+            h = np.tanh(h_pre)
+            pred = h @ w2.T
+            err = (pred - y_tr) / x_tr.shape[0]
+            g2 = err.T @ h
+            dh = (err @ w2) * (1.0 - h * h)
+            g1 = dh.T @ x_tr
+            if not (g1.any() or g2.any()):
+                break
+            w1 = w1 - lr * g1
+            w2 = w2 - lr * g2
+
+        model = build_model(
+            [d, hidden, d], rank=rank, scaling=alpha, rng=model_rng,
+            activations=["tanh", "identity"], base_weights=[w1, w2],
+        )
+
+        # Fine-tuning teacher: the pretraining teacher plus a rank-2 delta per layer.
+        deltas = []
+        for w in (teacher_w1, teacher_w2):
+            u = _orthonormal_columns(model_rng, w.shape[0], 2)
+            v = _orthonormal_columns(model_rng, w.shape[1], 2)
+            deltas.append(self.delta_scale * (u @ v.T))
+        ft_w1 = teacher_w1 + deltas[0]
+        ft_w2 = teacher_w2 + deltas[1]
+
+        def sample_batch(rng: np.random.Generator, batch: int):
+            x = rng.normal(size=(batch, d))
+            y = np.tanh(x @ ft_w1.T) @ ft_w2.T
+            if ft_noise > 0.0:
+                y = y + ft_noise * rng.normal(size=y.shape)
+            return x, y
+
+        pt_inputs = data_rng.normal(size=(eval_size, d))
+        pt_targets = teacher(pt_inputs)
+        return TaskInstance(
+            name="two_task_forgetting",
+            model=model,
+            sample_batch=sample_batch,
+            pt_inputs=pt_inputs,
+            pt_targets=pt_targets,
+            n_params=hidden * d + d * hidden,
+        )
+
+
+_TASKS = {"synthetic_lowrank": SyntheticLowrank, "two_task_forgetting": TwoTaskForgetting}
+_ARGUMENTS = {name: declarations(task) for name, task in _TASKS.items()}
 
 _SPEC_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
@@ -298,53 +298,17 @@ _SPEC_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 def parse_task_spec(spec: str) -> tuple[str, dict]:
     """Parse 'name(k1=v1, k2=v2)' into (name, the given arguments).
 
-    Each argument must be declared for the task in TASK_ARGS and lie in its
-    range; an integer argument takes an integral value. Anything else raises
-    ConfigError.
+    Each argument is parsed onto the task's dataclass by
+    config.parse_settings; a ConfigError has key "task".
     """
     match = _SPEC_RE.match(spec.strip().lower())
     if not match:
         raise ConfigError(f"malformed task spec {spec!r}", key="task")
     name, arg_text = match.group(1), match.group(2)
-    if name not in _BUILDERS:
-        raise ConfigError(
-            f"unknown task {name!r}; available: {sorted(_BUILDERS)}", key="task"
-        )
-    declared = TASK_ARGS[name]
-    params: dict = {}
-    if arg_text and arg_text.strip():
-        for piece in arg_text.split(","):
-            if "=" not in piece:
-                raise ConfigError(f"task argument {piece.strip()!r} must be key=value", key="task")
-            key, value = (part.strip() for part in piece.split("=", 1))
-            if key not in declared:
-                raise ConfigError(
-                    f"unknown argument {key!r} for task {name!r}; declared: {sorted(declared)}",
-                    key="task",
-                )
-            if key in params:
-                raise ConfigError(f"duplicate task argument {key!r}", key="task")
-            try:
-                number = float(value)
-            except ValueError:
-                number = float("nan")
-            if not np.isfinite(number):
-                raise ConfigError(
-                    f"task argument {key!r} must be a finite number, got {value!r}", key="task"
-                )
-            if isinstance(declared[key], int):
-                if not number.is_integer():
-                    raise ConfigError(
-                        f"task argument {key!r} must be an integer, got {value!r}", key="task"
-                    )
-                number = int(number)
-            least = 1 if key in _AT_LEAST_ONE else 0
-            if number < least:
-                raise ConfigError(
-                    f"task argument {key!r} must be at least {least}, got {value!r}", key="task"
-                )
-            params[key] = number
-    return name, params
+    if name not in _TASKS:
+        raise ConfigError(f"unknown task {name!r}; available: {sorted(_TASKS)}", key="task")
+    pieces = [(spec, piece) for piece in arg_text.split(",")] if arg_text and arg_text.strip() else []
+    return name, parse_settings(pieces, _ARGUMENTS[name], "task argument", key="task")
 
 
 def build_task(
@@ -355,6 +319,5 @@ def build_task(
     model_rng: np.random.Generator,
     data_rng: np.random.Generator,
 ) -> TaskInstance:
-    name, params = parse_task_spec(spec)
-    params = {**TASK_ARGS[name], **params}
-    return _BUILDERS[name](params, rank, alpha, eval_size, model_rng, data_rng)
+    name, given = parse_task_spec(spec)
+    return _TASKS[name](**given).build(rank, alpha, eval_size, model_rng, data_rng)

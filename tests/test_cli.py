@@ -122,6 +122,26 @@ class TestTrain:
         assert "telemetry_every" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key, value", [("grad_clip", "nan"), ("kfac_damping", "inf")])
+    def test_non_finite_config_number_is_validation_error(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, MINIMAL_CONFIG + f"{key} = {value}\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_path_is_validation_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(MINIMAL_CONFIG.encode() + b"# \xff\xfe\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ") and str(path) in err
+        assert not (tmp_path / "r").exists()
+
     def test_out_that_is_a_file_is_validation_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
         taken = tmp_path / "taken"

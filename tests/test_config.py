@@ -1,10 +1,11 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grit.config import (
-    _FIELD_TYPES,
+    _SETTINGS,
     GritConfig,
     _coerce,
     config_hash,
@@ -13,6 +14,7 @@ from grit.config import (
     validate_config,
 )
 from grit.errors import ConfigError
+from grit.tasks import _ARGUMENTS, parse_task_spec
 
 
 class TestParse:
@@ -118,31 +120,146 @@ class TestRangeChecks:
         validate_config(GritConfig(task="t()", reprojection_k=64, lora_rank=8))
 
 
-def readme_config_table() -> list[tuple[str, str]]:
-    """(key, default cell) of each row of the README's config table, in order."""
+class TestPythonBuiltTypes:
+    @pytest.mark.parametrize(
+        "key, value", [("use_two_sided", "no"), ("steps", "10"), ("steps", 2.5), ("mode", 1), ("task", None)]
+    )
+    def test_wrong_type_names_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            validate_config(GritConfig(**{"task": "t()", key: value}))
+        assert err.value.key == key
+        assert key in str(err.value)
+
+    def test_numpy_numbers_accepted_and_rendered_as_numbers(self):
+        validate_config(GritConfig(task="t()", lambda_k=1, steps=np.int64(5), learning_rate=np.float64(0.1)))
+        assert "learning_rate = 0.1\n" in config_to_text(GritConfig(task="t()", learning_rate=np.float64(0.1)))
+
+    def test_integer_key_takes_an_integral_number(self):
+        cfg = parse_config_text("task = t()\nsteps = 1e3\nseed = 12345678901234567891\n")
+        assert (cfg.steps, cfg.seed) == (1000, 12345678901234567891)
+        assert type(cfg.steps) is int
+
+
+def settings_under_test():
+    """(owner, name, declaration) of every config key (owner None) and every task's arguments."""
+    for name, declared in _SETTINGS.items():
+        yield None, name, declared
+    for task, arguments in _ARGUMENTS.items():
+        for name, declared in arguments.items():
+            yield task, name, declared
+
+
+def parse_one(owner, name, text):
+    """The value of name = text parsed as a config key (owner None) or an argument of task owner."""
+    if owner is None:
+        lines = {"task": "synthetic_lowrank()", "min_lora_rank": "1", name: text}  # lora_rank = 1 needs min_lora_rank <= 1
+        return getattr(parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items())), name)
+    return parse_task_spec(f"{owner}({name}={text})")[1][name]
+
+
+def assert_rejected(owner, name, text):
+    with pytest.raises(ConfigError) as err:
+        parse_one(owner, name, text)
+    assert err.value.key == (name if owner is None else "task")
+    assert repr(name) in str(err.value)
+
+
+def bound_cases():
+    """(owner, name, value, accepted) at each declared bound, just past it and, when open, just inside it."""
+    for owner, name, declared in settings_under_test():
+        for rule, bound in declared.rules.items():
+            if rule == "one_of":
+                continue
+            outward = -1 if rule in ("ge", "gt") else 1
+            if declared.kind is int:
+                past, inside = bound + outward, bound - outward
+            else:
+                past, inside = (float(np.nextafter(float(bound), way * np.inf)) for way in (outward, -outward))
+            case = f"{owner or 'config'}-{name}-{rule}"
+            yield pytest.param(owner, name, bound, rule in ("ge", "le"), id=f"{case}-at")
+            yield pytest.param(owner, name, past, False, id=f"{case}-past")
+            if rule in ("gt", "lt"):
+                yield pytest.param(owner, name, inside, True, id=f"{case}-inside")
+
+
+class TestDeclaredRules:
+    """Generated from the declarations: every bound of every config key and task argument."""
+
+    @pytest.mark.parametrize("owner, name, value, accepted", bound_cases())
+    def test_bound(self, owner, name, value, accepted):
+        text = repr(value) if isinstance(value, float) else str(value)
+        if accepted:
+            assert parse_one(owner, name, text) == value
+        else:
+            assert_rejected(owner, name, text)
+        if owner is None:  # a config built in Python is held to the same rules
+            config = GritConfig(**{"task": "t()", "min_lora_rank": 1, name: value})
+            if accepted:
+                validate_config(config)
+            else:
+                with pytest.raises(ConfigError) as err:
+                    validate_config(config)
+                assert err.value.key == name
+
+    @pytest.mark.parametrize(
+        "owner, name", [(owner, name) for owner, name, declared in settings_under_test() if declared.kind is float]
+    )
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_float_setting_rejects_non_finite(self, owner, name, text):
+        assert_rejected(owner, name, text)
+        if owner is None:
+            with pytest.raises(ConfigError) as err:
+                validate_config(GritConfig(**{"task": "t()", name: float(text)}))
+            assert err.value.key == name
+
+
+def readme_config_table() -> list[tuple[str, str, str]]:
+    """(key, default cell, range cell) of each row of the README's config table, in order."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| key | default | meaning |") + 2
+    start = lines.index("| key | default | range | meaning |") + 2
     rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        key, default = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:2])
-        rows.append((key, default))
+        key, default, valid = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:3])
+        rows.append((key, default, valid))
     return rows
+
+
+# the ranges that validate_config states as rules between two keys
+CROSS_KEY_RANGES = {"reprojection_k": "[min_lora_rank, inf)", "min_lora_rank": "[1, lora_rank]"}
+
+
+def rendered_range(declared) -> str:
+    """A declaration's range as the README writes it: interval notation, or the choices."""
+    rules = declared.rules
+    if "one_of" in rules:
+        return "`, `".join(rules["one_of"])
+    if declared.kind is bool:
+        return "true, false"
+    if not rules:
+        return "-"
+    low = f"[{rules['ge']}" if "ge" in rules else f"({rules['gt']}"
+    high = f"{rules['le']}]" if "le" in rules else f"{rules['lt']})" if "lt" in rules else "inf)"
+    return f"{low}, {high}"
 
 
 class TestReadmeTable:
     def test_every_field_listed_once(self):
-        keys = [key for key, _ in readme_config_table()]
+        keys = [key for key, _, _ in readme_config_table()]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(GritConfig))
 
     def test_defaults_match_the_dataclass(self):
-        for key, default in readme_config_table():
+        for key, default, _ in readme_config_table():
             field = next(f for f in dataclasses.fields(GritConfig) if f.name == key)
             if key == "task":
                 assert default == "(required)" and field.default == ""
                 continue
-            assert _coerce(key, default, _FIELD_TYPES[key]) == field.default, key
+            assert _coerce(default, _SETTINGS[key]) == field.default, key
+
+    def test_ranges_match_the_declarations(self):
+        for key, _, valid in readme_config_table():
+            assert valid == CROSS_KEY_RANGES.get(key, rendered_range(_SETTINGS[key])), key
 
 
 class TestHash:

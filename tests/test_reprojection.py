@@ -269,6 +269,18 @@ class TestReproject:
         fresh = reproject_on(seeded_adapter(rng), stats, config(rank_adaptation_threshold=0.72), step=0)
         assert fresh.k == 3
 
+    @pytest.mark.parametrize("tau, eps", [(0.75, 0.05), (0.8, 0.1)])
+    def test_hysteresis_band_edge_holds_under_ulp_noise(self, tau, eps):
+        # E(2) = 0.7 lies exactly on the band edge |E - tau| = eps; in float
+        # the rotations put E(2) a few ulps either side of it, and the hold
+        # must not depend on which
+        cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps)
+        ks = set()
+        for seed in range(200):
+            stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], np.random.default_rng(seed))
+            ks.add(LayerGeometry.of_each([stats], cfg)[0].rank(0, prev_k=2))
+        assert ks == {2}
+
     def test_cumulative_energy_ends_at_one(self):
         e = cumulative_energy(np.array([4.0, 3.0, 2.0, 1.0]))
         assert np.isclose(e[-1], 1.0)

@@ -1,6 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from grit import tasks
 from grit.errors import ConfigError
 from grit.oracles import base_weight_vector, delta_w_vector, layer_slices, pt_grad_at, zero_adapter_model
 from grit.tasks import build_task, parse_task_spec
@@ -58,6 +62,15 @@ class TestParseSpec:
         with pytest.raises(ConfigError) as info:
             build(spec, rank=4)
         assert info.value.key == "lora_rank"
+
+
+class TestDocumentedSignatures:
+    @pytest.mark.parametrize("name", sorted(tasks._TASKS))
+    def test_readme_and_docstring_show_the_declared_defaults(self, name):
+        arguments = ", ".join(f"{f.name}={f.default!r}" for f in dataclasses.fields(tasks._TASKS[name]))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for text in (readme, tasks.__doc__):
+            assert f"{name}({arguments})" in " ".join(text.split())
 
 
 class TestSyntheticLowrank:
