@@ -40,7 +40,10 @@ penalty, and a natural-gradient warmup of 100 steps with no reprojection
 warmup, the one run that reprojects before its statistics hold a sample
 (its steps 0, 40 and 80 log the no-samples gate). One more control run
 starts its base off the teacher (init_jitter = 0.05), so its 20
-pretraining steps move the weights. The last run is the config of the CLI
+pretraining steps move the weights. One grit run has telemetry every 7
+steps and reprojection every 12 from step 24, off the trainer's block of 8
+updates, so the update covariance is read and reset with updates pending
+in the middle of a block. The last run is the config of the CLI
 determinism check (criterion 12): the one-layer, identity-activation
 synthetic_lowrank model, which no other run builds. The manifest carries a
 timestamp, so it is left out.
@@ -101,6 +104,10 @@ RUNS = {
         study_config("lora_control", 0),
         task="two_task_forgetting(d=12, hidden=12, pretrain_steps=20, init_jitter=0.05, "
         "ft_noise=0.25, delta_scale=0.2)",
+    ),
+    # telemetry and resets land mid-block (trainer.UPDATE_BLOCK = 8), with updates pending
+    "grit-off-block-s0": study_config(
+        "grit", 0, steps=120, telemetry_every=7, reprojection_freq=12, reprojection_warmup_steps=24
     ),
     # the config of the CLI determinism run (tests/test_acceptance.py's CLI_CONFIG)
     "grit-synthetic-s21": GritConfig(

@@ -2,7 +2,8 @@
 
 Rank selection keeps the smallest eigenvalue prefix whose cumulative energy
 reaches the threshold tau (effective_rank, the package's one energy-threshold
-rule, which the telemetry r_eff also uses); the corresponding top-k
+rule, which the telemetry r_eff also uses, on every layer's spectrum at once
+through effective_ranks); the corresponding top-k
 eigenvectors define idempotent projectors that are applied to the adapter
 factors (a from the left, b from the right), optionally blended. Directions
 outside the retained subspace are zeroed, not deleted: tensors keep their
@@ -91,19 +92,29 @@ def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
     """Smallest prefix whose energy reaches fraction eta, clamped to [1, r].
 
     The energy-threshold rule behind both the selected rank k and the
-    telemetry r_eff. Negative eigenvalues count as zero. Returns
+    telemetry r_eff: effective_ranks on a one-row stack. Returns
     (rank, degenerate); an all-zero spectrum yields (1, True).
     """
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     if eigs.ndim != 1 or eigs.size == 0:
         raise ShapeError("eigenvalues must be a non-empty vector")
-    eigs = np.maximum(eigs, 0.0)  # tolerate tiny negative tails from covariance noise
-    total = float(np.sum(eigs))
-    if total <= 0.0:
-        return 1, True
+    ranks, degenerate = effective_ranks(eigs[None], eta)
+    return int(ranks[0]), bool(degenerate[0])
+
+
+def effective_ranks(spectra: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """effective_rank of each row of a stack of spectra (n x r): (ranks, degenerate), both length n.
+
+    Negative eigenvalues count as zero. A row's rank is one more than the
+    number of its energy prefixes below the boundary, which is where
+    searchsorted would place the boundary in the non-decreasing prefix sums.
+    """
+    eigs = np.maximum(spectra, 0.0)  # tolerate tiny negative tails from covariance noise
+    total = eigs.sum(axis=1)
     boundary = eta * total * (1.0 - _THRESHOLD_ULPS * np.finfo(np.float64).eps)
-    k = int(np.searchsorted(np.cumsum(eigs), boundary, side="left")) + 1
-    return min(k, eigs.size), False
+    below = (np.cumsum(eigs, axis=1) < boundary[:, None]).sum(axis=1)
+    degenerate = total <= 0.0
+    return np.where(degenerate, 1, np.minimum(below + 1, eigs.shape[1])), degenerate
 
 
 def select_rank(

@@ -27,7 +27,8 @@ stream that fails it is read again line by line, to name the bad line.
 The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
 1-D of length d_out * d_in) are written by encode_array as
 {"shape": [...], "f64": base64 of the little-endian float64 bytes}, which
-round-trips bit for bit. Read one with decode_array, or with
+round-trips bit for bit; update_line formats a whole updates.jsonl line
+without the JSON encoder, to the same bytes. Read one with decode_array, or with
 np.frombuffer(base64.b64decode(f64), "<f8").reshape(shape). decode_array
 also reads the plain JSON lists of older run directories.
 
@@ -236,6 +237,20 @@ def encode_array(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "f64": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
+def update_line(step: int, layer: int, delta: np.ndarray) -> str:
+    """The updates.jsonl line of one layer's update delta, without its newline.
+
+    Bitwise _JSONL_ENCODER.encode({"step": step, "layer": layer,
+    "delta_w": encode_array(delta)}). The base64 payload is ASCII by
+    construction, so it is written as it is, without the JSON string
+    encoder's pass over it.
+    """
+    delta = np.asarray(delta, dtype="<f8")
+    payload = base64.b64encode(delta.tobytes()).decode("ascii")
+    shape = ", ".join(map(str, delta.shape))
+    return f'{{"delta_w": {{"f64": "{payload}", "shape": [{shape}]}}, "layer": {layer}, "step": {step}}}'
+
+
 def decode_array(value) -> np.ndarray:
     """The float64 array of an encode_array dict, bit for bit, or of a plain JSON list.
 
@@ -259,15 +274,18 @@ class JsonlWriter:
 
     The file is opened (and truncated) once. An append writes one line per
     object, with one write and one flush before it returns, so the file on
-    disk always ends in a whole line.
+    disk always ends in a whole line. An object given as a str is taken to
+    be its line already encoded (update_line).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = open(self.path, "w")
 
-    def append(self, *objs: dict) -> None:
-        self._file.write("".join(_JSONL_ENCODER.encode(obj) + "\n" for obj in objs))
+    def append(self, *objs: dict | str) -> None:
+        self._file.write(
+            "".join((obj if type(obj) is str else _JSONL_ENCODER.encode(obj)) + "\n" for obj in objs)
+        )
         self._file.flush()
 
     def close(self) -> None:

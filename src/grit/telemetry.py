@@ -3,7 +3,11 @@
 The stream's schema is GeometryRecord: after a header line, each line is
 one record's fields (vars(record), keys sorted by JsonlWriter).
 stability_stats reads its caller's spectra and decomposes nothing. The
-curvature exposure reads the factored Hessian blocks of
+trainer's telemetry step reads all layers at once: stability_stats_stack
+on the (layers x window x r x r) stack of their windows and
+adapter_subspace_bases with one SVD per factor shape; stability_stats and
+adapter_subspace_basis are their one-layer cases. The curvature exposure
+reads the factored Hessian blocks of
 tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
 checked against is in oracles.
 
@@ -110,10 +114,14 @@ def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
     (shape,) = shapes
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError(f"expected square covariance snapshots, got shape {shape}")
-    raw = np.asarray(cov_sequence, dtype=np.float64)
-    mats = 0.5 * (raw + raw.transpose(0, 2, 1))
-    mean_mat = mats.mean(axis=0)
-    return float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
+    return float(_covariance_variances(np.asarray(cov_sequence, dtype=np.float64)[None])[0])
+
+
+def _covariance_variances(windows: np.ndarray) -> np.ndarray:
+    """covariance_variance of each window of a (layers x window x r x r) stack."""
+    mats = 0.5 * (windows + windows.swapaxes(2, 3))
+    deviations = mats - mats.mean(axis=1, keepdims=True)
+    return np.mean(np.sum(deviations**2, axis=(2, 3)), axis=1)
 
 
 def stability_stats(
@@ -125,7 +133,7 @@ def stability_stats(
     over the top-k eigenvalue trajectories (population std), skipping
     indices with zero mean. spectra has every snapshot's
     eigenvalues in sym_eig's descending order; no snapshot is decomposed
-    here.
+    here. This is stability_stats_stack on one window.
     """
     cov_var = covariance_variance(cov_sequence)
     dim = np.shape(cov_sequence[0])[0]
@@ -135,12 +143,44 @@ def stability_stats(
         raise ValidationError(
             f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
         )
-    top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
-    means = top.mean(axis=0)
-    stds = top.std(axis=0)
-    kept = [i for i in range(k) if means[i] != 0.0]
-    eig_cv = float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0
-    return cov_var, eig_cv
+    top = np.asarray([eigenvalues[:k] for eigenvalues in spectra], dtype=np.float64)
+    return cov_var, float(_eig_cvs(top[None], [k])[0])
+
+
+def stability_stats_stack(
+    windows: np.ndarray, ks: list[int], spectra: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """stability_stats of every layer's window at once: (cov_var, eig_cv), one entry per layer.
+
+    windows stacks the layers' covariance snapshots (layers x window x r x r),
+    spectra their eigenvalues (layers x window x r), and ks holds each
+    layer's k. Each entry is bitwise the one stability_stats gives that
+    layer's window.
+    """
+    return _covariance_variances(windows), _eig_cvs(spectra, ks)
+
+
+def _eig_cvs(spectra: np.ndarray, ks: list[int]) -> np.ndarray:
+    """eig_cv of each layer's (window x r) spectra over its top ks[layer] eigenvalues.
+
+    The window statistics of all columns are taken at once. NumPy sums a
+    lone column pairwise but the columns of a wider array one row after the
+    other, so the first column of a k = 1 layer is taken again on its own,
+    to round as a one-layer window of k columns does.
+    """
+    means = spectra.mean(axis=1)
+    stds = spectra.std(axis=1)
+    single = np.asarray(ks) == 1
+    if single.any():
+        first = spectra[single, :, 0]
+        means[single, 0] = first.mean(axis=1)
+        stds[single, 0] = first.std(axis=1)
+    eig_cvs = np.zeros(len(ks))
+    for layer, k in enumerate(ks):
+        kept = means[layer, :k] != 0.0
+        if kept.any():
+            eig_cvs[layer] = np.mean(stds[layer, :k][kept] / means[layer, :k][kept])
+    return eig_cvs
 
 
 def xi_multiplier(
@@ -235,17 +275,32 @@ class LayerCurvature:
         return c
 
 
-def _column_basis(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of col(m), cut at singular values below 1e-10 * s_max."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    return u[:, s > 1e-10 * s[0]]
+def _column_bases(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal basis of each col(m), cut at singular values below 1e-10 * s_max.
+
+    The matrices of one shape go through one stacked SVD.
+    """
+    bases: list[np.ndarray] = [None] * len(mats)
+    by_shape: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_shape.setdefault(m.shape, []).append(i)
+    for indices in by_shape.values():
+        u, s, _ = np.linalg.svd(np.stack([mats[i] for i in indices]), full_matrices=False)
+        for i, u_i, s_i in zip(indices, u, s):
+            bases[i] = u_i[:, s_i > 1e-10 * s_i.max(initial=0.0)]  # none when m = 0
+    return bases
+
+
+def adapter_subspace_bases(adapters: list[AdapterPair]) -> list[TangentBasis]:
+    """The factored tangent basis of each adapter (see TangentBasis), one SVD call per factor shape."""
+    q_in = _column_bases([adapter.a.T for adapter in adapters])
+    q_out = _column_bases([adapter.b for adapter in adapters])
+    return [TangentBasis(q_in=qi, q_out=qo) for qi, qo in zip(q_in, q_out)]
 
 
 def adapter_subspace_basis(adapter: AdapterPair) -> TangentBasis:
-    """Factored basis of the update tangent space; see TangentBasis."""
-    return TangentBasis(q_in=_column_basis(adapter.a.T), q_out=_column_basis(adapter.b))
+    """Factored basis of the update tangent space: adapter_subspace_bases of one adapter."""
+    return adapter_subspace_bases([adapter])[0]
 
 
 def exposure_from_basis(curvature: LayerCurvature, basis: TangentBasis) -> float:

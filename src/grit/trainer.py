@@ -29,11 +29,22 @@ entries, which precondition zeroes, gets a "sanitize" event.
 The Trainer keeps every adapter factor in one flat float64 vector, the
 optimizer's parameters, and binds each adapter's a and b to a view of it
 when it is built. A step writes the new parameters into that vector and the
-update into a second one whose per-layer views the update covariance reads,
-so nothing is concatenated, sliced or bound per step. A factor that
-reprojection or a caller replaced with a new array is copied into the
-vector and its view bound again at the start of the next step, so that
-step trains from the replacing values.
+update into the next row of a block of UPDATE_BLOCK rows, so nothing is
+concatenated, sliced or bound per step. A factor that reprojection or a
+caller replaced with a new array is copied into the vector and its view
+bound again at the start of the next step, so that step trains from the
+replacing values.
+
+The update covariance, each layer's sum of da da^T + db^T db over the steps
+since its last reset, reads the block only when it is folded: when it fills,
+before a reprojection resets a layer's sum, and before the telemetry reads
+the sums (update_covariances). A fold takes each layer's products of all
+pending steps in one stacked matmul per factor and adds them in step order,
+so each sum rounds as it did added one step at a time. The jitter reads the
+last two clipped flat gradients, sliced per layer when a telemetry step
+reads them. A telemetry step reads all layers at once: one stacked
+eigendecomposition of the update covariances, one SVD call per tangent
+factor shape, and the r_eff rule and the stability statistics on stacks.
 """
 
 from __future__ import annotations
@@ -49,9 +60,10 @@ import numpy as np
 from .config import GritConfig, config_hash, config_to_text, validate_config
 from .errors import ConfigError, GritError, ShapeError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
-from .linalg import sym_eig
+from .linalg import sym_eig_stack
+from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .model import save_checkpoint
-from .reprojection import LayerGeometry, effective_rank, reproject
+from .reprojection import LayerGeometry, effective_ranks, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     AUDIT_CSVS,
@@ -68,6 +80,7 @@ from .runio import (
     RunManifest,
     RunRecord,
     encode_array,
+    update_line,
     write_manifest,
     write_record,
 )
@@ -75,16 +88,18 @@ from .tasks import TaskInstance, build_task
 from .telemetry import (
     GeometryRecord,
     TelemetryWriter,
-    adapter_subspace_basis,
+    adapter_subspace_bases,
     alignment_overlap,
     exposure_from_basis,
-    stability_stats,
+    stability_stats_stack,
     subspace_drift,
     tail_mass,
     update_jitter,
 )
+from .telemetry import adapter_subspace_basis, stability_stats  # noqa: F401  (perfbench/spans.py traces them)
 
 COV_WINDOW = 24  # accumulations kept for the stability diagnostics
+UPDATE_BLOCK = 8  # parameter updates held before the update covariance folds them in
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:
@@ -156,6 +171,17 @@ def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
     return flat
 
 
+def median(values: np.ndarray) -> float:
+    """The median of a non-empty vector without NaNs, bitwise np.median's, from a sort.
+
+    np.median imports numpy.ma on its first call, which no other code on
+    the run and audit paths needs.
+    """
+    s = np.sort(values)
+    n = s.size
+    return float(s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2]))
+
+
 def regularizer_ramp(step: int, warmup_steps: int) -> float:
     """Linear ramp of the penalty weights over the reprojection warmup window."""
     if warmup_steps <= 0:
@@ -202,12 +228,8 @@ def reprojection_penalty(
 
 @dataclass
 class LayerMonitor:
-    """Per-layer accumulators backing the telemetry stream."""
+    """Per-layer state backing the telemetry stream."""
 
-    update_cov: np.ndarray
-    # the clipped gradient of the last two steps, a then b flattened, for the jitter
-    prev_grads: np.ndarray | None = None
-    grads: np.ndarray | None = None
     prev_basis: np.ndarray | None = None
     # the LayerGeometry of each accumulation, newest last
     cov_snapshots: deque = field(default_factory=lambda: deque(maxlen=COV_WINDOW))
@@ -244,13 +266,11 @@ class Trainer:
             RankSpaceStats(rank=config.lora_rank, damping=config.kfac_damping, ema_beta=config.ema_beta)
             for _ in range(n_layers)
         ]
-        # every factor as a view of one flat parameter vector, and each
-        # layer's update as views of one flat delta vector
+        # every factor as a view of one flat parameter vector
         self._params = np.empty(sum(a.a.size + a.b.size for _, a in self.model.layers))
-        self._delta = np.empty_like(self._params)
         self._factors: list[tuple[np.ndarray, np.ndarray]] = []
-        self._layer_deltas: list[tuple[np.ndarray, np.ndarray]] = []
-        self._layer_slices: list[slice] = []
+        # each layer's a and b as column ranges of the flat vector
+        self._layer_columns: list[tuple[slice, slice]] = []
         offset = 0
         for _, adapter in self.model.layers:
             mid = offset + adapter.a.size
@@ -261,16 +281,17 @@ class Trainer:
             b[...] = adapter.b
             adapter.a, adapter.b = a, b
             self._factors.append((a, b))
-            self._layer_deltas.append(
-                (self._delta[offset:mid].reshape(a.shape), self._delta[mid:end].reshape(b.shape))
-            )
-            self._layer_slices.append(slice(offset, end))
+            self._layer_columns.append((slice(offset, mid), slice(mid, end)))
             offset = end
         self.optimizer = AdamW(offset, lr=config.learning_rate)
         r = config.lora_rank
-        self.monitors = [
-            LayerMonitor(update_cov=np.zeros((r, r)), last_k=r) for _ in range(n_layers)
-        ]
+        # the flat updates of the steps not yet in the update covariance, oldest first
+        self._updates = np.empty((UPDATE_BLOCK, offset))
+        self._pending = 0
+        self._update_cov = np.zeros((n_layers, r, r))
+        # the clipped flat gradients of the last two steps, newest first, for the jitter
+        self._grads: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
+        self.monitors = [LayerMonitor(last_k=r) for _ in range(n_layers)]
         self.events: list[dict] = []
         # whether a step has preconditioned; events log the first one
         self._preconditioned = False
@@ -311,10 +332,11 @@ class Trainer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _log_event(self, obj: dict) -> None:
-        self.events.append(obj)
+    def _log_events(self, *objs: dict) -> None:
+        """Record the events in order and write them to events.jsonl in one append."""
+        self.events.extend(objs)
         if self.event_writer is not None:
-            self.event_writer.append(obj)
+            self.event_writer.append(*objs)
 
     def _layer_decomps(self, idx: int) -> LayerGeometry | None:
         """Layer idx's current geometry, the newest in its window; None before the first accumulation."""
@@ -324,8 +346,8 @@ class Trainer:
     def _accumulate(self, step: int) -> list[bool]:
         """Fold this step's batch into every layer's statistics and refresh their inverses.
 
-        The new covariances go to stats.jsonl and are eigendecomposed in one
-        stacked call; each layer's geometry is built from its two
+        The new covariances go to stats.jsonl in one append and are
+        eigendecomposed in one stacked call; each layer's geometry is built from its two
         decompositions, joins the stability window and gives the damped
         inverses their spectra. Returns, per layer, whether the inverses
         were refreshed (false while the sample gate is unmet); every layer
@@ -333,8 +355,9 @@ class Trainer:
         """
         for idx, stats in enumerate(self.stats):
             accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
-            if self.stats_writer is not None:
-                self.stats_writer.append(
+        if self.stats_writer is not None:
+            self.stats_writer.append(
+                *(
                     {
                         "step": step,
                         "layer": idx,
@@ -342,7 +365,9 @@ class Trainer:
                         "a_cov": encode_array(stats.a_cov),
                         "g_cov": encode_array(stats.g_cov),
                     }
+                    for idx, stats in enumerate(self.stats)
                 )
+            )
         geometries = LayerGeometry.of_each(self.stats, self.config)
         refreshed = []
         for stats, geometry, monitor in zip(self.stats, geometries, self.monitors):
@@ -367,6 +392,30 @@ class Trainer:
                     )
                 view[...] = factor
                 setattr(adapter, name, view)
+
+    def _fold_updates(self) -> None:
+        """Add the pending updates' da da^T + db^T db to each layer's update covariance, in step order."""
+        n = self._pending
+        if n == 0:
+            return
+        block = self._updates[:n]
+        products = np.empty((n, *self._update_cov.shape))
+        for idx, ((a_cols, b_cols), (a, b)) in enumerate(zip(self._layer_columns, self._factors)):
+            delta_a = block[:, a_cols].reshape(n, *a.shape)
+            delta_b = block[:, b_cols].reshape(n, *b.shape)
+            np.add(
+                delta_a @ delta_a.transpose(0, 2, 1),
+                delta_b.transpose(0, 2, 1) @ delta_b,
+                out=products[:, idx],
+            )
+        for step_products in products:
+            self._update_cov += step_products
+        self._pending = 0
+
+    def update_covariances(self) -> np.ndarray:
+        """Every layer's update covariance (layers x r x r), the pending updates folded in first."""
+        self._fold_updates()
+        return self._update_cov
 
     # -- main loop ---------------------------------------------------------
 
@@ -418,7 +467,7 @@ class Trainer:
                 ga, gb = precondition(ga, gb, stats)
                 preconditioned = True
                 if stats.sanitized_count > zeroed:
-                    self._log_event(
+                    self._log_events(
                         {"step": step, "action": "sanitize", "layer": idx,
                          "count": stats.sanitized_count - zeroed}
                     )
@@ -427,9 +476,9 @@ class Trainer:
         if not math.isfinite(loss):
             raise GritError(f"non-finite loss at step {step}")
         if accumulating:
-            self._log_event({"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov})
+            events = [{"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov}]
             if all(refreshed):
-                self._log_event(
+                events.append(
                     {
                         "step": step,
                         "action": "invert",
@@ -438,9 +487,10 @@ class Trainer:
                         "cond_g": [st.cond[1] for st in self.stats],
                     }
                 )
+            self._log_events(*events)
         if preconditioned and not self._preconditioned:
             self._preconditioned = True
-            self._log_event({"step": step, "action": "precondition"})
+            self._log_events({"step": step, "action": "precondition"})
 
         flat_grad = clipped_flat(grads, config.grad_clip)
         params = self._params
@@ -449,14 +499,15 @@ class Trainer:
         # after them non-finite; stop before reprojection or telemetry logs one
         if not math.isfinite(new_params @ new_params):
             raise GritError(f"non-finite parameters at step {step}")
-        np.subtract(new_params, params, out=self._delta)
+        np.subtract(new_params, params, out=self._updates[self._pending])
         np.copyto(params, new_params)
-        for monitor, (delta_a, delta_b), layer in zip(self.monitors, self._layer_deltas, self._layer_slices):
-            monitor.prev_grads = monitor.grads
-            monitor.grads = flat_grad[layer]
-            monitor.update_cov += delta_a @ delta_a.T + delta_b.T @ delta_b
+        self._pending += 1
+        if self._pending == UPDATE_BLOCK:
+            self._fold_updates()
+        self._grads = (flat_grad, self._grads[0])
 
         if self.is_grit and step % config.reprojection_freq == 0:
+            events = []
             for idx, (_, adapter) in enumerate(self.model.layers):
                 event = reproject(
                     adapter, self._layer_decomps(idx), config, step, prev_k=self.monitors[idx].last_k
@@ -464,13 +515,14 @@ class Trainer:
                 if event.applied:
                     self.monitors[idx].last_k = event.k
                     self.monitors[idx].last_pi = event.retained_mass
-                    self.monitors[idx].update_cov[:] = 0.0
+                    self.update_covariances()[idx] = 0.0
                     outcome = {key: value for key, value in vars(event).items() if key not in ("applied", "gate")}
-                    self._log_event({**outcome, "action": "reproject", "layer": idx})
+                    events.append({**outcome, "action": "reproject", "layer": idx})
                 else:
-                    self._log_event(
+                    events.append(
                         {"step": step, "action": "reproject_gated", "layer": idx, "gate": event.gate}
                     )
+            self._log_events(*events)
 
         if config.telemetry_every > 0 and step % config.telemetry_every == 0:
             self._emit_telemetry(step)
@@ -480,17 +532,33 @@ class Trainer:
 
     def _emit_telemetry(self, step: int) -> None:
         curvature = self.task.pt_curvature()
+        adapters = [adapter for _, adapter in self.model.layers]
+        update_decomps = sym_eig_stack(
+            self.update_covariances(), [f"update covariance of layer {idx}" for idx in range(len(adapters))]
+        )
+        r_effs, _ = effective_ranks(
+            np.array([decomp.eigenvalues for decomp in update_decomps]), self.config.telemetry_eta
+        )
+        bases = adapter_subspace_bases(adapters)
+        # every layer's window holds the same accumulations
+        windows = [monitor.cov_snapshots for monitor in self.monitors]
+        cov_vars = eig_cvs = np.zeros(len(adapters))
+        if len(windows[0]) >= 2:
+            cov_vars, eig_cvs = stability_stats_stack(
+                np.array([[snap.a_cov for snap in window] for window in windows]),
+                [max(1, monitor.last_k) for monitor in self.monitors],
+                np.array([[snap.decomp_a.eigenvalues for snap in window] for window in windows]),
+            )
+        grad, prev_grad = self._grads
         records, deltas = [], []  # one line per layer, one append per stream
-        for idx, (_, adapter) in enumerate(self.model.layers):
-            monitor = self.monitors[idx]
+        for idx, (adapter, monitor) in enumerate(zip(adapters, self.monitors)):
             r = adapter.rank
+            r_eff = int(r_effs[idx])
+            update_decomp = update_decomps[idx]
 
             geometry = self._layer_decomps(idx)
             side_decomp = geometry.side_decomp if geometry is not None else None
             spectrum = geometry.decomp_a.eigenvalues if geometry is not None else np.zeros(r)
-
-            update_decomp = sym_eig(monitor.update_cov, name="update covariance")
-            r_eff, _ = effective_rank(update_decomp.eigenvalues, self.config.telemetry_eta)
 
             rho = 0.0
             if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
@@ -502,7 +570,7 @@ class Trainer:
 
             delta_vec = adapter.scaling * adapter.delta_w().ravel()
             if monitor.tail_threshold == 0.0:
-                med = float(np.median(np.abs(delta_vec)))
+                med = median(np.abs(delta_vec))
                 if self.config.tail_threshold > 0.0:
                     monitor.tail_threshold = self.config.tail_threshold
                 elif med > 0.0:
@@ -513,11 +581,13 @@ class Trainer:
                 else 0
             )
 
-            exposure = exposure_from_basis(curvature[idx], adapter_subspace_basis(adapter))
+            exposure = exposure_from_basis(curvature[idx], bases[idx])
 
             jitter = 0.0
-            if monitor.grads is not None and monitor.prev_grads is not None:
-                jitter = update_jitter(monitor.grads, monitor.prev_grads)
+            if prev_grad is not None:
+                a_cols, b_cols = self._layer_columns[idx]
+                layer = slice(a_cols.start, b_cols.stop)
+                jitter = update_jitter(grad[layer], prev_grad[layer])
 
             drift = 0.0
             if side_decomp is not None:
@@ -530,29 +600,19 @@ class Trainer:
                     )
                 monitor.prev_basis = basis_now.copy()
 
-            cov_var = 0.0
-            eig_cv = 0.0
-            snapshots = monitor.cov_snapshots
-            if len(snapshots) >= 2:
-                cov_var, eig_cv = stability_stats(
-                    [snap.a_cov for snap in snapshots],
-                    max(1, monitor.last_k),
-                    [snap.decomp_a.eigenvalues for snap in snapshots],
-                )
-
             record = GeometryRecord(
                 step=step,
                 layer=idx,
                 k_selected=monitor.last_k,
-                r_eff=int(r_eff),
+                r_eff=r_eff,
                 rho_align=float(rho),
                 pi_proj=float(monitor.last_pi),
                 tail_mass=int(tail),
                 curvature_exposure=float(exposure),
                 jitter=float(jitter),
                 subspace_drift=float(drift),
-                eig_cv=float(eig_cv),
-                cov_var=float(cov_var),
+                eig_cv=float(eig_cvs[idx]),
+                cov_var=float(cov_vars[idx]),
                 spectrum=[float(v) for v in spectrum],
             )
             records.append(record)
@@ -561,10 +621,7 @@ class Trainer:
         if self.telemetry_writer is not None:
             self.telemetry_writer.append(*records)
         if self.update_writer is not None:
-            self.update_writer.append(
-                *({"step": step, "layer": idx, "delta_w": encode_array(delta)}
-                  for idx, delta in enumerate(deltas))
-            )
+            self.update_writer.append(*(update_line(step, idx, delta) for idx, delta in enumerate(deltas)))
 
     def geometry_summary(self) -> GeometrySummary:
         if not self.records:

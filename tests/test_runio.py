@@ -15,6 +15,7 @@ from grit.runio import (
     decode_array,
     encode_array,
     read_record,
+    update_line,
     write_manifest,
     write_record,
 )
@@ -296,3 +297,24 @@ class TestArrayCodec:
     def test_malformed_value_is_validation_error(self, value):
         with pytest.raises(ValidationError):
             decode_array(value)
+
+
+class TestUpdateLine:
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 64, 144, 2304])
+    def test_equals_the_json_encoder_line(self, length):
+        rng = np.random.default_rng(length)
+        for step, layer in ((0, 0), (17, 1), (123456, 12)):
+            delta = rng.normal(size=length) * 10.0 ** rng.integers(-300, 300, size=length)
+            obj = {"step": step, "layer": layer, "delta_w": encode_array(delta)}
+            assert update_line(step, layer, delta) == runio._JSONL_ENCODER.encode(obj)
+
+    def test_written_as_given_beside_encoded_objects(self, tmp_path):
+        delta = np.array([0.5, -0.0, 1e-300])
+        writer = JsonlWriter(tmp_path / "updates.jsonl")
+        writer.append(update_line(3, 1, delta), {"step": 4})
+        writer.close()
+        lines = (tmp_path / "updates.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"step": 3, "layer": 1, "delta_w": encode_array(delta)}, {"step": 4}
+        ]
+        assert decode_array(json.loads(lines[0])["delta_w"]).tobytes() == delta.tobytes()

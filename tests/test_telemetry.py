@@ -16,13 +16,14 @@ from grit.oracles import (
     per_sample_curvature,
     span_tangent_basis,
 )
-from grit.reprojection import make_projector
+from grit.reprojection import effective_ranks, make_projector
 from grit.runio import decode_array, read_jsonl
 from grit.telemetry import (
     GeometryRecord,
     LayerCurvature,
     TelemetryWriter,
     adapter_subspace_basis,
+    adapter_subspace_bases,
     alignment_overlap,
     covariance_variance,
     effective_rank,
@@ -30,6 +31,7 @@ from grit.telemetry import (
     pca_export,
     read_telemetry,
     stability_stats,
+    stability_stats_stack,
     subspace_drift,
     tail_mass,
     update_jitter,
@@ -503,3 +505,124 @@ class TestTelemetryStream:
         writer.close()
         out = read_telemetry(path)
         assert out == [rec]
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestStackedForms:
+    """The telemetry step's stacked forms give each layer what its one-layer form gives, bit for bit."""
+
+    @staticmethod
+    def per_matrix_basis(m):
+        """One SVD per factor, as the tangent basis was taken before it was stacked."""
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        if s.size == 0 or s[0] == 0.0:
+            return u[:, :0]
+        return u[:, s > 1e-10 * s[0]]
+
+    def test_stacked_bases_equal_the_per_adapter_ones(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        adapters = []
+        for d_out, d_in in ((6, 4), (6, 4), (3, 6), (6, 4)):
+            adapters.append(AdapterPair(a=rng.normal(size=(3, d_in)), b=rng.normal(size=(d_out, 3)),
+                                        rank=3, scaling=1.0))
+        adapters[0].b = np.zeros((6, 3))  # b = 0, as at step 0
+        adapters[1].a[2] = 2.0 * adapters[1].a[0]  # a rank-deficient a
+        adapters[3].b[:, 1] = -adapters[3].b[:, 0]  # a rank-deficient b
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        bases = adapter_subspace_bases(adapters)
+        # one call per factor shape: a^T is 4x3 or 6x3, b is 6x3 or 3x3
+        assert sorted(calls) == [(1, 3, 3), (1, 6, 3), (3, 4, 3), (3, 6, 3)]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for adapter, basis in zip(adapters, bases):
+            one = adapter_subspace_basis(adapter)
+            for got, single, reference in (
+                (basis.q_in, one.q_in, self.per_matrix_basis(adapter.a.T)),
+                (basis.q_out, one.q_out, self.per_matrix_basis(adapter.b)),
+            ):
+                assert got.shape == single.shape == reference.shape
+                assert bits(got) == bits(single) == bits(reference)
+        assert [(b.q_in.shape[1], b.q_out.shape[1]) for b in bases] == [(3, 0), (2, 3), (3, 3), (3, 2)]
+
+    @staticmethod
+    def searchsorted_rank(eigs, eta):
+        """effective_rank as one searchsorted per spectrum."""
+        eigs = np.maximum(eigs, 0.0)
+        total = float(np.sum(eigs))
+        if total <= 0.0:
+            return 1, True
+        boundary = eta * total * (1.0 - 16 * np.finfo(np.float64).eps)
+        k = int(np.searchsorted(np.cumsum(eigs), boundary, side="left")) + 1
+        return min(k, eigs.size), False
+
+    def test_stacked_effective_rank_at_the_threshold_edge(self):
+        spectrum = np.array([4.0, 3.0, 2.0, 1.0])
+        # the eta whose boundary is the third prefix, and its neighbours on both sides
+        eta = 9.0 / (10.0 * (1.0 - 16 * np.finfo(np.float64).eps))
+        etas = [eta]
+        for direction in (np.inf, -np.inf):
+            step = eta
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                etas.append(step)
+        ranks_seen = set()
+        for eta in etas:
+            spectra = np.array([spectrum, np.zeros(4), [4.0, 3.0, 2.0, -1e-18], np.full(4, 0.25)])
+            ranks, degenerate = effective_ranks(spectra, eta)
+            got = [(int(k), bool(d)) for k, d in zip(ranks, degenerate)]
+            assert got == [effective_rank(row, eta) for row in spectra]
+            assert got == [self.searchsorted_rank(row, eta) for row in spectra]
+            assert got[1] == (1, True)  # the all-zero spectrum
+            ranks_seen.add(got[0][0])
+        assert ranks_seen == {3, 4}  # the neighbours fall on both sides of the edge
+
+    def test_stacked_effective_rank_on_random_spectra(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            r = int(rng.integers(1, 13))
+            spectra = -np.sort(-rng.normal(size=(3, r)) ** 2, axis=1)
+            spectra[rng.random(3) < 0.3] = 0.0
+            eta = float(rng.choice([0.5, 0.85, 0.99, 1.0]))
+            ranks, degenerate = effective_ranks(spectra, eta)
+            assert [(int(k), bool(d)) for k, d in zip(ranks, degenerate)] == [
+                self.searchsorted_rank(row, eta) for row in spectra
+            ]
+
+    @staticmethod
+    def per_window_stability(seq, k, spectra):
+        """cov_var and eig_cv of one window, as they were taken before the window stack."""
+        raw = np.asarray(seq, dtype=np.float64)
+        mats = 0.5 * (raw + raw.transpose(0, 2, 1))
+        mean_mat = mats.mean(axis=0)
+        cov_var = float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
+        top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
+        means, stds = top.mean(axis=0), top.std(axis=0)
+        kept = [i for i in range(k) if means[i] != 0.0]
+        return cov_var, float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0
+
+    @pytest.mark.parametrize("r", [1, 2, 8, 11])
+    def test_stacked_stability_equals_the_per_window_one(self, r):
+        rng = np.random.default_rng(31 + r)
+        for trial in range(80):
+            layers, window = int(rng.integers(1, 4)), int(rng.integers(2, 25))
+            windows = rng.normal(size=(layers, window, r, r)) * 10.0 ** rng.integers(-4, 4)
+            spectra = -np.sort(-np.abs(rng.normal(size=(layers, window, r))), axis=2)
+            if trial % 3 == 0:
+                spectra[:, :, r // 2:] = 0.0  # zero-mean trajectories are skipped
+            ks = [int(k) for k in rng.integers(1, r + 1, size=layers)]
+            ks[0] = 1 if trial % 2 else ks[0]
+            cov_vars, eig_cvs = stability_stats_stack(windows, ks, spectra)
+            for layer, k in enumerate(ks):
+                seq, spectrum = list(windows[layer]), list(spectra[layer])
+                want = self.per_window_stability(seq, k, spectrum)
+                assert bits([cov_vars[layer], eig_cvs[layer]]) == bits(want)
+                assert bits(stability_stats(seq, k, spectrum)) == bits(want)

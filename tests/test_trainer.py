@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from grit.trainer import (
     Trainer,
     clipped_flat,
     curvature_penalty,
+    median,
     regularizer_ramp,
     reprojection_penalty,
     run_experiment,
@@ -333,12 +338,12 @@ class TestGateOrdering:
         for step in range(20):
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
             if reprojected(step):
-                assert np.all(tr.monitors[0].update_cov == 0.0)
+                assert np.all(tr.update_covariances()[0] == 0.0)
             else:
-                assert np.any(tr.monitors[0].update_cov != 0.0)
+                assert np.any(tr.update_covariances()[0] != 0.0)
         tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 20)
         assert reprojected(20)
-        assert np.all(tr.monitors[0].update_cov == 0.0)
+        assert np.all(tr.update_covariances()[0] == 0.0)
 
     def test_every_layer_refreshes_when_an_earlier_one_is_not_ready(self):
         two_layer = "two_task_forgetting(d=8, hidden=8, pretrain_steps=0)"
@@ -530,6 +535,7 @@ class TestDecompositionCache:
             return sym_eig_stack(mats, names)
 
         monkeypatch.setattr(trainer_module, "sym_eig", recording)
+        monkeypatch.setattr(trainer_module, "sym_eig_stack", recording_stack)
         monkeypatch.setattr(reprojection_module, "sym_eig", recording)
         monkeypatch.setattr(reprojection_module, "sym_eig_stack", recording_stack)
         # telemetry steps never coincide with reprojection steps, so every
@@ -572,14 +578,19 @@ class TestDecompositionCache:
 
             return recording
 
-        def recording_stack(mats, stack_names):
-            for m, name in zip(mats, stack_names):
-                record("stack", m, name)
-            return sym_eig_stack(mats, stack_names)
+        def stack_recorder(site):
+            def recording_stack(mats, stack_names):
+                for m, name in zip(mats, stack_names):
+                    record(site, m, name)
+                return sym_eig_stack(mats, stack_names)
+
+            return recording_stack
 
         for module in (trainer_module, reprojection_module, telemetry_module):
             monkeypatch.setattr(module, "sym_eig", recorder(module.__name__))
-        monkeypatch.setattr(reprojection_module, "sym_eig_stack", recording_stack)
+        monkeypatch.setattr(reprojection_module, "sym_eig_stack", stack_recorder("stack"))
+        # the telemetry's update covariances, decomposed in the trainer's own stacked call
+        monkeypatch.setattr(trainer_module, "sym_eig_stack", stack_recorder("grit.trainer"))
         tr, task, cfg = make_trainer(telemetry_every=7, **overrides)
         run_loop(tr, task, cfg)
         assert any(r.eig_cv > 0.0 for r in tr.records)
@@ -1297,3 +1308,154 @@ class TestRunLifecycle:
             run_experiment(cfg, out_dir=tmp_path / "run")
         assert self.manifest_status(tmp_path) == "failed"
         assert not (tmp_path / "run" / "record.json").exists()
+
+
+class TestUpdateFold:
+    """The update covariance, folded a block of steps at a time, equals its per-step sum bit for bit."""
+
+    CASES = {
+        "two_layer_mid_block": dict(task="two_task_forgetting(d=10, hidden=6, pretrain_steps=0)",
+                                    telemetry_every=7, reprojection_freq=12),
+        "two_layer_no_telemetry": dict(task="two_task_forgetting(d=10, hidden=6, pretrain_steps=0)",
+                                       telemetry_every=0, reprojection_freq=12),
+        "synthetic_mid_block": dict(telemetry_every=7, reprojection_freq=12),
+        "synthetic_no_telemetry": dict(telemetry_every=0, reprojection_freq=12),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_per_step_sum_at_every_read(self, monkeypatch, case):
+        reads = []  # (step, the covariances the telemetry decomposed)
+        current = {}
+
+        def recording_stack(mats, names):
+            reads.append((current["step"], np.array(mats)))
+            return sym_eig_stack(mats, names)
+
+        monkeypatch.setattr(trainer_module, "sym_eig_stack", recording_stack)
+        tr, task, cfg = make_trainer(
+            mode="grit", steps=70, reprojection_warmup_steps=24, **self.CASES[case]
+        )
+        updates = []
+
+        def recording_step(params, grads, _step=tr.optimizer.step):
+            new = _step(params, grads)
+            updates.append(new - params)
+            return new
+
+        tr.optimizer.step = recording_step
+        shapes = [(adapter.a.shape, adapter.b.shape) for _, adapter in tr.model.layers]
+        reference = np.zeros((len(shapes), cfg.lora_rank, cfg.lora_rank))
+        expected_reads = []
+        folded = resets = 0
+        for step in range(cfg.steps):
+            current["step"] = step
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            start = 0
+            for idx, (a_shape, b_shape) in enumerate(shapes):
+                mid = start + int(np.prod(a_shape))
+                end = mid + int(np.prod(b_shape))
+                delta_a = updates[-1][start:mid].reshape(a_shape)
+                delta_b = updates[-1][mid:end].reshape(b_shape)
+                reference[idx] += delta_a @ delta_a.T + delta_b.T @ delta_b
+                start = end
+            if cfg.telemetry_every and step % cfg.telemetry_every == 0:
+                expected_reads.append((step, reference.copy()))
+            for event in tr.events:
+                if event["action"] == "reproject" and event["step"] == step:
+                    reference[event["layer"]] = 0.0
+                    resets += 1
+            if tr._pending == 0:  # just folded: at a block's end, a reset or a read
+                assert tr._update_cov.tobytes() == reference.tobytes()
+                folded += 1
+        assert resets > 0 and folded > 0
+        assert len(reads) == len(expected_reads)
+        for (step, got), (want_step, want) in zip(reads, expected_reads):
+            assert step == want_step and got.tobytes() == want.tobytes()
+        assert tr.update_covariances().tobytes() == reference.tobytes()
+
+    def test_fold_waits_for_a_full_block(self):
+        tr, task, cfg = make_trainer(mode="lora_control", telemetry_every=0)
+        for step in range(trainer_module.UPDATE_BLOCK - 1):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            assert tr._pending == step + 1
+            assert np.all(tr._update_cov == 0.0)
+        tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), trainer_module.UPDATE_BLOCK - 1)
+        assert tr._pending == 0 and np.any(tr._update_cov != 0.0)
+
+
+class TestMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0], [2.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], [5.0, 1.0, 5.0, 5.0, 0.0],
+         [0.1, 0.2], [1e-310, 3e-310], [0.0, 1.0, 1.0, 0.0, 1.0, 1.0]],
+    )
+    def test_bitwise_np_median(self, values):
+        values = np.array(values)
+        assert np.float64(median(values)).tobytes() == np.float64(np.median(values)).tobytes()
+
+    def test_bitwise_np_median_on_random_vectors(self):
+        rng = np.random.default_rng(31)
+        for n in list(range(1, 40)) + [64, 255, 256, 2304]:
+            for values in (
+                np.abs(rng.normal(size=n)),
+                rng.integers(0, 4, size=n) * 0.1,  # ties and zeros
+                np.where(rng.random(n) < 0.5, 0.0, rng.random(n)),
+            ):
+                assert np.float64(median(values)).tobytes() == np.float64(np.median(values)).tobytes()
+
+    def test_run_and_audit_leave_numpy_ma_unimported(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from grit.cli import main\n"
+            "from grit.config import GritConfig\n"
+            "from grit.trainer import run_experiment\n"
+            f"cfg = GritConfig(task={TASK!r}, steps=12, seed=0, lora_rank=4, min_lora_rank=2,"
+            " telemetry_every=5, eval_size=64)\n"
+            "run = sys.argv[1]\n"
+            "run_experiment(cfg, run)\n"
+            "assert 'numpy.ma' not in sys.modules, 'run_experiment imported numpy.ma'\n"
+            "assert main(['--quiet', 'audit', run]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'grit audit imported numpy.ma'\n"
+        )
+        src = str(Path(trainer_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestStreamGroups:
+    """Each accumulation's stats lines, and each step's group of events, reach their stream in one append."""
+
+    def test_one_append_per_accumulation_and_event_group(self, tmp_path, monkeypatch):
+        appends = []
+        append = JsonlWriter.append
+
+        def recording(self, *objs):
+            appends.append((self.path.name, objs))
+            append(self, *objs)
+
+        monkeypatch.setattr(JsonlWriter, "append", recording)
+        tr, task, cfg = make_trainer(
+            run_dir=tmp_path, mode="grit", task=TestOnePassStep.TWO_LAYER,
+            reprojection_warmup_steps=0, telemetry_every=0,
+        )
+        with tr:
+            run_loop(tr, task, cfg)
+        n_layers = len(tr.model.layers)
+        stats = [objs for name, objs in appends if name == "stats.jsonl"]
+        accumulations = [e["step"] for e in tr.events if e["action"] == "accumulate"]
+        assert [[line["step"] for line in objs] for objs in stats] == [[s] * n_layers for s in accumulations]
+        events = [objs for name, objs in appends if name == "events.jsonl"]
+        groups = [[e["action"] for e in objs] for objs in events]
+        assert ["accumulate", "invert"] in groups
+        assert ["reproject"] * n_layers in groups or ["reproject_gated"] * n_layers in groups
+        for objs in events:
+            assert len({e["step"] for e in objs}) == 1
+            actions = [e["action"] for e in objs]
+            assert actions in (["accumulate"], ["accumulate", "invert"], ["precondition"], ["sanitize"]) or (
+                len(actions) == n_layers and set(actions) <= {"reproject", "reproject_gated"}
+            )
+        assert [e for objs in events for e in objs] == tr.events
