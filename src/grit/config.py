@@ -63,8 +63,6 @@ class GritConfig:
     lora_alpha: float = setting(1.0, gt=0)
     eval_size: int = setting(256, ge=1)
     telemetry_every: int = setting(10, ge=0)
-    telemetry_eta: float = setting(0.9, gt=0, le=1)
-    tail_threshold: float = setting(0.0, ge=0)  # 0 means auto (3x median coordinate of first logged step)
 
 
 class Declared(typing.NamedTuple):

@@ -33,12 +33,7 @@ from .model import AdapterPair, LayerTape
 
 @dataclass
 class RankSpaceStats:
-    """Running rank-space covariances plus cached damped inverses for one layer.
-
-    accumulate binds a_cov and g_cov to new arrays and never writes into
-    the old ones, so each LayerGeometry in the trainer's stability window
-    keeps its own accumulation's a_cov.
-    """
+    """Running rank-space covariances plus cached damped inverses for one layer."""
 
     rank: int
     damping: float

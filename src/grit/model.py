@@ -12,52 +12,42 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, TapeError, ValidationError
 from .runio import write_atomic
 
-ACTIVATIONS = ("identity", "tanh")
 
+class Activation(NamedTuple):
+    """An activation f with its derivatives f' and f'' in the pre-activation z.
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    raise ValidationError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    raise ValidationError(f"unknown activation {name!r}")
-
-
-def _act_backward(name: str, dh: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """dh times the activation's derivative, read from its output h = act(z).
-
-    For tanh, 1 - h*h is the 1 - tanh(z)^2 of _act_deriv without a second
-    tanh; for identity the derivative is 1, so dh comes back as is.
+    backward(dh, h) is dh * f'(z) read from the output h = f(z): for tanh,
+    1 - h*h is the 1 - tanh(z)^2 of f' without a second tanh; for identity
+    the derivative is 1, so dh comes back as is.
     """
-    if name == "identity":
-        return dh
-    if name == "tanh":
-        return dh * (1.0 - h * h)
-    raise ValidationError(f"unknown activation {name!r}")
+
+    f: Callable
+    deriv: Callable
+    deriv2: Callable
+    backward: Callable
 
 
-def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return np.zeros_like(z)
-    if name == "tanh":
-        t = np.tanh(z)
-        return -2.0 * t * (1.0 - t * t)
-    raise ValidationError(f"unknown activation {name!r}")
+def _tanh_deriv(z: np.ndarray) -> np.ndarray:
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def _tanh_deriv2(z: np.ndarray) -> np.ndarray:
+    t = np.tanh(z)
+    return -2.0 * t * (1.0 - t * t)
+
+
+ACTIVATIONS = {
+    "identity": Activation(lambda z: z, np.ones_like, np.zeros_like, lambda dh, h: dh),
+    "tanh": Activation(np.tanh, _tanh_deriv, _tanh_deriv2, lambda dh, h: dh * (1.0 - h * h)),
+}
 
 
 @dataclass
@@ -191,7 +181,7 @@ class Model:
             if base.bias is not None:
                 z = z + base.bias
             tape.z = z
-            tape.h = h = _act(base.activation, z)
+            tape.h = h = ACTIVATIONS[base.activation].f(z)
         return h
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
@@ -205,7 +195,7 @@ class Model:
             z = h @ adapter.effective_weight(base.w0).T
             if base.bias is not None:
                 z = z + base.bias
-            h = _act(base.activation, z)
+            h = ACTIVATIONS[base.activation].f(z)
         return h
 
     def backward(self, loss_grad: np.ndarray) -> list[LayerTape]:
@@ -227,7 +217,7 @@ class Model:
         for (base, adapter), tape in zip(reversed(self.layers), reversed(self.tapes)):
             if tape.dy is not None:
                 raise TapeError("tape already populated; run forward again before backward")
-            tape.dy = dz = _act_backward(base.activation, dh, tape.h)
+            tape.dy = dz = ACTIVATIONS[base.activation].backward(dh, tape.h)
             grad_w_eff = dz.T @ tape.x
             tape.grad_a = adapter.b.T @ grad_w_eff
             tape.grad_b = grad_w_eff @ adapter.a.T

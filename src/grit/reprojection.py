@@ -13,7 +13,8 @@ LayerGeometry is a layer's rank-space geometry for one accumulation's
 statistics. Only the trainer's accumulation makes one, through
 LayerGeometry.of_each, which decomposes the covariances of every layer in
 one stacked call (all rank-space covariances are r x r), and it stays fixed
-from then on. It decides the b factor's side once (g_side, side_decomp),
+from then on; it keeps the decompositions, not the covariances, and the
+trainer lets it go at the next accumulation. It decides the b factor's side once (g_side, side_decomp),
 and builds its rank k, its projectors and their complement operators
 Q = I - P once each on first use. The damped inverses, the lambda_r
 penalty's complements, reprojection's projectors and the telemetry all
@@ -152,15 +153,12 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
 class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
-    Keeps the a_cov the statistics had when it was made (the stability
-    window reads it), the eigendecomposition of each covariance, the config
-    and g_side, whether the b factor's side is the gradient side
-    (uses_g_side at the accumulation's n_cov). The spectral k and each k's
-    operator set (the projector pair and its complements) are built on
-    first use and kept.
+    Keeps the eigendecomposition of each covariance, the config and g_side,
+    whether the b factor's side is the gradient side (uses_g_side at the
+    accumulation's n_cov). The spectral k and each k's operator set (the
+    projector pair and its complements) are built on first use and kept.
     """
 
-    a_cov: np.ndarray
     decomp_a: SpectralDecomp
     decomp_g: SpectralDecomp
     config: GritConfig
@@ -181,7 +179,7 @@ class LayerGeometry:
             [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
         return [
-            cls(st.a_cov, decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov))
+            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov))
             for i, st in enumerate(stats)
         ]
 

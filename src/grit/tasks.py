@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import declarations, parse_settings, setting
 from .errors import ConfigError
-from .model import Model, _act, _act_deriv, _act_deriv2, build_model
+from .model import ACTIVATIONS, Model, build_model
 from .telemetry import LayerCurvature
 
 
@@ -89,7 +89,7 @@ class TaskInstance:
             if base.bias is not None:
                 z = z + base.bias
             pre.append(z)
-            h = _act(base.activation, z)
+            h = ACTIVATIONS[base.activation].f(z)
         return inputs, pre, h - self.pt_targets
 
     def pt_curvature(self) -> list[LayerCurvature]:
@@ -113,8 +113,9 @@ class TaskInstance:
             factors = [None] * len(layers)
             for idx in reversed(range(len(layers))):
                 base, z = layers[idx][0], pre[idx]
-                d1 = _act_deriv(base.activation, z)
-                e = _act_deriv2(base.activation, z) * grad_h
+                act = ACTIVATIONS[base.activation]
+                d1 = act.deriv(z)
+                e = act.deriv2(z) * grad_h
                 factors[idx] = LayerCurvature(x=inputs[idx], d=d1, h=hess_h, e=e)
                 if idx > 0:
                     grad_h = (d1 * grad_h) @ base.w0
@@ -138,8 +139,9 @@ class TaskInstance:
             v = adapter.scaling * adapter.delta_w()
             r_z = x @ v.T + r_h @ base.w0.T
             r2_z = 2.0 * (r_h @ v.T) + r2_h @ base.w0.T
-            d1 = _act_deriv(base.activation, z)
-            r_h, r2_h = d1 * r_z, _act_deriv2(base.activation, z) * r_z * r_z + d1 * r2_z
+            act = ACTIVATIONS[base.activation]
+            d1 = act.deriv(z)
+            r_h, r2_h = d1 * r_z, act.deriv2(z) * r_z * r_z + d1 * r2_z
         return float((np.sum(r_h * r_h) + np.sum(err * r2_h)) / (2.0 * err.shape[0]))
 
 

@@ -4,16 +4,13 @@ The stream's schema is GeometryRecord: after a header line, each line is
 one record's fields (vars(record), keys sorted by JsonlWriter).
 stability_stats reads its caller's spectra and decomposes nothing. The
 trainer's telemetry step reads all layers at once: stability_stats_stack
-on the (layers x window x r x r) stack of their windows and
-adapter_subspace_bases with one SVD per factor shape; stability_stats and
-adapter_subspace_basis are their one-layer cases. The curvature exposure
-reads the factored Hessian blocks of
+on the (layers x window x r x r) stack of the a_cov copies in the trainer's
+window and adapter_subspace_bases with one SVD per factor shape;
+stability_stats and adapter_subspace_basis are their one-layer cases. The
+curvature exposure reads the factored Hessian blocks of
 tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
-checked against is in oracles.
-
-Naming note: the energy threshold used by rank selection is tau_energy
-(config key rank_adaptation_threshold) while the update-magnitude cutoff for
-tail mass is tau_tail (config key tail_threshold); they are unrelated knobs.
+checked against is in oracles. No setting tunes a diagnostic: the trainer
+fixes the r_eff energy fraction and each layer's tail-mass cutoff.
 """
 
 from __future__ import annotations

@@ -13,15 +13,17 @@ low-rank adaptation trainer with the identical optimizer arithmetic.
 
 Each accumulation gives every layer one reprojection.LayerGeometry, and no
 other code makes one: all layers' covariances are eigendecomposed in one
-stacked call, and the geometry joins the layer's stability window, whose
-newest entry is the layer's current geometry (none before the first
-accumulation). The damped inverses come from those spectra. The lambda_r
-penalty reads the complement operators Q = I - P, built once per
-accumulation and k, so a step's penalty is one matmul per factor; it reads
-the geometry of the statistics the step started with. Reprojection reads
-the projectors, the telemetry the decompositions and the geometry's side,
-and the stability window keeps the last COV_WINDOW geometries. Each invert
-event carries every layer's damping ladder rungs and condition numbers.
+stacked call, and the geometries are the layers' current ones until the
+next accumulation (none before the first). The damped inverses come from
+those spectra. The lambda_r penalty reads the complement operators
+Q = I - P, built once per accumulation and k, so a step's penalty is one
+matmul per factor; it reads the geometry of the statistics the step started
+with. Reprojection reads the projectors, the telemetry the decompositions
+and the geometry's side. The stability window is the trainer's own: for
+each of the last COV_WINDOW accumulations, a copy of every layer's a_cov
+and their eigenvalues, so no geometry outlives its accumulation and no
+later write into the statistics reaches the window. Each invert event
+carries every layer's damping ladder rungs and condition numbers.
 Preconditioning, once started, never stops, so a "precondition" event marks
 its first step. A layer whose preconditioned gradient had non-finite
 entries, which precondition zeroes, gets a "sanitize" event.
@@ -44,7 +46,9 @@ so each sum rounds as it did added one step at a time. The jitter reads the
 last two clipped flat gradients, sliced per layer when a telemetry step
 reads them. A telemetry step reads all layers at once: one stacked
 eigendecomposition of the update covariances, one SVD call per tangent
-factor shape, and the r_eff rule and the stability statistics on stacks.
+factor shape, and the r_eff rule (at R_EFF_ENERGY) and the stability
+statistics on stacks. A layer's tail-mass cutoff is 3x the median
+|delta W| of the first telemetry step where that median is not zero.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +103,7 @@ from .telemetry import (
 from .telemetry import adapter_subspace_basis, stability_stats  # noqa: F401  (perfbench/spans.py traces them)
 
 COV_WINDOW = 24  # accumulations kept for the stability diagnostics
+R_EFF_ENERGY = 0.9  # energy fraction the telemetry r_eff keeps
 UPDATE_BLOCK = 8  # parameter updates held before the update covariance folds them in
 
 
@@ -157,7 +162,9 @@ def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
     The squared norm adds one sum per factor in list order, so it rounds as
     it did when each factor was clipped on its own: each sum reduces that
     factor's run of the squared concatenation, the elements and order that
-    (g * g).sum() reduces for a C-contiguous g.
+    (g * g).sum() reduces for a C-contiguous g. Only when finite entries
+    overflow the squared norm is the norm taken again, from the vector
+    divided by its largest magnitude.
     """
     flat = np.concatenate([g.ravel() for g in grads])
     squares = flat * flat
@@ -166,6 +173,11 @@ def clipped_flat(grads: list[np.ndarray], max_norm: float) -> np.ndarray:
         squared_norm += np.add.reduce(squares[start : start + g.size])
         start += g.size
     global_norm = math.sqrt(squared_norm)
+    if math.isinf(squared_norm):
+        peak = float(np.max(np.abs(flat)))
+        if math.isfinite(peak):  # no entry is infinite, but squares overflowed
+            scaled = flat / peak
+            global_norm = peak * math.sqrt(scaled @ scaled)
     if global_norm > max_norm and global_norm > 0.0:
         flat *= max_norm / global_norm
     return flat
@@ -231,10 +243,9 @@ class LayerMonitor:
     """Per-layer state backing the telemetry stream."""
 
     prev_basis: np.ndarray | None = None
-    # the LayerGeometry of each accumulation, newest last
-    cov_snapshots: deque = field(default_factory=lambda: deque(maxlen=COV_WINDOW))
     last_k: int = 0
     last_pi: float = 1.0
+    # 3x the median |delta W| of the first telemetry step where that median is not zero
     tail_threshold: float = 0.0
 
 
@@ -267,12 +278,12 @@ class Trainer:
             for _ in range(n_layers)
         ]
         # every factor as a view of one flat parameter vector
-        self._params = np.empty(sum(a.a.size + a.b.size for _, a in self.model.layers))
+        self._params = np.empty(sum(a.a.size + a.b.size for a in self.model.adapters()))
         self._factors: list[tuple[np.ndarray, np.ndarray]] = []
         # each layer's a and b as column ranges of the flat vector
         self._layer_columns: list[tuple[slice, slice]] = []
         offset = 0
-        for _, adapter in self.model.layers:
+        for adapter in self.model.adapters():
             mid = offset + adapter.a.size
             end = mid + adapter.b.size
             a = self._params[offset:mid].reshape(adapter.a.shape)
@@ -292,6 +303,11 @@ class Trainer:
         # the clipped flat gradients of the last two steps, newest first, for the jitter
         self._grads: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self.monitors = [LayerMonitor(last_k=r) for _ in range(n_layers)]
+        # each layer's geometry from the latest accumulation; None before the first
+        self._geometries: list[LayerGeometry] | None = None
+        # per accumulation, newest last: copies of every layer's a_cov (layers x r x r)
+        # and their eigenvalues (layers x r), for the stability statistics
+        self._window: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=COV_WINDOW)
         self.events: list[dict] = []
         # whether a step has preconditioned; events log the first one
         self._preconditioned = False
@@ -339,17 +355,17 @@ class Trainer:
             self.event_writer.append(*objs)
 
     def _layer_decomps(self, idx: int) -> LayerGeometry | None:
-        """Layer idx's current geometry, the newest in its window; None before the first accumulation."""
-        snapshots = self.monitors[idx].cov_snapshots
-        return snapshots[-1] if snapshots else None
+        """Layer idx's geometry from the latest accumulation; None before the first accumulation."""
+        return self._geometries[idx] if self._geometries is not None else None
 
     def _accumulate(self, step: int) -> list[bool]:
         """Fold this step's batch into every layer's statistics and refresh their inverses.
 
         The new covariances go to stats.jsonl in one append and are
-        eigendecomposed in one stacked call; each layer's geometry is built from its two
-        decompositions, joins the stability window and gives the damped
-        inverses their spectra. Returns, per layer, whether the inverses
+        eigendecomposed in one stacked call; each layer's geometry is built
+        from its two decompositions and gives the damped inverses their
+        spectra, and a copy of every a_cov joins the stability window with
+        its eigenvalues. Returns, per layer, whether the inverses
         were refreshed (false while the sample gate is unmet); every layer
         refreshes, even after one that is not ready yet.
         """
@@ -368,16 +384,17 @@ class Trainer:
                     for idx, stats in enumerate(self.stats)
                 )
             )
-        geometries = LayerGeometry.of_each(self.stats, self.config)
-        refreshed = []
-        for stats, geometry, monitor in zip(self.stats, geometries, self.monitors):
-            monitor.cov_snapshots.append(geometry)
-            refreshed.append(
-                refresh_inverses(
-                    stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g)
-                )
+        geometries = self._geometries = LayerGeometry.of_each(self.stats, self.config)
+        self._window.append(
+            (
+                np.array([stats.a_cov for stats in self.stats]),
+                np.array([geometry.decomp_a.eigenvalues for geometry in geometries]),
             )
-        return refreshed
+        )
+        return [
+            refresh_inverses(stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g))
+            for stats, geometry in zip(self.stats, geometries)
+        ]
 
     def _bind_factors(self, adapters) -> None:
         """Copy each factor replaced since the last step into the flat vector and bind its view again."""
@@ -424,7 +441,7 @@ class Trainer:
         x, y = batch
         if x.shape[0] == 0:
             raise ValidationError("empty batch")
-        adapters = [adapter for _, adapter in self.model.layers]
+        adapters = self.model.adapters()
         self._bind_factors(adapters)
         pred = self.model.forward(x)
         err = pred - y
@@ -508,7 +525,7 @@ class Trainer:
 
         if self.is_grit and step % config.reprojection_freq == 0:
             events = []
-            for idx, (_, adapter) in enumerate(self.model.layers):
+            for idx, adapter in enumerate(self.model.adapters()):
                 event = reproject(
                     adapter, self._layer_decomps(idx), config, step, prev_k=self.monitors[idx].last_k
                 )
@@ -532,22 +549,19 @@ class Trainer:
 
     def _emit_telemetry(self, step: int) -> None:
         curvature = self.task.pt_curvature()
-        adapters = [adapter for _, adapter in self.model.layers]
+        adapters = self.model.adapters()
         update_decomps = sym_eig_stack(
             self.update_covariances(), [f"update covariance of layer {idx}" for idx in range(len(adapters))]
         )
-        r_effs, _ = effective_ranks(
-            np.array([decomp.eigenvalues for decomp in update_decomps]), self.config.telemetry_eta
-        )
+        r_effs, _ = effective_ranks(np.array([decomp.eigenvalues for decomp in update_decomps]), R_EFF_ENERGY)
         bases = adapter_subspace_bases(adapters)
-        # every layer's window holds the same accumulations
-        windows = [monitor.cov_snapshots for monitor in self.monitors]
         cov_vars = eig_cvs = np.zeros(len(adapters))
-        if len(windows[0]) >= 2:
+        if len(self._window) >= 2:
+            covs, spectra = zip(*self._window)
             cov_vars, eig_cvs = stability_stats_stack(
-                np.array([[snap.a_cov for snap in window] for window in windows]),
+                np.stack(covs, axis=1),
                 [max(1, monitor.last_k) for monitor in self.monitors],
-                np.array([[snap.decomp_a.eigenvalues for snap in window] for window in windows]),
+                np.stack(spectra, axis=1),
             )
         grad, prev_grad = self._grads
         records, deltas = [], []  # one line per layer, one append per stream
@@ -570,11 +584,7 @@ class Trainer:
 
             delta_vec = adapter.scaling * adapter.delta_w().ravel()
             if monitor.tail_threshold == 0.0:
-                med = median(np.abs(delta_vec))
-                if self.config.tail_threshold > 0.0:
-                    monitor.tail_threshold = self.config.tail_threshold
-                elif med > 0.0:
-                    monitor.tail_threshold = 3.0 * med
+                monitor.tail_threshold = 3.0 * median(np.abs(delta_vec))
             tail = (
                 tail_mass(delta_vec, monitor.tail_threshold)
                 if monitor.tail_threshold > 0.0
@@ -624,17 +634,15 @@ class Trainer:
             self.update_writer.append(*(update_line(step, idx, delta) for idx, delta in enumerate(deltas)))
 
     def geometry_summary(self) -> GeometrySummary:
+        """The run-level mean of each telemetry field GeometrySummary declares, besides max_rank."""
         if not self.records:
             return GeometrySummary(max_rank=self.config.lora_rank)
-        return GeometrySummary(
-            r_eff=float(np.mean([r.r_eff for r in self.records])),
-            rho_align=float(np.mean([r.rho_align for r in self.records])),
-            pi_proj=float(np.mean([r.pi_proj for r in self.records])),
-            k_selected=float(np.mean([r.k_selected for r in self.records])),
-            curvature_exposure=float(np.mean([r.curvature_exposure for r in self.records])),
-            tail_mass=float(np.mean([r.tail_mass for r in self.records])),
-            max_rank=self.config.lora_rank,
-        )
+        means = {
+            f.name: float(np.mean([getattr(record, f.name) for record in self.records]))
+            for f in fields(GeometrySummary)
+            if f.name != "max_rank"
+        }
+        return GeometrySummary(**means, max_rank=self.config.lora_rank)
 
 
 def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> RunRecord:

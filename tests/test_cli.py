@@ -53,6 +53,13 @@ class TestTrain:
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["tail_threshold", "telemetry_eta"])
+    def test_retired_telemetry_key(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, MINIMAL_CONFIG + f"{key} = 0.5\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_task_without_out_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRIT_OUT_ROOT", str(tmp_path / "root"))
         path = write_config(tmp_path, "task = nosuchtask\n")

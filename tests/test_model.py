@@ -145,11 +145,9 @@ class TestBackward:
 
 def reference_backward(model, loss_grad):
     """(dy, dy^T x, grad_a, grad_b) per layer, recomputing each effective weight."""
-    from grit.model import _act_deriv
-
     dh, out = loss_grad, []
     for (base, adapter), tape in zip(reversed(model.layers), reversed(model.tapes)):
-        dz = dh * _act_deriv(base.activation, tape.z)
+        dz = dh * ACTIVATIONS[base.activation].deriv(tape.z)
         grad_w = dz.T @ tape.x
         out.append((dz, grad_w, adapter.scaling * (adapter.b.T @ grad_w), adapter.scaling * (grad_w @ adapter.a.T)))
         dh = dz @ (base.w0 + adapter.scaling * (adapter.b @ adapter.a))
@@ -303,15 +301,19 @@ class TestCheckpoint:
 class TestActivationDerivatives:
     @pytest.mark.parametrize("name", ACTIVATIONS)
     def test_second_derivative_matches_central_difference(self, name):
-        from grit.model import _act_deriv, _act_deriv2
-
+        act = ACTIVATIONS[name]
         z = np.array([-1.7, -0.4, 0.3, 1.1, 2.5])
         step = 1e-5
-        fd = (_act_deriv(name, z + step) - _act_deriv(name, z - step)) / (2.0 * step)
-        assert np.allclose(_act_deriv2(name, z), fd, atol=1e-8)
+        fd = (act.deriv(z + step) - act.deriv(z - step)) / (2.0 * step)
+        assert np.allclose(act.deriv2(z), fd, atol=1e-8)
+
+    def test_identity_layer_passes_its_output_gradient_through(self):
+        model, _ = seeded_model()
+        out = model.forward(np.ones((3, model.d_in)))
+        loss_grad = np.ones_like(out)
+        model.backward(loss_grad)
+        assert model.tapes[-1].dy is loss_grad
 
     def test_unknown_activation(self):
-        from grit.model import _act_deriv2
-
-        with pytest.raises(ValidationError):
-            _act_deriv2("softplus", np.zeros(2))
+        with pytest.raises(ValidationError, match="softplus"):
+            BaseLayer(w0=np.zeros((2, 2)), activation="softplus")

@@ -122,6 +122,12 @@ class TestFlatOptimizer:
             assert optimizer.m.tobytes() == flat(reference.m).tobytes()
             assert optimizer.v.tobytes() == flat(reference.v).tobytes()
 
+    def test_clip_survives_an_overflowing_squared_norm(self):
+        grads = [np.array([[1e200, 1.0]]), np.array([[2.0]])]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            clipped = clipped_flat(grads, 1.0)
+        assert np.allclose(clipped, [1.0, 1e-200, 2e-200], rtol=1e-15, atol=0.0)
+
     def test_step_leaves_its_inputs_untouched(self):
         params = np.arange(4.0)
         grads = np.ones(4)
@@ -801,7 +807,7 @@ class TestSharedSpectra:
             if step % cfg.telemetry_every:
                 continue
             for record in tr.records[-n_layers:]:
-                covs = [snap.a_cov for snap in tr.monitors[record.layer].cov_snapshots]
+                covs = [a_covs[record.layer] for a_covs, _ in tr._window]
                 if len(covs) < 2:
                     continue
                 spectra = [sym_eig(c).eigenvalues for c in covs]
@@ -810,6 +816,30 @@ class TestSharedSpectra:
                 assert record.eig_cv == eig_cv
                 checked += 1
         assert checked > 0
+
+    def test_window_keeps_its_own_covariances(self):
+        cov_vars = []
+        for scribble in (False, True):
+            tr, task, cfg = make_trainer(telemetry_every=0)
+            last = 8 * cfg.kfac_update_freq  # an accumulation step
+            for step in range(last + 1):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if scribble:
+                tr.stats[0].a_cov[...] = 1e3
+            tr._emit_telemetry(last)
+            cov_vars.append(tr.records[0].cov_var)
+        assert cov_vars[0] > 0.0
+        assert cov_vars[1] == cov_vars[0]
+
+    def test_window_holds_at_most_cov_window_accumulations(self):
+        tr, task, cfg = make_trainer(kfac_update_freq=1, telemetry_every=0)
+        for step in range(trainer_module.COV_WINDOW + 5):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            assert len(tr._window) == min(step + 1, trainer_module.COV_WINDOW)
+        a_covs, spectra = tr._window[-1]
+        assert a_covs.shape == (len(tr.stats), cfg.lora_rank, cfg.lora_rank)
+        assert spectra.shape == (len(tr.stats), cfg.lora_rank)
+        assert np.array_equal(a_covs[0], tr.stats[0].a_cov)
 
 
 class TestRunExperiment:
@@ -974,8 +1004,9 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
 
-    def test_full_energy_r_eff_within_rank(self):
-        tr, task, cfg = make_trainer(lora_rank=8, telemetry_eta=1.0, telemetry_every=5)
+    def test_full_energy_r_eff_within_rank(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "R_EFF_ENERGY", 1.0)
+        tr, task, cfg = make_trainer(lora_rank=8, telemetry_every=5)
         run_loop(tr, task, cfg)
         assert tr.records
         assert all(rec.r_eff <= cfg.lora_rank for rec in tr.records)
