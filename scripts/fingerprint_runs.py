@@ -43,7 +43,12 @@ starts its base off the teacher (init_jitter = 0.05), so its 20
 pretraining steps move the weights. One grit run has telemetry every 7
 steps and reprojection every 12 from step 24, off the trainer's block of 8
 updates, so the update covariance is read and reset with updates pending
-in the middle of a block. The last run is the config of the CLI
+in the middle of a block. One grit run takes the paths of the block-drawn
+data and the per-accumulation penalty operators: two_task_forgetting with
+hidden = 10 != d = 12 and ft_noise = 0, 250 steps (not a multiple of the
+trainer's DATA_BLOCK = 16, so its last block is partial), and rank
+adaptation starting at step 103, between the accumulations at 100 and 105.
+The last run is the config of the CLI
 determinism check (criterion 12): the one-layer, identity-activation
 synthetic_lowrank model, which no other run builds. The manifest carries a
 timestamp, so it is left out.
@@ -108,6 +113,12 @@ RUNS = {
     # telemetry and resets land mid-block (trainer.UPDATE_BLOCK = 8), with updates pending
     "grit-off-block-s0": study_config(
         "grit", 0, steps=120, telemetry_every=7, reprojection_freq=12, reprojection_warmup_steps=24
+    ),
+    # hidden != d and noiseless targets, 250 steps (not a multiple of trainer.DATA_BLOCK = 16),
+    # and the spectral rank taking over at step 103, between the accumulations at 100 and 105
+    "grit-hidden10-noiseless-s0": dataclasses.replace(
+        study_config("grit", 0, steps=250, rank_adaptation_start_step=103),
+        task="two_task_forgetting(d=12, hidden=10, pretrain_steps=100, ft_noise=0, delta_scale=0.2)",
     ),
     # the config of the CLI determinism run (tests/test_acceptance.py's CLI_CONFIG)
     "grit-synthetic-s21": GritConfig(

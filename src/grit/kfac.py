@@ -21,6 +21,7 @@ is a x; Martens & Grosse 2015).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,10 @@ def precondition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Natural-gradient map: (inv_a @ grad_a, grad_b @ inv_g).
 
-    Non-finite outputs are zeroed and counted on stats.sanitized_count;
-    the entry masks are built only when a factor is not all finite.
+    Non-finite outputs are zeroed and counted on stats.sanitized_count.
+    The entry masks are built only when the outputs' sum of squares is not
+    finite: always when an entry is not, and also when finite entries
+    overflow it, where the masks find nothing to zero.
     """
     if not stats.inv_ready:
         raise PreconditionUnavailableError(
@@ -132,7 +135,7 @@ def precondition(
         )
     nat_a = stats.inv_a @ grad_a
     nat_b = grad_b @ stats.inv_g
-    if not (np.isfinite(nat_a).all() and np.isfinite(nat_b).all()):
+    if not math.isfinite(np.vdot(nat_a, nat_a) + np.vdot(nat_b, nat_b)):
         bad_a = ~np.isfinite(nat_a)
         bad_b = ~np.isfinite(nat_b)
         stats.sanitized_count += int(bad_a.sum() + bad_b.sum())

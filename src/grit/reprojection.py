@@ -127,7 +127,8 @@ def select_rank(
     (which falls back to min_rank).
     """
     eigs = np.asarray(eigenvalues, dtype=np.float64)
-    if eigs.ndim == 1 and np.any(np.diff(eigs) > 0.0):
+    # e[i + 1] > e[i] exactly where np.diff(e) > 0, without the difference array
+    if eigs.ndim == 1 and (eigs[1:] > eigs[:-1]).any():
         raise ValidationError("eigenvalues must be sorted non-increasing")
     k, degenerate = effective_rank(eigs, tau)
     return max(k, min(min_rank, eigs.size)), degenerate

@@ -27,8 +27,9 @@ stream that fails it is read again line by line, to name the bad line.
 The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
 1-D of length d_out * d_in) are written by encode_array as
 {"shape": [...], "f64": base64 of the little-endian float64 bytes}, which
-round-trips bit for bit; update_line formats a whole updates.jsonl line
-without the JSON encoder, to the same bytes. Read one with decode_array, or with
+round-trips bit for bit; update_line and stats_line format a whole
+updates.jsonl or stats.jsonl line without the JSON encoder, to the same
+bytes. Read one with decode_array, or with
 np.frombuffer(base64.b64decode(f64), "<f8").reshape(shape). decode_array
 also reads the plain JSON lists of older run directories.
 
@@ -37,9 +38,10 @@ byte-identically for a fixed config and seed. The manifest and record (and
 the law fit) are written by write_json. The manifest, record and
 checkpoint are replaced whole (write_atomic), so a run that dies mid-write
 leaves the previous version, never a truncated file. Each .jsonl stream is
-opened once per run, flushed after every append (an append may hold
-several lines) and closed on every exit path, so a run that dies leaves
-each stream ending in a whole line.
+opened once per run, after the running manifest is written, flushed after
+every append (an append may hold several lines) and closed on every exit
+path, so a run that dies, even while opening its streams, leaves a failed
+manifest and each stream ending in a whole line.
 """
 
 from __future__ import annotations
@@ -237,18 +239,36 @@ def encode_array(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "f64": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
+def _array_text(array: np.ndarray) -> str:
+    """_JSONL_ENCODER.encode(encode_array(array)), without the encoder.
+
+    The base64 payload is ASCII by construction, so it is written as it is,
+    without the JSON string encoder's pass over it.
+    """
+    doc = encode_array(array)
+    return f'{{"f64": "{doc["f64"]}", "shape": [{", ".join(map(str, doc["shape"]))}]}}'
+
+
 def update_line(step: int, layer: int, delta: np.ndarray) -> str:
     """The updates.jsonl line of one layer's update delta, without its newline.
 
     Bitwise _JSONL_ENCODER.encode({"step": step, "layer": layer,
-    "delta_w": encode_array(delta)}). The base64 payload is ASCII by
-    construction, so it is written as it is, without the JSON string
-    encoder's pass over it.
+    "delta_w": encode_array(delta)}).
     """
-    delta = np.asarray(delta, dtype="<f8")
-    payload = base64.b64encode(delta.tobytes()).decode("ascii")
-    shape = ", ".join(map(str, delta.shape))
-    return f'{{"delta_w": {{"f64": "{payload}", "shape": [{shape}]}}, "layer": {layer}, "step": {step}}}'
+    return f'{{"delta_w": {_array_text(delta)}, "layer": {layer}, "step": {step}}}'
+
+
+def stats_line(step: int, layer: int, n_cov: int, a_cov: np.ndarray, g_cov: np.ndarray) -> str:
+    """The stats.jsonl line of one layer's covariances, without its newline.
+
+    Bitwise _JSONL_ENCODER.encode({"step": step, "layer": layer, "n_cov":
+    n_cov, "a_cov": encode_array(a_cov), "g_cov": encode_array(g_cov)}),
+    whatever the values: the arrays go out as their bytes.
+    """
+    return (
+        f'{{"a_cov": {_array_text(a_cov)}, "g_cov": {_array_text(g_cov)}, '
+        f'"layer": {layer}, "n_cov": {n_cov}, "step": {step}}}'
+    )
 
 
 def decode_array(value) -> np.ndarray:
@@ -275,7 +295,7 @@ class JsonlWriter:
     The file is opened (and truncated) once. An append writes one line per
     object, with one write and one flush before it returns, so the file on
     disk always ends in a whole line. An object given as a str is taken to
-    be its line already encoded (update_line).
+    be its line already encoded (update_line, stats_line).
     """
 
     def __init__(self, path: str | Path):

@@ -25,6 +25,15 @@ Task specs are strings, each naming a task dataclass below and its arguments:
         directions. pt loss is measured against the original teacher on a
         fixed held-out set.
 
+Each task's sample_batch(rng, batch) draws one fine-tune batch, (batch x d)
+inputs and targets; sample_batch(rng, batch, steps) draws that many batches
+at once, as (steps x batch x d) arrays, bitwise the one-batch draws made in
+turn. One batch is the block of one: there is one code path. A block takes
+all its normals in one rng.normal call, in the one-batch stream order
+(a batch's inputs, then its noise), and maps them with stacked matmuls over
+(steps, batch, d), which round as one batch's 2-D matmul does; a
+(steps * batch) x d product need not (it moves the last bit at d = 48).
+
 Both tasks expose the pretraining curvature at the base point without forming
 the dense Hessian H: per adapted layer, the layer inputs x_s and the factors
 of the per-sample Hessians C_s of the pt loss in the layer's pre-activations
@@ -37,6 +46,7 @@ exact gradient, is oracles.fd_pt_hessian.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,7 +65,8 @@ class TaskInstance:
 
     name: str
     model: Model
-    sample_batch: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    # (rng, batch) -> one batch; (rng, batch, steps) -> a block of batches (module docstring)
+    sample_batch: Callable[..., tuple[np.ndarray, np.ndarray]]
     pt_inputs: np.ndarray
     pt_targets: np.ndarray
     n_params: int
@@ -159,6 +170,21 @@ def _orthonormal_columns(rng: np.random.Generator, d: int, k: int) -> np.ndarray
     return q
 
 
+def _normal_block(rng: np.random.Generator, steps: int, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Standard normals for steps successive draws of one array per shape: (steps, *shape) each.
+
+    One rng.normal call takes them in the stream order of drawing each shape
+    in turn, step after step.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = rng.normal(size=(steps, sum(sizes)))
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(draws[:, start : start + size].reshape(steps, *shape))
+        start += size
+    return arrays
+
+
 @dataclass(frozen=True)
 class SyntheticLowrank:
     d: int = setting(24, ge=1)
@@ -189,13 +215,14 @@ class SyntheticLowrank:
             activations=["identity"], base_weights=[w0],
         )
 
-        def sample_batch(rng: np.random.Generator, batch: int):
-            z = rng.normal(size=(batch, r_true))
+        def sample_batch(rng: np.random.Generator, batch: int, steps: int | None = None):
+            shapes = [(batch, r_true)] + ([(batch, d)] if noise > 0.0 else [])
+            z, *noises = _normal_block(rng, 1 if steps is None else steps, shapes)
             x = z @ subspace.T
             if noise > 0.0:
-                x = x + noise * rng.normal(size=(batch, d))
+                x = x + noise * noises[0]
             y = x @ target_w.T
-            return x, y
+            return (x[0], y[0]) if steps is None else (x, y)
 
         # Retention probe: keep the base map on isotropic inputs.
         pt_inputs = data_rng.normal(size=(eval_size, d))
@@ -272,12 +299,13 @@ class TwoTaskForgetting:
         ft_w1 = teacher_w1 + deltas[0]
         ft_w2 = teacher_w2 + deltas[1]
 
-        def sample_batch(rng: np.random.Generator, batch: int):
-            x = rng.normal(size=(batch, d))
+        def sample_batch(rng: np.random.Generator, batch: int, steps: int | None = None):
+            shapes = [(batch, d)] + ([(batch, d)] if ft_noise > 0.0 else [])
+            x, *noises = _normal_block(rng, 1 if steps is None else steps, shapes)
             y = np.tanh(x @ ft_w1.T) @ ft_w2.T
             if ft_noise > 0.0:
-                y = y + ft_noise * rng.normal(size=y.shape)
-            return x, y
+                y = y + ft_noise * noises[0]
+            return (x[0], y[0]) if steps is None else (x, y)
 
         pt_inputs = data_rng.normal(size=(eval_size, d))
         pt_targets = teacher(pt_inputs)

@@ -16,10 +16,15 @@ other code makes one: all layers' covariances are eigendecomposed in one
 stacked call, and the geometries are the layers' current ones until the
 next accumulation (none before the first). The damped inverses come from
 those spectra. The lambda_r penalty reads the complement operators
-Q = I - P, built once per accumulation and k, so a step's penalty is one
-matmul per factor; it reads the geometry of the statistics the step started
-with. Reprojection reads the projectors, the telemetry the decompositions
-and the geometry's side. The stability window is the trainer's own: for
+Q = I - P of the geometry of the statistics the step started with, so a
+step's penalty is one matmul per factor. The trainer takes each layer's
+pair once per accumulation, at the first step that needs it, and again only
+where fixed_rank gives way to the spectral rank; the penalty gradient is
+scaled and the tape gradient added to it in place, bitwise
+ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl lines are
+formatted by runio.stats_line. Reprojection reads the projectors, the
+telemetry the decompositions and the geometry's side. The stability window
+is the trainer's own: for
 each of the last COV_WINDOW accumulations, a copy of every layer's a_cov
 and their eigenvalues, so no geometry outlives its accumulation and no
 later write into the statistics reaches the window. Each invert event
@@ -67,7 +72,7 @@ from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig_stack
 from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .model import save_checkpoint
-from .reprojection import LayerGeometry, effective_ranks, reproject
+from .reprojection import LayerGeometry, effective_ranks, fixed_rank, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     AUDIT_CSVS,
@@ -83,7 +88,7 @@ from .runio import (
     JsonlWriter,
     RunManifest,
     RunRecord,
-    encode_array,
+    stats_line,
     update_line,
     write_manifest,
     write_record,
@@ -105,6 +110,7 @@ from .telemetry import adapter_subspace_basis, stability_stats  # noqa: F401  (p
 COV_WINDOW = 24  # accumulations kept for the stability diagnostics
 R_EFF_ENERGY = 0.9  # energy fraction the telemetry r_eff keeps
 UPDATE_BLOCK = 8  # parameter updates held before the update covariance folds them in
+DATA_BLOCK = 16  # fine-tune steps whose batches run_experiment draws in one call
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:
@@ -305,6 +311,10 @@ class Trainer:
         self.monitors = [LayerMonitor(last_k=r) for _ in range(n_layers)]
         # each layer's geometry from the latest accumulation; None before the first
         self._geometries: list[LayerGeometry] | None = None
+        # each layer's lambda_r complements (Q_a, Q_side) from those geometries, and whether
+        # fixed_rank chose their k; None until a step after the latest accumulation needs them
+        self._complements: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._complements_fixed = False
         # per accumulation, newest last: copies of every layer's a_cov (layers x r x r)
         # and their eigenvalues (layers x r), for the stability statistics
         self._window: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=COV_WINDOW)
@@ -321,10 +331,14 @@ class Trainer:
         self.update_writer = None
         if self.run_dir is not None:
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            self.telemetry_writer = TelemetryWriter(self.run_dir / TELEMETRY_NAME)
-            self.event_writer = JsonlWriter(self.run_dir / EVENTS_NAME)
-            self.stats_writer = JsonlWriter(self.run_dir / STATS_NAME)
-            self.update_writer = JsonlWriter(self.run_dir / UPDATES_NAME)
+            try:
+                self.telemetry_writer = TelemetryWriter(self.run_dir / TELEMETRY_NAME)
+                self.event_writer = JsonlWriter(self.run_dir / EVENTS_NAME)
+                self.stats_writer = JsonlWriter(self.run_dir / STATS_NAME)
+                self.update_writer = JsonlWriter(self.run_dir / UPDATES_NAME)
+            except BaseException:
+                self.close()  # the streams opened before the one that failed
+                raise
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -374,17 +388,12 @@ class Trainer:
         if self.stats_writer is not None:
             self.stats_writer.append(
                 *(
-                    {
-                        "step": step,
-                        "layer": idx,
-                        "n_cov": stats.n_cov,
-                        "a_cov": encode_array(stats.a_cov),
-                        "g_cov": encode_array(stats.g_cov),
-                    }
+                    stats_line(step, idx, stats.n_cov, stats.a_cov, stats.g_cov)
                     for idx, stats in enumerate(self.stats)
                 )
             )
         geometries = self._geometries = LayerGeometry.of_each(self.stats, self.config)
+        self._complements = None
         self._window.append(
             (
                 np.array([stats.a_cov for stats in self.stats]),
@@ -395,6 +404,20 @@ class Trainer:
             refresh_inverses(stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g))
             for stats, geometry in zip(self.stats, geometries)
         ]
+
+    def _penalty_complements(self, step: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's geometry.complements(geometry.rank(step)) from the latest accumulation.
+
+        Without prev_k, a geometry's rank moves with the step only where
+        fixed_rank gives way to the spectral rank, so the operators are
+        worked out once per accumulation and again only there.
+        """
+        fixed = fixed_rank(self.config, self.config.lora_rank, step) is not None
+        if self._complements is None or fixed != self._complements_fixed:
+            geometries = [self._layer_decomps(idx) for idx in range(len(self.stats))]
+            self._complements = [geometry.complements(geometry.rank(step)) for geometry in geometries]
+            self._complements_fixed = fixed
+        return self._complements
 
     def _bind_factors(self, adapters) -> None:
         """Copy each factor replaced since the last step into the flat vector and bind its view again."""
@@ -457,9 +480,9 @@ class Trainer:
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
         accumulating = geometry_on and step % config.kfac_update_freq == 0
         # the lambda_r penalty reads the geometry of the statistics the step started with
-        penalty_geometry = [None] * len(adapters)
-        if self.is_grit and config.lambda_r > 0.0:
-            penalty_geometry = [self._layer_decomps(idx) for idx in range(len(adapters))]
+        complements = None
+        if self.is_grit and config.lambda_r > 0.0 and self._geometries is not None:
+            complements = self._penalty_complements(step)
         if accumulating:
             refreshed = self._accumulate(step)
         preconditioned = False
@@ -472,13 +495,16 @@ class Trainer:
                 loss += ramp * config.lambda_k * pen
                 ga = ga + ramp * config.lambda_k * pga
                 gb = gb + ramp * config.lambda_k * pgb
-            geometry = penalty_geometry[idx]
-            if geometry is not None:
-                q_a, q_side = geometry.complements(geometry.rank(step))
-                val, rga, rgb = reprojection_penalty(adapter, q_a, q_side)
-                loss += ramp * config.lambda_r * val
-                ga = ga + ramp * config.lambda_r * rga
-                gb = gb + ramp * config.lambda_r * rgb
+            if complements is not None:
+                val, rga, rgb = reprojection_penalty(adapter, *complements[idx])
+                weight = ramp * config.lambda_r
+                loss += weight * val
+                # ga + weight * rga, summed into the penalty's own arrays
+                rga *= weight
+                rga += ga
+                rgb *= weight
+                rgb += gb
+                ga, gb = rga, rgb
             if geometry_on and stats.inv_ready:
                 zeroed = stats.sanitized_count
                 ga, gb = precondition(ga, gb, stats)
@@ -651,13 +677,16 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
     Builds the config's synthetic task, measures the pretraining-proxy loss
     on the held-out set before and after adaptation, writes the run
     artifacts (when out_dir is given; config.cfg is config_to_text(config)),
-    and returns the RunRecord. An earlier run's record.json,
-    checkpoint.json and default `grit audit` CSVs (nothing else in audit/)
-    are deleted before the manifest is written, so a run that fails leaves
-    none of them beside its failed manifest. Any
-    exception after the manifest is written marks it failed (interrupted for
-    Ctrl-C) before propagating. The run streams are closed on every exit
-    path.
+    and returns the RunRecord. The fine-tune batches are drawn DATA_BLOCK
+    steps at a time (the last block holds what is left), each block in one
+    call of the task's sample_batch, bitwise the batches drawn one step at a
+    time. An earlier run's record.json, checkpoint.json and default `grit
+    audit` CSVs (nothing else in audit/) are deleted, and the running
+    manifest written, before any run stream is opened, so a run that fails,
+    even while opening its streams, leaves none of them beside its failed
+    manifest. Any exception after the manifest is written marks it failed
+    (interrupted for Ctrl-C) before propagating. The run streams are closed
+    on every exit path.
     """
     validate_config(config)
     if not config.task:
@@ -672,32 +701,34 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
         model_rng=model_rng,
         data_rng=task_rng,
     )
-    with Trainer(config, task, run_dir=out_dir) as trainer:
-        manifest = None
-        if out_dir is not None:
-            out = Path(out_dir)
-            # an earlier run's results must not outlive this run's manifest
-            stale = [out / RECORD_NAME, out / CHECKPOINT_NAME]
-            if (out / AUDIT_DIR).is_dir():
-                stale += [out / AUDIT_DIR / name for name in AUDIT_CSVS]
-            for path in stale:
-                path.unlink(missing_ok=True)
-            (out / CONFIG_NAME).write_text(config_to_text(config))
-            manifest = RunManifest.create(
-                run_id=out.name,
-                config_hash=config_hash(config),
-                seed=config.seed,
-                task=config.task,
-            )
-            write_manifest(manifest, out)
+    manifest = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        # an earlier run's results must not outlive this run's manifest
+        stale = [out / RECORD_NAME, out / CHECKPOINT_NAME]
+        if (out / AUDIT_DIR).is_dir():
+            stale += [out / AUDIT_DIR / name for name in AUDIT_CSVS]
+        for path in stale:
+            path.unlink(missing_ok=True)
+        (out / CONFIG_NAME).write_text(config_to_text(config))
+        manifest = RunManifest.create(
+            run_id=out.name,
+            config_hash=config_hash(config),
+            seed=config.seed,
+            task=config.task,
+        )
+        write_manifest(manifest, out)
 
-        try:
+    try:
+        with Trainer(config, task, run_dir=out_dir) as trainer:
             pt_before = task.pt_loss(task.model)
             final_task_loss = None
-            for step in range(config.steps):
-                batch = task.sample_batch(trainer.data_rng, config.batch_size)
-                result = trainer.train_step(batch, step)
-                final_task_loss = result.task_loss
+            for start in range(0, config.steps, DATA_BLOCK):
+                block = min(DATA_BLOCK, config.steps - start)
+                xs, ys = task.sample_batch(trainer.data_rng, config.batch_size, block)
+                for step, batch in enumerate(zip(xs, ys), start):
+                    final_task_loss = trainer.train_step(batch, step).task_loss
             if trainer.frozen_weight_hash() != trainer._frozen_hash:
                 raise GritError("frozen base weights changed during training")
             pt_after = task.pt_loss(task.model)
@@ -719,9 +750,9 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
                 write_record(record, out)
                 manifest.status = "complete"
                 write_manifest(manifest, out)
-        except (Exception, KeyboardInterrupt) as exc:
-            if manifest is not None:
-                manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
-                write_manifest(manifest, out)
-            raise
+    except (Exception, KeyboardInterrupt) as exc:
+        if manifest is not None:
+            manifest.status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "failed"
+            write_manifest(manifest, out)
+        raise
     return record

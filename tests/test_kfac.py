@@ -215,6 +215,17 @@ class TestPrecondition:
         assert np.array_equal(nb, [[0.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
         assert stats.sanitized_count == 2
 
+    def test_finite_outputs_whose_squares_overflow_are_kept(self):
+        stats = RankSpaceStats(rank=2, damping=0.0)
+        stats.inv_a = np.eye(2)
+        stats.inv_g = np.eye(2)
+        stats.inv_ready = True
+        ga = np.array([[1e200, -1e200], [1.0, 2.0]])
+        gb = np.array([[1e-300, 3.0]])
+        na, nb = precondition(ga, gb, stats)
+        assert na.tobytes() == ga.tobytes() and nb.tobytes() == gb.tobytes()
+        assert stats.sanitized_count == 0
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4))
     def test_kronecker_equivalence(self, seed, r):

@@ -15,6 +15,7 @@ from grit.runio import (
     decode_array,
     encode_array,
     read_record,
+    stats_line,
     update_line,
     write_manifest,
     write_record,
@@ -318,3 +319,28 @@ class TestUpdateLine:
             {"step": 3, "layer": 1, "delta_w": encode_array(delta)}, {"step": 4}
         ]
         assert decode_array(json.loads(lines[0])["delta_w"]).tobytes() == delta.tobytes()
+
+
+class TestStatsLine:
+    # stats lines are written before sym_eig_stack rejects a non-finite covariance
+    SPECIAL = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e308])
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
+    def test_equals_the_json_encoder_line(self, r):
+        rng = np.random.default_rng(r)
+        for step, layer, n_cov in ((0, 0, 0), (15, 1, 80), (123456, 12, 10**9)):
+            a_cov = rng.normal(size=(r, r)) * 10.0 ** rng.integers(-300, 300, size=(r, r))
+            g_cov = rng.choice(self.SPECIAL, size=(r, r))
+            obj = {"step": step, "layer": layer, "n_cov": n_cov,
+                   "a_cov": encode_array(a_cov), "g_cov": encode_array(g_cov)}
+            assert stats_line(step, layer, n_cov, a_cov, g_cov) == runio._JSONL_ENCODER.encode(obj)
+
+    def test_round_trips_special_values_bit_for_bit(self, tmp_path):
+        g_cov = self.SPECIAL.reshape(2, 3)
+        writer = JsonlWriter(tmp_path / "stats.jsonl")
+        writer.append(stats_line(5, 0, 16, np.eye(2), g_cov), stats_line(5, 1, 16, np.zeros((2, 2)), g_cov))
+        writer.close()
+        lines = runio.read_jsonl(tmp_path / "stats.jsonl")
+        assert [(line["step"], line["layer"], line["n_cov"]) for line in lines] == [(5, 0, 16), (5, 1, 16)]
+        assert decode_array(lines[0]["a_cov"]).tobytes() == np.eye(2).tobytes()
+        assert all(decode_array(line["g_cov"]).tobytes() == g_cov.tobytes() for line in lines)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from grit import tasks
+from grit import trainer as trainer_module
+from grit.config import GritConfig
 from grit.errors import ConfigError
 from grit.oracles import base_weight_vector, delta_w_vector, layer_slices, pt_grad_at, zero_adapter_model
 from grit.tasks import build_task, parse_task_spec
-from grit.trainer import seed_stream
+from grit.trainer import run_experiment, seed_stream
 
 
 def build(spec, seed=0, rank=4, eval_size=64):
@@ -233,3 +235,83 @@ class TestPretrainingCurvature:
         assert task.pt_curvature() is first
         assert [f.c.shape for f in first] == [(64, 6, 6), (64, 6, 6)]
         assert [f.x.shape for f in first] == [(64, 6), (64, 6)]
+
+
+# d = 48, where a (steps * batch) x d product moves the last bit against one batch's product
+BLOCK_TASKS = [
+    "synthetic_lowrank(d=48, r_true=3, noise=0.02)",
+    "synthetic_lowrank(d=48, r_true=3, noise=0)",
+    "two_task_forgetting(d=48, hidden=40, pretrain_steps=0, ft_noise=0.25)",
+    "two_task_forgetting(d=48, hidden=40, pretrain_steps=0, ft_noise=0)",
+]
+
+
+class TestBlockDraws:
+    """sample_batch(rng, batch, steps) is bitwise its steps one-batch draws in turn."""
+
+    @pytest.mark.parametrize("steps", [1, 5, 16])
+    @pytest.mark.parametrize("spec", BLOCK_TASKS)
+    def test_block_equals_successive_batches(self, spec, steps):
+        task = build(spec)
+        block_rng, step_rng = np.random.default_rng(steps), np.random.default_rng(steps)
+        xs, ys = task.sample_batch(block_rng, 16, steps)
+        assert xs.shape == ys.shape == (steps, 16, 48)
+        for x, y in zip(xs, ys):
+            x_one, y_one = task.sample_batch(step_rng, 16)
+            assert x_one.shape == y_one.shape == (16, 48)
+            assert x.tobytes() == x_one.tobytes()
+            assert y.tobytes() == y_one.tobytes()
+        assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [0.25, 0.0])
+    def test_inputs_keep_the_single_draw_stream_order(self, noise):
+        # one batch draws its inputs, then its noise, before the next batch draws
+        task = build(f"two_task_forgetting(d=12, hidden=9, pretrain_steps=0, ft_noise={noise})")
+        xs, _ = task.sample_batch(np.random.default_rng(5), 4, 3)
+        normals = np.random.default_rng(5).normal(size=(3, 2 if noise else 1, 4, 12))
+        assert xs.tobytes() == normals[:, 0].tobytes()
+
+
+class TestRunDraws:
+    """run_experiment trains on the one-batch draws, DATA_BLOCK steps per sample_batch call."""
+
+    @pytest.mark.parametrize(
+        "steps", [0, 1, trainer_module.DATA_BLOCK, 2 * trainer_module.DATA_BLOCK + 3],
+        ids=["none", "one", "one-block", "partial-last-block"],
+    )
+    @pytest.mark.parametrize("spec", [BLOCK_TASKS[0], BLOCK_TASKS[2]])
+    def test_batches_are_the_one_batch_draws(self, monkeypatch, spec, steps):
+        calls, batches = [], []
+        build_task_ = trainer_module.build_task
+        train_step = trainer_module.Trainer.train_step
+
+        def building(*args, **kwargs):
+            task = build_task_(*args, **kwargs)
+            sample = task.sample_batch
+
+            def counting(rng, batch, *block):
+                calls.append(block)
+                return sample(rng, batch, *block)
+
+            task.sample_batch = counting
+            return task
+
+        def recording(self, batch, step):
+            batches.append((step, batch[0].tobytes(), batch[1].tobytes()))
+            return train_step(self, batch, step)
+
+        monkeypatch.setattr(trainer_module, "build_task", building)
+        monkeypatch.setattr(trainer_module.Trainer, "train_step", recording)
+        cfg = GritConfig(task=spec, steps=steps, seed=3, lora_rank=4, min_lora_rank=2, batch_size=8,
+                         kfac_update_freq=5, kfac_min_samples=16, telemetry_every=0, eval_size=32)
+        record = run_experiment(cfg)
+        assert (record.final_task_loss is None) == (steps == 0)
+        block = trainer_module.DATA_BLOCK
+        assert calls == [(min(block, steps - start),) for start in range(0, steps, block)]
+        reference = build(spec, seed=3)
+        rng = seed_stream(3, "data")
+        expected = []
+        for step in range(steps):
+            x, y = reference.sample_batch(rng, cfg.batch_size)
+            expected.append((step, x.tobytes(), y.tobytes()))
+        assert batches == expected

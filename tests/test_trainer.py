@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from grit.config import GritConfig
 from grit.errors import ConfigError, GritError, ShapeError, ValidationError
 from grit import reprojection as reprojection_module
+from grit import tasks as tasks_module
 from grit import telemetry as telemetry_module
 from grit import trainer as trainer_module
 from grit.kfac import RankSpaceStats, precondition
@@ -727,6 +729,43 @@ class TestPenaltyGeometry:
         assert build_steps and penalties
 
 
+class TestPenaltyComplements:
+    """Each step's lambda_r penalty reads complements(rank(step)) of the geometries it starts with."""
+
+    START = 33  # rank_adaptation_start_step, between the accumulations at 30 and 35
+
+    @pytest.mark.parametrize("enable", [True, False], ids=["rank-adaptation", "fixed-k"])
+    def test_every_step_uses_its_geometries_complements(self, monkeypatch, enable):
+        tr, task, cfg = make_trainer(
+            lambda_r=0.5, use_two_sided=True, g_gate_min_samples=24, reprojection_k=3,
+            rank_adaptation_threshold=0.5, rank_adaptation_start_step=self.START,
+            enable_rank_adaptation=enable, telemetry_every=0,
+        )
+        seen = []
+
+        def recording(adapter, q_a, q_side):
+            seen.append((adapter, q_a, q_side))
+            return reprojection_penalty(adapter, q_a, q_side)
+
+        monkeypatch.setattr(trainer_module, "reprojection_penalty", recording)
+        switched = False
+        for step in range(cfg.steps):
+            geometries = tr._geometries
+            seen.clear()
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if geometries is None:
+                assert seen == []
+                continue
+            assert [adapter for adapter, _, _ in seen] == tr.model.adapters()
+            for (_, q_a, q_side), geometry in zip(seen, geometries):
+                want_a, want_side = geometry.complements(geometry.rank(step))
+                assert q_a is want_a and q_side is want_side
+            if step == self.START:
+                switched = any(g.rank(step) != g.rank(step - 1) for g in geometries)
+        # the spectral k differs from reprojection_k where it takes over, mid-accumulation
+        assert switched == enable
+
+
 def two_pass_gradients(trainer, before, step):
     """One step's preconditioned gradients as the trainer once made them.
 
@@ -1138,10 +1177,11 @@ class TestRunStreams:
         assert_closed_whole_lines(opened_streams)
 
     def test_closed_after_a_raise_before_the_step_loop(self, tmp_path, opened_streams, monkeypatch):
-        def failing_write(manifest, run_dir):
+        def failing_probe(task, model):
             raise OSError("disk full")
 
-        monkeypatch.setattr(trainer_module, "write_manifest", failing_write)
+        # the first call after the streams are opened
+        monkeypatch.setattr(tasks_module.TaskInstance, "pt_loss", failing_probe)
         cfg = GritConfig(task=TASK, steps=5, seed=1, eval_size=64, lora_rank=4)
         with pytest.raises(OSError, match="disk full"):
             run_experiment(cfg, out_dir=tmp_path / "run")
@@ -1329,6 +1369,31 @@ class TestRunLifecycle:
             self.run_with_step(tmp_path, monkeypatch, interrupt)
         assert_closed_whole_lines(opened_streams)
 
+    def test_a_rerun_that_cannot_open_its_streams_is_marked_failed(self, tmp_path, opened_streams):
+        from grit.cli import main
+
+        out = tmp_path / "run"
+        cfg = GritConfig(task=TASK, steps=50, seed=0, eval_size=64, lora_rank=4, min_lora_rank=2,
+                         kfac_update_freq=5, kfac_min_samples=16, telemetry_every=10)
+        run_experiment(cfg, out_dir=out)
+        assert main(["--quiet", "audit", str(out)]) == 0
+        (out / "stats.jsonl").unlink()
+        (out / "stats.jsonl").mkdir()
+        opened_streams.clear()
+        with pytest.raises(IsADirectoryError):
+            run_experiment(dataclasses.replace(cfg, seed=1), out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["seed"]) == ("failed", 1)
+        assert not (out / "record.json").exists()
+        assert not (out / "checkpoint.json").exists()
+        assert not any((out / "audit" / name).exists() for name in AUDIT_CSVS)
+        # the streams opened before stats.jsonl are closed again
+        assert sorted(w.path.name for w in opened_streams) == ["events.jsonl", "telemetry.jsonl"]
+        for writer in opened_streams:
+            with pytest.raises(ValueError, match="closed file"):
+                writer.append({})
+        assert main(["--quiet", "audit", str(out)]) == 1
+
     def test_failure_after_training_marks_failed(self, tmp_path, monkeypatch):
         def disk_full(*args, **kwargs):
             raise OSError("disk full")
@@ -1476,7 +1541,8 @@ class TestStreamGroups:
         with tr:
             run_loop(tr, task, cfg)
         n_layers = len(tr.model.layers)
-        stats = [objs for name, objs in appends if name == "stats.jsonl"]
+        # stats lines are appended already encoded (runio.stats_line)
+        stats = [[json.loads(line) for line in objs] for name, objs in appends if name == "stats.jsonl"]
         accumulations = [e["step"] for e in tr.events if e["action"] == "accumulate"]
         assert [[line["step"] for line in objs] for objs in stats] == [[s] * n_layers for s in accumulations]
         events = [objs for name, objs in appends if name == "events.jsonl"]
