@@ -48,10 +48,14 @@ data and the per-accumulation penalty operators: two_task_forgetting with
 hidden = 10 != d = 12 and ft_noise = 0, 250 steps (not a multiple of the
 trainer's DATA_BLOCK = 16, so its last block is partial), and rank
 adaptation starting at step 103, between the accumulations at 100 and 105.
-The last run is the config of the CLI
+One run is the config of the CLI
 determinism check (criterion 12): the one-layer, identity-activation
-synthetic_lowrank model, which no other run builds. The manifest carries a
-timestamp, so it is left out.
+synthetic_lowrank model, which no other run builds. The last is a
+synthetic_lowrank run with lora_alpha = 2 and a rank-one target subspace,
+whose five reprojections all select k = 1: the only run through the scaled
+effective weight and tape gradients, and through the telemetry's
+single-column eig_cv path. The manifest carries a timestamp, so it is left
+out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". The run is then audited again into the same
@@ -125,6 +129,14 @@ RUNS = {
         task="synthetic_lowrank(d=10, r_true=2, noise=0.05)", steps=40, seed=21,
         lora_rank=4, min_lora_rank=2, kfac_update_freq=5, kfac_min_samples=16,
         reprojection_freq=10, reprojection_warmup_steps=10, telemetry_every=10, eval_size=64,
+    ),
+    # lora_alpha != 1 (the scaled effective weight and gradients) and a spectral k of 1 at
+    # each of its five reprojections (the single-column eig_cv path)
+    "grit-alpha2-k1-s3": GritConfig(
+        task="synthetic_lowrank(d=12, r_true=1, noise=0.02)", steps=120, seed=3,
+        lora_rank=4, min_lora_rank=1, lora_alpha=2.0, rank_adaptation_threshold=0.85,
+        kfac_update_freq=5, kfac_min_samples=16, reprojection_freq=20, reprojection_warmup_steps=20,
+        telemetry_every=10, eval_size=64,
     ),
 }
 

@@ -11,19 +11,19 @@ shape, so suppressed directions can re-enter later.
 
 LayerGeometry is a layer's rank-space geometry for one accumulation's
 statistics. Only the trainer's accumulation makes one, through
-LayerGeometry.of_each, which decomposes the covariances of every layer in
-one stacked call (all rank-space covariances are r x r), and it stays fixed
-from then on; it keeps the decompositions, not the covariances, and the
-trainer lets it go at the next accumulation. It decides the b factor's side once (g_side, side_decomp),
-and builds its rank k, its projectors and their complement operators
-Q = I - P once each on first use. The damped inverses, the lambda_r
-penalty's complements, reprojection's projectors and the telemetry all
-read the same decompositions. Every setting is read from GritConfig, and
-each rank-space rule lives here once: uses_g_side picks the basis side,
-fixed_rank decides when k is the configured reprojection_k, and
-LayerGeometry.rank states the rank rule. The trainer owns the reprojection
-cadence; before the first accumulation there is no geometry, and
-reprojection reports the no-samples gate.
+LayerGeometry.of_each: one stacked eigendecomposition of every layer's
+covariances (all rank-space covariances are r x r) and one floored_ranks
+call on their a-side spectra fix each layer's decompositions, b-factor side
+(g_side, side_decomp) and spectral k. After that only its memo of each k's
+projectors and complement operators Q = I - P grows, on first use, and the
+trainer lets it go at the next accumulation. The damped inverses, the
+lambda_r penalty, reprojection and the telemetry all read it. Every setting
+is read from GritConfig, and each rank-space rule lives here once:
+uses_g_side picks the basis side, floored_ranks gives the spectral k
+(select_rank on one spectrum), fixed_rank decides when k is the configured
+reprojection_k, and LayerGeometry.rank states the rank rule. The trainer
+owns the reprojection cadence; before the first accumulation there is no
+geometry, and reprojection reports the no-samples gate.
 """
 
 from __future__ import annotations
@@ -118,20 +118,25 @@ def effective_ranks(spectra: np.ndarray, eta: float) -> tuple[np.ndarray, np.nda
     return np.where(degenerate, 1, np.minimum(below + 1, eigs.shape[1])), degenerate
 
 
-def select_rank(
-    eigenvalues: np.ndarray, tau: float, min_rank: int
-) -> tuple[int, bool]:
-    """effective_rank at tau on a sorted spectrum, floored at min(min_rank, r).
+def floored_ranks(spectra: np.ndarray, tau: float, min_rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """effective_ranks at tau of a stack of spectra (n x r), each floored at min(min_rank, r)."""
+    ranks, degenerate = effective_ranks(spectra, tau)
+    return np.maximum(ranks, min(min_rank, spectra.shape[1])), degenerate
 
-    Returns (k, degenerate) where degenerate marks an all-zero spectrum
-    (which falls back to min_rank).
+
+def select_rank(eigenvalues: np.ndarray, tau: float, min_rank: int) -> tuple[int, bool]:
+    """floored_ranks of one sorted spectrum: (k, degenerate).
+
+    degenerate marks an all-zero spectrum (which falls back to min_rank).
     """
     eigs = np.asarray(eigenvalues, dtype=np.float64)
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise ShapeError("eigenvalues must be a non-empty vector")
     # e[i + 1] > e[i] exactly where np.diff(e) > 0, without the difference array
-    if eigs.ndim == 1 and (eigs[1:] > eigs[:-1]).any():
+    if (eigs[1:] > eigs[:-1]).any():
         raise ValidationError("eigenvalues must be sorted non-increasing")
-    k, degenerate = effective_rank(eigs, tau)
-    return max(k, min(min_rank, eigs.size)), degenerate
+    ks, degenerate = floored_ranks(eigs[None], tau, min_rank)
+    return int(ks[0]), bool(degenerate[0])
 
 
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:
@@ -154,24 +159,26 @@ def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
 class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
-    Keeps the eigendecomposition of each covariance, the config and g_side,
-    whether the b factor's side is the gradient side (uses_g_side at the
-    accumulation's n_cov). The spectral k and each k's operator set (the
-    projector pair and its complements) are built on first use and kept.
+    Keeps the eigendecomposition of each covariance, the config, g_side
+    (uses_g_side at the accumulation's n_cov), and spectral_k and degenerate,
+    the a-side spectrum's floored_ranks at rank_adaptation_threshold (None
+    and False with rank adaptation off, where rank never reads them). Each
+    k's operator set (the projector pair and its complements) is built on
+    first use and kept.
     """
 
     decomp_a: SpectralDecomp
     decomp_g: SpectralDecomp
     config: GritConfig
     g_side: bool
-    # (spectral k, degenerate) at the config's threshold, once computed
-    _spectral: tuple[int, bool] | None = field(default=None, init=False, repr=False)
+    spectral_k: int | None
+    degenerate: bool
     # k -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of_each(cls, stats: list[RankSpaceStats], config: GritConfig) -> list[LayerGeometry]:
-        """The geometry of each statistics, from one stacked eigendecomposition of all their covariances.
+        """The geometry of each statistics: one stacked eigendecomposition, one floored_ranks call.
 
         A DecompositionError names the covariance: "a_cov of layer i" or "g_cov of layer i".
         """
@@ -179,9 +186,14 @@ class LayerGeometry:
             [cov for st in stats for cov in (st.a_cov, st.g_cov)],
             [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
+        spectral = [(None, False)] * len(stats)
+        if config.enable_rank_adaptation:
+            spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
+            ks, degenerate = floored_ranks(spectra, config.rank_adaptation_threshold, config.min_lora_rank)
+            spectral = zip(ks.tolist(), degenerate.tolist())  # plain int and bool, as event JSON takes
         return [
-            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov))
-            for i, st in enumerate(stats)
+            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), *ranks)
+            for i, (st, ranks) in enumerate(zip(stats, spectral))
         ]
 
     @property
@@ -192,24 +204,21 @@ class LayerGeometry:
     def rank(self, step: int, prev_k: int | None = None) -> int:
         """k at this step, for an adapter of the geometry's rank.
 
-        fixed_rank when that gives one, else select_rank on the a-side
-        spectrum at rank_adaptation_threshold. With prev_k, k stays at
-        prev_k (clamped to the rank) while prev_k's energy lies within
-        hysteresis_eps of the threshold, or within 16 ulps of that band edge,
-        as in effective_rank.
+        fixed_rank when that gives one, else spectral_k. With prev_k, k
+        stays at prev_k (clamped to the rank) while prev_k's energy lies
+        within hysteresis_eps of the threshold, or within 16 ulps of that
+        band edge, as in effective_rank.
         """
         config = self.config
         rank = self.decomp_a.dim
         k = fixed_rank(config, rank, step)
         if k is not None:
             return k
-        tau = config.rank_adaptation_threshold
-        if self._spectral is None:
-            self._spectral = select_rank(self.decomp_a.eigenvalues, tau, config.min_lora_rank)
-        k, degenerate = self._spectral
-        if config.hysteresis_eps > 0.0 and prev_k is not None and not degenerate:
+        k = self.spectral_k
+        if config.hysteresis_eps > 0.0 and prev_k is not None and not self.degenerate:
             held = min(prev_k, rank)
             energy = cumulative_energy(self.decomp_a.eigenvalues)
+            tau = config.rank_adaptation_threshold
             edge = config.hysteresis_eps + _THRESHOLD_ULPS * np.finfo(np.float64).eps  # energies lie in [0, 1]
             if abs(energy[held - 1] - tau) <= edge:
                 k = held

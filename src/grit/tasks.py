@@ -69,8 +69,12 @@ class TaskInstance:
     sample_batch: Callable[..., tuple[np.ndarray, np.ndarray]]
     pt_inputs: np.ndarray
     pt_targets: np.ndarray
-    n_params: int
     _curvature_cache: list[LayerCurvature] | None = field(default=None, repr=False)
+
+    @property
+    def n_params(self) -> int:
+        """The entry count of the model's base weights."""
+        return sum(base.w0.size for base, _ in self.model.layers)
 
     def pt_loss(self, model: Model) -> float:
         pred = model.predict(self.pt_inputs)  # read-only: leaves training tapes alone
@@ -233,7 +237,6 @@ class SyntheticLowrank:
             sample_batch=sample_batch,
             pt_inputs=pt_inputs,
             pt_targets=pt_targets,
-            n_params=d * d,
         )
 
 
@@ -315,7 +318,6 @@ class TwoTaskForgetting:
             sample_batch=sample_batch,
             pt_inputs=pt_inputs,
             pt_targets=pt_targets,
-            n_params=hidden * d + d * hidden,
         )
 
 

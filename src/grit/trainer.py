@@ -13,14 +13,13 @@ low-rank adaptation trainer with the identical optimizer arithmetic.
 
 Each accumulation gives every layer one reprojection.LayerGeometry, and no
 other code makes one: all layers' covariances are eigendecomposed in one
-stacked call, and the geometries are the layers' current ones until the
-next accumulation (none before the first). The damped inverses come from
-those spectra. The lambda_r penalty reads the complement operators
-Q = I - P of the geometry of the statistics the step started with, so a
-step's penalty is one matmul per factor. The trainer takes each layer's
-pair once per accumulation, at the first step that needs it, and again only
-where fixed_rank gives way to the spectral rank; the penalty gradient is
-scaled and the tape gradient added to it in place, bitwise
+stacked call, all their spectral ks taken in another, and the geometries
+are the layers' current ones until the next accumulation (none before the
+first). The damped inverses come from those spectra. The lambda_r penalty
+reads complements(rank(step)) of the geometry of the statistics the step
+started with, operators Q = I - P that the geometry builds once per k, so
+a step's penalty is one matmul per factor; the penalty gradient is scaled
+and the tape gradient added to it in place, bitwise
 ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl lines are
 formatted by runio.stats_line. Reprojection reads the projectors, the
 telemetry the decompositions and the geometry's side. The stability window
@@ -72,7 +71,7 @@ from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig_stack
 from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .model import save_checkpoint
-from .reprojection import LayerGeometry, effective_ranks, fixed_rank, reproject
+from .reprojection import LayerGeometry, effective_ranks, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
     AUDIT_CSVS,
@@ -311,10 +310,6 @@ class Trainer:
         self.monitors = [LayerMonitor(last_k=r) for _ in range(n_layers)]
         # each layer's geometry from the latest accumulation; None before the first
         self._geometries: list[LayerGeometry] | None = None
-        # each layer's lambda_r complements (Q_a, Q_side) from those geometries, and whether
-        # fixed_rank chose their k; None until a step after the latest accumulation needs them
-        self._complements: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._complements_fixed = False
         # per accumulation, newest last: copies of every layer's a_cov (layers x r x r)
         # and their eigenvalues (layers x r), for the stability statistics
         self._window: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=COV_WINDOW)
@@ -393,7 +388,6 @@ class Trainer:
                 )
             )
         geometries = self._geometries = LayerGeometry.of_each(self.stats, self.config)
-        self._complements = None
         self._window.append(
             (
                 np.array([stats.a_cov for stats in self.stats]),
@@ -404,20 +398,6 @@ class Trainer:
             refresh_inverses(stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g))
             for stats, geometry in zip(self.stats, geometries)
         ]
-
-    def _penalty_complements(self, step: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each layer's geometry.complements(geometry.rank(step)) from the latest accumulation.
-
-        Without prev_k, a geometry's rank moves with the step only where
-        fixed_rank gives way to the spectral rank, so the operators are
-        worked out once per accumulation and again only there.
-        """
-        fixed = fixed_rank(self.config, self.config.lora_rank, step) is not None
-        if self._complements is None or fixed != self._complements_fixed:
-            geometries = [self._layer_decomps(idx) for idx in range(len(self.stats))]
-            self._complements = [geometry.complements(geometry.rank(step)) for geometry in geometries]
-            self._complements_fixed = fixed
-        return self._complements
 
     def _bind_factors(self, adapters) -> None:
         """Copy each factor replaced since the last step into the flat vector and bind its view again."""
@@ -479,10 +459,8 @@ class Trainer:
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
         accumulating = geometry_on and step % config.kfac_update_freq == 0
-        # the lambda_r penalty reads the geometry of the statistics the step started with
-        complements = None
-        if self.is_grit and config.lambda_r > 0.0 and self._geometries is not None:
-            complements = self._penalty_complements(step)
+        # the lambda_r penalty reads the geometries of the statistics the step started with
+        geometries = self._geometries if self.is_grit and config.lambda_r > 0.0 else None
         if accumulating:
             refreshed = self._accumulate(step)
         preconditioned = False
@@ -495,8 +473,9 @@ class Trainer:
                 loss += ramp * config.lambda_k * pen
                 ga = ga + ramp * config.lambda_k * pga
                 gb = gb + ramp * config.lambda_k * pgb
-            if complements is not None:
-                val, rga, rgb = reprojection_penalty(adapter, *complements[idx])
+            if geometries is not None:
+                geometry = geometries[idx]
+                val, rga, rgb = reprojection_penalty(adapter, *geometry.complements(geometry.rank(step)))
                 weight = ramp * config.lambda_r
                 loss += weight * val
                 # ga + weight * rga, summed into the penalty's own arrays

@@ -14,6 +14,7 @@ from grit.reprojection import (
     Projector,
     cumulative_energy,
     fixed_rank,
+    floored_ranks,
     make_projector,
     reproject,
     select_rank,
@@ -75,6 +76,34 @@ class TestSelectRank:
         eigs = np.sort(rng.uniform(0.0, 1.0, size=8))[::-1]
         ks = [select_rank(eigs, tau, min_rank=1)[0] for tau in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(1, 40))
+    def test_stacked_floored_ranks_are_select_rank_of_each_row(self, seed, r, n):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(n):
+            kind = rng.integers(5)
+            if kind == 0:
+                eigs = np.zeros(r)  # degenerate
+            elif kind == 1:  # two tied blocks
+                eigs = np.repeat(np.sort(rng.uniform(0.1, 1.0, size=2))[::-1], [r - r // 2, r // 2])
+            elif kind == 2:  # a tiny negative tail
+                eigs = np.sort(rng.uniform(0.0, 1.0, size=r))[::-1]
+                eigs[r // 2:] = -np.sort(np.abs(rng.normal(size=r - r // 2))) * 1e-17
+            elif kind == 3:  # a first prefix within 16 ulps of tau = 0.7, from either side
+                eigs = np.full(r, 0.3 / max(r - 1, 1))
+                eigs[0] = 0.7 * (1.0 + int(rng.integers(-16, 17)) * np.finfo(np.float64).eps)
+            else:
+                eigs = np.sort(rng.exponential(size=r))[::-1]
+            rows.append(eigs)
+        spectra = np.array(rows)
+        for tau in (0.5, 0.7, 0.9, 1.0):
+            for floor in (1, max(1, r - 1), r, r + 3):
+                ks, degenerate = floored_ranks(spectra, tau, floor)
+                assert list(zip(ks.tolist(), degenerate.tolist())) == [
+                    select_rank(row, tau, floor) for row in spectra
+                ]
 
 
 class TestMakeProjector:
@@ -302,25 +331,68 @@ class TestLayerGeometry:
         assert not one_sided.g_side and one_sided.side_decomp is one_sided.decomp_a
 
     def test_spectral_k_and_operators_built_once(self, monkeypatch):
-        calls = []
-        original = reprojection_module.select_rank
+        rank_calls, selects = [], []
+        effective_ranks = reprojection_module.effective_ranks
+        select = reprojection_module.select_rank
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting_ranks(spectra, eta):
+            rank_calls.append(np.shape(spectra))
+            return effective_ranks(spectra, eta)
 
-        monkeypatch.setattr(reprojection_module, "select_rank", counting)
+        def counting_select(*args):
+            selects.append(args)
+            return select(*args)
+
+        monkeypatch.setattr(reprojection_module, "effective_ranks", counting_ranks)
+        monkeypatch.setattr(reprojection_module, "select_rank", counting_select)
         rng = np.random.default_rng(15)
         cfg = config(use_two_sided=True, g_gate_min_samples=1)
-        geometry = LayerGeometry.of_each([stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)], cfg)[0]
+        spectra = ([4.0, 3.0, 2.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+        geometries = LayerGeometry.of_each([stats_with_spectrum(e, rng) for e in spectra], cfg)
+        # one stacked call on the three a-side spectra, and no one-spectrum call
+        assert rank_calls == [(3, 4)] and selects == []
+        assert [(g.spectral_k, g.degenerate) for g in geometries] == [(2, False), (1, False), (3, False)]
+        assert all(type(g.spectral_k) is int and type(g.degenerate) is bool for g in geometries)
+        geometry = geometries[0]
         assert [geometry.rank(step) for step in range(3)] == [2, 2, 2]  # energy 0.4, 0.7
-        assert len(calls) == 1
+        assert rank_calls == [(3, 4)] and selects == []
         proj_a, proj_side = geometry.projectors(2)
         q_a, q_side = geometry.complements(2)
         again = geometry.projectors(2) + geometry.complements(2)
         assert all(new is old for new, old in zip(again, (proj_a, proj_side, q_a, q_side)))
         assert proj_side.basis.tobytes() == make_projector(geometry.decomp_g, 2).basis.tobytes()
 
+    def test_no_spectral_k_without_rank_adaptation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(reprojection_module, "effective_ranks", lambda *args: calls.append(args))
+        rng = np.random.default_rng(16)
+        cfg = config(enable_rank_adaptation=False, reprojection_k=3)
+        geometries = LayerGeometry.of_each([stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)] * 2, cfg)
+        assert calls == []
+        assert [(g.spectral_k, g.degenerate, g.rank(0)) for g in geometries] == [(None, False, 3)] * 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stored_k_is_select_rank_of_each_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(2, 9))
+        stats = []
+        for kind in ("random", "zero", "ties", "rank-one", "random"):
+            st = RankSpaceStats(rank=r, damping=1e-3)
+            if kind == "random":
+                st.a_cov = random_psd(rng, r) * 10.0 ** rng.uniform(-6, 2)
+            elif kind == "ties":
+                q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+                st.a_cov = q @ np.diag(np.repeat([2.0, 1.0], [r // 2, r - r // 2])) @ q.T
+            elif kind == "rank-one":  # its zero eigenvalues come back as ulp-level noise of either sign
+                v = rng.normal(size=r)
+                st.a_cov = np.outer(v, v)
+            st.g_cov, st.n_cov = np.eye(r), 100
+            stats.append(st)
+        for tau in (0.5, 0.85, 0.99, 1.0):
+            for floor in range(1, r + 3):
+                cfg = config(rank_adaptation_threshold=tau, min_lora_rank=floor)
+                for g in LayerGeometry.of_each(stats, cfg):
+                    assert (g.spectral_k, g.degenerate) == select_rank(g.decomp_a.eigenvalues, tau, floor)
 
 class TestFixedRank:
     def test_fixed_before_start_step_and_adaptive_from_it(self):

@@ -92,6 +92,10 @@ class TestSyntheticLowrank:
         task = build("synthetic_lowrank(d=10)")
         assert task.n_params == 100
 
+    def test_n_params_counts_every_base_weight(self):
+        task = build("two_task_forgetting(d=6, hidden=4, pretrain_steps=0)", rank=2)
+        assert task.n_params == 4 * 6 + 6 * 4 == sum(base.w0.size for base, _ in task.model.layers)
+
 
 class TestTwoTaskForgetting:
     def test_base_starts_at_pretraining_optimum(self):
@@ -181,7 +185,7 @@ def net_with_biases(seed=3):
     inputs = rng.normal(size=(16, 4))
     return TaskInstance(
         name="biased", model=model, sample_batch=None, pt_inputs=inputs,
-        pt_targets=rng.normal(size=(16, 2)), n_params=4 * 5 + 5 * 3 + 3 * 2,
+        pt_targets=rng.normal(size=(16, 2)),
     )
 
 

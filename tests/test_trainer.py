@@ -729,6 +729,30 @@ class TestPenaltyGeometry:
         assert build_steps and penalties
 
 
+def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
+    """The spectral k of every layer comes from one stacked rank call per accumulation."""
+    calls, selects = [], []
+    effective_ranks = reprojection_module.effective_ranks
+
+    def counting(spectra, eta):
+        calls.append(np.shape(spectra))
+        return effective_ranks(spectra, eta)
+
+    monkeypatch.setattr(reprojection_module, "effective_ranks", counting)
+    for owner in (reprojection_module, trainer_module):
+        monkeypatch.setattr(owner, "select_rank", lambda *args: selects.append(args))
+    cfg = GritConfig(
+        task="two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)",
+        steps=500, seed=0, mode="grit", reprojection_freq=40, reprojection_warmup_steps=80,
+        ng_warmup_steps=0, kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
+        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8, use_two_sided=True,
+        kfac_damping=0.1, lambda_r=0.02, learning_rate=0.02, telemetry_every=100,
+    )
+    run_experiment(cfg)
+    assert calls == [(2, 8)] * (cfg.steps // cfg.kfac_update_freq)  # two layers, rank 8
+    assert selects == []
+
+
 class TestPenaltyComplements:
     """Each step's lambda_r penalty reads complements(rank(step)) of the geometries it starts with."""
 
