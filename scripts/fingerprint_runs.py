@@ -31,31 +31,34 @@ DIR" or "only in this checkout". It exits 1 if any artifact differs.
 
 The configs are the criterion-8 protocol (grit on seeds 0 and 1, and its
 control), the d = 48 scaling-grid control, two dense-telemetry runs
-(telemetry every 5 steps, control and grit), and eight grit variants that
+(telemetry every 5 steps, control and grit), and nine grit variants that
 take the other rank-space paths: hysteresis with a soft blend (twice, once
-with a band wide enough to hold k), a fixed k, one-sided reprojection with
-a late rank-adaptation start, EMA statistics, statistics every step with
-neither the lambda_r penalty nor reprojection, the lambda_k curvature
-penalty, and a natural-gradient warmup of 100 steps with no reprojection
-warmup, the one run that reprojects before its statistics hold a sample
-(its steps 0, 40 and 80 log the no-samples gate). One more control run
-starts its base off the teacher (init_jitter = 0.05), so its 20
-pretraining steps move the weights. One grit run has telemetry every 7
-steps and reprojection every 12 from step 24, off the trainer's block of 8
-updates, so the update covariance is read and reset with updates pending
-in the middle of a block. One grit run takes the paths of the block-drawn
-data and the per-accumulation penalty operators: two_task_forgetting with
-hidden = 10 != d = 12 and ft_noise = 0, 250 steps (not a multiple of the
-trainer's DATA_BLOCK = 16, so its last block is partial), and rank
-adaptation starting at step 103, between the accumulations at 100 and 105.
-One run is the config of the CLI
-determinism check (criterion 12): the one-layer, identity-activation
-synthetic_lowrank model, which no other run builds. The last is a
-synthetic_lowrank run with lora_alpha = 2 and a rank-one target subspace,
-whose five reprojections all select k = 1: the only run through the scaled
-effective weight and tape gradients, and through the telemetry's
-single-column eig_cv path. The manifest carries a timestamp, so it is left
-out.
+with a band wide enough to hold k), a fixed k (rank adaptation starting at
+the step budget, so the spectral k never takes over), one-sided
+reprojection with a late rank-adaptation start, EMA statistics, a g-side
+gate that opens at step 200 (with batches of 12 and a gradient clip of
+0.5), statistics every step with neither the lambda_r penalty nor
+reprojection, the lambda_k curvature penalty, and a natural-gradient warmup
+of 100 steps with no reprojection warmup, the one run that reprojects
+before its statistics hold a sample (its steps 0, 40 and 80 log the
+no-samples gate). One more control run starts its base off the teacher
+(init_jitter = 0.05), so its 20 pretraining steps move the weights. One
+grit run has telemetry every 7 steps and reprojection every 12 from step
+24, off the trainer's block of 8 updates, so the update covariance is read
+and reset with updates pending in the middle of a block. One grit run takes
+the paths of the block-drawn data and the per-accumulation penalty
+operators: two_task_forgetting with hidden = 10 != d = 12 and ft_noise = 0,
+250 steps (not a multiple of the trainer's DATA_BLOCK = 16, so its last
+block is partial), and rank adaptation starting at step 103, between the
+accumulations at 100 and 105. One run is the config of the CLI determinism
+check (criterion 12): the one-layer, identity-activation synthetic_lowrank
+model, which no other run builds. The last is a synthetic_lowrank run with
+lora_alpha = 2 and a rank-one target subspace, whose five reprojections all
+select k = 1: the only run through the scaled effective weight and tape
+gradients, and through the telemetry's single-column eig_cv path. Every
+GritConfig key takes a value other than its default in at least one run
+(tests/test_fingerprint_runs.py checks this), so a key added later needs a
+run of its own. The manifest carries a timestamp, so it is left out.
 
 Each run is also audited with `grit audit`, and its six CSVs are hashed
 under "audit/<name>". The run is then audited again into the same
@@ -98,11 +101,15 @@ RUNS = {
     "grit-hysteresis-blend-s0": study_config("grit", 0, hysteresis_eps=0.05, blend_gamma=0.5),
     # the band never holds k in the run above; here it holds it at 10 of 22 reprojections
     "grit-hysteresis-held-s2": study_config("grit", 2, hysteresis_eps=0.1, blend_gamma=0.5),
-    "grit-fixed-k-s0": study_config("grit", 0, enable_rank_adaptation=False, reprojection_k=3),
+    # a start step at the run's 500 steps keeps reprojection_k throughout
+    "grit-fixed-k-s0": study_config("grit", 0, rank_adaptation_start_step=500, reprojection_k=3),
     "grit-one-sided-late-rank-s0": study_config(
         "grit", 0, use_two_sided=False, rank_adaptation_start_step=200
     ),
     "grit-ema-s0": study_config("grit", 0, ema_beta=0.9),
+    # the g-side gate opens late (480 samples, 40 accumulated batches of 12, by step 195): a-side
+    # reprojections at steps 80-160 and g-side from 200, the only run whose side switches
+    "grit-late-g-gate-s0": study_config("grit", 0, g_gate_min_samples=480, batch_size=12, grad_clip=0.5),
     "grit-every-step-stats-s0": study_config(
         "grit", 0, lambda_r=0.0, kfac_update_freq=1, reprojection_freq=10**6
     ),

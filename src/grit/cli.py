@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GritError as exc:
+    except (GritError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     _say(args.quiet, f"run complete: {out_dir}")
@@ -150,11 +150,9 @@ def cmd_audit(args) -> int:
         events = read_jsonl(run_dir / EVENTS_NAME)
         if not (run_dir / RECORD_NAME).exists():
             raise ValidationError(f"missing {RECORD_NAME}")
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"incomplete run: {exc}", file=sys.stderr)
         return 1
-
-    out.mkdir(parents=True, exist_ok=True)
 
     spectra_rows = []
     energy_rows = []
@@ -187,8 +185,17 @@ def cmd_audit(args) -> int:
         (["step", "layer", "tail_mass"], tail_rows),
         (["pc1", "pc2"], coords),
     )
-    for name, (header, rows) in zip(AUDIT_CSVS, tables, strict=True):
-        _write_csv(out / name, header, rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in zip(AUDIT_CSVS, tables, strict=True):
+            _write_csv(out / name, header, rows)
+    except OSError as exc:
+        # a failed audit leaves none of its CSVs, neither this one's nor an earlier one's
+        for name in AUDIT_CSVS:
+            if (out / name).is_file():
+                (out / name).unlink()
+        print(f"audit failed: {exc}", file=sys.stderr)
+        return 1
 
     n_reproj = sum(1 for e in events if e.get("action") == "reproject")
     _say(args.quiet, f"audit written to {out} ({len(records)} records, {n_reproj} reprojection events)")
@@ -209,7 +216,7 @@ def cmd_fit_law(args) -> int:
                 if status != "complete":
                     raise ValidationError(f"run is not complete (status {status})")
             records.append(read_record(run_dir))
-        except ValidationError as exc:
+        except (ValidationError, OSError) as exc:
             print(f"bad run dir {run_dir}: {exc}", file=sys.stderr)
             return 1
         run_dir_of[id(records[-1])] = run_dir

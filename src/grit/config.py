@@ -38,7 +38,6 @@ class GritConfig:
     # reprojection and rank adaptation
     reprojection_freq: int = setting(50, ge=1)
     reprojection_k: int = 8  # at least min_lora_rank (validate_config)
-    enable_rank_adaptation: bool = True
     rank_adaptation_threshold: float = setting(0.99, gt=0, le=1)
     min_lora_rank: int = setting(4, ge=1)  # at most lora_rank (validate_config)
     rank_adaptation_start_step: int = setting(0, ge=0)

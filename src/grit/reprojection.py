@@ -20,8 +20,10 @@ trainer lets it go at the next accumulation. The damped inverses, the
 lambda_r penalty, reprojection and the telemetry all read it. Every setting
 is read from GritConfig, and each rank-space rule lives here once:
 uses_g_side picks the basis side, floored_ranks gives the spectral k
-(select_rank on one spectrum), fixed_rank decides when k is the configured
-reprojection_k, and LayerGeometry.rank states the rank rule. The trainer
+(select_rank on one spectrum), and LayerGeometry.rank states the rank rule:
+the configured reprojection_k before rank_adaptation_start_step, the
+spectral k from it on (a start step at or past the run's steps keeps
+reprojection_k throughout). The trainer
 owns the reprojection cadence; before the first accumulation there is no
 geometry, and reprojection reports the no-samples gate.
 """
@@ -50,17 +52,6 @@ def uses_g_side(config: GritConfig, n_cov: int) -> bool:
     diagnostics read that geometry's g_side.
     """
     return config.use_two_sided and n_cov >= config.g_gate_min_samples
-
-
-def fixed_rank(config: GritConfig, rank: int, step: int) -> int | None:
-    """reprojection_k clamped to [1, rank] while rank adaptation is off, else None.
-
-    Rank adaptation is off when enable_rank_adaptation is false, and before
-    rank_adaptation_start_step; from that step on k comes from the spectrum.
-    """
-    if config.enable_rank_adaptation and step >= config.rank_adaptation_start_step:
-        return None
-    return max(1, min(config.reprojection_k, rank))
 
 
 @dataclass(frozen=True)
@@ -161,8 +152,7 @@ class LayerGeometry:
 
     Keeps the eigendecomposition of each covariance, the config, g_side
     (uses_g_side at the accumulation's n_cov), and spectral_k and degenerate,
-    the a-side spectrum's floored_ranks at rank_adaptation_threshold (None
-    and False with rank adaptation off, where rank never reads them). Each
+    the a-side spectrum's floored_ranks at rank_adaptation_threshold. Each
     k's operator set (the projector pair and its complements) is built on
     first use and kept.
     """
@@ -171,7 +161,7 @@ class LayerGeometry:
     decomp_g: SpectralDecomp
     config: GritConfig
     g_side: bool
-    spectral_k: int | None
+    spectral_k: int
     degenerate: bool
     # k -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
@@ -186,11 +176,9 @@ class LayerGeometry:
             [cov for st in stats for cov in (st.a_cov, st.g_cov)],
             [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
-        spectral = [(None, False)] * len(stats)
-        if config.enable_rank_adaptation:
-            spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
-            ks, degenerate = floored_ranks(spectra, config.rank_adaptation_threshold, config.min_lora_rank)
-            spectral = zip(ks.tolist(), degenerate.tolist())  # plain int and bool, as event JSON takes
+        spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
+        ks, degenerate = floored_ranks(spectra, config.rank_adaptation_threshold, config.min_lora_rank)
+        spectral = zip(ks.tolist(), degenerate.tolist())  # plain int and bool, as event JSON takes
         return [
             cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), *ranks)
             for i, (st, ranks) in enumerate(zip(stats, spectral))
@@ -204,16 +192,15 @@ class LayerGeometry:
     def rank(self, step: int, prev_k: int | None = None) -> int:
         """k at this step, for an adapter of the geometry's rank.
 
-        fixed_rank when that gives one, else spectral_k. With prev_k, k
-        stays at prev_k (clamped to the rank) while prev_k's energy lies
-        within hysteresis_eps of the threshold, or within 16 ulps of that
-        band edge, as in effective_rank.
+        reprojection_k clamped to [1, rank] before rank_adaptation_start_step,
+        else spectral_k. With prev_k, a spectral k stays at prev_k (clamped
+        to the rank) while prev_k's energy lies within hysteresis_eps of the
+        threshold, or within 16 ulps of that band edge, as in effective_rank.
         """
         config = self.config
         rank = self.decomp_a.dim
-        k = fixed_rank(config, rank, step)
-        if k is not None:
-            return k
+        if step < config.rank_adaptation_start_step:
+            return max(1, min(config.reprojection_k, rank))
         k = self.spectral_k
         if config.hysteresis_eps > 0.0 and prev_k is not None and not self.degenerate:
             held = min(prev_k, rank)

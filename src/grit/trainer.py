@@ -16,17 +16,18 @@ other code makes one: all layers' covariances are eigendecomposed in one
 stacked call, all their spectral ks taken in another, and the geometries
 are the layers' current ones until the next accumulation (none before the
 first). The damped inverses come from those spectra. The lambda_r penalty
-reads complements(rank(step)) of the geometry of the statistics the step
-started with, operators Q = I - P that the geometry builds once per k, so
-a step's penalty is one matmul per factor; the penalty gradient is scaled
-and the tape gradient added to it in place, bitwise
-ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl lines are
-formatted by runio.stats_line. Reprojection reads the projectors, the
-telemetry the decompositions and the geometry's side. The stability window
-is the trainer's own: for
-each of the last COV_WINDOW accumulations, a copy of every layer's a_cov
-and their eigenvalues, so no geometry outlives its accumulation and no
-later write into the statistics reaches the window. Each invert event
+reads complements(rank(step, last_k)) of the geometry of the statistics the
+step started with, so it takes the k that reprojection takes, held at the
+layer's last k inside the hysteresis band. The geometry builds those
+operators Q = I - P once per k, so a step's penalty is one matmul per
+factor; the penalty gradient is scaled and the tape gradient added to it in
+place, bitwise ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl
+lines are formatted by runio.stats_line. Reprojection reads the projectors,
+the telemetry the decompositions and the geometry's side. The stability
+window is the trainer's own: for each of the last COV_WINDOW accumulations,
+a copy of every layer's a_cov and their eigenvalues, so no geometry
+outlives its accumulation and no later write into the statistics reaches
+the window. Each invert event
 carries every layer's damping ladder rungs and condition numbers.
 Preconditioning, once started, never stops, so a "precondition" event marks
 its first step. A layer whose preconditioned gradient had non-finite
@@ -247,8 +248,8 @@ def reprojection_penalty(
 class LayerMonitor:
     """Per-layer state backing the telemetry stream."""
 
+    last_k: int  # the adapter rank until a reprojection sets it, so always in [1, rank]
     prev_basis: np.ndarray | None = None
-    last_k: int = 0
     last_pi: float = 1.0
     # 3x the median |delta W| of the first telemetry step where that median is not zero
     tail_threshold: float = 0.0
@@ -475,7 +476,8 @@ class Trainer:
                 gb = gb + ramp * config.lambda_k * pgb
             if geometries is not None:
                 geometry = geometries[idx]
-                val, rga, rgb = reprojection_penalty(adapter, *geometry.complements(geometry.rank(step)))
+                k = geometry.rank(step, self.monitors[idx].last_k)
+                val, rga, rgb = reprojection_penalty(adapter, *geometry.complements(k))
                 weight = ramp * config.lambda_r
                 loss += weight * val
                 # ga + weight * rga, summed into the penalty's own arrays
@@ -565,7 +567,7 @@ class Trainer:
             covs, spectra = zip(*self._window)
             cov_vars, eig_cvs = stability_stats_stack(
                 np.stack(covs, axis=1),
-                [max(1, monitor.last_k) for monitor in self.monitors],
+                [monitor.last_k for monitor in self.monitors],
                 np.stack(spectra, axis=1),
             )
         grad, prev_grad = self._grads
@@ -581,7 +583,7 @@ class Trainer:
 
             rho = 0.0
             if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
-                k_common = max(1, min(monitor.last_k, r_eff))
+                k_common = min(monitor.last_k, r_eff)
                 rho = alignment_overlap(
                     side_decomp.eigenvectors[:, :k_common],
                     update_decomp.eigenvectors[:, :k_common],
@@ -606,8 +608,7 @@ class Trainer:
 
             drift = 0.0
             if side_decomp is not None:
-                k_now = max(1, min(monitor.last_k, r))
-                basis_now = side_decomp.eigenvectors[:, :k_now]
+                basis_now = side_decomp.eigenvectors[:, :monitor.last_k]
                 if monitor.prev_basis is not None:
                     k_common = min(monitor.prev_basis.shape[1], basis_now.shape[1])
                     drift = subspace_drift(

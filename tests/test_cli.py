@@ -53,11 +53,13 @@ class TestTrain:
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "wat" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["tail_threshold", "telemetry_eta"])
-    def test_retired_telemetry_key(self, tmp_path, capsys, key):
-        path = write_config(tmp_path, MINIMAL_CONFIG + f"{key} = 0.5\n")
+    @pytest.mark.parametrize(
+        "line", ["tail_threshold = 0.5", "telemetry_eta = 0.5", "enable_rank_adaptation = false"]
+    )
+    def test_retired_key(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, MINIMAL_CONFIG + line + "\n")
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
-        assert key in capsys.readouterr().err
+        assert line.split(" = ")[0] in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_unknown_task_without_out_is_validation_error(self, tmp_path, monkeypatch, capsys):
@@ -157,6 +159,15 @@ class TestTrain:
         assert capsys.readouterr().err == f"cannot write {taken}: {taken} is not a directory\n"
         assert taken.read_text() == "x"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+    def test_stream_that_cannot_be_opened_is_run_failure(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        (out / "stats.jsonl").mkdir(parents=True)
+        assert main(["--quiet", "train", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1 and "stats.jsonl" in err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
     def test_valid_config_produces_run_dir(self, tmp_path):
         path = write_config(tmp_path)
@@ -322,6 +333,29 @@ class TestAudit:
         assert "incomplete run" in capsys.readouterr().err
         assert not (out / "audit").exists()
 
+    def test_stream_that_cannot_be_read_is_incomplete_run(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        (out / "telemetry.jsonl").unlink()
+        (out / "telemetry.jsonl").mkdir()
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("incomplete run: ") and err.count("\n") == 1 and "telemetry.jsonl" in err
+        assert not (out / "audit").exists()
+
+    def test_failed_csv_write_leaves_none_of_the_csvs(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        audit = out / "audit"
+        assert main(["--quiet", "audit", str(out)]) == 0
+        (audit / "notes.txt").write_text("kept")
+        (audit / "alignment.csv").unlink()
+        (audit / "alignment.csv").mkdir()
+        # the CSVs before alignment.csv are written again, and those after it are an earlier audit's
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("audit failed: ") and err.count("\n") == 1 and "alignment.csv" in err
+        assert sorted(p.name for p in audit.iterdir()) == ["alignment.csv", "notes.txt"]
+        assert (audit / "alignment.csv").is_dir() and (audit / "notes.txt").read_text() == "kept"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -465,6 +499,16 @@ class TestFitLaw:
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"bad run dir {dirs[3]}" in err and "record.json" in err
+        assert not out.exists()
+
+    def test_record_that_cannot_be_read_is_bad_run_dir(self, tmp_path, capsys):
+        dirs = self.fabricate_runs(tmp_path, with_geometry=False)
+        (dirs[3] / "record.json").unlink()
+        (dirs[3] / "record.json").mkdir()
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad run dir {dirs[3]}: ") and err.count("\n") == 1 and "record.json" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

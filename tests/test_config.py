@@ -27,7 +27,6 @@ class TestParse:
         assert cfg.reprojection_k == 8
         assert cfg.rank_adaptation_threshold == 0.99
         assert cfg.min_lora_rank == 4
-        assert cfg.enable_rank_adaptation is True
         assert cfg.use_two_sided is False
         assert cfg.rank_adaptation_start_step == 0
         assert cfg.reprojection_warmup_steps == 0
@@ -111,7 +110,7 @@ class TestRangeChecks:
             validate_config(GritConfig(task="t()", reprojection_k=1, min_lora_rank=2))
         assert err.value.key == "reprojection_k"
         with pytest.raises(ConfigError) as err:
-            parse_config_text("task = t()\nreprojection_k = 0\nenable_rank_adaptation = false\n")
+            parse_config_text("task = t()\nreprojection_k = 0\nrank_adaptation_start_step = 1000\n")
         assert err.value.key == "reprojection_k"
 
     def test_reprojection_k_at_min_rank_or_above_rank_accepted(self):

@@ -1,11 +1,14 @@
 """scripts/fingerprint_runs.py, the byte-identity gate, on tiny fake run directories."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from grit.config import GritConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,6 +42,16 @@ def compare(tmp_path, capsys, old, new) -> tuple[int, list[str]]:
     new_root = write_run(tmp_path / "new", {"record.json": new})
     count = fingerprint_runs.compare_values(old_root, new_root)
     return count, capsys.readouterr().out.splitlines()
+
+
+def test_every_config_key_leaves_its_default_in_some_run():
+    """Each key's own path reaches the byte-identity gate: some run sets it to a value other than its default."""
+    defaults = GritConfig()
+    unset = [
+        f.name for f in dataclasses.fields(GritConfig)
+        if all(getattr(config, f.name) == getattr(defaults, f.name) for config in fingerprint_runs.RUNS.values())
+    ]
+    assert unset == []
 
 
 class TestDifferences:

@@ -13,7 +13,6 @@ from grit.reprojection import (
     LayerGeometry,
     Projector,
     cumulative_energy,
-    fixed_rank,
     floored_ranks,
     make_projector,
     reproject,
@@ -263,7 +262,7 @@ class TestReproject:
     def test_fixed_k_override(self):
         rng = np.random.default_rng(9)
         adapter = seeded_adapter(rng)
-        cfg = config(enable_rank_adaptation=False, reprojection_k=3)
+        cfg = config(rank_adaptation_start_step=10**9, reprojection_k=3)
         event = reproject_on(adapter, stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng), cfg, step=0)
         assert event.k == 3
 
@@ -362,14 +361,13 @@ class TestLayerGeometry:
         assert all(new is old for new, old in zip(again, (proj_a, proj_side, q_a, q_side)))
         assert proj_side.basis.tobytes() == make_projector(geometry.decomp_g, 2).basis.tobytes()
 
-    def test_no_spectral_k_without_rank_adaptation(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(reprojection_module, "effective_ranks", lambda *args: calls.append(args))
+    def test_spectral_k_stored_while_k_is_fixed(self):
+        # a start step past any run's steps keeps reprojection_k, and the geometry still holds its spectral k
         rng = np.random.default_rng(16)
-        cfg = config(enable_rank_adaptation=False, reprojection_k=3)
+        cfg = config(rank_adaptation_start_step=10**9, reprojection_k=3)
         geometries = LayerGeometry.of_each([stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)] * 2, cfg)
-        assert calls == []
-        assert [(g.spectral_k, g.degenerate, g.rank(0)) for g in geometries] == [(None, False, 3)] * 2
+        assert [(g.spectral_k, g.degenerate, g.rank(0)) for g in geometries] == [(2, False, 3)] * 2
+        assert all(type(g.spectral_k) is int for g in geometries)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stored_k_is_select_rank_of_each_spectrum(self, seed):
@@ -393,17 +391,25 @@ class TestLayerGeometry:
                 cfg = config(rank_adaptation_threshold=tau, min_lora_rank=floor)
                 for g in LayerGeometry.of_each(stats, cfg):
                     assert (g.spectral_k, g.degenerate) == select_rank(g.decomp_a.eigenvalues, tau, floor)
+                    assert type(g.spectral_k) is int and type(g.degenerate) is bool
 
-class TestFixedRank:
-    def test_fixed_before_start_step_and_adaptive_from_it(self):
-        cfg = config(reprojection_k=3, rank_adaptation_start_step=10)
-        assert fixed_rank(cfg, 4, 9) == 3
-        assert fixed_rank(cfg, 4, 10) is None
+class TestRankRule:
+    def test_fixed_before_start_step_and_spectral_from_it(self):
+        cfg = config(
+            reprojection_k=4, rank_adaptation_start_step=10, rank_adaptation_threshold=0.72, hysteresis_eps=0.05
+        )
         rng = np.random.default_rng(13)
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
-        assert reproject_on(seeded_adapter(rng), stats, cfg, step=9).k == 3
-        assert reproject_on(seeded_adapter(rng), stats, cfg, step=10).k == 2  # energy 0.4, 0.7
+        geometry = LayerGeometry.of_each([stats], cfg)[0]
+        assert geometry.spectral_k == 3  # energy 0.4, 0.7, 0.9
+        # E(2) = 0.7 lies in the band [0.67, 0.77], which holds a previous k of 2 only from the start step on
+        assert [geometry.rank(9), geometry.rank(9, prev_k=2)] == [4, 4]
+        assert [geometry.rank(10), geometry.rank(10, prev_k=2), geometry.rank(10**6)] == [3, 2, 3]
+        assert reproject_on(seeded_adapter(rng), stats, cfg, step=9).k == 4
+        assert reproject_on(seeded_adapter(rng), stats, cfg, step=10).k == 3
 
-    def test_clamped_to_adapter_rank(self):
-        assert fixed_rank(config(enable_rank_adaptation=False, reprojection_k=9), 4, 0) == 4
-        assert fixed_rank(config(enable_rank_adaptation=False, reprojection_k=0), 4, 0) == 1
+    @pytest.mark.parametrize("reprojection_k, k", [(9, 4), (0, 1)])
+    def test_fixed_k_clamped_to_adapter_rank(self, reprojection_k, k):
+        stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], np.random.default_rng(17))
+        cfg = config(rank_adaptation_start_step=1, reprojection_k=reprojection_k)
+        assert LayerGeometry.of_each([stats], cfg)[0].rank(0) == k

@@ -17,7 +17,7 @@ from grit import trainer as trainer_module
 from grit.kfac import RankSpaceStats, precondition
 from grit.linalg import damped_solve, sym_eig, sym_eig_stack, symmetrize
 from grit.model import AdapterPair, LayerTape
-from grit.reprojection import fixed_rank, make_projector, select_rank, uses_g_side
+from grit.reprojection import make_projector, select_rank, uses_g_side
 from grit.runio import AUDIT_CSVS, JsonlWriter, decode_array, read_jsonl, read_record
 from grit.telemetry import stability_stats
 from grit.trainer import (
@@ -53,6 +53,13 @@ def make_trainer(run_dir=None, **kw):
         data_rng=seed_stream(config.seed, "task-data"),
     )
     return Trainer(config, task, run_dir), task, config
+
+
+def reference_rank(cfg, a_cov, rank, step):
+    """The reference k: reprojection_k clamped to [1, rank] before the start step, else a_cov's select_rank."""
+    if step < cfg.rank_adaptation_start_step:
+        return max(1, min(cfg.reprojection_k, rank))
+    return select_rank(sym_eig(a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank)[0]
 
 
 def run_loop(trainer, task, config):
@@ -674,10 +681,8 @@ class TestPenaltyGeometry:
             idx = next(i for i, (_, ad) in enumerate(tr.model.layers) if ad is adapter)
             # the statistics the step started with, before its accumulation
             a_cov, g_cov, n_cov = current["stats"][idx]
-            fixed = fixed_rank(cfg, adapter.rank, step)
-            k = fixed if fixed is not None else select_rank(
-                sym_eig(a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
-            )[0]
+            spectral = step >= cfg.rank_adaptation_start_step
+            k = reference_rank(cfg, a_cov, adapter.rank, step)
             # the complement operators of the k-projectors, bit for bit as built from scratch
             ref_a = make_projector(sym_eig(a_cov), k)
             ref_side = make_projector(sym_eig(g_cov), k) if uses_g_side(cfg, n_cov) else ref_a
@@ -690,7 +695,7 @@ class TestPenaltyGeometry:
                 prev is None
                 or prev[0] is not a_cov
                 or prev[1] is not g_cov
-                or prev[2:] != (fixed is None, k)
+                or prev[2:] != (spectral, k)
             )
             if changed:
                 assert built.count("select_rank") <= 1
@@ -700,7 +705,7 @@ class TestPenaltyGeometry:
             if built:
                 build_steps.add(step)
             built.clear()
-            last_state[idx] = (a_cov, g_cov, fixed is None, k)
+            last_state[idx] = (a_cov, g_cov, spectral, k)
             penalties.append(step)
             return reprojection_penalty(adapter, q_a, q_side)
 
@@ -754,17 +759,27 @@ def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
 
 
 class TestPenaltyComplements:
-    """Each step's lambda_r penalty reads complements(rank(step)) of the geometries it starts with."""
+    """Each step's lambda_r penalty reads complements(rank(step, last_k)) of the geometries it starts with."""
 
     START = 33  # rank_adaptation_start_step, between the accumulations at 30 and 35
 
-    @pytest.mark.parametrize("enable", [True, False], ids=["rank-adaptation", "fixed-k"])
-    def test_every_step_uses_its_geometries_complements(self, monkeypatch, enable):
-        tr, task, cfg = make_trainer(
+    @pytest.mark.parametrize(
+        "overrides, switches, holds",
+        [
+            (dict(), True, False),
+            (dict(rank_adaptation_start_step=10**9), False, False),
+            # reprojection at step 20 takes reprojection_k = 3, and from START the band holds it
+            # against the spectral k of 2
+            (dict(rank_adaptation_threshold=0.85, hysteresis_eps=0.2), False, True),
+        ],
+        ids=["rank-adaptation", "fixed-k", "hysteresis-held"],
+    )
+    def test_every_step_uses_its_geometries_complements(self, monkeypatch, overrides, switches, holds):
+        settings = dict(
             lambda_r=0.5, use_two_sided=True, g_gate_min_samples=24, reprojection_k=3,
-            rank_adaptation_threshold=0.5, rank_adaptation_start_step=self.START,
-            enable_rank_adaptation=enable, telemetry_every=0,
+            rank_adaptation_threshold=0.5, rank_adaptation_start_step=self.START, telemetry_every=0,
         )
+        tr, task, cfg = make_trainer(**{**settings, **overrides})
         seen = []
 
         def recording(adapter, q_a, q_side):
@@ -772,22 +787,27 @@ class TestPenaltyComplements:
             return reprojection_penalty(adapter, q_a, q_side)
 
         monkeypatch.setattr(trainer_module, "reprojection_penalty", recording)
-        switched = False
+        switched = held = False
         for step in range(cfg.steps):
             geometries = tr._geometries
+            last_ks = [monitor.last_k for monitor in tr.monitors]
             seen.clear()
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
             if geometries is None:
                 assert seen == []
                 continue
             assert [adapter for adapter, _, _ in seen] == tr.model.adapters()
-            for (_, q_a, q_side), geometry in zip(seen, geometries):
-                want_a, want_side = geometry.complements(geometry.rank(step))
+            for (_, q_a, q_side), geometry, last_k in zip(seen, geometries, last_ks):
+                k = geometry.rank(step, last_k)
+                want_a, want_side = geometry.complements(k)
                 assert q_a is want_a and q_side is want_side
+                held |= k != geometry.rank(step)
             if step == self.START:
-                switched = any(g.rank(step) != g.rank(step - 1) for g in geometries)
+                switched = any(g.rank(step, k) != g.rank(step - 1, k) for g, k in zip(geometries, last_ks))
         # the spectral k differs from reprojection_k where it takes over, mid-accumulation
-        assert switched == enable
+        assert switched == switches
+        # the k the band holds is the one reprojection holds, not the spectral k
+        assert held == holds
 
 
 def two_pass_gradients(trainer, before, step):
@@ -803,10 +823,7 @@ def two_pass_gradients(trainer, before, step):
     penalty_grads = []
     for (a, b, a_cov, g_cov, n_cov), (_, adapter) in zip(before, trainer.model.layers):
         ga, gb = np.zeros_like(a), np.zeros_like(b)
-        fixed = fixed_rank(cfg, adapter.rank, step)
-        k = fixed if fixed is not None else select_rank(
-            sym_eig(a_cov).eigenvalues, cfg.rank_adaptation_threshold, cfg.min_lora_rank
-        )[0]
+        k = reference_rank(cfg, a_cov, adapter.rank, step)
         proj_a = make_projector(sym_eig(a_cov), k)
         proj_side = make_projector(sym_eig(g_cov), k) if uses_g_side(cfg, n_cov) else proj_a
         ga += ramp * cfg.lambda_r * 2.0 * (a - proj_a.apply_left(a))
