@@ -183,19 +183,19 @@ def validate_config(config: GritConfig) -> None:
         raise ConfigError("reprojection_k must be at least min_lora_rank", key="reprojection_k")
 
 
-def _render_value(value) -> str:
+def _render_value(value, declared: Declared) -> str:
+    """The value the run uses: repr(float(v)) for a float key, int(v) for an int key."""
     if value is None:
         return "none"
-    if isinstance(value, bool):
+    if declared.kind is bool:
         return "true" if value else "false"
-    return str(value)  # a float's str is its repr; a NumPy float's repr names its type
+    if declared.kind is float:
+        return repr(float(value))
+    return str(int(value) if declared.kind is int else value)
 
 
 def config_to_text(config: GritConfig) -> str:
-    lines = [
-        f"{f.name} = {_render_value(getattr(config, f.name))}"
-        for f in sorted(fields(config), key=lambda f: f.name)
-    ]
+    lines = [f"{name} = {_render_value(getattr(config, name), _SETTINGS[name])}" for name in sorted(_SETTINGS)]
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,6 @@ baseline constants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SpectralDecomp, symmetrize
-from .runio import RunRecord, write_json
+from .runio import RunRecord, json_object, write_json
 from .telemetry import xi_multiplier
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -77,7 +76,11 @@ def save_fit(fit: ScalingFit, path: str | Path) -> None:
 
 
 def load_fit(path: str | Path) -> ScalingFit:
-    return ScalingFit(**json.loads(Path(path).read_text()))
+    """The fit in a save_fit file; ValidationError naming the file for a damaged one."""
+    try:
+        return ScalingFit(**json_object(Path(path).read_text(), path))
+    except TypeError as exc:
+        raise ValidationError(f"{path}: not a scaling fit ({exc})") from exc
 
 
 def _check_finite(values: np.ndarray, names: str) -> None:

@@ -1,7 +1,9 @@
 """Minimal differentiable model: stacked linear layers with frozen base weights
 and trainable low-rank adapter pairs.
 
-Each adapted layer computes act(x @ (w0 + scaling * b @ a)^T + bias). Reverse
+Each adapted layer computes act(x @ (w0 + scaling * b @ a)^T + bias). Model
+runs every network forward (one layer loop) and backward, a network of base
+weights alone as a zero_adapter_model; squared_error is the one loss. Reverse
 mode is hand-derived for this fixed architecture; per-layer inputs and output
 gradients are captured on a tape because the curvature statistics need them
 verbatim.
@@ -16,8 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, TapeError, ValidationError
-from .runio import write_atomic
+from .errors import GritError, ShapeError, TapeError, ValidationError
+from .runio import json_object, write_atomic
 
 
 class Activation(NamedTuple):
@@ -119,8 +121,9 @@ class LayerTape:
     h = act(z) its outputs (batch x d_out; the same array as z for an
     identity layer), from which backward takes the activation's derivative;
     dy: gradients of the loss with respect to the pre-activation outputs
-    (batch x d_out); grad_a/grad_b: exact adapter gradients, both from the
-    effective-weight gradient dy^T x, which backward does not keep. w_eff:
+    (batch x d_out); grad_w: the effective-weight gradient dy^T x (d_out x
+    d_in), the base weight's gradient in a zero_adapter_model; grad_a/grad_b:
+    exact adapter gradients, both from grad_w. w_eff:
     the effective weight w0 + scaling * b @ a (d_out x d_in) that forward
     applied, which backward reuses to carry the gradient to the layer below.
     """
@@ -130,6 +133,7 @@ class LayerTape:
     h: np.ndarray | None = None
     w_eff: np.ndarray | None = None
     dy: np.ndarray | None = None
+    grad_w: np.ndarray | None = None
     grad_a: np.ndarray | None = None
     grad_b: np.ndarray | None = None
 
@@ -139,6 +143,7 @@ class LayerTape:
         self.h = None
         self.w_eff = None
         self.dy = None
+        self.grad_w = None
         self.grad_a = None
         self.grad_b = None
 
@@ -168,12 +173,20 @@ class Model:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Run the stack, capturing per-layer inputs, effective weights, pre-activations and outputs."""
+        return self._run(batch, self.tapes)
+
+    def predict(self, batch: np.ndarray) -> np.ndarray:
+        """Read-only forward: no tape writes, safe for concurrent evaluation."""
+        return self._run(batch, [LayerTape() for _ in self.layers])
+
+    def _run(self, batch: np.ndarray, tapes: list[LayerTape]) -> np.ndarray:
+        """The one layer loop: forward on the model's tapes, predict on throwaway ones."""
         h = np.asarray(batch, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.d_in:
             raise ShapeError(
                 f"batch shape {h.shape} does not match input dimension {self.d_in}"
             )
-        for (base, adapter), tape in zip(self.layers, self.tapes):
+        for (base, adapter), tape in zip(self.layers, tapes):
             tape.clear()
             tape.x = h
             tape.w_eff = w_eff = adapter.effective_weight(base.w0)
@@ -184,22 +197,8 @@ class Model:
             tape.h = h = ACTIVATIONS[base.activation].f(z)
         return h
 
-    def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Read-only forward: no tape writes, safe for concurrent evaluation."""
-        h = np.asarray(batch, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.d_in:
-            raise ShapeError(
-                f"batch shape {h.shape} does not match input dimension {self.d_in}"
-            )
-        for base, adapter in self.layers:
-            z = h @ adapter.effective_weight(base.w0).T
-            if base.bias is not None:
-                z = z + base.bias
-            h = ACTIVATIONS[base.activation].f(z)
-        return h
-
     def backward(self, loss_grad: np.ndarray) -> list[LayerTape]:
-        """Backpropagate d(loss)/d(output); fills dy, grad_a, grad_b per layer.
+        """Backpropagate d(loss)/d(output); fills dy, grad_w, grad_a, grad_b per layer.
 
         The gradient with respect to the first layer's input is not formed:
         nothing reads it. An identity layer's dy is the gradient that reached
@@ -218,15 +217,36 @@ class Model:
             if tape.dy is not None:
                 raise TapeError("tape already populated; run forward again before backward")
             tape.dy = dz = ACTIVATIONS[base.activation].backward(dh, tape.h)
-            grad_w_eff = dz.T @ tape.x
-            tape.grad_a = adapter.b.T @ grad_w_eff
-            tape.grad_b = grad_w_eff @ adapter.a.T
+            tape.grad_w = grad_w = dz.T @ tape.x
+            tape.grad_a = adapter.b.T @ grad_w
+            tape.grad_b = grad_w @ adapter.a.T
             if adapter.scaling != 1.0:
                 tape.grad_a = adapter.scaling * tape.grad_a
                 tape.grad_b = adapter.scaling * tape.grad_b
             if tape is not first:
                 dh = dz @ tape.w_eff
         return self.tapes
+
+
+def squared_error(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The loss 1/2 mean_i ||pred_i - targets_i||^2, as the sum and count that
+    np.mean(np.sum(err * err, axis=1)) divides, and its gradient err / n in pred."""
+    err = pred - targets
+    return float(0.5 * ((err * err).sum(axis=1).sum() / len(err))), err / len(err)
+
+
+def zero_adapter_model(weights: list[np.ndarray], activations: list[str], biases: list | None = None) -> Model:
+    """The network of these base weights with empty (rank-0) adapters, which leave w0 itself.
+
+    Its backward leaves each layer's weight gradient in tape.grad_w. Nothing is drawn from an RNG.
+    """
+    return Model(layers=[
+        (
+            BaseLayer(w0=w0, bias=bias, activation=activation),
+            AdapterPair(a=np.zeros((0, w0.shape[1])), b=np.zeros((w0.shape[0], 0)), rank=0),
+        )
+        for w0, activation, bias in zip(weights, activations, biases or [None] * len(weights))
+    ])
 
 
 def trainable_count(d_in: int, d_out: int, r: int) -> int:
@@ -297,23 +317,18 @@ def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, int]:
-    doc = json.loads(Path(path).read_text())
+    """The model and seed in a checkpoint file; ValidationError naming the file for a damaged one."""
+    doc = json_object(Path(path).read_text(), path)
     if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"unsupported checkpoint version {doc.get('format_version')!r}"
-        )
-    layers = []
-    for spec in doc["layers"]:
-        base = BaseLayer(
-            w0=np.array(spec["w0"], dtype=np.float64),
-            bias=None if spec["bias"] is None else np.array(spec["bias"], dtype=np.float64),
-            activation=spec["activation"],
-        )
-        adapter = AdapterPair(
-            a=np.array(spec["a"], dtype=np.float64),
-            b=np.array(spec["b"], dtype=np.float64),
-            rank=spec["rank"],
-            scaling=spec["scaling"],
-        )
-        layers.append((base, adapter))
-    return Model(layers=layers), doc["seed"]
+        raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('format_version')!r}")
+    try:
+        layers = [
+            (
+                BaseLayer(w0=spec["w0"], bias=spec["bias"], activation=spec["activation"]),
+                AdapterPair(a=spec["a"], b=spec["b"], rank=spec["rank"], scaling=spec["scaling"]),
+            )
+            for spec in doc["layers"]
+        ]
+        return Model(layers=layers), doc["seed"]
+    except (KeyError, TypeError, ValueError, GritError) as exc:
+        raise ValidationError(f"{path}: not a checkpoint ({exc!r})") from exc

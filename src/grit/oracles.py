@@ -11,7 +11,8 @@ Flat weight vectors concatenate every layer's d_out x d_in matrix, flattened
 row-major, in layer order: base_weight_vector for the base weights,
 delta_w_vector for the scaled adapter updates, with layer_slices giving
 each layer's block. The finite-difference pretraining Hessian fd_pt_hessian
-is indexed the same way.
+is indexed the same way; its gradient, pt_grad_at, is one Model forward and
+backward of model.squared_error through a model.zero_adapter_model probe.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import SingularMatrixError
 from .forgetting import fit_baseline_law, fit_xi_coefficients, predict
 from .kfac import RankSpaceStats, refresh_inverses
 from .linalg import SpectralDecomp, damped_inverse, damped_solve, sym_eig, sym_eig_stack, symmetrize
-from .model import AdapterPair, BaseLayer, Model, build_model
+from .model import AdapterPair, Model, build_model, squared_error, zero_adapter_model
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
 from .tasks import TaskInstance, build_task
@@ -62,33 +63,22 @@ def delta_w_vector(model: Model) -> np.ndarray:
     )
 
 
-def zero_adapter_model(model: Model, weights: list[np.ndarray]) -> Model:
-    """The model's architecture with the given base weights, one per layer, and zero adapters."""
-    return Model(layers=[
-        (
-            BaseLayer(w0=w0, bias=base.bias, activation=base.activation),
-            AdapterPair(a=np.zeros_like(adapter.a), b=np.zeros_like(adapter.b),
-                        rank=adapter.rank, scaling=adapter.scaling),
-        )
-        for (base, adapter), w0 in zip(model.layers, weights)
-    ])
-
-
 def fold_adapters(model: Model) -> Model:
     """Reference model with each delta folded into the base weight (adapters zeroed)."""
+    bases = [base for base, _ in model.layers]
     return zero_adapter_model(
-        model, [adapter.effective_weight(base.w0) for base, adapter in model.layers]
+        [adapter.effective_weight(base.w0) for base, adapter in model.layers],
+        [b.activation for b in bases], [b.bias for b in bases],
     )
 
 
 def pt_grad_at(task: TaskInstance, w_vec: np.ndarray) -> np.ndarray:
     """Exact gradient of the task's pt loss in the flat base weights, at w_vec."""
-    shapes = [base.w0.shape for base, _ in task.model.layers]
-    weights = [w_vec[sl].reshape(shape) for sl, shape in zip(layer_slices(task.model), shapes)]
-    probe = zero_adapter_model(task.model, weights)
-    pred = probe.forward(task.pt_inputs)
-    probe.backward((pred - task.pt_targets) / task.pt_inputs.shape[0])
-    return np.concatenate([(tape.dy.T @ tape.x).ravel() for tape in probe.tapes])
+    bases = [base for base, _ in task.model.layers]
+    weights = [w_vec[sl].reshape(b.w0.shape) for sl, b in zip(layer_slices(task.model), bases)]
+    probe = zero_adapter_model(weights, [b.activation for b in bases], [b.bias for b in bases])
+    probe.backward(squared_error(probe.forward(task.pt_inputs), task.pt_targets)[1])
+    return np.concatenate([tape.grad_w.ravel() for tape in probe.tapes])
 
 
 def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
@@ -265,11 +255,9 @@ def suite_gradcheck(models: int = 100, seed: int = 20243) -> list[CheckResult]:
         target = rng.normal(size=(4, dims[-1]))
 
         def loss_of_model() -> float:
-            pred = model.forward(x)
-            return float(0.5 * np.sum((pred - target) ** 2))
+            return squared_error(model.forward(x), target)[0]
 
-        pred = model.forward(x)
-        model.backward(pred - target)
+        model.backward(squared_error(model.forward(x), target)[1])
         analytic = [
             (tape.grad_a.copy(), tape.grad_b.copy()) for tape in model.tapes
         ]

@@ -13,12 +13,10 @@ Task specs are strings, each naming a task dataclass below and its arguments:
     two_task_forgetting(d=12, hidden=12, pretrain_steps=200, delta_scale=0.35,
                         ft_noise=0.1, init_jitter=0.0)
         Two-layer tanh network. The base starts at a teacher, perturbed by
-        init_jitter, and is refined by full-batch gradient descent on
-        noiseless teacher data. pretrain_steps is an upper bound: the loop
-        stops at the first step whose gradient is exactly zero, since that
-        step and every later one would leave the weights unchanged. With
-        init_jitter = 0 the base is the teacher, an exact optimum of the
-        pretraining objective, so the loop stops at its first step.
+        init_jitter, and is refined by pretrain_steps steps of full-batch
+        gradient descent on noiseless teacher data, each one Model forward
+        and backward of the squared error. With init_jitter = 0 the base is
+        the teacher, where the gradient is exactly zero, so no step runs.
         Fine-tuning targets come from the teacher with a rank-2 perturbation
         per layer, plus observation noise of scale ft_noise; the noise is
         what makes geometry-agnostic updates wander in weakly constrained
@@ -39,7 +37,8 @@ the dense Hessian H: per adapted layer, the layer inputs x_s and the factors
 of the per-sample Hessians C_s of the pt loss in the layer's pre-activations
 (telemetry.LayerCurvature), whose sum_s C_s kron x_s x_s^T is the layer's
 exact block of H; and the quadratic forgetting estimate 1/2 delta^T H delta
-from a second-order forward pass.
+from a second-order forward pass. Both start from one forward of the base
+network, a model.zero_adapter_model (_base_point); the teacher is one too.
 The dense H they are checked against, by central finite differences of the
 exact gradient, is oracles.fd_pt_hessian.
 """
@@ -55,7 +54,7 @@ import numpy as np
 
 from .config import declarations, parse_settings, setting
 from .errors import ConfigError
-from .model import ACTIVATIONS, Model, build_model
+from .model import ACTIVATIONS, LayerTape, Model, build_model, squared_error, zero_adapter_model
 from .telemetry import LayerCurvature
 
 
@@ -77,9 +76,8 @@ class TaskInstance:
         return sum(base.w0.size for base, _ in self.model.layers)
 
     def pt_loss(self, model: Model) -> float:
-        pred = model.predict(self.pt_inputs)  # read-only: leaves training tapes alone
-        err = pred - self.pt_targets
-        return float(0.5 * np.mean(np.sum(err * err, axis=1)))
+        # predict is read-only: it leaves the training tapes alone
+        return squared_error(model.predict(self.pt_inputs), self.pt_targets)[0]
 
     # Delegates to oracles, which imports this module. perfbench/spans.py
     # traces both by name, and acceptance criterion 8b calls pt_hessian.
@@ -94,18 +92,11 @@ class TaskInstance:
 
         return fd_pt_hessian(self)
 
-    def _base_point(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Layer inputs and pre-activations on the pt set at the base point, and the output residual."""
-        h = self.pt_inputs
-        inputs, pre = [], []
-        for base, _ in self.model.layers:
-            inputs.append(h)
-            z = h @ base.w0.T
-            if base.bias is not None:
-                z = z + base.bias
-            pre.append(z)
-            h = ACTIVATIONS[base.activation].f(z)
-        return inputs, pre, h - self.pt_targets
+    def _base_point(self) -> tuple[list[LayerTape], np.ndarray]:
+        """The base network's tapes (layer inputs x, pre-activations z) on the pt set, and its output."""
+        bases = [base for base, _ in self.model.layers]
+        net = zero_adapter_model([b.w0 for b in bases], [b.activation for b in bases], [b.bias for b in bases])
+        return net.tapes, net.forward(self.pt_inputs)
 
     def pt_curvature(self) -> list[LayerCurvature]:
         """Exact factors of each adapted layer's pretraining Hessian block, cached.
@@ -120,18 +111,18 @@ class TaskInstance:
         layer H is per sample (m x d x d).
         """
         if self._curvature_cache is None:
-            inputs, pre, err = self._base_point()
-            m, d_out = err.shape
-            grad_h = err / m  # d loss / d h_l, per sample
+            tapes, out = self._base_point()
+            m, d_out = out.shape
+            grad_h = squared_error(out, self.pt_targets)[1]  # d loss / d h_l, per sample
             hess_h = np.eye(d_out) / m
             layers = self.model.layers
             factors = [None] * len(layers)
             for idx in reversed(range(len(layers))):
-                base, z = layers[idx][0], pre[idx]
+                base, tape = layers[idx][0], tapes[idx]
                 act = ACTIVATIONS[base.activation]
-                d1 = act.deriv(z)
-                e = act.deriv2(z) * grad_h
-                factors[idx] = LayerCurvature(x=inputs[idx], d=d1, h=hess_h, e=e)
+                d1 = act.deriv(tape.z)
+                e = act.deriv2(tape.z) * grad_h
+                factors[idx] = LayerCurvature(x=tape.x, d=d1, h=hess_h, e=e)
                 if idx > 0:
                     grad_h = (d1 * grad_h) @ base.w0
                     c = hess_h if base.activation == "identity" else factors[idx].c
@@ -147,16 +138,17 @@ class TaskInstance:
         R2h = act'' Rz^2 + act' R2z; the estimate is
         (||Rh_L||^2 + err . R2h_L) / (2 m).
         """
-        inputs, pre, err = self._base_point()
+        tapes, out = self._base_point()
+        err = out - self.pt_targets
         r_h = np.zeros_like(self.pt_inputs)
         r2_h = np.zeros_like(self.pt_inputs)
-        for (base, _), adapter, x, z in zip(self.model.layers, model.adapters(), inputs, pre):
+        for (base, _), adapter, tape in zip(self.model.layers, model.adapters(), tapes):
             v = adapter.scaling * adapter.delta_w()
-            r_z = x @ v.T + r_h @ base.w0.T
+            r_z = tape.x @ v.T + r_h @ base.w0.T
             r2_z = 2.0 * (r_h @ v.T) + r2_h @ base.w0.T
             act = ACTIVATIONS[base.activation]
-            d1 = act.deriv(z)
-            r_h, r2_h = d1 * r_z, act.deriv2(z) * r_z * r_z + d1 * r2_z
+            d1 = act.deriv(tape.z)
+            r_h, r2_h = d1 * r_z, act.deriv2(tape.z) * r_z * r_z + d1 * r2_z
         return float((np.sum(r_h * r_h) + np.sum(err * r2_h)) / (2.0 * err.shape[0]))
 
 
@@ -262,35 +254,23 @@ class TwoTaskForgetting:
 
         teacher_w1 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
         teacher_w2 = model_rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(d, hidden))
-
-        def teacher(x: np.ndarray) -> np.ndarray:
-            return np.tanh(x @ teacher_w1.T) @ teacher_w2.T
+        activations = ["tanh", "identity"]
+        teacher = zero_adapter_model([teacher_w1, teacher_w2], activations).predict
 
         # Pretraining: start at (or near) the teacher and refine with full-batch
-        # gradient descent on noiseless teacher data. A step with exactly zero
-        # gradients, and every step after it, would leave the weights unchanged,
-        # so the loop stops there; with init_jitter = 0 that is the first step.
-        w1 = teacher_w1 + self.init_jitter * model_rng.normal(size=teacher_w1.shape)
-        w2 = teacher_w2 + self.init_jitter * model_rng.normal(size=teacher_w2.shape)
+        # gradient descent on noiseless teacher data. With init_jitter = 0 the
+        # base is the teacher, whose gradient is exactly zero, so no step runs.
+        weights = [w + self.init_jitter * model_rng.normal(size=w.shape) for w in (teacher_w1, teacher_w2)]
         x_tr = data_rng.normal(size=(max(eval_size, 128), d))
         y_tr = teacher(x_tr)
-        lr = 0.5
-        for _ in range(self.pretrain_steps):
-            h_pre = x_tr @ w1.T
-            h = np.tanh(h_pre)
-            pred = h @ w2.T
-            err = (pred - y_tr) / x_tr.shape[0]
-            g2 = err.T @ h
-            dh = (err @ w2) * (1.0 - h * h)
-            g1 = dh.T @ x_tr
-            if not (g1.any() or g2.any()):
-                break
-            w1 = w1 - lr * g1
-            w2 = w2 - lr * g2
+        for _ in range(self.pretrain_steps if self.init_jitter > 0.0 else 0):
+            net = zero_adapter_model(weights, activations)
+            net.backward(squared_error(net.forward(x_tr), y_tr)[1])
+            weights = [w - 0.5 * tape.grad_w for w, tape in zip(weights, net.tapes)]
 
         model = build_model(
             [d, hidden, d], rank=rank, scaling=alpha, rng=model_rng,
-            activations=["tanh", "identity"], base_weights=[w1, w2],
+            activations=activations, base_weights=weights,
         )
 
         # Fine-tuning teacher: the pretraining teacher plus a rank-2 delta per layer.

@@ -1,15 +1,16 @@
 """The geometry-aware training loop and its plain low-rank control mode.
 
-Per step, in order: forward and loss; backward; on the accumulation
-cadence, the batch folded into every layer's statistics and their damped
-inverses refreshed; one pass over the adapted layers; global-norm gradient
-clipping; an adaptive-moment step without weight decay on the adapter
-factors only, one pass over all of them as one flat vector; and finally
-gated reprojection. The pass over the layers adds each layer's ramped
-lambda_k and lambda_r penalty gradients to its tape gradient and
-preconditions the gradient once inverses are ready. In lora_control mode
-every geometry-specific stage is skipped, which makes the loop a plain
-low-rank adaptation trainer with the identical optimizer arithmetic.
+Per step, in order: forward and loss (model.squared_error); backward; on
+the accumulation cadence, the batch folded into every layer's statistics
+and their damped inverses refreshed; one pass over the adapted layers;
+global-norm gradient clipping; an adaptive-moment step without weight
+decay on the adapter factors only, one pass over all of them as one flat
+vector; and finally gated reprojection. The pass over the layers adds
+each layer's ramped lambda_k and lambda_r penalty gradients to its tape
+gradient and preconditions the gradient once inverses are ready. In
+lora_control mode every geometry-specific stage is skipped, which makes
+the loop a plain low-rank adaptation trainer with the identical optimizer
+arithmetic.
 
 Each accumulation gives every layer one reprojection.LayerGeometry, and no
 other code makes one: all layers' covariances are eigendecomposed in one
@@ -71,7 +72,7 @@ from .errors import ConfigError, GritError, ShapeError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig_stack
 from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
-from .model import save_checkpoint
+from .model import save_checkpoint, squared_error
 from .reprojection import LayerGeometry, effective_ranks, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
@@ -447,15 +448,12 @@ class Trainer:
             raise ValidationError("empty batch")
         adapters = self.model.adapters()
         self._bind_factors(adapters)
-        pred = self.model.forward(x)
-        err = pred - y
-        # the sum and count np.mean(np.sum(err * err, axis=1)) divides
-        task_loss = float(0.5 * ((err * err).sum(axis=1).sum() / err.shape[0]))
+        task_loss, loss_grad = squared_error(self.model.forward(x), y)
         # checked before the statistics take this batch; the penalties join the check below
         if not math.isfinite(task_loss):
             raise GritError(f"non-finite loss at step {step}")
         loss = task_loss
-        self.model.backward(err / x.shape[0])
+        self.model.backward(loss_grad)
 
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
         geometry_on = self.is_grit and step >= config.ng_warmup_steps

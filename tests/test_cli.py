@@ -8,6 +8,7 @@ from grit import cli
 from grit.cli import main
 from grit.config import config_hash, load_config
 from grit.forgetting import load_fit
+from grit.oracles import SUITES
 from grit.runio import (
     AUDIT_CSVS,
     GeometrySummary,
@@ -641,22 +642,12 @@ class TestOneProcess:
 
 
 class TestOracleCommand:
-    def test_projector_suite_passes(self, capsys):
-        assert main(["oracle", "projector"]) == 0
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_suite_passes(self, capsys, suite):
+        assert main(["oracle", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
     def test_unknown_suite(self, capsys):
         assert main(["oracle", "mystery"]) == 2
         assert "mystery" in capsys.readouterr().err
-
-    def test_rankselect_suite_passes(self):
-        assert main(["oracle", "rankselect"]) == 0
-
-    def test_tangent_suite_passes(self, capsys):
-        assert main(["oracle", "tangent"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
-
-    def test_curvature_suite_passes(self, capsys):
-        assert main(["oracle", "curvature"]) == 0
-        assert "FAIL" not in capsys.readouterr().out

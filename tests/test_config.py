@@ -272,6 +272,23 @@ class TestHash:
         b = GritConfig(task="synthetic_lowrank()", seed=2)
         assert config_hash(a) != config_hash(b)
 
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [("lora_alpha", 1, "1.0"), ("learning_rate", np.float32(0.1), "0.10000000149011612"),
+         ("steps", np.int64(7), "7"), ("ema_beta", None, "none")],
+    )
+    def test_text_writes_the_value_the_run_uses(self, key, value, text):
+        config = GritConfig(task="synthetic_lowrank()", **{key: value})
+        assert f"\n{key} = {text}\n" in config_to_text(config)
+        reparsed = parse_config_text(config_to_text(config))
+        assert getattr(reparsed, key) == (None if value is None else float(value))
+        assert config_hash(reparsed) == config_hash(config)
+
+    def test_a_float32_rate_hashes_apart_from_the_rate_it_rounds(self):
+        assert config_hash(GritConfig(task="t()", learning_rate=np.float32(0.1))) != config_hash(
+            GritConfig(task="t()", learning_rate=0.1)
+        )
+
     def test_hash_ignores_comments_and_case(self):
         a = parse_config_text("task = synthetic_lowrank()\nseed = 3\n")
         b = parse_config_text("# header\nTASK = synthetic_lowrank()\n\nSEED = 3  # trailing\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grit.errors import ShapeError, UnderdeterminedFitError, UnidentifiableGammaError
+from grit.errors import ShapeError, UnderdeterminedFitError, UnidentifiableGammaError, ValidationError
 from grit.forgetting import (
     ScalingFit,
     fit_baseline_law,
@@ -227,3 +227,10 @@ class TestPredict:
         path = tmp_path / "fit.json"
         save_fit(fit, path)
         assert load_fit(path) == fit
+
+    @pytest.mark.parametrize("text", ["{not json", "[2.0]", '{"c0": 2.0, "a_coef": 1.0, "alpha": 0.3}'])
+    def test_damaged_fit_document_is_a_validation_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "fit.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="fit.json"):
+            load_fit(path)

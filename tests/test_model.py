@@ -11,7 +11,9 @@ from grit.model import (
     init_adapter,
     load_checkpoint,
     save_checkpoint,
+    squared_error,
     trainable_count,
+    zero_adapter_model,
 )
 from grit.oracles import fold_adapters
 
@@ -183,7 +185,7 @@ class TestEffectiveWeightOnTape:
         tapes = model.backward(loss_grad)
         for tape, (dy, grad_w, grad_a, grad_b) in zip(tapes, expected):
             assert np.array_equal(tape.dy, dy)
-            assert np.array_equal(tape.dy.T @ tape.x, grad_w)
+            assert np.array_equal(tape.grad_w, grad_w)
             assert np.array_equal(tape.grad_a, grad_a)
             assert np.array_equal(tape.grad_b, grad_b)
 
@@ -296,6 +298,56 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99, "seed": 0, "layers": []}')
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"format_version": 1, "layers": []}',
+            '{"format_version": 1, "seed": 0, "layers": [{"w0": [[1.0]]}]}',
+            '{"format_version": 1, "seed": 0, "layers": [[1.0]]}',
+        ],
+    )
+    def test_damaged_file_is_a_validation_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="checkpoint.json"):
+            load_checkpoint(path)
+
+
+class TestSquaredError:
+    @pytest.mark.parametrize("rows", [1, 2, 16, 257])
+    def test_loss_and_gradient_bits(self, rows):
+        rng = np.random.default_rng(rows)
+        pred, targets = rng.normal(size=(rows, 7)), rng.normal(size=(rows, 7))
+        loss, grad = squared_error(pred, targets)
+        err = pred - targets
+        assert type(loss) is float
+        assert loss == float(0.5 * np.mean(np.sum(err * err, axis=1)))
+        assert np.array_equal(grad, err / rows)
+
+
+class TestZeroAdapterModel:
+    def test_runs_the_base_weights_without_drawing(self):
+        model, rng = seeded_model(seed=15)
+        state = rng.bit_generator.state
+        bases = [base for base, _ in model.layers]
+        net = zero_adapter_model([b.w0 for b in bases], [b.activation for b in bases])
+        assert rng.bit_generator.state == state
+        x = rng.normal(size=(3, 6))
+        expected = np.tanh(x @ bases[0].w0.T) @ bases[1].w0.T
+        assert np.array_equal(net.forward(x), expected)
+        assert np.array_equal(net.predict(x), expected)
+
+    def test_backward_leaves_the_weight_gradients(self):
+        net = zero_adapter_model([np.array([[2.0, -1.0]])], ["identity"], [np.array([0.5])])
+        x = np.array([[1.0, 3.0], [0.0, 1.0]])
+        out = net.forward(x)
+        assert np.array_equal(out, [[-0.5], [-0.5]])
+        net.backward(np.ones_like(out))
+        assert np.array_equal(net.tapes[0].grad_w, [[1.0, 4.0]])
+        assert net.tapes[0].grad_a.shape == (0, 2)
 
 
 class TestActivationDerivatives:

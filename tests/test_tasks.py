@@ -8,7 +8,8 @@ from grit import tasks
 from grit import trainer as trainer_module
 from grit.config import GritConfig
 from grit.errors import ConfigError
-from grit.oracles import base_weight_vector, delta_w_vector, layer_slices, pt_grad_at, zero_adapter_model
+from grit.model import zero_adapter_model
+from grit.oracles import base_weight_vector, delta_w_vector, layer_slices, pt_grad_at
 from grit.tasks import build_task, parse_task_spec
 from grit.trainer import run_experiment, seed_stream
 
@@ -109,7 +110,7 @@ class TestTwoTaskForgetting:
 
     @pytest.mark.parametrize("d", [8, 48])
     def test_pretraining_at_fixed_point_leaves_teacher_weights(self, d):
-        # init_jitter = 0: the loop stops at its first step, whatever the bound
+        # init_jitter = 0: no pretraining step runs, whatever the bound
         bases = [
             [base.w0 for base, _ in build(
                 f"two_task_forgetting(d={d}, hidden={d}, pretrain_steps={steps})"
@@ -150,9 +151,10 @@ class TestTwoTaskForgetting:
         eps = 1e-3
         # exact drift via a probe model at w0 + eps * direction
         w = w0 + eps * direction
+        bases = [base for base, _ in task.model.layers]
         shifted = zero_adapter_model(
-            task.model,
-            [w[sl].reshape(base.w0.shape) for sl, (base, _) in zip(layer_slices(task.model), task.model.layers)],
+            [w[sl].reshape(base.w0.shape) for sl, base in zip(layer_slices(task.model), bases)],
+            [base.activation for base in bases],
         )
         exact = (
             0.5 * np.mean(np.sum((shifted.forward(task.pt_inputs) - task.pt_targets) ** 2, axis=1))
@@ -164,6 +166,74 @@ class TestTwoTaskForgetting:
         task = build("two_task_forgetting(d=6, hidden=7, pretrain_steps=0)")
         total = sum(s.stop - s.start for s in layer_slices(task.model))
         assert total == base_weight_vector(task.model).size == 6 * 7 + 7 * 6
+
+
+def reference_base(d, hidden, pretrain_steps, init_jitter, rank=4, seed=0, eval_size=64):
+    """The base weights of the hand-written pretraining loop the task build replaced, and the
+    model RNG after every draw of the build (teachers, jitter, adapters, fine-tune deltas)."""
+    model_rng, data_rng = seed_stream(seed, "model"), seed_stream(seed, "task-data")
+    teacher_w1 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(hidden, d))
+    teacher_w2 = model_rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(d, hidden))
+    w1 = teacher_w1 + init_jitter * model_rng.normal(size=teacher_w1.shape)
+    w2 = teacher_w2 + init_jitter * model_rng.normal(size=teacher_w2.shape)
+    x_tr = data_rng.normal(size=(max(eval_size, 128), d))
+    y_tr = np.tanh(x_tr @ teacher_w1.T) @ teacher_w2.T
+    for _ in range(pretrain_steps):
+        h = np.tanh(x_tr @ w1.T)
+        err = (h @ w2.T - y_tr) / x_tr.shape[0]
+        g2 = err.T @ h
+        g1 = ((err @ w2) * (1.0 - h * h)).T @ x_tr
+        if not (g1.any() or g2.any()):
+            break
+        w1, w2 = w1 - 0.5 * g1, w2 - 0.5 * g2
+    for d_in, d_out in ((d, hidden), (hidden, d)):
+        model_rng.normal(0.0, np.sqrt(1.0 / d_in), size=(rank, d_in))
+    for w in (teacher_w1, teacher_w2):
+        model_rng.normal(size=(w.shape[0], 2))
+        model_rng.normal(size=(w.shape[1], 2))
+    return [w1, w2], [teacher_w1, teacher_w2], model_rng
+
+
+class TestPretrainingThroughModel:
+    """The base comes from Model.forward/backward bit for bit as from the hand-written loop."""
+
+    @pytest.mark.parametrize("d, hidden", [(8, 8), (7, 10)])
+    def test_jittered_base_matches_the_hand_written_loop(self, d, hidden):
+        spec = f"two_task_forgetting(d={d}, hidden={hidden}, pretrain_steps=20, init_jitter=0.05)"
+        expected, teacher, _ = reference_base(d, hidden, 20, 0.05)
+        weights = [base.w0 for base, _ in build(spec).model.layers]
+        assert all(np.array_equal(w, ref) for w, ref in zip(weights, expected))
+        assert not any(np.array_equal(w, t) for w, t in zip(weights, teacher))
+
+    @pytest.mark.parametrize("d, hidden", [(8, 8), (7, 10)])
+    def test_unjittered_base_is_the_teacher_and_later_draws_are_unchanged(self, d, hidden):
+        model_rng = seed_stream(0, "model")
+        task = build_task(
+            f"two_task_forgetting(d={d}, hidden={hidden}, pretrain_steps=100)", rank=4, alpha=1.0,
+            eval_size=64, model_rng=model_rng, data_rng=seed_stream(0, "task-data"),
+        )
+        _, teacher, reference_rng = reference_base(d, hidden, 100, 0.0)
+        assert all(np.array_equal(base.w0, t) for (base, _), t in zip(task.model.layers, teacher))
+        assert model_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_no_step_runs_without_jitter(self, monkeypatch):
+        from grit.model import Model
+
+        def forbidden(self, loss_grad):
+            raise AssertionError("a pretraining step ran")
+
+        monkeypatch.setattr(Model, "backward", forbidden)
+        build("two_task_forgetting(d=6, hidden=6, pretrain_steps=100)")
+
+    def test_base_point_matches_a_per_layer_loop(self):
+        task = net_with_biases()
+        tapes, out = task._base_point()
+        h = task.pt_inputs
+        for (base, _), tape in zip(task.model.layers, tapes):
+            z = h @ base.w0.T + base.bias
+            assert np.array_equal(tape.x, h) and np.array_equal(tape.z, z)
+            h = np.tanh(z) if base.activation == "tanh" else z
+        assert np.array_equal(out, h)
 
 
 def relative_gap(fast, reference):
