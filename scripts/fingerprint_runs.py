@@ -24,7 +24,9 @@ DIR/<run>/<artifact>, the number of numeric values that differ and the
 worst relative difference |new - old| / |old| among them (0 for a zero
 that changes sign, inf for a value that turns into or out of NaN), reading
 every number of the JSON, JSONL and CSV files (encode_array payloads decoded
-with runio.decode_array, so each float64 is compared bit for bit); a difference
+with runio.decode_array, so each float64 is compared bit for bit, and read as
+the nested list they replaced, so a version-1 checkpoint's lists line up
+with a version-2 checkpoint's payloads); a difference
 in anything else (a key, a string, the number of values) is printed as a
 structural difference, and an artifact that only one side has as "only in
 DIR" or "only in this checkout". It exits 1 if any artifact differs.
@@ -174,10 +176,14 @@ def differences(before: dict, after: dict) -> list[tuple[str, str]]:
 
 
 def leaves(value):
-    """Every leaf of a parsed JSON value, in order; an encode_array payload gives its floats."""
+    """Every leaf of a parsed JSON value, in order.
+
+    An encode_array payload gives the leaves of its array's nested list, so
+    it lines up with the plain JSON list that an older artifact held.
+    """
     if isinstance(value, dict):
         if set(value) == {"shape", "f64"}:
-            yield from decode_array(value).ravel().tolist()
+            yield from leaves(decode_array(value).tolist())
             return
         for key in sorted(value):
             yield key

@@ -117,7 +117,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
-    """Every line's decoded delta_w; ValidationError unless all are 1-D of one length."""
+    """Every line's decoded delta_w; ValidationError unless all are finite and 1-D of one length.
+
+    Finiteness is checked once over all vectors; the first bad line is
+    looked up only when that check fails.
+    """
     vectors = []
     for line, update in enumerate(updates, start=1):
         try:
@@ -129,6 +133,9 @@ def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
             raise ValidationError(
                 f"{UPDATES_NAME} line {line}: delta_w of shape {shape}, not 1-D of line 1's length"
             )
+    if vectors and not np.isfinite(vectors).all():
+        line = next(line for line, v in enumerate(vectors, start=1) if not np.isfinite(v).all())
+        raise ValidationError(f"{UPDATES_NAME} line {line}: delta_w has non-finite entries")
     return vectors
 
 

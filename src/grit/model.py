@@ -6,7 +6,9 @@ runs every network forward (one layer loop) and backward, a network of base
 weights alone as a zero_adapter_model; squared_error is the one loss. Reverse
 mode is hand-derived for this fixed architecture; per-layer inputs and output
 gradients are captured on a tape because the curvature statistics need them
-verbatim.
+verbatim. save_checkpoint writes a model's arrays through runio's exact
+array codec (checkpoint format version 2); load_checkpoint reads that and
+version 1's nested lists.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GritError, ShapeError, TapeError, ValidationError
-from .runio import json_object, write_atomic
+from .runio import decode_array, encode_array, json_object, write_atomic
 
 
 class Activation(NamedTuple):
@@ -63,9 +65,14 @@ class BaseLayer:
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=np.float64)
         self.w0.setflags(write=False)  # base weights are never modified
+        if self.w0.ndim != 2:
+            raise ShapeError(f"w0 must be 2-d, got shape {self.w0.shape}")
         if self.bias is not None:
             self.bias = np.asarray(self.bias, dtype=np.float64)
             self.bias.setflags(write=False)
+            # a bias of another length would broadcast (length 1) or fail only at forward
+            if self.bias.shape != (self.d_out,):
+                raise ShapeError(f"bias of shape {self.bias.shape} for a layer of {self.d_out} outputs")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
 
@@ -290,11 +297,17 @@ def build_model(
     return Model(layers=layers)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# version 1 held each array as nested JSON lists; decode_array reads both
+READABLE_CHECKPOINT_VERSIONS = (1, CHECKPOINT_VERSION)
 
 
 def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
-    """Write the model to a versioned JSON container (see README for the schema)."""
+    """Write the model to a versioned JSON container (see README for the schema).
+
+    Each array (w0, bias unless null, a, b) is written by runio.encode_array,
+    so it loads back bit for bit.
+    """
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "seed": seed,
@@ -303,10 +316,10 @@ def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
                 "d_in": base.d_in,
                 "d_out": base.d_out,
                 "activation": base.activation,
-                "w0": base.w0.tolist(),
-                "bias": None if base.bias is None else base.bias.tolist(),
-                "a": adapter.a.tolist(),
-                "b": adapter.b.tolist(),
+                "w0": encode_array(base.w0),
+                "bias": None if base.bias is None else encode_array(base.bias),
+                "a": encode_array(adapter.a),
+                "b": encode_array(adapter.b),
                 "rank": adapter.rank,
                 "scaling": adapter.scaling,
             }
@@ -316,19 +329,40 @@ def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
     write_atomic(path, json.dumps(doc, sort_keys=True))
 
 
+def _checkpoint_layer(spec: dict, index: int) -> tuple[BaseLayer, AdapterPair]:
+    """One layer of a checkpoint: its arrays decoded, its w0 checked against d_in and d_out.
+
+    The adapter factors are copied out of decode_array's read-only views, so
+    a loaded model trains as a built one does.
+    """
+    bias = spec["bias"]
+    base = BaseLayer(
+        w0=decode_array(spec["w0"]),
+        bias=None if bias is None else decode_array(bias),
+        activation=spec["activation"],
+    )
+    if base.w0.shape != (spec["d_out"], spec["d_in"]):
+        raise ValidationError(
+            f"layer {index} has d_out = {spec['d_out']!r}, d_in = {spec['d_in']!r}"
+            f" but a w0 of shape {base.w0.shape}"
+        )
+    adapter = AdapterPair(
+        a=np.array(decode_array(spec["a"])),
+        b=np.array(decode_array(spec["b"])),
+        rank=spec["rank"],
+        scaling=spec["scaling"],
+    )
+    return base, adapter
+
+
 def load_checkpoint(path: str | Path) -> tuple[Model, int]:
-    """The model and seed in a checkpoint file; ValidationError naming the file for a damaged one."""
+    """The model and seed in a checkpoint file of either version; ValidationError naming the file for a damaged one."""
     doc = json_object(Path(path).read_text(), path)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version not in READABLE_CHECKPOINT_VERSIONS:
+        raise ValidationError(f"{path}: unsupported checkpoint version {version!r}")
     try:
-        layers = [
-            (
-                BaseLayer(w0=spec["w0"], bias=spec["bias"], activation=spec["activation"]),
-                AdapterPair(a=spec["a"], b=spec["b"], rank=spec["rank"], scaling=spec["scaling"]),
-            )
-            for spec in doc["layers"]
-        ]
+        layers = [_checkpoint_layer(spec, i) for i, spec in enumerate(doc["layers"])]
         return Model(layers=layers), doc["seed"]
     except (KeyError, TypeError, ValueError, GritError) as exc:
         raise ValidationError(f"{path}: not a checkpoint ({exc!r})") from exc

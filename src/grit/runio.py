@@ -8,7 +8,7 @@ Layout of a completed run directory:
     events.jsonl     accumulate / invert / reprojection / gate events, one object per line
     stats.jsonl      rank-space covariance snapshots at the accumulation cadence
     updates.jsonl    flattened per-layer update vectors for the PCA export
-    checkpoint.json  final model
+    checkpoint.json  final model (model.save_checkpoint)
     record.json      RunRecord summary
     audit/           the CSVs of `grit audit` (AUDIT_CSVS), once it has run
 
@@ -24,14 +24,16 @@ ValidationError, not a failure deep in a consumer. read_jsonl and
 read_telemetry parse a whole stream in one json.loads (json_lines); only a
 stream that fails it is read again line by line, to name the bad line.
 
-The float arrays of stats.jsonl (a_cov, g_cov) and updates.jsonl (delta_w,
-1-D of length d_out * d_in) are written by encode_array as
+The float arrays of stats.jsonl (a_cov, g_cov), updates.jsonl (delta_w,
+1-D of length d_out * d_in) and checkpoint.json (each layer's w0, bias, a
+and b, from format version 2) are written by encode_array as
 {"shape": [...], "f64": base64 of the little-endian float64 bytes}, which
 round-trips bit for bit; update_line and stats_line format a whole
 updates.jsonl or stats.jsonl line without the JSON encoder, to the same
 bytes. Read one with decode_array, or with
 np.frombuffer(base64.b64decode(f64), "<f8").reshape(shape). decode_array
-also reads the plain JSON lists of older run directories.
+also reads the plain JSON lists of older run directories and of version-1
+checkpoints.
 
 Timestamps appear only in the manifest so that record and streams replay
 byte-identically for a fixed config and seed. The manifest and record (and

@@ -50,8 +50,8 @@ class GeometryRecord:
 
 def tail_mass(delta_w: np.ndarray, threshold: float) -> int:
     """Count of update coordinates with magnitude above the threshold."""
-    if threshold <= 0.0:
-        raise ValidationError("threshold must be positive")
+    if not threshold > 0.0:  # NaN included
+        raise ValidationError(f"threshold must be positive, got {threshold!r}")
     delta_w = np.asarray(delta_w, dtype=np.float64)
     if not np.all(np.isfinite(delta_w)):
         raise ValidationError("update vector must be finite")
@@ -62,6 +62,8 @@ def _check_orthonormal(basis: np.ndarray, name: str) -> np.ndarray:
     basis = np.asarray(basis, dtype=np.float64)
     if basis.ndim != 2:
         raise ShapeError(f"{name} must be a 2-d basis matrix")
+    if basis.shape[1] == 0:
+        raise ValidationError(f"{name} has no columns")
     gram = basis.T @ basis
     if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-6:
         raise ValidationError(f"{name} columns are not orthonormal")
@@ -82,6 +84,8 @@ def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> float:
     """1 - cos(p_t, p_prev); 0.0 when either vector is zero."""
     p_t = np.asarray(p_t, dtype=np.float64).ravel()
     p_prev = np.asarray(p_prev, dtype=np.float64).ravel()
+    if p_t.shape != p_prev.shape:
+        raise ShapeError(f"update vectors differ in length: {p_t.size} vs {p_prev.size}")
     nt = np.linalg.norm(p_t)
     np_ = np.linalg.norm(p_prev)
     if nt == 0.0 or np_ == 0.0:
@@ -185,8 +189,8 @@ def xi_multiplier(
 ) -> float:
     """(1 + g_r * r_eff)(1 + g_a * rho)(1 + g_p * pi); >= 1 for non-negative inputs."""
     g_r, g_a, g_p = gammas
-    if g_r < 0.0 or g_a < 0.0 or g_p < 0.0:
-        raise ValidationError("gamma coefficients must be non-negative")
+    if not (g_r >= 0.0 and g_a >= 0.0 and g_p >= 0.0):  # NaN included
+        raise ValidationError(f"gamma coefficients must be non-negative, got {gammas!r}")
     return (1.0 + g_r * r_eff) * (1.0 + g_a * rho_align) * (1.0 + g_p * pi_proj)
 
 
@@ -200,7 +204,11 @@ def pca_export(update_vectors: list[np.ndarray]) -> np.ndarray:
     """
     if len(update_vectors) < 3:
         raise ValidationError("need at least three vectors for a PCA export")
-    x = np.stack([np.asarray(v, dtype=np.float64).ravel() for v in update_vectors])
+    rows = [np.asarray(v, dtype=np.float64).ravel() for v in update_vectors]
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) != 1:
+        raise ShapeError(f"update vectors differ in length: {lengths}")
+    x = np.stack(rows)
     n = x.shape[0]
     xc = x - x.mean(axis=0)
     gram = xc @ xc.T / max(n - 1, 1)

@@ -37,6 +37,13 @@ eval_size = 64
 """
 
 
+def with_entry(payload, value):
+    """An encode_array payload of the same vector with its first entry set to value."""
+    vector = np.array(decode_array(payload))
+    vector[0] = value
+    return encode_array(vector)
+
+
 def write_config(tmp_path, text=MINIMAL_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -364,18 +371,23 @@ class TestAudit:
             lambda u: u["delta_w"].update(f64="not*base64"),
             lambda u: u["delta_w"].update(shape=[u["delta_w"]["shape"][0] + 1]),
             lambda u: u.update(delta_w=encode_array(np.zeros(8))),
+            lambda u: u.update(delta_w=with_entry(u["delta_w"], np.nan)),
+            lambda u: u.update(delta_w=with_entry(u["delta_w"], np.inf)),
+            lambda u: u.update(delta_w=with_entry(u["delta_w"], -np.inf)),
         ],
-        ids=["missing_field", "invalid_base64", "bytes_not_shape", "shorter_vector"],
+        ids=["missing_field", "invalid_base64", "bytes_not_shape", "shorter_vector",
+             "nan_entry", "inf_entry", "minus_inf_entry"],
     )
     def test_bad_update_vector_is_incomplete_run(self, tmp_path, capsys, corrupt):
         out = self.run_once(tmp_path)
         path = out / "updates.jsonl"
         updates = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(updates) >= 3  # enough vectors for the PCA export to run
         corrupt(updates[1])
         path.write_text("".join(json.dumps(u) + "\n" for u in updates))
         assert main(["--quiet", "audit", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "incomplete run" in err and "updates.jsonl line 2" in err
+        assert err.startswith("incomplete run: ") and err.count("\n") == 1 and "updates.jsonl line 2" in err
         assert not (out / "audit").exists()
 
     @pytest.mark.parametrize("name", ["updates.jsonl", "events.jsonl", "telemetry.jsonl"])

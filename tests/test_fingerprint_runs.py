@@ -6,9 +6,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from grit.config import GritConfig
+from grit.runio import encode_array
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -91,6 +93,17 @@ class TestCompareValues:
     def test_value_that_leaves_nan_moved_by_inf(self, tmp_path, capsys):
         _, lines = compare(tmp_path, capsys, [float("nan"), 2.0], [1.0, 3.0])
         assert lines == [f"{RUN} record.json: 2 of 2 numeric values differ, worst relative difference inf"]
+
+    def test_payload_lines_up_with_the_list_it_replaced(self, tmp_path, capsys):
+        # a version-1 checkpoint's nested lists against a version-2 checkpoint's payload of the same values
+        array = [[1.0, -0.0], [0.1 + 0.2, 3.0]]
+        count, lines = compare(tmp_path, capsys, {"w0": array}, {"w0": encode_array(np.array(array))})
+        assert (count, lines) == (1, [f"{RUN} record.json: 0 of 4 numeric values differ, worst relative difference 0"])
+
+    def test_payload_of_another_shape_is_structural(self, tmp_path, capsys):
+        array = [[1.0, 2.0], [3.0, 4.0]]
+        _, lines = compare(tmp_path, capsys, {"w0": array}, {"w0": encode_array(np.array(array).ravel())})
+        assert lines == [f"{RUN} record.json: structural difference"]
 
     @pytest.mark.parametrize(
         "old, new", [({"x": 1.0}, {"x": 1.0, "z": 2.0}), ({"x": 1.0}, {"y": 1.0}), ([1.0], ["1.0"])]

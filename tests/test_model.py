@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from grit.model import (
     zero_adapter_model,
 )
 from grit.oracles import fold_adapters
+from grit.runio import encode_array
 
 
 def seeded_model(seed=0, dims=(6, 5, 4), rank=3, nonzero_b=True):
@@ -273,6 +277,15 @@ class TestFreezeAndCounts:
         with pytest.raises(ValidationError):
             trainable_count(0, 4, 1)
 
+    @pytest.mark.parametrize(
+        "w0, bias",
+        [(np.zeros((3, 2)), np.zeros(1)), (np.zeros((3, 2)), np.zeros((1, 3))), (np.zeros(3), None)],
+        ids=["bias_of_length_1", "bias_of_2_dims", "1_dim_w0"],
+    )
+    def test_base_layer_shapes_enforced(self, w0, bias):
+        with pytest.raises(ShapeError):
+            BaseLayer(w0=w0, bias=bias)
+
     def test_rank_bound_enforced(self):
         with pytest.raises(ValidationError):
             AdapterPair(a=np.zeros((5, 4)), b=np.zeros((4, 5)), rank=5, scaling=1.0)
@@ -313,6 +326,149 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         path.write_text(text)
         with pytest.raises(ValidationError, match="checkpoint.json"):
+            load_checkpoint(path)
+
+
+def model_with_bias(seed=21):
+    """seeded_model with a bias on its first layer, so every array kind is saved."""
+    model, rng = seeded_model(seed=seed)
+    base, adapter = model.layers[0]
+    model.layers[0] = (BaseLayer(w0=base.w0, bias=rng.normal(size=base.d_out), activation=base.activation), adapter)
+    return model, rng
+
+
+def model_arrays(model):
+    """Every saved array of a model, in layer order: w0, bias (when set), a, b."""
+    return [
+        array
+        for base, adapter in model.layers
+        for array in (base.w0, base.bias, adapter.a, adapter.b)
+        if array is not None
+    ]
+
+
+def version_1_text(model, seed):
+    """The checkpoint text a version-1 writer produced: every array as nested JSON lists."""
+    return json.dumps({
+        "format_version": 1,
+        "seed": seed,
+        "layers": [
+            {
+                "d_in": base.d_in, "d_out": base.d_out, "activation": base.activation,
+                "w0": base.w0.tolist(), "bias": None if base.bias is None else base.bias.tolist(),
+                "a": adapter.a.tolist(), "b": adapter.b.tolist(),
+                "rank": adapter.rank, "scaling": adapter.scaling,
+            }
+            for base, adapter in model.layers
+        ],
+    }, sort_keys=True)
+
+
+def write_checkpoint(model, path, version, seed):
+    """A checkpoint of model at path in the given format version."""
+    if version == 1:
+        path.write_text(version_1_text(model, seed))
+    else:
+        save_checkpoint(model, path, seed=seed)
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestCheckpointFormat:
+    def test_version_2_writes_each_array_through_the_codec(self, tmp_path):
+        model, _ = model_with_bias()
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(model, path, seed=4)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        layer = doc["layers"][0]
+        assert layer["w0"] == encode_array(model.layers[0][0].w0)
+        assert layer["bias"] == encode_array(model.layers[0][0].bias)
+        assert doc["layers"][1]["bias"] is None
+        raw = layer["a"]
+        a = np.frombuffer(base64.b64decode(raw["f64"]), "<f8").reshape(raw["shape"])
+        assert a.tobytes() == model.layers[0][1].a.tobytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_both_versions_load_bit_for_bit(self, tmp_path, version):
+        model, rng = model_with_bias()
+        # values whose shortest repr is long, and the signed zero, survive both encodings
+        model.layers[1][1].b[0, 0] = -0.0
+        model.layers[1][1].b[0, 1] = 0.1 + 0.2
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(model, path, version, seed=8)
+        loaded, seed = load_checkpoint(path)
+        assert seed == 8
+        assert_same_arrays(model_arrays(loaded), model_arrays(model))
+        for _, adapter in loaded.layers:  # a loaded model trains as a built one does
+            assert adapter.a.flags.writeable and adapter.b.flags.writeable
+        x = rng.normal(size=(4, 6))
+        assert np.array_equal(loaded.forward(x), model.forward(x))
+
+    def test_a_version_1_file_and_its_version_2_rewrite_load_alike(self, tmp_path):
+        model, _ = model_with_bias()
+        old, new = tmp_path / "v1.json", tmp_path / "v2.json"
+        old.write_text(version_1_text(model, seed=3))
+        save_checkpoint(load_checkpoint(old)[0], new, seed=3)
+        assert_same_arrays(model_arrays(load_checkpoint(new)[0]), model_arrays(load_checkpoint(old)[0]))
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, None])
+    def test_other_versions_rejected(self, tmp_path, version):
+        model, _ = seeded_model()
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(model, path, seed=0)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("key, value", [("d_in", 99), ("d_out", 99), ("d_out", 5)])
+    def test_dims_that_disagree_with_w0_rejected(self, tmp_path, version, key, value):
+        model, _ = seeded_model()  # layer 0 is 6 -> 5, layer 1 is 5 -> 4
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(model, path, version, seed=0)
+        doc = json.loads(path.read_text())
+        doc["layers"][1][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"checkpoint\.json.*layer 1 .*w0 of shape \(4, 5\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_bias_of_another_length_rejected(self, tmp_path, version):
+        model, _ = model_with_bias()
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(model, path, version, seed=0)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["bias"] = [0.5] if version == 1 else encode_array(np.array([0.5]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"checkpoint\.json: not a checkpoint.*bias of shape \(1,\)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda layer: layer["w0"].update(f64="not*base64"),
+            lambda layer: layer["a"].update(f64=layer["a"]["f64"][:-4]),
+            lambda layer: layer["b"].update(shape=[layer["b"]["shape"][0] + 1, layer["b"]["shape"][1]]),
+            lambda layer: layer["w0"].pop("shape"),
+            lambda layer: layer.update(a={"f64": 7, "shape": [1]}),
+        ],
+        ids=["bad_base64", "short_bytes", "bytes_do_not_fill_shape", "no_shape", "payload_not_text"],
+    )
+    def test_damaged_version_2_payload_rejected(self, tmp_path, corrupt):
+        model, _ = seeded_model()
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(model, path, seed=0)
+        doc = json.loads(path.read_text())
+        corrupt(doc["layers"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"checkpoint\.json: not a checkpoint"):
             load_checkpoint(path)
 
 

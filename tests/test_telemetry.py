@@ -91,6 +91,10 @@ class TestTailMass:
         with pytest.raises(ValidationError):
             tail_mass(np.ones(3), 0.0)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="threshold"):
+            tail_mass(np.ones(3), np.nan)
+
 
 class TestAlignmentOverlap:
     def test_self_overlap(self):
@@ -111,6 +115,10 @@ class TestAlignmentOverlap:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValidationError):
             alignment_overlap(np.ones((3, 2)), np.eye(3)[:, :2])
+
+    def test_zero_column_bases_rejected(self):
+        with pytest.raises(ValidationError, match="no columns"):
+            alignment_overlap(np.zeros((3, 0)), np.zeros((3, 0)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -169,6 +177,14 @@ class TestJitterAndDrift:
 
     def test_zero_vector_flagged(self):
         assert update_jitter(np.zeros(2), np.ones(2)) == 0.0
+
+    def test_jitter_of_vectors_of_different_lengths(self):
+        with pytest.raises(ShapeError):
+            update_jitter(np.ones(3), np.ones(4))
+
+    def test_drift_of_zero_column_bases_rejected(self):
+        with pytest.raises(ValidationError, match="no columns"):
+            subspace_drift(np.zeros((4, 0)), np.zeros((4, 0)))
 
     def test_drift_identical(self):
         q = np.eye(4)[:, :2]
@@ -285,6 +301,11 @@ class TestXiMultiplier:
         with pytest.raises(ValidationError):
             xi_multiplier(1.0, 1.0, 1.0, (-0.1, 0.0, 0.0))
 
+    @pytest.mark.parametrize("gammas", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)])
+    def test_nan_gamma_rejected(self, gammas):
+        with pytest.raises(ValidationError, match="gamma"):
+            xi_multiplier(1.0, 1.0, 1.0, gammas)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.floats(0.0, 16.0),
@@ -322,6 +343,10 @@ class TestPca:
     def test_too_few_vectors(self):
         with pytest.raises(ValidationError):
             pca_export([np.ones(3), np.ones(3)])
+
+    def test_vectors_of_different_lengths(self):
+        with pytest.raises(ShapeError, match="differ in length"):
+            pca_export([np.ones(3), np.ones(3), np.ones(4)])
 
     def test_csv_export(self, tmp_path):
         # the audit writes pca_export's coordinates, each float as its repr;
