@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure,
 3 underdetermined fit. Without --out, train writes its run directory
 <task>-s<seed>-<first 8 hex digits of the config hash> under ./runs, or
 under $GRIT_OUT_ROOT when that is set. An --out that cannot be written is
-a validation failure, reported before any other work.
+a validation failure, reported before any other work. audit takes every
+energy curve of cumulative_energy.csv from one stacked
+reprojection.prefix_energies call over the telemetry's spectra.
 
 main is called many times in one process by scripts and benchmarks, so
 the argument parser is built once per process; each command function is
@@ -33,6 +35,7 @@ from .errors import (
 )
 from .forgetting import fit_baseline_law, fit_xi_coefficients, save_fit
 from .oracles import SUITES, run_suite
+from .reprojection import prefix_energies
 from .runio import (
     AUDIT_CSVS,
     AUDIT_DIR,
@@ -161,19 +164,12 @@ def cmd_audit(args) -> int:
         print(f"incomplete run: {exc}", file=sys.stderr)
         return 1
 
-    spectra_rows = []
-    energy_rows = []
-    reff_rows = []
-    overlap_rows = []
-    tail_rows = []
-    for rec in records:
-        total = sum(rec.spectrum)
-        prefix = 0.0
-        for j, lam in enumerate(rec.spectrum, start=1):
-            prefix += lam
-            spectra_rows.append([rec.step, rec.layer, j, lam])
-            if total > 0.0:  # rows before statistics exist carry no energy curve
-                energy_rows.append([rec.step, rec.layer, j, prefix / total])
+    energies = prefix_energies(np.array([rec.spectrum for rec in records], ndmin=2)).tolist()
+    spectra_rows, energy_rows, reff_rows, overlap_rows, tail_rows = [], [], [], [], []
+    for rec, energy in zip(records, energies):
+        spectra_rows += ([rec.step, rec.layer, j, lam] for j, lam in enumerate(rec.spectrum, start=1))
+        if energy[-1:] == [1.0]:  # every curve ends at 1.0; rows before statistics exist are NaN
+            energy_rows += ([rec.step, rec.layer, j, e] for j, e in enumerate(energy, start=1))
         reff_rows.append([rec.step, rec.layer, rec.r_eff, rec.k_selected])
         overlap_rows.append([rec.step, rec.layer, rec.rho_align, rec.pi_proj])
         tail_rows.append([rec.step, rec.layer, rec.tail_mass])

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GritError, ShapeError, TapeError, ValidationError
-from .runio import decode_array, encode_array, json_object, write_atomic
+from .runio import check_value_types, decode_array, encode_array, json_object, write_atomic
 
 
 class Activation(NamedTuple):
@@ -330,11 +330,13 @@ def save_checkpoint(model: Model, path: str | Path, seed: int) -> None:
 
 
 def _checkpoint_layer(spec: dict, index: int) -> tuple[BaseLayer, AdapterPair]:
-    """One layer of a checkpoint: its arrays decoded, its w0 checked against d_in and d_out.
+    """One layer of a checkpoint: its value kinds checked, its arrays decoded, its w0 checked against its dims.
 
     The adapter factors are copied out of decode_array's read-only views, so
     a loaded model trains as a built one does.
     """
+    kinds = {"d_in": "int", "d_out": "int", "rank": "int", "scaling": "float", "activation": "str"}
+    check_value_types(spec, f"layer {index}", kinds)
     bias = spec["bias"]
     base = BaseLayer(
         w0=decode_array(spec["w0"]),
@@ -362,6 +364,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, int]:
     if type(version) is not int or version not in READABLE_CHECKPOINT_VERSIONS:
         raise ValidationError(f"{path}: unsupported checkpoint version {version!r}")
     try:
+        check_value_types(doc, "top level", {"seed": "int"})
         layers = [_checkpoint_layer(spec, i) for i, spec in enumerate(doc["layers"])]
         return Model(layers=layers), doc["seed"]
     except (KeyError, TypeError, ValueError, GritError) as exc:

@@ -1,31 +1,31 @@
 """Spectral subspace maintenance for adapter factors.
 
-Rank selection keeps the smallest eigenvalue prefix whose cumulative energy
-reaches the threshold tau (effective_rank, the package's one energy-threshold
-rule, which the telemetry r_eff also uses, on every layer's spectrum at once
-through effective_ranks); the corresponding top-k
-eigenvectors define idempotent projectors that are applied to the adapter
-factors (a from the left, b from the right), optionally blended. Directions
-outside the retained subspace are zeroed, not deleted: tensors keep their
-shape, so suppressed directions can re-enter later.
+prefix_energies is the one code that turns spectra into energy fractions;
+the rank threshold, the hysteresis band and grit audit's energy curve read
+it. Rank selection keeps the smallest eigenvalue prefix whose energy
+reaches tau (effective_rank, the package's one energy-threshold rule, also
+the telemetry r_eff's, through effective_ranks on a stack); the top-k
+eigenvectors define idempotent projectors applied to the adapter factors
+(a from the left, b from the right), optionally blended. Directions outside
+the retained subspace are zeroed, not deleted, so they can re-enter later.
 
 LayerGeometry is a layer's rank-space geometry for one accumulation's
-statistics. Only the trainer's accumulation makes one, through
-LayerGeometry.of_each: one stacked eigendecomposition of every layer's
-covariances (all rank-space covariances are r x r) and one floored_ranks
-call on their a-side spectra fix each layer's decompositions, b-factor side
-(g_side, side_decomp) and spectral k. After that only its memo of each k's
-projectors and complement operators Q = I - P grows, on first use, and the
-trainer lets it go at the next accumulation. The damped inverses, the
-lambda_r penalty, reprojection and the telemetry all read it. Every setting
-is read from GritConfig, and each rank-space rule lives here once:
-uses_g_side picks the basis side, floored_ranks gives the spectral k
-(select_rank on one spectrum), and LayerGeometry.rank states the rank rule:
-the configured reprojection_k before rank_adaptation_start_step, the
-spectral k from it on (a start step at or past the run's steps keeps
-reprojection_k throughout). The trainer
-owns the reprojection cadence; before the first accumulation there is no
-geometry, and reprojection reports the no-samples gate.
+statistics, made only by the trainer's accumulation through
+LayerGeometry.of_each: one stacked eigendecomposition of every layer's r x r
+covariances, then one floored_ranks call (and with hysteresis_eps > 0 one
+prefix_energies call) on their a-side spectra, fix each layer's
+decompositions, b-factor side (g_side, side_decomp), spectral k and
+hysteresis band. After that only its memo of each k's projectors and
+complements Q = I - P grows, on first use, until the next accumulation.
+The damped inverses, the lambda_r penalty, reprojection and the telemetry
+all read it. Each rank-space rule lives here once: uses_g_side picks the
+basis side, floored_ranks gives the spectral k (select_rank on one
+spectrum), and LayerGeometry.rank states the rank rule: reprojection_k
+before rank_adaptation_start_step (so a start step past the run's steps
+keeps it throughout), from it on the spectral k, or the previous k where
+the band holds it. The trainer owns the reprojection cadence; before the
+first accumulation there is no geometry, and reprojection reports the
+no-samples gate.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class Projector:
         return np.eye(self.basis.shape[0]) - self.matrix()
 
 
-# A prefix within this many ulps of the energy threshold (or of the edge of
-# the hysteresis band) counts as reaching it, so ulp-level eigensolver noise
-# cannot move a rank across the boundary.
-_THRESHOLD_ULPS = 16
+# An energy within 16 ulps of the threshold (or of the edge of the hysteresis
+# band) counts as reaching it, so ulp-level eigensolver noise cannot move a
+# rank across the boundary.
+_ULP_SLACK = 16 * np.finfo(np.float64).eps
 
 
 def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
@@ -94,19 +94,26 @@ def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
     return int(ranks[0]), bool(degenerate[0])
 
 
+def prefix_energies(spectra: np.ndarray) -> np.ndarray:
+    """Energy fractions E(j) of each row of a stack of spectra (n x r): its cumulative sums over the last one.
+
+    A row with a positive total ends at exactly 1.0; any other row is all NaN.
+    """
+    prefix = np.cumsum(spectra, axis=1)
+    total = prefix[:, -1:]
+    return np.divide(prefix, total, out=np.full(prefix.shape, np.nan), where=total > 0.0)
+
+
 def effective_ranks(spectra: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """effective_rank of each row of a stack of spectra (n x r): (ranks, degenerate), both length n.
 
     Negative eigenvalues count as zero. A row's rank is one more than the
-    number of its energy prefixes below the boundary, which is where
-    searchsorted would place the boundary in the non-decreasing prefix sums.
+    number of its prefix energies below eta less 16 ulps.
     """
-    eigs = np.maximum(spectra, 0.0)  # tolerate tiny negative tails from covariance noise
-    total = eigs.sum(axis=1)
-    boundary = eta * total * (1.0 - _THRESHOLD_ULPS * np.finfo(np.float64).eps)
-    below = (np.cumsum(eigs, axis=1) < boundary[:, None]).sum(axis=1)
-    degenerate = total <= 0.0
-    return np.where(degenerate, 1, np.minimum(below + 1, eigs.shape[1])), degenerate
+    energies = prefix_energies(np.maximum(spectra, 0.0))  # tolerate tiny negative tails from covariance noise
+    below = (energies < eta * (1.0 - _ULP_SLACK)).sum(axis=1)
+    degenerate = np.isnan(energies[:, -1])
+    return np.where(degenerate, 1, np.minimum(below + 1, energies.shape[1])), degenerate
 
 
 def floored_ranks(spectra: np.ndarray, tau: float, min_rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,15 +137,6 @@ def select_rank(eigenvalues: np.ndarray, tau: float, min_rank: int) -> tuple[int
     return int(ks[0]), bool(degenerate[0])
 
 
-def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:
-    """Prefix energy fractions E(j); ends at 1 for a non-degenerate spectrum."""
-    eigs = np.asarray(eigenvalues, dtype=np.float64)
-    total = float(np.sum(eigs))
-    if total <= 0.0:
-        return np.zeros_like(eigs)
-    return np.cumsum(eigs) / total
-
-
 def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
     """Top-k eigenprojector from a spectral decomposition."""
     if not 1 <= k <= decomp.dim:
@@ -151,10 +149,10 @@ class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
     Keeps the eigendecomposition of each covariance, the config, g_side
-    (uses_g_side at the accumulation's n_cov), and spectral_k and degenerate,
-    the a-side spectrum's floored_ranks at rank_adaptation_threshold. Each
-    k's operator set (the projector pair and its complements) is built on
-    first use and kept.
+    (uses_g_side at the accumulation's n_cov), spectral_k, the a-side
+    spectrum's floored_ranks at rank_adaptation_threshold, and band[k - 1],
+    whether that spectrum's E(k) is in the hysteresis band.
+    Each k's operator set (projectors and complements) is built on first use.
     """
 
     decomp_a: SpectralDecomp
@@ -162,7 +160,7 @@ class LayerGeometry:
     config: GritConfig
     g_side: bool
     spectral_k: int
-    degenerate: bool
+    band: list[bool]
     # k -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -170,18 +168,22 @@ class LayerGeometry:
     def of_each(cls, stats: list[RankSpaceStats], config: GritConfig) -> list[LayerGeometry]:
         """The geometry of each statistics: one stacked eigendecomposition, one floored_ranks call.
 
-        A DecompositionError names the covariance: "a_cov of layer i" or "g_cov of layer i".
+        With hysteresis_eps = 0 every band is all False. A DecompositionError
+        names the covariance: "a_cov of layer i" or "g_cov of layer i".
         """
         decomps = sym_eig_stack(
             [cov for st in stats for cov in (st.a_cov, st.g_cov)],
             [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
         spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
-        ks, degenerate = floored_ranks(spectra, config.rank_adaptation_threshold, config.min_lora_rank)
-        spectral = zip(ks.tolist(), degenerate.tolist())  # plain int and bool, as event JSON takes
-        return [
-            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), *ranks)
-            for i, (st, ranks) in enumerate(zip(stats, spectral))
+        tau = config.rank_adaptation_threshold
+        ks, _ = floored_ranks(spectra, tau, config.min_lora_rank)
+        bands = np.zeros(spectra.shape, dtype=bool)
+        if config.hysteresis_eps > 0.0:  # a degenerate spectrum's energies are NaN, outside every band
+            bands = np.abs(prefix_energies(np.maximum(spectra, 0.0)) - tau) <= config.hysteresis_eps + _ULP_SLACK
+        return [  # plain ints, as event JSON takes, and plain bools
+            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), k, band)
+            for i, (st, k, band) in enumerate(zip(stats, ks.tolist(), bands.tolist()))
         ]
 
     @property
@@ -193,23 +195,16 @@ class LayerGeometry:
         """k at this step, for an adapter of the geometry's rank.
 
         reprojection_k clamped to [1, rank] before rank_adaptation_start_step,
-        else spectral_k. With prev_k, a spectral k stays at prev_k (clamped
-        to the rank) while prev_k's energy lies within hysteresis_eps of the
-        threshold, or within 16 ulps of that band edge, as in effective_rank.
+        else spectral_k, or prev_k (clamped to the rank) where band holds it:
+        where its energy lies within hysteresis_eps of the threshold, or
+        within 16 ulps of that band edge.
         """
-        config = self.config
         rank = self.decomp_a.dim
-        if step < config.rank_adaptation_start_step:
-            return max(1, min(config.reprojection_k, rank))
-        k = self.spectral_k
-        if config.hysteresis_eps > 0.0 and prev_k is not None and not self.degenerate:
-            held = min(prev_k, rank)
-            energy = cumulative_energy(self.decomp_a.eigenvalues)
-            tau = config.rank_adaptation_threshold
-            edge = config.hysteresis_eps + _THRESHOLD_ULPS * np.finfo(np.float64).eps  # energies lie in [0, 1]
-            if abs(energy[held - 1] - tau) <= edge:
-                k = held
-        return k
+        if step < self.config.rank_adaptation_start_step:
+            return max(1, min(self.config.reprojection_k, rank))
+        if prev_k is not None and self.band[min(prev_k, rank) - 1]:
+            return min(prev_k, rank)
+        return self.spectral_k
 
     def _operator_set(self, k: int) -> tuple:
         ops = self._operators.get(k)

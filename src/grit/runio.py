@@ -18,11 +18,11 @@ stops. A "sanitize" event {step, layer,
 count} marks a layer whose preconditioned gradient had count non-finite
 entries, which were zeroed.
 
-read_record and telemetry.read_telemetry check each value's JSON kind as
-well as the keys (check_value_types), so a hand-edited or damaged file is a
-ValidationError, not a failure deep in a consumer. read_jsonl and
-read_telemetry parse a whole stream in one json.loads (json_lines); only a
-stream that fails it is read again line by line, to name the bad line.
+read_record, telemetry.read_telemetry and model.load_checkpoint check each
+value's JSON kind (check_value_types), and read_record the mode, so a
+damaged file is a ValidationError, not a failure in a consumer. read_jsonl
+and read_telemetry parse a whole stream in one json.loads (json_lines); only
+a stream that fails it is read again line by line, to name the bad line.
 
 The float arrays of stats.jsonl (a_cov, g_cov), updates.jsonl (delta_w,
 1-D of length d_out * d_in) and checkpoint.json (each layer's w0, bias, a
@@ -59,6 +59,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import GritConfig, declarations
 from .errors import ValidationError
 
 MANIFEST_NAME = "manifest.json"
@@ -147,18 +148,17 @@ def json_object(text: str, path: Path, line: int | None = None) -> dict:
     raise ValidationError(f"{where}: {problem}")
 
 
-def _is_number(value) -> bool:
-    return type(value) is float or type(value) is int  # not bool
-
-
-# declared field type -> (what a JSON value of it must be, the check)
+# declared field type -> (what a JSON value of it must be, the check); a bool is
+# neither an integer nor a number, and a float such as 1.0 is not an integer
+_NUMBERS = frozenset((float, int))
 _VALUE_KINDS = {
-    "int": ("a number", _is_number),
-    "float": ("a number", _is_number),
-    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in _NUMBERS),
+    "float | None": ("a number or null", lambda v: v is None or type(v) in _NUMBERS),
     "str": ("a string", lambda v: type(v) is str),
-    "list[float]": ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+    "list[float]": ("a list of numbers", lambda v: type(v) is list and _NUMBERS.issuperset(map(type, v))),
 }
+_MODES = declarations(GritConfig)["mode"].rules["one_of"]
 
 
 @functools.cache
@@ -168,15 +168,16 @@ def _field_kinds(cls) -> tuple:
     )
 
 
-def check_value_types(obj, where: str) -> None:
-    """ValidationError naming where unless each field of the dataclass obj has its kind of JSON value.
+def check_value_types(obj, where: str, declared: dict[str, str] | None = None) -> None:
+    """ValidationError naming where unless each value has the JSON kind _VALUE_KINDS gives its type.
 
-    Numeric fields must hold numbers (int or float, not bool), str fields
-    strings and list[float] fields lists of numbers; fields of other types
-    (a nested dataclass) are checked on their own.
+    The values are the dataclass obj's fields (a nested dataclass is checked
+    on its own) or, with declared ({key: type}), the dict obj's entries.
     """
-    for name, kind, check in _field_kinds(type(obj)):
-        value = getattr(obj, name)
+    values = vars(obj) if declared is None else obj
+    kinds = _field_kinds(type(obj)) if declared is None else [(k, *_VALUE_KINDS[t]) for k, t in declared.items()]
+    for name, kind, check in kinds:
+        value = values[name]
         if not check(value):
             raise ValidationError(f"{where}: {name} is {value!r}, not {kind}")
 
@@ -193,6 +194,8 @@ def read_record(run_dir: str | Path) -> RunRecord:
         raise ValidationError(f"{path}: not a run record ({exc})") from exc
     check_value_types(record, str(path))
     check_value_types(record.geometry_summary, f"{path} geometry_summary")
+    if record.mode not in _MODES:
+        raise ValidationError(f"{path}: mode is {record.mode!r}, not one of {_MODES}")
     return record
 
 

@@ -1,16 +1,16 @@
 """Geometry summaries and stability diagnostics, plus their append-only stream.
 
 The stream's schema is GeometryRecord: after a header line, each line is
-one record's fields (vars(record), keys sorted by JsonlWriter).
-stability_stats reads its caller's spectra and decomposes nothing. The
-trainer's telemetry step reads all layers at once: stability_stats_stack
-on the (layers x window x r x r) stack of the a_cov copies in the trainer's
-window and adapter_subspace_bases with one SVD per factor shape;
-stability_stats and adapter_subspace_basis are their one-layer cases. The
-curvature exposure reads the factored Hessian blocks of
-tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
-checked against is in oracles. No setting tunes a diagnostic: the trainer
-fixes the r_eff energy fraction and each layer's tail-mass cutoff.
+one record's fields (vars(record), keys sorted by JsonlWriter), every
+spectrum as long as the first. stability_stats reads its caller's spectra
+and decomposes nothing. The trainer's telemetry step reads all layers at
+once: stability_stats_stack on the (layers x window x r x r) stack of the
+a_cov copies in the trainer's window and adapter_subspace_bases with one
+SVD per factor shape; stability_stats and adapter_subspace_basis are their
+one-layer cases. The curvature exposure reads the factored Hessian blocks
+of tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it
+is checked against is in oracles. No setting tunes a diagnostic: the
+trainer fixes the r_eff energy fraction and each layer's tail-mass cutoff.
 """
 
 from __future__ import annotations
@@ -357,10 +357,10 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     """The records of a geometry stream after its header.
 
     A line that is not a JSON object, whose keys are not the record's
-    fields, or whose values are not of their fields' kinds (numbers, and a
-    list of numbers for spectrum) raises ValidationError naming the file and
-    the line; the stream is parsed in one call (runio.json_lines), and a
-    damaged one is reported as the line-by-line read would.
+    fields, whose values are not of their fields' kinds, or whose spectrum
+    is not as long as the first record's, raises ValidationError naming the
+    file and the line; the stream is parsed in one call (runio.json_lines),
+    and a damaged one is reported as the line-by-line read would.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -377,5 +377,7 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
         except TypeError as exc:
             raise ValidationError(f"{path} line {number}: not a geometry record ({exc})") from exc
         check_value_types(record, f"{path} line {number}")
+        if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
+            raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")
         records.append(record)
     return records

@@ -417,8 +417,8 @@ class TestAudit:
     @pytest.mark.parametrize(
         "field, value",
         [("rho_align", "0.5"), ("step", True), ("spectrum", [1.0, "x"]), ("spectrum", 2.0),
-         ("tail_mass", None)],
-        ids=["string", "bool", "spectrum_entry", "spectrum_not_list", "null"],
+         ("tail_mass", None), ("r_eff", 3.0)],
+        ids=["string", "bool", "spectrum_entry", "spectrum_not_list", "null", "integer_as_float"],
     )
     def test_telemetry_value_of_wrong_type_is_incomplete_run(self, tmp_path, capsys, field, value):
         out = self.run_once(tmp_path)
@@ -431,6 +431,21 @@ class TestAudit:
         assert main(["--quiet", "audit", str(out)]) == 1
         err = capsys.readouterr().err
         assert "incomplete run" in err and f"telemetry.jsonl line 3: {field} is" in err
+        assert not (out / "audit").exists()
+
+    @pytest.mark.parametrize("length", [3, 5, 0])
+    def test_ragged_spectra_are_incomplete_run(self, tmp_path, capsys, length):
+        # the energy curves are taken in one stacked call, which needs spectra of one length
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["spectrum"] = [1.0] * length
+        lines[3] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"incomplete run: {path} line 4: spectrum of length {length}, not line 2's 4\n"
         assert not (out / "audit").exists()
 
     def test_truncated_manifest_is_incomplete_run(self, tmp_path, capsys):
@@ -527,8 +542,10 @@ class TestFitLaw:
     @pytest.mark.parametrize(
         "field, value",
         [("d_ft", "abc"), ("pt_loss_after", None), ("mode", 3), ("task", ["synthetic"]),
-         ("seed", False), ("geometry_summary.rho_align", "0.1")],
-        ids=["d_ft_string", "loss_null", "mode_number", "task_list", "seed_bool", "summary_string"],
+         ("seed", False), ("geometry_summary.rho_align", "0.1"), ("d_ft", float("nan")),
+         ("n_params", float("inf")), ("d_ft", 1000.0), ("seed", 1.5), ("geometry_summary.max_rank", 8.0)],
+        ids=["d_ft_string", "loss_null", "mode_number", "task_list", "seed_bool", "summary_string",
+             "d_ft_nan", "n_params_inf", "d_ft_float", "seed_float", "max_rank_float"],
     )
     def test_record_value_of_wrong_type_is_bad_run_dir(self, tmp_path, capsys, field, value):
         dirs = self.fabricate_runs(tmp_path)
@@ -550,12 +567,10 @@ class TestFitLaw:
         "index, field, value",
         [(3, "d_ft", 0), (3, "pt_loss_after", -1.0), (1, "pt_loss_after", 0.5),
          (3, "pt_loss_after", float("nan")), (1, "pt_loss_after", float("nan")),
-         (1, "pt_loss_after", float("inf")), (3, "d_ft", float("nan")),
-         (3, "n_params", float("inf")), (1, "geometry_summary.rho_align", float("nan")),
+         (1, "pt_loss_after", float("inf")), (1, "geometry_summary.rho_align", float("nan")),
          (1, "geometry_summary.r_eff", float("inf"))],
         ids=["zero_steps", "non_positive_loss", "geometry_below_offset", "control_loss_nan",
-             "grit_loss_nan", "grit_loss_inf", "d_ft_nan", "n_params_inf", "rho_align_nan",
-             "r_eff_inf"],
+             "grit_loss_nan", "grit_loss_inf", "rho_align_nan", "r_eff_inf"],
     )
     def test_records_the_law_cannot_take_are_bad_records(self, tmp_path, capsys, index, field, value):
         dirs = self.fabricate_runs(tmp_path)  # a control record, then a grit one, per cell
@@ -572,6 +587,22 @@ class TestFitLaw:
         err = capsys.readouterr().err
         assert err.startswith("bad records: ")
         assert f"(first in {dirs[index]})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["GRIT", "lora", ""])
+    def test_record_of_an_undeclared_mode_is_bad_run_dir(self, tmp_path, capsys, mode):
+        # the declared modes match exactly, so a record the fit would drop is named instead
+        dirs = self.fabricate_runs(tmp_path)
+        for run_dir in dirs[1::2]:  # every grit record
+            path = run_dir / "record.json"
+            path.write_text(path.read_text().replace('"mode": "grit"', f'"mode": "{mode}"'))
+        out = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"bad run dir {dirs[1]}: {dirs[1] / 'record.json'}: mode is {mode!r},"
+            " not one of ('grit', 'lora_control')\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("status", ["failed", "interrupted", "running"])

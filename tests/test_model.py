@@ -440,6 +440,36 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("d_in", 5.0, "an integer"), ("d_out", 4.0, "an integer"), ("rank", 3.0, "an integer"),
+         ("scaling", True, "a number"), ("activation", 1, "a string")],
+        ids=["d_in_float", "d_out_float", "rank_float", "scaling_bool", "activation_number"],
+    )
+    def test_layer_value_of_another_kind_rejected(self, tmp_path, version, key, value, kind):
+        # each value equals the saved one (layer 1 is 5 -> 4 at rank 3), or passes the layer's own checks
+        model, _ = seeded_model()
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(model, path, version, seed=0)
+        doc = json.loads(path.read_text())
+        doc["layers"][1][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"checkpoint\.json: not a checkpoint.*layer 1: {key} is {value!r}, not {kind}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("seed", ["abc", 7.0, None, False], ids=["string", "float", "null", "bool"])
+    def test_seed_of_another_kind_rejected(self, tmp_path, version, seed):
+        model, _ = seeded_model()
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(model, path, version, seed=7)
+        doc = json.loads(path.read_text())
+        doc["seed"] = seed
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"checkpoint\.json: not a checkpoint.*seed is {seed!r}, not an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
     def test_bias_of_another_length_rejected(self, tmp_path, version):
         model, _ = model_with_bias()
         path = tmp_path / "checkpoint.json"

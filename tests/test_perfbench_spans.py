@@ -6,8 +6,11 @@ reads the boundary table; it patches nothing. The second runs
 perfbench/selftest.py in a subprocess: traced runs must write the same
 checkpoint.json, streams and audit CSVs as untraced ones, the tracer must
 come off cleanly, and BENCHMARK.json must list what the benchmark prints.
+The third reads the package's source: an import its module never uses is
+allowed only where a boundary patches that name in that module.
 """
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -43,3 +46,36 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [line for line in lines if line.startswith("FAIL")] == []
     assert any(line.startswith("PASS") for line in lines)
+
+
+# The one unused import that is not a patch point: the acceptance suite's
+# criterion 4 imports effective_rank from grit.telemetry.
+REEXPORTS = {("grit.telemetry", "effective_rank")}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names the module at path imports (anywhere in it) but never reads; __all__ entries count as read."""
+    tree = ast.parse(path.read_text())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_unused_import_is_a_patch_point():
+    """An import that nothing in its module reads is kept only for a perfbench span patching that name there.
+
+    When a span is dropped from BOUNDARIES, this names the import that was kept for it, to be deleted.
+    """
+    patched = {(module_path, attr) for _, module_path, owner, attr, _ in load_spans().BOUNDARIES if owner is None}
+    package = Path(__file__).resolve().parents[1] / "src" / "grit"
+    unused = {(f"grit.{path.stem}", name) for path in package.glob("*.py") for name in unused_imports(path)}
+    stale = sorted(unused - patched - REEXPORTS)
+    assert stale == [], f"imported, never used and patched by no span there, so delete: {stale}"

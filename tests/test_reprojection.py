@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grit.cli import main
 from grit.config import GritConfig
 from grit.errors import ValidationError
 from grit.kfac import RankSpaceStats
@@ -12,12 +15,15 @@ from grit import reprojection as reprojection_module
 from grit.reprojection import (
     LayerGeometry,
     Projector,
-    cumulative_energy,
+    effective_ranks,
     floored_ranks,
     make_projector,
+    prefix_energies,
     reproject,
     select_rank,
 )
+from grit.runio import EVENTS_NAME, RECORD_NAME, TELEMETRY_NAME, UPDATES_NAME, RunManifest, write_manifest
+from grit.telemetry import GeometryRecord, TelemetryWriter
 
 
 def random_psd(rng, dim):
@@ -309,10 +315,6 @@ class TestReproject:
             ks.add(LayerGeometry.of_each([stats], cfg)[0].rank(0, prev_k=2))
         assert ks == {2}
 
-    def test_cumulative_energy_ends_at_one(self):
-        e = cumulative_energy(np.array([4.0, 3.0, 2.0, 1.0]))
-        assert np.isclose(e[-1], 1.0)
-        assert np.all(np.diff(e) >= 0.0)
 
 
 class TestLayerGeometry:
@@ -350,8 +352,8 @@ class TestLayerGeometry:
         geometries = LayerGeometry.of_each([stats_with_spectrum(e, rng) for e in spectra], cfg)
         # one stacked call on the three a-side spectra, and no one-spectrum call
         assert rank_calls == [(3, 4)] and selects == []
-        assert [(g.spectral_k, g.degenerate) for g in geometries] == [(2, False), (1, False), (3, False)]
-        assert all(type(g.spectral_k) is int and type(g.degenerate) is bool for g in geometries)
+        assert [g.spectral_k for g in geometries] == [2, 1, 3]
+        assert all(type(g.spectral_k) is int for g in geometries)
         geometry = geometries[0]
         assert [geometry.rank(step) for step in range(3)] == [2, 2, 2]  # energy 0.4, 0.7
         assert rank_calls == [(3, 4)] and selects == []
@@ -366,7 +368,7 @@ class TestLayerGeometry:
         rng = np.random.default_rng(16)
         cfg = config(rank_adaptation_start_step=10**9, reprojection_k=3)
         geometries = LayerGeometry.of_each([stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)] * 2, cfg)
-        assert [(g.spectral_k, g.degenerate, g.rank(0)) for g in geometries] == [(2, False, 3)] * 2
+        assert [(g.spectral_k, g.rank(0)) for g in geometries] == [(2, 3)] * 2
         assert all(type(g.spectral_k) is int for g in geometries)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -390,8 +392,8 @@ class TestLayerGeometry:
             for floor in range(1, r + 3):
                 cfg = config(rank_adaptation_threshold=tau, min_lora_rank=floor)
                 for g in LayerGeometry.of_each(stats, cfg):
-                    assert (g.spectral_k, g.degenerate) == select_rank(g.decomp_a.eigenvalues, tau, floor)
-                    assert type(g.spectral_k) is int and type(g.degenerate) is bool
+                    assert g.spectral_k == select_rank(g.decomp_a.eigenvalues, tau, floor)[0]
+                    assert type(g.spectral_k) is int
 
 class TestRankRule:
     def test_fixed_before_start_step_and_spectral_from_it(self):
@@ -413,3 +415,178 @@ class TestRankRule:
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], np.random.default_rng(17))
         cfg = config(rank_adaptation_start_step=1, reprojection_k=reprojection_k)
         assert LayerGeometry.of_each([stats], cfg)[0].rank(0) == k
+
+
+# The energy curve, the threshold and the hold by a plain Python prefix scan,
+# against which the package's one prefix_energies and its three readers are checked.
+ULP_SLACK = 16 * np.finfo(np.float64).eps
+
+
+def scan_energies(eigs):
+    """E(j), each prefix sum over the last one, summed one value at a time; None unless that total is positive."""
+    prefix, sums = 0.0, []
+    for lam in eigs:
+        prefix += float(lam)
+        sums.append(prefix)
+    return [p / prefix for p in sums] if prefix > 0.0 else None
+
+
+def scan_rank(eigs, eta):
+    """(rank, degenerate): the first j whose energy, negative values read as zero, reaches eta less 16 ulps."""
+    energies = scan_energies([max(float(lam), 0.0) for lam in eigs])
+    if energies is None:
+        return 1, True
+    for j, energy in enumerate(energies, start=1):
+        if energy >= eta * (1.0 - ULP_SLACK):
+            return j, False
+    return len(eigs), False
+
+
+def scan_hold(eigs, cfg, prev_k, spectral_k):
+    """The rank rule from the start step on: prev_k (clamped to r) while its energy lies in the band."""
+    held = min(prev_k, len(eigs))
+    energies = scan_energies([max(float(lam), 0.0) for lam in eigs])
+    tau, eps = cfg.rank_adaptation_threshold, cfg.hysteresis_eps
+    if eps > 0.0 and energies is not None and abs(energies[held - 1] - tau) <= eps + ULP_SLACK:
+        return held
+    return spectral_k
+
+
+def random_spectra(rng, r, n):
+    """n non-increasing spectra of length r over 16 decades: plain, with a negative tail, all zero, all negative, tied."""
+    rows = []
+    for _ in range(n):
+        kind = rng.integers(5)
+        eigs = rng.exponential(size=r) * 10.0 ** rng.uniform(-8, 8)
+        if kind == 1:  # the smallest values negative, some of them large enough to matter
+            tail = int(rng.integers(1, r + 1))
+            eigs[:tail] = -eigs[:tail] * 10.0 ** rng.uniform(-16, 0)
+        elif kind == 2:
+            eigs[:] = 0.0
+        elif kind == 3:
+            eigs = -eigs
+        elif kind == 4:
+            eigs[:] = eigs[0]
+        rows.append(np.sort(eigs)[::-1])
+    return np.array(rows)
+
+
+SCALED = [np.array([4.0, 3.0, 2.0, 1.0]) * s for s in np.geomspace(1e-8, 1e8, 33)]
+
+
+def geometries_of(spectra, cfg):
+    """LayerGeometry.of_each on statistics whose a_cov is each spectrum's diagonal matrix."""
+    stats = [RankSpaceStats(rank=len(eigs), damping=1e-3) for eigs in spectra]
+    for layer, eigs in zip(stats, spectra):
+        layer.a_cov, layer.g_cov, layer.n_cov = np.diag(eigs), np.eye(len(eigs)), 1000
+    return LayerGeometry.of_each(stats, cfg)
+
+
+def audit_energy_rows(run_dir, spectra):
+    """grit audit's cumulative_energy.csv rows for a hand-made complete run whose telemetry holds spectra."""
+    run_dir.mkdir()
+    manifest = RunManifest.create(run_id=run_dir.name, config_hash="0" * 64, seed=0, task="t()")
+    manifest.status = "complete"
+    write_manifest(manifest, run_dir)
+    writer = TelemetryWriter(run_dir / TELEMETRY_NAME)
+    writer.append(*(
+        GeometryRecord(step=step, layer=0, k_selected=1, r_eff=1, rho_align=0.0, pi_proj=1.0, tail_mass=0,
+                       curvature_exposure=0.0, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
+                       spectrum=[float(lam) for lam in eigs])
+        for step, eigs in enumerate(spectra)
+    ))
+    writer.close()
+    for name in (UPDATES_NAME, EVENTS_NAME, RECORD_NAME):
+        (run_dir / name).write_text("")
+    assert main(["--quiet", "audit", str(run_dir)]) == 0
+    with open(run_dir / "audit" / "cumulative_energy.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["step", "layer", "index", "energy"]
+    return [(int(step), int(layer), int(index), float(energy)) for step, layer, index, energy in rows]
+
+
+def scanned_audit_rows(spectra):
+    """The rows a Python prefix scan gives: one per entry of each spectrum with a positive total."""
+    return [
+        (step, 0, j, energy)
+        for step, eigs in enumerate(spectra)
+        for j, energy in enumerate(scan_energies(eigs) or [], start=1)
+    ]
+
+
+class TestPrefixEnergies:
+    def test_non_degenerate_rows_end_at_one_and_the_rest_are_nan(self):
+        rng = np.random.default_rng(31)
+        for r in range(1, 17):
+            spectra = random_spectra(rng, r, 40)
+            energies = prefix_energies(spectra)
+            assert energies.shape == spectra.shape
+            for eigs, row in zip(spectra, energies):
+                if np.cumsum(eigs)[-1] > 0.0:
+                    assert row[-1] == 1.0
+                    assert row.tolist() == scan_energies(eigs)
+                else:
+                    assert np.isnan(row).all()
+        assert np.isnan(prefix_energies(np.array([[0.0, 0.0], [1.0, -2.0], [-1.0, 0.0]]))).all()
+        energies = prefix_energies(np.array([[4.0, 3.0, 2.0, 1.0]]))
+        assert energies.tolist() == [[0.4, 0.7, 0.9, 1.0]]
+
+    def test_clipped_rows_never_decrease(self):
+        rng = np.random.default_rng(32)
+        for r in range(1, 17):
+            energies = prefix_energies(np.maximum(random_spectra(rng, r, 40), 0.0))
+            curves = energies[~np.isnan(energies[:, -1])]
+            assert (np.diff(curves, axis=1) >= 0.0).all() and (curves[:, -1] == 1.0).all()
+
+
+class TestEnergyReadersAgainstAPrefixScan:
+    @pytest.mark.parametrize("r", range(1, 17))
+    def test_effective_ranks(self, r):
+        rng = np.random.default_rng(100 + r)
+        spectra = random_spectra(rng, r, 60)
+        for eta in (0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
+            ranks, degenerate = effective_ranks(spectra, eta)
+            assert list(zip(ranks.tolist(), degenerate.tolist())) == [scan_rank(eigs, eta) for eigs in spectra]
+
+    @pytest.mark.parametrize("r", range(1, 17))
+    def test_rank_for_every_previous_k(self, r):
+        rng = np.random.default_rng(200 + r)
+        spectra = random_spectra(rng, r, 20)
+        for tau in (0.5, 0.7, 0.9, 1.0):
+            for eps in (0.0, 0.05, 0.2):
+                cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps, min_lora_rank=min(2, r))
+                for g in geometries_of(spectra, cfg):
+                    eigs = g.decomp_a.eigenvalues
+                    assert g.rank(0) == g.spectral_k
+                    for prev_k in range(1, r + 1):
+                        assert g.rank(0, prev_k) == scan_hold(eigs, cfg, prev_k, g.spectral_k)
+
+    def test_audit_energy_rows(self, tmp_path):
+        rng = np.random.default_rng(33)
+        for r in range(1, 17):
+            spectra = random_spectra(rng, r, 12)
+            assert audit_energy_rows(tmp_path / f"r{r}", spectra) == scanned_audit_rows(spectra)
+
+    @pytest.mark.parametrize("tau, k", [(0.7, 2), (0.9, 3)])
+    def test_scaled_spectrum_ranks(self, tau, k):
+        ranks, degenerate = effective_ranks(np.array(SCALED), tau)
+        assert ranks.tolist() == [k] * len(SCALED) and not degenerate.any()
+        assert [scan_rank(eigs, tau) for eigs in SCALED] == [(k, False)] * len(SCALED)
+
+    # E = 0.4, 0.7, 0.9, 1.0, so eps = 0.2 puts an energy on a band edge at either tau
+    @pytest.mark.parametrize(
+        "tau, eps, held",
+        [(0.7, 0.0, [2, 2, 2, 2]), (0.7, 0.05, [2, 2, 2, 2]), (0.7, 0.2, [2, 2, 3, 2]),
+         (0.9, 0.0, [3, 3, 3, 3]), (0.9, 0.05, [3, 3, 3, 3]), (0.9, 0.2, [3, 2, 3, 4])],
+    )
+    def test_scaled_spectrum_holds(self, tau, eps, held):
+        cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps)
+        for g in geometries_of(SCALED, cfg):
+            got = [g.rank(0, prev_k) for prev_k in range(1, 5)]
+            assert got == held
+            assert got == [scan_hold(g.decomp_a.eigenvalues, cfg, prev_k, g.spectral_k) for prev_k in range(1, 5)]
+
+    def test_scaled_spectrum_audit_rows(self, tmp_path):
+        rows = audit_energy_rows(tmp_path / "run", SCALED)
+        assert rows == scanned_audit_rows(SCALED)
+        assert [energy for _, _, index, energy in rows if index == 4] == [1.0] * len(SCALED)
