@@ -2,13 +2,15 @@
 and trainable low-rank adapter pairs.
 
 Each adapted layer computes act(x @ (w0 + scaling * b @ a)^T + bias). Model
-runs every network forward (one layer loop) and backward, a network of base
-weights alone as a zero_adapter_model; squared_error is the one loss. Reverse
-mode is hand-derived for this fixed architecture; per-layer inputs and output
-gradients are captured on a tape because the curvature statistics need them
-verbatim. save_checkpoint writes a model's arrays through runio's exact
-array codec (checkpoint format version 2); load_checkpoint reads that and
-version 1's nested lists.
+runs every network forward (one layer loop) and backward; a network of base
+weights alone, such as a task's teacher, target map or probe, is a
+zero_adapter_model. forward takes one 2-D batch, as backward needs; predict
+also takes a stack of them (a task's block of batches). squared_error is the
+one loss. Reverse mode is hand-derived for this fixed architecture;
+per-layer inputs and output gradients are captured on a tape because the
+curvature statistics need them verbatim. save_checkpoint writes a model's
+arrays through runio's exact array codec (checkpoint format version 2);
+load_checkpoint reads that and version 1's nested lists.
 """
 
 from __future__ import annotations
@@ -183,13 +185,13 @@ class Model:
         return self._run(batch, self.tapes)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Read-only forward: no tape writes, safe for concurrent evaluation."""
+        """Read-only forward, safe for concurrent evaluation; a (..., batch, d_in) stack predicts each batch bitwise."""
         return self._run(batch, [LayerTape() for _ in self.layers])
 
     def _run(self, batch: np.ndarray, tapes: list[LayerTape]) -> np.ndarray:
-        """The one layer loop: forward on the model's tapes, predict on throwaway ones."""
+        """The one layer loop: forward on the model's tapes (one 2-D batch, as backward needs), predict on throwaway ones."""
         h = np.asarray(batch, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.d_in:
+        if h.ndim < 2 or h.shape[-1] != self.d_in or (h.ndim > 2 and tapes is self.tapes):
             raise ShapeError(
                 f"batch shape {h.shape} does not match input dimension {self.d_in}"
             )

@@ -12,20 +12,21 @@ the retained subspace are zeroed, not deleted, so they can re-enter later.
 LayerGeometry is a layer's rank-space geometry for one accumulation's
 statistics, made only by the trainer's accumulation through
 LayerGeometry.of_each: one stacked eigendecomposition of every layer's r x r
-covariances, then one floored_ranks call (and with hysteresis_eps > 0 one
-prefix_energies call) on their a-side spectra, fix each layer's
-decompositions, b-factor side (g_side, side_decomp), spectral k and
-hysteresis band. After that only its memo of each k's projectors and
-complements Q = I - P grows, on first use, until the next accumulation.
-The damped inverses, the lambda_r penalty, reprojection and the telemetry
-all read it. Each rank-space rule lives here once: uses_g_side picks the
-basis side, floored_ranks gives the spectral k (select_rank on one
-spectrum), and LayerGeometry.rank states the rank rule: reprojection_k
-before rank_adaptation_start_step (so a start step past the run's steps
-keeps it throughout), from it on the spectral k, or the previous k where
-the band holds it. The trainer owns the reprojection cadence; before the
-first accumulation there is no geometry, and reprojection reports the
-no-samples gate.
+covariances, then one prefix_energies call on their clipped a-side spectra
+(the layers x r stack that is the rank's only input), fix each layer's
+decompositions, b-factor side (g_side, side_decomp), spectral k (the
+effective_rank rule at tau, floored at min(min_lora_rank, r)) and, from the
+same energies, its hysteresis band. After that only its memo of each k's
+projectors and complements Q = I - P grows, on first use, until the next
+accumulation. The damped inverses, the lambda_r penalty, reprojection and
+the telemetry all read it. Each rank-space rule lives here once:
+uses_g_side picks the basis side, of_each gives the spectral k (select_rank
+on one spectrum), and LayerGeometry.rank states the rank rule:
+reprojection_k before rank_adaptation_start_step (so a start step past the
+run's steps keeps it throughout), from it on the spectral k, or the
+previous k where the band holds it. The trainer owns the reprojection
+cadence; before the first accumulation there is no geometry, and
+reprojection reports the no-samples gate.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     if eigs.ndim != 1 or eigs.size == 0:
         raise ShapeError("eigenvalues must be a non-empty vector")
-    ranks, degenerate = effective_ranks(eigs[None], eta)
-    return int(ranks[0]), bool(degenerate[0])
+    if not np.isfinite(eigs).all():
+        raise ValidationError("eigenvalues must be finite")
+    return int(effective_ranks(eigs[None], eta)[0]), not (eigs > 0.0).any()
 
 
 def prefix_energies(spectra: np.ndarray) -> np.ndarray:
@@ -104,37 +106,27 @@ def prefix_energies(spectra: np.ndarray) -> np.ndarray:
     return np.divide(prefix, total, out=np.full(prefix.shape, np.nan), where=total > 0.0)
 
 
-def effective_ranks(spectra: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """effective_rank of each row of a stack of spectra (n x r): (ranks, degenerate), both length n.
-
-    Negative eigenvalues count as zero. A row's rank is one more than the
-    number of its prefix energies below eta less 16 ulps.
-    """
-    energies = prefix_energies(np.maximum(spectra, 0.0))  # tolerate tiny negative tails from covariance noise
-    below = (energies < eta * (1.0 - _ULP_SLACK)).sum(axis=1)
-    degenerate = np.isnan(energies[:, -1])
-    return np.where(degenerate, 1, np.minimum(below + 1, energies.shape[1])), degenerate
+def _ranks_of_energies(energies: np.ndarray, eta: float) -> np.ndarray:
+    """One more than the count of each row's energies below eta less 16 ulps, at most r; an all-NaN row counts none."""
+    return np.minimum((energies < eta * (1.0 - _ULP_SLACK)).sum(axis=1) + 1, energies.shape[1])
 
 
-def floored_ranks(spectra: np.ndarray, tau: float, min_rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """effective_ranks at tau of a stack of spectra (n x r), each floored at min(min_rank, r)."""
-    ranks, degenerate = effective_ranks(spectra, tau)
-    return np.maximum(ranks, min(min_rank, spectra.shape[1])), degenerate
+def effective_ranks(spectra: np.ndarray, eta: float) -> np.ndarray:
+    """effective_rank of each row of a stack of spectra (n x r), the ranks alone; negative eigenvalues count as zero."""
+    return _ranks_of_energies(prefix_energies(np.maximum(spectra, 0.0)), eta)  # tolerates covariance noise's tails
 
 
 def select_rank(eigenvalues: np.ndarray, tau: float, min_rank: int) -> tuple[int, bool]:
-    """floored_ranks of one sorted spectrum: (k, degenerate).
+    """effective_rank at tau of one sorted spectrum, floored at min(min_rank, r): (k, degenerate).
 
-    degenerate marks an all-zero spectrum (which falls back to min_rank).
+    degenerate marks an all-zero spectrum (which falls back to the floor).
     """
+    k, degenerate = effective_rank(eigenvalues, tau)  # which rejects a non-vector or non-finite spectrum
     eigs = np.asarray(eigenvalues, dtype=np.float64)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ShapeError("eigenvalues must be a non-empty vector")
     # e[i + 1] > e[i] exactly where np.diff(e) > 0, without the difference array
     if (eigs[1:] > eigs[:-1]).any():
         raise ValidationError("eigenvalues must be sorted non-increasing")
-    ks, degenerate = floored_ranks(eigs[None], tau, min_rank)
-    return int(ks[0]), bool(degenerate[0])
+    return max(k, min(min_rank, eigs.size)), degenerate
 
 
 def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
@@ -150,8 +142,8 @@ class LayerGeometry:
 
     Keeps the eigendecomposition of each covariance, the config, g_side
     (uses_g_side at the accumulation's n_cov), spectral_k, the a-side
-    spectrum's floored_ranks at rank_adaptation_threshold, and band[k - 1],
-    whether that spectrum's E(k) is in the hysteresis band.
+    spectrum's select_rank at rank_adaptation_threshold and min_lora_rank,
+    and band[k - 1], whether that spectrum's E(k) is in the hysteresis band.
     Each k's operator set (projectors and complements) is built on first use.
     """
 
@@ -166,7 +158,7 @@ class LayerGeometry:
 
     @classmethod
     def of_each(cls, stats: list[RankSpaceStats], config: GritConfig) -> list[LayerGeometry]:
-        """The geometry of each statistics: one stacked eigendecomposition, one floored_ranks call.
+        """The geometry of each statistics: one stacked eigendecomposition, one prefix_energies call.
 
         With hysteresis_eps = 0 every band is all False. A DecompositionError
         names the covariance: "a_cov of layer i" or "g_cov of layer i".
@@ -177,10 +169,11 @@ class LayerGeometry:
         )
         spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
         tau = config.rank_adaptation_threshold
-        ks, _ = floored_ranks(spectra, tau, config.min_lora_rank)
+        energies = prefix_energies(np.maximum(spectra, 0.0))  # as effective_ranks reads them
+        ks = np.maximum(_ranks_of_energies(energies, tau), min(config.min_lora_rank, spectra.shape[1]))
         bands = np.zeros(spectra.shape, dtype=bool)
         if config.hysteresis_eps > 0.0:  # a degenerate spectrum's energies are NaN, outside every band
-            bands = np.abs(prefix_energies(np.maximum(spectra, 0.0)) - tau) <= config.hysteresis_eps + _ULP_SLACK
+            bands = np.abs(energies - tau) <= config.hysteresis_eps + _ULP_SLACK
         return [  # plain ints, as event JSON takes, and plain bools
             cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), k, band)
             for i, (st, k, band) in enumerate(zip(stats, ks.tolist(), bands.tolist()))

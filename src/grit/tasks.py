@@ -28,9 +28,9 @@ inputs and targets; sample_batch(rng, batch, steps) draws that many batches
 at once, as (steps x batch x d) arrays, bitwise the one-batch draws made in
 turn. One batch is the block of one: there is one code path. A block takes
 all its normals in one rng.normal call, in the one-batch stream order
-(a batch's inputs, then its noise), and maps them with stacked matmuls over
-(steps, batch, d), which round as one batch's 2-D matmul does; a
-(steps * batch) x d product need not (it moves the last bit at d = 48).
+(a batch's inputs, then its noise), and maps them with Model.predict over
+(steps, batch, d), whose stacked matmuls round as one batch's 2-D matmul
+does; a (steps * batch) x d product need not (it moves the last bit at d = 48).
 
 Both tasks expose the pretraining curvature at the base point without forming
 the dense Hessian H: per adapted layer, the layer inputs x_s and the factors
@@ -38,7 +38,8 @@ of the per-sample Hessians C_s of the pt loss in the layer's pre-activations
 (telemetry.LayerCurvature), whose sum_s C_s kron x_s x_s^T is the layer's
 exact block of H; and the quadratic forgetting estimate 1/2 delta^T H delta
 from a second-order forward pass. Both start from one forward of the base
-network, a model.zero_adapter_model (_base_point); the teacher is one too.
+network, a model.zero_adapter_model (_base_point); every teacher, target
+map and probe map is one too, applied by its predict.
 The dense H they are checked against, by central finite differences of the
 exact gradient, is oracles.fd_pt_hessian.
 """
@@ -204,7 +205,7 @@ class SyntheticLowrank:
         w0 = model_rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
         subspace = _orthonormal_columns(model_rng, d, r_true)
         delta = model_rng.normal(0.0, self.delta_scale / np.sqrt(d), size=(d, d))
-        target_w = w0 + delta
+        target = zero_adapter_model([w0 + delta], ["identity"]).predict
 
         model = build_model(
             [d, d], rank=rank, scaling=alpha, rng=model_rng,
@@ -217,12 +218,12 @@ class SyntheticLowrank:
             x = z @ subspace.T
             if noise > 0.0:
                 x = x + noise * noises[0]
-            y = x @ target_w.T
+            y = target(x)
             return (x[0], y[0]) if steps is None else (x, y)
 
         # Retention probe: keep the base map on isotropic inputs.
         pt_inputs = data_rng.normal(size=(eval_size, d))
-        pt_targets = pt_inputs @ w0.T
+        pt_targets = zero_adapter_model([w0], ["identity"]).predict(pt_inputs)
         return TaskInstance(
             name="synthetic_lowrank",
             model=model,
@@ -274,18 +275,17 @@ class TwoTaskForgetting:
         )
 
         # Fine-tuning teacher: the pretraining teacher plus a rank-2 delta per layer.
-        deltas = []
+        ft_weights = []
         for w in (teacher_w1, teacher_w2):
             u = _orthonormal_columns(model_rng, w.shape[0], 2)
             v = _orthonormal_columns(model_rng, w.shape[1], 2)
-            deltas.append(self.delta_scale * (u @ v.T))
-        ft_w1 = teacher_w1 + deltas[0]
-        ft_w2 = teacher_w2 + deltas[1]
+            ft_weights.append(w + self.delta_scale * (u @ v.T))
+        ft_teacher = zero_adapter_model(ft_weights, activations).predict
 
         def sample_batch(rng: np.random.Generator, batch: int, steps: int | None = None):
             shapes = [(batch, d)] + ([(batch, d)] if ft_noise > 0.0 else [])
             x, *noises = _normal_block(rng, 1 if steps is None else steps, shapes)
-            y = np.tanh(x @ ft_w1.T) @ ft_w2.T
+            y = ft_teacher(x)
             if ft_noise > 0.0:
                 y = y + ft_noise * noises[0]
             return (x[0], y[0]) if steps is None else (x, y)

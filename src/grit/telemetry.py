@@ -358,9 +358,10 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
 
     A line that is not a JSON object, whose keys are not the record's
     fields, whose values are not of their fields' kinds, or whose spectrum
-    is not as long as the first record's, raises ValidationError naming the
-    file and the line; the stream is parsed in one call (runio.json_lines),
-    and a damaged one is reported as the line-by-line read would.
+    is not as long as the first record's or not finite, raises
+    ValidationError naming the file and the line; the stream is parsed in
+    one call (runio.json_lines), and a damaged one is reported as the
+    line-by-line read would.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -380,4 +381,7 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
         if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
             raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")
         records.append(record)
+    if not np.isfinite([record.spectrum for record in records]).all():  # the audit's energy curves need it
+        number = next(n for n, record in enumerate(records, start=2) if not np.isfinite(record.spectrum).all())
+        raise ValidationError(f"{path} line {number}: spectrum has non-finite entries")
     return records

@@ -558,7 +558,7 @@ class Trainer:
         update_decomps = sym_eig_stack(
             self.update_covariances(), [f"update covariance of layer {idx}" for idx in range(len(adapters))]
         )
-        r_effs, _ = effective_ranks(np.array([decomp.eigenvalues for decomp in update_decomps]), R_EFF_ENERGY)
+        r_effs = effective_ranks(np.array([decomp.eigenvalues for decomp in update_decomps]), R_EFF_ENERGY)
         bases = adapter_subspace_bases(adapters)
         cov_vars = eig_cvs = np.zeros(len(adapters))
         if len(self._window) >= 2:

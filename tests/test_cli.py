@@ -448,6 +448,21 @@ class TestAudit:
         assert err == f"incomplete run: {path} line 4: spectrum of length {length}, not line 2's 4\n"
         assert not (out / "audit").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinity"])
+    def test_non_finite_spectrum_is_incomplete_run(self, tmp_path, capsys, value):
+        # its energy curve would be NaN, and left out of cumulative_energy.csv
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["spectrum"][0] = value
+        lines[3] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"incomplete run: {path} line 4: spectrum has non-finite entries\n"
+        assert not (out / "audit").exists()
+
     def test_truncated_manifest_is_incomplete_run(self, tmp_path, capsys):
         out = self.run_once(tmp_path)
         path = out / "manifest.json"

@@ -77,6 +77,24 @@ class TestForward:
         model.forward(x_train)
         model.backward(out_train)  # tapes still usable after interleaved predicts
 
+    @pytest.mark.parametrize("d", [12, 48])
+    def test_predict_of_a_stack_is_each_batch_alone(self, d):
+        rng = np.random.default_rng(d)
+        net = zero_adapter_model(
+            [rng.normal(size=(d, d)) / np.sqrt(d), rng.normal(size=(d, d)) / np.sqrt(d)], ["tanh", "identity"]
+        )
+        stack = rng.normal(size=(16, 16, d))
+        out = net.predict(stack)
+        assert out.shape == stack.shape
+        for batch, got in zip(stack, out):
+            assert got.tobytes() == net.predict(batch).tobytes()
+
+    def test_forward_of_a_stack_raises(self):
+        model, rng = seeded_model(seed=16)
+        with pytest.raises(ShapeError):
+            model.forward(rng.normal(size=(2, 3, 6)))
+        assert model.tapes[0].x is None
+
 
 class TestBackward:
     def test_quadratic_loss_single_identity_layer(self):

@@ -15,8 +15,8 @@ from grit import reprojection as reprojection_module
 from grit.reprojection import (
     LayerGeometry,
     Projector,
+    effective_rank,
     effective_ranks,
-    floored_ranks,
     make_projector,
     prefix_energies,
     reproject,
@@ -52,6 +52,19 @@ class TestSelectRank:
         with pytest.raises(ValidationError):
             select_rank(np.array([1.0, 2.0]), tau=0.9, min_rank=1)
 
+    # a non-finite eigenvalue is rejected, not read as an all-zero spectrum
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            select_rank(np.array([np.nan, 1.0, 0.5]), tau=0.9, min_rank=1)
+
+    def test_nan_rejected_by_effective_rank(self):
+        with pytest.raises(ValidationError, match="finite"):
+            effective_rank(np.array([1.0, np.nan, 0.5]), 0.9)
+
+    def test_inf_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            select_rank(np.array([np.inf, 1.0, 0.5]), tau=0.9, min_rank=2)
+
     def test_prefix_within_ulps_of_tau_reaches_it(self):
         # the first two eigenvalues hold 0.7 of the energy up to a few ulps
         eigs = np.array([4.0, 3.0 - 4e-15, 2.0, 1.0])
@@ -84,7 +97,7 @@ class TestSelectRank:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(1, 40))
-    def test_stacked_floored_ranks_are_select_rank_of_each_row(self, seed, r, n):
+    def test_of_each_spectral_k_is_select_rank_of_each_row(self, seed, r, n):
         rng = np.random.default_rng(seed)
         rows = []
         for _ in range(n):
@@ -102,13 +115,16 @@ class TestSelectRank:
             else:
                 eigs = np.sort(rng.exponential(size=r))[::-1]
             rows.append(eigs)
-        spectra = np.array(rows)
         for tau in (0.5, 0.7, 0.9, 1.0):
             for floor in (1, max(1, r - 1), r, r + 3):
-                ks, degenerate = floored_ranks(spectra, tau, floor)
-                assert list(zip(ks.tolist(), degenerate.tolist())) == [
-                    select_rank(row, tau, floor) for row in spectra
-                ]
+                geometries = geometries_of(rows, config(rank_adaptation_threshold=tau, min_lora_rank=floor))
+                assert [g.decomp_a.eigenvalues.tolist() for g in geometries] == [row.tolist() for row in rows]
+                for row, g in zip(rows, geometries):
+                    k, degenerate = select_rank(row, tau, floor)
+                    assert g.spectral_k == k
+                    assert degenerate == (not (row > 0.0).any())  # no positive eigenvalue
+                    if degenerate:
+                        assert k == min(floor, r)
 
 
 class TestMakeProjector:
@@ -333,24 +349,24 @@ class TestLayerGeometry:
 
     def test_spectral_k_and_operators_built_once(self, monkeypatch):
         rank_calls, selects = [], []
-        effective_ranks = reprojection_module.effective_ranks
+        energies = reprojection_module.prefix_energies
         select = reprojection_module.select_rank
 
-        def counting_ranks(spectra, eta):
+        def counting_energies(spectra):
             rank_calls.append(np.shape(spectra))
-            return effective_ranks(spectra, eta)
+            return energies(spectra)
 
         def counting_select(*args):
             selects.append(args)
             return select(*args)
 
-        monkeypatch.setattr(reprojection_module, "effective_ranks", counting_ranks)
+        monkeypatch.setattr(reprojection_module, "prefix_energies", counting_energies)
         monkeypatch.setattr(reprojection_module, "select_rank", counting_select)
         rng = np.random.default_rng(15)
         cfg = config(use_two_sided=True, g_gate_min_samples=1)
         spectra = ([4.0, 3.0, 2.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0])
         geometries = LayerGeometry.of_each([stats_with_spectrum(e, rng) for e in spectra], cfg)
-        # one stacked call on the three a-side spectra, and no one-spectrum call
+        # one stacked energy call on the three a-side spectra, and no one-spectrum call
         assert rank_calls == [(3, 4)] and selects == []
         assert [g.spectral_k for g in geometries] == [2, 1, 3]
         assert all(type(g.spectral_k) is int for g in geometries)
@@ -362,6 +378,27 @@ class TestLayerGeometry:
         again = geometry.projectors(2) + geometry.complements(2)
         assert all(new is old for new, old in zip(again, (proj_a, proj_side, q_a, q_side)))
         assert proj_side.basis.tobytes() == make_projector(geometry.decomp_g, 2).basis.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_one_energy_pass_feeds_k_and_band(self, monkeypatch, eps):
+        calls = []
+        energies = reprojection_module.prefix_energies
+
+        def counting(spectra):
+            calls.append(spectra.copy())
+            return energies(spectra)
+
+        monkeypatch.setattr(reprojection_module, "prefix_energies", counting)
+        spectra = np.array([[4.0, 3.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1e-3, 0.0, -1e-17]])
+        cfg = config(hysteresis_eps=eps, rank_adaptation_threshold=0.7)
+        for _ in range(3):
+            geometries = geometries_of(spectra, cfg)
+        assert len(calls) == 3  # one per accumulation, hysteresis or not
+        # the clipped a-side spectra
+        assert all((c >= 0.0).all() and c.shape == (3, 4) for c in calls)
+        assert [g.spectral_k for g in geometries] == [2, 1, 1]
+        assert geometries[0].band == [False, eps > 0.0, eps >= 0.2, False]
+        assert geometries[1].band == [False] * 4
 
     def test_spectral_k_stored_while_k_is_fixed(self):
         # a start step past any run's steps keeps reprojection_k, and the geometry still holds its spectral k
@@ -442,14 +479,19 @@ def scan_rank(eigs, eta):
     return len(eigs), False
 
 
+def scan_band(eigs, cfg):
+    """Whether each E(j) of the clipped spectrum lies within hysteresis_eps (plus 16 ulps) of tau; all False at eps = 0."""
+    energies = scan_energies([max(float(lam), 0.0) for lam in eigs])
+    tau, eps = cfg.rank_adaptation_threshold, cfg.hysteresis_eps
+    if eps == 0.0 or energies is None:
+        return [False] * len(eigs)
+    return [abs(energy - tau) <= eps + ULP_SLACK for energy in energies]
+
+
 def scan_hold(eigs, cfg, prev_k, spectral_k):
     """The rank rule from the start step on: prev_k (clamped to r) while its energy lies in the band."""
     held = min(prev_k, len(eigs))
-    energies = scan_energies([max(float(lam), 0.0) for lam in eigs])
-    tau, eps = cfg.rank_adaptation_threshold, cfg.hysteresis_eps
-    if eps > 0.0 and energies is not None and abs(energies[held - 1] - tau) <= eps + ULP_SLACK:
-        return held
-    return spectral_k
+    return held if scan_band(eigs, cfg)[held - 1] else spectral_k
 
 
 def random_spectra(rng, r, n):
@@ -545,8 +587,9 @@ class TestEnergyReadersAgainstAPrefixScan:
         rng = np.random.default_rng(100 + r)
         spectra = random_spectra(rng, r, 60)
         for eta in (0.3, 0.5, 0.7, 0.9, 0.99, 1.0):
-            ranks, degenerate = effective_ranks(spectra, eta)
-            assert list(zip(ranks.tolist(), degenerate.tolist())) == [scan_rank(eigs, eta) for eigs in spectra]
+            scanned = [scan_rank(eigs, eta) for eigs in spectra]
+            assert effective_ranks(spectra, eta).tolist() == [rank for rank, _ in scanned]
+            assert [effective_rank(eigs, eta) for eigs in spectra] == scanned
 
     @pytest.mark.parametrize("r", range(1, 17))
     def test_rank_for_every_previous_k(self, r):
@@ -557,6 +600,8 @@ class TestEnergyReadersAgainstAPrefixScan:
                 cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps, min_lora_rank=min(2, r))
                 for g in geometries_of(spectra, cfg):
                     eigs = g.decomp_a.eigenvalues
+                    assert g.spectral_k == select_rank(eigs, tau, min(2, r))[0]
+                    assert g.band == scan_band(eigs, cfg)
                     assert g.rank(0) == g.spectral_k
                     for prev_k in range(1, r + 1):
                         assert g.rank(0, prev_k) == scan_hold(eigs, cfg, prev_k, g.spectral_k)
@@ -569,8 +614,8 @@ class TestEnergyReadersAgainstAPrefixScan:
 
     @pytest.mark.parametrize("tau, k", [(0.7, 2), (0.9, 3)])
     def test_scaled_spectrum_ranks(self, tau, k):
-        ranks, degenerate = effective_ranks(np.array(SCALED), tau)
-        assert ranks.tolist() == [k] * len(SCALED) and not degenerate.any()
+        assert effective_ranks(np.array(SCALED), tau).tolist() == [k] * len(SCALED)
+        assert [effective_rank(eigs, tau) for eigs in SCALED] == [(k, False)] * len(SCALED)
         assert [scan_rank(eigs, tau) for eigs in SCALED] == [(k, False)] * len(SCALED)
 
     # E = 0.4, 0.7, 0.9, 1.0, so eps = 0.2 puts an energy on a band edge at either tau
@@ -582,6 +627,8 @@ class TestEnergyReadersAgainstAPrefixScan:
     def test_scaled_spectrum_holds(self, tau, eps, held):
         cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps)
         for g in geometries_of(SCALED, cfg):
+            assert g.spectral_k == select_rank(g.decomp_a.eigenvalues, tau, 1)[0] == (2 if tau == 0.7 else 3)
+            assert g.band == scan_band(g.decomp_a.eigenvalues, cfg)
             got = [g.rank(0, prev_k) for prev_k in range(1, 5)]
             assert got == held
             assert got == [scan_hold(g.decomp_a.eigenvalues, cfg, prev_k, g.spectral_k) for prev_k in range(1, 5)]

@@ -735,15 +735,16 @@ class TestPenaltyGeometry:
 
 
 def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
-    """The spectral k of every layer comes from one stacked rank call per accumulation."""
+    """The spectral k of every layer comes from one stacked energy call per accumulation."""
     calls, selects = [], []
-    effective_ranks = reprojection_module.effective_ranks
+    prefix_energies = reprojection_module.prefix_energies
 
-    def counting(spectra, eta):
-        calls.append(np.shape(spectra))
-        return effective_ranks(spectra, eta)
+    def counting(spectra):
+        # the telemetry's r_eff reads energies too, through effective_ranks
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(spectra)))
+        return prefix_energies(spectra)
 
-    monkeypatch.setattr(reprojection_module, "effective_ranks", counting)
+    monkeypatch.setattr(reprojection_module, "prefix_energies", counting)
     for owner in (reprojection_module, trainer_module):
         monkeypatch.setattr(owner, "select_rank", lambda *args: selects.append(args))
     cfg = GritConfig(
@@ -754,7 +755,10 @@ def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
         kfac_damping=0.1, lambda_r=0.02, learning_rate=0.02, telemetry_every=100,
     )
     run_experiment(cfg)
-    assert calls == [(2, 8)] * (cfg.steps // cfg.kfac_update_freq)  # two layers, rank 8
+    ranked = [shape for caller, shape in calls if caller == "of_each"]
+    assert ranked == [(2, 8)] * (cfg.steps // cfg.kfac_update_freq)  # two layers, rank 8
+    others = [call for call in calls if call[0] != "of_each"]
+    assert others == [("effective_ranks", (2, 8))] * (cfg.steps // cfg.telemetry_every)
     assert selects == []
 
 
