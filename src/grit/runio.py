@@ -43,7 +43,10 @@ leaves the previous version, never a truncated file. Each .jsonl stream is
 opened once per run, after the running manifest is written, flushed after
 every append (an append may hold several lines) and closed on every exit
 path, so a run that dies, even while opening its streams, leaves a failed
-manifest and each stream ending in a whole line.
+manifest and each stream ending in a whole line. telemetry.jsonl and
+updates.jsonl take a block of telemetry steps per append
+(trainer.TELEMETRY_BLOCK): when a block fills, after the step loop, and
+when a run fails, before its streams close.
 """
 
 from __future__ import annotations

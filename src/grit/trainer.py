@@ -45,15 +45,22 @@ replacing values.
 
 The update covariance, each layer's sum of da da^T + db^T db over the steps
 since its last reset, reads the block only when it is folded: when it fills,
-before a reprojection resets a layer's sum, and before the telemetry reads
-the sums (update_covariances). A fold takes each layer's products of all
-pending steps in one stacked matmul per factor and adds them in step order,
-so each sum rounds as it did added one step at a time. The jitter reads the
-last two clipped flat gradients, sliced per layer when a telemetry step
-reads them. A telemetry step reads all layers at once: one stacked
-eigendecomposition of the update covariances, one SVD call per tangent
-factor shape, and the r_eff rule (at R_EFF_ENERGY) and the stability
-statistics on stacks. A layer's tail-mass cutoff is 3x the median
+before a reprojection resets a layer's sum, and before a telemetry step
+copies the sums (update_covariances). A fold takes each layer's products of
+all pending steps in one stacked matmul per factor and adds them in step
+order, so each sum rounds as it did added one step at a time.
+
+A telemetry step computes no record: it snapshots copies of what later
+steps write in place (each adapter's factors as the adapter holds them, the
+update covariances) and references to what none writes (the geometries, the
+window, the last two clipped flat gradients), with each layer's last k and
+retained mass. The records of up to TELEMETRY_BLOCK snapshots are computed
+in one pass: in the step that fills the block, when records is read, after
+run_experiment's step loop and on every exit from the Trainer. The pass
+eigendecomposes all their update covariances in one stacked call, applies
+the r_eff rule (at R_EFF_ENERGY) to one stack and takes one SVD call per
+tangent factor shape; the stability statistics and the rest go per
+snapshot in step order. A layer's tail-mass cutoff is 3x the median
 |delta W| of the first telemetry step where that median is not zero.
 """
 
@@ -62,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +79,7 @@ from .errors import ConfigError, GritError, ShapeError, ValidationError
 from .kfac import RankSpaceStats, accumulate, precondition, refresh_inverses
 from .linalg import sym_eig_stack
 from .linalg import sym_eig  # noqa: F401  (perfbench/spans.py traces it by this name)
-from .model import save_checkpoint, squared_error
+from .model import AdapterPair, save_checkpoint, squared_error
 from .reprojection import LayerGeometry, effective_ranks, reproject
 from .reprojection import select_rank  # noqa: F401  (perfbench/spans.py traces it by this name)
 from .runio import (
@@ -112,6 +119,7 @@ COV_WINDOW = 24  # accumulations kept for the stability diagnostics
 R_EFF_ENERGY = 0.9  # energy fraction the telemetry r_eff keeps
 UPDATE_BLOCK = 8  # parameter updates held before the update covariance folds them in
 DATA_BLOCK = 16  # fine-tune steps whose batches run_experiment draws in one call
+TELEMETRY_BLOCK = 16  # telemetry snapshots held before their records are computed in one pass
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:
@@ -257,6 +265,19 @@ class LayerMonitor:
 
 
 @dataclass
+class TelemetrySnapshot:
+    """What one telemetry step's records read: copies of what later steps write, references to the rest."""
+
+    step: int
+    adapters: list[AdapterPair]  # with copies of the factors
+    update_cov: np.ndarray  # a copy of update_covariances()
+    geometries: list[LayerGeometry] | None
+    window: tuple[tuple[np.ndarray, np.ndarray], ...]
+    grads: tuple[np.ndarray | None, np.ndarray | None]
+    monitors: list[tuple[int, float]]  # each layer's (last_k, last_pi)
+
+
+@dataclass
 class StepResult:
     step: int
     loss: float
@@ -318,7 +339,9 @@ class Trainer:
         self.events: list[dict] = []
         # whether a step has preconditioned; events log the first one
         self._preconditioned = False
-        self.records: list[GeometryRecord] = []
+        self._records: list[GeometryRecord] = []
+        # the telemetry steps whose records are not computed yet, oldest first
+        self._snapshots: list[TelemetrySnapshot] = []
         self._frozen_hash = self.frozen_weight_hash()
 
         self.run_dir = Path(run_dir) if run_dir is not None else None
@@ -356,8 +379,20 @@ class Trainer:
     def __enter__(self) -> "Trainer":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Compute the pending telemetry, then close the streams, on every exit path.
+
+        A telemetry failure while an exception leaves the block is noted on
+        that exception and never replaces it.
+        """
+        try:
+            self._flush_telemetry()
+        except Exception as error:
+            if exc is None:
+                raise
+            exc.add_note(f"the pending telemetry failed as well: {error!r}")
+        finally:
+            self.close()
 
     def _log_events(self, *objs: dict) -> None:
         """Record the events in order and write them to events.jsonl in one append."""
@@ -548,94 +583,115 @@ class Trainer:
 
         if config.telemetry_every > 0 and step % config.telemetry_every == 0:
             self._emit_telemetry(step)
+            if len(self._snapshots) == TELEMETRY_BLOCK:
+                self._flush_telemetry()
         return StepResult(step=step, loss=loss, task_loss=task_loss)
 
     # -- telemetry ---------------------------------------------------------
 
     def _emit_telemetry(self, step: int) -> None:
+        """Take the snapshot this step's records are computed from (see _flush_telemetry)."""
+        self._snapshots.append(
+            TelemetrySnapshot(
+                step=step,
+                adapters=[replace(ad, a=ad.a.copy(), b=ad.b.copy()) for ad in self.model.adapters()],
+                update_cov=self.update_covariances().copy(),
+                geometries=self._geometries,
+                window=tuple(self._window),
+                grads=self._grads,
+                monitors=[(monitor.last_k, monitor.last_pi) for monitor in self.monitors],
+            )
+        )
+
+    def _flush_telemetry(self) -> None:
+        """Compute the pending snapshots' records in one pass and append them, one append per stream.
+
+        The pending list is taken first, so a failure leaves nothing to fail
+        again. Snapshots go in step order: the tail cutoff and the drift's
+        previous basis carry from one telemetry step to the next.
+        """
+        snapshots, self._snapshots = self._snapshots, []
+        if not snapshots:
+            return
         curvature = self.task.pt_curvature()
-        adapters = self.model.adapters()
+        n_layers = len(self.monitors)
         update_decomps = sym_eig_stack(
-            self.update_covariances(), [f"update covariance of layer {idx}" for idx in range(len(adapters))]
+            np.concatenate([snap.update_cov for snap in snapshots]),
+            [f"update covariance of layer {idx} at step {snap.step}" for snap in snapshots for idx in range(n_layers)],
         )
         r_effs = effective_ranks(np.array([decomp.eigenvalues for decomp in update_decomps]), R_EFF_ENERGY)
-        bases = adapter_subspace_bases(adapters)
-        cov_vars = eig_cvs = np.zeros(len(adapters))
-        if len(self._window) >= 2:
-            covs, spectra = zip(*self._window)
-            cov_vars, eig_cvs = stability_stats_stack(
-                np.stack(covs, axis=1),
-                [monitor.last_k for monitor in self.monitors],
-                np.stack(spectra, axis=1),
-            )
-        grad, prev_grad = self._grads
-        records, deltas = [], []  # one line per layer, one append per stream
-        for idx, (adapter, monitor) in enumerate(zip(adapters, self.monitors)):
-            r = adapter.rank
-            r_eff = int(r_effs[idx])
-            update_decomp = update_decomps[idx]
-
-            geometry = self._layer_decomps(idx)
-            side_decomp = geometry.side_decomp if geometry is not None else None
-            spectrum = geometry.decomp_a.eigenvalues if geometry is not None else np.zeros(r)
-
-            rho = 0.0
-            if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
-                k_common = min(monitor.last_k, r_eff)
-                rho = alignment_overlap(
-                    side_decomp.eigenvectors[:, :k_common],
-                    update_decomp.eigenvectors[:, :k_common],
+        bases = adapter_subspace_bases([adapter for snap in snapshots for adapter in snap.adapters])
+        records, lines = [], []
+        for s, snap in enumerate(snapshots):
+            row = s * n_layers  # the snapshot's first layer in the stacked results
+            cov_vars = eig_cvs = np.zeros(n_layers)
+            if len(snap.window) >= 2:
+                covs, spectra = zip(*snap.window)
+                cov_vars, eig_cvs = stability_stats_stack(
+                    np.stack(covs, axis=1), [k for k, _ in snap.monitors], np.stack(spectra, axis=1)
                 )
+            grad, prev_grad = snap.grads
+            layers = zip(snap.adapters, self.monitors, snap.monitors)
+            for idx, (adapter, monitor, (last_k, last_pi)) in enumerate(layers):
+                r_eff = int(r_effs[row + idx])
+                update_decomp = update_decomps[row + idx]
+                geometry = snap.geometries[idx] if snap.geometries is not None else None
+                side_decomp = geometry.side_decomp if geometry is not None else None
+                spectrum = geometry.decomp_a.eigenvalues if geometry is not None else np.zeros(adapter.rank)
 
-            delta_vec = adapter.scaling * adapter.delta_w().ravel()
-            if monitor.tail_threshold == 0.0:
-                monitor.tail_threshold = 3.0 * median(np.abs(delta_vec))
-            tail = (
-                tail_mass(delta_vec, monitor.tail_threshold)
-                if monitor.tail_threshold > 0.0
-                else 0
-            )
+                rho = 0.0
+                if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):
+                    k = min(last_k, r_eff)
+                    rho = alignment_overlap(side_decomp.eigenvectors[:, :k], update_decomp.eigenvectors[:, :k])
 
-            exposure = exposure_from_basis(curvature[idx], bases[idx])
+                delta_vec = adapter.scaling * adapter.delta_w().ravel()
+                if monitor.tail_threshold == 0.0:
+                    monitor.tail_threshold = 3.0 * median(np.abs(delta_vec))
+                tail = tail_mass(delta_vec, monitor.tail_threshold) if monitor.tail_threshold > 0.0 else 0
 
-            jitter = 0.0
-            if prev_grad is not None:
-                a_cols, b_cols = self._layer_columns[idx]
-                layer = slice(a_cols.start, b_cols.stop)
-                jitter = update_jitter(grad[layer], prev_grad[layer])
+                jitter = 0.0
+                if prev_grad is not None:
+                    a_cols, b_cols = self._layer_columns[idx]
+                    layer = slice(a_cols.start, b_cols.stop)
+                    jitter = update_jitter(grad[layer], prev_grad[layer])
 
-            drift = 0.0
-            if side_decomp is not None:
-                basis_now = side_decomp.eigenvectors[:, :monitor.last_k]
-                if monitor.prev_basis is not None:
-                    k_common = min(monitor.prev_basis.shape[1], basis_now.shape[1])
-                    drift = subspace_drift(
-                        monitor.prev_basis[:, :k_common], basis_now[:, :k_common]
+                drift = 0.0
+                if side_decomp is not None:
+                    basis_now = side_decomp.eigenvectors[:, :last_k]
+                    if monitor.prev_basis is not None:
+                        k_common = min(monitor.prev_basis.shape[1], basis_now.shape[1])
+                        drift = subspace_drift(monitor.prev_basis[:, :k_common], basis_now[:, :k_common])
+                    monitor.prev_basis = basis_now.copy()
+
+                records.append(
+                    GeometryRecord(
+                        step=snap.step,
+                        layer=idx,
+                        k_selected=last_k,
+                        r_eff=r_eff,
+                        rho_align=float(rho),
+                        pi_proj=float(last_pi),
+                        tail_mass=int(tail),
+                        curvature_exposure=float(exposure_from_basis(curvature[idx], bases[row + idx])),
+                        jitter=float(jitter),
+                        subspace_drift=float(drift),
+                        eig_cv=float(eig_cvs[idx]),
+                        cov_var=float(cov_vars[idx]),
+                        spectrum=[float(v) for v in spectrum],
                     )
-                monitor.prev_basis = basis_now.copy()
-
-            record = GeometryRecord(
-                step=step,
-                layer=idx,
-                k_selected=monitor.last_k,
-                r_eff=r_eff,
-                rho_align=float(rho),
-                pi_proj=float(monitor.last_pi),
-                tail_mass=int(tail),
-                curvature_exposure=float(exposure),
-                jitter=float(jitter),
-                subspace_drift=float(drift),
-                eig_cv=float(eig_cvs[idx]),
-                cov_var=float(cov_vars[idx]),
-                spectrum=[float(v) for v in spectrum],
-            )
-            records.append(record)
-            deltas.append(delta_vec)
-        self.records.extend(records)
+                )
+                lines.append(update_line(snap.step, idx, delta_vec))
+        self._records.extend(records)
         if self.telemetry_writer is not None:
             self.telemetry_writer.append(*records)
         if self.update_writer is not None:
-            self.update_writer.append(*(update_line(step, idx, delta) for idx, delta in enumerate(deltas)))
+            self.update_writer.append(*lines)
+
+    @property
+    def records(self) -> list[GeometryRecord]:
+        """Every telemetry step's records so far, in step order; the pending snapshots are computed first."""
+        self._flush_telemetry()
+        return self._records
 
     def geometry_summary(self) -> GeometrySummary:
         """The run-level mean of each telemetry field GeometrySummary declares, besides max_rank."""
@@ -707,6 +763,7 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
                 xs, ys = task.sample_batch(trainer.data_rng, config.batch_size, block)
                 for step, batch in enumerate(zip(xs, ys), start):
                     final_task_loss = trainer.train_step(batch, step).task_loss
+            trainer._flush_telemetry()
             if trainer.frozen_weight_hash() != trainer._frozen_hash:
                 raise GritError("frozen base weights changed during training")
             pt_after = task.pt_loss(task.model)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from grit.config import GritConfig
-from grit.errors import ConfigError, GritError, ShapeError, ValidationError
+from grit.errors import ConfigError, DecompositionError, GritError, ShapeError, ValidationError
 from grit import reprojection as reprojection_module
 from grit import tasks as tasks_module
 from grit import telemetry as telemetry_module
@@ -758,7 +758,8 @@ def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
     ranked = [shape for caller, shape in calls if caller == "of_each"]
     assert ranked == [(2, 8)] * (cfg.steps // cfg.kfac_update_freq)  # two layers, rank 8
     others = [call for call in calls if call[0] != "of_each"]
-    assert others == [("effective_ranks", (2, 8))] * (cfg.steps // cfg.telemetry_every)
+    # the five telemetry steps' records are computed after the step loop, in one pass
+    assert others == [("effective_ranks", (2 * cfg.steps // cfg.telemetry_every, 8))]
     assert selects == []
 
 
@@ -1465,14 +1466,17 @@ class TestUpdateFold:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_the_per_step_sum_at_every_read(self, monkeypatch, case):
-        reads = []  # (step, the covariances the telemetry decomposed)
+        reads = []  # (step, the covariances a telemetry snapshot copied)
         current = {}
+        update_covariances = trainer_module.Trainer.update_covariances
 
-        def recording_stack(mats, names):
-            reads.append((current["step"], np.array(mats)))
-            return sym_eig_stack(mats, names)
+        def recording_read(self):
+            covs = update_covariances(self)
+            if sys._getframe(1).f_code.co_name == "_emit_telemetry":
+                reads.append((current["step"], covs.copy()))
+            return covs
 
-        monkeypatch.setattr(trainer_module, "sym_eig_stack", recording_stack)
+        monkeypatch.setattr(trainer_module.Trainer, "update_covariances", recording_read)
         tr, task, cfg = make_trainer(
             mode="grit", steps=70, reprojection_warmup_steps=24, **self.CASES[case]
         )
@@ -1522,6 +1526,144 @@ class TestUpdateFold:
             assert np.all(tr._update_cov == 0.0)
         tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), trainer_module.UPDATE_BLOCK - 1)
         assert tr._pending == 0 and np.any(tr._update_cov != 0.0)
+
+
+class TestTelemetryBlocks:
+    """A telemetry step snapshots what its records read; a block of snapshots is computed in one pass."""
+
+    CRITERION8 = dict(
+        task="two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)",
+        seed=0, mode="grit", reprojection_freq=40, reprojection_warmup_steps=80, ng_warmup_steps=0,
+        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64, min_lora_rank=2,
+        rank_adaptation_threshold=0.85, lora_rank=8, use_two_sided=True, kfac_damping=0.1,
+        lambda_r=0.02, learning_rate=0.02,
+    )
+    TWO_LAYER = dict(task="two_task_forgetting(d=10, hidden=6)", mode="grit", reprojection_warmup_steps=24)
+
+    def run(self, run_dir, steps=120, telemetry_every=1, **overrides):
+        tr, task, cfg = make_trainer(run_dir=run_dir, steps=steps, telemetry_every=telemetry_every, **overrides)
+        with tr:
+            run_loop(tr, task, cfg)
+        return tr
+
+    @pytest.mark.parametrize("case", ["criterion8", "two_layer"])
+    def test_block_size_leaves_the_bytes(self, tmp_path, monkeypatch, case):
+        overrides = self.CRITERION8 if case == "criterion8" else self.TWO_LAYER
+        outputs = []
+        for block in (1, 3, 16):  # block 1 computes each telemetry step's records in its own step
+            monkeypatch.setattr(trainer_module, "TELEMETRY_BLOCK", block)
+            tr = self.run(tmp_path / f"block{block}", **overrides)
+            outputs.append(
+                [(tmp_path / f"block{block}" / name).read_bytes() for name in ("telemetry.jsonl", "updates.jsonl")]
+                + [repr(tr.records)]
+            )
+        # telemetry steps fall on accumulations and applied reprojections
+        assert {"accumulate", "reproject"} <= {e["action"] for e in tr.events}
+        assert len(tr.records) == 120 * len(tr.monitors)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_a_reprojection_step_records_the_reprojected_update(self, tmp_path):
+        tr, task, cfg = make_trainer(run_dir=tmp_path, telemetry_every=20, reprojection_freq=20, steps=60)
+        expected, stale = [], []
+        with tr:
+            for step in range(cfg.steps):
+                tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+                if step % cfg.telemetry_every == 0:
+                    (_, adapter), = tr.model.layers
+                    expected.append(adapter.scaling * (adapter.b @ adapter.a).ravel())
+                    a, b = tr._factors[0]  # the flat vector's values, which the next step binds again
+                    stale.append(adapter.scaling * (b @ a).ravel())
+        reprojected = {e["step"] for e in tr.events if e["action"] == "reproject"}
+        assert reprojected & {20, 40}
+        assert any(e.tobytes() != s.tobytes() for e, s in zip(expected, stale))
+        lines = read_jsonl(tmp_path / "updates.jsonl")
+        assert [decode_array(line["delta_w"]).tobytes() for line in lines] == [e.tobytes() for e in expected]
+
+    def test_records_read_mid_run_hold_every_telemetry_step(self):
+        tr, task, cfg = make_trainer(**self.TWO_LAYER, steps=40, telemetry_every=1)
+        n_layers = len(tr.monitors)
+        for step in range(cfg.steps):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+            if step % 3 == 0:
+                assert [(r.step, r.layer) for r in tr.records] == [
+                    (s, idx) for s in range(step + 1) for idx in range(n_layers)
+                ]
+                assert tr._snapshots == []
+
+    def test_no_more_than_a_block_is_pending(self, monkeypatch):
+        pending = []
+        emit = trainer_module.Trainer._emit_telemetry
+
+        def counting(self, step):
+            emit(self, step)
+            pending.append(len(self._snapshots))
+
+        monkeypatch.setattr(trainer_module.Trainer, "_emit_telemetry", counting)
+        tr, task, cfg = make_trainer(steps=50, telemetry_every=1)
+        run_loop(tr, task, cfg)
+        assert max(pending) == trainer_module.TELEMETRY_BLOCK
+        assert len(tr._snapshots) == cfg.steps % trainer_module.TELEMETRY_BLOCK
+
+    def test_a_decomposition_error_names_the_layer_and_the_step(self):
+        tr, task, cfg = make_trainer(**self.TWO_LAYER, steps=12, telemetry_every=2)
+        run_loop(tr, task, cfg)
+        tr._snapshots[3].update_cov[1, 0, 0] = np.nan
+        with pytest.raises(DecompositionError, match="update covariance of layer 1 at step 6"):
+            tr.records
+
+    def test_a_failed_run_keeps_its_telemetry(self, tmp_path, monkeypatch):
+        cfg = GritConfig(task=TASK, steps=60, seed=0, eval_size=64, lora_rank=4, min_lora_rank=2,
+                         kfac_update_freq=5, kfac_min_samples=16, telemetry_every=2)
+        run_experiment(cfg, out_dir=tmp_path / "complete")
+        step = trainer_module.AdamW.step
+
+        def failing(self, params, grads):
+            if self.t == 37:  # the step count before this step's increment
+                raise RuntimeError("boom")
+            return step(self, params, grads)
+
+        monkeypatch.setattr(trainer_module.AdamW, "step", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(cfg, out_dir=tmp_path / "failed")
+        assert json.loads((tmp_path / "failed" / "manifest.json").read_text())["status"] == "failed"
+        for name in ("telemetry.jsonl", "updates.jsonl"):
+            failed = (tmp_path / "failed" / name).read_text().splitlines()
+            complete = (tmp_path / "complete" / name).read_text().splitlines()
+            # 19 telemetry steps, 0 to 36: one block of 16 flushed at step 30, three at the exit
+            assert len(failed) == (name == "telemetry.jsonl") + 19
+            assert failed == complete[: len(failed)]
+
+    def test_a_failed_exit_flush_is_noted_on_the_exception(self, monkeypatch, opened_streams, tmp_path):
+        def failing_exposure(*args):
+            raise ValueError("no exposure")
+
+        monkeypatch.setattr(trainer_module, "exposure_from_basis", failing_exposure)
+        tr, task, cfg = make_trainer(run_dir=tmp_path, steps=3, telemetry_every=1)
+        with pytest.raises(RuntimeError, match="boom") as info, tr:
+            run_loop(tr, task, cfg)
+            raise RuntimeError("boom")
+        assert any("no exposure" in note for note in info.value.__notes__)
+        assert_closed_whole_lines(opened_streams)
+
+    def test_a_flush_error_in_a_step_is_not_raised_again_at_exit(self, monkeypatch, tmp_path):
+        def failing_exposure(*args):
+            raise ValueError("no exposure")
+
+        monkeypatch.setattr(trainer_module, "exposure_from_basis", failing_exposure)
+        tr, task, cfg = make_trainer(run_dir=tmp_path, steps=trainer_module.TELEMETRY_BLOCK, telemetry_every=1)
+        with pytest.raises(ValueError, match="no exposure") as info, tr:
+            run_loop(tr, task, cfg)
+        assert not getattr(info.value, "__notes__", [])
+        assert tr._snapshots == []
+
+    def test_a_failed_exit_flush_is_raised_after_a_clean_block(self, monkeypatch):
+        def failing_exposure(*args):
+            raise ValueError("no exposure")
+
+        monkeypatch.setattr(trainer_module, "exposure_from_basis", failing_exposure)
+        tr, task, cfg = make_trainer(steps=1, telemetry_every=1)
+        with pytest.raises(ValueError, match="no exposure"), tr:
+            run_loop(tr, task, cfg)
 
 
 class TestMedian:
