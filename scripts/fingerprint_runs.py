@@ -57,7 +57,7 @@ check (criterion 12): the one-layer, identity-activation synthetic_lowrank
 model, which no other run builds. The last is a synthetic_lowrank run with
 lora_alpha = 2 and a rank-one target subspace, whose five reprojections all
 select k = 1: the only run through the scaled effective weight and tape
-gradients, and through the telemetry's single-column eig_cv path. Every
+gradients, and through the telemetry's eig_cv at k = 1. Every
 GritConfig key takes a value other than its default in at least one run
 (tests/test_fingerprint_runs.py checks this), so a key added later needs a
 run of its own. The manifest carries a timestamp, so it is left out.

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SpectralDecomp, symmetrize
-from .runio import RunRecord, json_object, write_json
+from .runio import RunRecord, from_document, json_object, write_json
 from .telemetry import xi_multiplier
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -77,10 +77,7 @@ def save_fit(fit: ScalingFit, path: str | Path) -> None:
 
 def load_fit(path: str | Path) -> ScalingFit:
     """The fit in a save_fit file; ValidationError naming the file for a damaged one."""
-    try:
-        return ScalingFit(**json_object(Path(path).read_text(), path))
-    except TypeError as exc:
-        raise ValidationError(f"{path}: not a scaling fit ({exc})") from exc
+    return from_document(ScalingFit, json_object(Path(path).read_text(), path), str(path), "scaling fit")
 
 
 def _check_finite(values: np.ndarray, names: str) -> None:

@@ -190,8 +190,10 @@ class LayerGeometry:
         reprojection_k clamped to [1, rank] before rank_adaptation_start_step,
         else spectral_k, or prev_k (clamped to the rank) where band holds it:
         where its energy lies within hysteresis_eps of the threshold, or
-        within 16 ulps of that band edge.
+        within 16 ulps of that band edge. A prev_k below 1 raises ValidationError.
         """
+        if prev_k is not None and prev_k < 1:
+            raise ValidationError(f"prev_k must be at least 1, got {prev_k}")
         rank = self.decomp_a.dim
         if step < self.config.rank_adaptation_start_step:
             return max(1, min(self.config.reprojection_k, rank))

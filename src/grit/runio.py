@@ -12,15 +12,16 @@ Layout of a completed run directory:
     record.json      RunRecord summary
     audit/           the CSVs of `grit audit` (AUDIT_CSVS), once it has run
 
-events.jsonl logs preconditioning once, with a "precondition" event on the
-first step that preconditions; nothing clears the statistics, so it never
-stops. A "sanitize" event {step, layer,
+events.jsonl logs preconditioning once, with a "precondition" event after
+the first "invert" event, in the step that preconditions first; nothing
+clears the statistics, so it never stops. A "sanitize" event {step, layer,
 count} marks a layer whose preconditioned gradient had count non-finite
 entries, which were zeroed.
 
-read_record, telemetry.read_telemetry and model.load_checkpoint check each
-value's JSON kind (check_value_types), and read_record the mode, so a
-damaged file is a ValidationError, not a failure in a consumer. read_jsonl
+Every stored document (record, manifest, law fit, telemetry line) is built
+by from_document, which checks each value's JSON kind, and read_record
+checks the mode; checkpoint layers use check_value_types' declared form. So
+a damaged file is a ValidationError, not a failure in a consumer. read_jsonl
 and read_telemetry parse a whole stream in one json.loads (json_lines); only
 a stream that fails it is read again line by line, to name the bad line.
 
@@ -160,6 +161,7 @@ _VALUE_KINDS = {
     "float | None": ("a number or null", lambda v: v is None or type(v) in _NUMBERS),
     "str": ("a string", lambda v: type(v) is str),
     "list[float]": ("a list of numbers", lambda v: type(v) is list and _NUMBERS.issuperset(map(type, v))),
+    "list[str]": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
 }
 _MODES = declarations(GritConfig)["mode"].rules["one_of"]
 
@@ -185,18 +187,24 @@ def check_value_types(obj, where: str, declared: dict[str, str] | None = None) -
             raise ValidationError(f"{where}: {name} is {value!r}, not {kind}")
 
 
+def from_document(cls, obj, where: str, what: str):
+    """cls(**obj) with its values' kinds checked; ValidationError naming where (and what cls is) otherwise."""
+    try:
+        built = cls(**obj)
+    except TypeError as exc:
+        raise ValidationError(f"{where}: not a {what} ({exc})") from exc
+    check_value_types(built, where)
+    return built
+
+
 def read_record(run_dir: str | Path) -> RunRecord:
     path = Path(run_dir) / RECORD_NAME
     if not path.exists():
         raise ValidationError(f"no {RECORD_NAME} in {run_dir}")
     doc = json_object(path.read_text(), path)
-    try:
-        doc["geometry_summary"] = GeometrySummary(**doc["geometry_summary"])
-        record = RunRecord(**doc)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: not a run record ({exc})") from exc
-    check_value_types(record, str(path))
-    check_value_types(record.geometry_summary, f"{path} geometry_summary")
+    # a missing summary reads as None, which is not an object
+    doc["geometry_summary"] = from_document(GeometrySummary, doc.get("geometry_summary"), f"{path} geometry_summary", "run record")
+    record = from_document(RunRecord, doc, str(path), "run record")
     if record.mode not in _MODES:
         raise ValidationError(f"{path}: mode is {record.mode!r}, not one of {_MODES}")
     return record
@@ -230,11 +238,7 @@ def read_manifest(run_dir: str | Path) -> RunManifest:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise ValidationError(f"no {MANIFEST_NAME} in {run_dir}")
-    doc = json_object(path.read_text(), path)
-    try:
-        return RunManifest(**doc)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: not a run manifest ({exc})") from exc
+    return from_document(RunManifest, json_object(path.read_text(), path), str(path), "run manifest")
 
 
 # json.dumps(obj, sort_keys=True) without building an encoder per call

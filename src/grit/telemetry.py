@@ -2,14 +2,16 @@
 
 The stream's schema is GeometryRecord: after a header line, each line is
 one record's fields (vars(record), keys sorted by JsonlWriter), every
-spectrum as long as the first. stability_stats reads its caller's spectra
-and decomposes nothing. The trainer's telemetry step reads all layers at
-once: stability_stats_stack on the (layers x window x r x r) stack of the
-a_cov copies in the trainer's window and adapter_subspace_bases with one
-SVD per factor shape; stability_stats and adapter_subspace_basis are their
-one-layer cases. The curvature exposure reads the factored Hessian blocks
-of tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it
-is checked against is in oracles. No setting tunes a diagnostic: the
+spectrum as long as the first; read_telemetry builds each line with
+runio.from_document. stability_stats reads its caller's spectra and
+decomposes nothing. The trainer's telemetry pass reads all layers of a
+snapshot at once, stability_stats_stack on the (layers x window x r x r)
+stack of its window's a_cov copies, and the adapters of a whole block in
+adapter_subspace_bases, one SVD per factor shape; stability_stats and
+adapter_subspace_basis are their one-layer cases, bit for bit. The
+curvature exposure reads the factored Hessian blocks of
+tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
+checked against is in oracles. No setting tunes a diagnostic: the
 trainer fixes the r_eff energy fraction and each layer's tail-mass cutoff.
 """
 
@@ -24,7 +26,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import sym_eig
 from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
-from .runio import JsonlWriter, check_value_types, json_lines
+from .runio import JsonlWriter, from_document, json_lines
 
 TELEMETRY_SCHEMA_VERSION = 1
 
@@ -70,14 +72,19 @@ def _check_orthonormal(basis: np.ndarray, name: str) -> np.ndarray:
     return basis
 
 
-def alignment_overlap(fisher_basis: np.ndarray, update_basis: np.ndarray) -> float:
-    """Principal-angle overlap (1/k) * ||U^T V||_F^2 between two top-k bases."""
-    u = _check_orthonormal(fisher_basis, "fisher_basis")
-    v = _check_orthonormal(update_basis, "update_basis")
+def _squared_cosines(u: np.ndarray, u_name: str, v: np.ndarray, v_name: str) -> tuple[float, int]:
+    """(||U^T V||_F^2, k) of two orthonormal bases of one shape, each named in its errors."""
+    u = _check_orthonormal(u, u_name)
+    v = _check_orthonormal(v, v_name)
     if u.shape != v.shape:
         raise ShapeError(f"basis shapes differ: {u.shape} vs {v.shape}")
-    k = u.shape[1]
-    return float(np.sum((u.T @ v) ** 2) / k)
+    return float(np.sum((u.T @ v) ** 2)), u.shape[1]
+
+
+def alignment_overlap(fisher_basis: np.ndarray, update_basis: np.ndarray) -> float:
+    """Principal-angle overlap (1/k) * ||U^T V||_F^2 between two top-k bases."""
+    overlap, k = _squared_cosines(fisher_basis, "fisher_basis", update_basis, "update_basis")
+    return overlap / k
 
 
 def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> float:
@@ -96,12 +103,7 @@ def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> float:
 
 def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
     """Frobenius norm of principal-angle sines: sqrt(k - ||U_t^T U_next||_F^2)."""
-    u1 = _check_orthonormal(u_t, "u_t")
-    u2 = _check_orthonormal(u_next, "u_next")
-    if u1.shape != u2.shape:
-        raise ShapeError(f"basis shapes differ: {u1.shape} vs {u2.shape}")
-    k = u1.shape[1]
-    overlap = float(np.sum((u1.T @ u2) ** 2))
+    overlap, k = _squared_cosines(u_t, "u_t", u_next, "u_next")
     return float(np.sqrt(max(0.0, k - overlap)))
 
 
@@ -162,25 +164,14 @@ def stability_stats_stack(
 
 
 def _eig_cvs(spectra: np.ndarray, ks: list[int]) -> np.ndarray:
-    """eig_cv of each layer's (window x r) spectra over its top ks[layer] eigenvalues.
-
-    The window statistics of all columns are taken at once. NumPy sums a
-    lone column pairwise but the columns of a wider array one row after the
-    other, so the first column of a k = 1 layer is taken again on its own,
-    to round as a one-layer window of k columns does.
-    """
-    means = spectra.mean(axis=1)
-    stds = spectra.std(axis=1)
-    single = np.asarray(ks) == 1
-    if single.any():
-        first = spectra[single, :, 0]
-        means[single, 0] = first.mean(axis=1)
-        stds[single, 0] = first.std(axis=1)
+    """eig_cv of each layer's (window x r) spectra over its top ks[layer] eigenvalues."""
     eig_cvs = np.zeros(len(ks))
     for layer, k in enumerate(ks):
-        kept = means[layer, :k] != 0.0
+        top = spectra[layer, :, :k]
+        means = top.mean(axis=0)
+        kept = means != 0.0
         if kept.any():
-            eig_cvs[layer] = np.mean(stds[layer, :k][kept] / means[layer, :k][kept])
+            eig_cvs[layer] = np.mean(top.std(axis=0)[kept] / means[kept])
     return eig_cvs
 
 
@@ -373,11 +364,7 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
         raise ValidationError(f"unsupported telemetry version {header.get('version')!r}")
     records = []
     for number, obj in enumerate(objects, start=2):
-        try:
-            record = GeometryRecord(**obj)
-        except TypeError as exc:
-            raise ValidationError(f"{path} line {number}: not a geometry record ({exc})") from exc
-        check_value_types(record, f"{path} line {number}")
+        record = from_document(GeometryRecord, obj, f"{path} line {number}", "geometry record")
         if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
             raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")
         records.append(record)

@@ -28,11 +28,12 @@ the telemetry the decompositions and the geometry's side. The stability
 window is the trainer's own: for each of the last COV_WINDOW accumulations,
 a copy of every layer's a_cov and their eigenvalues, so no geometry
 outlives its accumulation and no later write into the statistics reaches
-the window. Each invert event
-carries every layer's damping ladder rungs and condition numbers.
-Preconditioning, once started, never stops, so a "precondition" event marks
-its first step. A layer whose preconditioned gradient had non-finite
-entries, which precondition zeroes, gets a "sanitize" event.
+the window. Each invert event carries every layer's damping ladder rungs
+and condition numbers. Preconditioning starts in the step of the first
+invert event, which makes every layer's first inverses (the layers share
+one sample count), and never stops; a "precondition" event follows that
+invert event. A layer whose preconditioned gradient had non-finite entries,
+which precondition zeroes, gets a "sanitize" event.
 
 The Trainer keeps every adapter factor in one flat float64 vector, the
 optimizer's parameters, and binds each adapter's a and b to a view of it
@@ -55,12 +56,12 @@ steps write in place (each adapter's factors as the adapter holds them, the
 update covariances) and references to what none writes (the geometries, the
 window, the last two clipped flat gradients), with each layer's last k and
 retained mass. The records of up to TELEMETRY_BLOCK snapshots are computed
-in one pass: in the step that fills the block, when records is read, after
-run_experiment's step loop and on every exit from the Trainer. The pass
-eigendecomposes all their update covariances in one stacked call, applies
-the r_eff rule (at R_EFF_ENERGY) to one stack and takes one SVD call per
-tangent factor shape; the stability statistics and the rest go per
-snapshot in step order. A layer's tail-mass cutoff is 3x the median
+in one pass: in the step that fills the block, when records is read (as
+run_experiment's geometry summary does after the step loop) and on every
+exit from the Trainer. The pass eigendecomposes all their update
+covariances in one stacked call, applies the r_eff rule (at R_EFF_ENERGY)
+to one stack and takes one SVD call per tangent factor shape; the stability
+statistics and the rest go per snapshot in step order. A layer's tail-mass cutoff is 3x the median
 |delta W| of the first telemetry step where that median is not zero.
 """
 
@@ -279,7 +280,6 @@ class TelemetrySnapshot:
 
 @dataclass
 class StepResult:
-    step: int
     loss: float
     task_loss: float
 
@@ -493,11 +493,10 @@ class Trainer:
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
         geometry_on = self.is_grit and step >= config.ng_warmup_steps
         accumulating = geometry_on and step % config.kfac_update_freq == 0
-        # the lambda_r penalty reads the geometries of the statistics the step started with
-        geometries = self._geometries if self.is_grit and config.lambda_r > 0.0 else None
+        # the lambda_r penalty reads the geometries of the statistics the step started with (none in lora_control)
+        geometries = self._geometries if config.lambda_r > 0.0 else None
         if accumulating:
             refreshed = self._accumulate(step)
-        preconditioned = False
         grads = []
         for idx, (tape, adapter) in enumerate(zip(self.model.tapes, adapters)):
             stats = self.stats[idx]
@@ -522,7 +521,6 @@ class Trainer:
             if geometry_on and stats.inv_ready:
                 zeroed = stats.sanitized_count
                 ga, gb = precondition(ga, gb, stats)
-                preconditioned = True
                 if stats.sanitized_count > zeroed:
                     self._log_events(
                         {"step": step, "action": "sanitize", "layer": idx,
@@ -544,10 +542,10 @@ class Trainer:
                         "cond_g": [st.cond[1] for st in self.stats],
                     }
                 )
+                if not self._preconditioned:  # this step preconditioned, with the first inverses
+                    self._preconditioned = True
+                    events.append({"step": step, "action": "precondition"})
             self._log_events(*events)
-        if preconditioned and not self._preconditioned:
-            self._preconditioned = True
-            self._log_events({"step": step, "action": "precondition"})
 
         flat_grad = clipped_flat(grads, config.grad_clip)
         params = self._params
@@ -585,7 +583,7 @@ class Trainer:
             self._emit_telemetry(step)
             if len(self._snapshots) == TELEMETRY_BLOCK:
                 self._flush_telemetry()
-        return StepResult(step=step, loss=loss, task_loss=task_loss)
+        return StepResult(loss=loss, task_loss=task_loss)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -763,7 +761,6 @@ def run_experiment(config: GritConfig, out_dir: str | Path | None = None) -> Run
                 xs, ys = task.sample_batch(trainer.data_rng, config.batch_size, block)
                 for step, batch in enumerate(zip(xs, ys), start):
                     final_task_loss = trainer.train_step(batch, step).task_loss
-            trainer._flush_telemetry()
             if trainer.frozen_weight_hash() != trainer._frozen_hash:
                 raise GritError("frozen base weights changed during training")
             pt_after = task.pt_loss(task.model)

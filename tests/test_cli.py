@@ -472,6 +472,19 @@ class TestAudit:
         assert "incomplete run" in err and "manifest.json" in err
         assert not (out / "audit").exists()
 
+    def test_manifest_value_of_the_wrong_kind_is_a_bad_run(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        path = out / "manifest.json"
+        path.write_text(json.dumps(json.loads(path.read_text()) | {"seed": "abc"}))
+        reason = f"{path}: seed is 'abc', not an integer\n"
+        assert main(["--quiet", "audit", str(out)]) == 1
+        assert capsys.readouterr().err == f"incomplete run: {reason}"
+        assert not (out / "audit").exists()
+        fit = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", str(out), "--out", str(fit)]) == 1
+        assert capsys.readouterr().err == f"bad run dir {out}: {reason}"
+        assert not fit.exists()
+
     def test_plain_list_run_dir_audits_identically(self, tmp_path):
         out = self.run_once(tmp_path)
         main(["--quiet", "audit", str(out), "--out", str(tmp_path / "encoded")])

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,16 @@ class TestPredict:
         path = tmp_path / "fit.json"
         save_fit(fit, path)
         assert load_fit(path) == fit
+
+    @pytest.mark.parametrize(
+        "field, value, kind", [("c0", "abc", "a number"), ("unidentifiable", [1], "a list of strings")]
+    )
+    def test_fit_value_of_the_wrong_kind_is_a_validation_error_naming_it(self, tmp_path, field, value, kind):
+        path = tmp_path / "fit.json"
+        save_fit(ScalingFit(c0=2.0, a_coef=1.0, alpha=0.3, beta=0.5), path)
+        path.write_text(json.dumps(json.loads(path.read_text()) | {field: value}))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {field} is {value!r}, not {kind}")):
+            load_fit(path)
 
     @pytest.mark.parametrize("text", ["{not json", "[2.0]", '{"c0": 2.0, "a_coef": 1.0, "alpha": 0.3}'])
     def test_damaged_fit_document_is_a_validation_error_naming_it(self, tmp_path, text):

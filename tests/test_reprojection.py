@@ -447,6 +447,19 @@ class TestRankRule:
         assert reproject_on(seeded_adapter(rng), stats, cfg, step=9).k == 4
         assert reproject_on(seeded_adapter(rng), stats, cfg, step=10).k == 3
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0], ids=["no_band", "band_everywhere"])
+    @pytest.mark.parametrize("prev_k", [0, -1])
+    def test_previous_k_below_one_is_rejected(self, eps, prev_k):
+        # with eps = 1 every energy lies in the band, which was indexed at prev_k - 1 and wrapped
+        rng = np.random.default_rng(19)
+        stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], rng)
+        cfg = config(rank_adaptation_threshold=0.9, hysteresis_eps=eps)
+        geometry = LayerGeometry.of_each([stats], cfg)[0]
+        with pytest.raises(ValidationError, match=f"prev_k must be at least 1, got {prev_k}"):
+            geometry.rank(10, prev_k=prev_k)
+        with pytest.raises(ValidationError, match="prev_k must be at least 1"):
+            reproject_on(seeded_adapter(rng), stats, cfg, step=10**6, prev_k=prev_k)
+
     @pytest.mark.parametrize("reprojection_k, k", [(9, 4), (0, 1)])
     def test_fixed_k_clamped_to_adapter_rank(self, reprojection_k, k):
         stats = stats_with_spectrum([4.0, 3.0, 2.0, 1.0], np.random.default_rng(17))

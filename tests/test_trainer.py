@@ -1735,11 +1735,33 @@ class TestStreamGroups:
         events = [objs for name, objs in appends if name == "events.jsonl"]
         groups = [[e["action"] for e in objs] for objs in events]
         assert ["accumulate", "invert"] in groups
+        # preconditioning starts with the first inverses, in the first invert step's append
+        first_invert = next(i for i, group in enumerate(groups) if "invert" in group)
+        assert groups[first_invert] == ["accumulate", "invert", "precondition"]
+        assert sum("precondition" in group for group in groups) == 1
         assert ["reproject"] * n_layers in groups or ["reproject_gated"] * n_layers in groups
         for objs in events:
             assert len({e["step"] for e in objs}) == 1
             actions = [e["action"] for e in objs]
-            assert actions in (["accumulate"], ["accumulate", "invert"], ["precondition"], ["sanitize"]) or (
+            assert actions in (
+                ["accumulate"], ["accumulate", "invert"], ["accumulate", "invert", "precondition"], ["sanitize"]
+            ) or (
                 len(actions) == n_layers and set(actions) <= {"reproject", "reproject_gated"}
             )
         assert [e for objs in events for e in objs] == tr.events
+
+    @pytest.mark.parametrize(
+        "seed, overrides",
+        [(0, {}), (1, {}), (2, {}), (0, dict(ng_warmup_steps=100, reprojection_warmup_steps=0))],
+        ids=["criterion8_s0", "criterion8_s1", "criterion8_s2", "ng_warmup_s0"],
+    )
+    def test_preconditioning_starts_in_the_first_invert_step(self, tmp_path, seed, overrides):
+        """That step accumulates and makes every layer's first inverses, so it is the first that preconditions."""
+        config = GritConfig(
+            **{**TestTelemetryBlocks.CRITERION8, "seed": seed, "steps": 500, "telemetry_every": 100, **overrides}
+        )
+        run_experiment(config, tmp_path)
+        events = read_jsonl(tmp_path / "events.jsonl")
+        first = next(i for i, event in enumerate(events) if event["action"] == "invert")
+        assert events[first + 1] == {"step": events[first]["step"], "action": "precondition"}
+        assert [event["action"] for event in events].count("precondition") == 1
