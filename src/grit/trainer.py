@@ -41,28 +41,28 @@ when it is built. A step writes the new parameters into that vector and the
 update into the next row of a block of UPDATE_BLOCK rows, so nothing is
 concatenated, sliced or bound per step. A factor that reprojection or a
 caller replaced with a new array is copied into the vector and its view
-bound again at the start of the next step, so that step trains from the
-replacing values.
+bound again by the next step, or by a telemetry step that snapshots it first.
 
 The update covariance, each layer's sum of da da^T + db^T db over the steps
-since its last reset, reads the block only when it is folded: when it fills,
-before a reprojection resets a layer's sum, and before a telemetry step
-copies the sums (update_covariances). A fold takes each layer's products of
-all pending steps in one stacked matmul per factor and adds them in step
-order, so each sum rounds as it did added one step at a time.
+since its last reset, reads the block only when it is folded: when it fills
+and before a reprojection resets a layer's sum (update_covariances). A fold
+takes each layer's products of all pending steps in one stacked matmul per
+factor and adds them in step order, so each sum rounds as it did added one
+step at a time.
 
-A telemetry step computes no record: it snapshots copies of what later
-steps write in place (each adapter's factors as the adapter holds them, the
-update covariances) and references to what none writes (the geometries, the
-window, the last two clipped flat gradients), with each layer's last k and
-retained mass. The records of up to TELEMETRY_BLOCK snapshots are computed
-in one pass: in the step that fills the block, when records is read (as
-run_experiment's geometry summary does after the step loop) and on every
-exit from the Trainer. The pass eigendecomposes all their update
-covariances in one stacked call, applies the r_eff rule (at R_EFF_ENERGY)
-to one stack and takes one SVD call per tangent factor shape; the stability
-statistics and the rest go per snapshot in step order. A layer's tail-mass cutoff is 3x the median
-|delta W| of the first telemetry step where that median is not zero.
+A telemetry step computes no record, it only copies: what later steps write
+in place (the flat parameters, the folded update covariances, the pending
+updates), with references to the rest (geometries, window, last two clipped
+flat gradients) and each layer's last k and retained mass. The records of up
+to TELEMETRY_BLOCK snapshots are computed in one pass: in the step that fills
+the block, when records is read (as run_experiment's geometry summary does)
+and on every exit from the Trainer. The pass folds each snapshot's pending
+updates onto its covariances as a fold does (one stacked matmul per factor
+for the whole block), eigendecomposes them all in one stacked call, applies
+the r_eff rule (at R_EFF_ENERGY) to one stack and takes one SVD call per
+tangent factor shape, reading factors as views of each parameter copy; the
+rest goes per snapshot in step order. A layer's tail-mass cutoff is 3x the
+median |delta W| of the first telemetry step where that median is not zero.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -270,8 +270,9 @@ class TelemetrySnapshot:
     """What one telemetry step's records read: copies of what later steps write, references to the rest."""
 
     step: int
-    adapters: list[AdapterPair]  # with copies of the factors
-    update_cov: np.ndarray  # a copy of update_covariances()
+    params: np.ndarray  # a copy of the flat parameters, each factor a column range
+    update_cov: np.ndarray  # a copy of the folded update covariances, before the pending updates
+    pending: np.ndarray  # a copy of the pending flat updates, oldest first
     geometries: list[LayerGeometry] | None
     window: tuple[tuple[np.ndarray, np.ndarray], ...]
     grads: tuple[np.ndarray | None, np.ndarray | None]
@@ -450,27 +451,29 @@ class Trainer:
                 view[...] = factor
                 setattr(adapter, name, view)
 
-    def _fold_updates(self) -> None:
-        """Add the pending updates' da da^T + db^T db to each layer's update covariance, in step order."""
-        n = self._pending
-        if n == 0:
-            return
-        block = self._updates[:n]
+    def _update_products(self, updates: np.ndarray) -> np.ndarray:
+        """Each flat update's da da^T + db^T db per layer (updates x layers x r x r), one stacked matmul per factor."""
+        n = len(updates)
         products = np.empty((n, *self._update_cov.shape))
         for idx, ((a_cols, b_cols), (a, b)) in enumerate(zip(self._layer_columns, self._factors)):
-            delta_a = block[:, a_cols].reshape(n, *a.shape)
-            delta_b = block[:, b_cols].reshape(n, *b.shape)
+            delta_a = updates[:, a_cols].reshape(n, *a.shape)
+            delta_b = updates[:, b_cols].reshape(n, *b.shape)
             np.add(
                 delta_a @ delta_a.transpose(0, 2, 1),
                 delta_b.transpose(0, 2, 1) @ delta_b,
                 out=products[:, idx],
             )
-        for step_products in products:
-            self._update_cov += step_products
-        self._pending = 0
+        return products
+
+    def _fold_updates(self) -> None:
+        """Add the pending updates' products to each layer's update covariance, in step order."""
+        if self._pending:
+            for step_products in self._update_products(self._updates[: self._pending]):
+                self._update_cov += step_products
+            self._pending = 0
 
     def update_covariances(self) -> np.ndarray:
-        """Every layer's update covariance (layers x r x r), the pending updates folded in first."""
+        """Every layer's update covariance (layers x r x r), the pending updates folded in first (not by telemetry)."""
         self._fold_updates()
         return self._update_cov
 
@@ -588,12 +591,14 @@ class Trainer:
     # -- telemetry ---------------------------------------------------------
 
     def _emit_telemetry(self, step: int) -> None:
-        """Take the snapshot this step's records are computed from (see _flush_telemetry)."""
+        """Snapshot what this step's records read (see _flush_telemetry), factors reprojected in it bound first."""
+        self._bind_factors(self.model.adapters())
         self._snapshots.append(
             TelemetrySnapshot(
                 step=step,
-                adapters=[replace(ad, a=ad.a.copy(), b=ad.b.copy()) for ad in self.model.adapters()],
-                update_cov=self.update_covariances().copy(),
+                params=self._params.copy(),
+                update_cov=self._update_cov.copy(),
+                pending=self._updates[: self._pending].copy(),
                 geometries=self._geometries,
                 window=tuple(self._window),
                 grads=self._grads,
@@ -613,12 +618,22 @@ class Trainer:
             return
         curvature = self.task.pt_curvature()
         n_layers = len(self.monitors)
+        update_covs = np.array([snap.update_cov for snap in snapshots])  # snapshots x layers x r x r
+        products = iter(self._update_products(np.concatenate([snap.pending for snap in snapshots])))
+        for cov, snap in zip(update_covs, snapshots):  # each snapshot's pending updates, added as a fold adds them
+            for _ in snap.pending:
+                cov += next(products)
         update_decomps = sym_eig_stack(
-            np.concatenate([snap.update_cov for snap in snapshots]),
+            update_covs.reshape(-1, *update_covs.shape[2:]),
             [f"update covariance of layer {idx} at step {snap.step}" for snap in snapshots for idx in range(n_layers)],
         )
         r_effs = effective_ranks(np.array([decomp.eigenvalues for decomp in update_decomps]), R_EFF_ENERGY)
-        bases = adapter_subspace_bases([adapter for snap in snapshots for adapter in snap.adapters])
+        layout = list(zip(self.model.adapters(), self._layer_columns, self._factors))
+        adapters = [  # each snapshot's adapters, with views of its parameter copy
+            AdapterPair(snap.params[ac].reshape(a.shape), snap.params[bc].reshape(b.shape), ad.rank, ad.scaling)
+            for snap in snapshots for ad, (ac, bc), (a, b) in layout
+        ]
+        bases = adapter_subspace_bases(adapters)
         records, lines = [], []
         for s, snap in enumerate(snapshots):
             row = s * n_layers  # the snapshot's first layer in the stacked results
@@ -629,7 +644,7 @@ class Trainer:
                     np.stack(covs, axis=1), [k for k, _ in snap.monitors], np.stack(spectra, axis=1)
                 )
             grad, prev_grad = snap.grads
-            layers = zip(snap.adapters, self.monitors, snap.monitors)
+            layers = zip(adapters[row : row + n_layers], self.monitors, snap.monitors)
             for idx, (adapter, monitor, (last_k, last_pi)) in enumerate(layers):
                 r_eff = int(r_effs[row + idx])
                 update_decomp = update_decomps[row + idx]

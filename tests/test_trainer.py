@@ -172,13 +172,17 @@ class TestFlatParameters:
             assert bound.a.tobytes() == fresh.a.tobytes()
             assert bound.b.tobytes() == fresh.b.tobytes()
 
-    def test_reprojected_factors_are_bound_again_and_trained(self):
-        tr, task, cfg = make_trainer(mode="grit", steps=22)
+    @pytest.mark.parametrize("telemetry_every", [0, 20])
+    def test_reprojected_factors_are_bound_again_and_trained(self, telemetry_every):
+        tr, task, cfg = make_trainer(mode="grit", steps=22, telemetry_every=telemetry_every)
         for step in range(21):
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
         assert any(e["action"] == "reproject" and e["step"] == 20 for e in tr.events)
         replaced = [f for _, adapter in tr.model.layers for f in (adapter.a, adapter.b)]
-        assert not any(np.shares_memory(f, tr._params) for f in replaced)
+        if telemetry_every:  # the telemetry step binds them for its snapshot
+            self.assert_bound(tr)
+        else:  # the next step binds them
+            assert not any(np.shares_memory(f, tr._params) for f in replaced)
         expected = np.concatenate([f.ravel() for f in replaced])
         seen = []
         optimizer_step = tr.optimizer.step
@@ -1466,17 +1470,16 @@ class TestUpdateFold:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_the_per_step_sum_at_every_read(self, monkeypatch, case):
-        reads = []  # (step, the covariances a telemetry snapshot copied)
-        current = {}
-        update_covariances = trainer_module.Trainer.update_covariances
+        reads = []  # (step, the update covariances the telemetry pass computed for that step's snapshot)
+        sym_eig_stack_ = trainer_module.sym_eig_stack
 
-        def recording_read(self):
-            covs = update_covariances(self)
-            if sys._getframe(1).f_code.co_name == "_emit_telemetry":
-                reads.append((current["step"], covs.copy()))
-            return covs
+        def recording_decomps(mats, labels):
+            n_layers = len(tr.monitors)
+            for start in range(0, len(mats), n_layers):
+                reads.append((int(labels[start].rsplit(" ", 1)[1]), mats[start : start + n_layers].copy()))
+            return sym_eig_stack_(mats, labels)
 
-        monkeypatch.setattr(trainer_module.Trainer, "update_covariances", recording_read)
+        monkeypatch.setattr(trainer_module, "sym_eig_stack", recording_decomps)
         tr, task, cfg = make_trainer(
             mode="grit", steps=70, reprojection_warmup_steps=24, **self.CASES[case]
         )
@@ -1493,7 +1496,6 @@ class TestUpdateFold:
         expected_reads = []
         folded = resets = 0
         for step in range(cfg.steps):
-            current["step"] = step
             tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
             start = 0
             for idx, (a_shape, b_shape) in enumerate(shapes):
@@ -1509,10 +1511,11 @@ class TestUpdateFold:
                 if event["action"] == "reproject" and event["step"] == step:
                     reference[event["layer"]] = 0.0
                     resets += 1
-            if tr._pending == 0:  # just folded: at a block's end, a reset or a read
+            if tr._pending == 0:  # just folded: at a block's end or a reset
                 assert tr._update_cov.tobytes() == reference.tobytes()
                 folded += 1
         assert resets > 0 and folded > 0
+        tr.records  # the snapshots still pending
         assert len(reads) == len(expected_reads)
         for (step, got), (want_step, want) in zip(reads, expected_reads):
             assert step == want_step and got.tobytes() == want.tobytes()
@@ -1546,9 +1549,12 @@ class TestTelemetryBlocks:
             run_loop(tr, task, cfg)
         return tr
 
-    @pytest.mark.parametrize("case", ["criterion8", "two_layer"])
+    # telemetry every 7 steps and reprojection every 12: snapshots taken mid-block, with resets between them
+    MID_BLOCK = dict(TWO_LAYER, telemetry_every=7, reprojection_freq=12)
+
+    @pytest.mark.parametrize("case", ["criterion8", "two_layer", "two_layer_mid_block"])
     def test_block_size_leaves_the_bytes(self, tmp_path, monkeypatch, case):
-        overrides = self.CRITERION8 if case == "criterion8" else self.TWO_LAYER
+        overrides = {"criterion8": self.CRITERION8, "two_layer": self.TWO_LAYER}.get(case, self.MID_BLOCK)
         outputs = []
         for block in (1, 3, 16):  # block 1 computes each telemetry step's records in its own step
             monkeypatch.setattr(trainer_module, "TELEMETRY_BLOCK", block)
@@ -1559,11 +1565,57 @@ class TestTelemetryBlocks:
             )
         # telemetry steps fall on accumulations and applied reprojections
         assert {"accumulate", "reproject"} <= {e["action"] for e in tr.events}
-        assert len(tr.records) == 120 * len(tr.monitors)
+        assert len(tr.records) == len(range(0, 120, tr.config.telemetry_every)) * len(tr.monitors)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_a_telemetry_step_only_copies(self, monkeypatch):
+        constructed = []
+        post_init = AdapterPair.__post_init__
+
+        def counting_post_init(adapter):
+            constructed.append(adapter)
+            post_init(adapter)
+
+        emit = trainer_module.Trainer._emit_telemetry
+        seen = []  # per telemetry step: the pending count and covariances before and after, and AdapterPairs built
+
+        def checked(self, step):
+            before = (self._pending, self._update_cov.tobytes())
+            constructed.clear()
+            emit(self, step)
+            seen.append((before, (self._pending, self._update_cov.tobytes()), len(constructed)))
+
+        monkeypatch.setattr(AdapterPair, "__post_init__", counting_post_init)
+        monkeypatch.setattr(trainer_module.Trainer, "_emit_telemetry", checked)
+        tr, task, cfg = make_trainer(**self.MID_BLOCK, steps=60)
+        run_loop(tr, task, cfg)
+        assert any(before[0] > 0 for before, _, _ in seen)  # snapshots with updates pending
+        assert all(after == before and built == 0 for before, after, built in seen)
+
+    def test_a_block_holds_a_bounded_number_of_pending_updates(self, monkeypatch):
+        held = []  # after each telemetry step: the pending updates of its snapshot, and of every pending one
+        emit = trainer_module.Trainer._emit_telemetry
+
+        def counting(self, step):
+            emit(self, step)
+            held.append((len(self._snapshots[-1].pending), sum(len(snap.pending) for snap in self._snapshots)))
+
+        monkeypatch.setattr(trainer_module.Trainer, "_emit_telemetry", counting)
+        tr, task, cfg = make_trainer(**self.TWO_LAYER, steps=60, telemetry_every=1)
+        run_loop(tr, task, cfg)
+        own, block = zip(*held)
+        assert max(own) == trainer_module.UPDATE_BLOCK - 1
+        assert max(block) <= trainer_module.TELEMETRY_BLOCK * (trainer_module.UPDATE_BLOCK - 1)
 
     def test_a_reprojection_step_records_the_reprojected_update(self, tmp_path):
         tr, task, cfg = make_trainer(run_dir=tmp_path, telemetry_every=20, reprojection_freq=20, steps=60)
+        trained = []  # the optimizer's new parameters, which reprojection replaces
+
+        def recording_step(params, grads, _step=tr.optimizer.step):
+            trained.append(_step(params, grads))
+            return trained[-1]
+
+        tr.optimizer.step = recording_step
         expected, stale = [], []
         with tr:
             for step in range(cfg.steps):
@@ -1571,7 +1623,9 @@ class TestTelemetryBlocks:
                 if step % cfg.telemetry_every == 0:
                     (_, adapter), = tr.model.layers
                     expected.append(adapter.scaling * (adapter.b @ adapter.a).ravel())
-                    a, b = tr._factors[0]  # the flat vector's values, which the next step binds again
+                    a_cols, b_cols = tr._layer_columns[0]
+                    a = trained[-1][a_cols].reshape(adapter.a.shape)
+                    b = trained[-1][b_cols].reshape(adapter.b.shape)
                     stale.append(adapter.scaling * (b @ a).ravel())
         reprojected = {e["step"] for e in tr.events if e["action"] == "reproject"}
         assert reprojected & {20, 40}
