@@ -23,6 +23,7 @@ from grit.runio import read_record
 from grit.telemetry import covariance_variance, effective_rank, xi_multiplier
 from grit.tasks import build_task
 from grit.trainer import Trainer, run_experiment, seed_stream
+from conftest import study
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -215,22 +216,6 @@ def test_criterion_07_dynamic_rank_concentration():
     )
 
 
-FORGETTING_TASK = (
-    "two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)"
-)
-
-
-def _forgetting_config(mode: str, seed: int) -> GritConfig:
-    return GritConfig(
-        task=FORGETTING_TASK, steps=500, seed=seed, mode=mode,
-        reprojection_freq=40, reprojection_warmup_steps=80, ng_warmup_steps=0,
-        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
-        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8,
-        use_two_sided=True, kfac_damping=0.1, lambda_r=0.02,
-        learning_rate=0.02, telemetry_every=100,
-    )
-
-
 def test_criterion_08_forgetting_reduction():
     start = time.time()
     seeds = range(9)
@@ -238,8 +223,8 @@ def test_criterion_08_forgetting_reduction():
     grit_exposure, ctrl_exposure = [], []
     quad_ratios = []
     for seed in seeds:
-        rec_g = run_experiment(_forgetting_config("grit", seed))
-        rec_c = run_experiment(_forgetting_config("lora_control", seed))
+        rec_g = run_experiment(study.study_config("grit", seed))
+        rec_c = run_experiment(study.study_config("lora_control", seed))
         grit_drift.append(rec_g.delta_pt_loss)
         ctrl_drift.append(rec_c.delta_pt_loss)
         grit_exposure.append(rec_g.geometry_summary.curvature_exposure)
@@ -261,10 +246,10 @@ def test_criterion_08_forgetting_reduction():
 def test_criterion_08b_quadratic_estimator_route():
     # dual route for the drift estimate: spectral sum (the public estimator)
     # against the direct quadratic form stored in the run record
-    cfg = _forgetting_config("grit", seed=0)
+    cfg = study.study_config("grit", seed=0)
     task = build_task(
-        FORGETTING_TASK, rank=cfg.lora_rank, alpha=cfg.lora_alpha, eval_size=cfg.eval_size,
-        model_rng=seed_stream(0, "model"), data_rng=seed_stream(0, "task-data"),
+        cfg.task, rank=cfg.lora_rank, alpha=cfg.lora_alpha, eval_size=cfg.eval_size,
+        model_rng=seed_stream(cfg.seed, "model"), data_rng=seed_stream(cfg.seed, "task-data"),
     )
     trainer = Trainer(cfg, task)
     for step in range(cfg.steps):

@@ -1,22 +1,12 @@
 """scripts/bench_pairs.py's verdicts, on synthetic pairs; no benchmark is run."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, load_script
 
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_pairs = load_script()
+bench_pairs = load_script("bench_pairs")
 RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
 HITS = {"name": "hits", "unit": "count", "better": "higher", "bound": 0.1}
 

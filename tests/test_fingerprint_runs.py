@@ -1,9 +1,7 @@
 """scripts/fingerprint_runs.py, the byte-identity gate, on tiny fake run directories."""
 
 import dataclasses
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,22 +9,9 @@ import pytest
 
 from grit.config import GritConfig
 from grit.runio import encode_array
+from conftest import load_script
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script():
-    sys.path.insert(0, str(SCRIPTS))  # the script imports study from its own directory
-    try:
-        spec = importlib.util.spec_from_file_location("fingerprint_runs", SCRIPTS / "fingerprint_runs.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(SCRIPTS))
-    return module
-
-
-fingerprint_runs = load_script()
+fingerprint_runs = load_script("fingerprint_runs")
 RUN = next(iter(fingerprint_runs.RUNS))
 
 

@@ -11,20 +11,15 @@ allowed only where a boundary patches that name in that module.
 """
 
 import ast
-import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SPANS_PATH = PERFBENCH / "spans.py"
+from conftest import PERFBENCH, ROOT, load_module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_spans", PERFBENCH / "spans.py")
 
 
 def test_every_boundary_patch_point_resolves():
@@ -75,7 +70,7 @@ def test_every_unused_import_is_a_patch_point():
     When a span is dropped from BOUNDARIES, this names the import that was kept for it, to be deleted.
     """
     patched = {(module_path, attr) for _, module_path, owner, attr, _ in load_spans().BOUNDARIES if owner is None}
-    package = Path(__file__).resolve().parents[1] / "src" / "grit"
+    package = ROOT / "src" / "grit"
     unused = {(f"grit.{path.stem}", name) for path in package.glob("*.py") for name in unused_imports(path)}
     stale = sorted(unused - patched - REEXPORTS)
     assert stale == [], f"imported, never used and patched by no span there, so delete: {stale}"

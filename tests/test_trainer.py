@@ -32,12 +32,13 @@ from grit.trainer import (
     seed_stream,
 )
 from grit.tasks import build_task
+from conftest import study
 
 
 TASK = "synthetic_lowrank(d=10, r_true=2, noise=0.05)"
 
 
-def make_trainer(run_dir=None, **kw):
+def make_config(**kw):
     defaults = dict(
         task=TASK, steps=60, seed=0, lora_rank=4, min_lora_rank=2,
         kfac_update_freq=5, kfac_min_samples=16, reprojection_freq=20,
@@ -45,7 +46,15 @@ def make_trainer(run_dir=None, **kw):
         batch_size=8, eval_size=64,
     )
     defaults.update(kw)
-    config = GritConfig(**defaults)
+    return GritConfig(**defaults)
+
+
+def make_trainer(run_dir=None, **kw):
+    return trainer_for(make_config(**kw), run_dir)
+
+
+def trainer_for(config, run_dir=None):
+    """A Trainer on config's task, built as run_experiment builds it: (trainer, task, config)."""
     task = build_task(
         config.task, rank=config.lora_rank, alpha=config.lora_alpha,
         eval_size=config.eval_size,
@@ -751,13 +760,7 @@ def test_criterion8_grit_run_ranks_each_accumulation_in_one_call(monkeypatch):
     monkeypatch.setattr(reprojection_module, "prefix_energies", counting)
     for owner in (reprojection_module, trainer_module):
         monkeypatch.setattr(owner, "select_rank", lambda *args: selects.append(args))
-    cfg = GritConfig(
-        task="two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)",
-        steps=500, seed=0, mode="grit", reprojection_freq=40, reprojection_warmup_steps=80,
-        ng_warmup_steps=0, kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64,
-        min_lora_rank=2, rank_adaptation_threshold=0.85, lora_rank=8, use_two_sided=True,
-        kfac_damping=0.1, lambda_r=0.02, learning_rate=0.02, telemetry_every=100,
-    )
+    cfg = study.study_config("grit", 0)
     run_experiment(cfg)
     ranked = [shape for caller, shape in calls if caller == "of_each"]
     assert ranked == [(2, 8)] * (cfg.steps // cfg.kfac_update_freq)  # two layers, rank 8
@@ -1534,31 +1537,26 @@ class TestUpdateFold:
 class TestTelemetryBlocks:
     """A telemetry step snapshots what its records read; a block of snapshots is computed in one pass."""
 
-    CRITERION8 = dict(
-        task="two_task_forgetting(d=12, hidden=12, pretrain_steps=100, ft_noise=0.25, delta_scale=0.2)",
-        seed=0, mode="grit", reprojection_freq=40, reprojection_warmup_steps=80, ng_warmup_steps=0,
-        kfac_update_freq=5, kfac_min_samples=64, g_gate_min_samples=64, min_lora_rank=2,
-        rank_adaptation_threshold=0.85, lora_rank=8, use_two_sided=True, kfac_damping=0.1,
-        lambda_r=0.02, learning_rate=0.02,
-    )
     TWO_LAYER = dict(task="two_task_forgetting(d=10, hidden=6)", mode="grit", reprojection_warmup_steps=24)
-
-    def run(self, run_dir, steps=120, telemetry_every=1, **overrides):
-        tr, task, cfg = make_trainer(run_dir=run_dir, steps=steps, telemetry_every=telemetry_every, **overrides)
-        with tr:
-            run_loop(tr, task, cfg)
-        return tr
-
     # telemetry every 7 steps and reprojection every 12: snapshots taken mid-block, with resets between them
     MID_BLOCK = dict(TWO_LAYER, telemetry_every=7, reprojection_freq=12)
 
-    @pytest.mark.parametrize("case", ["criterion8", "two_layer", "two_layer_mid_block"])
-    def test_block_size_leaves_the_bytes(self, tmp_path, monkeypatch, case):
-        overrides = {"criterion8": self.CRITERION8, "two_layer": self.TWO_LAYER}.get(case, self.MID_BLOCK)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            study.study_config("grit", 0, steps=120, telemetry_every=1),
+            make_config(steps=120, telemetry_every=1, **TWO_LAYER),
+            make_config(steps=120, **MID_BLOCK),
+        ],
+        ids=["criterion8", "two_layer", "two_layer_mid_block"],
+    )
+    def test_block_size_leaves_the_bytes(self, tmp_path, monkeypatch, config):
         outputs = []
         for block in (1, 3, 16):  # block 1 computes each telemetry step's records in its own step
             monkeypatch.setattr(trainer_module, "TELEMETRY_BLOCK", block)
-            tr = self.run(tmp_path / f"block{block}", **overrides)
+            tr, task, cfg = trainer_for(config, tmp_path / f"block{block}")
+            with tr:
+                run_loop(tr, task, cfg)
             outputs.append(
                 [(tmp_path / f"block{block}" / name).read_bytes() for name in ("telemetry.jsonl", "updates.jsonl")]
                 + [repr(tr.records)]
@@ -1811,10 +1809,7 @@ class TestStreamGroups:
     )
     def test_preconditioning_starts_in_the_first_invert_step(self, tmp_path, seed, overrides):
         """That step accumulates and makes every layer's first inverses, so it is the first that preconditions."""
-        config = GritConfig(
-            **{**TestTelemetryBlocks.CRITERION8, "seed": seed, "steps": 500, "telemetry_every": 100, **overrides}
-        )
-        run_experiment(config, tmp_path)
+        run_experiment(study.study_config("grit", seed, **overrides), tmp_path)
         events = read_jsonl(tmp_path / "events.jsonl")
         first = next(i for i, event in enumerate(events) if event["action"] == "invert")
         assert events[first + 1] == {"step": events[first]["step"], "action": "precondition"}
