@@ -43,8 +43,12 @@ gate that opens at step 200 (with batches of 12 and a gradient clip of
 reprojection, the lambda_k curvature penalty, and a natural-gradient warmup
 of 100 steps with no reprojection warmup, the one run that reprojects
 before its statistics hold a sample (its steps 0, 40 and 80 log the
-no-samples gate). One more control run starts its base off the teacher
-(init_jitter = 0.05), so its 20 pretraining steps move the weights. One
+no-samples gate). One grit run sets kfac_min_samples above the run's
+samples, so it accumulates statistics but never inverts or preconditions:
+the byte-identity reference for a grit run with an identity preconditioner
+(tests/test_trainer.py holds the two equal). One more control run starts
+its base off the teacher (init_jitter = 0.05), so its 20 pretraining steps
+move the weights. One
 grit run has telemetry every 7 steps and reprojection every 12 from step
 24, off the trainer's block of 8 updates, so the update covariance is read
 and reset with updates pending in the middle of a block. One grit run takes
@@ -118,6 +122,8 @@ RUNS = {
     "grit-curvature-penalty-s0": study_config("grit", 0, lambda_k=1.0),
     # reprojects at steps 0, 40 and 80, before the first accumulation at step 100
     "grit-ng-warmup-s0": study_config("grit", 0, ng_warmup_steps=100, reprojection_warmup_steps=0),
+    # a sample gate above the run's samples: statistics accumulate but no inverse is ever made
+    "grit-no-inverses-s0": study_config("grit", 0, kfac_min_samples=10**9),
     "control-jitter-s0": dataclasses.replace(
         study_config("lora_control", 0),
         task="two_task_forgetting(d=12, hidden=12, pretrain_steps=20, init_jitter=0.05, "

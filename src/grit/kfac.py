@@ -11,7 +11,9 @@ keeps, so no covariance is factored a second time; lambda climbs the
 damping ladder until the shifted spectrum is positive, and the rung and
 condition number of each inverse are kept for the invert event. Nothing
 clears the statistics, so once a layer's inverses are ready they stay
-ready for the rest of the run.
+ready for the rest of the run. The step calls accumulate, refresh_inverses
+and precondition by their names in grit.trainer, looked up per call: that
+is the seam where a harness substitutes another preconditioner.
 Which Kronecker factorization of the Fisher block this pairing
 approximates is ROADMAP item 6's question. It finds this pairing swapped:
 for y = W0 x + s b a x the a factor's rank-space factor is g_cov (its
@@ -70,6 +72,8 @@ def accumulate(stats: RankSpaceStats, tape: LayerTape, adapter: AdapterPair) -> 
     """
     if tape.x is None or tape.dy is None:
         raise ShapeError("tape not populated; run forward and backward first")
+    if tape.x.shape[0] == 0:  # its second moment would be 0 / 0
+        raise ShapeError("empty batch: the tape holds no rows")
     if adapter.rank != stats.rank:
         raise ShapeError(
             f"stats rank {stats.rank} does not match adapter rank {adapter.rank}"

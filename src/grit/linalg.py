@@ -108,8 +108,8 @@ def damped_inverse(decomp: SpectralDecomp, damping: float) -> tuple[np.ndarray, 
     condition number of the shifted matrix). Raises SingularMatrixError
     with the final multiplier if all six rungs fail.
     """
-    if damping < 0.0:
-        raise ValueError("damping must be non-negative")
+    if not 0.0 <= damping < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"damping must be a finite non-negative number, got {damping!r}")
     eigs = decomp.eigenvalues
     for mult in DAMPING_LADDER:
         shift = mult * damping
@@ -141,8 +141,8 @@ def damped_solve(
     where multiplier is the ladder rung used. Raises SingularMatrixError with
     the final multiplier if all six rungs fail.
     """
-    if damping < 0.0:
-        raise ValueError("damping must be non-negative")
+    if not 0.0 <= damping < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"damping must be a finite non-negative number, got {damping!r}")
     m = symmetrize(m)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != m.shape[0]:

@@ -12,11 +12,11 @@ Layout of a completed run directory:
     record.json      RunRecord summary
     audit/           the CSVs of `grit audit` (AUDIT_CSVS), once it has run
 
-events.jsonl logs preconditioning once, with a "precondition" event after
-the first "invert" event, in the step that preconditions first; nothing
-clears the statistics, so it never stops. A "sanitize" event {step, layer,
-count} marks a layer whose preconditioned gradient had count non-finite
-entries, which were zeroed.
+events.jsonl logs preconditioning once: Trainer._accumulate puts a
+"precondition" event after the "invert" event of the step that makes the
+last layer's first inverses; nothing clears the statistics, so it never
+stops. A "sanitize" event {step, layer, count} marks a layer whose
+preconditioned gradient had count non-finite entries, which were zeroed.
 
 Every stored document (record, manifest, law fit, telemetry line) is built
 by from_document, which checks each value's JSON kind, and read_record

@@ -28,12 +28,15 @@ the telemetry the decompositions and the geometry's side. The stability
 window is the trainer's own: for each of the last COV_WINDOW accumulations,
 a copy of every layer's a_cov and their eigenvalues, so no geometry
 outlives its accumulation and no later write into the statistics reaches
-the window. Each invert event carries every layer's damping ladder rungs
-and condition numbers. Preconditioning starts in the step of the first
-invert event, which makes every layer's first inverses (the layers share
-one sample count), and never stops; a "precondition" event follows that
-invert event. A layer whose preconditioned gradient had non-finite entries,
-which precondition zeroes, gets a "sanitize" event.
+the window. _accumulate makes the step's events: "accumulate"; "invert"
+(every layer's damping ladder rungs and condition numbers) when every
+layer refreshed; and "precondition" when some layer was not ready before.
+A layer preconditions once its inverses are ready and never stops; one
+whose preconditioned gradient had non-finite entries, which precondition
+zeroes, gets a "sanitize" event. The preconditioner is the step's calls of
+accumulate, refresh_inverses and precondition, looked up in this module per
+call: a harness substitutes them here (an identity or exact-Fisher arm),
+and perfbench's spans and criterion 1 pin the names.
 
 The Trainer keeps every adapter factor in one flat float64 vector, the
 optimizer's parameters, and binds each adapter's a and b to a view of it
@@ -338,8 +341,6 @@ class Trainer:
         # and their eigenvalues (layers x r), for the stability statistics
         self._window: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=COV_WINDOW)
         self.events: list[dict] = []
-        # whether a step has preconditioned; events log the first one
-        self._preconditioned = False
         self._records: list[GeometryRecord] = []
         # the telemetry steps whose records are not computed yet, oldest first
         self._snapshots: list[TelemetrySnapshot] = []
@@ -405,16 +406,15 @@ class Trainer:
         """Layer idx's geometry from the latest accumulation; None before the first accumulation."""
         return self._geometries[idx] if self._geometries is not None else None
 
-    def _accumulate(self, step: int) -> list[bool]:
-        """Fold this step's batch into every layer's statistics and refresh their inverses.
+    def _accumulate(self, step: int) -> list[dict]:
+        """Fold this step's batch into every layer's statistics and refresh their inverses; the step's events.
 
         The new covariances go to stats.jsonl in one append and are
         eigendecomposed in one stacked call; each layer's geometry is built
         from its two decompositions and gives the damped inverses their
         spectra, and a copy of every a_cov joins the stability window with
-        its eigenvalues. Returns, per layer, whether the inverses
-        were refreshed (false while the sample gate is unmet); every layer
-        refreshes, even after one that is not ready yet.
+        its eigenvalues. Every layer refreshes, even after one whose sample
+        gate is unmet; readiness is read over all layers.
         """
         for idx, stats in enumerate(self.stats):
             accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
@@ -432,10 +432,20 @@ class Trainer:
                 np.array([geometry.decomp_a.eigenvalues for geometry in geometries]),
             )
         )
-        return [
+        was_ready = all(stats.inv_ready for stats in self.stats)
+        refreshed = [
             refresh_inverses(stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g))
             for stats, geometry in zip(self.stats, geometries)
         ]
+        events = [{"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov}]
+        if all(refreshed):
+            events.append(
+                {"step": step, "action": "invert", "rung": [list(stats.rung) for stats in self.stats],
+                 "cond_a": [stats.cond[0] for stats in self.stats], "cond_g": [stats.cond[1] for stats in self.stats]}
+            )
+            if not was_ready:
+                events.append({"step": step, "action": "precondition"})
+        return events
 
     def _bind_factors(self, adapters) -> None:
         """Copy each factor replaced since the last step into the flat vector and bind its view again."""
@@ -494,12 +504,10 @@ class Trainer:
         self.model.backward(loss_grad)
 
         ramp = regularizer_ramp(step, config.reprojection_warmup_steps)
-        geometry_on = self.is_grit and step >= config.ng_warmup_steps
-        accumulating = geometry_on and step % config.kfac_update_freq == 0
+        accumulating = self.is_grit and step >= config.ng_warmup_steps and step % config.kfac_update_freq == 0
         # the lambda_r penalty reads the geometries of the statistics the step started with (none in lora_control)
         geometries = self._geometries if config.lambda_r > 0.0 else None
-        if accumulating:
-            refreshed = self._accumulate(step)
+        events = self._accumulate(step) if accumulating else []
         grads = []
         for idx, (tape, adapter) in enumerate(zip(self.model.tapes, adapters)):
             stats = self.stats[idx]
@@ -521,7 +529,7 @@ class Trainer:
                 rgb *= weight
                 rgb += gb
                 ga, gb = rga, rgb
-            if geometry_on and stats.inv_ready:
+            if stats.inv_ready:
                 zeroed = stats.sanitized_count
                 ga, gb = precondition(ga, gb, stats)
                 if stats.sanitized_count > zeroed:
@@ -533,21 +541,7 @@ class Trainer:
 
         if not math.isfinite(loss):
             raise GritError(f"non-finite loss at step {step}")
-        if accumulating:
-            events = [{"step": step, "action": "accumulate", "n_cov": self.stats[0].n_cov}]
-            if all(refreshed):
-                events.append(
-                    {
-                        "step": step,
-                        "action": "invert",
-                        "rung": [list(st.rung) for st in self.stats],
-                        "cond_a": [st.cond[0] for st in self.stats],
-                        "cond_g": [st.cond[1] for st in self.stats],
-                    }
-                )
-                if not self._preconditioned:  # this step preconditioned, with the first inverses
-                    self._preconditioned = True
-                    events.append({"step": step, "action": "precondition"})
+        if events:
             self._log_events(*events)
 
         flat_grad = clipped_flat(grads, config.grad_clip)

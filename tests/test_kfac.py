@@ -73,6 +73,20 @@ class TestAccumulate:
         with pytest.raises(ShapeError):
             accumulate(stats, make_tape(np.ones((1, 2)), np.ones((1, 2))), identity_adapter(2))
 
+    @pytest.mark.parametrize("ema_beta", [None, 0.9], ids=["running_mean", "ema"])
+    @pytest.mark.parametrize("seen", [0, 4], ids=["no_samples", "with_samples"])
+    def test_empty_batch_rejected_before_the_statistics_change(self, ema_beta, seen):
+        """Not NaN statistics nor a ZeroDivisionError from the running mean's weights."""
+        adapter = identity_adapter(2)
+        stats = RankSpaceStats(rank=2, damping=1e-3, ema_beta=ema_beta)
+        if seen:
+            accumulate(stats, make_tape(np.ones((seen, 2)), np.ones((seen, 2))), adapter)
+        a_cov, g_cov = stats.a_cov.copy(), stats.g_cov.copy()
+        with pytest.raises(ShapeError, match="empty batch"):
+            accumulate(stats, make_tape(np.zeros((0, 2)), np.zeros((0, 2))), adapter)
+        assert stats.n_cov == seen
+        assert stats.a_cov.tobytes() == a_cov.tobytes() and stats.g_cov.tobytes() == g_cov.tobytes()
+
     def test_g_side_uses_dy_and_b(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4))

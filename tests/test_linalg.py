@@ -327,3 +327,11 @@ class TestDampedInverse:
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
             damped_inverse(sym_eig(np.eye(2)), -1.0)
+
+    @pytest.mark.parametrize("damping", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_damping_rejected_before_the_first_rung(self, damping):
+        """Not an all-NaN solution, a ladder exhaustion or a zero inverse with a RuntimeWarning."""
+        with pytest.raises(ValueError, match="finite non-negative"):
+            damped_inverse(sym_eig(np.eye(2)), damping)
+        with pytest.raises(ValueError, match="finite non-negative"):
+            damped_solve(np.eye(2), damping, np.eye(2))

@@ -373,17 +373,26 @@ class TestGateOrdering:
         assert reprojected(20)
         assert np.all(tr.update_covariances()[0] == 0.0)
 
-    def test_every_layer_refreshes_when_an_earlier_one_is_not_ready(self):
+    @pytest.mark.parametrize("ready", [1, 0], ids=["later_layer_ready", "first_layer_ready"])
+    def test_every_layer_refreshes_when_an_earlier_one_is_not_ready(self, ready):
+        """Readiness is read over all layers: the step that makes the last layer's first inverses preconditions."""
         two_layer = "two_task_forgetting(d=8, hidden=8, pretrain_steps=0)"
         tr, task, cfg = make_trainer(
             mode="grit", task=two_layer, kfac_min_samples=16, batch_size=8, telemetry_every=0
         )
-        # layer 1 has already seen kfac_min_samples samples, layer 0 none
-        tr.stats[1].n_cov = cfg.kfac_min_samples
+        # one layer has already seen kfac_min_samples samples, the other none
+        tr.stats[ready].n_cov = cfg.kfac_min_samples
         tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), 0)
-        assert tr.stats[0].n_cov < cfg.kfac_min_samples and not tr.stats[0].inv_ready
-        assert tr.stats[1].inv_ready
+        other = tr.stats[1 - ready]
+        assert other.n_cov < cfg.kfac_min_samples and not other.inv_ready
+        assert tr.stats[ready].inv_ready
         assert "invert" not in [e["action"] for e in tr.events]
+        # the other layer reaches the gate at the next accumulation, step 5
+        for step in range(1, 6):
+            tr.train_step(task.sample_batch(tr.data_rng, cfg.batch_size), step)
+        actions = [(e["step"], e["action"]) for e in tr.events]
+        assert actions[-3:] == [(5, "accumulate"), (5, "invert"), (5, "precondition")]
+        assert [action for _, action in actions].count("precondition") == 1
 
 
 def a_side_penalty(adapter, stats, k):
@@ -1300,6 +1309,26 @@ class TestPreconditionEvents:
         logged = [e for e in tr.events if e["action"].startswith("precondition")]
         assert logged == [{"step": first, "action": "precondition"}]
         assert read_jsonl(tmp_path / "events.jsonl") == tr.events
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_identity_preconditioner_is_the_run_without_inverses(self, tmp_path, monkeypatch, seed):
+        """The step calls trainer.precondition by that name, and nothing else reads the inverses.
+
+        So an identity there gives the bytes of a sample gate the run never
+        meets, apart from the invert and precondition events.
+        """
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_module, "precondition", lambda ga, gb, stats: (ga, gb))
+            run_experiment(study.study_config("grit", seed), tmp_path / "identity")
+        run_experiment(study.study_config("grit", seed, kfac_min_samples=10**9), tmp_path / "gated")
+        for name in ("checkpoint.json", "stats.jsonl", "telemetry.jsonl", "updates.jsonl", "record.json"):
+            assert (tmp_path / "identity" / name).read_bytes() == (tmp_path / "gated" / name).read_bytes(), name
+        events = {
+            run: (tmp_path / run / "events.jsonl").read_text().splitlines() for run in ("identity", "gated")
+        }
+        kept = [line for line in events["identity"] if json.loads(line)["action"] not in ("invert", "precondition")]
+        assert kept == events["gated"]
+        assert len(kept) < len(events["identity"])  # the identity run did make inverses
 
     def test_zeroed_entries_are_logged_per_layer(self, tmp_path):
         tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=12, telemetry_every=0)
