@@ -12,20 +12,20 @@ the retained subspace are zeroed, not deleted, so they can re-enter later.
 LayerGeometry is a layer's rank-space geometry for one accumulation's
 statistics, made only by the trainer's accumulation through
 LayerGeometry.of_each: one stacked eigendecomposition of every layer's r x r
-covariances, then one prefix_energies call on their clipped a-side spectra
-(the layers x r stack that is the rank's only input), fix each layer's
-decompositions, b-factor side (g_side, side_decomp), spectral k (the
-effective_rank rule at tau, floored at min(min_lora_rank, r)) and, from the
-same energies, its hysteresis band. After that only its memo of each k's
-projectors and complements Q = I - P grows, on first use, until the next
-accumulation. The damped inverses, the lambda_r penalty, reprojection and
-the telemetry all read it. Each rank-space rule lives here once:
-uses_g_side picks the basis side, of_each gives the spectral k (select_rank
-on one spectrum), and LayerGeometry.rank states the rank rule:
-reprojection_k before rank_adaptation_start_step (so a start step past the
-run's steps keeps it throughout), from it on the spectral k, or the
-previous k where the band holds it. The trainer owns the reprojection
-cadence; before the first accumulation there is no geometry, and
+covariances, then one prefix_energies call on their clipped rank_spectra (the
+layers x r stack that is the rank's only input), fix each layer's
+decompositions, b-factor side (g_side, side_decomp), spectrum (its row),
+spectral k (the effective_rank rule at tau, floored at min(min_lora_rank, r))
+and, from the same energies, its hysteresis band. After that only its memo of
+each k's projectors and complements Q = I - P grows, on first use, until the
+next accumulation. The damped inverses, the lambda_r penalty, reprojection
+and the telemetry all read it. Each rank-space rule lives here once:
+rank_spectra picks the rank's input, uses_g_side the basis side, of_each
+gives the spectral k (select_rank on one spectrum), and LayerGeometry.rank
+states the rank rule: reprojection_k before rank_adaptation_start_step (so a
+start step past the run's steps keeps it throughout), from it on the spectral
+k, or the previous k where the band holds it. The trainer owns the
+reprojection cadence; before the first accumulation there is no geometry, and
 reprojection reports the no-samples gate.
 """
 
@@ -93,6 +93,8 @@ def effective_rank(eigenvalues: np.ndarray, eta: float) -> tuple[int, bool]:
         raise ShapeError("eigenvalues must be a non-empty vector")
     if not np.isfinite(eigs).all():
         raise ValidationError("eigenvalues must be finite")
+    if np.isnan(eta):  # no energy compares with it
+        raise ValidationError("the energy threshold must not be NaN")
     return int(effective_ranks(eigs[None], eta)[0]), not (eigs > 0.0).any()
 
 
@@ -121,12 +123,23 @@ def select_rank(eigenvalues: np.ndarray, tau: float, min_rank: int) -> tuple[int
 
     degenerate marks an all-zero spectrum (which falls back to the floor).
     """
-    k, degenerate = effective_rank(eigenvalues, tau)  # which rejects a non-vector or non-finite spectrum
+    k, degenerate = effective_rank(eigenvalues, tau)  # which rejects a non-vector or non-finite spectrum, and a NaN tau
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     # e[i + 1] > e[i] exactly where np.diff(e) > 0, without the difference array
     if (eigs[1:] > eigs[:-1]).any():
         raise ValidationError("eigenvalues must be sorted non-increasing")
-    return max(k, min(min_rank, eigs.size)), degenerate
+    if isinstance(min_rank, bool) or not isinstance(min_rank, (int, np.integer)):
+        raise ValidationError(f"min_rank must be an integer, got {min_rank!r}")
+    return max(k, min(int(min_rank), eigs.size)), degenerate  # a plain int, as JSON takes
+
+
+def rank_spectra(decomps: list[SpectralDecomp]) -> np.ndarray:
+    """The rank's input (layers x r) from sym_eig_stack's list, each layer's a_cov then g_cov decomposition.
+
+    Today a_cov's eigenvalues. of_each looks this name up per call, so a harness substitutes the source
+    here; it returns finite rows, each non-increasing, as select_rank requires.
+    """
+    return np.array([decomp.eigenvalues for decomp in decomps[::2]])
 
 
 def make_projector(decomp: SpectralDecomp, k: int) -> Projector:
@@ -141,8 +154,8 @@ class LayerGeometry:
     """One layer's rank-space geometry for one accumulation's statistics.
 
     Keeps the eigendecomposition of each covariance, the config, g_side
-    (uses_g_side at the accumulation's n_cov), spectral_k, the a-side
-    spectrum's select_rank at rank_adaptation_threshold and min_lora_rank,
+    (uses_g_side at the accumulation's n_cov), spectrum (its row of rank_spectra),
+    spectral_k, its select_rank at rank_adaptation_threshold and min_lora_rank,
     and band[k - 1], whether that spectrum's E(k) is in the hysteresis band.
     Each k's operator set (projectors and complements) is built on first use.
     """
@@ -153,6 +166,7 @@ class LayerGeometry:
     g_side: bool
     spectral_k: int
     band: list[bool]
+    spectrum: np.ndarray
     # k -> (P_a, P_side, Q_a, Q_side)
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -167,7 +181,7 @@ class LayerGeometry:
             [cov for st in stats for cov in (st.a_cov, st.g_cov)],
             [f"{side} of layer {i}" for i in range(len(stats)) for side in ("a_cov", "g_cov")],
         )
-        spectra = np.array([decomp.eigenvalues for decomp in decomps[::2]])
+        spectra = rank_spectra(decomps)
         tau = config.rank_adaptation_threshold
         energies = prefix_energies(np.maximum(spectra, 0.0))  # as effective_ranks reads them
         ks = np.maximum(_ranks_of_energies(energies, tau), min(config.min_lora_rank, spectra.shape[1]))
@@ -175,8 +189,8 @@ class LayerGeometry:
         if config.hysteresis_eps > 0.0:  # a degenerate spectrum's energies are NaN, outside every band
             bands = np.abs(energies - tau) <= config.hysteresis_eps + _ULP_SLACK
         return [  # plain ints, as event JSON takes, and plain bools
-            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), k, band)
-            for i, (st, k, band) in enumerate(zip(stats, ks.tolist(), bands.tolist()))
+            cls(decomps[2 * i], decomps[2 * i + 1], config, uses_g_side(config, st.n_cov), k, band, spectrum)
+            for i, (st, k, band, spectrum) in enumerate(zip(stats, ks.tolist(), bands.tolist(), spectra))
         ]
 
     @property

@@ -24,19 +24,19 @@ operators Q = I - P once per k, so a step's penalty is one matmul per
 factor; the penalty gradient is scaled and the tape gradient added to it in
 place, bitwise ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl
 lines are formatted by runio.stats_line. Reprojection reads the projectors,
-the telemetry the decompositions and the geometry's side. The stability
-window is the trainer's own: for each of the last COV_WINDOW accumulations,
-a copy of every layer's a_cov and their eigenvalues, so no geometry
-outlives its accumulation and no later write into the statistics reaches
-the window. _accumulate makes the step's events: "accumulate"; "invert"
-(every layer's damping ladder rungs and condition numbers) when every
-layer refreshed; and "precondition" when some layer was not ready before.
-A layer preconditions once its inverses are ready and never stops; one
-whose preconditioned gradient had non-finite entries, which precondition
-zeroes, gets a "sanitize" event. The preconditioner is the step's calls of
-accumulate, refresh_inverses and precondition, looked up in this module per
-call: a harness substitutes them here (an identity or exact-Fisher arm),
-and perfbench's spans and criterion 1 pin the names.
+the telemetry the decompositions, the geometry's side and its spectrum (the
+rank's input). The stability window is the trainer's own: for each of the
+last COV_WINDOW accumulations, a copy of every layer's a_cov and their
+eigenvalues, so no geometry outlives its accumulation and no later write
+into the statistics reaches the window. _accumulate makes the step's events:
+"accumulate"; "invert" (every layer's damping ladder rungs and condition
+numbers) when every layer refreshed; and "precondition" when some layer was
+not ready before. A layer preconditions once its inverses are ready and
+never stops; one whose preconditioned gradient had non-finite entries, which
+precondition zeroes, gets a "sanitize" event. The preconditioner is the
+step's calls of accumulate, refresh_inverses and precondition, looked up in
+this module per call: a harness substitutes them here (an identity or
+exact-Fisher arm), and perfbench's spans and criterion 1 pin the names.
 
 The Trainer keeps every adapter factor in one flat float64 vector, the
 optimizer's parameters, and binds each adapter's a and b to a view of it
@@ -644,7 +644,7 @@ class Trainer:
                 update_decomp = update_decomps[row + idx]
                 geometry = snap.geometries[idx] if snap.geometries is not None else None
                 side_decomp = geometry.side_decomp if geometry is not None else None
-                spectrum = geometry.decomp_a.eigenvalues if geometry is not None else np.zeros(adapter.rank)
+                spectrum = geometry.spectrum if geometry is not None else np.zeros(adapter.rank)
 
                 rho = 0.0
                 if side_decomp is not None and np.any(update_decomp.eigenvalues > 0.0):

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ class TestSelectRank:
     def test_inf_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             select_rank(np.array([np.inf, 1.0, 0.5]), tau=0.9, min_rank=2)
+
+    # a NaN threshold compares with no energy, so neither rule may return a rank for it
+    def test_nan_threshold_rejected(self):
+        eigs = np.array([4.0, 2.0, 1.0, 0.5])
+        with pytest.raises(ValidationError, match="NaN"):
+            effective_rank(eigs, np.nan)
+        with pytest.raises(ValidationError, match="NaN"):
+            select_rank(eigs, np.nan, 2)
+
+    @pytest.mark.parametrize("min_rank", [2.5, 2.0, True, "2", None])
+    def test_non_integer_floor_rejected(self, min_rank):
+        with pytest.raises(ValidationError, match="integer"):
+            select_rank(np.array([4.0, 2.0, 1.0, 0.5]), 0.5, min_rank)
+
+    @pytest.mark.parametrize("min_rank", [2, np.int64(2), np.int32(3)])
+    def test_rank_is_a_plain_int(self, min_rank):
+        k, degenerate = select_rank(np.array([4.0, 2.0, 1.0, 0.5]), 0.5, min_rank)
+        assert type(k) is int and k == int(min_rank)
+        assert json.dumps([k, degenerate]) == f"[{k}, false]"
 
     def test_prefix_within_ulps_of_tau_reaches_it(self):
         # the first two eigenvalues hold 0.7 of the energy up to a few ulps
@@ -429,7 +449,7 @@ class TestLayerGeometry:
             for floor in range(1, r + 3):
                 cfg = config(rank_adaptation_threshold=tau, min_lora_rank=floor)
                 for g in LayerGeometry.of_each(stats, cfg):
-                    assert g.spectral_k == select_rank(g.decomp_a.eigenvalues, tau, floor)[0]
+                    assert g.spectral_k == select_rank(g.spectrum, tau, floor)[0]
                     assert type(g.spectral_k) is int
 
 class TestRankRule:
@@ -612,7 +632,7 @@ class TestEnergyReadersAgainstAPrefixScan:
             for eps in (0.0, 0.05, 0.2):
                 cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps, min_lora_rank=min(2, r))
                 for g in geometries_of(spectra, cfg):
-                    eigs = g.decomp_a.eigenvalues
+                    eigs = g.spectrum
                     assert g.spectral_k == select_rank(eigs, tau, min(2, r))[0]
                     assert g.band == scan_band(eigs, cfg)
                     assert g.rank(0) == g.spectral_k
@@ -640,11 +660,11 @@ class TestEnergyReadersAgainstAPrefixScan:
     def test_scaled_spectrum_holds(self, tau, eps, held):
         cfg = config(rank_adaptation_threshold=tau, hysteresis_eps=eps)
         for g in geometries_of(SCALED, cfg):
-            assert g.spectral_k == select_rank(g.decomp_a.eigenvalues, tau, 1)[0] == (2 if tau == 0.7 else 3)
-            assert g.band == scan_band(g.decomp_a.eigenvalues, cfg)
+            assert g.spectral_k == select_rank(g.spectrum, tau, 1)[0] == (2 if tau == 0.7 else 3)
+            assert g.band == scan_band(g.spectrum, cfg)
             got = [g.rank(0, prev_k) for prev_k in range(1, 5)]
             assert got == held
-            assert got == [scan_hold(g.decomp_a.eigenvalues, cfg, prev_k, g.spectral_k) for prev_k in range(1, 5)]
+            assert got == [scan_hold(g.spectrum, cfg, prev_k, g.spectral_k) for prev_k in range(1, 5)]
 
     def test_scaled_spectrum_audit_rows(self, tmp_path):
         rows = audit_energy_rows(tmp_path / "run", SCALED)

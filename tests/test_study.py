@@ -1,10 +1,15 @@
-"""scripts/study.py, the criterion-8 protocol: its pinned hashes, its overrides, and perfbench's copy of it."""
+"""scripts/study.py, the criterion-8 protocol: its pinned hashes, its overrides, perfbench's copy of it, and the scripts built on it."""
 
+import json
 import sys
 
 import pytest
 
+from grit.cli import main as cli_main
 from grit.config import config_hash
+from grit.runio import (
+    CHECKPOINT_NAME, CONFIG_NAME, EVENTS_NAME, RECORD_NAME, STATS_NAME, TELEMETRY_NAME, UPDATES_NAME, read_manifest,
+)
 from conftest import PERFBENCH, SCRIPTS, load_module, load_script, study
 
 # config_hash(study_config(mode, seed)) as criterion 8 has run it since the protocol was fixed;
@@ -53,3 +58,40 @@ def test_perfbench_copy_builds_the_study_config_for_every_workload_call():
     )
     for args, kwargs in calls:
         assert workloads.study_config(*args, **kwargs) == study.study_config(*args, **kwargs), (args, kwargs)
+
+
+def assert_complete(run_dir):
+    """The run's manifest says complete, and each artifact of a completed run is there."""
+    assert read_manifest(run_dir).status == "complete", run_dir
+    for name in (CONFIG_NAME, TELEMETRY_NAME, EVENTS_NAME, STATS_NAME, UPDATES_NAME, CHECKPOINT_NAME, RECORD_NAME):
+        assert (run_dir / name).is_file(), (run_dir, name)
+
+
+def test_forgetting_comparison_at_toy_size(tmp_path, monkeypatch):
+    """run_forgetting_comparison.py writes its summary over complete run directories that grit audit reads."""
+    script = load_script("run_forgetting_comparison")
+    monkeypatch.setattr(sys, "argv", ["run_forgetting_comparison.py", "--seeds", "1", "--steps", "10", "--out", str(tmp_path)])
+    script.main()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["seeds"], summary["steps"], [row["seed"] for row in summary["rows"]]) == (1, 10, [0])
+    assert sorted(path.name for path in tmp_path.iterdir() if path.is_dir()) == ["grit-s0", "lora_control-s0"]
+    for run_dir in (tmp_path / "grit-s0", tmp_path / "lora_control-s0"):
+        assert_complete(run_dir)
+    assert cli_main(["--quiet", "audit", str(tmp_path / "grit-s0")]) == 0
+
+
+def test_scaling_grid_at_toy_size(tmp_path, monkeypatch, capsys):
+    """run_scaling_grid.py runs both modes over its grid, then fits the law over every run."""
+    script = load_script("run_scaling_grid")
+    monkeypatch.setattr(script, "STEP_GRID", (10, 20, 40))
+    monkeypatch.setattr(script, "WIDTH_GRID", (12, 13))
+    monkeypatch.setattr(sys, "argv", ["run_scaling_grid.py", "--out", str(tmp_path)])
+    script.main()
+    assert "fit-law exit code 0" in capsys.readouterr().out
+    assert json.loads((tmp_path / "forgetting_law.json").read_text())
+    run_dirs = sorted(path for path in tmp_path.iterdir() if path.is_dir())
+    assert [path.name for path in run_dirs] == sorted(
+        f"{mode}-d{d}-steps{steps}" for mode in ("grit", "lora_control") for d in (12, 13) for steps in (10, 20, 40)
+    )
+    for run_dir in run_dirs:
+        assert_complete(run_dir)

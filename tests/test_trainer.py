@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -1291,6 +1292,12 @@ class TestArrayStreams:
             assert decoded.tobytes() == delta.tobytes()
 
 
+def assert_same_bytes(run, other, *names):
+    """The two run directories hold the same bytes in checkpoint.json, stats.jsonl, updates.jsonl, record.json and names."""
+    for name in ("checkpoint.json", "stats.jsonl", "updates.jsonl", "record.json", *names):
+        assert (run / name).read_bytes() == (other / name).read_bytes(), name
+
+
 class TestPreconditionEvents:
     def test_logged_once_at_the_first_preconditioned_step(self, tmp_path, monkeypatch):
         tr, task, cfg = make_trainer(run_dir=tmp_path, mode="grit", steps=80, telemetry_every=0)
@@ -1321,8 +1328,7 @@ class TestPreconditionEvents:
             patch.setattr(trainer_module, "precondition", lambda ga, gb, stats: (ga, gb))
             run_experiment(study.study_config("grit", seed), tmp_path / "identity")
         run_experiment(study.study_config("grit", seed, kfac_min_samples=10**9), tmp_path / "gated")
-        for name in ("checkpoint.json", "stats.jsonl", "telemetry.jsonl", "updates.jsonl", "record.json"):
-            assert (tmp_path / "identity" / name).read_bytes() == (tmp_path / "gated" / name).read_bytes(), name
+        assert_same_bytes(tmp_path / "identity", tmp_path / "gated", "telemetry.jsonl")
         events = {
             run: (tmp_path / run / "events.jsonl").read_text().splitlines() for run in ("identity", "gated")
         }
@@ -1350,6 +1356,59 @@ class TestPreconditionEvents:
         assert sanitized == [{"step": 11, "action": "sanitize", "layer": 0, "count": d_in}]
         assert read_jsonl(tmp_path / "events.jsonl") == tr.events
         assert np.all(np.isfinite(tr.model.layers[0][1].a))
+
+
+class TestRankSpectraSeam:
+    """of_each reads the rank's input through reprojection.rank_spectra alone, and the telemetry records that input."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_spectrum_is_the_fixed_k_run(self, tmp_path, monkeypatch, seed):
+        """A flat spectrum's energies are j / r, so at tau = 0.85 and r = 8 its k is 7 (E(6) = 0.75, E(7) = 0.875)."""
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                reprojection_module, "rank_spectra", lambda decomps: np.ones((len(decomps) // 2, decomps[0].dim))
+            )
+            run_experiment(study.study_config("grit", seed), tmp_path / "flat")
+        fixed = study.study_config("grit", seed, rank_adaptation_start_step=10**9, reprojection_k=7)
+        run_experiment(fixed, tmp_path / "fixed")
+        assert fixed.rank_adaptation_threshold == 0.85 and fixed.lora_rank == 8
+        assert_same_bytes(tmp_path / "flat", tmp_path / "fixed", "events.jsonl")
+        records = {run: telemetry_module.read_telemetry(tmp_path / run / "telemetry.jsonl") for run in ("flat", "fixed")}
+        assert [dataclasses.replace(rec, spectrum=[]) for rec in records["flat"]] == [
+            dataclasses.replace(rec, spectrum=[]) for rec in records["fixed"]
+        ]
+        assert records["flat"] and all(rec.spectrum == [1.0] * 8 for rec in records["flat"])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("source", ["a_cov", "g_cov"])
+    def test_audit_energy_curve_gives_k(self, tmp_path, monkeypatch, seed, source):
+        """At each reprojection step, k is read off cumulative_energy.csv as the rank rule reads it, whatever the source."""
+        from grit.cli import main
+
+        config = study.study_config("grit", seed, telemetry_every=40)
+        with monkeypatch.context() as patch:
+            if source == "g_cov":
+                patch.setattr(
+                    reprojection_module, "rank_spectra",
+                    lambda decomps: np.array([decomp.eigenvalues for decomp in decomps[1::2]]),
+                )
+            run_experiment(config, tmp_path / "run")
+        assert main(["--quiet", "audit", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "audit" / "cumulative_energy.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["step", "layer", "index", "energy"]
+        curves = {}
+        for step, layer, _, energy in rows:
+            curves.setdefault((int(step), int(layer)), []).append(float(energy))
+        reach = config.rank_adaptation_threshold * (1.0 - 16 * np.finfo(np.float64).eps)
+        reprojected = [
+            rec for rec in telemetry_module.read_telemetry(tmp_path / "run" / "telemetry.jsonl")
+            if rec.step >= config.reprojection_warmup_steps and rec.step % config.reprojection_freq == 0
+        ]
+        assert len(reprojected) == 22
+        for rec in reprojected:
+            k = next(j for j, energy in enumerate(curves[rec.step, rec.layer], start=1) if energy >= reach)
+            assert max(k, config.min_lora_rank) == rec.k_selected, (rec.step, rec.layer)
 
 
 class TestInvertEvents:
