@@ -4,7 +4,9 @@ Runs the low-rank control across a (steps x width) grid to populate run
 directories, runs matching geometry-aware runs for the capacity-multiplier
 stage, and finishes by invoking the law fitter over everything. Real training
 runs only approximate the power law, so expect a nonzero residual; the exact
-round-trip lives in the oracle suite (`grit oracle fitlaw`).
+round-trip lives in the oracle suite (`grit oracle fitlaw`). The script
+exits with fit-law's exit code, so a grid the law cannot be fitted on (fit-law
+exits nonzero and writes no document) fails the run.
 
 Usage:
     python3 scripts/run_scaling_grid.py --out runs/scaling
@@ -21,7 +23,7 @@ STEP_GRID = (100, 200, 400, 800)
 WIDTH_GRID = (12, 24, 48, 96)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/scaling")
     parser.add_argument("--seed", type=int, default=42)
@@ -45,8 +47,9 @@ def main() -> None:
 
     fit_path = out_root / "forgetting_law.json"
     rc = cli_main(["fit-law", *run_dirs, "--out", str(fit_path)])
-    print(f"fit-law exit code {rc}; document at {fit_path}")
+    print(f"fit-law exit code {rc}; " + (f"document at {fit_path}" if rc == 0 else "no document written"))
+    return rc
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -31,9 +31,7 @@ from .telemetry import (
     alignment_overlap,
     pca_export,
     stability_stats,
-    subspace_drift,
     tail_mass,
-    update_jitter,
     xi_multiplier,
 )
 from .trainer import Trainer, curvature_penalty, reprojection_penalty, run_experiment, seed_stream
@@ -76,11 +74,9 @@ __all__ = [
     "seed_stream",
     "select_rank",
     "stability_stats",
-    "subspace_drift",
     "sym_eig",
     "tail_mass",
     "trace_forgetting",
     "trainable_count",
-    "update_jitter",
     "xi_multiplier",
 ]

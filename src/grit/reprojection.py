@@ -49,8 +49,8 @@ def uses_g_side(config: GritConfig, n_cov: int) -> bool:
     True when use_two_sided is on and the statistics hold at least
     g_gate_min_samples samples; otherwise the activation-side basis is used
     on both factors. LayerGeometry.of_each asks once per geometry;
-    reprojection, the reprojection penalty and the alignment and drift
-    diagnostics read that geometry's g_side.
+    reprojection, the reprojection penalty and the alignment diagnostic
+    read that geometry's g_side.
     """
     return config.use_two_sided and n_cov >= config.g_gate_min_samples
 

@@ -1,15 +1,16 @@
-"""Geometry summaries and stability diagnostics, plus their append-only stream.
+"""Geometry summaries and the eigenvalue-dispersion diagnostic, plus their append-only stream.
 
 The stream's schema is GeometryRecord: after a header line, each line is
 one record's fields (vars(record), keys sorted by JsonlWriter), every
 spectrum as long as the first; read_telemetry builds each line with
-runio.from_document. stability_stats reads its caller's spectra and
-decomposes nothing. The trainer's telemetry pass reads all layers of a
-snapshot at once, stability_stats_stack on the (layers x window x r x r)
-stack of its window's a_cov copies, and the adapters of a whole block in
-adapter_subspace_bases, one SVD per factor shape; stability_stats and
-adapter_subspace_basis are their one-layer cases, bit for bit. The
-curvature exposure reads the factored Hessian blocks of
+runio.from_document, and reads a version-1 stream by discarding the three
+stability fields version 2 dropped (jitter, subspace_drift, cov_var).
+eig_cvs reads its caller's spectra and decomposes nothing. The trainer's
+telemetry pass reads all layers of a snapshot at once, eig_cvs on the
+(layers x window x r) stack of its window's spectra, and the adapters of a
+whole block in adapter_subspace_bases, one SVD per factor shape;
+stability_stats and adapter_subspace_basis are their one-layer cases, bit
+for bit. The curvature exposure reads the factored Hessian blocks of
 tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
 checked against is in oracles. No setting tunes a diagnostic: the
 trainer fixes the r_eff energy fraction and each layer's tail-mass cutoff.
@@ -28,7 +29,7 @@ from .model import AdapterPair
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
 from .runio import JsonlWriter, from_document, json_lines
 
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -43,10 +44,7 @@ class GeometryRecord:
     pi_proj: float
     tail_mass: int
     curvature_exposure: float
-    jitter: float
-    subspace_drift: float
     eig_cv: float
-    cov_var: float
     spectrum: list[float]
 
 
@@ -72,39 +70,13 @@ def _check_orthonormal(basis: np.ndarray, name: str) -> np.ndarray:
     return basis
 
 
-def _squared_cosines(u: np.ndarray, u_name: str, v: np.ndarray, v_name: str) -> tuple[float, int]:
-    """(||U^T V||_F^2, k) of two orthonormal bases of one shape, each named in its errors."""
-    u = _check_orthonormal(u, u_name)
-    v = _check_orthonormal(v, v_name)
-    if u.shape != v.shape:
-        raise ShapeError(f"basis shapes differ: {u.shape} vs {v.shape}")
-    return float(np.sum((u.T @ v) ** 2)), u.shape[1]
-
-
 def alignment_overlap(fisher_basis: np.ndarray, update_basis: np.ndarray) -> float:
     """Principal-angle overlap (1/k) * ||U^T V||_F^2 between two top-k bases."""
-    overlap, k = _squared_cosines(fisher_basis, "fisher_basis", update_basis, "update_basis")
-    return overlap / k
-
-
-def update_jitter(p_t: np.ndarray, p_prev: np.ndarray) -> float:
-    """1 - cos(p_t, p_prev); 0.0 when either vector is zero."""
-    p_t = np.asarray(p_t, dtype=np.float64).ravel()
-    p_prev = np.asarray(p_prev, dtype=np.float64).ravel()
-    if p_t.shape != p_prev.shape:
-        raise ShapeError(f"update vectors differ in length: {p_t.size} vs {p_prev.size}")
-    nt = np.linalg.norm(p_t)
-    np_ = np.linalg.norm(p_prev)
-    if nt == 0.0 or np_ == 0.0:
-        return 0.0
-    cos = float(np.dot(p_t, p_prev) / (nt * np_))
-    return 1.0 - min(1.0, max(-1.0, cos))
-
-
-def subspace_drift(u_t: np.ndarray, u_next: np.ndarray) -> float:
-    """Frobenius norm of principal-angle sines: sqrt(k - ||U_t^T U_next||_F^2)."""
-    overlap, k = _squared_cosines(u_t, "u_t", u_next, "u_next")
-    return float(np.sqrt(max(0.0, k - overlap)))
+    u = _check_orthonormal(fisher_basis, "fisher_basis")
+    v = _check_orthonormal(update_basis, "update_basis")
+    if u.shape != v.shape:
+        raise ShapeError(f"basis shapes differ: {u.shape} vs {v.shape}")
+    return float(np.sum((u.T @ v) ** 2)) / u.shape[1]
 
 
 def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
@@ -117,14 +89,10 @@ def covariance_variance(cov_sequence: list[np.ndarray]) -> float:
     (shape,) = shapes
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ShapeError(f"expected square covariance snapshots, got shape {shape}")
-    return float(_covariance_variances(np.asarray(cov_sequence, dtype=np.float64)[None])[0])
-
-
-def _covariance_variances(windows: np.ndarray) -> np.ndarray:
-    """covariance_variance of each window of a (layers x window x r x r) stack."""
-    mats = 0.5 * (windows + windows.swapaxes(2, 3))
-    deviations = mats - mats.mean(axis=1, keepdims=True)
-    return np.mean(np.sum(deviations**2, axis=(2, 3)), axis=1)
+    raw = np.asarray(cov_sequence, dtype=np.float64)
+    mats = 0.5 * (raw + raw.swapaxes(1, 2))
+    deviations = mats - mats.mean(axis=0)
+    return float(np.mean(np.sum(deviations**2, axis=(1, 2))))
 
 
 def stability_stats(
@@ -136,7 +104,7 @@ def stability_stats(
     over the top-k eigenvalue trajectories (population std), skipping
     indices with zero mean. spectra has every snapshot's
     eigenvalues in sym_eig's descending order; no snapshot is decomposed
-    here. This is stability_stats_stack on one window.
+    here. eig_cv is eig_cvs on one window.
     """
     cov_var = covariance_variance(cov_sequence)
     dim = np.shape(cov_sequence[0])[0]
@@ -147,32 +115,19 @@ def stability_stats(
             f"{len(spectra)} spectra given for {len(cov_sequence)} covariance snapshots"
         )
     top = np.asarray([eigenvalues[:k] for eigenvalues in spectra], dtype=np.float64)
-    return cov_var, float(_eig_cvs(top[None], [k])[0])
+    return cov_var, float(eig_cvs(top[None], [k])[0])
 
 
-def stability_stats_stack(
-    windows: np.ndarray, ks: list[int], spectra: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """stability_stats of every layer's window at once: (cov_var, eig_cv), one entry per layer.
-
-    windows stacks the layers' covariance snapshots (layers x window x r x r),
-    spectra their eigenvalues (layers x window x r), and ks holds each
-    layer's k. Each entry is bitwise the one stability_stats gives that
-    layer's window.
-    """
-    return _covariance_variances(windows), _eig_cvs(spectra, ks)
-
-
-def _eig_cvs(spectra: np.ndarray, ks: list[int]) -> np.ndarray:
-    """eig_cv of each layer's (window x r) spectra over its top ks[layer] eigenvalues."""
-    eig_cvs = np.zeros(len(ks))
+def eig_cvs(spectra: np.ndarray, ks: list[int]) -> np.ndarray:
+    """eig_cv of each layer of a (layers x window x r) spectra stack, over its top ks[layer] eigenvalues."""
+    cvs = np.zeros(len(ks))
     for layer, k in enumerate(ks):
         top = spectra[layer, :, :k]
         means = top.mean(axis=0)
         kept = means != 0.0
         if kept.any():
-            eig_cvs[layer] = np.mean(top.std(axis=0)[kept] / means[kept])
-    return eig_cvs
+            cvs[layer] = np.mean(top.std(axis=0)[kept] / means[kept])
+    return cvs
 
 
 def xi_multiplier(
@@ -347,9 +302,10 @@ class TelemetryWriter:
 def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     """The records of a geometry stream after its header.
 
-    A line that is not a JSON object, whose keys are not the record's
-    fields, whose values are not of their fields' kinds, or whose spectrum
-    is not as long as the first record's or not finite, raises
+    A version-1 stream reads with each line's jitter, subspace_drift and
+    cov_var discarded. A line that is not a JSON object, whose keys are not
+    the record's fields, whose values are not of their fields' kinds, or
+    whose spectrum is not as long as the first record's or not finite, raises
     ValidationError naming the file and the line; the stream is parsed in
     one call (runio.json_lines), and a damaged one is reported as the
     line-by-line read would.
@@ -359,11 +315,14 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
     if not lines:
         raise ValidationError("empty telemetry stream")
     objects = json_lines(lines, path)
-    header = next(objects)
-    if header.get("version") != TELEMETRY_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported telemetry version {header.get('version')!r}")
+    version = next(objects).get("version")
+    if version not in (1, TELEMETRY_SCHEMA_VERSION):
+        raise ValidationError(f"unsupported telemetry version {version!r}")
     records = []
     for number, obj in enumerate(objects, start=2):
+        if version == 1:  # the stability fields version 2 dropped
+            for key in ("jitter", "subspace_drift", "cov_var"):
+                obj.pop(key, None)
         record = from_document(GeometryRecord, obj, f"{path} line {number}", "geometry record")
         if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
             raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")

@@ -25,10 +25,10 @@ factor; the penalty gradient is scaled and the tape gradient added to it in
 place, bitwise ga + ramp * lambda_r * rga. Each accumulation's stats.jsonl
 lines are formatted by runio.stats_line. Reprojection reads the projectors,
 the telemetry the decompositions, the geometry's side and its spectrum (the
-rank's input). The stability window is the trainer's own: for each of the
-last COV_WINDOW accumulations, a copy of every layer's a_cov and their
-eigenvalues, so no geometry outlives its accumulation and no later write
-into the statistics reaches the window. _accumulate makes the step's events:
+rank's input). The stability window is the trainer's own: the a_cov
+eigenvalues of every layer at each of the last COV_WINDOW accumulations, so
+no geometry outlives its accumulation and no later write into the
+statistics reaches the window. _accumulate makes the step's events:
 "accumulate"; "invert" (every layer's damping ladder rungs and condition
 numbers) when every layer refreshed; and "precondition" when some layer was
 not ready before. A layer preconditions once its inverses are ready and
@@ -55,15 +55,16 @@ step at a time.
 
 A telemetry step computes no record, it only copies: what later steps write
 in place (the flat parameters, the folded update covariances, the pending
-updates), with references to the rest (geometries, window, last two clipped
-flat gradients) and each layer's last k and retained mass. The records of up
-to TELEMETRY_BLOCK snapshots are computed in one pass: in the step that fills
-the block, when records is read (as run_experiment's geometry summary does)
-and on every exit from the Trainer. The pass folds each snapshot's pending
+updates), with references to the rest (geometries, window) and each layer's
+last k and retained mass. The records of up to TELEMETRY_BLOCK snapshots are
+computed in one pass: in the step that fills the block, when records is read
+(as run_experiment's geometry summary does) and on every exit from the
+Trainer. The pass folds each snapshot's pending
 updates onto its covariances as a fold does (one stacked matmul per factor
 for the whole block), eigendecomposes them all in one stacked call, applies
 the r_eff rule (at R_EFF_ENERGY) to one stack and takes one SVD call per
-tangent factor shape, reading factors as views of each parameter copy; the
+tangent factor shape, reading factors as views of each parameter copy; each
+snapshot's eig_cv is one eigenvalue-dispersion call over its window, and the
 rest goes per snapshot in step order. A layer's tail-mass cutoff is 3x the
 median |delta W| of the first telemetry step where that median is not zero.
 """
@@ -111,15 +112,13 @@ from .telemetry import (
     TelemetryWriter,
     adapter_subspace_bases,
     alignment_overlap,
+    eig_cvs,
     exposure_from_basis,
-    stability_stats_stack,
-    subspace_drift,
     tail_mass,
-    update_jitter,
 )
 from .telemetry import adapter_subspace_basis, stability_stats  # noqa: F401  (perfbench/spans.py traces them)
 
-COV_WINDOW = 24  # accumulations kept for the stability diagnostics
+COV_WINDOW = 24  # accumulations kept for the eig_cv diagnostic
 R_EFF_ENERGY = 0.9  # energy fraction the telemetry r_eff keeps
 UPDATE_BLOCK = 8  # parameter updates held before the update covariance folds them in
 DATA_BLOCK = 16  # fine-tune steps whose batches run_experiment draws in one call
@@ -262,7 +261,6 @@ class LayerMonitor:
     """Per-layer state backing the telemetry stream."""
 
     last_k: int  # the adapter rank until a reprojection sets it, so always in [1, rank]
-    prev_basis: np.ndarray | None = None
     last_pi: float = 1.0
     # 3x the median |delta W| of the first telemetry step where that median is not zero
     tail_threshold: float = 0.0
@@ -277,8 +275,7 @@ class TelemetrySnapshot:
     update_cov: np.ndarray  # a copy of the folded update covariances, before the pending updates
     pending: np.ndarray  # a copy of the pending flat updates, oldest first
     geometries: list[LayerGeometry] | None
-    window: tuple[tuple[np.ndarray, np.ndarray], ...]
-    grads: tuple[np.ndarray | None, np.ndarray | None]
+    window: tuple[np.ndarray, ...]
     monitors: list[tuple[int, float]]  # each layer's (last_k, last_pi)
 
 
@@ -332,14 +329,11 @@ class Trainer:
         self._updates = np.empty((UPDATE_BLOCK, offset))
         self._pending = 0
         self._update_cov = np.zeros((n_layers, r, r))
-        # the clipped flat gradients of the last two steps, newest first, for the jitter
-        self._grads: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self.monitors = [LayerMonitor(last_k=r) for _ in range(n_layers)]
         # each layer's geometry from the latest accumulation; None before the first
         self._geometries: list[LayerGeometry] | None = None
-        # per accumulation, newest last: copies of every layer's a_cov (layers x r x r)
-        # and their eigenvalues (layers x r), for the stability statistics
-        self._window: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=COV_WINDOW)
+        # per accumulation, newest last: every layer's a_cov eigenvalues (layers x r), for eig_cv
+        self._window: deque[np.ndarray] = deque(maxlen=COV_WINDOW)
         self.events: list[dict] = []
         self._records: list[GeometryRecord] = []
         # the telemetry steps whose records are not computed yet, oldest first
@@ -412,9 +406,9 @@ class Trainer:
         The new covariances go to stats.jsonl in one append and are
         eigendecomposed in one stacked call; each layer's geometry is built
         from its two decompositions and gives the damped inverses their
-        spectra, and a copy of every a_cov joins the stability window with
-        its eigenvalues. Every layer refreshes, even after one whose sample
-        gate is unmet; readiness is read over all layers.
+        spectra, and the a_cov eigenvalues join the stability window. Every
+        layer refreshes, even after one whose sample gate is unmet; readiness
+        is read over all layers.
         """
         for idx, stats in enumerate(self.stats):
             accumulate(stats, self.model.tapes[idx], self.model.layers[idx][1])
@@ -426,12 +420,7 @@ class Trainer:
                 )
             )
         geometries = self._geometries = LayerGeometry.of_each(self.stats, self.config)
-        self._window.append(
-            (
-                np.array([stats.a_cov for stats in self.stats]),
-                np.array([geometry.decomp_a.eigenvalues for geometry in geometries]),
-            )
-        )
+        self._window.append(np.array([geometry.decomp_a.eigenvalues for geometry in geometries]))
         was_ready = all(stats.inv_ready for stats in self.stats)
         refreshed = [
             refresh_inverses(stats, self.config.kfac_min_samples, (geometry.decomp_a, geometry.decomp_g))
@@ -556,7 +545,6 @@ class Trainer:
         self._pending += 1
         if self._pending == UPDATE_BLOCK:
             self._fold_updates()
-        self._grads = (flat_grad, self._grads[0])
 
         if self.is_grit and step % config.reprojection_freq == 0:
             events = []
@@ -595,7 +583,6 @@ class Trainer:
                 pending=self._updates[: self._pending].copy(),
                 geometries=self._geometries,
                 window=tuple(self._window),
-                grads=self._grads,
                 monitors=[(monitor.last_k, monitor.last_pi) for monitor in self.monitors],
             )
         )
@@ -604,8 +591,8 @@ class Trainer:
         """Compute the pending snapshots' records in one pass and append them, one append per stream.
 
         The pending list is taken first, so a failure leaves nothing to fail
-        again. Snapshots go in step order: the tail cutoff and the drift's
-        previous basis carry from one telemetry step to the next.
+        again. Snapshots go in step order: the tail cutoff carries from one
+        telemetry step to the next.
         """
         snapshots, self._snapshots = self._snapshots, []
         if not snapshots:
@@ -631,13 +618,9 @@ class Trainer:
         records, lines = [], []
         for s, snap in enumerate(snapshots):
             row = s * n_layers  # the snapshot's first layer in the stacked results
-            cov_vars = eig_cvs = np.zeros(n_layers)
+            cvs = np.zeros(n_layers)
             if len(snap.window) >= 2:
-                covs, spectra = zip(*snap.window)
-                cov_vars, eig_cvs = stability_stats_stack(
-                    np.stack(covs, axis=1), [k for k, _ in snap.monitors], np.stack(spectra, axis=1)
-                )
-            grad, prev_grad = snap.grads
+                cvs = eig_cvs(np.stack(snap.window, axis=1), [k for k, _ in snap.monitors])
             layers = zip(adapters[row : row + n_layers], self.monitors, snap.monitors)
             for idx, (adapter, monitor, (last_k, last_pi)) in enumerate(layers):
                 r_eff = int(r_effs[row + idx])
@@ -656,20 +639,6 @@ class Trainer:
                     monitor.tail_threshold = 3.0 * median(np.abs(delta_vec))
                 tail = tail_mass(delta_vec, monitor.tail_threshold) if monitor.tail_threshold > 0.0 else 0
 
-                jitter = 0.0
-                if prev_grad is not None:
-                    a_cols, b_cols = self._layer_columns[idx]
-                    layer = slice(a_cols.start, b_cols.stop)
-                    jitter = update_jitter(grad[layer], prev_grad[layer])
-
-                drift = 0.0
-                if side_decomp is not None:
-                    basis_now = side_decomp.eigenvectors[:, :last_k]
-                    if monitor.prev_basis is not None:
-                        k_common = min(monitor.prev_basis.shape[1], basis_now.shape[1])
-                        drift = subspace_drift(monitor.prev_basis[:, :k_common], basis_now[:, :k_common])
-                    monitor.prev_basis = basis_now.copy()
-
                 records.append(
                     GeometryRecord(
                         step=snap.step,
@@ -680,10 +649,7 @@ class Trainer:
                         pi_proj=float(last_pi),
                         tail_mass=int(tail),
                         curvature_exposure=float(exposure_from_basis(curvature[idx], bases[row + idx])),
-                        jitter=float(jitter),
-                        subspace_drift=float(drift),
-                        eig_cv=float(eig_cvs[idx]),
-                        cov_var=float(cov_vars[idx]),
+                        eig_cv=float(cvs[idx]),
                         spectrum=[float(v) for v in spectrum],
                     )
                 )

@@ -566,8 +566,7 @@ def audit_energy_rows(run_dir, spectra):
     writer = TelemetryWriter(run_dir / TELEMETRY_NAME)
     writer.append(*(
         GeometryRecord(step=step, layer=0, k_selected=1, r_eff=1, rho_align=0.0, pi_proj=1.0, tail_mass=0,
-                       curvature_exposure=0.0, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
-                       spectrum=[float(lam) for lam in eigs])
+                       curvature_exposure=0.0, eig_cv=0.0, spectrum=[float(lam) for lam in eigs])
         for step, eigs in enumerate(spectra)
     ))
     writer.close()

@@ -119,12 +119,11 @@ class TestStreams:
     def test_telemetry_lines_are_on_disk_before_append_returns(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         writer = TelemetryWriter(path)
-        header = json.dumps({"schema": "geometry", "version": 1}, sort_keys=True) + "\n"
+        header = json.dumps({"schema": "geometry", "version": 2}, sort_keys=True) + "\n"
         assert path.read_text() == header
         rec = GeometryRecord(
             step=0, layer=1, k_selected=2, r_eff=1, rho_align=0.25, pi_proj=1.0, tail_mass=0,
-            curvature_exposure=0.5, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
-            spectrum=[2.0, 0.1],
+            curvature_exposure=0.5, eig_cv=0.0, spectrum=[2.0, 0.1],
         )
         writer.append(rec)
         line = json.dumps(vars(rec), sort_keys=True) + "\n"
@@ -158,8 +157,7 @@ def write_telemetry(path, n_records, damage=None):
     for step in range(n_records):
         writer.append(GeometryRecord(
             step=step, layer=0, k_selected=2, r_eff=1, rho_align=0.25, pi_proj=1.0, tail_mass=0,
-            curvature_exposure=0.5, jitter=0.0, subspace_drift=0.0, eig_cv=0.0, cov_var=0.0,
-            spectrum=[2.0, 0.1],
+            curvature_exposure=0.5, eig_cv=0.0, spectrum=[2.0, 0.1],
         ))
     writer.close()
     lines = path.read_text().splitlines()
@@ -226,8 +224,8 @@ class TestOneParsePerStream:
         write_telemetry(path, 4, damage={2: '{"step": 0}', 4: '{"step": 1'})
         with pytest.raises(ValidationError, match=r"telemetry\.jsonl line 2: not a geometry record"):
             read_telemetry(path)
-        write_telemetry(path, 4, damage={1: '{"version": 2}', 3: "[]"})
-        with pytest.raises(ValidationError, match="unsupported telemetry version 2"):
+        write_telemetry(path, 4, damage={1: '{"version": 3}', 3: "[]"})
+        with pytest.raises(ValidationError, match="unsupported telemetry version 3"):
             read_telemetry(path)
 
     def test_intact_streams_read_as_line_by_line(self, tmp_path):

@@ -86,8 +86,8 @@ def test_scaling_grid_at_toy_size(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(script, "STEP_GRID", (10, 20, 40))
     monkeypatch.setattr(script, "WIDTH_GRID", (12, 13))
     monkeypatch.setattr(sys, "argv", ["run_scaling_grid.py", "--out", str(tmp_path)])
-    script.main()
-    assert "fit-law exit code 0" in capsys.readouterr().out
+    assert script.main() == 0
+    assert "fit-law exit code 0; document at" in capsys.readouterr().out
     assert json.loads((tmp_path / "forgetting_law.json").read_text())
     run_dirs = sorted(path for path in tmp_path.iterdir() if path.is_dir())
     assert [path.name for path in run_dirs] == sorted(
@@ -95,3 +95,16 @@ def test_scaling_grid_at_toy_size(tmp_path, monkeypatch, capsys):
     )
     for run_dir in run_dirs:
         assert_complete(run_dir)
+
+
+def test_scaling_grid_exits_with_fit_laws_failure(tmp_path, monkeypatch, capsys):
+    """One width and one step budget cannot fit the law: the script exits with fit-law's code and claims no document."""
+    script = load_script("run_scaling_grid")
+    monkeypatch.setattr(script, "STEP_GRID", (10,))
+    monkeypatch.setattr(script, "WIDTH_GRID", (12,))
+    monkeypatch.setattr(sys, "argv", ["run_scaling_grid.py", "--out", str(tmp_path)])
+    assert script.main() == 3
+    out = capsys.readouterr().out
+    assert "fit-law exit code 3; no document written" in out
+    assert "document at" not in out
+    assert not (tmp_path / "forgetting_law.json").exists()

@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from grit.oracles import (
     span_tangent_basis,
 )
 from grit.reprojection import effective_ranks, make_projector
-from grit.runio import decode_array, read_jsonl
+from grit.runio import AUDIT_CSVS, decode_array, read_jsonl
 from grit.telemetry import (
     GeometryRecord,
     LayerCurvature,
@@ -27,14 +30,12 @@ from grit.telemetry import (
     alignment_overlap,
     covariance_variance,
     effective_rank,
+    eig_cvs,
     exposure_from_basis,
     pca_export,
     read_telemetry,
     stability_stats,
-    stability_stats_stack,
-    subspace_drift,
     tail_mass,
-    update_jitter,
     xi_multiplier,
 )
 from grit.trainer import run_experiment
@@ -160,52 +161,6 @@ class TestCurvatureExposure:
             k = int(rng.integers(1, 6))
             q = make_projector(sym_eig(sigma), k).basis
             assert dense_exposure(h, q) <= np.trace(h) + 1e-10
-
-
-class TestJitterAndDrift:
-    def test_no_rotation(self):
-        val = update_jitter(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        assert np.isclose(val, 0.0)
-
-    def test_reversal(self):
-        val = update_jitter(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-        assert np.isclose(val, 2.0)
-
-    def test_45_degrees(self):
-        val = update_jitter(np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2))
-        assert np.isclose(val, 1.0 - np.sqrt(2.0) / 2.0)
-
-    def test_zero_vector_flagged(self):
-        assert update_jitter(np.zeros(2), np.ones(2)) == 0.0
-
-    def test_jitter_of_vectors_of_different_lengths(self):
-        with pytest.raises(ShapeError):
-            update_jitter(np.ones(3), np.ones(4))
-
-    def test_drift_of_zero_column_bases_rejected(self):
-        with pytest.raises(ValidationError, match="no columns"):
-            subspace_drift(np.zeros((4, 0)), np.zeros((4, 0)))
-
-    def test_drift_identical(self):
-        q = np.eye(4)[:, :2]
-        assert subspace_drift(q, q) == 0.0
-
-    def test_drift_orthogonal(self):
-        assert np.isclose(subspace_drift(np.eye(2)[:, :1], np.eye(2)[:, 1:]), 1.0)
-
-    def test_drift_45_degrees(self):
-        u = np.array([[1.0], [0.0]])
-        v = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        assert np.isclose(subspace_drift(u, v), np.sqrt(0.5))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
-    def test_drift_range(self, seed, k):
-        rng = np.random.default_rng(seed)
-        q1, _ = np.linalg.qr(rng.normal(size=(5, k)))
-        q2, _ = np.linalg.qr(rng.normal(size=(5, k)))
-        d = subspace_drift(q1, q2)
-        assert -1e-9 <= d <= np.sqrt(k) + 1e-9
 
 
 def spectra_of(seq):
@@ -523,13 +478,65 @@ class TestTelemetryStream:
         writer = TelemetryWriter(path)
         rec = GeometryRecord(
             step=3, layer=0, k_selected=2, r_eff=1, rho_align=0.5, pi_proj=0.9,
-            tail_mass=4, curvature_exposure=1.5, jitter=0.1, subspace_drift=0.0,
-            eig_cv=0.2, cov_var=0.05, spectrum=[1.0, 0.5],
+            tail_mass=4, curvature_exposure=1.5, eig_cv=0.2, spectrum=[1.0, 0.5],
         )
         writer.append(rec)
         writer.close()
         out = read_telemetry(path)
         assert out == [rec]
+
+
+# a version-1 stream's header and line, as version-1 writers wrote them, with the
+# three stability fields that version 2 dropped
+VERSION_1_HEADER = '{"schema": "geometry", "version": 1}'
+VERSION_1_LINE = (
+    '{"cov_var": 0.05, "curvature_exposure": 1.5, "eig_cv": 0.2, "jitter": 0.1, "k_selected": 2, '
+    '"layer": 0, "pi_proj": 0.9, "r_eff": 1, "rho_align": 0.5, "spectrum": [1.0, 0.5], "step": 3, '
+    '"subspace_drift": 0.3, "tail_mass": 4}'
+)
+
+
+class TestVersionOneStreams:
+    def test_version_one_stream_reads_without_the_stability_fields(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        path.write_text(f"{VERSION_1_HEADER}\n{VERSION_1_LINE}\n")
+        assert read_telemetry(path) == [GeometryRecord(
+            step=3, layer=0, k_selected=2, r_eff=1, rho_align=0.5, pi_proj=0.9,
+            tail_mass=4, curvature_exposure=1.5, eig_cv=0.2, spectrum=[1.0, 0.5],
+        )]
+
+    @pytest.mark.parametrize("key", ["jitter", "subspace_drift", "cov_var"])
+    def test_version_two_line_with_a_stability_field_is_rejected(self, tmp_path, key):
+        path = tmp_path / "telemetry.jsonl"
+        line = json.loads(VERSION_1_LINE)
+        for dropped in {"jitter", "subspace_drift", "cov_var"} - {key}:
+            del line[dropped]
+        path.write_text(f'{{"schema": "geometry", "version": 2}}\n{json.dumps(line, sort_keys=True)}\n')
+        with pytest.raises(ValidationError, match=f"line 2: not a geometry record .*'{key}'"):
+            read_telemetry(path)
+
+    @pytest.mark.parametrize("version", [0, 3, None, "1"])
+    def test_other_versions_are_rejected(self, tmp_path, version):
+        path = tmp_path / "telemetry.jsonl"
+        path.write_text(f'{json.dumps({"schema": "geometry", "version": version})}\n{VERSION_1_LINE}\n')
+        with pytest.raises(ValidationError, match=f"unsupported telemetry version {version!r}"):
+            read_telemetry(path)
+
+    def test_audit_of_a_version_one_run_writes_the_same_csvs(self, tmp_path):
+        """A run's stream rewritten as version 1, the stability fields added, audits to the same bytes."""
+        cfg = GritConfig(task="two_task_forgetting(d=8, hidden=8, pretrain_steps=0)", steps=60, seed=1, lora_rank=4,
+                         kfac_update_freq=5, kfac_min_samples=16, reprojection_freq=20,
+                         reprojection_warmup_steps=20, telemetry_every=10, eval_size=64)
+        run_experiment(cfg, out_dir=tmp_path / "v2")
+        shutil.copytree(tmp_path / "v2", tmp_path / "v1")
+        stream = tmp_path / "v1" / "telemetry.jsonl"
+        lines = stream.read_text().splitlines()
+        old = [{**json.loads(line), "jitter": 0.25, "subspace_drift": 0.5, "cov_var": 0.75} for line in lines[1:]]
+        stream.write_text(VERSION_1_HEADER + "\n" + "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in old))
+        for run in ("v1", "v2"):
+            assert main(["--quiet", "audit", str(tmp_path / run)]) == 0
+        for name in AUDIT_CSVS:
+            assert (tmp_path / "v1" / "audit" / name).read_bytes() == (tmp_path / "v2" / "audit" / name).read_bytes()
 
 
 def bits(value) -> bytes:
@@ -621,16 +628,12 @@ class TestStackedForms:
             assert [effective_rank(row, eta) for row in spectra] == expected
 
     @staticmethod
-    def per_window_stability(seq, k, spectra):
-        """cov_var and eig_cv of one window, as they were taken before the window stack."""
-        raw = np.asarray(seq, dtype=np.float64)
-        mats = 0.5 * (raw + raw.transpose(0, 2, 1))
-        mean_mat = mats.mean(axis=0)
-        cov_var = float(np.mean(np.sum((mats - mean_mat) ** 2, axis=(1, 2))))
+    def per_window_eig_cv(spectra, k):
+        """eig_cv of one window, as it was taken before the window stack."""
         top = np.stack([eigenvalues[:k] for eigenvalues in spectra])
         means, stds = top.mean(axis=0), top.std(axis=0)
         kept = [i for i in range(k) if means[i] != 0.0]
-        return cov_var, float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0
+        return float(np.mean([stds[i] / means[i] for i in kept])) if kept else 0.0
 
     @pytest.mark.parametrize("r", [1, 2, 8, 11])
     def test_stacked_stability_equals_the_per_window_one(self, r):
@@ -643,9 +646,9 @@ class TestStackedForms:
                 spectra[:, :, r // 2:] = 0.0  # zero-mean trajectories are skipped
             ks = [int(k) for k in rng.integers(1, r + 1, size=layers)]
             ks[0] = 1 if trial % 2 else ks[0]
-            cov_vars, eig_cvs = stability_stats_stack(windows, ks, spectra)
+            cvs = eig_cvs(spectra, ks)
             for layer, k in enumerate(ks):
                 seq, spectrum = list(windows[layer]), list(spectra[layer])
-                want = self.per_window_stability(seq, k, spectrum)
-                assert bits([cov_vars[layer], eig_cvs[layer]]) == bits(want)
-                assert bits(stability_stats(seq, k, spectrum)) == bits(want)
+                want = self.per_window_eig_cv(spectrum, k)
+                assert bits(cvs[layer]) == bits(want)
+                assert bits(stability_stats(seq, k, spectrum)[1]) == bits(want)
