@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 runtime failure, 2 validation failure,
 <task>-s<seed>-<first 8 hex digits of the config hash> under ./runs, or
 under $GRIT_OUT_ROOT when that is set. An --out that cannot be written is
 a validation failure, reported before any other work. audit takes every
-energy curve of cumulative_energy.csv from one stacked
-reprojection.prefix_energies call over the telemetry's spectra.
+energy curve of cumulative_energy.csv from one reprojection.prefix_energies
+call over the spectra array that read_telemetry checked finite. It formats
+each CSV as one string, written in one call: the header, then a line per
+row, each ended by "\r\n", an int written as str and a float as repr, the
+bytes csv.writer writes for these values.
 
 main is called many times in one process by scripts and benchmarks, so
 the argument parser is built once per process; each command function is
@@ -17,7 +20,6 @@ attribute replaced after the first call is the one that runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -111,14 +113,6 @@ def _unwritable(path: Path, is_dir: bool) -> bool:
     return problem is not None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """The header, then the rows; csv writes a float as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _update_vectors(updates: list[dict]) -> list[np.ndarray]:
     """Every line's decoded delta_w; ValidationError unless all are finite and 1-D of one length.
 
@@ -155,7 +149,7 @@ def cmd_audit(args) -> int:
             return 1
         from .telemetry import read_telemetry
 
-        records = read_telemetry(run_dir / TELEMETRY_NAME)
+        records, spectra = read_telemetry(run_dir / TELEMETRY_NAME)
         vectors = _update_vectors(read_jsonl(run_dir / UPDATES_NAME))
         events = read_jsonl(run_dir / EVENTS_NAME)
         if not (run_dir / RECORD_NAME).exists():
@@ -164,34 +158,35 @@ def cmd_audit(args) -> int:
         print(f"incomplete run: {exc}", file=sys.stderr)
         return 1
 
-    energies = prefix_energies(np.array([rec.spectrum for rec in records], ndmin=2)).tolist()
-    spectra_rows, energy_rows, reff_rows, overlap_rows, tail_rows = [], [], [], [], []
-    for rec, energy in zip(records, energies):
-        spectra_rows += ([rec.step, rec.layer, j, lam] for j, lam in enumerate(rec.spectrum, start=1))
+    # each row one line; an f-string writes an int as str and a float as repr, as csv.writer does
+    spectra_lines, energy_lines, reff_lines, overlap_lines, tail_lines = [], [], [], [], []
+    for rec, energy in zip(records, prefix_energies(spectra).tolist()):
+        key = f"{rec.step},{rec.layer},"
+        spectra_lines += [f"{key}{j},{lam}" for j, lam in enumerate(rec.spectrum, start=1)]
         if energy[-1:] == [1.0]:  # every curve ends at 1.0; rows before statistics exist are NaN
-            energy_rows += ([rec.step, rec.layer, j, e] for j, e in enumerate(energy, start=1))
-        reff_rows.append([rec.step, rec.layer, rec.r_eff, rec.k_selected])
-        overlap_rows.append([rec.step, rec.layer, rec.rho_align, rec.pi_proj])
-        tail_rows.append([rec.step, rec.layer, rec.tail_mass])
+            energy_lines += [f"{key}{j},{e}" for j, e in enumerate(energy, start=1)]
+        reff_lines.append(f"{key}{rec.r_eff},{rec.k_selected}")
+        overlap_lines.append(f"{key}{rec.rho_align},{rec.pi_proj}")
+        tail_lines.append(f"{key}{rec.tail_mass}")
 
-    coords = []  # below three vectors there is no embedding, only the header
+    coord_lines = []  # below three vectors there is no embedding, only the header
     if len(vectors) >= 3:
         from .telemetry import pca_export
 
-        coords = pca_export(vectors).tolist()
+        coord_lines = [f"{pc1},{pc2}" for pc1, pc2 in pca_export(vectors).tolist()]
 
-    tables = (  # header and rows of each CSV, in AUDIT_CSVS order
-        (["step", "layer", "index", "eigenvalue"], spectra_rows),
-        (["step", "layer", "index", "energy"], energy_rows),
-        (["step", "layer", "r_eff", "k_selected"], reff_rows),
-        (["step", "layer", "rho_align", "pi_proj"], overlap_rows),
-        (["step", "layer", "tail_mass"], tail_rows),
-        (["pc1", "pc2"], coords),
+    tables = (  # header and lines of each CSV, in AUDIT_CSVS order
+        ("step,layer,index,eigenvalue", spectra_lines),
+        ("step,layer,index,energy", energy_lines),
+        ("step,layer,r_eff,k_selected", reff_lines),
+        ("step,layer,rho_align,pi_proj", overlap_lines),
+        ("step,layer,tail_mass", tail_lines),
+        ("pc1,pc2", coord_lines),
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in zip(AUDIT_CSVS, tables, strict=True):
-            _write_csv(out / name, header, rows)
+        for name, (header, lines) in zip(AUDIT_CSVS, tables, strict=True):
+            (out / name).write_text("\r\n".join([header, *lines]) + "\r\n", newline="")
     except OSError as exc:
         # a failed audit leaves none of its CSVs, neither this one's nor an earlier one's
         for name in AUDIT_CSVS:

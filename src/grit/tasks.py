@@ -235,8 +235,8 @@ class SyntheticLowrank:
 
 @dataclass(frozen=True)
 class TwoTaskForgetting:
-    d: int = setting(12, ge=1)
-    hidden: int = setting(12, ge=1)
+    d: int = setting(12, ge=2)  # the fine-tune teacher's rank-2 delta needs two columns
+    hidden: int = setting(12, ge=2)
     pretrain_steps: int = setting(200, ge=0)
     delta_scale: float = setting(0.35, ge=0)
     ft_noise: float = setting(0.1, ge=0)

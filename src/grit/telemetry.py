@@ -299,25 +299,31 @@ class TelemetryWriter:
         self.lines.close()
 
 
-def read_telemetry(path: str | Path) -> list[GeometryRecord]:
-    """The records of a geometry stream after its header.
+def read_telemetry(path: str | Path) -> tuple[list[GeometryRecord], np.ndarray]:
+    """The records of a geometry stream after its header, and their spectra as one array, a row per record.
 
-    A version-1 stream reads with each line's jitter, subspace_drift and
-    cov_var discarded. A line that is not a JSON object, whose keys are not
-    the record's fields, whose values are not of their fields' kinds, or
-    whose spectrum is not as long as the first record's or not finite, raises
-    ValidationError naming the file and the line; the stream is parsed in
-    one call (runio.json_lines), and a damaged one is reported as the
-    line-by-line read would.
+    The header must be {"schema": "geometry", "version": v} with v the
+    integer 1 or 2. A version-1 stream reads with each line's jitter,
+    subspace_drift and cov_var discarded. A line that is not a JSON object,
+    whose keys are not the record's fields, whose values are not of their
+    fields' kinds, or whose spectrum is not as long as the first record's or
+    not finite, raises ValidationError naming the file and the line; the
+    stream is parsed in one call (runio.json_lines), and a damaged one is
+    reported as the line-by-line read would. The finiteness check reads the
+    returned array, so the audit's energy curves are taken from the spectra
+    it checked.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ValidationError("empty telemetry stream")
     objects = json_lines(lines, path)
-    version = next(objects).get("version")
-    if version not in (1, TELEMETRY_SCHEMA_VERSION):
+    header = next(objects)
+    version = header.get("version")
+    if type(version) is not int or version not in (1, TELEMETRY_SCHEMA_VERSION):  # True == 1 and 2.0 == 2
         raise ValidationError(f"unsupported telemetry version {version!r}")
+    if header.get("schema") != "geometry":
+        raise ValidationError(f"{path}: schema is {header.get('schema')!r}, not 'geometry'")
     records = []
     for number, obj in enumerate(objects, start=2):
         if version == 1:  # the stability fields version 2 dropped
@@ -327,7 +333,8 @@ def read_telemetry(path: str | Path) -> list[GeometryRecord]:
         if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
             raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")
         records.append(record)
-    if not np.isfinite([record.spectrum for record in records]).all():  # the audit's energy curves need it
-        number = next(n for n, record in enumerate(records, start=2) if not np.isfinite(record.spectrum).all())
-        raise ValidationError(f"{path} line {number}: spectrum has non-finite entries")
-    return records
+    spectra = np.array([record.spectrum for record in records], ndmin=2)
+    finite = np.isfinite(spectra).all(axis=1)
+    if not finite.all():  # the audit's energy curves need it
+        raise ValidationError(f"{path} line {2 + finite.argmin()}: spectrum has non-finite entries")
+    return records, spectra

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -16,10 +18,12 @@ from grit.runio import (
     RunRecord,
     decode_array,
     encode_array,
+    update_line,
     write_manifest,
     write_record,
 )
-from grit.telemetry import xi_multiplier
+from grit.reprojection import prefix_energies
+from grit.telemetry import pca_export, xi_multiplier
 
 MINIMAL_CONFIG = """
 # minimal run
@@ -109,6 +113,16 @@ class TestTrain:
         path = write_config(tmp_path, f"task = {spec}\nsteps = 3\nlora_rank = 4\n")
         assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
         assert f"task argument {name!r} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "spec, name", [("two_task_forgetting(d=1, hidden=4)", "d"), ("two_task_forgetting(hidden=1)", "hidden")]
+    )
+    def test_width_one_two_task_forgetting_is_validation_error(self, tmp_path, capsys, spec, name):
+        # at rank 1 no lora_rank check stops it, and the fine-tune teacher's rank-2 delta needs width 2
+        path = write_config(tmp_path, f"task = {spec}\nsteps = 3\nlora_rank = 1\nmin_lora_rank = 1\n")
+        assert main(["train", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"config error: task argument {name!r} must be at least 2, got 1\n"
         assert not (tmp_path / "r").exists()
 
     def test_rank_above_layer_width_is_validation_error(self, tmp_path, capsys):
@@ -258,7 +272,7 @@ class TestAudit:
 
         out = self.run_once(tmp_path)
         main(["--quiet", "audit", str(out)])
-        records = read_telemetry(out / "telemetry.jsonl")
+        records, _ = read_telemetry(out / "telemetry.jsonl")
         rows = (out / "audit" / "alignment.csv").read_text().splitlines()[1:]
         assert len(rows) == len(records)
         for row, rec in zip(rows, records):
@@ -462,6 +476,68 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err == f"incomplete run: {path} line 4: spectrum has non-finite entries\n"
         assert not (out / "audit").exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        ['{"schema": "geometry", "version": true}', '{"schema": "not-geometry", "version": 2.0}', '{"version": 2}'],
+        ids=["bool_version", "float_version", "no_schema"],
+    )
+    def test_telemetry_header_other_than_the_writers_is_incomplete_run(self, tmp_path, capsys, header):
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in [header, *lines[1:]]))
+        assert main(["--quiet", "audit", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("incomplete run: ") and err.count("\n") == 1 and "telemetry" in err
+        assert not (out / "audit").exists()
+
+    def test_csvs_are_the_bytes_csv_writer_writes(self, tmp_path):
+        """Against csv.writer over the rows the audit derives, for values whose text is easy to get wrong."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        manifest = RunManifest.create(run_id="fabricated", config_hash="0" * 64, seed=0, task="synthetic")
+        manifest.status = "complete"
+        write_manifest(manifest, run_dir)
+        write_record(
+            RunRecord(d_ft=1, n_params=1, final_task_loss=0.0, pt_loss_before=0.0, pt_loss_after=0.0,
+                      mode="grit", seed=0, task="synthetic"),
+            run_dir,
+        )
+        (run_dir / "events.jsonl").write_text("")
+        base = dict(step=0, layer=0, k_selected=2, r_eff=1, rho_align=0.5, pi_proj=0.9, tail_mass=3,
+                    curvature_exposure=1.5, eig_cv=0.0, spectrum=[1.0, 0.5, 0.0])
+        records = [
+            base | {"rho_align": float("nan"), "spectrum": [1e16, 1e-300, -0.0]},
+            base | {"step": 5, "rho_align": 1e-300, "pi_proj": -0.0, "spectrum": [0.0, 0.0, 0.0]},  # no energy curve
+            base | {"step": 5, "layer": 1, "rho_align": 1e16, "pi_proj": 0, "spectrum": [3, 0.1, 1 / 3]},  # JSON ints
+        ]
+        lines = ['{"schema": "geometry", "version": 2}', *(json.dumps(r, sort_keys=True) for r in records)]
+        (run_dir / "telemetry.jsonl").write_text("".join(line + "\n" for line in lines))
+        vectors = np.random.default_rng(0).normal(size=(4, 6))
+        (run_dir / "updates.jsonl").write_text("".join(update_line(j, 0, v) + "\n" for j, v in enumerate(vectors)))
+        assert main(["--quiet", "audit", str(run_dir)]) == 0
+
+        records = [json.loads(line) for line in lines[1:]]  # as the stream holds them, ints included
+        energies = prefix_energies(np.array([r["spectrum"] for r in records])).tolist()
+        key = [[r["step"], r["layer"]] for r in records]
+        tables = (
+            (["step", "layer", "index", "eigenvalue"],
+             [[*k, j, lam] for k, r in zip(key, records) for j, lam in enumerate(r["spectrum"], start=1)]),
+            (["step", "layer", "index", "energy"],
+             [[*k, j, e] for k, energy in zip(key, energies) if energy[-1] == 1.0 for j, e in enumerate(energy, start=1)]),
+            (["step", "layer", "r_eff", "k_selected"], [[*k, r["r_eff"], r["k_selected"]] for k, r in zip(key, records)]),
+            (["step", "layer", "rho_align", "pi_proj"], [[*k, r["rho_align"], r["pi_proj"]] for k, r in zip(key, records)]),
+            (["step", "layer", "tail_mass"], [[*k, r["tail_mass"]] for k, r in zip(key, records)]),
+            (["pc1", "pc2"], pca_export(list(vectors)).tolist()),
+        )
+        for name, (header, rows) in zip(AUDIT_CSVS, tables, strict=True):
+            expected = io.StringIO()
+            csv.writer(expected).writerows([header, *rows])
+            assert (run_dir / "audit" / name).read_bytes() == expected.getvalue().encode(), name
+        texts = {name: (run_dir / "audit" / name).read_bytes().decode() for name in AUDIT_CSVS}
+        assert "\r\n" in texts["pca_updates.csv"] and ",nan," in texts["alignment.csv"]
+        assert all(v in texts["spectra.csv"] for v in (",1e+16\r", ",1e-300\r", ",-0.0\r", ",3\r"))
 
     def test_truncated_manifest_is_incomplete_run(self, tmp_path, capsys):
         out = self.run_once(tmp_path)

@@ -233,9 +233,69 @@ class TestOneParsePerStream:
         write_telemetry(path, 5)
         lines = path.read_text().splitlines()
         assert runio.read_jsonl(path) == [json.loads(line) for line in lines]
-        assert [vars(r) for r in read_telemetry(path)] == [json.loads(line) for line in lines[1:]]
+        assert [vars(r) for r in read_telemetry(path)[0]] == [json.loads(line) for line in lines[1:]]
         (tmp_path / "empty.jsonl").write_text("")
         assert runio.read_jsonl(tmp_path / "empty.jsonl") == []
+
+
+def with_values(path, changes):
+    """Rewrite the records of a write_telemetry stream: changes maps a line number to {field: value}."""
+    lines = path.read_text().splitlines()
+    for number, values in changes.items():
+        lines[number - 1] = json.dumps(json.loads(lines[number - 1]) | values, sort_keys=True)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+# (changes to a 6-record stream, the message after "<path> line ") as checking
+# one line after another names the first fault: the earliest line, and in it
+# the first field in GeometryRecord's order, a bad kind before a bad length
+FIRST_FAULTS = {
+    "bool_in_int_field_on_line_5": ({5: {"tail_mass": True}}, "5: tail_mass is True, not an integer"),
+    "float_k_on_two_lines": ({3: {"k_selected": 3.0}, 6: {"k_selected": 3.0}}, "3: k_selected is 3.0, not an integer"),
+    "string_in_spectrum": ({4: {"spectrum": [2.0, "x"]}}, "4: spectrum is [2.0, 'x'], not a list of numbers"),
+    "later_field_on_an_earlier_line": (
+        {4: {"eig_cv": "0"}, 6: {"step": False}}, "4: eig_cv is '0', not a number"
+    ),
+    "two_fields_on_one_line": ({4: {"tail_mass": "x", "step": 1.5}}, "4: step is 1.5, not an integer"),
+    "length_before_a_later_kind": (
+        {3: {"spectrum": [1.0, 0.5, 0.25]}, 5: {"layer": None}}, "3: spectrum of length 3, not line 2's 2"
+    ),
+    "kind_before_a_later_length": (
+        {3: {"layer": None}, 5: {"spectrum": [1.0]}}, "3: layer is None, not an integer"
+    ),
+    "kind_and_length_on_one_line": ({4: {"spectrum": [1.0], "rho_align": "x"}}, "4: rho_align is 'x', not a number"),
+    "spectrum_not_a_list_after_a_length": (
+        {3: {"spectrum": [1.0]}, 4: {"spectrum": 2.0}}, "3: spectrum of length 1, not line 2's 2"
+    ),
+}
+
+
+class TestFirstFaultOfAStream:
+    @pytest.mark.parametrize("changes, message", FIRST_FAULTS.values(), ids=FIRST_FAULTS.keys())
+    def test_first_fault_is_named_as_line_by_line(self, tmp_path, changes, message):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 6)
+        with_values(path, changes)
+        with pytest.raises(ValidationError) as read:
+            read_telemetry(path)
+        assert str(read.value) == f"{path} line {message}"
+
+    @pytest.mark.parametrize("later", [{6: '{"step": 1'}, {6: '{"step": 1}'}], ids=["not_json", "not_a_record"])
+    def test_kind_fault_before_a_line_that_does_not_read(self, tmp_path, later):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 6, damage=later)
+        with_values(path, {4: {"pi_proj": None}})
+        with pytest.raises(ValidationError) as read:
+            read_telemetry(path)
+        assert str(read.value) == f"{path} line 4: pi_proj is None, not a number"
+
+    def test_line_that_does_not_read_before_a_kind_fault(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 6, damage={3: '{"step": 1}'})
+        with_values(path, {5: {"pi_proj": None}})
+        with pytest.raises(ValidationError) as read:
+            read_telemetry(path)
+        assert str(read.value).startswith(f"{path} line 3: not a geometry record (")
 
 
 SPECIALS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -1e300]

@@ -482,8 +482,9 @@ class TestTelemetryStream:
         )
         writer.append(rec)
         writer.close()
-        out = read_telemetry(path)
+        out, spectra = read_telemetry(path)
         assert out == [rec]
+        assert spectra.tolist() == [[1.0, 0.5]]
 
 
 # a version-1 stream's header and line, as version-1 writers wrote them, with the
@@ -500,7 +501,7 @@ class TestVersionOneStreams:
     def test_version_one_stream_reads_without_the_stability_fields(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         path.write_text(f"{VERSION_1_HEADER}\n{VERSION_1_LINE}\n")
-        assert read_telemetry(path) == [GeometryRecord(
+        assert read_telemetry(path)[0] == [GeometryRecord(
             step=3, layer=0, k_selected=2, r_eff=1, rho_align=0.5, pi_proj=0.9,
             tail_mass=4, curvature_exposure=1.5, eig_cv=0.2, spectrum=[1.0, 0.5],
         )]
@@ -515,12 +516,20 @@ class TestVersionOneStreams:
         with pytest.raises(ValidationError, match=f"line 2: not a geometry record .*'{key}'"):
             read_telemetry(path)
 
-    @pytest.mark.parametrize("version", [0, 3, None, "1"])
+    @pytest.mark.parametrize("version", [0, 3, None, "1", True, 2.0])  # True == 1 and 2.0 == 2, but neither is an int
     def test_other_versions_are_rejected(self, tmp_path, version):
         path = tmp_path / "telemetry.jsonl"
         path.write_text(f'{json.dumps({"schema": "geometry", "version": version})}\n{VERSION_1_LINE}\n')
         with pytest.raises(ValidationError, match=f"unsupported telemetry version {version!r}"):
             read_telemetry(path)
+
+    @pytest.mark.parametrize("header", [{"version": 2}, {"schema": "not-geometry", "version": 2}], ids=["none", "other"])
+    def test_other_schemas_are_rejected(self, tmp_path, header):
+        path = tmp_path / "telemetry.jsonl"
+        path.write_text(f"{json.dumps(header)}\n{VERSION_1_LINE}\n")
+        with pytest.raises(ValidationError) as read:
+            read_telemetry(path)
+        assert str(read.value) == f"{path}: schema is {header.get('schema')!r}, not 'geometry'"
 
     def test_audit_of_a_version_one_run_writes_the_same_csvs(self, tmp_path):
         """A run's stream rewritten as version 1, the stability fields added, audits to the same bytes."""

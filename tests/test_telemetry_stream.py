@@ -29,7 +29,7 @@ def run_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def run_records(run_dir):
     out, cfg = run_dir
-    return read_telemetry(out / "telemetry.jsonl"), cfg
+    return read_telemetry(out / "telemetry.jsonl")[0], cfg
 
 
 def test_stream_is_written_at_the_current_version_without_stability_fields(run_dir):

@@ -1377,7 +1377,7 @@ class TestRankSpectraSeam:
         run_experiment(fixed, tmp_path / "fixed")
         assert fixed.rank_adaptation_threshold == 0.85 and fixed.lora_rank == 8
         assert_same_bytes(tmp_path / "flat", tmp_path / "fixed", "events.jsonl")
-        records = {run: telemetry_module.read_telemetry(tmp_path / run / "telemetry.jsonl") for run in ("flat", "fixed")}
+        records = {run: telemetry_module.read_telemetry(tmp_path / run / "telemetry.jsonl")[0] for run in ("flat", "fixed")}
         assert [dataclasses.replace(rec, spectrum=[]) for rec in records["flat"]] == [
             dataclasses.replace(rec, spectrum=[]) for rec in records["fixed"]
         ]
@@ -1406,7 +1406,7 @@ class TestRankSpectraSeam:
             curves.setdefault((int(step), int(layer)), []).append(float(energy))
         reach = config.rank_adaptation_threshold * (1.0 - 16 * np.finfo(np.float64).eps)
         reprojected = [
-            rec for rec in telemetry_module.read_telemetry(tmp_path / "run" / "telemetry.jsonl")
+            rec for rec in telemetry_module.read_telemetry(tmp_path / "run" / "telemetry.jsonl")[0]
             if rec.step >= config.reprojection_warmup_steps and rec.step % config.reprojection_freq == 0
         ]
         assert len(reprojected) == 22
