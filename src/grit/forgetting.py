@@ -87,10 +87,18 @@ def _check_finite(values: np.ndarray, names: str) -> None:
         raise ValidationError(f"{names} must be finite", index=int(np.argmin(finite)))
 
 
+def _float_or_nan(value) -> float:
+    """float(value), or NaN for an integer float64 cannot hold, so that the finiteness check names it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.nan
+
+
 def _extract_dnl(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d = np.array([float(r.d_ft) for r in records])
-    n = np.array([float(r.n_params) for r in records])
-    loss = np.array([float(r.pt_loss_after) for r in records])
+    d = np.array([_float_or_nan(r.d_ft) for r in records])
+    n = np.array([_float_or_nan(r.n_params) for r in records])
+    loss = np.array([_float_or_nan(r.pt_loss_after) for r in records])
     _check_finite(np.column_stack([d, n, loss]), "d_ft, n_params and pt_loss_after")
     bad = (d <= 0.0) | (n <= 0.0)
     if bad.any():

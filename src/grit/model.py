@@ -8,9 +8,10 @@ zero_adapter_model. forward takes one 2-D batch, as backward needs; predict
 also takes a stack of them (a task's block of batches). squared_error is the
 one loss. Reverse mode is hand-derived for this fixed architecture;
 per-layer inputs and output gradients are captured on a tape because the
-curvature statistics need them verbatim. save_checkpoint writes a model's
-arrays through runio's exact array codec (checkpoint format version 2);
-load_checkpoint reads that and version 1's nested lists.
+curvature statistics need them verbatim. curvature_backward carries a loss
+Hessian down the same tapes as each layer's LayerCurvature. save_checkpoint
+writes a model's arrays through runio's exact array codec (checkpoint
+format version 2); load_checkpoint reads that and version 1's nested lists.
 """
 
 from __future__ import annotations
@@ -235,6 +236,75 @@ class Model:
             if tape is not first:
                 dh = dz @ tape.w_eff
         return self.tapes
+
+
+@dataclass
+class LayerCurvature:
+    """Exact factors of one layer's block of a loss Hessian, from curvature_backward.
+
+    On row-major vec coordinates of the layer weight the block is
+    sum_s C_s kron x_s x_s^T, with x the layer inputs (m x d_in) and C_s the
+    Hessian of the loss in sample s's pre-activations,
+    C_s = diag(d_s) H diag(d_s) + diag(e_s). Here d = act'(z) and
+    e = act''(z) * dloss/dh are m x d_out, and h is H, the Hessian in the
+    layer's outputs. H is one d_out x d_out matrix, shared by every sample,
+    when every layer above is an identity layer, as in every layer of the
+    built-in tasks; the factors then take O(m (d_in + d_out)) memory besides
+    H. Below a tanh layer H differs per sample, and h is m x d_out x d_out.
+    """
+
+    x: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
+    e: np.ndarray
+    # per sample ||x_s||^2 and tr(C_s), read by every exposure_from_basis call
+    x_sq: np.ndarray = field(init=False, repr=False)
+    c_trace: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x_sq = np.sum(self.x * self.x, axis=1)
+        h_diag = np.diagonal(self.h, axis1=-2, axis2=-1)
+        self.c_trace = np.sum(self.d * self.d * h_diag, axis=1) + np.sum(self.e, axis=1)
+
+    @property
+    def c(self) -> np.ndarray:
+        """The per-sample blocks C_s (m x d_out x d_out), materialized on each call.
+
+        For the oracles, the tests and a per-sample H; no run of the built-in
+        tasks calls it.
+        """
+        c = self.d[:, :, None] * self.h * self.d[:, None, :]
+        diag = np.arange(c.shape[1])
+        c[:, diag, diag] += self.e
+        return c
+
+
+def curvature_backward(model: Model, out_hess: np.ndarray, out_grad: np.ndarray) -> list[LayerCurvature]:
+    """Each layer's LayerCurvature, carried down the tapes of the model's last forward.
+
+    One backward pass carries the loss Hessian from the outputs to each
+    layer's pre-activations (Botev et al. 2017, with the activation's
+    second-derivative term kept): H_L = out_hess (d_L x d_L) and the
+    per-sample output gradient out_grad (m x d_L), then
+    H_{l-1} = W_l^T C_l W_l with C_l = diag(d_l) H_l diag(d_l) + diag(e_l) and
+    W_l the tape's effective weight. Through an identity layer C_l = H_l, so
+    a shared H stays one d x d matrix; below a tanh layer H is per sample
+    (m x d x d). With out_hess = I and out_grad = 0, e = 0 and each layer's
+    mean C_l is its Gauss-Newton output factor.
+    """
+    grad_h, hess_h = out_grad, out_hess
+    factors = [None] * len(model.layers)
+    for idx in reversed(range(len(model.layers))):
+        base, tape = model.layers[idx][0], model.tapes[idx]
+        act = ACTIVATIONS[base.activation]
+        d1 = act.deriv(tape.z)
+        e = act.deriv2(tape.z) * grad_h
+        factors[idx] = LayerCurvature(x=tape.x, d=d1, h=hess_h, e=e)
+        if idx > 0:
+            grad_h = (d1 * grad_h) @ tape.w_eff
+            c = hess_h if base.activation == "identity" else factors[idx].c
+            hess_h = tape.w_eff.T @ c @ tape.w_eff
+    return factors
 
 
 def squared_error(pred: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

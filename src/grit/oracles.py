@@ -25,11 +25,13 @@ from .errors import SingularMatrixError
 from .forgetting import fit_baseline_law, fit_xi_coefficients, predict
 from .kfac import RankSpaceStats, refresh_inverses
 from .linalg import SpectralDecomp, damped_inverse, damped_solve, sym_eig, sym_eig_stack, symmetrize
-from .model import AdapterPair, Model, build_model, squared_error, zero_adapter_model
+from .model import (
+    ACTIVATIONS, AdapterPair, LayerCurvature, Model, build_model, curvature_backward, squared_error, zero_adapter_model,
+)
 from .reprojection import effective_rank, make_projector, select_rank
 from .runio import GeometrySummary, RunRecord
 from .tasks import TaskInstance, build_task
-from .telemetry import LayerCurvature, adapter_subspace_basis, exposure_from_basis, xi_multiplier
+from .telemetry import adapter_subspace_basis, exposure_from_basis, xi_multiplier
 
 
 @dataclass
@@ -98,6 +100,31 @@ def hessian_fd(grad_fn, w: np.ndarray, step: float = 1e-4) -> np.ndarray:
 def fd_pt_hessian(task: TaskInstance) -> np.ndarray:
     """Dense pretraining Hessian at the base point, by central differences (step 1e-4) of pt_grad_at."""
     return hessian_fd(lambda w: pt_grad_at(task, w), base_weight_vector(task.model), step=1e-4)
+
+
+def fd_gauss_newton(model: Model, step: float = 1e-5) -> list[np.ndarray]:
+    """Each layer's Gauss-Newton output factor (1/n) sum_s J_s^T J_s at the model's last forward.
+
+    J_s is the Jacobian of sample s's network outputs in its pre-activations
+    z_s at the layer, by central differences (step) through the layers above,
+    run at the tapes' effective weights. curvature_backward(model, I, 0)
+    gives it as each layer's mean C_s.
+    """
+    factors = []
+    for idx, tape in enumerate(model.tapes):
+        above = list(zip(model.layers[idx + 1 :], model.tapes[idx + 1 :]))
+
+        def outputs(z: np.ndarray) -> np.ndarray:
+            h = ACTIVATIONS[model.layers[idx][0].activation].f(z)
+            for (base, _), upper in above:
+                z = h @ upper.w_eff.T + (0.0 if base.bias is None else base.bias)
+                h = ACTIVATIONS[base.activation].f(z)
+            return h
+
+        moves = step * np.eye(tape.z.shape[1])
+        jac = np.stack([(outputs(tape.z + v) - outputs(tape.z - v)) / (2.0 * step) for v in moves], axis=2)
+        factors.append(np.einsum("soi,soj->ij", jac, jac) / len(jac))
+    return factors
 
 
 def reconstruct(decomp: SpectralDecomp) -> np.ndarray:
@@ -425,10 +452,14 @@ CURVATURE_TASKS = (
 def suite_curvature(adapters: int = 8, seed: int = 20247) -> list[CheckResult]:
     """Factored exposure and second-order-forward 1/2 delta^T H delta vs the
     finite-difference pretraining Hessian, for random adapters (every fourth
-    with b = 0)."""
+    with b = 0); and the Gauss-Newton factors curvature_backward(model, I, 0)
+    vs fd_gauss_newton on a fine-tune batch, at random nonzero adapters drawn
+    from a generator of their own, so the first two checks draw as before."""
     rng = np.random.default_rng(seed)
+    gn_rng = np.random.default_rng(seed + 1)
     worst_exposure = 0.0
     worst_quad = 0.0
+    worst_gn = 0.0
     for spec in CURVATURE_TASKS:
         task = build_task(spec, rank=2, alpha=1.5, eval_size=32, model_rng=rng, data_rng=rng)
         hess = fd_pt_hessian(task)
@@ -450,9 +481,18 @@ def suite_curvature(adapters: int = 8, seed: int = 20247) -> list[CheckResult]:
                 reference = 0.5 * delta @ (hess @ delta)
                 fast = task.pt_quadratic(task.model)
                 worst_quad = max(worst_quad, abs(fast - reference) / abs(reference))
+        for _, adapter in task.model.layers:
+            adapter.a = gn_rng.normal(size=adapter.a.shape)
+            adapter.b = gn_rng.normal(size=adapter.b.shape)
+        out = task.model.forward(task.sample_batch(gn_rng, 16)[0])
+        factors = curvature_backward(task.model, np.eye(out.shape[1]), np.zeros_like(out))
+        for factor, reference in zip(factors, fd_gauss_newton(task.model)):
+            gap = np.max(np.abs(factor.c.mean(axis=0) - reference)) / np.max(np.abs(reference))
+            worst_gn = max(worst_gn, float(gap))
     return [
         CheckResult("factored vs finite-difference exposure (relative)", worst_exposure < 1e-6, worst_exposure, 1e-6),
         CheckResult("second-order forward vs finite-difference quadratic (relative)", worst_quad < 1e-6, worst_quad, 1e-6),
+        CheckResult("gauss-newton factors vs finite-difference jacobian (relative)", worst_gn < 1e-8, worst_gn, 1e-8),
     ]
 
 

@@ -142,7 +142,7 @@ def json_object(text: str, path: Path, line: int | None = None) -> dict:
     """The JSON object in text, read from path (at line); ValidationError naming them otherwise."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         problem = f"not valid JSON ({exc})"
     else:
         if isinstance(obj, dict):
@@ -152,15 +152,27 @@ def json_object(text: str, path: Path, line: int | None = None) -> dict:
     raise ValidationError(f"{where}: {problem}")
 
 
+_FLOAT_BOUND = 2**1024 - 2**970  # float() of an integer this large in magnitude rounds past float64's range
+
+
+def _is_number(v) -> bool:
+    """A float, or an integer that float64 holds."""
+    return type(v) is float or (type(v) is int and -_FLOAT_BOUND < v < _FLOAT_BOUND)
+
+
 # declared field type -> (what a JSON value of it must be, the check); a bool is
-# neither an integer nor a number, and a float such as 1.0 is not an integer
-_NUMBERS = frozenset((float, int))
+# neither an integer nor a number, and a float such as 1.0 is not an integer.
+# A list of floats alone takes one pass over its types.
+_FLOATS = frozenset((float,))
 _VALUE_KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in _NUMBERS),
-    "float | None": ("a number or null", lambda v: v is None or type(v) in _NUMBERS),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
     "str": ("a string", lambda v: type(v) is str),
-    "list[float]": ("a list of numbers", lambda v: type(v) is list and _NUMBERS.issuperset(map(type, v))),
+    "list[float]": (
+        "a list of numbers",
+        lambda v: type(v) is list and (_FLOATS.issuperset(map(type, v)) or all(map(_is_number, v))),
+    ),
     "list[str]": ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
 }
 _MODES = declarations(GritConfig)["mode"].rules["one_of"]
@@ -287,14 +299,15 @@ def decode_array(value) -> np.ndarray:
     """The float64 array of an encode_array dict, bit for bit, or of a plain JSON list.
 
     A decoded dict gives a read-only view of the decoded bytes. Raises
-    ValidationError when value is neither, or its bytes do not fill its shape.
+    ValidationError when value is neither, its bytes do not fill its shape,
+    or a list entry is past float64's range.
     """
     try:
         if isinstance(value, list):
             return np.array(value, dtype=np.float64)
         array = np.frombuffer(base64.b64decode(value["f64"], validate=True), dtype="<f8")
         array = array.reshape(value["shape"])
-    except (KeyError, TypeError, ValueError) as exc:  # bad base64 raises a ValueError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # bad base64 raises a ValueError
         raise ValidationError(f"not a float64 array: {exc}") from exc
     if array.shape != tuple(value["shape"]):  # reshape fills in a -1
         raise ValidationError(f"not a float64 array: shape {value['shape']}")
@@ -343,7 +356,7 @@ def json_lines(lines: list[str], path: Path, skip_blank: bool = False) -> Iterat
     text = "[" + f",{_LINE_BREAK},".join(kept) + "]"
     try:
         values = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # as in json_object
         values = []
     objects = values[::2]
     if (

@@ -35,13 +35,13 @@ does; a (steps * batch) x d product need not (it moves the last bit at d = 48).
 Both tasks expose the pretraining curvature at the base point without forming
 the dense Hessian H: per adapted layer, the layer inputs x_s and the factors
 of the per-sample Hessians C_s of the pt loss in the layer's pre-activations
-(telemetry.LayerCurvature), whose sum_s C_s kron x_s x_s^T is the layer's
-exact block of H; and the quadratic forgetting estimate 1/2 delta^T H delta
-from a second-order forward pass. Both start from one forward of the base
-network, a model.zero_adapter_model (_base_point); every teacher, target
-map and probe map is one too, applied by its predict.
-The dense H they are checked against, by central finite differences of the
-exact gradient, is oracles.fd_pt_hessian.
+(model.LayerCurvature, from model.curvature_backward), whose sum_s C_s kron
+x_s x_s^T is the layer's exact block of H; and the quadratic forgetting
+estimate 1/2 delta^T H delta from a second-order forward pass. Both start
+from one forward of the base network, a model.zero_adapter_model
+(_base_point); every teacher, target map and probe map is one too, applied
+by its predict. The dense H they are checked against, by central finite
+differences of the exact gradient, is oracles.fd_pt_hessian.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ import numpy as np
 
 from .config import declarations, parse_settings, setting
 from .errors import ConfigError
-from .model import ACTIVATIONS, LayerTape, Model, build_model, squared_error, zero_adapter_model
-from .telemetry import LayerCurvature
+from .model import ACTIVATIONS, LayerCurvature, Model, build_model, curvature_backward, squared_error, zero_adapter_model
 
 
 @dataclass
@@ -93,42 +92,23 @@ class TaskInstance:
 
         return fd_pt_hessian(self)
 
-    def _base_point(self) -> tuple[list[LayerTape], np.ndarray]:
-        """The base network's tapes (layer inputs x, pre-activations z) on the pt set, and its output."""
+    def _base_point(self) -> tuple[Model, np.ndarray]:
+        """The base network after one forward of the pt set (tapes: layer inputs x, pre-activations z), and its output."""
         bases = [base for base, _ in self.model.layers]
         net = zero_adapter_model([b.w0 for b in bases], [b.activation for b in bases], [b.bias for b in bases])
-        return net.tapes, net.forward(self.pt_inputs)
+        return net, net.forward(self.pt_inputs)
 
     def pt_curvature(self) -> list[LayerCurvature]:
         """Exact factors of each adapted layer's pretraining Hessian block, cached.
 
-        One backward pass carries the Hessian of the pt loss from the output
-        to each layer's pre-activations (Botev et al. 2017, with the
-        activation's second-derivative term kept): H_L = I/m in the outputs,
-        H_{l-1} = W_l^T C_l W_l with C_l = diag(d_l) H_l diag(d_l) + diag(e_l)
-        (see LayerCurvature). Through an identity layer C_l = H_l, so a shared
-        H stays one d x d matrix and the layer's factors take O(m d) memory
-        besides it, as in every layer of the built-in tasks; below a tanh
-        layer H is per sample (m x d x d).
+        model.curvature_backward on the base network, from H_L = I/m in the
+        outputs and the squared error's per-sample gradient.
         """
         if self._curvature_cache is None:
-            tapes, out = self._base_point()
+            net, out = self._base_point()
             m, d_out = out.shape
             grad_h = squared_error(out, self.pt_targets)[1]  # d loss / d h_l, per sample
-            hess_h = np.eye(d_out) / m
-            layers = self.model.layers
-            factors = [None] * len(layers)
-            for idx in reversed(range(len(layers))):
-                base, tape = layers[idx][0], tapes[idx]
-                act = ACTIVATIONS[base.activation]
-                d1 = act.deriv(tape.z)
-                e = act.deriv2(tape.z) * grad_h
-                factors[idx] = LayerCurvature(x=tape.x, d=d1, h=hess_h, e=e)
-                if idx > 0:
-                    grad_h = (d1 * grad_h) @ base.w0
-                    c = hess_h if base.activation == "identity" else factors[idx].c
-                    hess_h = base.w0.T @ c @ base.w0
-            self._curvature_cache = factors
+            self._curvature_cache = curvature_backward(net, np.eye(d_out) / m, grad_h)
         return self._curvature_cache
 
     def pt_quadratic(self, model: Model) -> float:
@@ -139,11 +119,11 @@ class TaskInstance:
         R2h = act'' Rz^2 + act' R2z; the estimate is
         (||Rh_L||^2 + err . R2h_L) / (2 m).
         """
-        tapes, out = self._base_point()
+        net, out = self._base_point()
         err = out - self.pt_targets
         r_h = np.zeros_like(self.pt_inputs)
         r2_h = np.zeros_like(self.pt_inputs)
-        for (base, _), adapter, tape in zip(self.model.layers, model.adapters(), tapes):
+        for (base, _), adapter, tape in zip(self.model.layers, model.adapters(), net.tapes):
             v = adapter.scaling * adapter.delta_w()
             r_z = tape.x @ v.T + r_h @ base.w0.T
             r2_z = 2.0 * (r_h @ v.T) + r2_h @ base.w0.T

@@ -10,22 +10,23 @@ telemetry pass reads all layers of a snapshot at once, eig_cvs on the
 (layers x window x r) stack of its window's spectra, and the adapters of a
 whole block in adapter_subspace_bases, one SVD per factor shape;
 stability_stats and adapter_subspace_basis are their one-layer cases, bit
-for bit. The curvature exposure reads the factored Hessian blocks of
-tasks.TaskInstance.pt_curvature; the dense finite-difference Hessian it is
-checked against is in oracles. No setting tunes a diagnostic: the
-trainer fixes the r_eff energy fraction and each layer's tail-mass cutoff.
+for bit. The curvature exposure reads the factored Hessian blocks
+(model.LayerCurvature) of tasks.TaskInstance.pt_curvature; the dense
+finite-difference Hessian it is checked against is in oracles. No setting
+tunes a diagnostic: the trainer fixes the r_eff energy fraction and each
+layer's tail-mass cutoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .linalg import sym_eig
-from .model import AdapterPair
+from .model import AdapterPair, LayerCurvature
 from .reprojection import effective_rank  # noqa: F401  (re-exported)
 from .runio import JsonlWriter, from_document, json_lines
 
@@ -185,47 +186,6 @@ class TangentBasis:
     q_out: np.ndarray
 
 
-@dataclass
-class LayerCurvature:
-    """Exact factors of one layer's pretraining Hessian block.
-
-    On row-major vec coordinates of the layer weight the block is
-    sum_s C_s kron x_s x_s^T, with x the layer inputs (m x d_in) and C_s the
-    Hessian of the loss in sample s's pre-activations,
-    C_s = diag(d_s) H diag(d_s) + diag(e_s). Here d = act'(z) and
-    e = act''(z) * dloss/dh are m x d_out, and h is H, the Hessian in the
-    layer's outputs. H is one d_out x d_out matrix, shared by every sample,
-    when every layer above is an identity layer, as in every layer of the
-    built-in tasks; the factors then take O(m (d_in + d_out)) memory besides
-    H. Below a tanh layer H differs per sample, and h is m x d_out x d_out.
-    """
-
-    x: np.ndarray
-    d: np.ndarray
-    h: np.ndarray
-    e: np.ndarray
-    # per sample ||x_s||^2 and tr(C_s), read by every exposure_from_basis call
-    x_sq: np.ndarray = field(init=False, repr=False)
-    c_trace: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.x_sq = np.sum(self.x * self.x, axis=1)
-        h_diag = np.diagonal(self.h, axis1=-2, axis2=-1)
-        self.c_trace = np.sum(self.d * self.d * h_diag, axis=1) + np.sum(self.e, axis=1)
-
-    @property
-    def c(self) -> np.ndarray:
-        """The per-sample blocks C_s (m x d_out x d_out), materialized on each call.
-
-        For the oracles, the tests and a per-sample H; no run of the built-in
-        tasks calls it.
-        """
-        c = self.d[:, :, None] * self.h * self.d[:, None, :]
-        diag = np.arange(c.shape[1])
-        c[:, diag, diag] += self.e
-        return c
-
-
 def _column_bases(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of each col(m), cut at singular values below 1e-10 * s_max.
 
@@ -333,7 +293,7 @@ def read_telemetry(path: str | Path) -> tuple[list[GeometryRecord], np.ndarray]:
         if records and len(record.spectrum) != len(records[0].spectrum):  # the audit stacks the spectra
             raise ValidationError(f"{path} line {number}: spectrum of length {len(record.spectrum)}, not line 2's {len(records[0].spectrum)}")
         records.append(record)
-    spectra = np.array([record.spectrum for record in records], ndmin=2)
+    spectra = np.array([record.spectrum for record in records], ndmin=2, dtype=np.float64)
     finite = np.isfinite(spectra).all(axis=1)
     if not finite.all():  # the audit's energy curves need it
         raise ValidationError(f"{path} line {2 + finite.argmin()}: spectrum has non-finite entries")

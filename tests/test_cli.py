@@ -388,9 +388,10 @@ class TestAudit:
             lambda u: u.update(delta_w=with_entry(u["delta_w"], np.nan)),
             lambda u: u.update(delta_w=with_entry(u["delta_w"], np.inf)),
             lambda u: u.update(delta_w=with_entry(u["delta_w"], -np.inf)),
+            lambda u: u.update(delta_w=[10**400, *decode_array(u["delta_w"]).tolist()[1:]]),
         ],
         ids=["missing_field", "invalid_base64", "bytes_not_shape", "shorter_vector",
-             "nan_entry", "inf_entry", "minus_inf_entry"],
+             "nan_entry", "inf_entry", "minus_inf_entry", "plain_list_entry_past_float_range"],
     )
     def test_bad_update_vector_is_incomplete_run(self, tmp_path, capsys, corrupt):
         out = self.run_once(tmp_path)
@@ -431,8 +432,9 @@ class TestAudit:
     @pytest.mark.parametrize(
         "field, value",
         [("rho_align", "0.5"), ("step", True), ("spectrum", [1.0, "x"]), ("spectrum", 2.0),
-         ("tail_mass", None), ("r_eff", 3.0)],
-        ids=["string", "bool", "spectrum_entry", "spectrum_not_list", "null", "integer_as_float"],
+         ("tail_mass", None), ("r_eff", 3.0), ("spectrum", [1.0, 10**400, 0.5, 0.25]), ("pi_proj", -(10**400))],
+        ids=["string", "bool", "spectrum_entry", "spectrum_not_list", "null", "integer_as_float",
+             "spectrum_entry_past_float_range", "number_past_float_range"],
     )
     def test_telemetry_value_of_wrong_type_is_incomplete_run(self, tmp_path, capsys, field, value):
         out = self.run_once(tmp_path)
@@ -476,6 +478,18 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err == f"incomplete run: {path} line 4: spectrum has non-finite entries\n"
         assert not (out / "audit").exists()
+
+    def test_spectrum_entry_float64_holds_audits(self, tmp_path):
+        # an integer float64 holds is the number it is, as 3 is
+        out = self.run_once(tmp_path)
+        path = out / "telemetry.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["spectrum"][0] = 2**70
+        lines[3] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["--quiet", "audit", str(out)]) == 0
+        assert f"{record['step']},0,1,{2**70}" in (out / "audit" / "spectra.csv").read_text().splitlines()
 
     @pytest.mark.parametrize(
         "header",
@@ -647,9 +661,11 @@ class TestFitLaw:
         "field, value",
         [("d_ft", "abc"), ("pt_loss_after", None), ("mode", 3), ("task", ["synthetic"]),
          ("seed", False), ("geometry_summary.rho_align", "0.1"), ("d_ft", float("nan")),
-         ("n_params", float("inf")), ("d_ft", 1000.0), ("seed", 1.5), ("geometry_summary.max_rank", 8.0)],
+         ("n_params", float("inf")), ("d_ft", 1000.0), ("seed", 1.5), ("geometry_summary.max_rank", 8.0),
+         ("pt_loss_after", 10**400), ("geometry_summary.r_eff", -(10**400))],
         ids=["d_ft_string", "loss_null", "mode_number", "task_list", "seed_bool", "summary_string",
-             "d_ft_nan", "n_params_inf", "d_ft_float", "seed_float", "max_rank_float"],
+             "d_ft_nan", "n_params_inf", "d_ft_float", "seed_float", "max_rank_float",
+             "loss_past_float_range", "r_eff_past_float_range"],
     )
     def test_record_value_of_wrong_type_is_bad_run_dir(self, tmp_path, capsys, field, value):
         dirs = self.fabricate_runs(tmp_path)
@@ -672,9 +688,10 @@ class TestFitLaw:
         [(3, "d_ft", 0), (3, "pt_loss_after", -1.0), (1, "pt_loss_after", 0.5),
          (3, "pt_loss_after", float("nan")), (1, "pt_loss_after", float("nan")),
          (1, "pt_loss_after", float("inf")), (1, "geometry_summary.rho_align", float("nan")),
-         (1, "geometry_summary.r_eff", float("inf"))],
+         (1, "geometry_summary.r_eff", float("inf")), (3, "d_ft", 10**400), (1, "n_params", 10**400)],
         ids=["zero_steps", "non_positive_loss", "geometry_below_offset", "control_loss_nan",
-             "grit_loss_nan", "grit_loss_inf", "rho_align_nan", "r_eff_inf"],
+             "grit_loss_nan", "grit_loss_inf", "rho_align_nan", "r_eff_inf",
+             "d_ft_past_float_range", "grit_n_params_past_float_range"],
     )
     def test_records_the_law_cannot_take_are_bad_records(self, tmp_path, capsys, index, field, value):
         dirs = self.fabricate_runs(tmp_path)  # a control record, then a grit one, per cell
@@ -768,6 +785,101 @@ class TestFitLaw:
         assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(out)]) == 0
         fit = load_fit(out)
         assert set(fit.unidentifiable) == {"gamma_r", "gamma_a", "gamma_p"}
+
+
+# JSON texts no writer produces: numbers float64 holds only in part or not at all,
+# an integer literal past Python's 4,300-digit limit, and values of every other kind
+HOSTILE_VALUES = [
+    str(2**70), "1" + "0" * 400, "-1" + "0" * 400, "9" * 5000, "1e999", "true", "null", '"x"', "[]", "{}",
+]
+_SENTINEL = "\x00hostile\x00"
+
+
+def hostile_positions(path, line=None):
+    """(line, keys) of each position swept in a JSON file or one line of a JSONL file:
+    the whole document and each top-level value, and each value of a nested object."""
+    text = path.read_text()
+    doc = json.loads(text if line is None else text.splitlines()[line])
+    positions = [(line, ())]
+    for key, value in doc.items():
+        positions.append((line, (key,)))
+        if isinstance(value, dict):
+            positions += [(line, (key, inner)) for inner in value]
+    return positions
+
+
+def put_hostile(path, line, keys, value_text):
+    """Write path with the value at keys (of its document, or of its line) replaced by value_text."""
+    text = path.read_text()
+    lines = text.splitlines()
+    doc = json.loads(text if line is None else lines[line])
+    if keys:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = _SENTINEL
+    else:
+        doc = _SENTINEL
+    encoded = json.dumps(doc, sort_keys=True).replace(json.dumps(_SENTINEL), value_text)
+    if line is None:
+        path.write_text(encoded)
+    else:
+        lines[line] = encoded
+        path.write_text("\n".join(lines) + "\n")
+
+
+class TestHostileJsonValues:
+    """Every hostile value at every swept position of a run's files ends audit and fit-law
+    with an exit code, never an exception, and a nonzero code with one stderr line."""
+
+    def sweep(self, capsys, command, targets):
+        escapes = []
+        for path, line, keys in targets:
+            original = path.read_bytes()
+            for value_text in HOSTILE_VALUES:
+                put_hostile(path, line, keys, value_text)
+                try:
+                    code = main(["--quiet", *command])
+                except Exception as exc:  # an escape is what the sweep looks for
+                    code = repr(exc)[:120]
+                finally:
+                    path.write_bytes(original)
+                err = capsys.readouterr().err
+                lines = 0 if code == 0 else 1
+                if type(code) is not int or err.count("\n") != lines or not err.endswith("\n" * lines):
+                    escapes.append((path.name, line, keys, value_text[:24], code, err[:120]))
+        return escapes
+
+    def test_audit_and_fit_law_exit_cleanly(self, tmp_path, capsys):
+        run = TestAudit().run_once(tmp_path)
+        assert len((run / "updates.jsonl").read_text().splitlines()) >= 3
+        targets = [
+            (run / "manifest.json", *pos) for pos in hostile_positions(run / "manifest.json")
+        ] + [
+            (run / "record.json", *pos) for pos in hostile_positions(run / "record.json")
+        ] + [
+            (run / "telemetry.jsonl", *pos) for pos in hostile_positions(run / "telemetry.jsonl", line=1)
+        ] + [
+            (run / "telemetry.jsonl", 1, ("spectrum", 1)),
+            (run / "updates.jsonl", 0, ("delta_w",)),
+            (run / "events.jsonl", 0, ()),
+        ]
+        escapes = self.sweep(capsys, ["audit", str(run), "--out", str(tmp_path / "audit")], targets)
+
+        (tmp_path / "law").mkdir()
+        dirs = TestFitLaw().fabricate_runs(tmp_path / "law")
+        grit_dir = dirs[1]  # a grit record: its geometry summary reaches the fit
+        manifest = RunManifest.create(run_id=grit_dir.name, config_hash="0" * 64, seed=1, task="synthetic")
+        manifest.status = "complete"
+        write_manifest(manifest, grit_dir)
+        fit = tmp_path / "fit.json"
+        assert main(["--quiet", "fit-law", *map(str, dirs), "--out", str(fit)]) == 0
+        targets = [
+            (grit_dir / name, *pos) for name in ("manifest.json", "record.json")
+            for pos in hostile_positions(grit_dir / name)
+        ]
+        escapes += self.sweep(capsys, ["fit-law", *map(str, dirs), "--out", str(fit)], targets)
+        assert escapes == []
 
 
 class TestOneProcess:

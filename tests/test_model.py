@@ -338,6 +338,12 @@ class TestCheckpoint:
             '{"format_version": 1, "layers": []}',
             '{"format_version": 1, "seed": 0, "layers": [{"w0": [[1.0]]}]}',
             '{"format_version": 1, "seed": 0, "layers": [[1.0]]}',
+            pytest.param('{"format_version": 1, "seed": ' + "9" * 5000 + ', "layers": []}', id="long_integer"),
+            pytest.param(
+                '{"format_version": 1, "seed": 0, "layers": [{"d_in": 1, "d_out": 1, "rank": 0, "scaling": 1.0,'
+                ' "activation": "identity", "w0": [[1' + "0" * 400 + ']], "bias": null, "a": [], "b": []}]}',
+                id="w0_past_float_range",
+            ),
         ],
     )
     def test_damaged_file_is_a_validation_error_naming_it(self, tmp_path, text):

@@ -173,6 +173,7 @@ DAMAGED_LINES = {
     "list": "[1, 2]",
     "number": "3",
     "cut": '{"step": 1',
+    "integer_past_the_digit_limit": '{"step": ' + "9" * 5000 + "}",
 }
 
 # damage over several lines, from line 2, that joins into as many whole values as lines
@@ -267,7 +268,38 @@ FIRST_FAULTS = {
     "spectrum_not_a_list_after_a_length": (
         {3: {"spectrum": [1.0]}, 4: {"spectrum": 2.0}}, "3: spectrum of length 1, not line 2's 2"
     ),
+    "integer_past_float_range_in_spectrum": (
+        {4: {"spectrum": [2.0, 10**400]}}, f"4: spectrum is {[2.0, 10**400]!r}, not a list of numbers"
+    ),
+    "integer_past_float_range_in_a_float_field": (
+        {3: {"rho_align": -(10**400)}}, f"3: rho_align is {-(10**400)!r}, not a number"
+    ),
 }
+
+
+class TestNumberRange:
+    """A number field takes a float, or an integer that float64 holds (float() of it does not overflow)."""
+
+    @pytest.mark.parametrize("kind", ["float", "float | None"])
+    def test_integers_up_to_the_overflow_bound_are_numbers(self, kind):
+        bound = 2**1024 - 2**970  # float() rounds from here up to 2**1024
+        assert float(bound - 1) == np.finfo(np.float64).max
+        with pytest.raises(OverflowError):
+            float(bound)
+        for value in (2**70, bound - 1, -(bound - 1)):
+            runio.check_value_types({"x": value}, "here", {"x": kind})
+        for value in (bound, -bound, 10**400):
+            with pytest.raises(ValidationError, match=f"here: x is {value!r}, not a number"):
+                runio.check_value_types({"x": value}, "here", {"x": kind})
+
+    def test_integers_float64_holds_read_as_their_numbers(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        write_telemetry(path, 3)
+        with_values(path, {3: {"spectrum": [2**70, 1], "rho_align": 2**70}})
+        records, spectra = read_telemetry(path)
+        assert records[1].spectrum == [2**70, 1] and records[1].rho_align == 2**70
+        assert spectra.dtype == np.float64
+        assert spectra[1].tolist() == [2.0**70, 1.0]
 
 
 class TestFirstFaultOfAStream:
@@ -351,6 +383,7 @@ class TestArrayCodec:
             {"shape": "1", "f64": "AAAAAAAA8D8="},
             [1.0, [2.0]],
             ["x"],
+            [1.0, 10**400],  # a plain-list entry float64 cannot hold
         ],
     )
     def test_malformed_value_is_validation_error(self, value):

@@ -8,7 +8,7 @@ from grit import tasks
 from grit import trainer as trainer_module
 from grit.config import GritConfig
 from grit.errors import ConfigError
-from grit.model import zero_adapter_model
+from grit.model import squared_error, zero_adapter_model
 from grit.oracles import base_weight_vector, delta_w_vector, layer_slices, pt_grad_at
 from grit.tasks import build_task, parse_task_spec
 from grit.trainer import run_experiment, seed_stream
@@ -227,9 +227,9 @@ class TestPretrainingThroughModel:
 
     def test_base_point_matches_a_per_layer_loop(self):
         task = net_with_biases()
-        tapes, out = task._base_point()
+        net, out = task._base_point()
         h = task.pt_inputs
-        for (base, _), tape in zip(task.model.layers, tapes):
+        for (base, _), tape in zip(task.model.layers, net.tapes):
             z = h @ base.w0.T + base.bias
             assert np.array_equal(tape.x, h) and np.array_equal(tape.z, z)
             h = np.tanh(z) if base.activation == "tanh" else z
@@ -301,6 +301,28 @@ class TestPretrainingCurvature:
         task = net_with_biases()
         shapes = [factors.h.shape for factors in task.pt_curvature()]
         assert shapes == [(16, 5, 5), (3, 3), (2, 2)]
+
+    def test_gauss_newton_factors_match_finite_difference_jacobians(self):
+        """curvature_backward(model, I, 0) at trained adapters: each layer's mean
+        C_s is (1/n) sum_s J_s^T J_s, with J_s from central differences."""
+        from grit.model import curvature_backward
+        from grit.oracles import fd_gauss_newton
+
+        model = net_with_biases().model
+        rng = np.random.default_rng(5)
+        for _ in range(40):  # plain gradient steps move the adapters off their initialization
+            model.backward(squared_error(model.forward(rng.normal(size=(16, 4))), rng.normal(size=(16, 2)))[1])
+            for (_, adapter), tape in zip(model.layers, model.tapes):
+                adapter.a -= 0.1 * tape.grad_a
+                adapter.b -= 0.1 * tape.grad_b
+        assert all(np.abs(adapter.b).max() > 0.1 for adapter in model.adapters())
+        out = model.forward(rng.normal(size=(16, 4)))
+        factors = curvature_backward(model, np.eye(2), np.zeros_like(out))
+        assert [f.h.shape for f in factors] == [(16, 5, 5), (3, 3), (2, 2)]  # per-sample H below tanh
+        for factor, reference in zip(factors, fd_gauss_newton(model)):
+            assert not factor.e.any()
+            # central differences at step 1e-5 agree to about 1e-11 of the largest entry
+            assert relative_gap(factor.c.mean(axis=0), reference) < 1e-9
 
     def test_built_lazily_and_cached(self):
         task = build("two_task_forgetting(d=6, hidden=6, pretrain_steps=0)")

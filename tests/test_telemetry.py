@@ -11,7 +11,7 @@ from grit.cli import main
 from grit.config import GritConfig
 from grit.errors import ShapeError, ValidationError
 from grit.linalg import sym_eig, symmetrize
-from grit.model import AdapterPair
+from grit.model import AdapterPair, LayerCurvature
 from grit.oracles import (
     dense_curvature,
     dense_exposure,
@@ -23,7 +23,6 @@ from grit.reprojection import effective_ranks, make_projector
 from grit.runio import AUDIT_CSVS, decode_array, read_jsonl
 from grit.telemetry import (
     GeometryRecord,
-    LayerCurvature,
     TelemetryWriter,
     adapter_subspace_basis,
     adapter_subspace_bases,

@@ -1157,7 +1157,7 @@ class TestRunPath:
     @pytest.mark.parametrize("task", [TASK, SMALL_NET])
     def test_no_per_sample_curvature_on_the_run_path(self, tmp_path, monkeypatch, task):
         # every layer's H is one d_out x d_out matrix, and no run materializes the C_s
-        from grit.telemetry import LayerCurvature
+        from grit.model import LayerCurvature
 
         post_init = LayerCurvature.__post_init__
 
